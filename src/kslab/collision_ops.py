@@ -534,14 +534,9 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     clean_L = {l: _clean_block(raw_L[l], {0: [0, 1], 1: [0]}.get(l, [])) for l in raw_L}
     clean_L1 = {l: _clean_block(raw_L1[l], [0] if l == 0 else []) for l in raw_L1}
 
-    L_sector = {}
-    L1_sector = {}
-    if SECTOR_AXIAL in spec.sectors:
-        L_sector[SECTOR_AXIAL] = _sector_from_blocks(basis, clean_L, SECTOR_AXIAL)
-        L1_sector[SECTOR_AXIAL] = _sector_from_blocks(basis, clean_L1, SECTOR_AXIAL)
-    if SECTOR_TRANSVERSE in spec.sectors:
-        L_sector[SECTOR_TRANSVERSE] = _sector_from_blocks(basis, clean_L, SECTOR_TRANSVERSE)
-        L1_sector[SECTOR_TRANSVERSE] = _sector_from_blocks(basis, clean_L1, SECTOR_TRANSVERSE)
+    sectors = (SECTOR_AXIAL, SECTOR_TRANSVERSE)
+    L_sector = {sec: _sector_from_blocks(basis, clean_L, sec) for sec in sectors}
+    L1_sector = {sec: _sector_from_blocks(basis, clean_L1, sec) for sec in sectors}
 
     mu, mu_l = _spectral_gap(clean_L, lmax)
 

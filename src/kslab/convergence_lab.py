@@ -20,7 +20,12 @@ from scipy.special import spherical_jn
 
 from .collision_ops import CollisionMatrices
 from .dispersion import expansion_coefficients
-from .fluid_limits import Y2_mode, _heat_basis, transport_coefficients
+from .fluid_limits import (
+    _field_flow,
+    _heat_basis,
+    _hydro_vectors,
+    transport_coefficients,
+)
 from .mode_operators import (
     _decomposition,
     assemble_A_tilde,
@@ -38,7 +43,8 @@ class ConvergenceError(RuntimeError):
 _EPS_DEFAULT = (0.2, 0.1, 0.05, 0.025, 0.0125)
 _DATA_KINDS = ("generic", "well_prepared")
 _SHAPE_KINDS = _DATA_KINDS + ("second_order",)
-_NORMS = ("H0", "H1", "H2", "Linf_proxy")
+# norm label -> Sobolev order of the mode aggregation weight
+_NORMS = {"H0": 0, "H1": 1, "H2": 2}
 
 # acceptance bands for the pass/fail flags
 _TOL_FIRST_SLOPE = 0.15
@@ -203,7 +209,7 @@ def rate_fit(x, y) -> RateFit:
 # initial data
 # ---------------------------------------------------------------------------
 
-def _positive_profile(rng: np.random.Generator, width: float) -> np.ndarray:
+def _positive_profile(rng: np.random.Generator) -> np.ndarray:
     """Coefficients (c0, c2) of (c0 + c2 s^2) exp(-s^2/(2w^2)), c0, c2 > 0.
 
     Positivity keeps the absolute-value mode aggregation equal to the plain
@@ -299,9 +305,9 @@ def make_initial_data(kind: str, cfg: ExperimentConfig,
         )
     basis = cm.basis
     rng = np.random.default_rng(cfg.seed)
-    prof_a = _positive_profile(rng, cfg.profile_width)
-    prof_b = _positive_profile(rng, cfg.profile_width)
-    prof_f = _positive_profile(rng, cfg.profile_width)
+    prof_a = _positive_profile(rng)
+    prof_b = _positive_profile(rng)
+    prof_f = _positive_profile(rng)
     # draws below are unconditional so every kind consumes the same stream
     macro_coef = rng.uniform(0.5, 1.5, size=4)
     micro_seed = rng.standard_normal(basis.dim)
@@ -310,7 +316,7 @@ def make_initial_data(kind: str, cfg: ExperimentConfig,
     field_amp = rng.uniform(-1.0, 1.0, size=4)
 
     chi = [basis.chi(j) for j in range(5)]
-    h0 = math.sqrt(0.4) * chi[0] - math.sqrt(0.6) * chi[4]
+    h0, _ = _hydro_vectors(basis)
     p1m = basis.projection_matrix("P1")
     micro = p1m @ micro_seed
     micro /= np.linalg.norm(micro)
@@ -480,15 +486,26 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
     return out, keep
 
 
+def _field_reference(eta: float, s: np.ndarray, times: np.ndarray, rho,
+                     fields, keep: np.ndarray, dim: int) -> np.ndarray:
+    """Damped-Maxwell flow in the electromagnetic layout (kinetic, X, Y).
+
+    rho and the four reduced fields (X2, X3, Y2, Y3) are the initial values
+    per mode; returns (n_t, n_s, dim + 4) states whose kinetic part is the
+    charge alone.  Rows of dropped modes stay zero.
+    """
+    flow = _field_flow(eta, s, times, rho, *fields)
+    out = np.zeros((len(times), len(s), dim + 4), dtype=complex)
+    out[..., 0] = flow[0]
+    out[..., dim:] = np.stack(flow[1:], axis=-1)
+    out[:, ~keep] = 0.0
+    return out
+
+
 def _agg_weights(cfg: ExperimentConfig, s: np.ndarray, w: np.ndarray,
                  norm: str | None = None) -> np.ndarray:
     """Quadrature weights for the squared Sobolev mode aggregation."""
-    label = cfg.norm if norm is None else norm
-    k = {"H0": 0, "H1": 1, "H2": 2}.get(label)
-    if k is None:
-        raise ConvergenceError(
-            f"unknown norm {label!r}: expected one of {', '.join(_NORMS)}"
-        )
+    k = _NORMS[cfg.norm if norm is None else norm]
     return w * s**2 * (1.0 + s**2) ** k
 
 
@@ -566,7 +583,7 @@ def first_order_experiment(cfg: ExperimentConfig,
     eps_arr = np.asarray(cfg.eps_list)
 
     chi = [basis.chi(j) for j in range(5)]
-    ht1 = math.sqrt(0.6) * chi[0] + math.sqrt(0.4) * chi[4]
+    _, ht1 = _hydro_vectors(basis)
     hs = np.array(_heat_basis(basis))
     heat_rates = np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
     p0m = basis.projection_matrix("P0")
@@ -595,7 +612,8 @@ def first_order_experiment(cfg: ExperimentConfig,
 
         # fluid references; the heat coefficients factor through the data
         heat_coef = f0 @ hs.T                                  # (n_s, 3)
-        rho0, e0, b0 = data.vmb_fields(s)
+        fluid_v = _field_reference(tc.eta, s, times, v0[:, 0], v0[:, dimk:].T,
+                                   keep_v, dimk)
 
         # defect identities at t = 0
         db = np.sqrt(wq_b @ np.sum(np.abs(f0 @ p1m.T) ** 2, axis=1))
@@ -623,15 +641,7 @@ def first_order_experiment(cfg: ExperimentConfig,
             errs["boltzmann_p1"][jt] = math.sqrt(
                 wq_b @ np.sum(np.abs(kb @ p1m.T) ** 2, axis=1))
 
-            kv = kin_v[jt]
-            fl = np.zeros_like(kv)
-            for i, sv in enumerate(s):
-                if not keep_v[i]:
-                    continue
-                st = Y2_mode(float(t), float(sv), rho0[i], e0[i], b0[i], tc)
-                fl[i, 0] = st.coefficients[0]
-                fl[i, dimk:] = st.coefficients[1:]
-            dvt = kv - fl
+            dvt = kin_v[jt] - fluid_v[jt]
             gsq = np.sum(np.abs(dvt) ** 2, axis=1) + (1.0 / s**2) * np.abs(dvt[:, 0]) ** 2
             errs["vmb"][jt] = math.sqrt(wq_v @ gsq)
         for name in streams:
@@ -782,7 +792,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
     f0 = data.boltzmann_states(s)
 
     chi1 = basis.chi(1)
-    ht1 = math.sqrt(0.6) * basis.chi(0) + math.sqrt(0.4) * basis.chi(4)
+    _, ht1 = _hydro_vectors(basis)
     hs = np.array(_heat_basis(basis))
     heat_rates = np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
     heat_coef = f0 @ hs.T
@@ -907,7 +917,7 @@ def second_order_experiment(cfg: ExperimentConfig,
     bounded = {"boltzmann": [], "vmb": []}
     failures: list = []
     chi = [basis.chi(j) for j in range(5)]
-    ht1 = math.sqrt(0.6) * chi[0] + math.sqrt(0.4) * chi[4]
+    _, ht1 = _hydro_vectors(basis)
 
     for eps in cfg.eps_list:
         s, w = cfg.s_grid(eps)
@@ -923,6 +933,10 @@ def second_order_experiment(cfg: ExperimentConfig,
         kin_v, keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times_all, failures)
         wq_b, wq_v = wq * keep_b, wq * keep_v
         wl_b = wl * keep_b
+        # corrector data E = prof * e_z, B = 0: rho = i s E1, X2 = -E3, X3 = E2
+        fluid_v = _field_reference(
+            tc.eta, s, times, 1j * s * prof * e_z[0],
+            (-(prof * e_z[2]), prof * e_z[1], 0.0, 0.0), keep_v, dimk)
 
         errs = {name: np.zeros(len(times)) for name in streams}
         for jt, t in enumerate(times):
@@ -937,17 +951,7 @@ def second_order_experiment(cfg: ExperimentConfig,
             errs["boltzmann_par_proxy"][jt] = float(
                 wl_b @ np.sqrt(np.abs(par1) ** 2 + np.abs(parh) ** 2))
 
-            kv = kin_v[jt] / eps
-            fl = np.zeros_like(kv)
-            for i, sv in enumerate(s):
-                if not keep_v[i]:
-                    continue
-                rho_z = 1j * sv * prof[i] * e_z[0]
-                st = Y2_mode(float(t), float(sv), rho_z, prof[i] * e_z,
-                             np.zeros(3, dtype=complex), tc)
-                fl[i, 0] = st.coefficients[0]
-                fl[i, dimk:] = st.coefficients[1:]
-            dvt = kv - fl
+            dvt = kin_v[jt] / eps - fluid_v[jt]
             gsq = np.sum(np.abs(dvt) ** 2, axis=1) + (1.0 / s**2) * np.abs(dvt[:, 0]) ** 2
             errs["vmb"][jt] = math.sqrt(wq_v @ gsq)
         for name in streams:

@@ -4,9 +4,15 @@ Transport coefficients from constrained collision-inverse solves, the two
 per-mode fluid semigroups (heat decay along the incompressible branches, and
 the damped-Maxwell evolution of charge and fields), the compressible versus
 incompressible splittings, and a Duhamel solver for the linearized
-Navier-Stokes-Maxwell-Fourier mode system.  Field evolution is evaluated with
-a confluent-safe two-by-two exponential, so the branch-collision wave number
-needs no special casing.
+Navier-Stokes-Maxwell-Fourier mode system.
+
+The damped-Maxwell evolution is one array-valued flow, _field_flow, on the
+reduced coordinates (charge, omega x E, omega x B) over a grid of wave
+numbers and times.  Y2_mode, the linear solver, the aggregate decay
+experiment and the rate experiments in convergence_lab all evaluate it; the
+Duhamel forcing integrals apply it on their quadrature nodes in one call.
+Its field blocks use a confluent-safe two-by-two exponential, so the
+branch-collision wave number needs no special casing.
 """
 from __future__ import annotations
 
@@ -131,13 +137,22 @@ class FluidModeState:
     rho: complex | None = None
     E: np.ndarray | None = None
     B: np.ndarray | None = None
-    eigen_b: np.ndarray | None = None
-    eigen_X: np.ndarray | None = None
+
+
+def _hydro_vectors(basis) -> tuple[np.ndarray, np.ndarray]:
+    """The density/heat mixing pair (h0, ht1) of the macroscopic space.
+
+    h0 spans the entropy (heat) branch; ht1 is the compressible direction
+    that pairs with axial momentum on the acoustic branches.
+    """
+    chi0, chi4 = basis.chi(0), basis.chi(4)
+    h0 = math.sqrt(0.4) * chi0 - math.sqrt(0.6) * chi4
+    ht1 = math.sqrt(0.6) * chi0 + math.sqrt(0.4) * chi4
+    return h0, ht1
 
 
 def _heat_basis(basis) -> list[np.ndarray]:
-    h0 = math.sqrt(0.4) * basis.chi(0) - math.sqrt(0.6) * basis.chi(4)
-    return [h0, basis.chi(2), basis.chi(3)]
+    return [_hydro_vectors(basis)[0], basis.chi(2), basis.chi(3)]
 
 
 def Y1_mode(t: float, s: float, f0: np.ndarray,
@@ -174,30 +189,64 @@ def _sinhc(z):
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-6
     guarded = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 + z * z / 6.0 + z**4 / 120.0,
-                   np.sinh(guarded) / guarded)
-    return out if out.ndim else complex(out)
+    return np.where(small, 1.0 + z * z / 6.0 + z**4 / 120.0,
+                    np.sinh(guarded) / guarded)
 
 
-def _field_block(eta: float, c, t: float):
+def _field_block(eta: float, c, t):
     """exp(t * [[-eta, c], [c, 0]]) through the branch collision.
 
     The shifted matrix squares to a scalar, so the exponential reduces to
     cosh/sinh of delta = sqrt(eta^2/4 + c^2); the sinh(z)/z form stays finite
-    when the two branch rates collide.  Elementwise over an array c.
+    when the two branch rates collide.  Elementwise over arrays c and t that
+    broadcast together.
     """
     c = np.asarray(c, dtype=complex)
+    t = np.asarray(t, dtype=float)
     m = -0.5 * eta
     delta = np.sqrt(0.25 * eta * eta + c * c)
-    base = math.exp(m * t)
+    # math.exp, one call per time: numpy's vector exp can differ in the last
+    # bit, and the rate reports built on this flow are byte-stable
+    base = np.array([math.exp(m * tk) for tk in t.flat]).reshape(t.shape)
     ch = np.cosh(delta * t)
     sc = t * _sinhc(delta * t)
-    e11 = base * (ch + m * sc)
-    e12 = base * (c * sc)
-    e22 = base * (ch - m * sc)
-    if c.ndim:
-        return e11, e12, e22
-    return complex(e11), complex(e12), complex(e22)
+    return base * (ch + m * sc), base * (c * sc), base * (ch - m * sc)
+
+
+def _field_flow(eta: float, s, t, rho, x2, x3, y2, y3):
+    """Damped-Maxwell flow of (charge, field) modes in reduced coordinates.
+
+    X = omega x E and Y = omega x B have components (X2, X3), (Y2, Y3) along
+    the frame (p1, p2) of _frame.  The charge decays at eta (1 + s^2); the
+    blocks (X3, Y2) and (X2, Y3) evolve by _field_block with coupling +i s
+    and -i s.  Times t run along axis 0 and wave numbers s along axis 1; the
+    initial values broadcast against that grid.  Returns the five reduced
+    coordinates (rho, X2, X3, Y2, Y3) on the grid: (len(t), len(s)), or
+    (len(t), 1) for a single wave number.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)[:, None]
+    rho_t = np.exp(-eta * (1.0 + s * s) * t) * rho
+    e11, e12, e22 = _field_block(eta, 1j * s, t)
+    f11, f12, f22 = _field_block(eta, -1j * s, t)
+    return (rho_t, f11 * x2 + f12 * y3, e11 * x3 + e12 * y2,
+            e12 * x3 + e22 * y2, f12 * x2 + f22 * y3)
+
+
+def _rotated(omega: np.ndarray, v: np.ndarray):
+    """Components of omega x v along the frame (p1, p2)."""
+    p1, p2 = _frame(omega)
+    w = np.cross(omega, v)
+    return w @ p1, w @ p2
+
+
+def _fields(omega: np.ndarray, s: float, rho, x2, x3, y2, y3):
+    """E and B of reduced coordinates (the inverse of _rotated); space last."""
+    p1, p2 = _frame(omega)
+    x = np.multiply.outer(x2, p1) + np.multiply.outer(x3, p2)
+    y = np.multiply.outer(y2, p1) + np.multiply.outer(y3, p2)
+    e_field = -1j * np.multiply.outer(rho, omega) / s - np.cross(omega, x)
+    return e_field, -np.cross(omega, y)
 
 
 def y2_eigenbasis(s: float, eta: float):
@@ -246,31 +295,12 @@ def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
         raise FluidError("charge does not match the field divergence")
     if abs(omega @ B0) > _CONSTRAINT_TOL * scale:
         raise FluidError("magnetic mode must be divergence free")
-    eta = tc.eta
-    p1, p2 = _frame(omega)
-    xv = np.cross(omega, E0)
-    yv = np.cross(omega, B0)
-    xa, xb = xv @ p1, xv @ p2
-    ya, yb = yv @ p1, yv @ p2
-    rho = np.exp(-eta * (1.0 + s * s) * t) * rho0
-    e11, e12, e22 = _field_block(eta, 1j * s, t)
-    xb_t = e11 * xb + e12 * ya
-    ya_t = e12 * xb + e22 * ya
-    f11, f12, f22 = _field_block(eta, -1j * s, t)
-    xa_t = f11 * xa + f12 * yb
-    yb_t = f12 * xa + f22 * yb
-    x_t = xa_t * p1 + xb_t * p2
-    y_t = ya_t * p1 + yb_t * p2
-    e_field = -1j * omega * rho / s - np.cross(omega, x_t)
-    b_field = -np.cross(omega, y_t)
-    state = FluidModeState(
-        kind="y2", s=s, t=t,
-        coefficients=np.array([rho, xa_t, xb_t, ya_t, yb_t]),
-        rho=complex(rho), E=e_field, B=b_field,
-    )
-    if abs(eta * eta - 4.0 * s * s) >= 1e-12:
-        state.eigen_b, state.eigen_X, _ = y2_eigenbasis(s, eta)
-    return state
+    flow = _field_flow(tc.eta, s, [t], rho0, *_rotated(omega, E0),
+                       *_rotated(omega, B0))
+    coefficients = np.array([v[0, 0] for v in flow], dtype=complex)
+    e_field, b_field = _fields(omega, s, *coefficients)
+    return FluidModeState(kind="y2", s=s, t=t, coefficients=coefficients,
+                          rho=complex(coefficients[0]), E=e_field, B=b_field)
 
 
 # ---------------------------------------------------------------------------
@@ -333,56 +363,29 @@ def _geometric_panels(t: float, n: int) -> np.ndarray:
     return np.concatenate(([0.0], edges))
 
 
-def _duhamel_scalar(alpha: complex, force: Callable[[float], complex],
-                    t: float, n_panels: int = 12) -> complex:
-    """integral_0^t exp(alpha (t - tau)) force(tau) dtau, panelwise Gauss."""
+def _duhamel(propagate: Callable, force: Callable, t: float,
+             n_panels: int = 12) -> np.ndarray:
+    """integral_0^t propagate(t - tau, force(tau)) dtau, panelwise Gauss.
+
+    force(tau) gives the forcing components at one time.  propagate(lags, f)
+    applies the unforced flow over each lag to the rows of f, one row per
+    quadrature node, in a single call.  Returns the integrated components.
+    """
     if t == 0:
-        return 0.0
+        return np.zeros(np.size(force(0.0)), dtype=complex)
+    nodes, weights = np.polynomial.legendre.leggauss(6)
 
     def quad(n):
         edges = _geometric_panels(t, n)
-        nodes, weights = np.polynomial.legendre.leggauss(6)
-        total = 0.0 + 0.0j
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            for xi, wi in zip(nodes, weights):
-                tau = mid + half * xi
-                total += half * wi * np.exp(alpha * (t - tau)) * force(tau)
-        return total
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        taus = (mid[:, None] + half[:, None] * nodes).ravel()
+        forces = np.array([np.atleast_1d(force(tau)) for tau in taus], dtype=complex)
+        return (half[:, None] * weights).ravel() @ propagate(t - taus, forces)
 
     coarse, fine = quad(n_panels), quad(2 * n_panels)
-    if abs(fine - coarse) > 1e-8 * (abs(fine) + 1e-12):
+    if np.sum(np.abs(fine - coarse)) > 1e-8 * (np.sum(np.abs(fine)) + 1e-12):
         raise FluidError("forcing too rough for the Duhamel time quadrature")
     return fine
-
-
-def _duhamel_pair(eta: float, c: complex, forces, t: float,
-                  n_panels: int = 12):
-    """Same as _duhamel_scalar for one two-by-two field block."""
-    if t == 0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-
-    def quad(n):
-        edges = _geometric_panels(t, n)
-        nodes, weights = np.polynomial.legendre.leggauss(6)
-        top = 0.0 + 0.0j
-        bot = 0.0 + 0.0j
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            for xi, wi in zip(nodes, weights):
-                tau = mid + half * xi
-                e11, e12, e22 = _field_block(eta, c, t - tau)
-                f1, f2 = forces(tau)
-                top += half * wi * (e11 * f1 + e12 * f2)
-                bot += half * wi * (e12 * f1 + e22 * f2)
-        return top, bot
-
-    c1 = quad(n_panels)
-    c2 = quad(2 * n_panels)
-    err = abs(c2[0] - c1[0]) + abs(c2[1] - c1[1])
-    if err > 1e-8 * (abs(c2[0]) + abs(c2[1]) + 1e-12):
-        raise FluidError("forcing too rough for the Duhamel time quadrature")
-    return c2
 
 
 def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
@@ -406,52 +409,38 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
     }
     for j, mode in enumerate(modes):
         s, omega, eta = mode.s, mode.omega, tc.eta
-        p1, p2 = _frame(omega)
-        xa0, xb0 = np.cross(omega, mode.E0) @ p1, np.cross(omega, mode.E0) @ p2
-        ya0, yb0 = np.cross(omega, mode.B0) @ p1, np.cross(omega, mode.B0) @ p2
+        frame = np.array(_frame(omega))
+        heat, shear = -tc.kappa1 * s * s, -tc.kappa0 * s * s
+        q = np.exp(heat * times) * complex(mode.q0)
+        m_vec = np.exp(shear * times)[:, None] * np.asarray(mode.m0, complex)
+        flow = np.concatenate(_field_flow(eta, s, times, mode.rho0,
+                                          *_rotated(omega, mode.E0),
+                                          *_rotated(omega, mode.B0)), axis=1)
+
+        def field_force(tau):
+            g = mode.g3(tau)
+            return (1j * s * (omega @ g), *_rotated(omega, g), 0.0, 0.0)
+
         for i, t in enumerate(times):
-            q = np.exp(-tc.kappa1 * s * s * t) * mode.q0
             if mode.g2 is not None:
-                q += _duhamel_scalar(-tc.kappa1 * s * s,
-                                     lambda tau: 0.6 * mode.g2(tau), t)
-            m_vec = np.exp(-tc.kappa0 * s * s * t) * mode.m0
+                q[i] += _duhamel(lambda lag, f: np.exp(heat * lag)[:, None] * f,
+                                 lambda tau: 0.6 * mode.g2(tau), t)[0]
             if mode.g1 is not None:
                 # only the transverse forcing drives the momentum; the
                 # parallel part is absorbed by the pressure
-                for pol in (p1, p2):
-                    m_vec = m_vec + pol * _duhamel_scalar(
-                        -tc.kappa0 * s * s,
-                        lambda tau, pol=pol: mode.g1(tau) @ pol, t)
-            rho = np.exp(-eta * (1.0 + s * s) * t) * mode.rho0
-            if mode.g3 is not None:
-                rho += _duhamel_scalar(
-                    -eta * (1.0 + s * s),
-                    lambda tau: 1j * s * (omega @ mode.g3(tau)), t)
-            e11, e12, e22 = _field_block(eta, 1j * s, t)
-            xb_t = e11 * xb0 + e12 * ya0
-            ya_t = e12 * xb0 + e22 * ya0
-            f11, f12, f22 = _field_block(eta, -1j * s, t)
-            xa_t = f11 * xa0 + f12 * yb0
-            yb_t = f12 * xa0 + f22 * yb0
-            if mode.g3 is not None:
-                add_b, add_a = _duhamel_pair(
-                    eta, 1j * s,
-                    lambda tau: (np.cross(omega, mode.g3(tau)) @ p2, 0.0), t)
-                xb_t, ya_t = xb_t + add_b, ya_t + add_a
-                add_a2, add_b2 = _duhamel_pair(
-                    eta, -1j * s,
-                    lambda tau: (np.cross(omega, mode.g3(tau)) @ p1, 0.0), t)
-                xa_t, yb_t = xa_t + add_a2, yb_t + add_b2
-            x_t = xa_t * p1 + xb_t * p2
-            y_t = ya_t * p1 + yb_t * p2
-            out["q"][i, j] = q
-            out["n"][i, j] = -math.sqrt(2.0 / 3.0) * q
-            out["m"][i, j] = m_vec
-            out["rho"][i, j] = rho
-            out["E"][i, j] = -1j * omega * rho / s - np.cross(omega, x_t)
-            out["B"][i, j] = -np.cross(omega, y_t)
-            if mode.g1 is not None:
+                m_vec[i] += _duhamel(lambda lag, f: np.exp(shear * lag)[:, None] * f,
+                                     lambda tau: frame @ mode.g1(tau), t) @ frame
                 out["p"][i, j] = -1j * (omega @ mode.g1(t)) / s
+            if mode.g3 is not None:
+                flow[i] += _duhamel(
+                    lambda lag, f: np.concatenate(
+                        _field_flow(eta, s, lag, *f.T[:, :, None]), axis=1),
+                    field_force, t)
+        out["q"][:, j] = q
+        out["n"][:, j] = -math.sqrt(2.0 / 3.0) * q
+        out["m"][:, j] = m_vec
+        out["rho"][:, j] = flow[:, 0]
+        out["E"][:, j], out["B"][:, j] = _fields(omega, s, *flow.T)
     return out
 
 
@@ -498,29 +487,15 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
     s, w = _radial_grid(n_s, s_max)
     width = tc.eta / math.sqrt(2.0) if profile_width is None else profile_width
     profile = np.exp(-0.5 * (s / width) ** 2)
-    eta = tc.eta
+    x3 = profile.astype(complex)
+    zero = np.zeros_like(x3)
     if kind == "generic":
-        xb0 = profile.astype(complex)
-        ya0 = profile.astype(complex)
-        xa0 = yb0 = np.zeros_like(xb0)
-        rho0 = np.zeros_like(xb0)
+        rho0, y2 = zero, x3
     else:
-        xb0 = profile.astype(complex)
-        xa0 = ya0 = yb0 = np.zeros_like(xb0)
-        rho0 = 1j * s * profile
-    norms = np.empty(len(times))
-    metric_rho = 1.0 + s**-2
-    for i, t in enumerate(times):
-        rho = np.exp(-eta * (1.0 + s * s) * t) * rho0
-        e11, e12, e22 = _field_block(eta, 1j * s, t)
-        xb_t = e11 * xb0 + e12 * ya0
-        ya_t = e12 * xb0 + e22 * ya0
-        f11, f12, f22 = _field_block(eta, -1j * s, t)
-        xa_t = f11 * xa0 + f12 * yb0
-        yb_t = f12 * xa0 + f22 * yb0
-        density = (metric_rho * np.abs(rho)**2 + np.abs(xa_t)**2
-                   + np.abs(xb_t)**2 + np.abs(ya_t)**2 + np.abs(yb_t)**2)
-        norms[i] = math.sqrt(4.0 * math.pi * float(w @ density))
+        rho0, y2 = 1j * s * profile, zero
+    flow = _field_flow(tc.eta, s, times, rho0, zero, x3, y2, zero)
+    density = (1.0 + s**-2) * np.abs(flow[0])**2 + sum(np.abs(v)**2 for v in flow[1:])
+    norms = np.sqrt(4.0 * math.pi * (density @ w))
     slope = float(np.polyfit(np.log1p(times), np.log(norms), 1)[0])
     return DecayFit(times=times, norms=norms, exponent=slope)
 

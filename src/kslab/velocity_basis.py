@@ -18,8 +18,6 @@ Maxwellian so that integrands stay polynomially bounded in float64.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -44,31 +42,17 @@ class BasisSpec:
 
     radial_order: number of radial modes per angular degree (N_r >= 2)
     angular_max:  highest Legendre degree kept (l_max >= 1)
-    sectors:      azimuthal sectors, subset of {0, 1}
     quad_points:  radial quadrature size; None picks a safe default
     """
 
     radial_order: int = 12
     angular_max: int = 6
-    sectors: tuple[int, ...] = (SECTOR_AXIAL, SECTOR_TRANSVERSE)
     quad_points: int | None = None
 
     def resolved_quad_points(self) -> int:
         if self.quad_points is not None:
             return self.quad_points
         return max(2 * self.radial_order + 2, 2 * self.radial_order + self.angular_max + 12)
-
-    def content_key(self) -> str:
-        payload = json.dumps(
-            {
-                "radial_order": self.radial_order,
-                "angular_max": self.angular_max,
-                "sectors": sorted(self.sectors),
-                "quad_points": self.resolved_quad_points(),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -104,15 +88,11 @@ class Basis:
     # -- layout ---------------------------------------------------------
     @property
     def dim0(self) -> int:
-        if SECTOR_AXIAL not in self.spec.sectors:
-            return 0
         return self.spec.radial_order * (self.spec.angular_max + 1)
 
     @property
     def dim1(self) -> int:
         """Dimension of one transverse copy."""
-        if SECTOR_TRANSVERSE not in self.spec.sectors:
-            return 0
         return self.spec.radial_order * self.spec.angular_max
 
     @property
@@ -238,8 +218,6 @@ def build_basis(spec: BasisSpec) -> Basis:
         raise BasisError(f"radial_order must be >= 2, got {spec.radial_order}")
     if spec.angular_max < 1:
         raise BasisError(f"angular_max must be >= 1, got {spec.angular_max}")
-    if not set(spec.sectors) <= {SECTOR_AXIAL, SECTOR_TRANSVERSE}:
-        raise BasisError(f"sectors must be a subset of (0, 1), got {spec.sectors}")
     nq = spec.resolved_quad_points()
     if nq < 2 * spec.radial_order + 2:
         raise BasisError(
@@ -285,15 +263,13 @@ def build_basis(spec: BasisSpec) -> Basis:
         ang1[l - 1] = norm * _assoc_legendre_m1(l, c)
 
     elements: list[BasisElement] = []
-    if SECTOR_AXIAL in spec.sectors:
-        for l in range(lmax + 1):
+    for l in range(lmax + 1):
+        for n in range(nr):
+            elements.append(BasisElement(SECTOR_AXIAL, "axial", n, l))
+    for copy in ("cos", "sin"):
+        for l in range(1, lmax + 1):
             for n in range(nr):
-                elements.append(BasisElement(SECTOR_AXIAL, "axial", n, l))
-    if SECTOR_TRANSVERSE in spec.sectors:
-        for copy in ("cos", "sin"):
-            for l in range(1, lmax + 1):
-                for n in range(nr):
-                    elements.append(BasisElement(SECTOR_TRANSVERSE, copy, n, l))
+                elements.append(BasisElement(SECTOR_TRANSVERSE, copy, n, l))
 
     basis = Basis(
         spec=spec,
@@ -342,14 +318,12 @@ def _assemble_gram(basis: Basis) -> np.ndarray:
     ones_r = np.ones_like(basis.quad.r)
     ones_c = np.ones_like(basis.quad.c)
     gram = np.zeros((basis.dim, basis.dim))
-    if basis.dim0:
-        gram[basis.slice_axial, basis.slice_axial] = _sector_matrix(
-            basis, SECTOR_AXIAL, ones_r, ones_c
-        )
-    if basis.dim1:
-        g1 = _sector_matrix(basis, SECTOR_TRANSVERSE, ones_r, ones_c)
-        gram[basis.slice_cos, basis.slice_cos] = g1
-        gram[basis.slice_sin, basis.slice_sin] = g1
+    gram[basis.slice_axial, basis.slice_axial] = _sector_matrix(
+        basis, SECTOR_AXIAL, ones_r, ones_c
+    )
+    g1 = _sector_matrix(basis, SECTOR_TRANSVERSE, ones_r, ones_c)
+    gram[basis.slice_cos, basis.slice_cos] = g1
+    gram[basis.slice_sin, basis.slice_sin] = g1
     return gram
 
 
@@ -362,8 +336,6 @@ def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:
     key = ("v1", sector)
     if key in basis._v_cache:
         return basis._v_cache[key]
-    if sector not in basis.spec.sectors:
-        raise BasisError(f"sector {sector} not present in this basis")
     mat = _sector_matrix(basis, sector, basis.quad.r, basis.quad.c)
     basis._v_cache[key] = mat
     return mat
@@ -375,12 +347,10 @@ def v1_full(basis: Basis) -> np.ndarray:
     if key in basis._v_cache:
         return basis._v_cache[key]
     out = np.zeros((basis.dim, basis.dim))
-    if basis.dim0:
-        out[basis.slice_axial, basis.slice_axial] = v_multiplication_matrix(basis, SECTOR_AXIAL)
-    if basis.dim1:
-        v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
-        out[basis.slice_cos, basis.slice_cos] = v1
-        out[basis.slice_sin, basis.slice_sin] = v1
+    out[basis.slice_axial, basis.slice_axial] = v_multiplication_matrix(basis, SECTOR_AXIAL)
+    v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
+    out[basis.slice_cos, basis.slice_cos] = v1
+    out[basis.slice_sin, basis.slice_sin] = v1
     basis._v_cache[key] = out
     return out
 

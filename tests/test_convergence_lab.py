@@ -113,8 +113,10 @@ class TestExperimentConfig:
     def test_kind_and_norm_messages_enumerate_options(self):
         with pytest.raises(cl.ConvergenceError, match="generic, well_prepared"):
             cl.ExperimentConfig(data_kind="wrong")
-        with pytest.raises(cl.ConvergenceError, match="H0, H1, H2, Linf_proxy"):
+        with pytest.raises(cl.ConvergenceError, match="H0, H1, H2"):
             cl.ExperimentConfig(norm="L7")
+        with pytest.raises(cl.ConvergenceError, match="unknown norm 'Linf_proxy'"):
+            cl.ExperimentConfig(norm="Linf_proxy")
 
     def test_grid_validation(self):
         with pytest.raises(cl.ConvergenceError, match="t_min < t_max"):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from kslab import fluid_limits as fl
 from kslab.dispersion import eta_coefficient, expansion_coefficients
@@ -205,6 +206,32 @@ class TestY2Mode:
         start = fl.Y2_mode(0.0, s, rho0, e0, b0, tc)
         later = fl.Y2_mode(t, s, rho0, e0, b0, tc)
         assert energy(later) <= energy(start) * (1 + 1e-11)
+
+
+class TestFieldFlow:
+    def test_grid_matches_generator_exponential(self, tc):
+        eta = tc.eta
+        s = eta / 2.0 * np.array([0.3, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.4, 4.0])
+        t = np.array([0.0, 0.4, 1.7, 6.0])
+        rng = np.random.default_rng(17)
+        v0 = rng.standard_normal((5, len(s))) + 1j * rng.standard_normal((5, len(s)))
+        flow = np.array(fl._field_flow(eta, s, t, *v0))        # (5, n_t, n_s)
+        assert flow.shape == (5, len(t), len(s))
+        for j, sj in enumerate(s):
+            # reduced order (rho, X2, X3, Y2, Y3); (X3, Y2) couple through
+            # +i s and (X2, Y3) through -i s
+            gen = np.diag([-eta * (1.0 + sj * sj), -eta, -eta, 0.0, 0.0]).astype(complex)
+            gen[2, 3] = gen[3, 2] = 1j * sj
+            gen[1, 4] = gen[4, 1] = -1j * sj
+            for k, tk in enumerate(t):
+                want = expm(tk * gen) @ v0[:, j]
+                assert np.max(np.abs(flow[:, k, j] - want)) < 1e-12
+            if abs(2.0 * sj / eta - 1.0) > 0.2:
+                b, x, metric = fl.y2_eigenbasis(sj, eta)
+                weights = (v0[:, j] * metric) @ x
+                for k, tk in enumerate(t):
+                    via_eigen = x @ (np.exp(b * tk) * weights)
+                    assert np.max(np.abs(flow[:, k, j] - via_eigen)) < 1e-12
 
 
 class TestSplittings:
