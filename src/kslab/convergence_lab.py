@@ -27,7 +27,7 @@ from .fluid_limits import (
     transport_coefficients,
 )
 from .mode_operators import (
-    _decomposition,
+    _decompose_stacked,
     assemble_A_tilde,
     assemble_B,
     propagator_matrix,
@@ -270,7 +270,12 @@ class InitialData:
         return out
 
     def vmb_fields(self, s: np.ndarray):
-        """Full (rho0, E0, B0) per mode in the (omega, p1, p2) frame."""
+        """Full (rho0, E0, B0) per mode in the (omega, p1, p2) frame.
+
+        The reduced layout stores only the charge and the transverse fields;
+        the longitudinal parts are rebuilt here as E1 = -i rho / s and B1 = 0,
+        so Gauss's law and div B = 0 hold by construction.
+        """
         s = np.asarray(s, dtype=float)
         states = self.vmb_states(s)
         rho = states[:, 0]
@@ -345,7 +350,7 @@ def make_initial_data(kind: str, cfg: ExperimentConfig,
         g_micro = g_micro / np.linalg.norm(g_micro)
         field_amp = np.zeros(4)
 
-    data = InitialData(
+    return InitialData(
         kind=kind,
         seed=cfg.seed,
         width=cfg.profile_width,
@@ -359,14 +364,6 @@ def make_initial_data(kind: str, cfg: ExperimentConfig,
         vmb_micro=g_micro,
         field_amp=field_amp,
     )
-    probe = np.linspace(0.1, cfg.s_cap, 7)
-    residual = data.constraint_residual(probe)
-    if residual > 1e-12:
-        idx = int(np.argmax(np.abs(probe)))
-        raise ConvergenceError(
-            f"compatibility residual {residual:.2e} at mode index {idx}"
-        )
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -445,45 +442,47 @@ class ConvergenceReport:
 # kinetic propagation helpers
 # ---------------------------------------------------------------------------
 
-class _ModeEvolver:
-    """One diagonalization per mode, reused across the whole time grid."""
+def _propagate_modes(ops: list, states0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(n_s, n_t, dim) states e^{(t/eps^2) A} u0 for modes sharing one block layout.
 
-    def __init__(self, op):
-        self.op = op
-        dec = _decomposition(op)
-        self.defective = dec[0] != "eig"
-        if not self.defective:
-            _, self.lam, self.vr, self.vinv, _ = dec
-
-    def states(self, u0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        taus = np.asarray(times, dtype=float) / self.op.eps**2
-        if self.defective:
-            return np.stack([propagator_matrix(self.op, t) @ u0 for t in times])
-        coef = self.vinv @ u0
-        return (np.exp(np.outer(taus, self.lam)) * coef[None, :]) @ self.vr.T
+    Each sector block is stacked over the modes and decomposed in one call; a
+    mode whose eigenvectors fail the conditioning limit falls back on its own
+    to the Schur propagator.
+    """
+    taus = np.asarray(times, dtype=float) / ops[0].eps**2
+    layout = ops[0].blocks
+    parts, _, ok = _decompose_stacked(
+        [np.stack([op.blocks[b].matrix for op in ops]) for b in range(len(layout))])
+    out = np.zeros((len(ops), len(taus), states0.shape[1]), dtype=complex)
+    for block, (lam, vr, vinv) in zip(layout, parts):
+        growth = np.exp(taus[None, :, None] * lam[:, None, :])
+        vr_t = np.swapaxes(vr, 1, 2)
+        for idx, sign in block.copies:
+            coef = (vinv @ (states0[:, idx] * sign)[:, :, None])[:, None, :, 0]
+            out[:, :, idx] = ((growth * coef) @ vr_t) * sign
+    for i in np.flatnonzero(~ok):
+        out[i] = np.stack([propagator_matrix(ops[i], t) @ states0[i] for t in times])
+    return out
 
 
 def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
                  cm: CollisionMatrices, states0: np.ndarray,
                  times: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndarray]:
     """Propagate every mode; returns (n_t, n_s, dim) states and a keep mask."""
-    n_s = len(s_nodes)
-    out = np.zeros((len(times), n_s, states0.shape[1]), dtype=complex)
-    keep = np.ones(n_s, dtype=bool)
+    ops = [assemble(float(s), eps, cm) for s in s_nodes]
+    out = _propagate_modes(ops, states0, times)
+    keep = np.ones(len(ops), dtype=bool)
     for i, s in enumerate(s_nodes):
-        op = assemble(float(s), eps, cm)
-        ev = _ModeEvolver(op)
-        st = ev.states(states0[i], times)
-        g = op.metric_diag
+        st = out[i]
+        g = ops[i].metric_diag
         n0 = math.sqrt(float(np.real(states0[i].conj() * g @ states0[i])))
         n1 = math.sqrt(float(np.real(st[-1].conj() * g @ st[-1])))
         if n1 > n0 * (1.0 + 1e-6) + 1e-12:
             keep[i] = False
             failures.append({"eps": float(eps), "s": float(s),
                              "reason": f"contraction violated ({n1 / max(n0, 1e-300):.3e})"})
-            continue
-        out[:, i, :] = st
-    return out, keep
+            out[i] = 0.0
+    return np.ascontiguousarray(out.transpose(1, 0, 2)), keep
 
 
 def _field_reference(eta: float, s: np.ndarray, times: np.ndarray, rho,
@@ -734,13 +733,9 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
     gap = float(split.measured_gap_b)
     if not math.isfinite(gap) or gap <= 0:
         raise ConvergenceError("semigroup splitting reported no usable gap")
-    ev = _ModeEvolver(op)
     taus = np.linspace(1.0 / gap, 14.0 / gap, 10)
     u0 = split.S3_part @ f0
-    norms = np.array([
-        np.linalg.norm(ev.states(u0, np.array([tau * eps**2]))[0])
-        for tau in taus
-    ])
+    norms = np.linalg.norm(_propagate_modes([op], u0[None], taus * eps**2)[0], axis=1)
     good = norms > 1e-12
     if good.sum() < 4:
         raise ConvergenceError("microscopic transient too weak for a rate fit")
@@ -1044,6 +1039,9 @@ def oscillatory_value(theta: float, x: float, phi: Callable | None = None,
     return (2.0 * math.pi / (1j * x)) * (k_plus - k_minus)
 
 
+_MC_CHUNK = 1 << 20
+
+
 def mc_reference(theta: float, x: float, n: int = 10_000_000,
                  seed: int = 20230823):
     """Monte Carlo value of the wave integral for the default envelope.
@@ -1051,15 +1049,28 @@ def mc_reference(theta: float, x: float, n: int = 10_000_000,
     Radial importance sampling with the exact inverse distribution of the
     density proportional to s^2 (1+s)^{-4}; the sphere average is analytic.
     Returns (value, sigma) with sigma the componentwise standard error.
+    Samples are drawn and reduced in chunks of _MC_CHUNK from one generator
+    (the same stream as a single draw), merging the chunk means and centred
+    sums of squares pairwise.
     """
     rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    v = np.cbrt(u)
-    r = v / (1.0 - v)
+    count, mean, m2 = 0, 0j, np.zeros(2)
+    while count < n:
+        size = min(_MC_CHUNK, n - count)
+        v = np.cbrt(rng.random(size))
+        r = v / (1.0 - v)
+        samples = np.sinc(r * x / math.pi) * np.exp(1j * theta * r)
+        c_mean = complex(samples.mean())
+        c_m2 = np.array([np.sum((samples.real - c_mean.real) ** 2),
+                         np.sum((samples.imag - c_mean.imag) ** 2)])
+        delta = c_mean - mean
+        total_count = count + size
+        m2 += c_m2 + np.array([delta.real**2, delta.imag**2]) * (count * size / total_count)
+        mean += delta * (size / total_count)
+        count = total_count
     total = 4.0 * math.pi / 3.0
-    samples = np.sinc(r * x / math.pi) * np.exp(1j * theta * r)
-    value = total * complex(samples.mean())
-    sigma = total * max(samples.real.std(), samples.imag.std()) / math.sqrt(n)
+    value = total * mean
+    sigma = total * math.sqrt(m2.max() / n) / math.sqrt(n)
     return value, float(sigma)
 
 

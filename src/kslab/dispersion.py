@@ -290,10 +290,9 @@ _BOLTZMANN_LABELS = ("boltzmann_-1", "boltzmann_0", "boltzmann_1",
 
 
 def _slow_eigenvalues(s: float, eps: float, cm: CollisionMatrices) -> np.ndarray:
-    from .mode_operators import assemble_B
+    from .mode_operators import assemble_B, eigenvalues
 
-    op = assemble_B(s, eps, cm)
-    lam = np.linalg.eigvals(op.matrix)
+    lam = eigenvalues(assemble_B(s, eps, cm))
     order = np.argsort(np.abs(lam))
     return lam[order[:5]]
 

@@ -2,16 +2,25 @@
 
 With the wave vector rotated onto the first axis, one Fourier mode carries a
 kinetic state (axial sector plus a cosine and a sine transverse copy) and, in
-the electromagnetic case, the four transverse field components.  Everything
-here is a dense complex matrix: assembly, the weighted inner product, the
-semigroup (in diffusive time t / eps^2), its split into fluid branches, an
-oscillatory high-frequency part and an exponentially damped remainder, and a
-grid-based probe for the norm of gain-times-resolvent compositions.
+the electromagnetic case, the four transverse field components.  Both
+generators are block-diagonal, and a ModeOperator holds only its sector
+blocks: the axial block, and one transverse block that fills the cosine copy
+and, conjugated by a signature matrix, the sine copy.  In the
+electromagnetic generator the transverse block also carries two field
+components, (cos, X3, Y2) and (sin, X2, Y3).  Eigendecompositions run one
+block at a time and, through _decompose_stacked, over whole stacks of modes
+at once; the dense matrix is a view assembled from the blocks.
+
+On top of the blocks: the weighted inner product, the semigroup (in
+diffusive time t / eps^2), its split into fluid branches, an oscillatory
+high-frequency part and an exponentially damped remainder, and a grid-based
+probe for the norm of gain-times-resolvent compositions.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, schur, solve_sylvester
@@ -29,22 +38,59 @@ class PropagationError(RuntimeError):
     """Raised when the matrix exponential fails its contraction guard."""
 
 
-@dataclass
-class ModeOperator:
-    kind: str
-    s: float
-    eps: float
+@dataclass(frozen=True)
+class SectorBlock:
+    """One diagonal block of a mode generator and the copies of it.
+
+    Each copy is (index, sign): the block sits on rows and columns ``index``
+    of the dense layout, conjugated by diag(sign) with sign entries +-1.
+    """
+
     matrix: np.ndarray
-    metric_diag: np.ndarray
-    dim0: int
-    dim1: int
-    collision: CollisionMatrices
-    _decomp: tuple | None = field(default=None, repr=False, compare=False)
-    _prop_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    copies: tuple
+
+
+def _copy(index: np.ndarray, sign: np.ndarray | None = None) -> tuple:
+    return index, np.ones(index.size) if sign is None else sign
+
+
+class ModeOperator:
+    """One mode generator, held as its sector blocks.
+
+    Give either ``blocks`` (a sequence of SectorBlock whose copies tile the
+    dense layout) or a dense ``matrix``, which counts as a single block.
+    """
+
+    def __init__(self, kind: str, s: float, eps: float, metric_diag: np.ndarray,
+                 dim0: int, dim1: int, collision: CollisionMatrices,
+                 matrix: np.ndarray | None = None, blocks=None):
+        if (matrix is None) == (blocks is None):
+            raise ValueError("give exactly one of matrix and blocks")
+        if blocks is None:
+            blocks = (SectorBlock(matrix, (_copy(np.arange(matrix.shape[0])),)),)
+        self.kind = kind
+        self.s = s
+        self.eps = eps
+        self.metric_diag = metric_diag
+        self.dim0 = dim0
+        self.dim1 = dim1
+        self.collision = collision
+        self.blocks = tuple(blocks)
+        self.dim = sum(idx.size for b in self.blocks for idx, _ in b.copies)
+        self._matrix = matrix
+        self._decomp = None
+        self._prop_cache: dict = {}
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """Dense generator assembled from the blocks."""
+        if self._matrix is None:
+            out = np.zeros((self.dim, self.dim), dtype=complex)
+            for b in self.blocks:
+                for idx, sign in b.copies:
+                    out[np.ix_(idx, idx)] = sign[:, None] * b.matrix * sign[None, :]
+            self._matrix = out
+        return self._matrix
 
     @property
     def n_field(self) -> int:
@@ -62,22 +108,25 @@ def assemble_B(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     if s < 0:
         raise ValueError("s must be nonnegative")
     basis = cm.basis
+    n0, n1 = basis.dim0, basis.dim1
     w = eps * s
-    mat = cm.L_full().astype(complex)
-    v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
-    v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
-    mat[basis.slice_axial, basis.slice_axial] -= 1j * w * v0
-    mat[basis.slice_cos, basis.slice_cos] -= 1j * w * v1
-    mat[basis.slice_sin, basis.slice_sin] -= 1j * w * v1
+    axial = cm.L_sector[SECTOR_AXIAL] - 1j * w * v_multiplication_matrix(basis, SECTOR_AXIAL)
+    trans = (cm.L_sector[SECTOR_TRANSVERSE]
+             - 1j * w * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
+    blocks = (
+        SectorBlock(axial, (_copy(np.arange(n0)),)),
+        SectorBlock(trans, (_copy(np.arange(n0, n0 + n1)),
+                            _copy(np.arange(n0 + n1, n0 + 2 * n1)))),
+    )
     return ModeOperator(
         kind=KIND_BOLTZMANN,
         s=s,
         eps=eps,
-        matrix=mat,
         metric_diag=np.ones(basis.dim),
-        dim0=basis.dim0,
-        dim1=basis.dim1,
+        dim0=n0,
+        dim1=n1,
         collision=cm,
+        blocks=blocks,
     )
 
 
@@ -86,60 +135,59 @@ def _vmb_blocks(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool):
 
     sign_flip=False gives the generator; True flips every coupling term while
     keeping the collision blocks, which is the metric adjoint (the rank-one
-    metric corrections in the axial block cancel exactly).
+    metric corrections in the axial block cancel exactly).  The transverse
+    block acts on (cos, X3, Y2); the sine copy (sin, X2, Y3) is the same block
+    with the sign of its X component flipped.
     """
     basis = cm.basis
     n0, n1 = basis.dim0, basis.dim1
-    dim = n0 + 2 * n1 + 4
-    ax = slice(0, n0)
-    co = slice(n0, n0 + n1)
-    si = slice(n0 + n1, n0 + 2 * n1)
     ix2, ix3, iy2, iy3 = (n0 + 2 * n1 + k for k in range(4))
     sk = -1.0 if sign_flip else 1.0
 
     v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
-    v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
     chi0 = np.zeros(n0)
     chi0[0] = 1.0
     chi1 = v0 @ chi0
     chi2 = np.zeros(n1)
     chi2[0] = 1.0
 
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[ax, ax] = cm.L1_sector[SECTOR_AXIAL] - sk * 1j * eps * s * v0
-    mat[ax, ax] -= sk * 1j * (eps / s) * np.outer(chi1, chi0)
-    mat[co, co] = cm.L1_sector[SECTOR_TRANSVERSE] - sk * 1j * eps * s * v1
-    mat[si, si] = mat[co, co]
+    axial = cm.L1_sector[SECTOR_AXIAL] - sk * 1j * eps * s * v0
+    axial -= sk * 1j * (eps / s) * np.outer(chi1, chi0)
 
-    mat[co, ix3] = sk * eps * chi2
-    mat[ix3, n0:n0 + n1] = -sk * eps * chi2
-    mat[ix3, iy2] = sk * 1j * eps**2 * s
-    mat[iy2, ix3] = sk * 1j * eps**2 * s
+    trans = np.zeros((n1 + 2, n1 + 2), dtype=complex)
+    trans[:n1, :n1] = (cm.L1_sector[SECTOR_TRANSVERSE]
+                       - sk * 1j * eps * s * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
+    trans[:n1, n1] = sk * eps * chi2
+    trans[n1, :n1] = -sk * eps * chi2
+    trans[n1, n1 + 1] = sk * 1j * eps**2 * s
+    trans[n1 + 1, n1] = sk * 1j * eps**2 * s
 
-    mat[si, ix2] = -sk * eps * chi2
-    mat[ix2, n0 + n1:n0 + 2 * n1] = sk * eps * chi2
-    mat[ix2, iy3] = -sk * 1j * eps**2 * s
-    mat[iy3, ix2] = -sk * 1j * eps**2 * s
-
-    metric = np.ones(dim)
+    flip_x = np.ones(n1 + 2)
+    flip_x[n1] = -1.0
+    blocks = (
+        SectorBlock(axial, (_copy(np.arange(n0)),)),
+        SectorBlock(trans, (_copy(np.r_[n0:n0 + n1, ix3, iy2]),
+                            _copy(np.r_[n0 + n1:n0 + 2 * n1, ix2, iy3], flip_x))),
+    )
+    metric = np.ones(n0 + 2 * n1 + 4)
     metric[0] = 1.0 + 1.0 / s**2
-    return mat, metric, n0, n1
+    return blocks, metric, n0, n1
 
 
 def assemble_A_tilde(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     """Electromagnetic mode generator on (kinetic, E-transverse, B-transverse)."""
     if s <= 0:
         raise ValueError("s must be positive for the electromagnetic operator")
-    mat, metric, n0, n1 = _vmb_blocks(s, eps, cm, sign_flip=False)
+    blocks, metric, n0, n1 = _vmb_blocks(s, eps, cm, sign_flip=False)
     return ModeOperator(
         kind=KIND_VMB,
         s=s,
         eps=eps,
-        matrix=mat,
         metric_diag=metric,
         dim0=n0,
         dim1=n1,
         collision=cm,
+        blocks=blocks,
     )
 
 
@@ -147,16 +195,16 @@ def assemble_A_tilde_star(s: float, eps: float, cm: CollisionMatrices) -> ModeOp
     """Explicitly assembled metric adjoint of the electromagnetic generator."""
     if s <= 0:
         raise ValueError("s must be positive for the electromagnetic operator")
-    mat, metric, n0, n1 = _vmb_blocks(s, eps, cm, sign_flip=True)
+    blocks, metric, n0, n1 = _vmb_blocks(s, eps, cm, sign_flip=True)
     return ModeOperator(
         kind=KIND_VMB,
         s=s,
         eps=eps,
-        matrix=mat,
         metric_diag=metric,
         dim0=n0,
         dim1=n1,
         collision=cm,
+        blocks=blocks,
     )
 
 
@@ -170,18 +218,65 @@ def metric_adjoint(op: ModeOperator) -> np.ndarray:
 # semigroup
 # ---------------------------------------------------------------------------
 
+def _decompose_stacked(stacks: list[np.ndarray]):
+    """Eigendecompose a stack of modes, one sector block at a time.
+
+    ``stacks[b]`` holds block b of every mode, shape (n, k_b, k_b).  Returns
+    per block (eigenvalues, right eigenvectors, their inverses), the per-mode
+    2-norm condition number of the block-diagonal eigenvector matrix (the
+    largest singular value over all blocks divided by the smallest), and the
+    mask of modes under _EIG_COND_LIMIT.  Inverses are computed only for
+    those modes; the others keep zeros there.
+    """
+    eigs = [np.linalg.eig(a) for a in stacks]
+    sv = [np.linalg.svd(vr, compute_uv=False) for _, vr in eigs]
+    s_max = np.max([x[..., 0] for x in sv], axis=0)
+    s_min = np.min([x[..., -1] for x in sv], axis=0)
+    with np.errstate(divide="ignore"):
+        cond = s_max / s_min
+    ok = cond < _EIG_COND_LIMIT
+    parts = []
+    for lam, vr in eigs:
+        vinv = np.zeros_like(vr)
+        vinv[ok] = np.linalg.inv(vr[ok])
+        parts.append((lam, vr, vinv))
+    return parts, cond, ok
+
+
 def _decomposition(op: ModeOperator):
+    """("eig", lam, vr, vinv, cond) with block-diagonal vectors, or the Schur form.
+
+    Eigenvalues are sorted by descending real part, then ascending imaginary
+    part; a block's copies repeat its eigenvalues and carry its vectors
+    conjugated by their signs.
+    """
     if op._decomp is None:
-        lam, vr = np.linalg.eig(op.matrix)
-        order = np.lexsort((lam.imag, -lam.real))
-        lam, vr = lam[order], vr[:, order]
-        cond = np.linalg.cond(vr)
-        if cond < _EIG_COND_LIMIT:
-            op._decomp = ("eig", lam, vr, np.linalg.inv(vr), cond)
+        parts, cond, ok = _decompose_stacked([b.matrix[None] for b in op.blocks])
+        cond = float(cond[0])
+        if ok[0]:
+            lam = np.empty(op.dim, dtype=complex)
+            vr = np.zeros((op.dim, op.dim), dtype=complex)
+            vinv = np.zeros((op.dim, op.dim), dtype=complex)
+            col = 0
+            for b, (lb, vb, wb) in zip(op.blocks, parts):
+                for idx, sign in b.copies:
+                    cols = slice(col, col + lb.shape[1])
+                    lam[cols] = lb[0]
+                    vr[idx, cols] = sign[:, None] * vb[0]
+                    vinv[cols, idx] = wb[0] * sign[None, :]
+                    col = cols.stop
+            order = np.lexsort((lam.imag, -lam.real))
+            op._decomp = ("eig", lam[order], vr[:, order], vinv[order], cond)
         else:
             t, z = schur(op.matrix, output="complex")
             op._decomp = ("schur", t, z, None, cond)
     return op._decomp
+
+
+def eigenvalues(op: ModeOperator) -> np.ndarray:
+    """All eigenvalues of the generator, taken from its decomposition."""
+    dec = _decomposition(op)
+    return dec[1] if dec[0] == "eig" else np.linalg.eigvals(op.matrix)
 
 
 def eigen_condition(op: ModeOperator) -> float:
@@ -258,8 +353,20 @@ class SemigroupSplit:
 
 
 def _weighted_opnorm(op: ModeOperator, mat: np.ndarray) -> float:
+    """Weighted 2-norm of a matrix with the block structure of op.
+
+    That is the largest norm of its diagonal blocks.  One copy per block
+    suffices: the copies differ by a signature conjugation, which is
+    orthogonal, on indices where the metric is 1.
+    """
     gh = np.sqrt(op.metric_diag)
-    return float(np.linalg.norm((mat * (1.0 / gh)[None, :]) * gh[:, None], ord=2))
+    norms = []
+    for b in op.blocks:
+        idx = b.copies[0][0]
+        g = gh[idx]
+        norms.append(np.linalg.norm((mat[np.ix_(idx, idx)] * (1.0 / g)[None, :]) * g[:, None],
+                                    ord=2))
+    return float(max(norms))
 
 
 def _schur_projector(a: np.ndarray, select) -> tuple[np.ndarray, int]:
@@ -306,8 +413,7 @@ def semigroup_split(op: ModeOperator, r0: float = 0.1, r1: float = 10.0,
                 projections.append((lam[j], right, left))
                 s1 += np.outer(right, vinv[j])
         else:
-            lam_all = np.linalg.eigvals(op.matrix)
-            cut = np.sort(lam_all.real)[-n_fluid] - 1e-12
+            cut = np.sort(eigenvalues(op).real)[-n_fluid] - 1e-12
             s1, _ = _schur_projector(op.matrix, lambda z: z.real >= cut)
     elif regime == "high":
         thresh = -0.5 * op.collision.mu_estimate
@@ -338,7 +444,7 @@ def semigroup_split(op: ModeOperator, r0: float = 0.1, r1: float = 10.0,
 
 def _fit_remainder_decay(op: ModeOperator, s3, s1, s2) -> tuple[float, float]:
     """Fit ||S3(t)||_xi ~ C e^{-b t/eps^2} on a window set by the gap."""
-    lam_all = np.linalg.eigvals(op.matrix)
+    lam_all = eigenvalues(op)
     active = np.ones(lam_all.size, bool)
     # exclude branch eigenvalues captured by S1/S2 from the gap estimate
     rank12 = int(round(np.real(np.trace(s1 + s2))))
@@ -366,13 +472,8 @@ def _fit_remainder_decay(op: ModeOperator, s3, s1, s2) -> tuple[float, float]:
 # resolvent probe on a dedicated product grid
 # ---------------------------------------------------------------------------
 
-_probe_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _probe_grid(n_r: int, n_c: int, lmax: int, r_max: float):
-    key = (n_r, n_c, lmax, r_max)
-    if key in _probe_cache:
-        return _probe_cache[key]
     xg, wg = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * r_max * (xg + 1.0)
     wr2 = 0.5 * r_max * wg * r**2
@@ -399,9 +500,7 @@ def _probe_grid(n_r: int, n_c: int, lmax: int, r_max: float):
     for l in range(lmax + 1):
         # one-sided gain: half the full gain kernel (see collision assembly)
         tables.append(0.5 * k1p[l].reshape(n_r, n_r) * np.outer(sw, sw))
-    out = (r, wr2, c, wc, pc, tables)
-    _probe_cache[key] = out
-    return out
+    return r, wr2, c, wc, pc, tables
 
 
 def resolvent_norm_probe(op: ModeOperator, lam: complex, n_r: int = 96,

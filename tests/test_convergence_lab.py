@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scipy.linalg as sl
+
 from kslab import convergence_lab as cl
+from kslab import mode_operators as mo
 from kslab.collision_ops import assemble_collision
 from kslab.velocity_basis import BasisSpec, build_basis
 
@@ -259,6 +262,19 @@ class TestOscillatory:
         assert ref.real == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
         assert sigma == pytest.approx(0.0, abs=1e-12)
 
+    def test_chunked_draws_match_single_shot(self, monkeypatch):
+        monkeypatch.setattr(cl, "_MC_CHUNK", 1000)
+        n, theta, x = 3500, 5.0, 2.5
+        v = np.cbrt(np.random.default_rng(11).random(n))
+        r = v / (1.0 - v)
+        samples = np.sinc(r * x / math.pi) * np.exp(1j * theta * r)
+        total = 4.0 * math.pi / 3.0
+        ref = total * complex(samples.mean())
+        ref_sigma = total * max(samples.real.std(), samples.imag.std()) / math.sqrt(n)
+        val, sigma = cl.mc_reference(theta, x, n=n, seed=11)
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+        assert abs(sigma - ref_sigma) <= 1e-12 * ref_sigma
+
     def test_slowly_decaying_envelope_rejected(self):
         with pytest.raises(cl.ConvergenceError, match="does not decay fast enough"):
             cl.oscillatory_decay_check(phi=lambda s: 1.0 / (1.0 + s))
@@ -276,6 +292,82 @@ class TestOscillatory:
         plus = cl.oscillatory_value(theta, x)
         minus = cl.oscillatory_value(-theta, x)
         assert minus == pytest.approx(np.conj(plus), rel=1e-9, abs=1e-12)
+
+
+class TestEvolveGrid:
+    S_NODES = np.array([0.05, 0.7, 1.9])
+    TIMES = np.array([0.0, 1e-3, 0.1, 2.0])
+
+    @staticmethod
+    def _states(dim, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((len(TestEvolveGrid.S_NODES), dim))
+                + 1j * rng.standard_normal((len(TestEvolveGrid.S_NODES), dim)))
+
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    @pytest.mark.parametrize("eps", [0.2, 0.0125])
+    def test_matches_dense_exponential(self, collision_small, assemble, eps):
+        cm = collision_small
+        u0 = self._states(assemble(1.0, eps, cm).dim, 21)
+        failures = []
+        states, keep = cl._evolve_grid(assemble, self.S_NODES, eps, cm, u0,
+                                       self.TIMES, failures)
+        assert keep.all() and not failures
+        for i, s in enumerate(self.S_NODES):
+            op = assemble(float(s), eps, cm)
+            for j, t in enumerate(self.TIMES):
+                ref = sl.expm((t / eps**2) * op.matrix) @ u0[i]
+                assert np.abs(states[j, i] - ref).max() <= 1e-9 * np.linalg.norm(u0[i])
+
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    def test_schur_fallback_gives_same_states(self, collision_small, monkeypatch, assemble):
+        cm, eps = collision_small, 0.2
+        u0 = self._states(assemble(1.0, eps, cm).dim, 22)
+        fast, _ = cl._evolve_grid(assemble, self.S_NODES, eps, cm, u0, self.TIMES, [])
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", 1.0)
+        failures = []
+        slow, keep = cl._evolve_grid(assemble, self.S_NODES, eps, cm, u0,
+                                     self.TIMES, failures)
+        assert keep.all() and not failures
+        assert mo._decomposition(assemble(1.0, eps, cm))[0] == "schur"
+        assert np.abs(fast - slow).max() <= 1e-9 * np.abs(u0).max()
+
+    def test_one_stacked_eig_per_block(self, collision_small, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        cm = collision_small
+        u0 = self._states(cm.basis.dim + 4, 23)
+        cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
+        n0, n1 = cm.basis.dim0, cm.basis.dim1
+        assert calls == [(3, n0, n0), (3, n1 + 2, n1 + 2)]
+
+    def test_sine_copy_is_signed_cosine_copy(self, collision_small):
+        # the sine copy (sin, X2, Y3) evolves like the cosine copy (cos, X3, Y2)
+        # with the sign of its X component flipped
+        cm, eps = collision_small, 0.0125
+        basis = cm.basis
+        n0, n1, dim = basis.dim0, basis.dim1, basis.dim
+        cos_idx = np.r_[n0:n0 + n1, dim + 1, dim + 2]
+        sin_idx = np.r_[n0 + n1:n0 + 2 * n1, dim, dim + 3]
+        sign = np.ones(n1 + 2)
+        sign[n1] = -1.0
+        block = self._states(n1 + 2, 24)
+        u_cos = np.zeros((len(self.S_NODES), dim + 4), dtype=complex)
+        u_sin = np.zeros_like(u_cos)
+        u_cos[:, cos_idx] = block
+        u_sin[:, sin_idx] = block * sign
+        a, _ = cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, eps, cm, u_cos,
+                               self.TIMES, [])
+        b, _ = cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, eps, cm, u_sin,
+                               self.TIMES, [])
+        assert np.abs(b[..., sin_idx] - a[..., cos_idx] * sign).max() <= 1e-14
+        assert np.abs(np.delete(b, sin_idx, axis=-1)).max() == 0.0
 
 
 class TestFirstOrder:

@@ -12,11 +12,46 @@ import scipy.linalg as sl
 
 from kslab.collision_ops import nu_eval
 from kslab import mode_operators as mo
+from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
 
 
 def _kinetic_collision_blockdiag(cm):
     l1 = cm.L1_sector
     return sl.block_diag(l1[0], l1[1], l1[1])
+
+
+def _dense_reference(kind, s, eps, cm, sign_flip=False):
+    """Dense generator built on the full axial|cos|sin(|X2 X3 Y2 Y3) layout."""
+    basis = cm.basis
+    n0, n1 = basis.dim0, basis.dim1
+    v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
+    v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
+    ax, co, si = basis.slice_axial, basis.slice_cos, basis.slice_sin
+    if kind == "B":
+        mat = cm.L_full().astype(complex)
+        w = eps * s
+        mat[ax, ax] -= 1j * w * v0
+        mat[co, co] -= 1j * w * v1
+        mat[si, si] -= 1j * w * v1
+        return mat
+    sk = -1.0 if sign_flip else 1.0
+    ix2, ix3, iy2, iy3 = (basis.dim + k for k in range(4))
+    chi0 = np.eye(n0)[0]
+    chi1 = v0 @ chi0
+    chi2 = np.eye(n1)[0]
+    mat = np.zeros((basis.dim + 4, basis.dim + 4), dtype=complex)
+    mat[:basis.dim, :basis.dim] = cm.L1_full()
+    mat[ax, ax] -= sk * 1j * eps * s * v0
+    mat[ax, ax] -= sk * 1j * (eps / s) * np.outer(chi1, chi0)
+    mat[co, co] -= sk * 1j * eps * s * v1
+    mat[si, si] -= sk * 1j * eps * s * v1
+    mat[co, ix3] = sk * eps * chi2
+    mat[ix3, co] = -sk * eps * chi2
+    mat[ix3, iy2] = mat[iy2, ix3] = sk * 1j * eps**2 * s
+    mat[si, ix2] = -sk * eps * chi2
+    mat[ix2, si] = sk * eps * chi2
+    mat[ix2, iy3] = mat[iy3, ix2] = -sk * 1j * eps**2 * s
+    return mat
 
 
 def _random_states(dim, count, seed):
@@ -50,6 +85,23 @@ class TestAssembly:
         a = mo.assemble_B(2.0, 0.3, collision_default)
         b = mo.assemble_B(0.6, 1.0, collision_default)
         assert np.abs(a.matrix - b.matrix).max() == 0.0
+
+    @pytest.mark.parametrize("s, eps", [(0.0, 0.1), (1.3, 0.2), (4.0, 0.0125)])
+    def test_dense_view_matches_full_layout(self, collision_default, s, eps):
+        cm = collision_default
+        cases = [(mo.assemble_B(s, eps, cm), "B", False)]
+        if s > 0:
+            cases += [(mo.assemble_A_tilde(s, eps, cm), "A", False),
+                      (mo.assemble_A_tilde_star(s, eps, cm), "A", True)]
+        for op, kind, flip in cases:
+            ref = _dense_reference(kind, s, eps, cm, sign_flip=flip)
+            assert np.abs(op.matrix - ref).max() == 0.0
+            assert [b.matrix.shape[0] for b in op.blocks] == (
+                [cm.basis.dim0, cm.basis.dim1 + (2 if kind == "A" else 0)])
+            lam, lam_ref = mo.eigenvalues(op), np.linalg.eigvals(ref)
+            assert lam.shape == lam_ref.shape
+            dist = np.abs(lam[:, None] - lam_ref[None, :])
+            assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-8
 
     def test_zero_wavenumber_boltzmann_has_five_zero_modes(self, collision_default):
         op = mo.assemble_B(0.0, 0.1, collision_default)
@@ -235,6 +287,16 @@ class TestSemigroupSplit:
         assert np.abs(sp.S1_part).max() == 0.0
         assert np.abs(sp.S2_part).max() == 0.0
         assert np.abs(sp.S3_part - np.eye(op.dim)).max() == 0.0
+
+    def test_block_opnorm_equals_dense_norm(self, collision_default):
+        op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
+        sp = mo.semigroup_split(op)
+        gh = np.sqrt(op.metric_diag)
+        # the axial block leads the remainder, the transverse block the fluid part
+        for mat in (mo.propagator_matrix(op, 0.3 * op.eps**2) @ sp.S3_part,
+                    mo.propagator_matrix(op, 1.0) @ sp.S1_part):
+            dense = np.linalg.norm((mat / gh[None, :]) * gh[:, None], ord=2)
+            assert abs(mo._weighted_opnorm(op, mat) - dense) <= 1e-12 * dense
 
     def test_parts_sum_to_propagator(self, collision_default):
         op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
