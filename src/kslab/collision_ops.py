@@ -9,13 +9,33 @@ leaves a boundary layer near the radial diagonal that geometrically graded
 panels resolve.
 
 The bilinear collision term is kept as a dense 3-index array over a 35-element
-orthonormal tensor-Hermite sub-basis (polynomial degree <= 4).  Its weak-form
-integrals are evaluated in center-of-mass variables with the deflection-vector
-parametrization, which makes every integrand a polynomial times a Gaussian, so
-the product quadrature used is exact up to roundoff.
+orthonormal tensor-Hermite sub-basis (polynomial degree <= 4).  It does not
+depend on the velocity basis, so it is built once per process and shared
+read-only.  Its weak-form integrals are evaluated in the center-of-mass
+velocity p and the relative velocity r sigma with the deflection-vector
+parametrization, which makes every integrand a polynomial times a Gaussian.
+Each node count integrates its polynomial exactly:
+
+- p: the gain integrand H_i(a) H_j(b) H_k(a') and the loss integrand
+  H_i(a) H_k(a) H_j(b) have degree <= 4 + 4 + 4 = 12 in each component of p;
+  a 7-point Gauss-Hermite rule per axis is exact up to degree 13.
+- sigma: each sphere sum has degree <= 12 in sigma.  A 7-point Gauss-Legendre
+  rule in the polar cosine is exact up to degree 13, and 16 equispaced
+  azimuths are exact for azimuthal orders up to 15.  The polar nodes are
+  symmetric about 0 and the azimuth count is even, so the rule is symmetric
+  under sigma -> -sigma.
+- r: the hard-sphere factor r and the Jacobian r^2 make the radial weight
+  r^3 exp(-r^2/2) dr, which is u exp(-u) du in u = r^2/2.  After the sigma sum
+  on the symmetric rule, the integrands are even in r of degree <= 12, that is
+  of degree <= 6 in u; a 4-point generalized Gauss-Laguerre rule (alpha = 1)
+  is exact up to degree 7.
+- The change of basis to the Burnett-type elements and the polynomial
+  projection integrate products of two degree-<=4 factors (degree <= 8) on a
+  9-point product Gauss-Hermite grid, exact up to degree 17.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -227,6 +247,10 @@ def hermite_sub_indices() -> list[tuple[int, int, int]]:
     return idx
 
 
+# the one sub-basis every Gamma tensor is expressed in
+_SUB_INDICES = tuple(hermite_sub_indices())
+
+
 def _hermite_values(x: np.ndarray, nmax: int = 4) -> np.ndarray:
     """Probabilists' Hermite polynomials He_0..He_nmax, shape (nmax+1, ...)."""
     out = np.empty((nmax + 1,) + x.shape)
@@ -247,10 +271,16 @@ def _sub_table(points: np.ndarray, indices) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark an array shared between callers read-only."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class GammaTensor:
-    indices: list[tuple[int, int, int]]
-    tensor: np.ndarray                      # (35, 35, 35) weak-form values
+    indices: tuple[tuple[int, int, int], ...]
+    tensor: np.ndarray | None               # (35, 35, 35) weak-form values; None unless built
     chi_sub: np.ndarray                     # (5, 35) collision invariants
     change_of_basis: np.ndarray | None      # Hermite <- Burnett-sub, orthogonal
     L_sub: np.ndarray | None                # 35x35, two-species operator
@@ -260,45 +290,72 @@ class GammaTensor:
         return self.indices.index(abc)
 
 
-def _assemble_gamma_tensor(n_herm=7, n_rad=8, n_polar=7, n_azim=16, chunk=512):
-    indices = hermite_sub_indices()
+@functools.cache
+def _sub_invariants() -> np.ndarray:
+    """Collision invariants 1, v1, v2, v3, (|v|^2 - 3)/sqrt(6) on the sub-basis."""
+    chi_sub = np.zeros((5, len(_SUB_INDICES)))
+    chi_sub[0, _SUB_INDICES.index((0, 0, 0))] = 1.0
+    chi_sub[1, _SUB_INDICES.index((1, 0, 0))] = 1.0
+    chi_sub[2, _SUB_INDICES.index((0, 1, 0))] = 1.0
+    chi_sub[3, _SUB_INDICES.index((0, 0, 1))] = 1.0
+    for abc in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
+        chi_sub[4, _SUB_INDICES.index(abc)] = 1.0 / math.sqrt(3.0)
+    return _frozen(chi_sub)
+
+
+# Node counts of the Gamma quadrature
+_N_HERM = 7         # Gauss-Hermite, per axis of the center-of-mass velocity
+_N_RAD = 4          # generalized Gauss-Laguerre (alpha = 1) in u = r^2 / 2
+_N_POLAR = 7        # Gauss-Legendre in the polar cosine of the deflection vector
+_N_AZIM = 16        # equispaced azimuths
+_GAMMA_CHUNK = 512  # (center-of-mass, radial) node pairs per block
+
+
+@functools.cache
+def _assemble_gamma_tensor() -> np.ndarray:
+    """Weak-form tensor tensor[i, j, k] = (Gamma(H_i, H_j), H_k), read-only.
+
+    Built once per process: it does not depend on the velocity basis.  The
+    module docstring gives the degree count behind each node count.
+    """
+    indices = _SUB_INDICES
     nb = len(indices)
 
-    xh, wh = roots_hermitenorm(n_herm)
+    xh, wh = roots_hermitenorm(_N_HERM)
     wh = wh / math.sqrt(_TWO_PI)
     px, py, pz = np.meshgrid(xh, xh, xh, indexing="ij")
     pw = (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()
     pgrid = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=1)
 
-    u, wu = roots_genlaguerre(n_rad, 1.0)
+    u, wu = roots_genlaguerre(_N_RAD, 1.0)
     rr = np.sqrt(2.0 * u)
     wr = (math.sqrt(2.0) / 2.0) * _TWO_PI ** (-1.5) * wu
 
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
-    phi = _TWO_PI * np.arange(n_azim) / n_azim
-    wphi = _TWO_PI / n_azim
+    mu, wmu = np.polynomial.legendre.leggauss(_N_POLAR)
+    phi = _TWO_PI * np.arange(_N_AZIM) / _N_AZIM
+    wphi = _TWO_PI / _N_AZIM
     st = np.sqrt(1.0 - mu**2)
     sig = np.stack(
         [
-            np.repeat(mu, n_azim),
-            np.repeat(st, n_azim) * np.tile(np.cos(phi), n_polar),
-            np.repeat(st, n_azim) * np.tile(np.sin(phi), n_polar),
+            np.repeat(mu, _N_AZIM),
+            np.repeat(st, _N_AZIM) * np.tile(np.cos(phi), _N_POLAR),
+            np.repeat(st, _N_AZIM) * np.tile(np.sin(phi), _N_POLAR),
         ],
         axis=1,
     )
-    wsig = np.repeat(wmu, n_azim) * wphi
+    wsig = np.repeat(wmu, _N_AZIM) * wphi
     ns = sig.shape[0]
 
-    combos_p = np.repeat(np.arange(pgrid.shape[0]), n_rad)
-    combos_r = np.tile(np.arange(n_rad), pgrid.shape[0])
+    combos_p = np.repeat(np.arange(pgrid.shape[0]), _N_RAD)
+    combos_r = np.tile(np.arange(_N_RAD), pgrid.shape[0])
     wq = pw[combos_p] * wr[combos_r]
     nq = combos_p.size
 
     t1 = np.zeros((nb, nb, nb))
     t2 = np.zeros((nb, nb, nb))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for start in range(0, nq, chunk):
-        sl = slice(start, min(start + chunk, nq))
+    for start in range(0, nq, _GAMMA_CHUNK):
+        sl = slice(start, min(start + _GAMMA_CHUNK, nq))
         pc = pgrid[combos_p[sl]]
         rc = rr[combos_r[sl]]
         m = pc.shape[0]
@@ -310,22 +367,16 @@ def _assemble_gamma_tensor(n_herm=7, n_rad=8, n_polar=7, n_azim=16, chunk=512):
         s_ij = np.einsum("qsi,qsj->qij", haw, hb)
         u_k = np.einsum("qsk->qk", haw)
         t1 += np.einsum("q,qij,qk->ijk", wq[sl], s_ij, u_k, optimize=True)
-        # loss part: same sphere nodes serve as the relative-velocity directions
+        # loss part: same sphere nodes serve as the relative-velocity directions;
+        # t2[i, :, k] is symmetric in (i, k), so only i >= k is accumulated
         row_w = (wq[sl, None] * wsig[None, :]).ravel()
         ha_f = ha.reshape(-1, nb)
         hb_f = hb.reshape(-1, nb)
         for kk in range(nb):
-            t2[:, :, kk] += (ha_f * (row_w * ha_f[:, kk])[:, None]).T @ hb_f
-    tensor = t1 - 4.0 * math.pi * t2
-
-    chi_sub = np.zeros((5, nb))
-    chi_sub[0, indices.index((0, 0, 0))] = 1.0
-    chi_sub[1, indices.index((1, 0, 0))] = 1.0
-    chi_sub[2, indices.index((0, 1, 0))] = 1.0
-    chi_sub[3, indices.index((0, 0, 1))] = 1.0
-    for abc in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
-        chi_sub[4, indices.index(abc)] = 1.0 / math.sqrt(3.0)
-    return indices, tensor, chi_sub
+            t2[kk:, :, kk] += (ha_f[:, kk:] * (row_w * ha_f[:, kk])[:, None]).T @ hb_f
+    above = np.triu_indices(nb, 1)
+    t2[above[0], :, above[1]] = t2[above[1], :, above[0]]
+    return _frozen(t1 - 4.0 * math.pi * t2)
 
 
 # Burnett-type sub-elements (n, l, m-kind) with 2n + l <= 4, all azimuthal orders
@@ -372,20 +423,27 @@ def _radial_poly(n: int, l: int, r: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _change_of_basis(indices) -> tuple[np.ndarray, list]:
-    """Orthogonal matrix C with C[h, b] = (hermite_h, burnett_b)."""
-    els = _burnett_sub_elements()
+@functools.cache
+def _sub_quadrature(indices: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """9-point product Gauss-Hermite grid: points, weights, Hermite table there."""
     xh, wh = roots_hermitenorm(9)
     wh = wh / math.sqrt(_TWO_PI)
     gx, gy, gz = np.meshgrid(xh, xh, xh, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     w3 = (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()
+    return _frozen(pts), _frozen(w3), _frozen(_sub_table(pts, indices))
+
+
+@functools.cache
+def _change_of_basis() -> tuple[np.ndarray, tuple]:
+    """Orthogonal matrix C with C[h, b] = (hermite_h, burnett_b), read-only."""
+    els = _burnett_sub_elements()
+    pts, w3, herm = _sub_quadrature(_SUB_INDICES)
     r = np.linalg.norm(pts, axis=1)
     safe_r = np.where(r < 1e-14, 1.0, r)
     vhat = pts / safe_r[:, None]
     vhat[r < 1e-14] = np.array([1.0, 0.0, 0.0])
     sph = _real_sph_table(vhat)
-    herm = _sub_table(pts, indices)
 
     cols = []
     for (n, l, m, kind) in els:
@@ -396,7 +454,7 @@ def _change_of_basis(indices) -> tuple[np.ndarray, list]:
         cols.append(rad * sph[(l, m, kind)] * _TWO_PI**0.75)
     burn = np.stack(cols, axis=1)
     cmat = (herm * w3[:, None]).T @ burn
-    return cmat, els
+    return _frozen(cmat), tuple(els)
 
 
 def _sub_operator(cmat: np.ndarray, els, radial_blocks: dict) -> np.ndarray:
@@ -416,18 +474,17 @@ def _sub_operator(cmat: np.ndarray, els, radial_blocks: dict) -> np.ndarray:
 
 def project_poly_to_sub(gamma: GammaTensor, poly) -> np.ndarray:
     """Sub-basis coefficients of p(v) sqrt(M) for a polynomial p of degree <= 4."""
-    xh, wh = roots_hermitenorm(9)
-    wh = wh / math.sqrt(_TWO_PI)
-    gx, gy, gz = np.meshgrid(xh, xh, xh, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    w3 = (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()
+    pts, w3, table = _sub_quadrature(tuple(gamma.indices))
     vals = poly(pts)
-    table = _sub_table(pts, gamma.indices)
     return (table * (w3 * vals)[:, None]).sum(axis=0)
 
 
 def gamma_apply(cm: "CollisionMatrices", f_sub: np.ndarray, g_sub: np.ndarray) -> np.ndarray:
     """Bilinear collision term Gamma(f, g) projected on the Hermite sub-basis."""
+    if cm.gamma.tensor is None:
+        raise AssemblyError(
+            "no Gamma tensor: assemble the collision matrices with build_gamma=True"
+        )
     f_sub = np.asarray(f_sub)
     g_sub = np.asarray(g_sub)
     nb = len(cm.gamma.indices)
@@ -544,18 +601,14 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     ratios = _nu_of_r(grid) / (1.0 + grid)
     nu0, nu1 = float(ratios.min()), float(ratios.max())
 
+    tensor = cmat = l_sub = l1_sub = None
     if build_gamma:
-        indices, tensor, chi_sub = _assemble_gamma_tensor()
-        cmat, els = _change_of_basis(indices)
+        tensor = _assemble_gamma_tensor()
+        cmat, els = _change_of_basis()
         if spec.radial_order >= 3 and lmax >= 4:
             l_sub = _sub_operator(cmat, els, raw_L)
             l1_sub = _sub_operator(cmat, els, raw_L1)
-        else:
-            l_sub = l1_sub = None
-        gamma = GammaTensor(indices, tensor, chi_sub, cmat, l_sub, l1_sub)
-    else:
-        gamma = GammaTensor(hermite_sub_indices(), np.zeros((35, 35, 35)),
-                            np.zeros((5, 35)), None, None, None)
+    gamma = GammaTensor(_SUB_INDICES, tensor, _sub_invariants(), cmat, l_sub, l1_sub)
 
     return CollisionMatrices(
         basis=basis,

@@ -10,7 +10,9 @@ The loss-integral oracle below recomputes nu by direct two-dimensional
 quadrature of pi * |v - v*| M(v*); the kernel-moment oracle recomputes the
 per-degree reductions by adaptive quadrature in the angle variable.
 """
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre
 
 from kslab.collision_ops import (
+    AssemblyError,
+    assemble_collision,
     gamma_apply,
     hermite_sub_indices,
     kernel_eval,
@@ -29,6 +33,7 @@ from kslab.collision_ops import (
 
 NU_ZERO = 5.0132565492620005
 K1_UNIT = 0.6213931207538556
+GAMMA_FIXTURE = Path(__file__).parent / "fixtures" / "gamma.json"
 
 
 def _nu_loss_oracle(rv: float) -> float:
@@ -256,6 +261,32 @@ class TestGammaTensor:
     def test_apply_validates_shape(self, collision_default):
         with pytest.raises(ValueError):
             gamma_apply(collision_default, np.zeros(34), np.zeros(35))
+
+    def test_apply_without_tensor_raises(self, collision_small):
+        assert collision_small.gamma.tensor is None
+        with pytest.raises(AssemblyError, match="build_gamma=True"):
+            gamma_apply(collision_small, np.zeros(35), np.zeros(35))
+
+    def test_matches_frozen_fixture(self, collision_default):
+        # the fixture was computed with 8 radial nodes and the loss term summed
+        # over all (i, k), so it checks that the smaller rule is exact
+        ref = json.loads(GAMMA_FIXTURE.read_text())
+        t = collision_default.gamma.tensor
+        assert abs(np.linalg.norm(t) - ref["frobenius_norm"]) <= 1e-12 * ref["frobenius_norm"]
+        for triple in ref["triples"]:
+            f, g, h = np.random.default_rng(triple["seed"]).standard_normal((3, 35))
+            want = triple["h_dot_gamma_fg"]
+            got = h @ gamma_apply(collision_default, f, g)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_built_once_and_read_only(self, collision_default, basis_small):
+        other = assemble_collision(basis_small, build_gamma=True)
+        assert other.gamma.tensor is collision_default.gamma.tensor
+        assert other.gamma.change_of_basis is collision_default.gamma.change_of_basis
+        g = collision_default.gamma
+        for arr in (g.tensor, g.chi_sub, g.change_of_basis):
+            with pytest.raises(ValueError):
+                arr[0, 0] += 1.0
 
 
 class TestGammaIdentities:
