@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.special import (
     erf,
     eval_genlaguerre,
@@ -499,6 +500,14 @@ def gamma_apply(cm: "CollisionMatrices", f_sub: np.ndarray, g_sub: np.ndarray) -
 
 @dataclass
 class CollisionMatrices:
+    """Collision operators L (two species) and L1 (species difference).
+
+    Sector blocks are their only layout: L_sector[s] and L1_sector[s] for the
+    axial sector and for the one transverse copy that the cosine and sine
+    copies share.  Each block has zero rows and columns on its null
+    coordinates (null_coordinates); collision_inverse is the one solve.
+    """
+
     basis: Basis
     K_deg: dict[int, np.ndarray]
     K1_deg: dict[int, np.ndarray]
@@ -514,46 +523,56 @@ class CollisionMatrices:
     kernel_refinement_delta: float
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def L_full(self) -> np.ndarray:
-        return self._full("L", self.L_sector)
 
-    def L1_full(self) -> np.ndarray:
-        return self._full("L1", self.L1_sector)
-
-    def _full(self, tag, sector):
-        if tag in self._cache:
-            return self._cache[tag]
-        b = self.basis
-        out = np.zeros((b.dim, b.dim))
-        out[b.slice_axial, b.slice_axial] = sector[SECTOR_AXIAL]
-        out[b.slice_cos, b.slice_cos] = sector[SECTOR_TRANSVERSE]
-        out[b.slice_sin, b.slice_sin] = sector[SECTOR_TRANSVERSE]
-        self._cache[tag] = out
-        return out
+# Radial indices of the collision invariants per Legendre degree: L keeps
+# density and energy (n = 0, 1) at l = 0 and momentum at l = 1; L1 keeps the
+# density alone.
+_NULL_RADIAL = {"L": {0: (0, 1), 1: (0,)}, "L1": {0: (0,)}}
 
 
-def _clean_block(block: np.ndarray, null_idx: list[int]) -> np.ndarray:
-    if not null_idx:
-        return block
-    pi = np.eye(block.shape[0])
-    for i in null_idx:
-        pi[i, i] = 0.0
-    return pi @ block @ pi
+def null_coordinates(basis: Basis, which: str, sector: int) -> list[int]:
+    """Coordinates of the collision invariants in one sector block of L or L1."""
+    first = 0 if sector == SECTOR_AXIAL else 1
+    return [(l - first) * basis.spec.radial_order + n
+            for l, radial in _NULL_RADIAL[which].items() if l >= first for n in radial]
+
+
+def collision_inverse(cm: CollisionMatrices, which: str, sector: int,
+                      w: np.ndarray) -> np.ndarray:
+    """L^{-1} P w on one sector block of L or L1 (which = "L" or "L1").
+
+    P projects off the null coordinates, whose zero diagonal entries are
+    shifted to one for the solve.  Raises AssemblyError if the block is
+    singular off its null coordinates or the solution leaves the range or
+    picks up a null component.
+    """
+    block = {"L": cm.L_sector, "L1": cm.L1_sector}[which][sector]
+    null = null_coordinates(cm.basis, which, sector)
+    wp = np.array(w)
+    wp[null] = 0.0
+    shifted = block.copy()
+    shifted[null, null] += 1.0
+    try:
+        sol = np.linalg.solve(shifted, wp)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"{which} block of sector {sector} is singular") from exc
+    tol = 1e-8 * (np.linalg.norm(wp) + 1e-30)
+    if np.linalg.norm(block @ sol - wp) > tol:
+        raise AssemblyError("constrained solve left the operator range")
+    if np.any(np.abs(sol[null]) > tol):
+        raise AssemblyError("constrained solve picked up a null component")
+    return sol
+
+
+def _clean_block(block: np.ndarray, null_idx) -> np.ndarray:
+    out = block.copy()
+    out[list(null_idx)] = out[:, list(null_idx)] = 0.0
+    return out
 
 
 def _sector_from_blocks(basis: Basis, blocks: dict[int, np.ndarray], sector: int) -> np.ndarray:
-    nr = basis.spec.radial_order
-    degrees = (
-        range(basis.spec.angular_max + 1)
-        if sector == SECTOR_AXIAL
-        else range(1, basis.spec.angular_max + 1)
-    )
-    degrees = list(degrees)
-    dim = nr * len(degrees)
-    out = np.zeros((dim, dim))
-    for a, l in enumerate(degrees):
-        out[a * nr:(a + 1) * nr, a * nr:(a + 1) * nr] = blocks[l]
-    return out
+    first = 0 if sector == SECTOR_AXIAL else 1
+    return block_diag(*(blocks[l] for l in range(first, basis.spec.angular_max + 1)))
 
 
 def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatrices:
@@ -581,15 +600,13 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     raw_L = {l: K_deg[l] - nu_deg[l] for l in range(lmax + 1)}
     raw_L1 = {l: K1_deg[l] - nu_deg[l] for l in range(lmax + 1)}
 
-    residuals = {
-        "L_chi0": float(np.linalg.norm(raw_L[0][:, 0])),
-        "L_chi1": float(np.linalg.norm(raw_L[1][:, 0])),
-        "L_chi4": float(np.linalg.norm(raw_L[0][:, 1])),
-        "L1_chi0": float(np.linalg.norm(raw_L1[0][:, 0])),
-    }
+    raw = {"L": raw_L, "L1": raw_L1}
+    residuals = {f"{which}(n={n}, l={l})": float(np.linalg.norm(raw[which][l][:, n]))
+                 for which, degrees in _NULL_RADIAL.items()
+                 for l, radial in degrees.items() for n in radial}
 
-    clean_L = {l: _clean_block(raw_L[l], {0: [0, 1], 1: [0]}.get(l, [])) for l in raw_L}
-    clean_L1 = {l: _clean_block(raw_L1[l], [0] if l == 0 else []) for l in raw_L1}
+    clean_L = {l: _clean_block(raw_L[l], _NULL_RADIAL["L"].get(l, ())) for l in raw_L}
+    clean_L1 = {l: _clean_block(raw_L1[l], _NULL_RADIAL["L1"].get(l, ())) for l in raw_L1}
 
     sectors = (SECTOR_AXIAL, SECTOR_TRANSVERSE)
     L_sector = {sec: _sector_from_blocks(basis, clean_L, sec) for sec in sectors}
@@ -631,7 +648,7 @@ def _spectral_gap(clean_L: dict[int, np.ndarray], lmax: int) -> tuple[float, int
     best = -np.inf
     best_l = 0
     for l in range(lmax + 1):
-        null = {0: [0, 1], 1: [0]}.get(l, [])
+        null = _NULL_RADIAL["L"].get(l, ())
         keep = [i for i in range(clean_L[l].shape[0]) if i not in null]
         sub = clean_L[l][np.ix_(keep, keep)]
         lam = np.linalg.eigvalsh(sub).max()

@@ -18,11 +18,12 @@ from typing import Callable
 import numpy as np
 from scipy.special import spherical_jn
 
-from .collision_ops import CollisionMatrices
+from .collision_ops import CollisionMatrices, collision_inverse
 from .dispersion import expansion_coefficients
 from .fluid_limits import (
     _field_flow,
     _heat_basis,
+    _heat_rates,
     _hydro_vectors,
     transport_coefficients,
 )
@@ -33,7 +34,7 @@ from .mode_operators import (
     propagator_matrix,
     semigroup_split,
 )
-from .velocity_basis import v1_full
+from .velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
 
 
 class ConvergenceError(RuntimeError):
@@ -413,7 +414,11 @@ class ConvergenceReport:
             "flags": _plain(self.flags),
             "metadata": _plain(self.metadata),
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        try:
+            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise ConvergenceError(
+                f"{self.experiment} report holds a non-finite value") from exc
 
     def csv_rows(self) -> list[str]:
         rows = ["experiment,stream,eps,t,value"]
@@ -430,12 +435,13 @@ class ConvergenceReport:
         return rows
 
     def write(self, json_path, csv_path) -> None:
+        """Write both forms; a report that cannot serialize leaves no file."""
+        json_text = self.to_json() + "\n"
+        csv_text = "\n".join(self.csv_rows()) + "\n"
         with open(json_path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+            fh.write(json_text)
         with open(csv_path, "w") as fh:
-            fh.write("\n".join(self.csv_rows()))
-            fh.write("\n")
+            fh.write(csv_text)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +590,7 @@ def first_order_experiment(cfg: ExperimentConfig,
     chi = [basis.chi(j) for j in range(5)]
     _, ht1 = _hydro_vectors(basis)
     hs = np.array(_heat_basis(basis))
-    heat_rates = np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
+    heat_rates = _heat_rates(tc)
     p0m = basis.projection_matrix("P0")
     p1m = basis.projection_matrix("P1")
     dimk = basis.dim
@@ -789,7 +795,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
     chi1 = basis.chi(1)
     _, ht1 = _hydro_vectors(basis)
     hs = np.array(_heat_basis(basis))
-    heat_rates = np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
+    heat_rates = _heat_rates(tc)
     heat_coef = f0 @ hs.T
 
     taus = np.linspace(0.0, tau_max, n_tau)
@@ -869,17 +875,20 @@ def corrector_shapes(cm: CollisionMatrices, f_shape: np.ndarray,
     """
     basis = cm.basis
     p0m = basis.projection_matrix("P0")
-    v1 = v1_full(basis)
-    chi0 = basis.chi(0)
+    sectors = ((basis.slice_axial, SECTOR_AXIAL), (basis.slice_cos, SECTOR_TRANSVERSE),
+               (basis.slice_sin, SECTOR_TRANSVERSE))
 
     if np.linalg.norm(p0m @ f_shape) > 1e-10 * np.linalg.norm(f_shape):
         raise ConvergenceError("kinetic corrector needs purely microscopic data")
-    w = np.linalg.solve(cm.L_full() - p0m, f_shape)
-    z2 = p0m @ (v1 @ w)
+    vw = np.concatenate([v_multiplication_matrix(basis, sector)
+                         @ collision_inverse(cm, "L", sector, f_shape[sl])
+                         for sl, sector in sectors])
+    z2 = p0m @ vw
 
-    if abs(g_shape @ chi0) > 1e-10 * np.linalg.norm(g_shape):
+    if abs(g_shape @ basis.chi(0)) > 1e-10 * np.linalg.norm(g_shape):
         raise ConvergenceError("field corrector needs data with no density part")
-    w1 = np.linalg.solve(cm.L1_full() - np.outer(chi0, chi0), g_shape)
+    w1 = np.concatenate([collision_inverse(cm, "L1", sector, g_shape[sl])
+                         for sl, sector in sectors])
     e_z = np.array([w1 @ basis.chi(1), w1 @ basis.chi(2), w1 @ basis.chi(3)])
     return z2, e_z
 
@@ -905,7 +914,7 @@ def second_order_experiment(cfg: ExperimentConfig,
 
     z2, e_z = corrector_shapes(cm, data.boltzmann_micro, data.vmb_micro)
     hs = np.array(_heat_basis(basis))
-    heat_rates = np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
+    heat_rates = _heat_rates(tc)
     z2_heat = hs @ z2
 
     streams = {name: [] for name in ("vmb", "boltzmann_perp", "boltzmann_par_proxy")}

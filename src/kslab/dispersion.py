@@ -19,7 +19,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import brentq
 
-from .collision_ops import CollisionMatrices
+from .collision_ops import CollisionMatrices, collision_inverse
 from .velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
 
 _FP_TOL = 1e-13
@@ -99,11 +99,9 @@ def _solvers(cm: CollisionMatrices) -> tuple[_SectorSolver, _SectorSolver]:
         basis = cm.basis
         v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
         v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
-        chi0 = np.zeros(basis.dim0)
-        chi0[0] = 1.0
+        chi0 = basis.chi(0)[basis.slice_axial]
         chi1 = v0 @ chi0
-        chi2 = np.zeros(basis.dim1)
-        chi2[0] = 1.0
+        chi2 = basis.chi(2)[basis.slice_cos]
         proj_off_density = np.eye(basis.dim0) - np.outer(chi0, chi0)
         ax = _SectorSolver(cm.L1_sector[SECTOR_AXIAL], proj_off_density @ v0,
                            chi1, deflate=chi0)
@@ -333,47 +331,31 @@ def boltzmann_dispersion(s: float, eps: float,
     return out
 
 
-def _unit(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[k] = 1.0
-    return e
-
-
-def _deflated_form(mat: np.ndarray, null_idx: list[int], w: np.ndarray) -> float:
-    """-(mat^{-1} P w, P w) with P projecting off the listed null coordinates."""
-    w = w.copy()
-    shifted = mat.copy()
-    for k in null_idx:
-        w[k] = 0.0
-        shifted[k, k] += 1.0
-    sol = np.linalg.solve(shifted, w)
-    return float(-(sol @ w))
-
-
 def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, float]]:
-    """Closed-form (mu_j, a_j): quadratic forms of the deflated collision inverse."""
+    """Closed-form (mu_j, a_j), a_j = -(L^{-1} P w_j, P w_j) by collision_inverse.
+
+    The w_j are built here, independently of fluid_limits.transport_coefficients.
+    """
     if "boltzmann_expansion" in cm._cache:
         return cm._cache["boltzmann_expansion"]
     basis = cm.basis
     v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
     v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
-    nr = basis.spec.radial_order
-    # axial-sector null coordinates: density, energy, axial momentum
-    null0 = [0, 1, nr]
 
-    chi0 = _unit(basis.dim0, 0)
+    chi0 = basis.chi(0)[basis.slice_axial]
     chi1 = v0 @ chi0
-    chi4 = -_unit(basis.dim0, 1)
+    chi4 = basis.chi(4)[basis.slice_axial]
     h0 = math.sqrt(0.4) * chi0 - math.sqrt(0.6) * chi4
     h_plus = math.sqrt(0.3) * chi0 - math.sqrt(0.5) * chi1 + math.sqrt(0.2) * chi4
     h_minus = math.sqrt(0.3) * chi0 + math.sqrt(0.5) * chi1 + math.sqrt(0.2) * chi4
 
-    l0 = cm.L_sector[SECTOR_AXIAL]
-    a0 = _deflated_form(l0, null0, v0 @ h0)
-    a1 = _deflated_form(l0, null0, v0 @ h_plus)
-    am1 = _deflated_form(l0, null0, v0 @ h_minus)
-    a_sh = _deflated_form(cm.L_sector[SECTOR_TRANSVERSE], [0],
-                          v1 @ _unit(basis.dim1, 0))
+    def form(sector, w):
+        return float(-(collision_inverse(cm, "L", sector, w) @ w))
+
+    a0 = form(SECTOR_AXIAL, v0 @ h0)
+    a1 = form(SECTOR_AXIAL, v0 @ h_plus)
+    am1 = form(SECTOR_AXIAL, v0 @ h_minus)
+    a_sh = form(SECTOR_TRANSVERSE, v1 @ basis.chi(2)[basis.slice_cos])
     coeffs = {
         "boltzmann_-1": (-_SOUND_SPEED, am1),
         "boltzmann_0": (0.0, a0),

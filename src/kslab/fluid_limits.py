@@ -1,6 +1,7 @@
 """Fluid-side objects of the diffusion limit.
 
-Transport coefficients from constrained collision-inverse solves, the two
+Transport coefficients as quadratic forms of the collision inverse on the
+range of the collision operator (collision_ops.collision_inverse), the two
 per-mode fluid semigroups (heat decay along the incompressible branches, and
 the damped-Maxwell evolution of charge and fields), the compressible versus
 incompressible splittings, and a Duhamel solver for the linearized
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .collision_ops import CollisionMatrices, assemble_collision
+from .collision_ops import CollisionMatrices, assemble_collision, collision_inverse
 from .velocity_basis import (
     SECTOR_AXIAL,
     SECTOR_TRANSVERSE,
@@ -51,49 +52,28 @@ class TransportCoefficients:
     truncation_delta: dict[str, float]
 
 
-def _unit(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[k] = 1.0
-    return e
-
-
-def _range_solve(mat: np.ndarray, null_idx: list[int], w: np.ndarray,
-                 tol: float = 1e-8) -> float:
-    """-(mat^{-1} P w, P w) restricted to the range of the cleaned block."""
-    wp = w.copy()
-    shifted = mat.copy()
-    for k in null_idx:
-        wp[k] = 0.0
-        shifted[k, k] += 1.0
-    sol = np.linalg.solve(shifted, wp)
-    scale = np.linalg.norm(wp) + 1e-30
-    if np.linalg.norm(mat @ sol - wp) > tol * scale:
-        raise FluidError("constrained solve left the operator range")
-    if any(abs(sol[k]) > tol * scale for k in null_idx):
-        raise FluidError("constrained solve picked up a null component")
-    return float(-(sol @ wp))
-
-
 def _core_values(cm: CollisionMatrices) -> dict[str, float]:
     basis = cm.basis
+    ax = basis.slice_axial
     v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
     v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
-    nr = basis.spec.radial_order
-    null0 = [0, 1, nr]
-    chi0 = _unit(basis.dim0, 0)
-    chi4 = -_unit(basis.dim0, 1)
+    chi0, chi4 = basis.chi(0)[ax], basis.chi(4)[ax]
     chi1 = v0 @ chi0
-    h0 = math.sqrt(0.4) * chi0 - math.sqrt(0.6) * chi4
+    h0 = _hydro_vectors(basis)[0][ax]
     h_plus = math.sqrt(0.3) * chi0 - math.sqrt(0.5) * chi1 + math.sqrt(0.2) * chi4
     h_minus = math.sqrt(0.3) * chi0 + math.sqrt(0.5) * chi1 + math.sqrt(0.2) * chi4
+
+    def form(which, sector, w):
+        # -(L^{-1} P w, P w); the solution vanishes on the null coordinates
+        return float(-(collision_inverse(cm, which, sector, w) @ w))
+
     return {
-        "kappa0": _range_solve(cm.L_sector[SECTOR_TRANSVERSE], [0],
-                               v1 @ _unit(basis.dim1, 0)),
-        "kappa1": 0.6 * _range_solve(cm.L_sector[SECTOR_AXIAL], null0, v0 @ chi4),
-        "eta": _range_solve(cm.L1_sector[SECTOR_AXIAL], [0], v0 @ chi0),
-        "a0": _range_solve(cm.L_sector[SECTOR_AXIAL], null0, v0 @ h0),
-        "a1": _range_solve(cm.L_sector[SECTOR_AXIAL], null0, v0 @ h_plus),
-        "a_minus1": _range_solve(cm.L_sector[SECTOR_AXIAL], null0, v0 @ h_minus),
+        "kappa0": form("L", SECTOR_TRANSVERSE, v1 @ basis.chi(2)[basis.slice_cos]),
+        "kappa1": 0.6 * form("L", SECTOR_AXIAL, v0 @ chi4),
+        "eta": form("L1", SECTOR_AXIAL, v0 @ chi0),
+        "a0": form("L", SECTOR_AXIAL, v0 @ h0),
+        "a1": form("L", SECTOR_AXIAL, v0 @ h_plus),
+        "a_minus1": form("L", SECTOR_AXIAL, v0 @ h_minus),
     }
 
 
@@ -155,6 +135,11 @@ def _heat_basis(basis) -> list[np.ndarray]:
     return [_hydro_vectors(basis)[0], basis.chi(2), basis.chi(3)]
 
 
+def _heat_rates(tc: TransportCoefficients) -> np.ndarray:
+    """Decay rates a_j of the _heat_basis directions: entropy, then shear."""
+    return np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
+
+
 def Y1_mode(t: float, s: float, f0: np.ndarray,
             tc: TransportCoefficients, basis) -> FluidModeState:
     """Heat decay along the entropy and the two shear branches."""
@@ -168,9 +153,8 @@ def Y1_mode(t: float, s: float, f0: np.ndarray,
     if defect > _CONSTRAINT_TOL * max(1.0, np.linalg.norm(f0)):
         raise FluidError("initial state has a microscopic component")
     hs = _heat_basis(basis)
-    rates = (tc.a_list[0], tc.a_list[2], tc.a_list[3])
     coeffs = np.array([np.exp(-a * s * s * t) * (f0 @ h)
-                       for a, h in zip(rates, hs)])
+                       for a, h in zip(_heat_rates(tc), hs)])
     f = sum(c * h for c, h in zip(coeffs, hs))
     return FluidModeState(kind="y1", s=s, t=t, coefficients=coeffs, f=f)
 
@@ -317,8 +301,7 @@ def p_split(f: np.ndarray, basis):
     """Compressible / incompressible splitting of one kinetic mode."""
     f = np.asarray(f, dtype=complex)
     chi = [basis.chi(j) for j in range(5)]
-    ht0 = math.sqrt(0.4) * chi[0] - math.sqrt(0.6) * chi[4]
-    ht1 = math.sqrt(0.6) * chi[0] + math.sqrt(0.4) * chi[4]
+    ht0, ht1 = _hydro_vectors(basis)
     macro = sum((f @ c) * c for c in chi)
     micro = f - macro
     f_par = (f @ chi[1]) * chi[1] + (f @ ht1) * ht1
@@ -514,7 +497,7 @@ def y1_decay_experiment(tc: TransportCoefficients, n_s: int = 400,
         times = np.geomspace(1.0, 1000.0, 25)
     s, w = _radial_grid(n_s, s_max)
     profile = np.exp(-0.5 * (s / profile_width) ** 2)
-    rates = np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
+    rates = _heat_rates(tc)
     norms = np.empty(len(times))
     for i, t in enumerate(times):
         density = sum(np.abs(np.exp(-a * s * s * t) * profile)**2 for a in rates)

@@ -341,20 +341,6 @@ def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:
     return mat
 
 
-def v1_full(basis: Basis) -> np.ndarray:
-    """Block-diagonal v1 multiplication on the full axial|cos|sin layout."""
-    key = ("v1full",)
-    if key in basis._v_cache:
-        return basis._v_cache[key]
-    out = np.zeros((basis.dim, basis.dim))
-    out[basis.slice_axial, basis.slice_axial] = v_multiplication_matrix(basis, SECTOR_AXIAL)
-    v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
-    out[basis.slice_cos, basis.slice_cos] = v1
-    out[basis.slice_sin, basis.slice_sin] = v1
-    basis._v_cache[key] = out
-    return out
-
-
 def project(basis: Basis, which: str, f: VelocityFunction) -> VelocityFunction:
     """Apply one of the projections P0, P1 (macro/micro) or Pd, Pr (density)."""
     _check_same_basis(basis, f.basis)

@@ -10,6 +10,7 @@ The loss-integral oracle below recomputes nu by direct two-dimensional
 quadrature of pi * |v - v*| M(v*); the kernel-moment oracle recomputes the
 per-degree reductions by adaptive quadrature in the angle variable.
 """
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -23,13 +24,16 @@ from scipy.special import eval_legendre
 from kslab.collision_ops import (
     AssemblyError,
     assemble_collision,
+    collision_inverse,
     gamma_apply,
     hermite_sub_indices,
     kernel_eval,
+    null_coordinates,
     nu_eval,
     project_poly_to_sub,
     reduced_kernel_tables,
 )
+from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE
 
 NU_ZERO = 5.0132565492620005
 K1_UNIT = 0.6213931207538556
@@ -139,7 +143,6 @@ class TestAssembledOperators:
         b = collision_default.basis
         assert collision_default.L_sector[0].shape == (b.dim0, b.dim0)
         assert collision_default.L_sector[1].shape == (b.dim1, b.dim1)
-        assert collision_default.L_full().shape == (b.dim, b.dim)
 
     def test_symmetry_and_sign(self, collision_default):
         for sec in (0, 1):
@@ -190,6 +193,51 @@ class TestAssembledOperators:
             f[[0, 1, nr]] = 0.0
             q = f @ L0 @ f
             assert q <= -mu * (f @ f) + 1e-8 * (f @ f)
+
+
+class TestCollisionInverse:
+    @pytest.mark.parametrize("which, invariants", [("L", range(5)), ("L1", [0])])
+    def test_null_coordinates_are_invariant_support(self, collision_small, which,
+                                                    invariants):
+        b = collision_small.basis
+        for sector, copies in ((SECTOR_AXIAL, [b.slice_axial]),
+                               (SECTOR_TRANSVERSE, [b.slice_cos, b.slice_sin])):
+            support = {int(i) for j in invariants for sl in copies
+                       for i in np.flatnonzero(b.chi(j)[sl])}
+            assert null_coordinates(b, which, sector) == sorted(support)
+
+    @pytest.mark.parametrize("which", ["L", "L1"])
+    @pytest.mark.parametrize("sector", [SECTOR_AXIAL, SECTOR_TRANSVERSE])
+    def test_solution_inverts_on_the_range(self, collision_small, which, sector):
+        cm = collision_small
+        block = {"L": cm.L_sector, "L1": cm.L1_sector}[which][sector]
+        null = null_coordinates(cm.basis, which, sector)
+        w = np.random.default_rng(5).standard_normal(block.shape[0])
+        sol = collision_inverse(cm, which, sector, w)
+        pw = w.copy()
+        pw[null] = 0.0
+        assert np.linalg.norm(block @ sol - pw) < 1e-12 * np.linalg.norm(pw)
+        assert np.all(sol[null] == 0.0)
+
+    @pytest.mark.parametrize("direction", ["coordinate", "generic"])
+    def test_extra_null_direction_raises(self, collision_small, direction):
+        cm = collision_small
+        block = cm.L_sector[SECTOR_AXIAL]
+        n = block.shape[0]
+        keep = np.ones(n)
+        keep[null_coordinates(cm.basis, "L", SECTOR_AXIAL)] = 0.0
+        rng = np.random.default_rng(11)
+        if direction == "coordinate":
+            v = np.eye(n)[2]
+        else:
+            v = keep * rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+        proj = np.eye(n) - np.outer(v, v)
+        broken = dataclasses.replace(
+            cm, L_sector={**cm.L_sector, SECTOR_AXIAL: proj @ block @ proj}, _cache={})
+        w = keep * rng.standard_normal(n) + v
+        with pytest.raises(AssemblyError):
+            collision_inverse(broken, "L", SECTOR_AXIAL, w)
 
 
 class TestGammaTensor:

@@ -9,6 +9,7 @@ second-order rates, the microscopic transient, and report determinism.
 """
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ import scipy.linalg as sl
 from kslab import convergence_lab as cl
 from kslab import mode_operators as mo
 from kslab.collision_ops import assemble_collision
-from kslab.velocity_basis import BasisSpec, build_basis
+from kslab.velocity_basis import BasisSpec, build_basis, v_multiplication_matrix
+
+
+REPORTS_FIXTURE = Path(__file__).parent / "fixtures" / "reports.json"
 
 
 def _small_cfg(**kw):
@@ -44,6 +48,12 @@ def generic_report(collision_small):
 @pytest.fixture(scope="module")
 def second_report(collision_small):
     return cl.second_order_experiment(cl.ExperimentConfig(), collision_small)
+
+
+@pytest.fixture(scope="module")
+def layer_report(collision_small):
+    return cl.initial_layer_profile(
+        cl.ExperimentConfig(data_kind="generic"), collision_small)
 
 
 @pytest.fixture(scope="module")
@@ -217,13 +227,22 @@ class TestCorrectorShapes:
 
     def test_field_corrector_solve_residual(self, collision_small):
         data = cl.make_initial_data("second_order", _small_cfg(), collision_small)
-        basis = collision_small.basis
+        cm = collision_small
+        basis = cm.basis
         chi0 = basis.chi(0)
-        op = collision_small.L1_full() - np.outer(chi0, chi0)
-        w1 = np.linalg.solve(op, data.vmb_micro)
-        _, e_z = cl.corrector_shapes(collision_small, data.boltzmann_micro,
-                                     data.vmb_micro)
-        assert e_z[0] == pytest.approx(w1 @ basis.chi(1))
+        p0 = basis.projection_matrix("P0")
+
+        def dense(sectors):
+            return sl.block_diag(sectors[0], sectors[1], sectors[1])
+
+        v1 = dense([v_multiplication_matrix(basis, sec) for sec in (0, 1)])
+        w = np.linalg.solve(dense(cm.L_sector) - p0, data.boltzmann_micro)
+        z2_ref = p0 @ (v1 @ w)
+        w1 = np.linalg.solve(dense(cm.L1_sector) - np.outer(chi0, chi0), data.vmb_micro)
+        e_ref = np.array([w1 @ basis.chi(j) for j in (1, 2, 3)])
+        z2, e_z = cl.corrector_shapes(cm, data.boltzmann_micro, data.vmb_micro)
+        assert np.abs(z2 - z2_ref).max() <= 1e-12 * np.abs(z2_ref).max()
+        assert np.abs(e_z - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
 
     def test_macroscopic_kinetic_data_rejected(self, collision_small):
         basis = collision_small.basis
@@ -420,12 +439,11 @@ class TestTransientRate:
 
 
 class TestInitialLayer:
-    def test_generic_layer_exponent(self, collision_small):
-        cfg = cl.ExperimentConfig(data_kind="generic")
-        rep = cl.initial_layer_profile(cfg, collision_small)
-        assert rep.flags["t0_amplitude"]
-        assert rep.flags["layer_exponent"]
-        assert rep.fits["layer_exponent"]["exponent"] == pytest.approx(-1.0, abs=0.2)
+    def test_generic_layer_exponent(self, layer_report):
+        assert layer_report.flags["t0_amplitude"]
+        assert layer_report.flags["layer_exponent"]
+        assert layer_report.fits["layer_exponent"]["exponent"] == pytest.approx(
+            -1.0, abs=0.2)
 
     def test_well_prepared_layer_is_small(self, collision_small):
         cfg = cl.ExperimentConfig(data_kind="well_prepared")
@@ -485,3 +503,61 @@ class TestReportSerialization:
         rep.write(jp, cp)
         assert jp.read_text() == rep.to_json() + "\n"
         assert cp.read_text() == "\n".join(rep.csv_rows()) + "\n"
+
+    def test_non_finite_value_fails_before_writing(self, tmp_path):
+        rep = cl.ConvergenceReport(experiment="first_order", config={}, eps=[0.1],
+                                   t=[0.0, 1.0], errors={"vmb": [[0.5, float("nan")]]})
+        with pytest.raises(cl.ConvergenceError, match="non-finite"):
+            rep.to_json()
+        jp = tmp_path / "report.json"
+        cp = tmp_path / "report.csv"
+        with pytest.raises(cl.ConvergenceError, match="non-finite"):
+            rep.write(jp, cp)
+        assert not jp.exists() and not cp.exists()
+
+
+def _leaves(node, path=()):
+    """(path, value) for every scalar of a JSON document."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+class TestFrozenReports:
+    """The tier-1 reports against payloads frozen from an earlier revision.
+
+    A table is one error stream, one fit, or one whole top-level section;
+    every number must agree to 1e-10 of its table's largest value.
+    """
+
+    @pytest.mark.parametrize("label, report", [
+        ("first_order/well_prepared", "wp_report"),
+        ("first_order/generic", "generic_report"),
+        ("second_order", "second_report"),
+        ("initial_layer/generic", "layer_report"),
+    ])
+    def test_matches_fixture(self, request, label, report):
+        want = json.loads(REPORTS_FIXTURE.read_text())[label]
+        got = json.loads(request.getfixturevalue(report).to_json())
+        assert got["flags"] == want["flags"]
+        got_leaves, want_leaves = dict(_leaves(got)), dict(_leaves(want))
+        assert got_leaves.keys() == want_leaves.keys()
+
+        def table(path):
+            return path[:2] if path[0] in ("errors", "fits") else path[:1]
+
+        scale: dict = {}
+        for path, value in want_leaves.items():
+            if isinstance(value, (int, float)):
+                key = table(path)
+                scale[key] = max(scale.get(key, 0.0), abs(value))
+        for path, value in want_leaves.items():
+            if isinstance(value, (int, float)):
+                assert abs(got_leaves[path] - value) <= 1e-10 * scale[table(path)], path
+            else:
+                assert got_leaves[path] == value, path

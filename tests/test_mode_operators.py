@@ -15,9 +15,9 @@ from kslab import mode_operators as mo
 from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
 
 
-def _kinetic_collision_blockdiag(cm):
-    l1 = cm.L1_sector
-    return sl.block_diag(l1[0], l1[1], l1[1])
+def _blockdiag(sectors):
+    """A sector-block operator on the full axial|cos|sin layout."""
+    return sl.block_diag(sectors[0], sectors[1], sectors[1])
 
 
 def _dense_reference(kind, s, eps, cm, sign_flip=False):
@@ -28,7 +28,7 @@ def _dense_reference(kind, s, eps, cm, sign_flip=False):
     v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
     ax, co, si = basis.slice_axial, basis.slice_cos, basis.slice_sin
     if kind == "B":
-        mat = cm.L_full().astype(complex)
+        mat = _blockdiag(cm.L_sector).astype(complex)
         w = eps * s
         mat[ax, ax] -= 1j * w * v0
         mat[co, co] -= 1j * w * v1
@@ -40,7 +40,7 @@ def _dense_reference(kind, s, eps, cm, sign_flip=False):
     chi1 = v0 @ chi0
     chi2 = np.eye(n1)[0]
     mat = np.zeros((basis.dim + 4, basis.dim + 4), dtype=complex)
-    mat[:basis.dim, :basis.dim] = cm.L1_full()
+    mat[:basis.dim, :basis.dim] = _blockdiag(cm.L1_sector)
     mat[ax, ax] -= sk * 1j * eps * s * v0
     mat[ax, ax] -= sk * 1j * (eps / s) * np.outer(chi1, chi0)
     mat[co, co] -= sk * 1j * eps * s * v1
@@ -114,7 +114,7 @@ class TestAssembly:
         lam = np.linalg.eigvals(op.matrix)
         assert np.abs(lam.imag).max() < 1e-10
         expect = np.concatenate([
-            np.linalg.eigvalsh(_kinetic_collision_blockdiag(collision_default)),
+            np.linalg.eigvalsh(_blockdiag(collision_default.L1_sector)),
             np.zeros(4),
         ])
         assert np.abs(np.sort(lam.real) - np.sort(expect)).max() < 1e-8
@@ -123,7 +123,7 @@ class TestAssembly:
 class TestDissipativity:
     def test_weighted_form_reduces_to_collision_form(self, collision_default):
         op = mo.assemble_A_tilde(1.3, 0.2, collision_default)
-        l1k = _kinetic_collision_blockdiag(collision_default)
+        l1k = _blockdiag(collision_default.L1_sector)
         nk = l1k.shape[0]
         for u in _random_states(op.dim, 100, 814):
             lhs = np.real(np.vdot(u, op.metric_diag * (op.matrix @ u)))

@@ -20,7 +20,6 @@ from kslab.velocity_basis import (
     build_basis,
     metric_matrix,
     project,
-    v1_full,
     v_multiplication_matrix,
     weighted_inner,
 )
@@ -197,14 +196,3 @@ def test_projection_orthogonality_property(basis_small, seed):
     p0 = project(basis_small, "P0", f)
     p1 = project(basis_small, "P1", f)
     assert abs(p0.inner(p1)) <= 1e-10 * max(1.0, f.norm() ** 2)
-
-
-def test_v1_full_layout(basis_default):
-    full = v1_full(basis_default)
-    assert full.shape == (basis_default.dim, basis_default.dim)
-    v0 = v_multiplication_matrix(basis_default, 0)
-    assert np.array_equal(full[basis_default.slice_axial, basis_default.slice_axial], v0)
-    assert np.array_equal(
-        full[basis_default.slice_cos, basis_default.slice_cos],
-        full[basis_default.slice_sin, basis_default.slice_sin],
-    )
