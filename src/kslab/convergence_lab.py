@@ -69,6 +69,11 @@ class ExperimentConfig:
     [0, s_max(eps)] where s_max(eps) = min(s_cap, regime_radius/eps - 1)
     keeps every resolved mode inside the low-frequency regime; the neglected
     band carries only the (recorded) tail mass of the data profiles.
+
+    The tests cover t_max from 50 to 1e4: the smaller sweeps at 50, the
+    rate reports and their frozen fixture at the default 100, and a
+    first-order report at 1e4 whose field errors must stay finite.  Longer
+    windows are accepted but untested.
     """
 
     eps_list: tuple[float, ...] = _EPS_DEFAULT

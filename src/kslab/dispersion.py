@@ -288,9 +288,15 @@ _BOLTZMANN_LABELS = ("boltzmann_-1", "boltzmann_0", "boltzmann_1",
 
 
 def _slow_eigenvalues(s: float, eps: float, cm: CollisionMatrices) -> np.ndarray:
-    from .mode_operators import assemble_B, eigenvalues
+    """The five eigenvalues of B nearest 0, from the eigenvalues of its sector blocks.
 
-    lam = eigenvalues(assemble_B(s, eps, cm))
+    A block's eigenvalues count once per copy, so the shear pair of the
+    transverse block appears twice.
+    """
+    from .mode_operators import _by_column, assemble_B
+
+    op = assemble_B(s, eps, cm)
+    lam = _by_column(op, [np.linalg.eigvals(b.matrix) for b in op.blocks])
     order = np.argsort(np.abs(lam))
     return lam[order[:5]]
 

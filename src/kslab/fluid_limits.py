@@ -168,33 +168,34 @@ def _frame(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p1, np.cross(omega, p1)
 
 
-def _sinhc(z):
-    """sinh(z)/z, entire, safe at the branch collision where z -> 0."""
+def _decayed_sinhc(z):
+    """e^{-z} sinh(z)/z = (1 - e^{-2z})/(2z): bounded for Re z >= 0, finite at z = 0."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-6
     guarded = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + z * z / 6.0 + z**4 / 120.0,
-                    np.sinh(guarded) / guarded)
+    return np.where(small, 1.0 - z + (2.0 / 3.0) * z * z,
+                    -np.expm1(-2.0 * guarded) / (2.0 * guarded))
 
 
 def _field_block(eta: float, c, t):
     """exp(t * [[-eta, c], [c, 0]]) through the branch collision.
 
     The shifted matrix squares to a scalar, so the exponential reduces to
-    cosh/sinh of delta = sqrt(eta^2/4 + c^2); the sinh(z)/z form stays finite
-    when the two branch rates collide.  Elementwise over arrays c and t that
-    broadcast together.
+    e^{mt} cosh(delta t) and e^{mt} t sinh(delta t)/(delta t), with m = -eta/2
+    and delta = sqrt(eta^2/4 + c^2), Re delta >= 0.  Both are evaluated as
+    e^{(m+delta)t} times a bounded factor in e^{-2 delta t}: since
+    m + Re delta <= 0 for imaginary c, nothing overflows at long times, and
+    the sinh(z)/z form stays finite when the two branch rates collide.
+    Elementwise over arrays c and t that broadcast together.
     """
     c = np.asarray(c, dtype=complex)
     t = np.asarray(t, dtype=float)
     m = -0.5 * eta
     delta = np.sqrt(0.25 * eta * eta + c * c)
-    # math.exp, one call per time: numpy's vector exp can differ in the last
-    # bit, and the rate reports built on this flow are byte-stable
-    base = np.array([math.exp(m * tk) for tk in t.flat]).reshape(t.shape)
-    ch = np.cosh(delta * t)
-    sc = t * _sinhc(delta * t)
-    return base * (ch + m * sc), base * (c * sc), base * (ch - m * sc)
+    lead = np.exp((m + delta) * t)
+    even = 0.5 * lead * (1.0 + np.exp(-2.0 * delta * t))
+    odd = lead * t * _decayed_sinhc(delta * t)
+    return even + m * odd, c * odd, even - m * odd
 
 
 def _field_flow(eta: float, s, t, rho, x2, x3, y2, y3):

@@ -9,18 +9,30 @@ and, conjugated by a signature matrix, the sine copy.  In the
 electromagnetic generator the transverse block also carries two field
 components, (cos, X3, Y2) and (sin, X2, Y3).  Eigendecompositions run one
 block at a time and, through _decompose_stacked, over whole stacks of modes
-at once; the dense matrix is a view assembled from the blocks.
+at once.
 
 On top of the blocks: the weighted inner product, the semigroup (in
 diffusive time t / eps^2), its split into fluid branches, an oscillatory
 high-frequency part and an exponentially damped remainder, and a grid-based
 probe for the norm of gain-times-resolvent compositions.
+
+The spectral calculus stays on the blocks.  With e^{tau A} = V_b diag(e^{tau
+lam}) V_b^{-1} on each block copy, propagate applies the copies one at a
+time, spectrum takes its residuals per block, and the semigroup split marks
+the eigenvalues it takes into S1/S2 with a mask per block copy, m; the
+remainder e^{tau A} S3 = V_b diag(e^{tau lam} (1 - m)) V_b^{-1} then gives the
+norms of the remainder fit without a dense matrix.  The dense generator
+(ModeOperator.matrix), propagator_matrix and the split's S1_part, S2_part
+and S3_part are views for callers, assembled from the blocks when asked
+for.  A generator whose eigenvectors are too ill-conditioned
+(_EIG_COND_LIMIT) takes the Schur path instead, which stays dense.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm, schur, solve_sylvester
@@ -79,7 +91,6 @@ class ModeOperator:
         self.dim = sum(idx.size for b in self.blocks for idx, _ in b.copies)
         self._matrix = matrix
         self._decomp = None
-        self._prop_cache: dict = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -243,89 +254,139 @@ def _decompose_stacked(stacks: list[np.ndarray]):
     return parts, cond, ok
 
 
-def _decomposition(op: ModeOperator):
-    """("eig", lam, vr, vinv, cond) with block-diagonal vectors, or the Schur form.
+class _Decomposition(NamedTuple):
+    """A generator's eigendecomposition by sector block, or its dense Schur form.
 
-    Eigenvalues are sorted by descending real part, then ascending imaginary
-    part; a block's copies repeat its eigenvalues and carry its vectors
-    conjugated by their signs.
+    On the eig path the columns run block by block and, within a block, copy
+    by copy: ``lam`` holds the eigenvalue of every column (a block's copies
+    repeat its eigenvalues) and ``blocks`` the per-block (eigenvalues, right
+    vectors, inverse).  On the Schur path ``schur`` holds (T, Z) of the dense
+    generator.
     """
+
+    path: str                 # "eig" or "schur"
+    cond: float
+    lam: np.ndarray | None = None
+    blocks: tuple = ()
+    schur: tuple | None = None
+
+
+def _decomposition(op: ModeOperator) -> _Decomposition:
+    """Per-block eigendecomposition, or the dense Schur form past _EIG_COND_LIMIT."""
     if op._decomp is None:
         parts, cond, ok = _decompose_stacked([b.matrix[None] for b in op.blocks])
         cond = float(cond[0])
         if ok[0]:
-            lam = np.empty(op.dim, dtype=complex)
-            vr = np.zeros((op.dim, op.dim), dtype=complex)
-            vinv = np.zeros((op.dim, op.dim), dtype=complex)
-            col = 0
-            for b, (lb, vb, wb) in zip(op.blocks, parts):
-                for idx, sign in b.copies:
-                    cols = slice(col, col + lb.shape[1])
-                    lam[cols] = lb[0]
-                    vr[idx, cols] = sign[:, None] * vb[0]
-                    vinv[cols, idx] = wb[0] * sign[None, :]
-                    col = cols.stop
-            order = np.lexsort((lam.imag, -lam.real))
-            op._decomp = ("eig", lam[order], vr[:, order], vinv[order], cond)
+            blocks = tuple((lb[0], vb[0], wb[0]) for lb, vb, wb in parts)
+            lam = _by_column(op, [lb for lb, _, _ in blocks])
+            op._decomp = _Decomposition("eig", cond, lam, blocks)
         else:
-            t, z = schur(op.matrix, output="complex")
-            op._decomp = ("schur", t, z, None, cond)
+            op._decomp = _Decomposition("schur", cond, schur=schur(op.matrix, output="complex"))
     return op._decomp
 
 
+def _by_column(op: ModeOperator, per_block) -> np.ndarray:
+    """Per-block values laid out over the eig-path columns, once per copy."""
+    return np.concatenate([np.tile(v, len(b.copies)) for b, v in zip(op.blocks, per_block)])
+
+
+def _copy_columns(op: ModeOperator):
+    """(block number, index, sign, columns) of every block copy, in column order."""
+    col = 0
+    for b, block in enumerate(op.blocks):
+        k = block.matrix.shape[0]
+        for idx, sign in block.copies:
+            yield b, idx, sign, slice(col, col + k)
+            col += k
+
+
+def _spectral_order(lam: np.ndarray) -> np.ndarray:
+    """Column order by descending real part, then ascending imaginary part."""
+    return np.lexsort((lam.imag, -lam.real))
+
+
+def _dense_vectors(op: ModeOperator, dec: _Decomposition, cols: np.ndarray):
+    """Right eigenvectors (as columns) and inverse rows of eig-path columns, dense."""
+    right = np.zeros((op.dim, cols.size), dtype=complex)
+    left = np.zeros((cols.size, op.dim), dtype=complex)
+    for b, idx, sign, span in _copy_columns(op):
+        _, vb, wb = dec.blocks[b]
+        hit = np.flatnonzero((cols >= span.start) & (cols < span.stop))
+        local = cols[hit] - span.start
+        right[np.ix_(idx, hit)] = sign[:, None] * vb[:, local]
+        left[np.ix_(hit, idx)] = wb[local] * sign[None, :]
+    return right, left
+
+
 def eigenvalues(op: ModeOperator) -> np.ndarray:
-    """All eigenvalues of the generator, taken from its decomposition."""
+    """All eigenvalues, by descending real part, then ascending imaginary part."""
     dec = _decomposition(op)
-    return dec[1] if dec[0] == "eig" else np.linalg.eigvals(op.matrix)
+    lam = np.linalg.eigvals(op.matrix) if dec.path == "schur" else dec.lam
+    return lam[_spectral_order(lam)]
 
 
 def eigen_condition(op: ModeOperator) -> float:
-    return _decomposition(op)[4]
+    return _decomposition(op).cond
 
 
 def spectrum(op: ModeOperator):
-    """Eigenvalues sorted by descending real part, vectors, and residuals."""
+    """Eigenvalues sorted by descending real part, vectors, and residuals.
+
+    On the eig path the residuals are computed per block; a block's copies
+    share them, since a signature conjugation preserves the column norms.
+    """
     dec = _decomposition(op)
-    if dec[0] == "eig":
-        lam, vr = dec[1], dec[2]
-    else:
+    if dec.path == "schur":
         lam, vr = np.linalg.eig(op.matrix)
-        order = np.lexsort((lam.imag, -lam.real))
+        order = _spectral_order(lam)
         lam, vr = lam[order], vr[:, order]
-    res = np.linalg.norm(op.matrix @ vr - vr * lam[None, :], axis=0)
-    res /= np.linalg.norm(vr, axis=0)
-    return lam, vr, res
+        res = np.linalg.norm(op.matrix @ vr - vr * lam[None, :], axis=0)
+        return lam, vr, res / np.linalg.norm(vr, axis=0)
+    res = _by_column(op, [
+        np.linalg.norm(block.matrix @ vb - vb * lb[None, :], axis=0) / np.linalg.norm(vb, axis=0)
+        for block, (lb, vb, _) in zip(op.blocks, dec.blocks)])
+    order = _spectral_order(dec.lam)
+    vr, _ = _dense_vectors(op, dec, order)
+    return dec.lam[order], vr, res[order]
 
 
 def propagator_matrix(op: ModeOperator, t: float) -> np.ndarray:
-    """Dense e^{(t/eps^2) A}."""
+    """Dense e^{(t/eps^2) A}, assembled from the block exponentials."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if t in op._prop_cache:
-        return op._prop_cache[t]
     tau = t / op.eps**2
     dec = _decomposition(op)
-    if dec[0] == "eig":
-        _, lam, vr, vinv, _ = dec
-        out = (vr * np.exp(tau * lam)[None, :]) @ vinv
-    else:
-        _, tmat, z, _, _ = dec
-        out = z @ expm(tau * tmat) @ z.conj().T
-    if len(op._prop_cache) < 64:
-        op._prop_cache[t] = out
+    if dec.path == "schur":
+        tmat, z = dec.schur
+        return z @ expm(tau * tmat) @ z.conj().T
+    flows = [(vb * np.exp(tau * lb)[None, :]) @ wb for lb, vb, wb in dec.blocks]
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    for b, idx, sign, _ in _copy_columns(op):
+        out[np.ix_(idx, idx)] = sign[:, None] * flows[b] * sign[None, :]
     return out
 
 
 def propagate(op: ModeOperator, u0: np.ndarray, t: float) -> np.ndarray:
+    """e^{(t/eps^2) A} u0, one block copy at a time, guarded by contraction."""
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != (op.dim,):
         raise ValueError(f"state length {u0.shape} does not match operator dim {op.dim}")
-    out = propagator_matrix(op, t) @ u0
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    dec = _decomposition(op)
+    if dec.path == "schur":
+        out = propagator_matrix(op, t) @ u0
+    else:
+        tau = t / op.eps**2
+        out = np.zeros(op.dim, dtype=complex)
+        for b, idx, sign, _ in _copy_columns(op):
+            lb, vb, wb = dec.blocks[b]
+            out[idx] = sign * (vb @ (np.exp(tau * lb) * (wb @ (sign * u0[idx]))))
     n0, n1 = op.weighted_norm(u0), op.weighted_norm(out)
     if n1 > n0 * (1.0 + 1e-6) + 1e-12:
         raise PropagationError(
             f"contraction violated: growth {n1 / max(n0, 1e-300):.3e} "
-            f"(decomposition condition {eigen_condition(op):.3e})"
+            f"(decomposition condition {dec.cond:.3e})"
         )
     return out
 
@@ -336,16 +397,53 @@ def propagate(op: ModeOperator, u0: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass
 class SemigroupSplit:
+    """e^{tA} = S1(t) + S2(t) + S3(t): fluid branches, oscillatory branches, remainder.
+
+    On the eig path ``branch_mask`` marks the eig-path columns (see
+    _Decomposition) whose eigenvalues go to S1 (low regime) or S2 (high
+    regime); it is per block copy, so one copy of a degenerate pair can be
+    taken without the other.  The remainder fit and every S*_part come from
+    the blocks: S1_part, S2_part and S3_part = I - S1_part - S2_part are dense
+    views, built on first access.  On the Schur path (eigenvectors past
+    _EIG_COND_LIMIT) the split is dense: ``branch_mask`` is None and the
+    projectors come from a reordered Schur form.
+    """
+
     op: ModeOperator
     regime: str                       # low | high | mid
     eigen_projections: list           # (eigenvalue, right, left) triples
-    S1_part: np.ndarray               # projection onto the fluid branches
-    S2_part: np.ndarray               # projection onto oscillatory branches
-    S3_part: np.ndarray               # remainder projection
     measured_gap_b: float
     fit_C: float
     defective: bool
     eig_cond: float
+    branch_mask: np.ndarray | None = None
+    schur_parts: tuple | None = field(default=None, repr=False)   # dense (S1, S2)
+
+    @functools.cached_property
+    def _branch_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.schur_parts is not None:
+            return self.schur_parts
+        dec = _decomposition(self.op)
+        right, left = _dense_vectors(self.op, dec, np.flatnonzero(self.branch_mask))
+        branch = right @ left
+        zero = np.zeros_like(branch)
+        return (zero, branch) if self.regime == "high" else (branch, zero)
+
+    @property
+    def S1_part(self) -> np.ndarray:
+        """Projection onto the fluid branches."""
+        return self._branch_parts[0]
+
+    @property
+    def S2_part(self) -> np.ndarray:
+        """Projection onto the oscillatory branches."""
+        return self._branch_parts[1]
+
+    @functools.cached_property
+    def S3_part(self) -> np.ndarray:
+        """Remainder projection."""
+        s1, s2 = self._branch_parts
+        return np.eye(self.op.dim, dtype=complex) - s1 - s2
 
     def parts_at(self, t: float):
         prop = propagator_matrix(self.op, t)
@@ -395,72 +493,83 @@ def split_regime(op: ModeOperator, r0: float, r1: float) -> str:
 def semigroup_split(op: ModeOperator, r0: float = 0.1, r1: float = 10.0,
                     n_fluid: int = 5) -> SemigroupSplit:
     regime = split_regime(op, r0, r1)
-    dim = op.dim
-    eye = np.eye(dim, dtype=complex)
-    cond = eigen_condition(op)
-    defective = cond >= _EIG_COND_LIMIT
+    dec = _decomposition(op)
+    thresh = -0.5 * op.collision.mu_estimate
+    if dec.path == "eig":
+        lam = dec.lam
+        order = _spectral_order(lam)
+        mask = np.zeros(op.dim, dtype=bool)
+        if regime == "low":
+            mask[order[:n_fluid]] = True
+        elif regime == "high":
+            mask = lam.real >= thresh
+        cols = order[mask[order]]
+        right, left = _dense_vectors(op, dec, cols)
+        projections = [(lam[j], right[:, i], left[i].conj() / op.metric_diag)
+                       for i, j in enumerate(cols)]
+        b, c_fit = _fit_remainder_decay(
+            lam[~mask], lambda taus: _remainder_norms(op, mask, taus))
+        return SemigroupSplit(op=op, regime=regime, eigen_projections=projections,
+                              measured_gap_b=b, fit_C=c_fit, defective=False,
+                              eig_cond=dec.cond, branch_mask=mask)
 
-    s1 = np.zeros_like(eye)
-    s2 = np.zeros_like(eye)
-    projections = []
-
+    s1 = np.zeros((op.dim, op.dim), dtype=complex)
+    s2 = np.zeros_like(s1)
+    lam = np.linalg.eigvals(op.matrix)
     if regime == "low":
-        if not defective:
-            _, lam, vr, vinv, _ = _decomposition(op)
-            for j in range(n_fluid):
-                right = vr[:, j]
-                left = vinv[j].conj() / op.metric_diag
-                projections.append((lam[j], right, left))
-                s1 += np.outer(right, vinv[j])
-        else:
-            cut = np.sort(eigenvalues(op).real)[-n_fluid] - 1e-12
-            s1, _ = _schur_projector(op.matrix, lambda z: z.real >= cut)
+        cut = np.sort(lam.real)[-n_fluid] - 1e-12
+        s1, _ = _schur_projector(op.matrix, lambda z: z.real >= cut)
     elif regime == "high":
-        thresh = -0.5 * op.collision.mu_estimate
-        if not defective:
-            _, lam, vr, vinv, _ = _decomposition(op)
-            for j in range(dim):
-                if lam[j].real >= thresh:
-                    projections.append((lam[j], vr[:, j], vinv[j].conj() / op.metric_diag))
-                    s2 += np.outer(vr[:, j], vinv[j])
-        else:
-            s2, _ = _schur_projector(op.matrix, lambda z: z.real >= thresh)
-
-    s3 = eye - s1 - s2
-    b, c_fit = _fit_remainder_decay(op, s3, s1, s2)
-    return SemigroupSplit(
-        op=op,
-        regime=regime,
-        eigen_projections=projections,
-        S1_part=s1,
-        S2_part=s2,
-        S3_part=s3,
-        measured_gap_b=b,
-        fit_C=c_fit,
-        defective=defective,
-        eig_cond=cond,
-    )
-
-
-def _fit_remainder_decay(op: ModeOperator, s3, s1, s2) -> tuple[float, float]:
-    """Fit ||S3(t)||_xi ~ C e^{-b t/eps^2} on a window set by the gap."""
-    lam_all = eigenvalues(op)
-    active = np.ones(lam_all.size, bool)
+        s2, _ = _schur_projector(op.matrix, lambda z: z.real >= thresh)
+    s3 = np.eye(op.dim, dtype=complex) - s1 - s2
     # exclude branch eigenvalues captured by S1/S2 from the gap estimate
     rank12 = int(round(np.real(np.trace(s1 + s2))))
-    if rank12 > 0:
-        order = np.argsort(-lam_all.real)
-        active[order[:rank12]] = False
-    if not active.any():
+    rest = lam[np.argsort(-lam.real)[rank12:]]
+    b, c_fit = _fit_remainder_decay(rest, lambda taus: [
+        _weighted_opnorm(op, propagator_matrix(op, tau * op.eps**2) @ s3) for tau in taus])
+    return SemigroupSplit(op=op, regime=regime, eigen_projections=[], measured_gap_b=b,
+                          fit_C=c_fit, defective=True, eig_cond=dec.cond,
+                          schur_parts=(s1, s2))
+
+
+def _remainder_norms(op: ModeOperator, mask: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """||e^{tau A} S3||_xi at each tau, from the eig-path blocks.
+
+    On a block copy e^{tau A} S3 = V diag(e^{tau lam} (1 - m)) V^{-1}, with m
+    the copy's slice of the branch mask; the weighted norm is the largest
+    over the copies.  A copy that repeats an earlier copy's mask and metric
+    has the same norm (the signature conjugation between them is orthogonal)
+    and is skipped.
+    """
+    dec = _decomposition(op)
+    gh = np.sqrt(op.metric_diag)
+    norms = np.zeros(len(taus))
+    seen = set()
+    for b, idx, _, cols in _copy_columns(op):
+        keep, g = ~mask[cols], gh[idx]
+        key = (b, keep.tobytes(), g.tobytes())
+        if key in seen:
+            continue
+        seen.add(key)
+        lb, vb, wb = dec.blocks[b]
+        growth = np.exp(np.multiply.outer(taus, lb)) * keep
+        flows = ((g[:, None] * vb)[None] * growth[:, None, :]) @ (wb / g[None, :])
+        norms = np.maximum(norms, np.linalg.norm(flows, ord=2, axis=(1, 2)))
+    return norms
+
+
+def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, float]:
+    """Fit ||S3(t)||_xi ~ C e^{-b t/eps^2} on a window set by the gap.
+
+    ``rest`` are the eigenvalues left to the remainder; remainder_norms(taus)
+    gives ||S3(tau eps^2)||_xi on the fit window.
+    """
+    if rest.size == 0:
         return float("nan"), float("nan")
     # decay rate per unit of diffusive time t/eps^2 is -Re(lambda) of the matrix
-    gap = max(-lam_all.real[active].max(), 1e-12)
+    gap = max(-rest.real.max(), 1e-12)
     taus = np.linspace(1.0 / gap, 18.0 / gap, 10)
-    norms = []
-    for tau in taus:
-        prop = propagator_matrix(op, tau * op.eps**2)
-        norms.append(_weighted_opnorm(op, prop @ s3))
-    norms = np.asarray(norms)
+    norms = np.asarray(remainder_norms(taus))
     good = norms > 1e-13
     if good.sum() < 3:
         return float("nan"), float("nan")

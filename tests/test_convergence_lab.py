@@ -162,6 +162,13 @@ class TestExperimentConfig:
         assert s.min() > 0.0
         assert w.sum() == pytest.approx(cfg.s_max(0.1))
 
+    def test_long_time_report_is_finite(self, collision_small):
+        cfg = cl.ExperimentConfig(seed=12, t_max=1e4, n_t=41,
+                                  eps_list=(0.1, 0.05, 0.025, 0.0125))
+        report = cl.first_order_experiment(cfg, collision_small)
+        assert np.all(np.isfinite(np.asarray(report.errors["vmb"])))
+        assert json.loads(report.to_json())["config"]["t_max"] == 1e4
+
 
 class TestInitialData:
     def test_unknown_kind(self, collision_small):

@@ -233,6 +233,17 @@ class TestFieldFlow:
                     via_eigen = x @ (np.exp(b * tk) * weights)
                     assert np.max(np.abs(flow[:, k, j] - via_eigen)) < 1e-12
 
+    @pytest.mark.parametrize("s", [0.0, 0.01, 0.1, 0.107790, 0.2, 1.0])
+    def test_long_time_block_matches_generator_exponential(self, s):
+        # past t ~ 6600 a separate cosh(delta t) overflows at this eta
+        eta, t = 0.215581, 1e4
+        for c in (1j * s, -1j * s):
+            e11, e12, e22 = fl._field_block(eta, c, t)
+            got = np.array([[e11, e12], [e12, e22]], dtype=complex)
+            want = expm(t * np.array([[-eta, c], [c, 0.0]]))
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), 1e-300)
+
 
 class TestSplittings:
     def test_helmholtz_trivial_cases(self):

@@ -318,6 +318,82 @@ class TestSemigroupSplit:
         assert round(float(np.real(np.trace(proj)))) == 2
 
 
+class TestPerBlockSplit:
+    """The eig path works on the sector blocks; dense matrices are views only."""
+
+    @pytest.mark.parametrize("kind,s,eps,regime", [
+        ("B", 1.0, 0.05, "low"),
+        ("B", 5.0, 0.4, "mid"),
+        ("A", 1.3, 0.04, "low"),
+        ("A", 5.0, 0.4, "mid"),
+        ("A", 16.0, 1.0, "high"),
+    ])
+    def test_remainder_norms_match_dense_exponential(self, collision_default,
+                                                     kind, s, eps, regime):
+        assemble = mo.assemble_B if kind == "B" else mo.assemble_A_tilde
+        op = assemble(s, eps, collision_default)
+        sp = mo.semigroup_split(op)
+        assert sp.regime == regime and sp.branch_mask is not None
+        gh = np.sqrt(op.metric_diag)
+        # inside the fit window, where the remainder is still well above the
+        # rounding floor of the dense exponential
+        taus = np.array([0.3, 1.0, 3.0]) / sp.measured_gap_b
+        got = mo._remainder_norms(op, sp.branch_mask, taus)
+        for tau, norm in zip(taus, got):
+            flow = sl.expm(tau * op.matrix) @ sp.S3_part
+            dense = np.linalg.norm((flow / gh[None, :]) * gh[:, None], ord=2)
+            assert abs(norm - dense) <= 1e-10 * dense
+
+    def test_split_and_propagate_build_no_dense_propagator(self, collision_default,
+                                                          monkeypatch):
+        op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
+        u = _random_states(op.dim, 1, 5)[0]
+        t = 0.8 * op.eps**2
+        want = sl.expm((t / op.eps**2) * op.matrix) @ u
+
+        def dense_propagator(*args, **kwargs):
+            raise AssertionError("dense propagator built on the eig path")
+
+        monkeypatch.setattr(mo, "propagator_matrix", dense_propagator)
+        sp = mo.semigroup_split(op)
+        assert not sp.defective
+        assert sp.measured_gap_b > 0.0 and np.isfinite(sp.fit_C)
+        got = mo.propagate(op, u, t)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_schur_fallback_still_fits_the_gap(self, collision_small, monkeypatch):
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", 1.0)
+        op = mo.assemble_A_tilde(1.3, 0.04, collision_small)
+        sp = mo.semigroup_split(op)
+        assert sp.defective and sp.branch_mask is None
+        assert mo._decomposition(op).path == "schur"
+        eye = np.eye(op.dim)
+        assert np.abs(sp.S1_part + sp.S2_part + sp.S3_part - eye).max() <= 1e-10
+        lam = np.sort(np.linalg.eigvals(op.matrix).real)[::-1]
+        gap = -lam[5:].max()
+        assert abs(sp.measured_gap_b - gap) <= 0.05 * gap
+
+    @pytest.mark.parametrize("kind,s,eps", [("B", 1.0, 0.05), ("A", 1.3, 0.04),
+                                            ("A", 16.0, 1.0), ("A", 5.0, 0.4)])
+    def test_lazy_parts_sum_to_identity(self, collision_default, kind, s, eps):
+        assemble = mo.assemble_B if kind == "B" else mo.assemble_A_tilde
+        op = assemble(s, eps, collision_default)
+        sp = mo.semigroup_split(op)
+        s1, s2, s3 = sp.S1_part, sp.S2_part, sp.S3_part
+        assert sp.S1_part is s1 and sp.S2_part is s2 and sp.S3_part is s3
+        eye = np.eye(op.dim)
+        assert np.array_equal(s3, eye - s1 - s2)
+        assert np.abs(s1 + s2 + s3 - eye).max() <= 1e-10
+        # the branch part is the dense spectral projector of the taken eigenvalues
+        lam, vr = np.linalg.eig(op.matrix)
+        sel = np.zeros(lam.size, bool)
+        for lam_j, _, _ in sp.eigen_projections:
+            sel |= np.abs(lam - lam_j) <= 1e-8 * max(1.0, abs(lam_j))
+        assert sel.sum() == len(sp.eigen_projections)
+        dense = vr[:, sel] @ np.linalg.inv(vr)[sel]
+        assert np.abs(s1 + s2 - dense).max() <= 1e-8
+
+
 class TestHighFrequencyClustering:
     def test_branches_tighten_toward_pure_oscillation(self, collision_default):
         nu0 = collision_default.nu0
