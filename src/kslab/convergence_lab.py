@@ -6,12 +6,24 @@ confidence intervals, the acoustic initial layer, second-order corrector
 comparisons, and the stationary-phase decay of radial oscillatory integrals.
 Each experiment returns a ConvergenceReport whose JSON and CSV forms are
 byte-stable for a fixed configuration and seed.
+
+The rate experiments share one set of pieces.  Each runs its own eps loop
+and propagates every mode of a sweep at once with _evolve_grid, giving
+(n_t, n_s, dim) state grids.  The fluid references are whole grids too:
+fluid_limits._heat_flow for the kinetic heat flow and _field_reference for
+the damped-Maxwell flow.  The compressible split is fluid_limits.p_split,
+which works on the last axis of any array.  _kinetic_errors reduces a grid
+to the incompressible error and the compressible L1 proxy per time, and
+_field_sq is the electromagnetic metric, whose charge counts 1 + 1/s^2.
+_fit_eps_slopes holds the eps-slope fits and flags, and
+_environment_metadata the notes every report carries.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -22,9 +34,9 @@ from .collision_ops import CollisionMatrices, collision_inverse
 from .dispersion import expansion_coefficients
 from .fluid_limits import (
     _field_flow,
-    _heat_basis,
-    _heat_rates,
+    _heat_flow,
     _hydro_vectors,
+    p_split,
     transport_coefficients,
 )
 from .mode_operators import (
@@ -41,6 +53,14 @@ class ConvergenceError(RuntimeError):
     """Invalid experiment configuration, data, or a degenerate fit."""
 
 
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 _EPS_DEFAULT = (0.2, 0.1, 0.05, 0.025, 0.0125)
 _DATA_KINDS = ("generic", "well_prepared")
 _SHAPE_KINDS = _DATA_KINDS + ("second_order",)
@@ -55,6 +75,8 @@ _TOL_OSC = 0.1
 _TOL_DECAY = 0.15
 _TOL_GAP = 0.2
 _T0_TOL = 1e-10
+# report tag -> the error stream its eps-rates and t = 0 identity read
+_RATE_STREAMS = {"boltzmann": "boltzmann_perp", "vmb": "vmb"}
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +113,16 @@ class ExperimentConfig:
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
         object.__setattr__(self, "eps_list", eps)
-        if len(eps) < 2 or any(e <= 0 for e in eps):
-            raise ConvergenceError("eps_list must contain at least two positive values")
+        if len(eps) < 2 or not all(math.isfinite(e) and e > 0 for e in eps):
+            raise ConvergenceError("eps_list must contain at least two finite positive values")
+        for name in ("s_cap", "regime_radius", "t_min", "t_max", "profile_width"):
+            if not _finite(getattr(self, name)):
+                raise ConvergenceError(f"{name} must be a finite number")
+        for name in ("n_s", "n_t", "seed"):
+            if not _integer(getattr(self, name)):
+                raise ConvergenceError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ConvergenceError("seed must be nonnegative")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConvergenceError("eps_list must be strictly decreasing")
         if self.data_kind not in _DATA_KINDS:
@@ -519,10 +549,26 @@ def _agg_weights(cfg: ExperimentConfig, s: np.ndarray, w: np.ndarray,
     return w * s**2 * (1.0 + s**2) ** k
 
 
-def _sup_weighted(times: np.ndarray, errs: np.ndarray, power: float,
-                  t_floor: float = 0.0) -> float:
-    mask = times >= t_floor
-    return float(np.max((1.0 + times[mask]) ** power * errs[mask]))
+def _mode_l2(states: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    """Aggregated norm of mode states (..., n_s, dim) under the weights wq."""
+    return np.sqrt(np.sum(np.abs(states) ** 2, axis=-1) @ wq)
+
+
+def _field_sq(states: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Squared electromagnetic metric per mode: the charge counts 1 + 1/s^2."""
+    return np.sum(np.abs(states) ** 2, axis=-1) + (1.0 / s**2) * np.abs(states[..., 0]) ** 2
+
+
+def _kinetic_errors(kin: np.ndarray, fluid: np.ndarray, wq: np.ndarray,
+                    wl: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Per-time incompressible error and compressible amplitude of (n_t, n_s, dim) states.
+
+    The error aggregates f_perp - fluid with the Sobolev weights wq; the
+    amplitude is the L1 mode integral of |f_par| with the weights wl, the
+    labelled upper proxy for the supremum norm.
+    """
+    f_par, f_perp = p_split(kin, basis)
+    return _mode_l2(f_perp - fluid, wq), np.linalg.norm(f_par, axis=-1) @ wl
 
 
 def _tail_mass(data: InitialData, cfg: ExperimentConfig, eps: float) -> float:
@@ -538,23 +584,39 @@ def _tail_mass(data: InitialData, cfg: ExperimentConfig, eps: float) -> float:
     return m
 
 
-def _compensated_slopes(eps: np.ndarray, y: np.ndarray) -> tuple[dict, str]:
-    """Raw and log-compensated power-law fits of y(eps), best match by RSS."""
-    fits = {}
-    best, best_rss = "raw", math.inf
-    for tag, comp in (("raw", 1.0), ("log", np.abs(np.log(eps))),
-                      ("log2", np.log(eps) ** 2)):
-        fit = rate_fit(eps, y / comp)
-        fits[tag] = fit
-        if fit.rss < best_rss:
-            best, best_rss = tag, fit.rss
-    return fits, best
+def _fit_eps_slopes(report: ConvergenceReport, eps: np.ndarray, times: np.ndarray,
+                    streams: dict, powers: dict, tol: float,
+                    t_floor: float = 0.0) -> None:
+    """eps-slopes of the time-weighted supremum errors, raw and log-compensated.
+
+    For each tag in powers, the supremum of (1 + t)^power times the
+    tag's _RATE_STREAMS error over t >= t_floor is fitted against eps, raw
+    and divided by |log eps| and log^2 eps.  Records the fits, the compensator of least RSS, and the flag
+    that the raw exponent is one within tol.
+    """
+    late = times >= t_floor
+    for tag, power in powers.items():
+        table = np.array(streams[_RATE_STREAMS[tag]])
+        y = np.max((1.0 + times[late]) ** power * table[:, late], axis=1)
+        best, best_rss = "raw", math.inf
+        for comp, scale in (("raw", 1.0), ("log", np.abs(np.log(eps))),
+                            ("log2", np.log(eps) ** 2)):
+            fit = rate_fit(eps, y / scale)
+            key = f"eps_slope_{tag}" if comp == "raw" else f"eps_slope_{tag}_{comp}"
+            report.fits[key] = fit.as_dict()
+            if fit.rss < best_rss:
+                best, best_rss = comp, fit.rss
+        report.metadata[f"best_compensator_{tag}"] = best
+        report.flags[f"eps_slope_{tag}"] = bool(
+            abs(report.fits[f"eps_slope_{tag}"]["exponent"] - 1.0) <= tol)
 
 
-def _environment_metadata(cm: CollisionMatrices, cfg: ExperimentConfig) -> dict:
+def _environment_metadata(cm: CollisionMatrices, cfg: ExperimentConfig,
+                          failures: list, coverage: bool = True) -> dict:
+    """Basis, transport and sweep layout notes; coverage counts the eps sweep's modes."""
     tc = transport_coefficients(cm)
     exp = expansion_coefficients(cm)
-    return {
+    md = {
         "basis": {"radial_order": cm.basis.spec.radial_order,
                   "angular_max": cm.basis.spec.angular_max,
                   "dim": cm.basis.dim},
@@ -568,7 +630,11 @@ def _environment_metadata(cm: CollisionMatrices, cfg: ExperimentConfig) -> dict:
         "split_radii": {"r0": 0.1, "r1": 10.0},
         "aggregation_radius": cfg.regime_radius,
         "seed": cfg.seed,
+        "propagation_failures": failures,
     }
+    if coverage:
+        md["coverage"] = 1.0 - len(failures) / (2 * cfg.n_s * len(cfg.eps_list))
+    return md
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +657,6 @@ def first_order_experiment(cfg: ExperimentConfig,
     t_grid = cfg.t_grid()
     times = np.concatenate([[0.0], t_grid])
     eps_arr = np.asarray(cfg.eps_list)
-
-    chi = [basis.chi(j) for j in range(5)]
-    _, ht1 = _hydro_vectors(basis)
-    hs = np.array(_heat_basis(basis))
-    heat_rates = _heat_rates(tc)
     p0m = basis.projection_matrix("P0")
     p1m = basis.projection_matrix("P1")
     dimk = basis.dim
@@ -610,7 +671,6 @@ def first_order_experiment(cfg: ExperimentConfig,
     for eps in cfg.eps_list:
         s, w = cfg.s_grid(eps)
         wq = _agg_weights(cfg, s, w)
-        wl = w * s**2
         f0 = data.boltzmann_states(s)
         v0 = data.vmb_states(s)
         tail.append(_tail_mass(data, cfg, eps))
@@ -618,85 +678,45 @@ def first_order_experiment(cfg: ExperimentConfig,
         kin_b, keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures)
         kin_v, keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times, failures)
         wq_b, wq_v = wq * keep_b, wq * keep_v
-        wl_b = wl * keep_b
-
-        # fluid references; the heat coefficients factor through the data
-        heat_coef = f0 @ hs.T                                  # (n_s, 3)
         fluid_v = _field_reference(tc.eta, s, times, v0[:, 0], v0[:, dimk:].T,
                                    keep_v, dimk)
 
-        # defect identities at t = 0
-        db = np.sqrt(wq_b @ np.sum(np.abs(f0 @ p1m.T) ** 2, axis=1))
-        vd = v0.copy()
-        vd[:, 0] = 0.0
-        vd[:, dimk:] = 0.0
-        dv = np.sqrt(wq_v @ np.sum(np.abs(vd) ** 2, axis=1))
-        defects["boltzmann"].append(float(db))
-        defects["vmb"].append(float(dv))
+        # defect identities at t = 0: the parts no fluid flow carries
+        defects["boltzmann"].append(float(_mode_l2(f0 @ p1m.T, wq_b)))
+        defects["vmb"].append(float(_mode_l2(v0[:, 1:dimk], wq_v)))
 
-        errs = {name: np.zeros(len(times)) for name in streams}
-        for jt, t in enumerate(times):
-            decay = np.exp(-np.outer(s**2 * t, heat_rates))    # (n_s, 3)
-            fluid_b = (heat_coef * decay) @ hs                 # (n_s, dim)
-            kb = kin_b[jt]
-            par1 = kb @ chi[1]
-            parh = kb @ ht1
-            perp = kb - np.outer(par1, chi[1]) - np.outer(parh, ht1)
-            diff = perp - fluid_b
-            errs["boltzmann_perp"][jt] = math.sqrt(wq_b @ np.sum(np.abs(diff) ** 2, axis=1))
-            errs["boltzmann_par_proxy"][jt] = float(
-                wl_b @ np.sqrt(np.abs(par1) ** 2 + np.abs(parh) ** 2))
-            errs["boltzmann_p0"][jt] = math.sqrt(
-                wq_b @ np.sum(np.abs(kb @ p0m.T) ** 2, axis=1))
-            errs["boltzmann_p1"][jt] = math.sqrt(
-                wq_b @ np.sum(np.abs(kb @ p1m.T) ** 2, axis=1))
-
-            dvt = kin_v[jt] - fluid_v[jt]
-            gsq = np.sum(np.abs(dvt) ** 2, axis=1) + (1.0 / s**2) * np.abs(dvt[:, 0]) ** 2
-            errs["vmb"][jt] = math.sqrt(wq_v @ gsq)
-        for name in streams:
-            streams[name].append(errs[name].tolist())
+        perp, par = _kinetic_errors(kin_b, _heat_flow(f0, s, times, tc, basis),
+                                    wq_b, w * s**2 * keep_b, basis)
+        streams["boltzmann_perp"].append(perp.tolist())
+        streams["boltzmann_par_proxy"].append(par.tolist())
+        streams["boltzmann_p0"].append(_mode_l2(kin_b @ p0m.T, wq_b).tolist())
+        streams["boltzmann_p1"].append(_mode_l2(kin_b @ p1m.T, wq_b).tolist())
+        streams["vmb"].append(np.sqrt(_field_sq(kin_v - fluid_v, s) @ wq_v).tolist())
 
     report = ConvergenceReport(
         experiment="first_order",
         config=cfg.as_dict(),
         eps=list(cfg.eps_list),
         t=times.tolist(),
-        errors={k: v for k, v in streams.items()},
+        errors=streams,
     )
-    md = _environment_metadata(cm, cfg)
-    md["tail_mass_bound"] = tail
-    md["propagation_failures"] = failures
-    total = 2 * cfg.n_s * len(cfg.eps_list)
-    md["coverage"] = 1.0 - len(failures) / total
-    md["t0_defect"] = defects
-    report.metadata = md
+    report.metadata = _environment_metadata(cm, cfg, failures)
+    report.metadata["tail_mass_bound"] = tail
+    report.metadata["t0_defect"] = defects
 
-    err_b = np.array(streams["boltzmann_perp"])
-    err_v = np.array(streams["vmb"])
-    report.flags["t0_identity_boltzmann"] = bool(np.all(
-        np.abs(err_b[:, 0] - np.array(defects["boltzmann"]))
-        <= _T0_TOL * np.maximum(1.0, np.array(defects["boltzmann"]))))
-    report.flags["t0_identity_vmb"] = bool(np.all(
-        np.abs(err_v[:, 0] - np.array(defects["vmb"]))
-        <= _T0_TOL * np.maximum(1.0, np.array(defects["vmb"]))))
+    for tag, key in _RATE_STREAMS.items():
+        defect = np.array(defects[tag])
+        report.flags[f"t0_identity_{tag}"] = bool(np.all(
+            np.abs(np.array(streams[key])[:, 0] - defect)
+            <= _T0_TOL * np.maximum(1.0, defect)))
 
     if cfg.data_kind == "well_prepared":
-        for tag, table in (("boltzmann", err_b), ("vmb", err_v)):
-            y = np.array([_sup_weighted(times, row, 0.75) for row in table])
-            fits, best = _compensated_slopes(eps_arr, y)
-            for comp, f in fits.items():
-                key = f"eps_slope_{tag}" if comp == "raw" else f"eps_slope_{tag}_{comp}"
-                report.fits[key] = f.as_dict()
-            report.metadata[f"best_compensator_{tag}"] = best
-            report.flags[f"eps_slope_{tag}"] = bool(
-                abs(fits["raw"].exponent - 1.0) <= _TOL_FIRST_SLOPE)
+        _fit_eps_slopes(report, eps_arr, times, streams,
+                        {"boltzmann": 0.75, "vmb": 0.75}, _TOL_FIRST_SLOPE)
         late = times >= 1.0
-        mono = True
-        for table in (err_b, err_v):
-            block = table[:, late]
-            mono = mono and bool(np.all(block[1:] <= block[:-1] + 1e-12))
-        report.flags["eps_monotone"] = mono
+        report.flags["eps_monotone"] = all(
+            bool(np.all(block[1:] <= block[:-1] + 1e-12))
+            for block in (np.array(streams[k])[:, late] for k in _RATE_STREAMS.values()))
 
     # macroscopic / microscopic kinetic decay rates at the sharpest eps
     fit_window = t_grid >= 5.0
@@ -737,6 +757,10 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
     window the splitting itself uses must agree with measured_gap_b.
     """
     eps = cfg.eps_list[len(cfg.eps_list) // 2] if eps is None else eps
+    if not (_finite(eps) and eps > 0):
+        raise ConvergenceError("transient check needs a finite eps > 0")
+    if not (_finite(s0) and s0 >= 0):
+        raise ConvergenceError("transient check needs a finite wave number s0 >= 0")
     data = make_initial_data("generic", cfg, cm)
     f0 = data.boltzmann_states(np.array([s0]))[0]
     op = assemble_B(s0, eps, cm)
@@ -784,6 +808,14 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
     stationary-phase decay; both choices converge to the same exponent as
     the window grows.
     """
+    if not (_integer(n_layer) and n_layer >= 8):
+        raise ConvergenceError("layer grid needs an integer n_layer >= 8")
+    if not (_integer(n_tau) and n_tau >= 4):
+        raise ConvergenceError("layer profile needs an integer n_tau >= 4")
+    if not (_finite(tau_max) and _finite(tau_fit_min) and 0 <= tau_fit_min < tau_max):
+        raise ConvergenceError("layer profile needs finite 0 <= tau_fit_min < tau_max")
+    if not (_finite(layer_width) and layer_width > 0):
+        raise ConvergenceError("layer width must be finite and positive")
     eps = cfg.eps_list[-1]
     tc = transport_coefficients(cm)
     basis = cm.basis
@@ -797,41 +829,27 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
     w = half * w_gl
     f0 = data.boltzmann_states(s)
 
-    chi1 = basis.chi(1)
-    _, ht1 = _hydro_vectors(basis)
-    hs = np.array(_heat_basis(basis))
-    heat_rates = _heat_rates(tc)
-    heat_coef = f0 @ hs.T
-
     taus = np.linspace(0.0, tau_max, n_tau)
     times = eps * taus
     failures: list = []
     kin, keep = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures)
     wk = w * keep
+    wl = wk * s**2
 
-    values = np.zeros(n_tau)
-    bulk = np.zeros(n_tau)
-    wq = _agg_weights(cfg, s, wk, "H2")
+    # front amplitude at each tau, the largest over the offsets past the cone;
+    # sr[j, k, i] is s_i times the radius of (tau_j, offset_k)
     offsets = np.linspace(0.0, 2.0, 5) / layer_width
-    for j, tau in enumerate(taus):
-        kb = kin[j]
-        c1 = kb @ chi1
-        ch = kb @ ht1
-        best = 0.0
-        for off in offsets:
-            radius = mu * tau + off
-            a0 = np.sum(wk * s**2 * np.sinc(s * radius / math.pi) * ch)
-            a1 = np.sum(wk * s**2 * spherical_jn(1, s * radius) * c1)
-            best = max(best, math.hypot(abs(a0), abs(a1)))
-        values[j] = best
-        decay = np.exp(-np.outer(s**2 * times[j], heat_rates))
-        fluid = (heat_coef * decay) @ hs
-        perp = kb - np.outer(c1, chi1) - np.outer(ch, ht1)
-        bulk[j] = math.sqrt(wq @ np.sum(np.abs(perp - fluid) ** 2, axis=1))
+    sr = np.add.outer(mu * taus, offsets)[..., None] * s
+    c1 = kin @ basis.chi(1)
+    ch = kin @ _hydro_vectors(basis)[1]
+    a0 = np.einsum("jki,ji->jk", np.sinc(sr / math.pi), wl * ch)
+    a1 = np.einsum("jki,ji->jk", spherical_jn(1, sr), wl * c1)
+    values = np.max(np.hypot(np.abs(a0), np.abs(a1)), axis=1)
+    bulk, _ = _kinetic_errors(kin, _heat_flow(f0, s, times, tc, basis),
+                              _agg_weights(cfg, s, wk, "H2"), wl, basis)
 
-    proxy0 = float(np.sum(
-        wk * s**2 * np.sqrt(np.abs(f0 @ chi1) ** 2 + np.abs(f0 @ ht1) ** 2)))
-    scale = float(np.sum(wk * s**2 * np.linalg.norm(f0, axis=1)))
+    proxy0 = float(np.linalg.norm(p_split(f0, basis)[0], axis=1) @ wl)
+    scale = float(np.linalg.norm(f0, axis=1) @ wl)
 
     report = ConvergenceReport(
         experiment="initial_layer",
@@ -841,8 +859,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
         errors={"layer_front": [values.tolist()],
                 "bulk_perp": [bulk.tolist()]},
     )
-    report.metadata = _environment_metadata(cm, cfg)
-    report.metadata["propagation_failures"] = failures
+    report.metadata = _environment_metadata(cm, cfg, failures, coverage=False)
     report.metadata["amplitude_t0"] = values[0]
     report.metadata["par_proxy_t0"] = proxy0
     report.flags["t0_amplitude"] = bool(
@@ -912,93 +929,55 @@ def second_order_experiment(cfg: ExperimentConfig,
     tc = transport_coefficients(cm)
     basis = cm.basis
     data = make_initial_data("second_order", cfg, cm)
-    t_grid = cfg.t_grid()
-    times = np.concatenate([[0.0], t_grid])
+    times = np.concatenate([[0.0], cfg.t_grid()])
     eps_arr = np.asarray(cfg.eps_list)
     dimk = basis.dim
 
     z2, e_z = corrector_shapes(cm, data.boltzmann_micro, data.vmb_micro)
-    hs = np.array(_heat_basis(basis))
-    heat_rates = _heat_rates(tc)
-    z2_heat = hs @ z2
-
     streams = {name: [] for name in ("vmb", "boltzmann_perp", "boltzmann_par_proxy")}
     bounded = {"boltzmann": [], "vmb": []}
     failures: list = []
-    chi = [basis.chi(j) for j in range(5)]
-    _, ht1 = _hydro_vectors(basis)
 
     for eps in cfg.eps_list:
         s, w = cfg.s_grid(eps)
         wq = _agg_weights(cfg, s, w)
-        wl = w * s**2
-        t_mark = 10.0 * eps**2 * math.log(1.0 / eps)
-        times_all = np.concatenate([times, [t_mark]])
+        # the last time is the log-time mark of the boundedness check
+        times_all = np.append(times, 10.0 * eps**2 * math.log(1.0 / eps))
         prof = _eval_profile(data.profile_micro, data.width, s)
 
         f0 = data.boltzmann_states(s)
         v0 = data.vmb_states(s)
         kin_b, keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times_all, failures)
         kin_v, keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times_all, failures)
+        kin_b, kin_v = kin_b / eps, kin_v / eps
         wq_b, wq_v = wq * keep_b, wq * keep_v
-        wl_b = wl * keep_b
         # corrector data E = prof * e_z, B = 0: rho = i s E1, X2 = -E3, X3 = E2
         fluid_v = _field_reference(
             tc.eta, s, times, 1j * s * prof * e_z[0],
             (-(prof * e_z[2]), prof * e_z[1], 0.0, 0.0), keep_v, dimk)
+        fluid_b = _heat_flow((1j * s * prof)[:, None] * z2, s, times, tc, basis)
 
-        errs = {name: np.zeros(len(times)) for name in streams}
-        for jt, t in enumerate(times):
-            decay = np.exp(-np.outer(s**2 * t, heat_rates))
-            fluid_b = ((1j * s * prof)[:, None] * ((z2_heat[None, :] * decay) @ hs))
-            kb = kin_b[jt] / eps
-            par1 = kb @ chi[1]
-            parh = kb @ ht1
-            perp = kb - np.outer(par1, chi[1]) - np.outer(parh, ht1)
-            diff = perp - fluid_b
-            errs["boltzmann_perp"][jt] = math.sqrt(wq_b @ np.sum(np.abs(diff) ** 2, axis=1))
-            errs["boltzmann_par_proxy"][jt] = float(
-                wl_b @ np.sqrt(np.abs(par1) ** 2 + np.abs(parh) ** 2))
-
-            dvt = kin_v[jt] / eps - fluid_v[jt]
-            gsq = np.sum(np.abs(dvt) ** 2, axis=1) + (1.0 / s**2) * np.abs(dvt[:, 0]) ** 2
-            errs["vmb"][jt] = math.sqrt(wq_v @ gsq)
-        for name in streams:
-            streams[name].append(errs[name].tolist())
-
-        kb_mark = kin_b[-1] / eps
-        kv_mark = kin_v[-1] / eps
-        bounded["boltzmann"].append(float(np.sqrt(
-            wq_b @ np.sum(np.abs(kb_mark) ** 2, axis=1))))
-        gsq = np.sum(np.abs(kv_mark) ** 2, axis=1) + (1.0 / s**2) * np.abs(kv_mark[:, 0]) ** 2
-        bounded["vmb"].append(float(np.sqrt(wq_v @ gsq)))
+        perp, par = _kinetic_errors(kin_b[:-1], fluid_b, wq_b, w * s**2 * keep_b, basis)
+        streams["boltzmann_perp"].append(perp.tolist())
+        streams["boltzmann_par_proxy"].append(par.tolist())
+        streams["vmb"].append(np.sqrt(_field_sq(kin_v[:-1] - fluid_v, s) @ wq_v).tolist())
+        bounded["boltzmann"].append(float(_mode_l2(kin_b[-1], wq_b)))
+        bounded["vmb"].append(float(np.sqrt(_field_sq(kin_v[-1], s) @ wq_v)))
 
     report = ConvergenceReport(
         experiment="second_order",
         config=cfg.as_dict(),
         eps=list(cfg.eps_list),
         t=times.tolist(),
-        errors={k: v for k, v in streams.items()},
+        errors=streams,
     )
-    report.metadata = _environment_metadata(cm, cfg)
-    report.metadata["propagation_failures"] = failures
+    report.metadata = _environment_metadata(cm, cfg, failures)
     report.metadata["scaled_norm_at_log_time"] = bounded
-    total = 2 * cfg.n_s * len(cfg.eps_list)
-    report.metadata["coverage"] = 1.0 - len(failures) / total
 
-    for tag, power in (("boltzmann", 1.75), ("vmb", 0.75)):
-        key = "boltzmann_perp" if tag == "boltzmann" else "vmb"
-        table = np.array(streams[key])
-        y = np.array([_sup_weighted(times, row, power, t_floor=0.5)
-                      for row in table])
-        fits, best = _compensated_slopes(eps_arr, y)
-        for comp, f in fits.items():
-            name = f"eps_slope_{tag}" if comp == "raw" else f"eps_slope_{tag}_{comp}"
-            report.fits[name] = f.as_dict()
-        report.metadata[f"best_compensator_{tag}"] = best
-        report.flags[f"eps_slope_{tag}"] = bool(
-            abs(fits["raw"].exponent - 1.0) <= _TOL_SECOND_SLOPE)
-        marks = np.array(bounded[tag])
+    _fit_eps_slopes(report, eps_arr, times, streams,
+                    {"boltzmann": 1.75, "vmb": 0.75}, _TOL_SECOND_SLOPE, t_floor=0.5)
+    for tag, marks in bounded.items():
+        marks = np.array(marks)
         growth = rate_fit(eps_arr, marks).exponent if np.all(marks > 0) else 0.0
         report.fits[f"log_time_growth_{tag}"] = {"exponent": float(growth)}
         report.flags[f"bounded_{tag}"] = bool(abs(growth) <= 0.3)

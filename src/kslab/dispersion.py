@@ -19,7 +19,8 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import brentq
 
-from .collision_ops import CollisionMatrices, collision_inverse
+from .collision_ops import CollisionMatrices
+from .fluid_limits import _core_values
 from .velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
 
 _FP_TOL = 1e-13
@@ -338,36 +339,22 @@ def boltzmann_dispersion(s: float, eps: float,
 
 
 def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, float]]:
-    """Closed-form (mu_j, a_j), a_j = -(L^{-1} P w_j, P w_j) by collision_inverse.
+    """Closed-form (mu_j, a_j) of the five slow kinetic branches.
 
-    The w_j are built here, independently of fluid_limits.transport_coefficients.
+    The speeds are 0 and +/- sqrt(5/3); the curvatures are the quadratic forms
+    a_j = -(L^{-1} P w_j, P w_j) of fluid_limits._core_values, the same solves
+    behind transport_coefficients.  test_fit_matches_quadratic_forms checks
+    them independently against fit_boltzmann_expansion's eigenvalue sweeps.
     """
     if "boltzmann_expansion" in cm._cache:
         return cm._cache["boltzmann_expansion"]
-    basis = cm.basis
-    v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
-    v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
-
-    chi0 = basis.chi(0)[basis.slice_axial]
-    chi1 = v0 @ chi0
-    chi4 = basis.chi(4)[basis.slice_axial]
-    h0 = math.sqrt(0.4) * chi0 - math.sqrt(0.6) * chi4
-    h_plus = math.sqrt(0.3) * chi0 - math.sqrt(0.5) * chi1 + math.sqrt(0.2) * chi4
-    h_minus = math.sqrt(0.3) * chi0 + math.sqrt(0.5) * chi1 + math.sqrt(0.2) * chi4
-
-    def form(sector, w):
-        return float(-(collision_inverse(cm, "L", sector, w) @ w))
-
-    a0 = form(SECTOR_AXIAL, v0 @ h0)
-    a1 = form(SECTOR_AXIAL, v0 @ h_plus)
-    am1 = form(SECTOR_AXIAL, v0 @ h_minus)
-    a_sh = form(SECTOR_TRANSVERSE, v1 @ basis.chi(2)[basis.slice_cos])
+    core = _core_values(cm)
     coeffs = {
-        "boltzmann_-1": (-_SOUND_SPEED, am1),
-        "boltzmann_0": (0.0, a0),
-        "boltzmann_1": (_SOUND_SPEED, a1),
-        "boltzmann_2": (0.0, a_sh),
-        "boltzmann_3": (0.0, a_sh),
+        "boltzmann_-1": (-_SOUND_SPEED, core["a_minus1"]),
+        "boltzmann_0": (0.0, core["a0"]),
+        "boltzmann_1": (_SOUND_SPEED, core["a1"]),
+        "boltzmann_2": (0.0, core["kappa0"]),
+        "boltzmann_3": (0.0, core["kappa0"]),
     }
     cm._cache["boltzmann_expansion"] = coeffs
     return coeffs

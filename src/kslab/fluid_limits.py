@@ -14,6 +14,14 @@ experiment and the rate experiments in convergence_lab all evaluate it; the
 Duhamel forcing integrals apply it on their quadrature nodes in one call.
 Its field blocks use a confluent-safe two-by-two exponential, so the
 branch-collision wave number needs no special casing.
+
+The heat side has the same shape: _heat_flow evolves a grid of kinetic modes
+over a grid of times as Y1_mode does one, and p_split, the compressible /
+incompressible splitting, acts on the last axis of any array of modes.  The
+rate experiments build their fluid references and error streams from these
+two.  The quadratic forms of _core_values, with the hydrodynamic directions
+h0, ht1 and h+-, are the one source of the transport coefficients and of
+dispersion.expansion_coefficients.
 """
 from __future__ import annotations
 
@@ -159,6 +167,19 @@ def Y1_mode(t: float, s: float, f0: np.ndarray,
     return FluidModeState(kind="y1", s=s, t=t, coefficients=coeffs, f=f)
 
 
+def _heat_flow(f0: np.ndarray, s: np.ndarray, t: np.ndarray,
+               tc: TransportCoefficients, basis) -> np.ndarray:
+    """Heat flow of the modes f0 (n_s, dim) at wave numbers s over the times t.
+
+    The heat-span part of each mode decays as in Y1_mode; the rest is
+    dropped.  Returns (n_t, n_s, dim) states.
+    """
+    hs = np.array(_heat_basis(basis))
+    decay = np.exp(-np.multiply.outer(np.asarray(t, dtype=float), s**2)[..., None]
+                   * _heat_rates(tc))
+    return (decay * (f0 @ hs.T)) @ hs
+
+
 def _frame(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     seed = np.array([1.0, 0.0, 0.0])
     if abs(omega @ seed) > 0.9:
@@ -299,15 +320,16 @@ def helmholtz_split(u: np.ndarray, omega: np.ndarray):
 
 
 def p_split(f: np.ndarray, basis):
-    """Compressible / incompressible splitting of one kinetic mode."""
+    """Compressible / incompressible splitting of kinetic modes along the last axis.
+
+    f_par = (f . chi1) chi1 + (f . ht1) ht1 is the acoustic part (axial
+    momentum and the density/heat mixing direction); f_perp = f - f_par holds
+    the heat and shear directions and the microscopic rest.
+    """
     f = np.asarray(f, dtype=complex)
-    chi = [basis.chi(j) for j in range(5)]
-    ht0, ht1 = _hydro_vectors(basis)
-    macro = sum((f @ c) * c for c in chi)
-    micro = f - macro
-    f_par = (f @ chi[1]) * chi[1] + (f @ ht1) * ht1
-    f_perp = (f @ chi[2]) * chi[2] + (f @ chi[3]) * chi[3] + (f @ ht0) * ht0 + micro
-    return f_par, f_perp
+    chi1, ht1 = basis.chi(1), _hydro_vectors(basis)[1]
+    f_par = np.multiply.outer(f @ chi1, chi1) + np.multiply.outer(f @ ht1, ht1)
+    return f_par, f - f_par
 
 
 # ---------------------------------------------------------------------------

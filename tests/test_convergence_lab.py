@@ -9,6 +9,7 @@ second-order rates, the microscopic transient, and report determinism.
 """
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,43 @@ class TestExperimentConfig:
         report = cl.first_order_experiment(cfg, collision_small)
         assert np.all(np.isfinite(np.asarray(report.errors["vmb"])))
         assert json.loads(report.to_json())["config"]["t_max"] == 1e4
+
+
+def _config(**kw):
+    return lambda cm: cl.ExperimentConfig(**kw)
+
+
+def _layer(**kw):
+    return lambda cm: cl.initial_layer_profile(cl.ExperimentConfig(data_kind="generic"),
+                                               cm, **kw)
+
+
+def _transient(**kw):
+    return lambda cm: cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"),
+                                              cm, **kw)
+
+
+class TestBoundaryValidation:
+    """Bad input fails with ConvergenceError before any numerical work."""
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(_config(eps_list=(0.2, math.nan)), "finite positive", id="eps-nan"),
+        pytest.param(_config(s_cap=math.nan), "s_cap", id="s_cap-nan"),
+        pytest.param(_config(n_s=8.5), "n_s must be an integer", id="n_s-fraction"),
+        pytest.param(_config(n_t=4.5), "n_t must be an integer", id="n_t-fraction"),
+        pytest.param(_config(seed=-1), "seed", id="seed-negative"),
+        pytest.param(_layer(n_layer=0), "n_layer", id="layer-n_layer-0"),
+        pytest.param(_layer(tau_max=-1.0), "tau_max", id="layer-tau_max-negative"),
+        pytest.param(_layer(layer_width=math.nan), "layer width", id="layer-width-nan"),
+        pytest.param(_transient(eps=0.0), "eps > 0", id="transient-eps-0"),
+        pytest.param(_transient(eps=-0.1), "eps > 0", id="transient-eps-negative"),
+        pytest.param(_transient(s0=-1.0), "s0", id="transient-s0-negative"),
+    ])
+    def test_rejected_with_module_error(self, collision_small, call, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cl.ConvergenceError, match=match):
+                call(collision_small)
 
 
 class TestInitialData:

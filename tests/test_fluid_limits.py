@@ -119,6 +119,22 @@ class TestY1Mode:
         assert state.coefficients == pytest.approx(expected, abs=1e-12)
         assert np.linalg.norm(state.f) <= np.linalg.norm(f0) * (1 + 1e-12)
 
+    def test_heat_flow_grid_matches_y1_mode(self, tc, basis_default, rng):
+        # _heat_flow drops everything off the heat span, so the per-mode
+        # oracle is Y1_mode of the heat-span projection
+        dim = basis_default.dim
+        hs = np.array([self._heat_state(basis_default, *row) for row in np.eye(3)])
+        s = np.array([0.2, 0.9, 2.5])
+        t = np.array([0.0, 0.3, 1.7, 6.0])
+        f0 = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+        flow = fl._heat_flow(f0, s, t, tc, basis_default)
+        assert flow.shape == (4, 3, dim)
+        for i, si in enumerate(s):
+            heat_part = (hs @ f0[i]) @ hs
+            for j, tj in enumerate(t):
+                want = fl.Y1_mode(float(tj), float(si), heat_part, tc, basis_default).f
+                assert np.max(np.abs(flow[j, i] - want)) < 1e-14
+
 
 def _random_field_mode(rng, s, omega=None):
     omega = np.array([1.0, 0.0, 0.0]) if omega is None else omega
@@ -277,6 +293,26 @@ class TestSplittings:
         f_par, f_perp = fl.p_split(basis_default.chi(2), basis_default)
         assert np.linalg.norm(f_par) < 1e-14
         assert np.linalg.norm(f_perp - basis_default.chi(2)) < 1e-14
+
+    def test_array_split_matches_per_mode_formula(self, basis_default, rng):
+        basis = basis_default
+        chi = [basis.chi(j) for j in range(5)]
+        h0 = math.sqrt(0.4) * chi[0] - math.sqrt(0.6) * chi[4]
+        ht1 = math.sqrt(0.6) * chi[0] + math.sqrt(0.4) * chi[4]
+        stack = (rng.standard_normal((3, 4, basis.dim))
+                 + 1j * rng.standard_normal((3, 4, basis.dim)))
+        f_par, f_perp = fl.p_split(stack, basis)
+        assert f_par.shape == f_perp.shape == stack.shape
+        for idx in np.ndindex(3, 4):
+            f = stack[idx]
+            micro = f - sum((f @ c) * c for c in chi)
+            par = (f @ chi[1]) * chi[1] + (f @ ht1) * ht1
+            perp = (f @ chi[2]) * chi[2] + (f @ chi[3]) * chi[3] + (f @ h0) * h0 + micro
+            assert np.max(np.abs(f_par[idx] - par)) < 1e-14
+            assert np.max(np.abs(f_perp[idx] - perp)) < 1e-14
+        inner = np.sum(f_par * f_perp.conj(), axis=-1)
+        size = np.sum(np.abs(stack) ** 2, axis=-1)
+        assert np.all(np.abs(inner) <= 1e-14 * size)
 
     def test_identity_on_random_states(self, basis_default, rng):
         for _ in range(100):
