@@ -8,6 +8,11 @@ a Funk-Hecke step; substituting t = |v-v*| removes the singularity exactly and
 leaves a boundary layer near the radial diagonal that geometrically graded
 panels resolve.
 
+Assembly integrates the gain kernels with a 12- and a 24-point panel rule and
+raises AssemblyError when they disagree.  Both rules share one set of inner
+radial nodes, weights and per-degree radial tables (one Laguerre recurrence per
+degree), and the panel quadrature runs over node pairs in cache-sized blocks.
+
 The bilinear collision term is kept as a dense 3-index array over a 35-element
 orthonormal tensor-Hermite sub-basis (polynomial degree <= 4).  It does not
 depend on the velocity basis, so it is built once per process and shared
@@ -41,14 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.special import (
-    erf,
-    eval_genlaguerre,
-    roots_genlaguerre,
-    roots_hermitenorm,
-)
+from scipy.special import erf, roots_genlaguerre, roots_hermitenorm
 
-from .velocity_basis import Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE
+from .velocity_basis import Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _radial_norm, laguerre_rows
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -107,58 +107,63 @@ def kernel_eval(which: str, v, vstar):
 # per-degree radial reduction of the kernels
 # ---------------------------------------------------------------------------
 
+# Node pairs per block of the panel quadrature.  A pair holds n_panels *
+# n_panel_points samples, so at 8 panels of 24 points a block temporary is
+# about 200 KB; one block over the 6336 pairs of BasisSpec(24, 6) was 10 MB.
+_PAIR_CHUNK = 128
+
+
 def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int,
                          n_panel_points: int, n_panels: int):
-    """Per-degree moments (k1_l(ra, rb), gauss_l(ra, rb)) at node pairs."""
-    t0 = np.abs(ra - rb)
-    t1 = ra + rb
-    span = t1 - t0
-    tau = np.clip(t0 * t1 / (2.0 * math.sqrt(2.0)), 1e-4 * span, span)
+    """Per-degree moments (k1_l(ra, rb), gauss_l(ra, rb)) at node pairs.
 
-    # geometric breakpoints b_k = t0 + tau*(rho^k - 1), rho^K = span/tau + 1
-    k = np.arange(n_panels + 1)
-    rho = (span / tau + 1.0) ** (1.0 / n_panels)
-    bps = t0[:, None] + tau[:, None] * (rho[:, None] ** k[None, :] - 1.0)
-    bps[:, -1] = t1  # guard roundoff
-
+    Pairs are independent and every reduction runs along one pair's samples,
+    so the blocks of _PAIR_CHUNK pairs give the same bits as one block.
+    """
     x, wgl = np.polynomial.legendre.leggauss(n_panel_points)
-    lo = bps[:, :-1, None]
-    hi = bps[:, 1:, None]
-    t = 0.5 * (hi - lo) * x[None, None, :] + 0.5 * (hi + lo)
-    wt = 0.5 * (hi - lo) * wgl[None, None, :]
-    t = t.reshape(t0.size, -1)
-    wt = wt.reshape(t0.size, -1)
+    k = np.arange(n_panels + 1)
+    k1_pairs = np.empty((lmax + 1, ra.size))
+    g_pairs = np.empty((lmax + 1, ra.size))
+    for start in range(0, ra.size, _PAIR_CHUNK):
+        sl = slice(start, start + _PAIR_CHUNK)
+        a_r, b_r = ra[sl], rb[sl]
+        t0 = np.abs(a_r - b_r)
+        t1 = a_r + b_r
+        span = t1 - t0
+        tau = np.clip(t0 * t1 / (2.0 * math.sqrt(2.0)), 1e-4 * span, span)
 
-    a = (ra**2 - rb**2) ** 2 / 8.0
-    tsq = t * t
-    expo = np.exp(-a[:, None] / np.maximum(tsq, 1e-300) - tsq / 8.0)
-    denom = ra * rb
-    cos = (ra[:, None] ** 2 + rb[:, None] ** 2 - tsq) / (2.0 * denom[:, None])
-    cos = np.clip(cos, -1.0, 1.0)
+        # geometric breakpoints b_k = t0 + tau*(rho^k - 1), rho^K = span/tau + 1
+        rho = (span / tau + 1.0) ** (1.0 / n_panels)
+        bps = t0[:, None] + tau[:, None] * (rho[:, None] ** k[None, :] - 1.0)
+        bps[:, -1] = t1  # guard roundoff
 
-    # accumulate Legendre moments by upward recurrence
-    k1_pairs = np.empty((lmax + 1, t0.size))
-    g_pairs = np.empty((lmax + 1, t0.size))
-    p_prev = np.ones_like(cos)
-    p_cur = cos
-    w_exp = wt * expo
-    w_t2 = wt * tsq
-    for l in range(lmax + 1):
-        if l == 0:
-            pl = p_prev
-        elif l == 1:
-            pl = p_cur
-        else:
-            p_next = ((2 * l - 1) * cos * p_cur - (l - 1) * p_prev) / l
-            p_prev, p_cur = p_cur, p_next
-            pl = p_cur
-        k1_pairs[l] = np.sum(w_exp * pl, axis=1)
-        g_pairs[l] = np.sum(w_t2 * pl, axis=1)
+        lo = bps[:, :-1, None]
+        hi = bps[:, 1:, None]
+        t = 0.5 * (hi - lo) * x[None, None, :] + 0.5 * (hi + lo)
+        wt = 0.5 * (hi - lo) * wgl[None, None, :]
+        t = t.reshape(t0.size, -1)
+        wt = wt.reshape(t0.size, -1)
 
-    pref = _TWO_PI * (2.0 / _SQRT_2PI) / denom
-    gauss_pref = _TWO_PI / (2.0 * _SQRT_2PI) / denom * np.exp(-(ra**2 + rb**2) / 4.0)
-    k1_pairs *= pref[None, :]
-    g_pairs *= gauss_pref[None, :]
+        a = (a_r**2 - b_r**2) ** 2 / 8.0
+        tsq = t * t
+        expo = np.exp(-a[:, None] / np.maximum(tsq, 1e-300) - tsq / 8.0)
+        denom = a_r * b_r
+        cos = (a_r[:, None] ** 2 + b_r[:, None] ** 2 - tsq) / (2.0 * denom[:, None])
+        cos = np.clip(cos, -1.0, 1.0)
+
+        # Legendre moments by upward recurrence (its l = 1 step is cos exactly)
+        p_prev, pl = np.zeros_like(cos), np.ones_like(cos)
+        w_exp = wt * expo
+        w_t2 = wt * tsq
+        for l in range(lmax + 1):
+            if l:
+                p_prev, pl = pl, ((2 * l - 1) * cos * pl - (l - 1) * p_prev) / l
+            k1_pairs[l, sl] = np.sum(w_exp * pl, axis=1)
+            g_pairs[l, sl] = np.sum(w_t2 * pl, axis=1)
+
+        k1_pairs[:, sl] *= (_TWO_PI * (2.0 / _SQRT_2PI) / denom)[None, :]
+        g_pairs[:, sl] *= (_TWO_PI / (2.0 * _SQRT_2PI) / denom
+                           * np.exp(-(a_r**2 + b_r**2) / 4.0))[None, :]
     return k1_pairs, g_pairs
 
 
@@ -171,32 +176,25 @@ def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 
     graded from t = |r - r'| at the scale of the exponential boundary layer.
     """
     r = np.asarray(r_nodes, dtype=float)
-    n = r.size
-    iu = np.triu_indices(n)
-    k1_pairs, g_pairs = _pair_kernel_moments(
-        r[iu[0]], r[iu[1]], lmax, n_panel_points, n_panels
-    )
-    k1_tab = np.zeros((lmax + 1, n, n))
-    k_tab = np.zeros((lmax + 1, n, n))
-    for l in range(lmax + 1):
-        m1 = np.zeros((n, n))
-        m1[iu] = k1_pairs[l]
-        m1 = m1 + m1.T - np.diag(np.diag(m1))
-        mg = np.zeros((n, n))
-        mg[iu] = g_pairs[l]
-        mg = mg + mg.T - np.diag(np.diag(mg))
-        k1_tab[l] = m1
-        k_tab[l] = m1 - mg
-    return k1_tab, k_tab
+    iu = np.triu_indices(r.size)
+    tabs = []
+    for pairs in _pair_kernel_moments(r[iu[0]], r[iu[1]], lmax, n_panel_points, n_panels):
+        tab = np.zeros((lmax + 1, r.size, r.size))
+        tab[:, iu[0], iu[1]] = tab[:, iu[1], iu[0]] = pairs
+        tabs.append(tab)
+    k1_tab, g_tab = tabs
+    return k1_tab, k1_tab - g_tab
 
 
-def _gain_matrices(basis: Basis, n_panel_points: int, n_panels: int = 8):
-    """Galerkin matrices of the gain kernels, per Legendre degree.
+def _gain_matrices(basis: Basis, n_panels: int = 8):
+    """Galerkin matrices (K1_deg, K_deg) of the gain kernels, per Legendre degree.
 
     The reduced kernels have a derivative kink across r = r', so the double
     radial integral is taken over the triangle r' < r, where the integrand is
     one-sidedly smooth, and symmetrized.  The inner integral uses a mapped
-    Gauss-Legendre rule; the outer one reuses the basis quadrature.
+    Gauss-Legendre rule; the outer one reuses the basis quadrature.  One pair
+    comes back per panel rule, coarse (12 points) then fine (24): the inner
+    nodes, weights and radial tables serve both.
     """
     spec = basis.spec
     lmax = spec.angular_max
@@ -208,28 +206,26 @@ def _gain_matrices(basis: Basis, n_panel_points: int, n_panels: int = 8):
     w_in = 0.5 * r_out[:, None] * wg[None, :]
     rb = r_in.ravel()
     ra = np.repeat(r_out, n_inner)
-    k1p, gp = _pair_kernel_moments(ra, rb, lmax, n_panel_points, n_panels)
+    moments = [_pair_kernel_moments(ra, rb, lmax, points, n_panels) for points in (12, 24)]
     inner_w = (w_in * r_in**2).ravel()
 
-    K1_deg, K_deg = {}, {}
+    out = [({}, {}) for _ in moments]
     for l in range(lmax + 1):
         half_out = basis.radial_tables[l] * basis.quad.wr_half
-        tab_in = np.stack(
-            [basis.radial_part(n, l, rb) for n in range(spec.radial_order)]
-        )
-        bw = (tab_in * inner_w[None, :]).reshape(-1, nq, n_inner)
-        t1 = (k1p[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1)
-        tg = (gp[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1)
-        m1 = half_out @ t1.T
-        mg = half_out @ tg.T
-        # The one-sided gain carries half the full gain kernel: reflecting
-        # the deflection direction swaps the two post-collision velocities,
-        # so the two linearization slots contribute equally.  Only the
-        # halved operator annihilates sqrt(M), as the one-sided operator must.
-        K1_deg[l] = 0.5 * (m1 + m1.T)
-        mk = m1 - mg
-        K_deg[l] = mk + mk.T
-    return K1_deg, K_deg
+        bw = (basis.radial_table(l, rb) * inner_w[None, :]).reshape(-1, nq, n_inner)
+        for (k1p, gp), (K1_deg, K_deg) in zip(moments, out):
+            t1 = (k1p[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1)
+            tg = (gp[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1)
+            m1 = half_out @ t1.T
+            mg = half_out @ tg.T
+            # The one-sided gain carries half the full gain kernel: reflecting
+            # the deflection direction swaps the two post-collision velocities,
+            # so the two linearization slots contribute equally.  Only the
+            # halved operator annihilates sqrt(M), as the one-sided operator must.
+            K1_deg[l] = 0.5 * (m1 + m1.T)
+            mk = m1 - mg
+            K_deg[l] = mk + mk.T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +411,8 @@ def _burnett_sub_elements():
 
 
 def _radial_poly(n: int, l: int, r: np.ndarray) -> np.ndarray:
-    from .velocity_basis import _radial_norm
-
-    u = 0.5 * r * r
-    vals = _radial_norm(n, l) * _TWO_PI ** (-0.75) * eval_genlaguerre(n, l + 0.5, u)
-    if l > 0:
-        vals = vals * r**l
-    return vals
+    rows = laguerre_rows(n + 1, l + 0.5, 0.5 * r * r)
+    return _radial_norm(n, l) * _TWO_PI ** (-0.75) * rows[n] * r**l
 
 
 @functools.cache
@@ -581,8 +572,7 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     r = basis.quad.r
     wr = basis.quad.wr
 
-    K1_coarse, K_coarse = _gain_matrices(basis, n_panel_points=12)
-    K1_deg, K_deg = _gain_matrices(basis, n_panel_points=24)
+    (K1_coarse, K_coarse), (K1_deg, K_deg) = _gain_matrices(basis)
     delta = max(
         max(np.max(np.abs(K1_coarse[l] - K1_deg[l])) for l in K1_deg),
         max(np.max(np.abs(K_coarse[l] - K_deg[l])) for l in K_deg),

@@ -220,6 +220,8 @@ def rate_fit(x, y) -> RateFit:
         raise ConvergenceError("rate fit needs matching one-dimensional samples")
     if x.size < 4:
         raise ConvergenceError("rate fit needs at least four points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ConvergenceError("rate fit needs finite abscissae and values")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ConvergenceError("rate fit needs positive abscissae and values")
     lx, ly = np.log(x), np.log(y)
@@ -1024,6 +1026,8 @@ def _radial_phase_integral(kappa: float, phi: Callable, m: int,
 def oscillatory_value(theta: float, x: float, phi: Callable | None = None,
                       r_cut: float = 120.0) -> complex:
     """The radial wave integral at front offset |x|, via exact sphere kernels."""
+    if not (_finite(theta) and _finite(x)):
+        raise ConvergenceError(f"wave integral needs finite theta and x, got {theta!r}, {x!r}")
     phi = _default_envelope if phi is None else phi
     if x < 1e-12:
         return 4.0 * math.pi * _radial_phase_integral(theta, phi, 2, r_cut)
@@ -1046,6 +1050,8 @@ def mc_reference(theta: float, x: float, n: int = 10_000_000,
     (the same stream as a single draw), merging the chunk means and centred
     sums of squares pairwise.
     """
+    if not _integer(n) or n < 1:
+        raise ConvergenceError(f"Monte Carlo sample count must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     count, mean, m2 = 0, 0j, np.zeros(2)
     while count < n:
@@ -1078,6 +1084,8 @@ def oscillatory_decay_check(phi: Callable | None = None,
     and decays with exponent -1.  The envelope decay needed for absolute
     convergence is checked numerically, not assumed.
     """
+    if len(x_ratios) == 0:
+        raise ConvergenceError("oscillatory decay check needs at least one x ratio")
     phi = _default_envelope if phi is None else phi
     thetas = np.geomspace(10.0, 1000.0, 13) if thetas is None else np.asarray(thetas, float)
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_legendre, gammaln, lpmv, roots_genlaguerre
+from scipy.special import binom, eval_legendre, gammaln, lpmv, roots_genlaguerre
 
 SECTOR_AXIAL = 0
 SECTOR_TRANSVERSE = 1
@@ -158,17 +158,12 @@ class Basis:
         self._v_cache[key] = mat
         return mat
 
-    # -- evaluation (used by probes and oracle comparisons) -------------
-    def radial_part(self, n: int, l: int, r: np.ndarray) -> np.ndarray:
-        """rho_{n,l}(r) including the Maxwellian factor."""
-        u = 0.5 * np.asarray(r) ** 2
-        return (
-            _radial_norm(n, l)
-            * _TWO_PI ** (-0.75)
-            * np.asarray(r) ** l
-            * eval_genlaguerre(n, l + 0.5, u)
-            * np.exp(-u / 2.0)
-        )
+    # -- evaluation -----------------------------------------------------
+    def radial_table(self, l: int, r: np.ndarray) -> np.ndarray:
+        """rho_{n,l}(r) for every n < N_r, Maxwellian included; shape (N_r, r.size)."""
+        r = np.asarray(r)
+        u = 0.5 * r**2
+        return _radial_rows(self.spec.radial_order, l, r, u) * np.exp(-u / 2.0)
 
 
 @dataclass
@@ -208,6 +203,30 @@ def _radial_norm(n: int, l: int) -> float:
     return math.exp(ln)
 
 
+def laguerre_rows(n_rows: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """L_n^(alpha)(x) for every n < n_rows, shape (n_rows,) + x.shape.
+
+    One pass of the recurrence that scipy's eval_genlaguerre runs for each n
+    separately, with its operation order, so every row matches it bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = [np.ones_like(x), -x + alpha + 1]
+    d = -x / (alpha + 1)
+    p = d + 1
+    for n in range(2, n_rows):
+        k = n - 1.0
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = p + d
+        rows.append(binom(n + alpha, n) * p)
+    return np.stack(rows[:n_rows])
+
+
+def _radial_rows(nr: int, l: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """c_{n,l} r^l L_n^(l+1/2)(u) for n < nr: the radial profiles without sqrt(M)."""
+    norms = np.array([_radial_norm(n, l) * _TWO_PI ** (-0.75) for n in range(nr)])
+    return norms[:, None] * r**l * laguerre_rows(nr, l + 0.5, u)
+
+
 def _assoc_legendre_m1(l: int, c: np.ndarray) -> np.ndarray:
     """Degree-l, order-1 associated Legendre values without the Condon-Shortley sign."""
     return -lpmv(1, l, c)
@@ -242,17 +261,7 @@ def build_basis(spec: BasisSpec) -> Basis:
 
     lmax = spec.angular_max
     nr = spec.radial_order
-    radial_tables = {}
-    for l in range(lmax + 1):
-        tab = np.empty((nr, nq))
-        for n in range(nr):
-            tab[n] = (
-                _radial_norm(n, l)
-                * _TWO_PI ** (-0.75)
-                * r**l
-                * eval_genlaguerre(n, l + 0.5, u)
-            )
-        radial_tables[l] = tab
+    radial_tables = {l: _radial_rows(nr, l, r, u) for l in range(lmax + 1)}
 
     ang0 = np.empty((lmax + 1, n_c))
     for l in range(lmax + 1):

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import eval_legendre
+from scipy.special import eval_genlaguerre, eval_legendre
 
+from kslab import collision_ops
 from kslab.collision_ops import (
     AssemblyError,
     assemble_collision,
@@ -33,7 +34,7 @@ from kslab.collision_ops import (
     project_poly_to_sub,
     reduced_kernel_tables,
 )
-from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE
+from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, Basis, _radial_norm
 
 NU_ZERO = 5.0132565492620005
 K1_UNIT = 0.6213931207538556
@@ -136,6 +137,70 @@ class TestReducedKernels:
         for l in range(3):
             assert np.allclose(k1_tab[l], k1_tab[l].T, atol=0)
             assert np.allclose(k_tab[l], k_tab[l].T, atol=0)
+
+
+def _per_nl_gain_matrices(basis, n_panel_points):
+    """The gain assembly as it was: one eval_genlaguerre table per (n, l) and pass."""
+    lmax, nr = basis.spec.angular_max, basis.spec.radial_order
+    r_out = basis.quad.r
+    nq = r_out.size
+    n_inner = max(64, 3 * nr + 4 * lmax)
+    xg, wg = np.polynomial.legendre.leggauss(n_inner)
+    r_in = 0.5 * r_out[:, None] * (xg[None, :] + 1.0)
+    w_in = 0.5 * r_out[:, None] * wg[None, :]
+    rb = r_in.ravel()
+    k1p, gp = collision_ops._pair_kernel_moments(
+        np.repeat(r_out, n_inner), rb, lmax, n_panel_points, 8)
+    inner_w = (w_in * r_in**2).ravel()
+    u = 0.5 * rb**2
+    K1_deg, K_deg = {}, {}
+    for l in range(lmax + 1):
+        half_out = basis.radial_tables[l] * basis.quad.wr_half
+        tab_in = np.stack([_radial_norm(n, l) * (2 * math.pi) ** (-0.75) * rb**l
+                           * eval_genlaguerre(n, l + 0.5, u) * np.exp(-u / 2.0)
+                           for n in range(nr)])
+        bw = (tab_in * inner_w[None, :]).reshape(-1, nq, n_inner)
+        m1 = half_out @ (k1p[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1).T
+        mg = half_out @ (gp[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1).T
+        K1_deg[l] = 0.5 * (m1 + m1.T)
+        mk = m1 - mg
+        K_deg[l] = mk + mk.T
+    return K1_deg, K_deg
+
+
+class TestGainAssembly:
+    def test_pair_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ra, rb = rng.uniform(0.05, 9.0, (2, 200))
+        monkeypatch.setattr(collision_ops, "_PAIR_CHUNK", ra.size)
+        whole = collision_ops._pair_kernel_moments(ra, rb, 6, 24, 8)
+        monkeypatch.setattr(collision_ops, "_PAIR_CHUNK", 7)
+        blocked = collision_ops._pair_kernel_moments(ra, rb, 6, 24, 8)
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(a, b)
+
+    def test_inner_table_built_once_per_degree(self, basis_small, monkeypatch):
+        calls = []
+        original = Basis.radial_table
+
+        def counted(self, l, r):
+            calls.append(l)
+            return original(self, l, r)
+
+        monkeypatch.setattr(Basis, "radial_table", counted)
+        assemble_collision(basis_small, build_gamma=False)
+        assert sorted(calls) == list(range(basis_small.spec.angular_max + 1))
+
+    def test_matches_per_nl_build_exactly(self, collision_small):
+        basis = collision_small.basis
+        K1_coarse, K_coarse = _per_nl_gain_matrices(basis, 12)
+        K1_fine, K_fine = _per_nl_gain_matrices(basis, 24)
+        for l in range(basis.spec.angular_max + 1):
+            assert np.array_equal(collision_small.K1_deg[l], K1_fine[l])
+            assert np.array_equal(collision_small.K_deg[l], K_fine[l])
+        delta = max(max(np.max(np.abs(K1_coarse[l] - K1_fine[l])) for l in K1_fine),
+                    max(np.max(np.abs(K_coarse[l] - K_fine[l])) for l in K_fine))
+        assert collision_small.kernel_refinement_delta == delta
 
 
 class TestAssembledOperators:

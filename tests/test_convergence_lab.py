@@ -96,6 +96,16 @@ class TestRateFit:
         with pytest.raises(cl.ConvergenceError, match="positive abscissae"):
             cl.rate_fit([1.0, 2.0, 3.0, 4.0], [1.0, -2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 2.0, 3.0, math.nan], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, math.inf], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.inf, 4.0]),
+    ])
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(cl.ConvergenceError, match="finite abscissae"):
+            cl.rate_fit(x, y)
+
     def test_degenerate_abscissae(self):
         with pytest.raises(cl.ConvergenceError, match="degenerate"):
             cl.rate_fit([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0])
@@ -338,6 +348,21 @@ class TestOscillatory:
         val, sigma = cl.mc_reference(theta, x, n=n, seed=11)
         assert abs(val - ref) <= 1e-12 * abs(ref)
         assert abs(sigma - ref_sigma) <= 1e-12 * ref_sigma
+
+    @pytest.mark.parametrize("theta, x", [(math.nan, 0.5), (1.0, math.nan),
+                                          (math.inf, 0.5), (1.0, -math.inf)])
+    def test_non_finite_arguments_rejected(self, theta, x):
+        with pytest.raises(cl.ConvergenceError, match="finite theta and x"):
+            cl.oscillatory_value(theta, x)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 1000.0, True])
+    def test_monte_carlo_rejects_bad_sample_count(self, n):
+        with pytest.raises(cl.ConvergenceError, match="sample count"):
+            cl.mc_reference(1.0, 0.5, n=n)
+
+    def test_decay_check_rejects_empty_ratios(self):
+        with pytest.raises(cl.ConvergenceError, match="at least one x ratio"):
+            cl.oscillatory_decay_check(x_ratios=())
 
     def test_slowly_decaying_envelope_rejected(self):
         with pytest.raises(cl.ConvergenceError, match="does not decay fast enough"):

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import genlaguerre
+from scipy.special import eval_genlaguerre, genlaguerre
 
 from kslab.velocity_basis import (
     BasisError,
     BasisSpec,
     VelocityFunction,
     build_basis,
+    laguerre_rows,
     metric_matrix,
     project,
     v_multiplication_matrix,
@@ -196,3 +197,24 @@ def test_projection_orthogonality_property(basis_small, seed):
     p0 = project(basis_small, "P0", f)
     p1 = project(basis_small, "P1", f)
     assert abs(p0.inner(p1)) <= 1e-10 * max(1.0, f.norm() ** 2)
+
+
+def test_laguerre_rows_match_scipy_bitwise():
+    # the inner nodes of the gain-kernel quadrature at BasisSpec(24, 6)
+    spec = BasisSpec(24, 6)
+    r = build_basis(spec).quad.r
+    xg, _ = np.polynomial.legendre.leggauss(max(64, 3 * spec.radial_order + 4 * spec.angular_max))
+    u = 0.5 * (0.5 * r[:, None] * (xg[None, :] + 1.0)).ravel() ** 2
+    for l in range(7):
+        rows = laguerre_rows(31, l + 0.5, u)
+        for n in range(31):
+            assert np.array_equal(rows[n], eval_genlaguerre(n, l + 0.5, u)), (n, l)
+    assert laguerre_rows(1, 0.5, u).shape == (1, u.size)
+
+
+def test_radial_table_matches_oracle(basis_small):
+    r = np.linspace(0.0, 6.0, 13)
+    tab = basis_small.radial_table(2, r)
+    assert tab.shape == (basis_small.spec.radial_order, r.size)
+    for n in range(basis_small.spec.radial_order):
+        assert np.allclose(tab[n], _oracle_radial(n, 2, r), rtol=1e-12, atol=1e-15)
