@@ -506,7 +506,6 @@ class CollisionMatrices:
     L_sector: dict[int, np.ndarray]
     L1_sector: dict[int, np.ndarray]
     mu_estimate: float
-    mu_argmax_degree: int
     nu0: float
     nu1: float
     raw_null_residuals: dict[str, float]
@@ -602,7 +601,7 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     L_sector = {sec: _sector_from_blocks(basis, clean_L, sec) for sec in sectors}
     L1_sector = {sec: _sector_from_blocks(basis, clean_L1, sec) for sec in sectors}
 
-    mu, mu_l = _spectral_gap(clean_L, lmax)
+    mu = _spectral_gap(clean_L, lmax)
 
     grid = np.linspace(0.0, 20.0, 2001)
     ratios = _nu_of_r(grid) / (1.0 + grid)
@@ -625,7 +624,6 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
         L_sector=L_sector,
         L1_sector=L1_sector,
         mu_estimate=mu,
-        mu_argmax_degree=mu_l,
         nu0=nu0,
         nu1=nu1,
         raw_null_residuals=residuals,
@@ -634,14 +632,11 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     )
 
 
-def _spectral_gap(clean_L: dict[int, np.ndarray], lmax: int) -> tuple[float, int]:
+def _spectral_gap(clean_L: dict[int, np.ndarray], lmax: int) -> float:
     best = -np.inf
-    best_l = 0
     for l in range(lmax + 1):
         null = _NULL_RADIAL["L"].get(l, ())
         keep = [i for i in range(clean_L[l].shape[0]) if i not in null]
         sub = clean_L[l][np.ix_(keep, keep)]
-        lam = np.linalg.eigvalsh(sub).max()
-        if lam > best:
-            best, best_l = lam, l
-    return float(-best), best_l
+        best = max(best, np.linalg.eigvalsh(sub).max())
+    return float(-best)

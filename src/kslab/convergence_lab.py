@@ -9,14 +9,16 @@ byte-stable for a fixed configuration and seed.
 
 The rate experiments share one set of pieces.  Each runs its own eps loop
 and propagates every mode of a sweep at once with _evolve_grid, giving
-(n_t, n_s, dim) state grids.  The fluid references are whole grids too:
-fluid_limits._heat_flow for the kinetic heat flow and _field_reference for
-the damped-Maxwell flow.  The compressible split is fluid_limits.p_split,
-which works on the last axis of any array.  _kinetic_errors reduces a grid
-to the incompressible error and the compressible L1 proxy per time, and
-_field_sq is the electromagnetic metric, whose charge counts 1 + 1/s^2.
-_fit_eps_slopes holds the eps-slope fits and flags, and
-_environment_metadata the notes every report carries.
+(n_t, n_s, dim) state grids: one stacked decomposition of the sweep's
+generators (mode_operators._decompose_stacked), then the eig-path apply and
+the contraction guard that mode_operators.propagate uses too.  The fluid
+references are whole grids as well: fluid_limits._heat_flow for the kinetic
+heat flow and _field_reference for the damped-Maxwell flow.  The
+compressible split is fluid_limits.p_split, which works on the last axis of
+any array.  _kinetic_errors reduces a grid to the incompressible error and
+the compressible L1 proxy per time, and _field_sq is the electromagnetic
+metric, whose charge counts 1 + 1/s^2.  _fit_eps_slopes holds the eps-slope
+fits and flags, and _environment_metadata the notes every report carries.
 """
 
 from __future__ import annotations
@@ -40,9 +42,12 @@ from .fluid_limits import (
     transport_coefficients,
 )
 from .mode_operators import (
+    _block_flow,
+    _contraction_violations,
     _decompose_stacked,
     assemble_A_tilde,
     assemble_B,
+    propagate,
     propagator_matrix,
     semigroup_split,
 )
@@ -485,47 +490,29 @@ class ConvergenceReport:
 # kinetic propagation helpers
 # ---------------------------------------------------------------------------
 
-def _propagate_modes(ops: list, states0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(n_s, n_t, dim) states e^{(t/eps^2) A} u0 for modes sharing one block layout.
-
-    Each sector block is stacked over the modes and decomposed in one call; a
-    mode whose eigenvectors fail the conditioning limit falls back on its own
-    to the Schur propagator.
-    """
-    taus = np.asarray(times, dtype=float) / ops[0].eps**2
-    layout = ops[0].blocks
-    parts, _, ok = _decompose_stacked(
-        [np.stack([op.blocks[b].matrix for op in ops]) for b in range(len(layout))])
-    out = np.zeros((len(ops), len(taus), states0.shape[1]), dtype=complex)
-    for block, (lam, vr, vinv) in zip(layout, parts):
-        growth = np.exp(taus[None, :, None] * lam[:, None, :])
-        vr_t = np.swapaxes(vr, 1, 2)
-        for idx, sign in block.copies:
-            coef = (vinv @ (states0[:, idx] * sign)[:, :, None])[:, None, :, 0]
-            out[:, :, idx] = ((growth * coef) @ vr_t) * sign
-    for i in np.flatnonzero(~ok):
-        out[i] = np.stack([propagator_matrix(ops[i], t) @ states0[i] for t in times])
-    return out
-
-
 def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
                  cm: CollisionMatrices, states0: np.ndarray,
                  times: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate every mode; returns (n_t, n_s, dim) states and a keep mask."""
+    """Propagate every mode; returns (n_t, n_s, dim) states and a keep mask.
+
+    The modes share one block layout: _decompose_stacked decomposes them in
+    one stacked eig per block and _block_flow applies the eig path to all of
+    them at once.  A mode whose eigenvectors fail the conditioning limit
+    takes its Schur propagator instead.  A mode that fails the contraction
+    guard is dropped: its states are zero and ``failures`` records it.
+    """
     ops = [assemble(float(s), eps, cm) for s in s_nodes]
-    out = _propagate_modes(ops, states0, times)
-    keep = np.ones(len(ops), dtype=bool)
-    for i, s in enumerate(s_nodes):
-        st = out[i]
-        g = ops[i].metric_diag
-        n0 = math.sqrt(float(np.real(states0[i].conj() * g @ states0[i])))
-        n1 = math.sqrt(float(np.real(st[-1].conj() * g @ st[-1])))
-        if n1 > n0 * (1.0 + 1e-6) + 1e-12:
-            keep[i] = False
-            failures.append({"eps": float(eps), "s": float(s),
-                             "reason": f"contraction violated ({n1 / max(n0, 1e-300):.3e})"})
-            out[i] = 0.0
-    return np.ascontiguousarray(out.transpose(1, 0, 2)), keep
+    parts, ok = _decompose_stacked(ops)
+    out = _block_flow(ops[0].blocks, parts, states0, np.asarray(times, dtype=float) / eps**2)
+    for i in np.flatnonzero(~ok):
+        out[i] = np.stack([propagator_matrix(ops[i], t) @ states0[i] for t in times])
+    growth, bad = _contraction_violations(np.stack([op.metric_diag for op in ops]),
+                                          states0, out)
+    for i in np.flatnonzero(bad):
+        failures.append({"eps": float(eps), "s": float(s_nodes[i]),
+                         "reason": f"contraction violated ({growth[i]:.3e})"})
+    out[bad] = 0.0
+    return np.ascontiguousarray(out.transpose(1, 0, 2)), ~bad
 
 
 def _field_reference(eta: float, s: np.ndarray, times: np.ndarray, rho,
@@ -772,7 +759,7 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
         raise ConvergenceError("semigroup splitting reported no usable gap")
     taus = np.linspace(1.0 / gap, 14.0 / gap, 10)
     u0 = split.S3_part @ f0
-    norms = np.linalg.norm(_propagate_modes([op], u0[None], taus * eps**2)[0], axis=1)
+    norms = np.linalg.norm(propagate(op, u0, taus * eps**2), axis=1)
     good = norms > 1e-12
     if good.sum() < 4:
         raise ConvergenceError("microscopic transient too weak for a rate fit")

@@ -130,8 +130,15 @@ def eta_coefficient(cm: CollisionMatrices) -> float:
 # root solvers
 # ---------------------------------------------------------------------------
 
+def _check_finite(**values: float) -> None:
+    bad = {k: v for k, v in values.items() if not math.isfinite(v)}
+    if bad:
+        raise DispersionError(f"non-finite input: {bad}")
+
+
 def solve_z0(s: float, eps: float, cm: CollisionMatrices) -> DispersionBranch:
     """Unique acoustic-free density branch from the axial scalar equation."""
+    _check_finite(s=s, eps=eps)
     ax, _ = _solvers(cm)
     eta = eta_coefficient(cm)
     scale = 1.0 + s * s
@@ -191,6 +198,7 @@ def _polish_transverse(z: complex, s: float, eps: float, tr: _SectorSolver) -> c
 def solve_z_pm(s: float, eps: float,
                cm: CollisionMatrices) -> tuple[DispersionBranch, DispersionBranch]:
     """Two transverse branches; tracked as a root pair through the crossing."""
+    _check_finite(s=s, eps=eps)
     _, tr = _solvers(cm)
     eta = eta_coefficient(cm)
     seeds = transverse_seeds(s, cm)
@@ -223,6 +231,7 @@ def solve_z_pm(s: float, eps: float,
 
 def crossing_location(eps: float, cm: CollisionMatrices) -> float:
     """Wave number where the two transverse branches collide."""
+    _check_finite(eps=eps)
     _, tr = _solvers(cm)
     eta = eta_coefficient(cm)
 
@@ -246,6 +255,9 @@ def crossing_location(eps: float, cm: CollisionMatrices) -> float:
 def solve_highfreq(s: float, eps: float,
                    cm: CollisionMatrices) -> tuple[DispersionBranch, DispersionBranch]:
     """Oscillatory branch pair near +/- i s for strong streaming."""
+    _check_finite(s=s, eps=eps)
+    if s <= 0:
+        raise DispersionError(f"oscillatory branches need s > 0, got {s}")
     _, tr = _solvers(cm)
     out = []
     for j, label in ((1.0, "highfreq_plus"), (-1.0, "highfreq_minus")):
@@ -323,6 +335,7 @@ def _match_slow_branches(lam: np.ndarray) -> dict[str, complex]:
 def boltzmann_dispersion(s: float, eps: float,
                          cm: CollisionMatrices) -> list[DispersionBranch]:
     """Five slow kinetic branches at one (s, eps), with expansion predictions."""
+    _check_finite(s=s, eps=eps)
     if eps * s > 0.5:
         raise DispersionError(f"slow-branch matching needs eps*s small, got {eps * s}")
     matched = _match_slow_branches(_slow_eigenvalues(s, eps, cm))

@@ -148,9 +148,15 @@ def _heat_rates(tc: TransportCoefficients) -> np.ndarray:
     return np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
 
 
+def _check_time_and_wave(t: float, s: float) -> None:
+    if not (math.isfinite(t) and math.isfinite(s)):
+        raise FluidError(f"time and wave number must be finite, got t={t!r}, s={s!r}")
+
+
 def Y1_mode(t: float, s: float, f0: np.ndarray,
             tc: TransportCoefficients, basis) -> FluidModeState:
     """Heat decay along the entropy and the two shear branches."""
+    _check_time_and_wave(t, s)
     if t < 0:
         raise FluidError("time must be nonnegative")
     f0 = np.asarray(f0, dtype=complex)
@@ -289,6 +295,7 @@ def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
             tc: TransportCoefficients,
             omega: np.ndarray | None = None) -> FluidModeState:
     """Damped-Maxwell evolution of one (charge, fields) mode."""
+    _check_time_and_wave(t, s)
     if t < 0:
         raise FluidError("time must be nonnegative")
     if s <= 0:
@@ -352,6 +359,8 @@ class NsmfMode:
 
 
 def _check_mode(mode: NsmfMode) -> None:
+    if not (math.isfinite(mode.s) and mode.s > 0):
+        raise FluidError(f"wave number must be finite and positive, got {mode.s!r}")
     scale = max(1.0, abs(mode.n0), abs(mode.q0), np.linalg.norm(mode.m0),
                 abs(mode.rho0), np.linalg.norm(mode.E0), np.linalg.norm(mode.B0))
     if abs(mode.omega @ mode.m0) > _CONSTRAINT_TOL * scale:
@@ -398,6 +407,8 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
                       tc: TransportCoefficients) -> dict[str, np.ndarray]:
     """Mode-by-mode solution of the linearized fluid-Maxwell system."""
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise FluidError("times must be finite")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise FluidError("times must be nonnegative and sorted")
     for mode in modes:

@@ -7,25 +7,28 @@ generators are block-diagonal, and a ModeOperator holds only its sector
 blocks: the axial block, and one transverse block that fills the cosine copy
 and, conjugated by a signature matrix, the sine copy.  In the
 electromagnetic generator the transverse block also carries two field
-components, (cos, X3, Y2) and (sin, X2, Y3).  Eigendecompositions run one
-block at a time and, through _decompose_stacked, over whole stacks of modes
-at once.
+components, (cos, X3, Y2) and (sin, X2, Y3).
 
 On top of the blocks: the weighted inner product, the semigroup (in
 diffusive time t / eps^2), its split into fluid branches, an oscillatory
 high-frequency part and an exponentially damped remainder, and a grid-based
 probe for the norm of gain-times-resolvent compositions.
 
-The spectral calculus stays on the blocks.  With e^{tau A} = V_b diag(e^{tau
-lam}) V_b^{-1} on each block copy, propagate applies the copies one at a
-time, spectrum takes its residuals per block, and the semigroup split marks
-the eigenvalues it takes into S1/S2 with a mask per block copy, m; the
-remainder e^{tau A} S3 = V_b diag(e^{tau lam} (1 - m)) V_b^{-1} then gives the
-norms of the remainder fit without a dense matrix.  The dense generator
+The blocks are the only generator form.  _decompose_stacked decomposes any
+number of operators that share a block layout, one stacked eig per block,
+and gives each operator its decomposition once: views into the stacks, or
+its dense Schur form when the eigenvectors are too ill-conditioned
+(_EIG_COND_LIMIT).  _block_flow is the one eig-path apply, e^{tau A} u0 =
+V_b diag(e^{tau lam}) V_b^{-1} u0 on every block copy, for one operator
+(propagate) or a whole mode grid (convergence_lab._evolve_grid); both check
+the result with the one contraction guard, _contraction_violations.
+spectrum takes its residuals per block, and the semigroup split marks the
+eigenvalues it takes into S1/S2 with a mask per block copy, m; the remainder
+e^{tau A} S3 = V_b diag(e^{tau lam} (1 - m)) V_b^{-1} then gives the norms of
+the remainder fit without a dense matrix.  The dense generator
 (ModeOperator.matrix), propagator_matrix and the split's S1_part, S2_part
 and S3_part are views for callers, assembled from the blocks when asked
-for.  A generator whose eigenvectors are too ill-conditioned
-(_EIG_COND_LIMIT) takes the Schur path instead, which stays dense.
+for; the Schur path stays dense.
 """
 from __future__ import annotations
 
@@ -69,27 +72,19 @@ def _copy(index: np.ndarray, sign: np.ndarray | None = None) -> tuple:
 class ModeOperator:
     """One mode generator, held as its sector blocks.
 
-    Give either ``blocks`` (a sequence of SectorBlock whose copies tile the
-    dense layout) or a dense ``matrix``, which counts as a single block.
+    ``blocks`` is a sequence of SectorBlock whose copies tile the dense layout.
     """
 
     def __init__(self, kind: str, s: float, eps: float, metric_diag: np.ndarray,
-                 dim0: int, dim1: int, collision: CollisionMatrices,
-                 matrix: np.ndarray | None = None, blocks=None):
-        if (matrix is None) == (blocks is None):
-            raise ValueError("give exactly one of matrix and blocks")
-        if blocks is None:
-            blocks = (SectorBlock(matrix, (_copy(np.arange(matrix.shape[0])),)),)
+                 collision: CollisionMatrices, blocks):
         self.kind = kind
         self.s = s
         self.eps = eps
         self.metric_diag = metric_diag
-        self.dim0 = dim0
-        self.dim1 = dim1
         self.collision = collision
         self.blocks = tuple(blocks)
         self.dim = sum(idx.size for b in self.blocks for idx, _ in b.copies)
-        self._matrix = matrix
+        self._matrix = None
         self._decomp = None
 
     @property
@@ -114,8 +109,16 @@ class ModeOperator:
         return complex(np.vdot(w, self.metric_diag * u))
 
 
+def _check_mode_args(s: float, eps: float) -> None:
+    if not (math.isfinite(s) and math.isfinite(eps)):
+        raise ValueError(f"s and eps must be finite, got s={s!r}, eps={eps!r}")
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+
+
 def assemble_B(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     """Kinetic-only mode generator L - i*eps*s*(v along the wave axis)."""
+    _check_mode_args(s, eps)
     if s < 0:
         raise ValueError("s must be nonnegative")
     basis = cm.basis
@@ -129,20 +132,11 @@ def assemble_B(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
         SectorBlock(trans, (_copy(np.arange(n0, n0 + n1)),
                             _copy(np.arange(n0 + n1, n0 + 2 * n1)))),
     )
-    return ModeOperator(
-        kind=KIND_BOLTZMANN,
-        s=s,
-        eps=eps,
-        metric_diag=np.ones(basis.dim),
-        dim0=n0,
-        dim1=n1,
-        collision=cm,
-        blocks=blocks,
-    )
+    return ModeOperator(KIND_BOLTZMANN, s, eps, np.ones(basis.dim), cm, blocks)
 
 
-def _vmb_blocks(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool):
-    """Shared assembly of the electromagnetic mode generator and its adjoint.
+def _vmb_operator(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool) -> ModeOperator:
+    """The electromagnetic mode generator, or its metric adjoint.
 
     sign_flip=False gives the generator; True flips every coupling term while
     keeping the collision blocks, which is the metric adjoint (the rank-one
@@ -150,6 +144,9 @@ def _vmb_blocks(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool):
     block acts on (cos, X3, Y2); the sine copy (sin, X2, Y3) is the same block
     with the sign of its X component flipped.
     """
+    _check_mode_args(s, eps)
+    if s <= 0:
+        raise ValueError("s must be positive for the electromagnetic operator")
     basis = cm.basis
     n0, n1 = basis.dim0, basis.dim1
     ix2, ix3, iy2, iy3 = (n0 + 2 * n1 + k for k in range(4))
@@ -182,41 +179,17 @@ def _vmb_blocks(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool):
     )
     metric = np.ones(n0 + 2 * n1 + 4)
     metric[0] = 1.0 + 1.0 / s**2
-    return blocks, metric, n0, n1
+    return ModeOperator(KIND_VMB, s, eps, metric, cm, blocks)
 
 
 def assemble_A_tilde(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     """Electromagnetic mode generator on (kinetic, E-transverse, B-transverse)."""
-    if s <= 0:
-        raise ValueError("s must be positive for the electromagnetic operator")
-    blocks, metric, n0, n1 = _vmb_blocks(s, eps, cm, sign_flip=False)
-    return ModeOperator(
-        kind=KIND_VMB,
-        s=s,
-        eps=eps,
-        metric_diag=metric,
-        dim0=n0,
-        dim1=n1,
-        collision=cm,
-        blocks=blocks,
-    )
+    return _vmb_operator(s, eps, cm, sign_flip=False)
 
 
 def assemble_A_tilde_star(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     """Explicitly assembled metric adjoint of the electromagnetic generator."""
-    if s <= 0:
-        raise ValueError("s must be positive for the electromagnetic operator")
-    blocks, metric, n0, n1 = _vmb_blocks(s, eps, cm, sign_flip=True)
-    return ModeOperator(
-        kind=KIND_VMB,
-        s=s,
-        eps=eps,
-        metric_diag=metric,
-        dim0=n0,
-        dim1=n1,
-        collision=cm,
-        blocks=blocks,
-    )
+    return _vmb_operator(s, eps, cm, sign_flip=True)
 
 
 def metric_adjoint(op: ModeOperator) -> np.ndarray:
@@ -229,17 +202,19 @@ def metric_adjoint(op: ModeOperator) -> np.ndarray:
 # semigroup
 # ---------------------------------------------------------------------------
 
-def _decompose_stacked(stacks: list[np.ndarray]):
-    """Eigendecompose a stack of modes, one sector block at a time.
+def _decompose_stacked(ops: list[ModeOperator]):
+    """Decompose operators sharing one block layout, one stacked eig per block.
 
-    ``stacks[b]`` holds block b of every mode, shape (n, k_b, k_b).  Returns
-    per block (eigenvalues, right eigenvectors, their inverses), the per-mode
-    2-norm condition number of the block-diagonal eigenvector matrix (the
-    largest singular value over all blocks divided by the smallest), and the
-    mask of modes under _EIG_COND_LIMIT.  Inverses are computed only for
-    those modes; the others keep zeros there.
+    Every operator gets its own _Decomposition: on the eig path views into the
+    stacks, past _EIG_COND_LIMIT its dense Schur form.  The condition number
+    is that of the block-diagonal eigenvector matrix (the largest singular
+    value over all blocks divided by the smallest).  Returns per block the
+    stacked (eigenvalues, right eigenvectors, their inverses) and the mask of
+    operators on the eig path; inverses are computed only for those, the
+    others keep zeros there.
     """
-    eigs = [np.linalg.eig(a) for a in stacks]
+    eigs = [np.linalg.eig(np.stack([op.blocks[b].matrix for op in ops]))
+            for b in range(len(ops[0].blocks))]
     sv = [np.linalg.svd(vr, compute_uv=False) for _, vr in eigs]
     s_max = np.max([x[..., 0] for x in sv], axis=0)
     s_min = np.min([x[..., -1] for x in sv], axis=0)
@@ -251,7 +226,15 @@ def _decompose_stacked(stacks: list[np.ndarray]):
         vinv = np.zeros_like(vr)
         vinv[ok] = np.linalg.inv(vr[ok])
         parts.append((lam, vr, vinv))
-    return parts, cond, ok
+    for i, op in enumerate(ops):
+        if ok[i]:
+            blocks = tuple((lb[i], vb[i], wb[i]) for lb, vb, wb in parts)
+            lam = _by_column(op, [lb for lb, _, _ in blocks])
+            op._decomp = _Decomposition("eig", float(cond[i]), lam, blocks)
+        else:
+            op._decomp = _Decomposition("schur", float(cond[i]),
+                                        schur=schur(op.matrix, output="complex"))
+    return parts, ok
 
 
 class _Decomposition(NamedTuple):
@@ -272,16 +255,9 @@ class _Decomposition(NamedTuple):
 
 
 def _decomposition(op: ModeOperator) -> _Decomposition:
-    """Per-block eigendecomposition, or the dense Schur form past _EIG_COND_LIMIT."""
+    """The operator's decomposition, computed by _decompose_stacked on first use."""
     if op._decomp is None:
-        parts, cond, ok = _decompose_stacked([b.matrix[None] for b in op.blocks])
-        cond = float(cond[0])
-        if ok[0]:
-            blocks = tuple((lb[0], vb[0], wb[0]) for lb, vb, wb in parts)
-            lam = _by_column(op, [lb for lb, _, _ in blocks])
-            op._decomp = _Decomposition("eig", cond, lam, blocks)
-        else:
-            op._decomp = _Decomposition("schur", cond, schur=schur(op.matrix, output="complex"))
+        _decompose_stacked([op])
     return op._decomp
 
 
@@ -350,11 +326,19 @@ def spectrum(op: ModeOperator):
     return dec.lam[order], vr, res[order]
 
 
+def _checked_times(t) -> np.ndarray:
+    """A time or a 1-D array of times, checked finite and nonnegative."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise ValueError(f"time must be a finite number or a 1-D array of them, got {t!r}")
+    if np.any(times < 0):
+        raise ValueError("time must be nonnegative")
+    return times
+
+
 def propagator_matrix(op: ModeOperator, t: float) -> np.ndarray:
     """Dense e^{(t/eps^2) A}, assembled from the block exponentials."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    tau = t / op.eps**2
+    tau = float(_checked_times(t)) / op.eps**2
     dec = _decomposition(op)
     if dec.path == "schur":
         tmat, z = dec.schur
@@ -366,29 +350,62 @@ def propagator_matrix(op: ModeOperator, t: float) -> np.ndarray:
     return out
 
 
-def propagate(op: ModeOperator, u0: np.ndarray, t: float) -> np.ndarray:
-    """e^{(t/eps^2) A} u0, one block copy at a time, guarded by contraction."""
+def _block_flow(layout, parts, states0: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """(n, n_t, dim) states e^{tau A} u0 of n operators on the eig path.
+
+    ``layout`` is the operators' shared sector blocks (only their copies are
+    read), ``parts`` the stacked per-block (eigenvalues, right vectors,
+    inverses) of _decompose_stacked, ``states0`` the (n, dim) initial states.
+    """
+    out = np.zeros((len(states0), len(taus), states0.shape[1]), dtype=complex)
+    for block, (lam, vr, vinv) in zip(layout, parts):
+        growth = np.exp(taus[None, :, None] * lam[:, None, :])
+        vr_t = np.swapaxes(vr, 1, 2)
+        for idx, sign in block.copies:
+            coef = (vinv @ (states0[:, idx] * sign)[:, :, None])[:, None, :, 0]
+            out[:, :, idx] = ((growth * coef) @ vr_t) * sign
+    return out
+
+
+def _contraction_violations(metric: np.ndarray, states0: np.ndarray,
+                            states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Growth of the weighted norm per operator, and where it breaks contraction.
+
+    ``metric`` and ``states0`` are (n, dim), ``states`` (n, n_t, dim); the
+    growth is the largest norm over the times divided by the initial norm.  A
+    non-finite norm counts as a violation.
+    """
+    n0 = np.sqrt(np.sum(metric * np.abs(states0) ** 2, axis=-1))
+    n1 = np.sqrt(np.max(np.sum(metric[:, None] * np.abs(states) ** 2, axis=-1), axis=-1))
+    return n1 / np.maximum(n0, 1e-300), ~(n1 <= n0 * (1.0 + 1e-6) + 1e-12)
+
+
+def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
+    """e^{(t/eps^2) A} u0 at a time t, or at each time of a 1-D array (rows).
+
+    Raises PropagationError when the result breaks contraction in the
+    weighted norm.
+    """
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != (op.dim,):
         raise ValueError(f"state length {u0.shape} does not match operator dim {op.dim}")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("state must be finite")
+    times = _checked_times(t)
+    rows = np.atleast_1d(times)
     dec = _decomposition(op)
     if dec.path == "schur":
-        out = propagator_matrix(op, t) @ u0
+        out = np.stack([propagator_matrix(op, tk) @ u0 for tk in rows])
     else:
-        tau = t / op.eps**2
-        out = np.zeros(op.dim, dtype=complex)
-        for b, idx, sign, _ in _copy_columns(op):
-            lb, vb, wb = dec.blocks[b]
-            out[idx] = sign * (vb @ (np.exp(tau * lb) * (wb @ (sign * u0[idx]))))
-    n0, n1 = op.weighted_norm(u0), op.weighted_norm(out)
-    if n1 > n0 * (1.0 + 1e-6) + 1e-12:
+        parts = [(lb[None], vb[None], wb[None]) for lb, vb, wb in dec.blocks]
+        out = _block_flow(op.blocks, parts, u0[None], rows / op.eps**2)[0]
+    growth, bad = _contraction_violations(op.metric_diag[None], u0[None], out[None])
+    if bad[0]:
         raise PropagationError(
-            f"contraction violated: growth {n1 / max(n0, 1e-300):.3e} "
+            f"contraction violated: growth {growth[0]:.3e} "
             f"(decomposition condition {dec.cond:.3e})"
         )
-    return out
+    return out if times.ndim else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +461,6 @@ class SemigroupSplit:
         """Remainder projection."""
         s1, s2 = self._branch_parts
         return np.eye(self.op.dim, dtype=complex) - s1 - s2
-
-    def parts_at(self, t: float):
-        prop = propagator_matrix(self.op, t)
-        return prop @ self.S1_part, prop @ self.S2_part, prop @ self.S3_part
 
 
 def _weighted_opnorm(op: ModeOperator, mat: np.ndarray) -> float:

@@ -393,6 +393,18 @@ class TestEvolveGrid:
         return (rng.standard_normal((len(TestEvolveGrid.S_NODES), dim))
                 + 1j * rng.standard_normal((len(TestEvolveGrid.S_NODES), dim)))
 
+    @staticmethod
+    def _count_eig(monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        return calls
+
     @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
     @pytest.mark.parametrize("eps", [0.2, 0.0125])
     def test_matches_dense_exponential(self, collision_small, assemble, eps):
@@ -422,19 +434,52 @@ class TestEvolveGrid:
         assert np.abs(fast - slow).max() <= 1e-9 * np.abs(u0).max()
 
     def test_one_stacked_eig_per_block(self, collision_small, monkeypatch):
-        calls = []
-        eig = np.linalg.eig
-
-        def counting(a):
-            calls.append(np.shape(a))
-            return eig(a)
-
-        monkeypatch.setattr(np.linalg, "eig", counting)
+        calls = self._count_eig(monkeypatch)
         cm = collision_small
         u0 = self._states(cm.basis.dim + 4, 23)
         cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
         n0, n1 = cm.basis.dim0, cm.basis.dim1
         assert calls == [(3, n0, n0), (3, n1 + 2, n1 + 2)]
+
+    def test_schur_fallback_decomposes_once(self, collision_small, monkeypatch):
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", 1.0)
+        calls = self._count_eig(monkeypatch)
+        cm = collision_small
+        u0 = self._states(cm.basis.dim, 25)
+        _, keep = cl._evolve_grid(mo.assemble_B, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
+        assert keep.all()
+        assert len(calls) == 2
+
+    def test_transient_check_decomposes_once(self, collision_small, monkeypatch):
+        calls = self._count_eig(monkeypatch)
+        cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), collision_small)
+        assert len(calls) == 2
+
+    def test_non_finite_flow_drops_the_modes(self, collision_small, monkeypatch):
+        def nan_flow(layout, parts, states0, taus):
+            return np.full((len(states0), len(taus), states0.shape[1]), np.nan + 0j)
+
+        monkeypatch.setattr(cl, "_block_flow", nan_flow)
+        cm = collision_small
+        u0 = self._states(cm.basis.dim + 4, 26)
+        failures = []
+        states, keep = cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0,
+                                       self.TIMES, failures)
+        assert not keep.any()
+        assert [f["s"] for f in failures] == list(self.S_NODES)
+        assert all("contraction violated" in f["reason"] for f in failures)
+        assert np.all(states == 0.0)
+
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    def test_matches_propagate(self, collision_small, assemble):
+        cm, eps = collision_small, 0.05
+        u0 = self._states(assemble(1.0, eps, cm).dim, 27)
+        states, _ = cl._evolve_grid(assemble, self.S_NODES, eps, cm, u0, self.TIMES, [])
+        for i, s in enumerate(self.S_NODES):
+            op = assemble(float(s), eps, cm)
+            for j, t in enumerate(self.TIMES):
+                got = mo.propagate(op, u0[i], t)
+                assert np.abs(states[j, i] - got).max() <= 1e-13 * np.abs(u0[i]).max()
 
     def test_sine_copy_is_signed_cosine_copy(self, collision_small):
         # the sine copy (sin, X2, Y3) evolves like the cosine copy (cos, X3, Y2)

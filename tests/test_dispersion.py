@@ -67,6 +67,27 @@ class TestResolventScalars:
             tr.value(complex(lam), 0.0)
 
 
+class TestInputValidation:
+    """Non-finite s or eps fails with DispersionError before any root work."""
+
+    @pytest.mark.parametrize("solve", [dsp.solve_z0, dsp.solve_z_pm, dsp.solve_highfreq,
+                                       dsp.boltzmann_dispersion])
+    @pytest.mark.parametrize("s, eps", [(math.nan, 0.1), (math.inf, 0.1),
+                                        (1.0, math.nan), (1.0, math.inf)])
+    def test_root_solvers_reject(self, collision_small, solve, s, eps):
+        with pytest.raises(dsp.DispersionError, match="non-finite"):
+            solve(s, eps, collision_small)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_crossing_rejects(self, collision_small, eps):
+        with pytest.raises(dsp.DispersionError, match="non-finite"):
+            dsp.crossing_location(eps, collision_small)
+
+    def test_highfreq_needs_positive_wavenumber(self, collision_small):
+        with pytest.raises(dsp.DispersionError, match="s > 0"):
+            dsp.solve_highfreq(0.0, 0.5, collision_small)
+
+
 class TestDensityBranch:
     @pytest.mark.parametrize("s", [0.3, 1.3])
     def test_zero_eps_closed_form(self, collision_default, s):

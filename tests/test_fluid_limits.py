@@ -145,6 +145,24 @@ def _random_field_mode(rng, s, omega=None):
     return rho0, e0, b0
 
 
+class TestModeInputs:
+    """Non-finite times and wave numbers fail with FluidError."""
+
+    @pytest.mark.parametrize("t, s", [(math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, math.nan), (1.0, math.inf)])
+    def test_y1_rejects(self, tc, basis_default, t, s):
+        f0 = basis_default.chi(2)
+        with pytest.raises(fl.FluidError, match="finite"):
+            fl.Y1_mode(t, s, f0, tc, basis_default)
+
+    @pytest.mark.parametrize("t, s", [(math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, math.nan), (1.0, math.inf)])
+    def test_y2_rejects(self, tc, t, s):
+        e0 = np.array([0.0, 1.0, 0.0], complex)
+        with pytest.raises(fl.FluidError, match="finite"):
+            fl.Y2_mode(t, s, 0.0, e0, np.zeros(3, complex), tc)
+
+
 class TestY2Mode:
     def test_time_zero_reproduction(self, tc):
         rng = np.random.default_rng(3)
@@ -430,6 +448,15 @@ class TestLinearNsmf:
         want_b = -np.cross(omega, ya * p1)
         assert np.linalg.norm(out["E"][0, 0] - want_e) < 1e-6
         assert np.linalg.norm(out["B"][0, 0] - want_b) < 1e-6
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_wavenumber_rejected(self, tc, s):
+        with pytest.raises(fl.FluidError, match="wave number"):
+            fl.linear_nsmf_solve([fl.NsmfMode(s=s)], np.array([0.0, 1.0]), tc)
+
+    def test_non_finite_times_rejected(self, tc):
+        with pytest.raises(fl.FluidError, match="finite"):
+            fl.linear_nsmf_solve([fl.NsmfMode(s=1.0)], np.array([0.0, math.nan]), tc)
 
     def test_rough_forcing_rejected(self, tc):
         mode = fl.NsmfMode(s=1.0, g2=lambda tau: math.cos(300.0 * tau))

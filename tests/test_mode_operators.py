@@ -218,15 +218,64 @@ class TestPropagation:
 
     def test_schur_path_on_defective_matrix(self, collision_default):
         mat = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
+        block = mo.SectorBlock(mat, ((np.arange(2), np.ones(2)),))
         op = mo.ModeOperator(
-            kind=mo.KIND_BOLTZMANN, s=1.0, eps=1.0, matrix=mat,
-            metric_diag=np.ones(2), dim0=2, dim1=0,
-            collision=collision_default,
+            kind=mo.KIND_BOLTZMANN, s=1.0, eps=1.0, metric_diag=np.ones(2),
+            collision=collision_default, blocks=(block,),
         )
         assert mo.eigen_condition(op) > 1e8
         assert op._decomp[0] == "schur"
         direct = sl.expm(0.6 * mat)
         assert np.abs(mo.propagator_matrix(op, 0.6) - direct).max() < 1e-12
+
+
+class TestInputValidation:
+    """Non-finite or out-of-range input raises ValueError at the boundary."""
+
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde,
+                                          mo.assemble_A_tilde_star])
+    @pytest.mark.parametrize("s, eps", [(np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan),
+                                        (1.0, np.inf), (1.0, -1.0)])
+    def test_assembly_rejects(self, collision_small, assemble, s, eps):
+        with pytest.raises(ValueError):
+            assemble(s, eps, collision_small)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_time_rejected(self, collision_small, t):
+        op = mo.assemble_A_tilde(1.3, 0.2, collision_small)
+        with pytest.raises(ValueError):
+            mo.propagate(op, np.ones(op.dim), t)
+        with pytest.raises(ValueError):
+            mo.propagator_matrix(op, t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_state_rejected(self, collision_small, bad):
+        op = mo.assemble_B(1.0, 0.2, collision_small)
+        u = np.ones(op.dim, dtype=complex)
+        u[3] = bad
+        with pytest.raises(ValueError):
+            mo.propagate(op, u, 0.5)
+
+
+class TestBlockFlow:
+    """propagate runs on the one eig-path apply, behind the one guard."""
+
+    def test_time_array_matches_single_times(self, collision_small):
+        op = mo.assemble_A_tilde(1.3, 0.2, collision_small)
+        u = _random_states(op.dim, 1, 8)[0]
+        times = np.array([0.0, 0.3, 1.1])
+        rows = mo.propagate(op, u, times)
+        assert rows.shape == (3, op.dim)
+        for t, row in zip(times, rows):
+            assert np.abs(row - mo.propagate(op, u, t)).max() <= 1e-14 * np.abs(u).max()
+
+    def test_non_finite_flow_raises(self, collision_small, monkeypatch):
+        op = mo.assemble_B(1.0, 0.2, collision_small)
+        monkeypatch.setattr(mo, "_block_flow",
+                            lambda layout, parts, states0, taus: np.full(
+                                (len(states0), len(taus), states0.shape[1]), np.nan + 0j))
+        with pytest.raises(mo.PropagationError, match="contraction violated"):
+            mo.propagate(op, np.ones(op.dim), 0.5)
 
 
 class TestSemigroupSplit:
@@ -297,13 +346,6 @@ class TestSemigroupSplit:
                     mo.propagator_matrix(op, 1.0) @ sp.S1_part):
             dense = np.linalg.norm((mat / gh[None, :]) * gh[:, None], ord=2)
             assert abs(mo._weighted_opnorm(op, mat) - dense) <= 1e-12 * dense
-
-    def test_parts_sum_to_propagator(self, collision_default):
-        op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
-        sp = mo.semigroup_split(op)
-        s1, s2, s3 = sp.parts_at(0.5)
-        total = mo.propagator_matrix(op, 0.5)
-        assert np.abs(s1 + s2 + s3 - total).max() <= 1e-9
 
     def test_schur_cluster_projector_on_defective_matrix(self):
         mat = np.array([
