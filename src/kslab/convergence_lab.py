@@ -10,7 +10,7 @@ byte-stable for a fixed configuration and seed.
 The rate experiments share one set of pieces.  Each runs its own eps loop
 and propagates every mode of a sweep at once with _evolve_grid, giving
 (n_t, n_s, dim) state grids: one stacked decomposition of the sweep's
-generators (mode_operators._decompose_stacked), then the eig-path apply and
+generators (mode_operators._decompose_stacked), then the block apply and
 the contraction guard that mode_operators.propagate uses too.  The fluid
 references are whole grids as well: fluid_limits._heat_flow for the kinetic
 heat flow and _field_reference for the damped-Maxwell flow.  The
@@ -42,13 +42,13 @@ from .fluid_limits import (
     transport_coefficients,
 )
 from .mode_operators import (
+    PropagationError,
     _block_flow,
     _contraction_violations,
     _decompose_stacked,
+    _remainder_flow,
     assemble_A_tilde,
     assemble_B,
-    propagate,
-    propagator_matrix,
     semigroup_split,
 )
 from .velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
@@ -496,16 +496,14 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
     """Propagate every mode; returns (n_t, n_s, dim) states and a keep mask.
 
     The modes share one block layout: _decompose_stacked decomposes them in
-    one stacked eig per block and _block_flow applies the eig path to all of
-    them at once.  A mode whose eigenvectors fail the conditioning limit
-    takes its Schur propagator instead.  A mode that fails the contraction
-    guard is dropped: its states are zero and ``failures`` records it.
+    one stacked eig per block and _block_flow applies every mode's block
+    records at once, the Schur form of any block whose eigenvectors fail the
+    conditioning limit included.  A mode that fails the contraction guard is
+    dropped: its states are zero and ``failures`` records it.
     """
     ops = [assemble(float(s), eps, cm) for s in s_nodes]
-    parts, ok = _decompose_stacked(ops)
-    out = _block_flow(ops[0].blocks, parts, states0, np.asarray(times, dtype=float) / eps**2)
-    for i in np.flatnonzero(~ok):
-        out[i] = np.stack([propagator_matrix(ops[i], t) @ states0[i] for t in times])
+    parts = _decompose_stacked(ops)
+    out = _block_flow(ops, parts, states0, np.asarray(times, dtype=float) / eps**2)
     growth, bad = _contraction_violations(np.stack([op.metric_diag for op in ops]),
                                           states0, out)
     for i in np.flatnonzero(bad):
@@ -758,8 +756,12 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
     if not math.isfinite(gap) or gap <= 0:
         raise ConvergenceError("semigroup splitting reported no usable gap")
     taus = np.linspace(1.0 / gap, 14.0 / gap, 10)
-    u0 = split.S3_part @ f0
-    norms = np.linalg.norm(propagate(op, u0, taus * eps**2), axis=1)
+    states = _remainder_flow(split, f0, np.r_[0.0, taus])
+    growth, bad = _contraction_violations(op.metric_diag[None], states[None, 0],
+                                          states[None, 1:])
+    if bad[0]:
+        raise PropagationError(f"contraction violated: growth {growth[0]:.3e}")
+    norms = np.linalg.norm(states[1:], axis=1)
     good = norms > 1e-12
     if good.sum() < 4:
         raise ConvergenceError("microscopic transient too weak for a rate fit")

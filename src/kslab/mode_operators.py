@@ -16,25 +16,26 @@ probe for the norm of gain-times-resolvent compositions.
 
 The blocks are the only generator form.  _decompose_stacked decomposes any
 number of operators that share a block layout, one stacked eig per block,
-and gives each operator its decomposition once: views into the stacks, or
-its dense Schur form when the eigenvectors are too ill-conditioned
-(_EIG_COND_LIMIT).  _block_flow is the one eig-path apply, e^{tau A} u0 =
-V_b diag(e^{tau lam}) V_b^{-1} u0 on every block copy, for one operator
-(propagate) or a whole mode grid (convergence_lab._evolve_grid); both check
-the result with the one contraction guard, _contraction_violations.
-spectrum takes its residuals per block, and the semigroup split marks the
-eigenvalues it takes into S1/S2 with a mask per block copy, m; the remainder
-e^{tau A} S3 = V_b diag(e^{tau lam} (1 - m)) V_b^{-1} then gives the norms of
-the remainder fit without a dense matrix.  The dense generator
-(ModeOperator.matrix), propagator_matrix and the split's S1_part, S2_part
-and S3_part are views for callers, assembled from the blocks when asked
-for; the Schur path stays dense.
+and gives each operator one record per block: views into the stacks, or the
+block's Schur form when its eigenvectors are too ill-conditioned
+(_EIG_COND_LIMIT).  _block_flow is the one apply, e^{tau A} u0 =
+V_b diag(e^{tau lam}) V_b^{-1} u0 or Z_b e^{tau T_b} Z_b^H u0 on every block
+copy, for one operator (propagate) or a whole mode grid
+(convergence_lab._evolve_grid); both check the result with the one
+contraction guard, _contraction_violations.  spectrum takes its residuals
+per block, and the semigroup split marks the eigenvalues it takes into S1/S2
+with a mask per block copy, m, and a projector P_b per Schur block; the
+remainder e^{tau A} S3 = V_b diag(e^{tau lam} (1 - m)) V_b^{-1}, or
+Z_b e^{tau T_b} Z_b^H (I - P_b), then gives the remainder fit without a
+dense matrix.  The dense generator (ModeOperator.matrix), propagator_matrix
+and the split's S1_part, S2_part and S3_part are views for callers,
+assembled from the blocks when asked for; the package itself reads none.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -205,13 +206,13 @@ def metric_adjoint(op: ModeOperator) -> np.ndarray:
 def _decompose_stacked(ops: list[ModeOperator]):
     """Decompose operators sharing one block layout, one stacked eig per block.
 
-    Every operator gets its own _Decomposition: on the eig path views into the
-    stacks, past _EIG_COND_LIMIT its dense Schur form.  The condition number
-    is that of the block-diagonal eigenvector matrix (the largest singular
-    value over all blocks divided by the smallest).  Returns per block the
-    stacked (eigenvalues, right eigenvectors, their inverses) and the mask of
-    operators on the eig path; inverses are computed only for those, the
-    others keep zeros there.
+    Every operator gets its own _Decomposition: per block views into the
+    stacks, or the block's Schur form when its own eigenvectors are past
+    _EIG_COND_LIMIT.  The condition number is that of the block-diagonal
+    eigenvector matrix (the largest singular value over all blocks divided by
+    the smallest).  Returns per block the stacked (eigenvalues, right
+    eigenvectors, their inverses); inverses are computed only for the eig
+    records, the others keep zeros there.
     """
     eigs = [np.linalg.eig(np.stack([op.blocks[b].matrix for op in ops]))
             for b in range(len(ops[0].blocks))]
@@ -220,38 +221,37 @@ def _decompose_stacked(ops: list[ModeOperator]):
     s_min = np.min([x[..., -1] for x in sv], axis=0)
     with np.errstate(divide="ignore"):
         cond = s_max / s_min
-    ok = cond < _EIG_COND_LIMIT
+        ok = np.stack([x[..., 0] / x[..., -1] < _EIG_COND_LIMIT for x in sv], axis=1)
     parts = []
-    for lam, vr in eigs:
+    for (lam, vr), ok_b in zip(eigs, ok.T):
         vinv = np.zeros_like(vr)
-        vinv[ok] = np.linalg.inv(vr[ok])
+        vinv[ok_b] = np.linalg.inv(vr[ok_b])
         parts.append((lam, vr, vinv))
     for i, op in enumerate(ops):
-        if ok[i]:
-            blocks = tuple((lb[i], vb[i], wb[i]) for lb, vb, wb in parts)
-            lam = _by_column(op, [lb for lb, _, _ in blocks])
-            op._decomp = _Decomposition("eig", float(cond[i]), lam, blocks)
-        else:
-            op._decomp = _Decomposition("schur", float(cond[i]),
-                                        schur=schur(op.matrix, output="complex"))
-    return parts, ok
+        blocks = tuple((lb[i], vb[i], wb[i]) if ok[i, b]
+                       else (lb[i], *schur(op.blocks[b].matrix, output="complex"))
+                       for b, (lb, vb, wb) in enumerate(parts))
+        op._decomp = _Decomposition("eig" if ok[i].all() else "schur", float(cond[i]),
+                                    _by_column(op, [rec[0] for rec in blocks]), blocks,
+                                    tuple((~ok[i]).tolist()))
+    return parts
 
 
 class _Decomposition(NamedTuple):
-    """A generator's eigendecomposition by sector block, or its dense Schur form.
+    """A generator's decomposition, one record per sector block.
 
-    On the eig path the columns run block by block and, within a block, copy
-    by copy: ``lam`` holds the eigenvalue of every column (a block's copies
-    repeat its eigenvalues) and ``blocks`` the per-block (eigenvalues, right
-    vectors, inverse).  On the Schur path ``schur`` holds (T, Z) of the dense
-    generator.
+    ``blocks`` holds per block (eigenvalues, right vectors, inverse), or,
+    where ``schur`` marks it, (eigenvalues, T, Z) of the block's complex
+    Schur form A_b = Z T Z^H.  The columns run block by block and, within a
+    block, copy by copy: ``lam`` holds the eigenvalue of every column (a
+    block's copies repeat its eigenvalues).
     """
 
-    path: str                 # "eig" or "schur"
+    path: str                 # "schur" when any block fell back, else "eig"
     cond: float
-    lam: np.ndarray | None = None
-    blocks: tuple = ()
-    schur: tuple | None = None
+    lam: np.ndarray
+    blocks: tuple
+    schur: tuple
 
 
 def _decomposition(op: ModeOperator) -> _Decomposition:
@@ -262,7 +262,7 @@ def _decomposition(op: ModeOperator) -> _Decomposition:
 
 
 def _by_column(op: ModeOperator, per_block) -> np.ndarray:
-    """Per-block values laid out over the eig-path columns, once per copy."""
+    """Per-block values laid out over the columns, once per copy."""
     return np.concatenate([np.tile(v, len(b.copies)) for b, v in zip(op.blocks, per_block)])
 
 
@@ -281,23 +281,26 @@ def _spectral_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((lam.imag, -lam.real))
 
 
-def _dense_vectors(op: ModeOperator, dec: _Decomposition, cols: np.ndarray):
-    """Right eigenvectors (as columns) and inverse rows of eig-path columns, dense."""
+def _dense_vectors(op: ModeOperator, vectors, cols: np.ndarray):
+    """Right eigenvectors (as columns) and inverse rows of the given columns, dense,
+    from per-block (right vectors, inverse); None leaves a block's entries zero."""
     right = np.zeros((op.dim, cols.size), dtype=complex)
     left = np.zeros((cols.size, op.dim), dtype=complex)
     for b, idx, sign, span in _copy_columns(op):
-        _, vb, wb = dec.blocks[b]
+        if vectors[b] is None:
+            continue
+        vb, wb = vectors[b]
         hit = np.flatnonzero((cols >= span.start) & (cols < span.stop))
         local = cols[hit] - span.start
         right[np.ix_(idx, hit)] = sign[:, None] * vb[:, local]
-        left[np.ix_(hit, idx)] = wb[local] * sign[None, :]
+        if wb is not None:
+            left[np.ix_(hit, idx)] = wb[local] * sign[None, :]
     return right, left
 
 
 def eigenvalues(op: ModeOperator) -> np.ndarray:
     """All eigenvalues, by descending real part, then ascending imaginary part."""
-    dec = _decomposition(op)
-    lam = np.linalg.eigvals(op.matrix) if dec.path == "schur" else dec.lam
+    lam = _decomposition(op).lam
     return lam[_spectral_order(lam)]
 
 
@@ -308,62 +311,55 @@ def eigen_condition(op: ModeOperator) -> float:
 def spectrum(op: ModeOperator):
     """Eigenvalues sorted by descending real part, vectors, and residuals.
 
-    On the eig path the residuals are computed per block; a block's copies
-    share them, since a signature conjugation preserves the column norms.
+    The residuals are computed per block; a block's copies share them, since
+    a signature conjugation preserves the column norms.  A Schur block takes
+    its eigenvectors from an eig of the block itself.
     """
     dec = _decomposition(op)
-    if dec.path == "schur":
-        lam, vr = np.linalg.eig(op.matrix)
-        order = _spectral_order(lam)
-        lam, vr = lam[order], vr[:, order]
-        res = np.linalg.norm(op.matrix @ vr - vr * lam[None, :], axis=0)
-        return lam, vr, res / np.linalg.norm(vr, axis=0)
+    pairs = [np.linalg.eig(block.matrix) if s else rec[:2]
+             for block, rec, s in zip(op.blocks, dec.blocks, dec.schur)]
     res = _by_column(op, [
         np.linalg.norm(block.matrix @ vb - vb * lb[None, :], axis=0) / np.linalg.norm(vb, axis=0)
-        for block, (lb, vb, _) in zip(op.blocks, dec.blocks)])
-    order = _spectral_order(dec.lam)
-    vr, _ = _dense_vectors(op, dec, order)
-    return dec.lam[order], vr, res[order]
+        for block, (lb, vb) in zip(op.blocks, pairs)])
+    lam = _by_column(op, [lb for lb, _ in pairs])
+    order = _spectral_order(lam)
+    vr, _ = _dense_vectors(op, [(vb, None) for _, vb in pairs], order)
+    return lam[order], vr, res[order]
 
 
-def _checked_times(t) -> np.ndarray:
-    """A time or a 1-D array of times, checked finite and nonnegative."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not np.all(np.isfinite(times)):
-        raise ValueError(f"time must be a finite number or a 1-D array of them, got {t!r}")
-    if np.any(times < 0):
-        raise ValueError("time must be nonnegative")
-    return times
+def _schur_flow(t: np.ndarray, z: np.ndarray, taus) -> np.ndarray:
+    """(n_t, k, k) flows Z e^{tau T} Z^H of a Schur record, one per tau."""
+    return np.stack([z @ expm(tau * t) @ z.conj().T for tau in taus])
 
 
 def propagator_matrix(op: ModeOperator, t: float) -> np.ndarray:
-    """Dense e^{(t/eps^2) A}, assembled from the block exponentials."""
-    tau = float(_checked_times(t)) / op.eps**2
-    dec = _decomposition(op)
-    if dec.path == "schur":
-        tmat, z = dec.schur
-        return z @ expm(tau * tmat) @ z.conj().T
-    flows = [(vb * np.exp(tau * lb)[None, :]) @ wb for lb, vb, wb in dec.blocks]
-    out = np.zeros((op.dim, op.dim), dtype=complex)
-    for b, idx, sign, _ in _copy_columns(op):
-        out[np.ix_(idx, idx)] = sign[:, None] * flows[b] * sign[None, :]
-    return out
+    """Dense e^{(t/eps^2) A}: the propagated unit vectors, as columns."""
+    return np.stack([propagate(op, e, t) for e in np.eye(op.dim)], axis=1)
 
 
-def _block_flow(layout, parts, states0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """(n, n_t, dim) states e^{tau A} u0 of n operators on the eig path.
+def _block_flow(ops: list[ModeOperator], parts, states0: np.ndarray,
+                taus: np.ndarray) -> np.ndarray:
+    """(n, n_t, dim) states e^{tau A} u0 of n operators sharing one block layout.
 
-    ``layout`` is the operators' shared sector blocks (only their copies are
-    read), ``parts`` the stacked per-block (eigenvalues, right vectors,
-    inverses) of _decompose_stacked, ``states0`` the (n, dim) initial states.
+    ``parts`` holds per block the stacked (eigenvalues, right vectors,
+    inverses) of _decompose_stacked, or None if no operator has an eig record
+    there; ``states0`` the (n, dim) initial states.  Schur records flow as
+    Z e^{tau T} Z^H.
     """
     out = np.zeros((len(states0), len(taus), states0.shape[1]), dtype=complex)
-    for block, (lam, vr, vinv) in zip(layout, parts):
-        growth = np.exp(taus[None, :, None] * lam[:, None, :])
-        vr_t = np.swapaxes(vr, 1, 2)
-        for idx, sign in block.copies:
-            coef = (vinv @ (states0[:, idx] * sign)[:, :, None])[:, None, :, 0]
-            out[:, :, idx] = ((growth * coef) @ vr_t) * sign
+    for b, block in enumerate(ops[0].blocks):
+        if parts[b] is not None:
+            lam, vr, vinv = parts[b]
+            growth = np.exp(taus[None, :, None] * lam[:, None, :])
+            vr_t = np.swapaxes(vr, 1, 2)
+            for idx, sign in block.copies:
+                coef = (vinv @ (states0[:, idx] * sign)[:, :, None])[:, None, :, 0]
+                out[:, :, idx] = ((growth * coef) @ vr_t) * sign
+        for i, op in enumerate(ops):
+            if op._decomp.schur[b]:
+                flow = _schur_flow(*op._decomp.blocks[b][1:], taus)
+                for idx, sign in block.copies:
+                    out[i][:, idx] = (flow @ (states0[i, idx] * sign)) * sign
     return out
 
 
@@ -391,14 +387,17 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
         raise ValueError(f"state length {u0.shape} does not match operator dim {op.dim}")
     if not np.all(np.isfinite(u0)):
         raise ValueError("state must be finite")
-    times = _checked_times(t)
-    rows = np.atleast_1d(times)
+    if not op.eps > 0:
+        raise ValueError(f"the diffusive-time semigroup needs eps > 0, got eps={op.eps!r}")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise ValueError(f"time must be a finite number or a 1-D array of them, got {t!r}")
+    if np.any(times < 0):
+        raise ValueError("time must be nonnegative")
     dec = _decomposition(op)
-    if dec.path == "schur":
-        out = np.stack([propagator_matrix(op, tk) @ u0 for tk in rows])
-    else:
-        parts = [(lb[None], vb[None], wb[None]) for lb, vb, wb in dec.blocks]
-        out = _block_flow(op.blocks, parts, u0[None], rows / op.eps**2)[0]
+    parts = [None if s else (lb[None], vb[None], wb[None])
+             for (lb, vb, wb), s in zip(dec.blocks, dec.schur)]
+    out = _block_flow([op], parts, u0[None], np.atleast_1d(times) / op.eps**2)[0]
     growth, bad = _contraction_violations(op.metric_diag[None], u0[None], out[None])
     if bad[0]:
         raise PropagationError(
@@ -416,14 +415,14 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
 class SemigroupSplit:
     """e^{tA} = S1(t) + S2(t) + S3(t): fluid branches, oscillatory branches, remainder.
 
-    On the eig path ``branch_mask`` marks the eig-path columns (see
-    _Decomposition) whose eigenvalues go to S1 (low regime) or S2 (high
-    regime); it is per block copy, so one copy of a degenerate pair can be
-    taken without the other.  The remainder fit and every S*_part come from
-    the blocks: S1_part, S2_part and S3_part = I - S1_part - S2_part are dense
-    views, built on first access.  On the Schur path (eigenvectors past
-    _EIG_COND_LIMIT) the split is dense: ``branch_mask`` is None and the
-    projectors come from a reordered Schur form.
+    ``branch_mask`` marks the columns (see _Decomposition) whose eigenvalues
+    go to S1 (low regime) or S2 (high regime); it is per block copy, so one
+    copy of a degenerate pair can be taken without the other.  A Schur block
+    takes its branch on every copy with the spectral projector
+    ``schur_projectors[b]`` of its reordered Schur form, and
+    ``eigen_projections`` come from the eig blocks only.  The remainder fit
+    and every S*_part come from the blocks: S1_part, S2_part and S3_part =
+    I - S1_part - S2_part are dense views, built on first access.
     """
 
     op: ModeOperator
@@ -433,16 +432,18 @@ class SemigroupSplit:
     fit_C: float
     defective: bool
     eig_cond: float
-    branch_mask: np.ndarray | None = None
-    schur_parts: tuple | None = field(default=None, repr=False)   # dense (S1, S2)
+    branch_mask: np.ndarray
+    schur_projectors: tuple           # per block: branch projector, or None
 
     @functools.cached_property
     def _branch_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.schur_parts is not None:
-            return self.schur_parts
         dec = _decomposition(self.op)
-        right, left = _dense_vectors(self.op, dec, np.flatnonzero(self.branch_mask))
+        right, left = _dense_vectors(self.op, [None if s else rec[1:] for rec, s in zip(
+            dec.blocks, dec.schur)], np.flatnonzero(self.branch_mask))
         branch = right @ left
+        for b, idx, sign, _ in _copy_columns(self.op):
+            if dec.schur[b]:
+                branch[np.ix_(idx, idx)] = sign[:, None] * self.schur_projectors[b] * sign[None, :]
         zero = np.zeros_like(branch)
         return (zero, branch) if self.regime == "high" else (branch, zero)
 
@@ -461,23 +462,6 @@ class SemigroupSplit:
         """Remainder projection."""
         s1, s2 = self._branch_parts
         return np.eye(self.op.dim, dtype=complex) - s1 - s2
-
-
-def _weighted_opnorm(op: ModeOperator, mat: np.ndarray) -> float:
-    """Weighted 2-norm of a matrix with the block structure of op.
-
-    That is the largest norm of its diagonal blocks.  One copy per block
-    suffices: the copies differ by a signature conjugation, which is
-    orthogonal, on indices where the metric is 1.
-    """
-    gh = np.sqrt(op.metric_diag)
-    norms = []
-    for b in op.blocks:
-        idx = b.copies[0][0]
-        g = gh[idx]
-        norms.append(np.linalg.norm((mat[np.ix_(idx, idx)] * (1.0 / g)[None, :]) * g[:, None],
-                                    ord=2))
-    return float(max(norms))
 
 
 def _schur_projector(a: np.ndarray, select) -> tuple[np.ndarray, int]:
@@ -505,54 +489,46 @@ def split_regime(op: ModeOperator, r0: float, r1: float) -> str:
 
 def semigroup_split(op: ModeOperator, r0: float = 0.1, r1: float = 10.0,
                     n_fluid: int = 5) -> SemigroupSplit:
+    """Split by regime: S1 takes the top n_fluid eigenvalues over all block
+    copies (low), S2 those above -mu/2 (high).  A Schur block's projector
+    takes each of its eigenvalues down to the lowest one taken, less 1e-12.
+    """
     regime = split_regime(op, r0, r1)
     dec = _decomposition(op)
-    thresh = -0.5 * op.collision.mu_estimate
-    if dec.path == "eig":
-        lam = dec.lam
-        order = _spectral_order(lam)
-        mask = np.zeros(op.dim, dtype=bool)
-        if regime == "low":
-            mask[order[:n_fluid]] = True
-        elif regime == "high":
-            mask = lam.real >= thresh
-        cols = order[mask[order]]
-        right, left = _dense_vectors(op, dec, cols)
-        projections = [(lam[j], right[:, i], left[i].conj() / op.metric_diag)
-                       for i, j in enumerate(cols)]
-        b, c_fit = _fit_remainder_decay(
-            lam[~mask], lambda taus: _remainder_norms(op, mask, taus))
-        return SemigroupSplit(op=op, regime=regime, eigen_projections=projections,
-                              measured_gap_b=b, fit_C=c_fit, defective=False,
-                              eig_cond=dec.cond, branch_mask=mask)
-
-    s1 = np.zeros((op.dim, op.dim), dtype=complex)
-    s2 = np.zeros_like(s1)
-    lam = np.linalg.eigvals(op.matrix)
+    lam = dec.lam
+    order = _spectral_order(lam)
+    mask = np.zeros(op.dim, dtype=bool)
     if regime == "low":
-        cut = np.sort(lam.real)[-n_fluid] - 1e-12
-        s1, _ = _schur_projector(op.matrix, lambda z: z.real >= cut)
+        mask[order[:n_fluid]] = True
     elif regime == "high":
-        s2, _ = _schur_projector(op.matrix, lambda z: z.real >= thresh)
-    s3 = np.eye(op.dim, dtype=complex) - s1 - s2
-    # exclude branch eigenvalues captured by S1/S2 from the gap estimate
-    rank12 = int(round(np.real(np.trace(s1 + s2))))
-    rest = lam[np.argsort(-lam.real)[rank12:]]
-    b, c_fit = _fit_remainder_decay(rest, lambda taus: [
-        _weighted_opnorm(op, propagator_matrix(op, tau * op.eps**2) @ s3) for tau in taus])
-    return SemigroupSplit(op=op, regime=regime, eigen_projections=[], measured_gap_b=b,
-                          fit_C=c_fit, defective=True, eig_cond=dec.cond,
-                          schur_parts=(s1, s2))
+        mask = lam.real >= -0.5 * op.collision.mu_estimate
+    cut = lam[mask].real.min(initial=np.inf) - 1e-12
+    schur_cols = _by_column(op, [np.full(rec[0].size, s) for rec, s in zip(dec.blocks, dec.schur)])
+    mask[schur_cols] = lam[schur_cols].real >= cut
+    projectors = tuple(_schur_projector(block.matrix, lambda z: z.real >= cut)[0] if s else None
+                       for block, s in zip(op.blocks, dec.schur))
+    cols = order[mask[order] & ~schur_cols[order]]
+    right, left = _dense_vectors(
+        op, [None if s else rec[1:] for rec, s in zip(dec.blocks, dec.schur)], cols)
+    projections = [(lam[j], right[:, i], left[i].conj() / op.metric_diag)
+                   for i, j in enumerate(cols)]
+    b, c_fit = _fit_remainder_decay(
+        lam[~mask], lambda taus: _remainder_norms(op, mask, projectors, taus))
+    return SemigroupSplit(op=op, regime=regime, eigen_projections=projections,
+                          measured_gap_b=b, fit_C=c_fit, defective=dec.path == "schur",
+                          eig_cond=dec.cond, branch_mask=mask, schur_projectors=projectors)
 
 
-def _remainder_norms(op: ModeOperator, mask: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """||e^{tau A} S3||_xi at each tau, from the eig-path blocks.
+def _remainder_norms(op: ModeOperator, mask: np.ndarray, projectors,
+                     taus: np.ndarray) -> np.ndarray:
+    """||e^{tau A} S3||_xi at each tau, from the blocks.
 
-    On a block copy e^{tau A} S3 = V diag(e^{tau lam} (1 - m)) V^{-1}, with m
-    the copy's slice of the branch mask; the weighted norm is the largest
-    over the copies.  A copy that repeats an earlier copy's mask and metric
-    has the same norm (the signature conjugation between them is orthogonal)
-    and is skipped.
+    On an eig copy e^{tau A} S3 = V diag(e^{tau lam} (1 - m)) V^{-1}, with m
+    the copy's slice of the branch mask; on a Schur copy it is
+    Z e^{tau T} Z^H (I - P), with P the block's projector in ``projectors``.
+    The weighted norm is the largest over the copies.  A copy that repeats an
+    earlier copy's mask and metric has the same norm (the signature
+    conjugation between them is orthogonal) and is skipped.
     """
     dec = _decomposition(op)
     gh = np.sqrt(op.metric_diag)
@@ -564,11 +540,32 @@ def _remainder_norms(op: ModeOperator, mask: np.ndarray, taus: np.ndarray) -> np
         if key in seen:
             continue
         seen.add(key)
-        lb, vb, wb = dec.blocks[b]
-        growth = np.exp(np.multiply.outer(taus, lb)) * keep
-        flows = ((g[:, None] * vb)[None] * growth[:, None, :]) @ (wb / g[None, :])
+        lb, x, y = dec.blocks[b]
+        if dec.schur[b]:
+            flows = (g[:, None] * _schur_flow(x, y, taus) @ (np.eye(lb.size) - projectors[b])
+                     / g[None, :])
+        else:
+            growth = np.exp(np.multiply.outer(taus, lb)) * keep
+            flows = ((g[:, None] * x)[None] * growth[:, None, :]) @ (y / g[None, :])
         norms = np.maximum(norms, np.linalg.norm(flows, ord=2, axis=(1, 2)))
     return norms
+
+
+def _remainder_flow(split: SemigroupSplit, u0: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """(n_t, dim) states e^{tau A} S3 u0: V (e^{tau lam} (1 - m) V^{-1} u0) on an
+    eig copy, so no taken branch leaves a rounding residue, and
+    Z e^{tau T} Z^H (I - P) u0 on a Schur copy."""
+    dec = _decomposition(split.op)
+    out = np.zeros((len(taus), split.op.dim), dtype=complex)
+    for b, idx, sign, cols in _copy_columns(split.op):
+        lb, x, y = dec.blocks[b]
+        u = u0[idx] * sign
+        if dec.schur[b]:
+            out[:, idx] = (_schur_flow(x, y, taus) @ (u - split.schur_projectors[b] @ u)) * sign
+        else:
+            growth = np.exp(np.multiply.outer(taus, lb)) * ~split.branch_mask[cols]
+            out[:, idx] = ((growth * (y @ u)) @ x.T) * sign
+    return out
 
 
 def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, float]:

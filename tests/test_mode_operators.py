@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg as sl
 
 from kslab.collision_ops import nu_eval
+from kslab import convergence_lab as cl
 from kslab import mode_operators as mo
 from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
 
@@ -256,9 +257,20 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             mo.propagate(op, u, 0.5)
 
+    def test_eps_zero_semigroup_rejected(self, collision_small):
+        op = mo.assemble_B(1.0, 0.0, collision_small)
+        with pytest.raises(ValueError, match="needs eps > 0"):
+            mo.propagator_matrix(op, 0.5)
+        with pytest.raises(ValueError, match="needs eps > 0"):
+            mo.propagate(op, np.ones(op.dim), 0.5)
+        # the spectrum and the split stay defined at eps = 0
+        assert mo.eigenvalues(op).size == op.dim
+        assert mo.spectrum(op)[0].size == op.dim
+        assert mo.semigroup_split(op).regime == "low"
+
 
 class TestBlockFlow:
-    """propagate runs on the one eig-path apply, behind the one guard."""
+    """propagate runs on the one block apply, behind the one guard."""
 
     def test_time_array_matches_single_times(self, collision_small):
         op = mo.assemble_A_tilde(1.3, 0.2, collision_small)
@@ -337,16 +349,6 @@ class TestSemigroupSplit:
         assert np.abs(sp.S2_part).max() == 0.0
         assert np.abs(sp.S3_part - np.eye(op.dim)).max() == 0.0
 
-    def test_block_opnorm_equals_dense_norm(self, collision_default):
-        op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
-        sp = mo.semigroup_split(op)
-        gh = np.sqrt(op.metric_diag)
-        # the axial block leads the remainder, the transverse block the fluid part
-        for mat in (mo.propagator_matrix(op, 0.3 * op.eps**2) @ sp.S3_part,
-                    mo.propagator_matrix(op, 1.0) @ sp.S1_part):
-            dense = np.linalg.norm((mat / gh[None, :]) * gh[:, None], ord=2)
-            assert abs(mo._weighted_opnorm(op, mat) - dense) <= 1e-12 * dense
-
     def test_schur_cluster_projector_on_defective_matrix(self):
         mat = np.array([
             [-1.0, 1.0, 0.0],
@@ -361,8 +363,9 @@ class TestSemigroupSplit:
 
 
 class TestPerBlockSplit:
-    """The eig path works on the sector blocks; dense matrices are views only."""
+    """Both paths work on the sector blocks; dense matrices are views only."""
 
+    @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
     @pytest.mark.parametrize("kind,s,eps,regime", [
         ("B", 1.0, 0.05, "low"),
         ("B", 5.0, 0.4, "mid"),
@@ -370,50 +373,104 @@ class TestPerBlockSplit:
         ("A", 5.0, 0.4, "mid"),
         ("A", 16.0, 1.0, "high"),
     ])
-    def test_remainder_norms_match_dense_exponential(self, collision_default,
-                                                     kind, s, eps, regime):
+    def test_remainder_norms_match_dense_exponential(self, collision_default, monkeypatch,
+                                                     kind, s, eps, regime, cond_limit):
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
         assemble = mo.assemble_B if kind == "B" else mo.assemble_A_tilde
         op = assemble(s, eps, collision_default)
         sp = mo.semigroup_split(op)
         assert sp.regime == regime and sp.branch_mask is not None
+        assert sp.defective == (cond_limit == 1.0)
         gh = np.sqrt(op.metric_diag)
         # inside the fit window, where the remainder is still well above the
         # rounding floor of the dense exponential
         taus = np.array([0.3, 1.0, 3.0]) / sp.measured_gap_b
-        got = mo._remainder_norms(op, sp.branch_mask, taus)
+        got = mo._remainder_norms(op, sp.branch_mask, sp.schur_projectors, taus)
         for tau, norm in zip(taus, got):
             flow = sl.expm(tau * op.matrix) @ sp.S3_part
             dense = np.linalg.norm((flow / gh[None, :]) * gh[:, None], ord=2)
             assert abs(norm - dense) <= 1e-10 * dense
 
     def test_split_and_propagate_build_no_dense_propagator(self, collision_default,
-                                                          monkeypatch):
+                                                          collision_small, monkeypatch):
         op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
         u = _random_states(op.dim, 1, 5)[0]
         t = 0.8 * op.eps**2
         want = sl.expm((t / op.eps**2) * op.matrix) @ u
+        cm = collision_small
+        states0 = _random_states(cm.basis.dim, 3, 6)
 
-        def dense_propagator(*args, **kwargs):
-            raise AssertionError("dense propagator built on the eig path")
+        def dense_view(*args, **kwargs):
+            raise AssertionError("dense view built inside the library")
 
-        monkeypatch.setattr(mo, "propagator_matrix", dense_propagator)
-        sp = mo.semigroup_split(op)
-        assert not sp.defective
-        assert sp.measured_gap_b > 0.0 and np.isfinite(sp.fit_C)
-        got = mo.propagate(op, u, t)
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        monkeypatch.setattr(mo, "propagator_matrix", dense_view)
+        monkeypatch.setattr(mo.ModeOperator, "matrix", property(dense_view))
+        for name in ("S1_part", "S2_part", "S3_part"):
+            monkeypatch.setattr(mo.SemigroupSplit, name, property(dense_view))
+        for cond_limit in (mo._EIG_COND_LIMIT, 1.0):
+            monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
+            op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
+            sp = mo.semigroup_split(op)
+            assert sp.defective == (cond_limit == 1.0)
+            assert sp.measured_gap_b > 0.0 and np.isfinite(sp.fit_C)
+            got = mo.propagate(op, u, t)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            assert mo.spectrum(op)[0].size == mo.eigenvalues(op).size == op.dim
+            _, keep = cl._evolve_grid(mo.assemble_B, np.array([0.05, 0.7, 1.9]), 0.2, cm,
+                                      states0, np.array([0.0, 0.1, 2.0]), [])
+            assert keep.all()
+            gap = cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), cm)
+            assert gap["match"]
 
     def test_schur_fallback_still_fits_the_gap(self, collision_small, monkeypatch):
         monkeypatch.setattr(mo, "_EIG_COND_LIMIT", 1.0)
         op = mo.assemble_A_tilde(1.3, 0.04, collision_small)
         sp = mo.semigroup_split(op)
-        assert sp.defective and sp.branch_mask is None
+        assert sp.defective
         assert mo._decomposition(op).path == "schur"
         eye = np.eye(op.dim)
         assert np.abs(sp.S1_part + sp.S2_part + sp.S3_part - eye).max() <= 1e-10
         lam = np.sort(np.linalg.eigvals(op.matrix).real)[::-1]
         gap = -lam[5:].max()
         assert abs(sp.measured_gap_b - gap) <= 0.05 * gap
+
+    def test_mixed_eig_and_schur_blocks(self, collision_small):
+        # a defective block (Jordan pair at -1) and a well-conditioned block
+        # with two signed copies, under a metric that is not the identity
+        defective = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.3], [0.0, 0.0, -4.0]],
+                             dtype=complex)
+        regular = np.array([[-0.1, 0.05, 0.0], [0.0, -2.0, 0.5j], [0.05, 0.0, -3.0]])
+        blocks = (mo.SectorBlock(defective, ((np.arange(3), np.ones(3)),)),
+                  mo.SectorBlock(regular, ((np.arange(3, 6), np.ones(3)),
+                                           (np.arange(6, 9), np.array([1.0, -1.0, 1.0])))))
+        metric = np.ones(9)
+        metric[0] = 2.0
+        op = mo.ModeOperator(kind=mo.KIND_BOLTZMANN, s=1.0, eps=0.05, metric_diag=metric,
+                             collision=collision_small, blocks=blocks)
+        dec = mo._decomposition(op)
+        assert dec.path == "schur" and dec.schur == (True, False)
+        mat = op.matrix
+        times = np.array([0.0, 1e-3, 0.01])
+        u = _random_states(op.dim, 1, 12)[0]
+        rows = mo.propagate(op, u, times)
+        for t, row in zip(times, rows):
+            direct = sl.expm((t / op.eps**2) * mat)
+            assert np.abs(mo.propagator_matrix(op, t) - direct).max() <= 1e-12
+            assert np.abs(row - direct @ u).max() <= 1e-12 * np.abs(u).max()
+        assert np.abs(mo.eigenvalues(op) - np.sort_complex(sl.eigvals(mat))[::-1]).max() <= 1e-12
+        sp = mo.semigroup_split(op)
+        assert sp.regime == "low" and sp.branch_mask.sum() == 5
+        assert np.abs(sp.S1_part + sp.S2_part + sp.S3_part - np.eye(op.dim)).max() <= 1e-12
+        # a projector cannot split the Jordan pair, so the mask takes both
+        sp3 = mo.semigroup_split(op, n_fluid=3)
+        assert sp3.branch_mask.sum() == round(np.trace(sp3.S1_part).real) == 4
+        gh = np.sqrt(metric)
+        taus = np.array([0.3, 1.0, 3.0]) / sp.measured_gap_b
+        got = mo._remainder_norms(op, sp.branch_mask, sp.schur_projectors, taus)
+        for tau, norm in zip(taus, got):
+            flow = sl.expm(tau * mat) @ sp.S3_part
+            dense = np.linalg.norm((flow / gh[None, :]) * gh[:, None], ord=2)
+            assert abs(norm - dense) <= 1e-12 * dense
 
     @pytest.mark.parametrize("kind,s,eps", [("B", 1.0, 0.05), ("A", 1.3, 0.04),
                                             ("A", 16.0, 1.0), ("A", 5.0, 0.4)])
