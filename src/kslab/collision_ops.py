@@ -23,10 +23,14 @@ Each node count integrates its polynomial exactly:
 
 - p: the gain integrand H_i(a) H_j(b) H_k(a') and the loss integrand
   H_i(a) H_k(a) H_j(b) have degree <= 4 + 4 + 4 = 12 in each component of p;
-  a 7-point Gauss-Hermite rule per axis is exact up to degree 13.
+  a 7-point Gauss-Hermite rule per axis is exact up to degree 13.  The 7^3
+  grid is its own mirror (node n is minus node 342 - n), and the node at
+  (-p, r) contributes (-1)^(|i| + |j| + |k|) times the node at (p, r), so the
+  sum runs over the first 171 nodes with weight 2 and the centre with weight
+  1, and the entries of odd total degree are set to exactly 0.
 - sigma: each sphere sum has degree <= 12 in sigma.  A 7-point Gauss-Legendre
-  rule in the polar cosine is exact up to degree 13, and 16 equispaced
-  azimuths are exact for azimuthal orders up to 15.  The polar nodes are
+  rule in the polar cosine is exact up to degree 13, and 14 equispaced
+  azimuths are exact for azimuthal orders up to 13.  The polar nodes are
   symmetric about 0 and the azimuth count is even, so the rule is symmetric
   under sigma -> -sigma.
 - r: the hard-sphere factor r and the Jacobian r^2 make the radial weight
@@ -34,9 +38,14 @@ Each node count integrates its polynomial exactly:
   on the symmetric rule, the integrands are even in r of degree <= 12, that is
   of degree <= 6 in u; a 4-point generalized Gauss-Laguerre rule (alpha = 1)
   is exact up to degree 7.
+- The loss term linearizes H_i H_k = sum_m c[i, k, m] H_m over the 165
+  normalized Hermite products of degree <= 8, so each block of nodes adds one
+  product (H_m(a), H_j(b)) to a 165 x 35 accumulator.  The coefficients c
+  integrate a degree-4 + 4 + 8 = 16 polynomial per axis on a 9-point product
+  Gauss-Hermite grid, exact up to degree 17.
 - The change of basis to the Burnett-type elements and the polynomial
-  projection integrate products of two degree-<=4 factors (degree <= 8) on a
-  9-point product Gauss-Hermite grid, exact up to degree 17.
+  projection integrate products of two degree-<=4 factors (degree <= 8) on
+  the same 9-point grid.
 """
 from __future__ import annotations
 
@@ -176,6 +185,12 @@ def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 
     graded from t = |r - r'| at the scale of the exponential boundary layer.
     """
     r = np.asarray(r_nodes, dtype=float)
+    if r.ndim != 1 or not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+        raise ValueError("r_nodes must be a 1-D array of finite speeds r > 0")
+    for name, value, least in (("lmax", lmax, 0), ("n_panel_points", n_panel_points, 1),
+                               ("n_panels", n_panels, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     iu = np.triu_indices(r.size)
     tabs = []
     for pairs in _pair_kernel_moments(r[iu[0]], r[iu[1]], lmax, n_panel_points, n_panels):
@@ -232,23 +247,30 @@ def _gain_matrices(basis: Basis, n_panels: int = 8):
 # bilinear collision tensor on the degree-<=4 Hermite sub-basis
 # ---------------------------------------------------------------------------
 
-def hermite_sub_indices() -> list[tuple[int, int, int]]:
+def _hermite_indices(degree: int) -> list[tuple[int, int, int]]:
     idx = [
         (a, b, c)
-        for a in range(5)
-        for b in range(5)
-        for c in range(5)
-        if a + b + c <= 4
+        for a in range(degree + 1)
+        for b in range(degree + 1)
+        for c in range(degree + 1)
+        if a + b + c <= degree
     ]
     idx.sort(key=lambda t: (sum(t), t))
     return idx
 
 
+def hermite_sub_indices() -> list[tuple[int, int, int]]:
+    return _hermite_indices(4)
+
+
 # the one sub-basis every Gamma tensor is expressed in
 _SUB_INDICES = tuple(hermite_sub_indices())
+# the degree-<=8 products of two sub-basis elements; sorted by (degree, index),
+# so the first 35 are _SUB_INDICES
+_PRODUCT_INDICES = tuple(_hermite_indices(8))
 
 
-def _hermite_values(x: np.ndarray, nmax: int = 4) -> np.ndarray:
+def _hermite_values(x: np.ndarray, nmax: int) -> np.ndarray:
     """Probabilists' Hermite polynomials He_0..He_nmax, shape (nmax+1, ...)."""
     out = np.empty((nmax + 1,) + x.shape)
     out[0] = 1.0
@@ -259,13 +281,15 @@ def _hermite_values(x: np.ndarray, nmax: int = 4) -> np.ndarray:
 
 
 def _sub_table(points: np.ndarray, indices) -> np.ndarray:
-    """Normalized Hermite products H_idx(v), shape (npoints, 35).  No Gaussian."""
-    he = [_hermite_values(points[:, d]) for d in range(3)]
-    cols = []
-    for (a, b, c) in indices:
-        norm = math.sqrt(math.factorial(a) * math.factorial(b) * math.factorial(c))
-        cols.append(he[0][a] * he[1][b] * he[2][c] / norm)
-    return np.stack(cols, axis=1)
+    """Normalized Hermite products H_idx(v), shape (npoints, len(indices)).  No Gaussian.
+
+    The table is a column-major view: each column is one contiguous product.
+    """
+    idx = np.array(indices)
+    norm = np.sqrt([float(math.factorial(a) * math.factorial(b) * math.factorial(c))
+                    for (a, b, c) in indices])
+    he = [_hermite_values(points[:, d], int(idx.max())) for d in range(3)]
+    return (he[0][idx[:, 0]] * he[1][idx[:, 1]] * he[2][idx[:, 2]] / norm[:, None]).T
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -304,8 +328,16 @@ def _sub_invariants() -> np.ndarray:
 _N_HERM = 7         # Gauss-Hermite, per axis of the center-of-mass velocity
 _N_RAD = 4          # generalized Gauss-Laguerre (alpha = 1) in u = r^2 / 2
 _N_POLAR = 7        # Gauss-Legendre in the polar cosine of the deflection vector
-_N_AZIM = 16        # equispaced azimuths
-_GAMMA_CHUNK = 512  # (center-of-mass, radial) node pairs per block
+_N_AZIM = 14        # equispaced azimuths
+_GAMMA_CHUNK = 128  # (center-of-mass, radial) node pairs per block
+
+
+def _product_coefficients() -> np.ndarray:
+    """Linearization c[i, k, m] with H_i H_k = sum_m c[i, k, m] H_m, m over _PRODUCT_INDICES."""
+    _, w3, table = _sub_quadrature(_PRODUCT_INDICES)
+    nb = len(_SUB_INDICES)
+    pairs = (table[:, :nb] * w3[:, None])[:, :, None] * table[:, None, :nb]
+    return (pairs.reshape(w3.size, nb * nb).T @ table).reshape(nb, nb, -1)
 
 
 @functools.cache
@@ -315,14 +347,17 @@ def _assemble_gamma_tensor() -> np.ndarray:
     Built once per process: it does not depend on the velocity basis.  The
     module docstring gives the degree count behind each node count.
     """
-    indices = _SUB_INDICES
-    nb = len(indices)
+    nb = len(_SUB_INDICES)
 
     xh, wh = roots_hermitenorm(_N_HERM)
     wh = wh / math.sqrt(_TWO_PI)
     px, py, pz = np.meshgrid(xh, xh, xh, indexing="ij")
-    pw = (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()
-    pgrid = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=1)
+    # node n of the p-grid is minus node N - 1 - n: keep the first half and the
+    # centre, each off-centre node weighted for its mirror as well
+    half = px.size // 2
+    pw = (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()[:half + 1]
+    pw[:half] *= 2.0
+    pgrid = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=1)[:half + 1]
 
     u, wu = roots_genlaguerre(_N_RAD, 1.0)
     rr = np.sqrt(2.0 * u)
@@ -330,7 +365,6 @@ def _assemble_gamma_tensor() -> np.ndarray:
 
     mu, wmu = np.polynomial.legendre.leggauss(_N_POLAR)
     phi = _TWO_PI * np.arange(_N_AZIM) / _N_AZIM
-    wphi = _TWO_PI / _N_AZIM
     st = np.sqrt(1.0 - mu**2)
     sig = np.stack(
         [
@@ -340,40 +374,38 @@ def _assemble_gamma_tensor() -> np.ndarray:
         ],
         axis=1,
     )
-    wsig = np.repeat(wmu, _N_AZIM) * wphi
-    ns = sig.shape[0]
+    wsig = np.repeat(wmu, _N_AZIM) * (_TWO_PI / _N_AZIM)
 
     combos_p = np.repeat(np.arange(pgrid.shape[0]), _N_RAD)
     combos_r = np.tile(np.arange(_N_RAD), pgrid.shape[0])
     wq = pw[combos_p] * wr[combos_r]
     nq = combos_p.size
 
-    t1 = np.zeros((nb, nb, nb))
-    t2 = np.zeros((nb, nb, nb))
+    t1 = np.zeros((nb * nb, nb))
+    loss = np.zeros((nb, len(_PRODUCT_INDICES)))   # [j, m]: (H_m(a), H_j(b))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for start in range(0, nq, _GAMMA_CHUNK):
-        sl = slice(start, min(start + _GAMMA_CHUNK, nq))
+        sl = slice(start, start + _GAMMA_CHUNK)
         pc = pgrid[combos_p[sl]]
         rc = rr[combos_r[sl]]
         m = pc.shape[0]
         apts = inv_sqrt2 * (pc[:, None, :] + rc[:, None, None] * sig[None, :, :])
         bpts = inv_sqrt2 * (pc[:, None, :] - rc[:, None, None] * sig[None, :, :])
-        ha = _sub_table(apts.reshape(-1, 3), indices).reshape(m, ns, nb)
-        hb = _sub_table(bpts.reshape(-1, 3), indices).reshape(m, ns, nb)
-        haw = ha * wsig[None, :, None]
-        s_ij = np.einsum("qsi,qsj->qij", haw, hb)
-        u_k = np.einsum("qsk->qk", haw)
-        t1 += np.einsum("q,qij,qk->ijk", wq[sl], s_ij, u_k, optimize=True)
-        # loss part: same sphere nodes serve as the relative-velocity directions;
-        # t2[i, :, k] is symmetric in (i, k), so only i >= k is accumulated
+        ha8 = _sub_table(apts.reshape(-1, 3), _PRODUCT_INDICES)
+        hb = _sub_table(bpts.reshape(-1, 3), _SUB_INDICES)
+        haw = ha8[:, :nb].reshape(m, -1, nb) * wsig[None, :, None]
+        s_ij = np.matmul(haw.transpose(0, 2, 1), hb.reshape(m, -1, nb))
+        t1 += s_ij.reshape(m, -1).T @ (wq[sl, None] * haw.sum(axis=1))
+        # loss part: the same sphere nodes serve as the relative-velocity
+        # directions, and H_i(a) H_k(a) is linearized in H_m(a)
         row_w = (wq[sl, None] * wsig[None, :]).ravel()
-        ha_f = ha.reshape(-1, nb)
-        hb_f = hb.reshape(-1, nb)
-        for kk in range(nb):
-            t2[kk:, :, kk] += (ha_f[:, kk:] * (row_w * ha_f[:, kk])[:, None]).T @ hb_f
-    above = np.triu_indices(nb, 1)
-    t2[above[0], :, above[1]] = t2[above[1], :, above[0]]
-    return _frozen(t1 - 4.0 * math.pi * t2)
+        loss += (hb * row_w[:, None]).T @ ha8
+    t2 = (_product_coefficients().reshape(nb * nb, -1) @ loss.T).reshape(nb, nb, nb)
+    tensor = t1.reshape(nb, nb, nb) - 4.0 * math.pi * t2.transpose(0, 2, 1)
+    # the mirrored nodes cancel every entry of odd total degree
+    parity = np.array([sum(abc) % 2 for abc in _SUB_INDICES])
+    tensor[(parity[:, None, None] + parity[None, :, None] + parity[None, None, :]) % 2 == 1] = 0.0
+    return _frozen(tensor)
 
 
 # Burnett-type sub-elements (n, l, m-kind) with 2n + l <= 4, all azimuthal orders
@@ -423,7 +455,10 @@ def _sub_quadrature(indices: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     gx, gy, gz = np.meshgrid(xh, xh, xh, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     w3 = (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()
-    return _frozen(pts), _frozen(w3), _frozen(_sub_table(pts, indices))
+    # stored row-major: the layout fixes the summation order of the change of
+    # basis and of the projections
+    table = np.ascontiguousarray(_sub_table(pts, indices))
+    return _frozen(pts), _frozen(w3), _frozen(table)
 
 
 @functools.cache
@@ -482,6 +517,8 @@ def gamma_apply(cm: "CollisionMatrices", f_sub: np.ndarray, g_sub: np.ndarray) -
     nb = len(cm.gamma.indices)
     if f_sub.shape != (nb,) or g_sub.shape != (nb,):
         raise ValueError(f"sub-basis coefficients must have length {nb}")
+    if not (np.all(np.isfinite(f_sub)) and np.all(np.isfinite(g_sub))):
+        raise ValueError("sub-basis coefficients must be finite")
     return np.einsum("ijk,i,j->k", cm.gamma.tensor, f_sub, g_sub)
 
 
@@ -522,6 +559,11 @@ _NULL_RADIAL = {"L": {0: (0, 1), 1: (0,)}, "L1": {0: (0,)}}
 
 def null_coordinates(basis: Basis, which: str, sector: int) -> list[int]:
     """Coordinates of the collision invariants in one sector block of L or L1."""
+    if which not in ("L", "L1"):
+        raise ValueError(f"which must be 'L' or 'L1', got {which!r}")
+    if sector not in (SECTOR_AXIAL, SECTOR_TRANSVERSE):
+        raise ValueError(f"sector must be SECTOR_AXIAL ({SECTOR_AXIAL}) or "
+                         f"SECTOR_TRANSVERSE ({SECTOR_TRANSVERSE}), got {sector!r}")
     first = 0 if sector == SECTOR_AXIAL else 1
     return [(l - first) * basis.spec.radial_order + n
             for l, radial in _NULL_RADIAL[which].items() if l >= first for n in radial]
@@ -534,11 +576,16 @@ def collision_inverse(cm: CollisionMatrices, which: str, sector: int,
     P projects off the null coordinates, whose zero diagonal entries are
     shifted to one for the solve.  Raises AssemblyError if the block is
     singular off its null coordinates or the solution leaves the range or
-    picks up a null component.
+    picks up a null component.  Raises ValueError for any which or sector
+    other than those of null_coordinates, or a w that is not a finite 1-D
+    array of the block's length.
     """
-    block = {"L": cm.L_sector, "L1": cm.L1_sector}[which][sector]
     null = null_coordinates(cm.basis, which, sector)
+    block = {"L": cm.L_sector, "L1": cm.L1_sector}[which][sector]
     wp = np.array(w)
+    n = block.shape[0]
+    if wp.shape != (n,) or not np.all(np.isfinite(wp)):
+        raise ValueError(f"w must be a finite 1-D array of length n = {n}")
     wp[null] = 0.0
     shifted = block.copy()
     shifted[null, null] += 1.0

@@ -138,6 +138,22 @@ class TestReducedKernels:
             assert np.allclose(k1_tab[l], k1_tab[l].T, atol=0)
             assert np.allclose(k_tab[l], k_tab[l].T, atol=0)
 
+    @pytest.mark.parametrize("nodes, kwargs, match", [
+        ([0.5, np.nan], {}, "r_nodes"),
+        ([0.5, np.inf], {}, "r_nodes"),
+        ([0.0, 1.0], {}, "r_nodes"),
+        ([-0.5, 1.0], {}, "r_nodes"),
+        ([[0.5, 1.0]], {}, "r_nodes"),
+        ([0.5, 1.0], {"lmax": -1}, "lmax"),
+        ([0.5, 1.0], {"lmax": 2.0}, "lmax"),
+        ([0.5, 1.0], {"lmax": True}, "lmax"),
+        ([0.5, 1.0], {"n_panel_points": 0}, "n_panel_points"),
+        ([0.5, 1.0], {"n_panels": 0}, "n_panels"),
+    ])
+    def test_bad_input_rejected(self, nodes, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            reduced_kernel_tables(np.array(nodes), **{"lmax": 2, **kwargs})
+
 
 def _per_nl_gain_matrices(basis, n_panel_points):
     """The gain assembly as it was: one eval_genlaguerre table per (n, l) and pass."""
@@ -284,6 +300,25 @@ class TestCollisionInverse:
         assert np.linalg.norm(block @ sol - pw) < 1e-12 * np.linalg.norm(pw)
         assert np.all(sol[null] == 0.0)
 
+    @pytest.mark.parametrize("which, sector, w_kind, match", [
+        ("X", SECTOR_AXIAL, "ok", "'L' or 'L1'"),
+        ("L", 7, "ok", "SECTOR_AXIAL"),
+        ("L1", SECTOR_TRANSVERSE, "nan", "length n = "),
+        ("L", SECTOR_AXIAL, "2-d", "length n = "),
+        ("L", SECTOR_TRANSVERSE, "short", "length n = "),
+    ])
+    def test_bad_input_rejected(self, collision_small, which, sector, w_kind, match):
+        cm = collision_small
+        n = {"L": cm.L_sector, "L1": cm.L1_sector}.get(which, cm.L_sector).get(
+            sector, cm.L_sector[SECTOR_AXIAL]).shape[0]
+        w = {"ok": np.ones(n), "nan": np.full(n, np.nan), "2-d": np.ones((n, 1)),
+             "short": np.ones(n - 1)}[w_kind]
+        with pytest.raises(ValueError, match=match):
+            collision_inverse(cm, which, sector, w)
+        if w_kind == "ok":
+            with pytest.raises(ValueError, match=match):
+                null_coordinates(cm.basis, which, sector)
+
     @pytest.mark.parametrize("direction", ["coordinate", "generic"])
     def test_extra_null_direction_raises(self, collision_small, direction):
         cm = collision_small
@@ -375,14 +410,24 @@ class TestGammaTensor:
         with pytest.raises(ValueError):
             gamma_apply(collision_default, np.zeros(34), np.zeros(35))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_apply_rejects_non_finite(self, collision_default, bad):
+        f = np.zeros(35)
+        f[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gamma_apply(collision_default, f, np.ones(35))
+        with pytest.raises(ValueError, match="finite"):
+            gamma_apply(collision_default, np.ones(35), f)
+
     def test_apply_without_tensor_raises(self, collision_small):
         assert collision_small.gamma.tensor is None
         with pytest.raises(AssemblyError, match="build_gamma=True"):
             gamma_apply(collision_small, np.zeros(35), np.zeros(35))
 
     def test_matches_frozen_fixture(self, collision_default):
-        # the fixture was computed with 8 radial nodes and the loss term summed
-        # over all (i, k), so it checks that the smaller rule is exact
+        # the fixture was computed with 8 radial nodes, 16 azimuths, the full
+        # 7^3 center-of-mass grid and the loss term summed over all (i, k)
+        # without linearization, so it checks that the smaller rule is exact
         ref = json.loads(GAMMA_FIXTURE.read_text())
         t = collision_default.gamma.tensor
         assert abs(np.linalg.norm(t) - ref["frobenius_norm"]) <= 1e-12 * ref["frobenius_norm"]
@@ -391,6 +436,44 @@ class TestGammaTensor:
             want = triple["h_dot_gamma_fg"]
             got = h @ gamma_apply(collision_default, f, g)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_odd_parity_entries_vanish_exactly(self, collision_default):
+        # H_i(-v) = (-1)^|i| H_i(v): the mirrored center-of-mass nodes cancel
+        # every entry whose three total degrees sum to an odd number
+        t = collision_default.gamma.tensor
+        deg = np.array([sum(abc) for abc in hermite_sub_indices()])
+        odd = (deg[:, None, None] + deg[None, :, None] + deg[None, None, :]) % 2 == 1
+        assert odd.sum() == 21073
+        assert np.all(t[odd] == 0.0)
+        assert np.count_nonzero(t[~odd]) > 0
+
+    def test_product_coefficients_reproduce_products(self):
+        # oracle: numpy's own probabilists' Hermite series, normalized by sqrt(n!)
+        from numpy.polynomial.hermite_e import hermeval
+
+        def herm(x, abc):
+            out = np.ones(x.shape[0])
+            for d, n in enumerate(abc):
+                out = out * hermeval(x[:, d], np.eye(n + 1)[n]) / math.sqrt(math.factorial(n))
+            return out
+
+        x = np.random.default_rng(17).standard_normal((200, 3))
+        sub = np.stack([herm(x, abc) for abc in hermite_sub_indices()], axis=1)
+        prod_idx = collision_ops._PRODUCT_INDICES
+        assert len(prod_idx) == 165 and all(sum(abc) <= 8 for abc in prod_idx)
+        h8 = np.stack([herm(x, abc) for abc in prod_idx], axis=1)
+        c = collision_ops._product_coefficients()
+        assert c.shape == (35, 35, 165)
+        want = sub[:, :, None] * sub[:, None, :]
+        got = np.einsum("ikm,pm->pik", c, h8)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    def test_product_table_extends_sub_table(self):
+        pts = np.random.default_rng(23).standard_normal((300, 3))
+        h4 = collision_ops._sub_table(pts, collision_ops._SUB_INDICES)
+        h8 = collision_ops._sub_table(pts, collision_ops._PRODUCT_INDICES)
+        assert h4.shape == (300, 35) and h8.shape == (300, 165)
+        assert np.array_equal(h8[:, :35], h4)
 
     def test_built_once_and_read_only(self, collision_default, basis_small):
         other = assemble_collision(basis_small, build_gamma=True)
