@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -776,10 +776,15 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
 # initial layer
 # ---------------------------------------------------------------------------
 
-def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
-                          n_layer: int = 240, n_tau: int = 21,
-                          tau_max: float = 20.0, tau_fit_min: float = 3.0,
-                          layer_width: float = 0.6) -> ConvergenceReport:
+# Gauss-Legendre nodes on [0, 4 * profile_width], the tau = t/eps grid, and
+# the start of the power fit
+_N_LAYER = 240
+_N_TAU = 21
+_TAU_MAX = 20.0
+_TAU_FIT_MIN = 3.0
+
+
+def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> ConvergenceReport:
     """Front-sampled compressible amplitude over the first acoustic times.
 
     The compressible part of the kinetic mode solution is reconstructed near
@@ -787,11 +792,12 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
     kernels (sinc for the scalar mixing direction, the first spherical
     Bessel function for the axial-momentum direction).  The outgoing shell
     vanishes exactly on the cone for pressure-type data, so the amplitude is
-    maximised over a few offsets spanning the data's position-space width.
-    Generic data fits a power of tau = t/eps; well-prepared data has no
-    layer and the profile is compared against the scaled bulk error instead.
+    maximised over a few offsets spanning the data's position-space width
+    cfg.profile_width.  Generic data fits a power of tau = t/eps;
+    well-prepared data has no layer and the profile is compared against the
+    scaled bulk error instead.
 
-    The power fit starts at tau_fit_min: before roughly three acoustic
+    The power fit starts at _TAU_FIT_MIN: before roughly three acoustic
     times the shell has not fully detached from the central bump and the
     formation transient steepens the apparent decay.  The bare tau
     abscissa is used because over a finite window the offset in (1 + tau)
@@ -799,28 +805,20 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
     stationary-phase decay; both choices converge to the same exponent as
     the window grows.
     """
-    if not (_integer(n_layer) and n_layer >= 8):
-        raise ConvergenceError("layer grid needs an integer n_layer >= 8")
-    if not (_integer(n_tau) and n_tau >= 4):
-        raise ConvergenceError("layer profile needs an integer n_tau >= 4")
-    if not (_finite(tau_max) and _finite(tau_fit_min) and 0 <= tau_fit_min < tau_max):
-        raise ConvergenceError("layer profile needs finite 0 <= tau_fit_min < tau_max")
-    if not (_finite(layer_width) and layer_width > 0):
-        raise ConvergenceError("layer width must be finite and positive")
     eps = cfg.eps_list[-1]
     tc = transport_coefficients(cm)
     basis = cm.basis
-    data = make_initial_data(cfg.data_kind, replace(cfg, profile_width=layer_width), cm)
+    data = make_initial_data(cfg.data_kind, cfg, cm)
     mu = expansion_coefficients(cm)["boltzmann_1"][0]
 
-    s_top = 4.0 * layer_width
-    x_gl, w_gl = np.polynomial.legendre.leggauss(n_layer)
+    s_top = 4.0 * cfg.profile_width
+    x_gl, w_gl = np.polynomial.legendre.leggauss(_N_LAYER)
     half = 0.5 * s_top
     s = half * (x_gl + 1.0)
     w = half * w_gl
     f0 = data.boltzmann_states(s)
 
-    taus = np.linspace(0.0, tau_max, n_tau)
+    taus = np.linspace(0.0, _TAU_MAX, _N_TAU)
     times = eps * taus
     failures: list = []
     kin, keep = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures)
@@ -829,7 +827,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
 
     # front amplitude at each tau, the largest over the offsets past the cone;
     # sr[j, k, i] is s_i times the radius of (tau_j, offset_k)
-    offsets = np.linspace(0.0, 2.0, 5) / layer_width
+    offsets = np.linspace(0.0, 2.0, 5) / cfg.profile_width
     sr = np.add.outer(mu * taus, offsets)[..., None] * s
     c1 = kin @ basis.chi(1)
     ch = kin @ _hydro_vectors(basis)[1]
@@ -859,7 +857,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices,
     if cfg.data_kind == "generic":
         if values[0] < 1e-12 * max(scale, 1.0):
             raise ConvergenceError("layer amplitude below noise floor")
-        mask = taus >= tau_fit_min
+        mask = taus >= _TAU_FIT_MIN
         fit = rate_fit(taus[mask], values[mask])
         report.fits["layer_exponent"] = fit.as_dict()
         report.flags["layer_exponent"] = bool(

@@ -3,13 +3,17 @@
 The slow eigenvalues of the electromagnetic mode operator are roots of scalar
 equations built from two resolvent inner products: an axial one (density
 sector, streaming projected off the density direction) and a transverse one.
-This module evaluates those scalars, solves the three root problems by the
-contraction maps that certify uniqueness (with a Newton polish), tracks the
-two transverse branches through their collision point, and fits the small
-wave-number expansion of the kinetic-only operator's five slow branches.
+This module evaluates those scalars and solves the root problems by the
+contraction maps that certify uniqueness.  One fixed-point iteration serves
+them all: it raises DispersionError when an iterate leaves the region where
+the map contracts or the steps run out, and every returned root has passed a
+residual test.  The two transverse branches are tracked as one pair through
+their collision point.  The module also fits the small wave-number expansion
+of the kinetic-only operator's five slow branches.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ _MAX_ITER = 200
 
 
 class DispersionError(RuntimeError):
-    """Raised when a root iteration leaves its certified contraction region."""
+    """Raised on non-finite input and on any root that cannot be certified."""
 
 
 @dataclass
@@ -87,12 +91,6 @@ class _SectorSolver:
             raise ValueError(f"resolvent solve singular at x={x}, y={y}")
         return complex(self.chi @ sol)
 
-    def value_and_xderiv(self, x: complex, y: float) -> tuple[complex, complex]:
-        lu = lu_factor(self._matrix(x, y))
-        sol = lu_solve(lu, self.chi)
-        second = lu_solve(lu, sol)
-        return complex(self.chi @ sol), complex(self.chi @ second)
-
 
 def _solvers(cm: CollisionMatrices) -> tuple[_SectorSolver, _SectorSolver]:
     key = "dispersion_solvers"
@@ -111,8 +109,15 @@ def _solvers(cm: CollisionMatrices) -> tuple[_SectorSolver, _SectorSolver]:
     return cm._cache[key]
 
 
+def _check_finite(**values: complex) -> None:
+    bad = {k: v for k, v in values.items() if not cmath.isfinite(v)}
+    if bad:
+        raise DispersionError(f"non-finite input: {bad}")
+
+
 def resolvent_scalars(lam: complex, s: float, eps: float,
                       cm: CollisionMatrices) -> ResolventScalars:
+    _check_finite(lam=lam, s=s, eps=eps)
     ax, tr = _solvers(cm)
     y = eps * s
     return ResolventScalars(R11=ax.value(lam, y), R22=tr.value(lam, y))
@@ -130,10 +135,29 @@ def eta_coefficient(cm: CollisionMatrices) -> float:
 # root solvers
 # ---------------------------------------------------------------------------
 
-def _check_finite(**values: float) -> None:
-    bad = {k: v for k, v in values.items() if not math.isfinite(v)}
-    if bad:
-        raise DispersionError(f"non-finite input: {bad}")
+def _fixed_point(step, z, inside, where: str):
+    """Iterate z <- step(z) to its fixed point inside the contraction region.
+
+    z is one root or a tuple of roots tracked together; the stopping rule is
+    max|dz| <= _FP_TOL * max(1, max|z|).  ``inside`` is False once an iterate
+    leaves the region where the map is known to contract (NaN included), and
+    that, like running out of steps, raises: no root comes back uncertified.
+    """
+    for _ in range(_MAX_ITER):
+        z_new = step(z)
+        if not inside(z_new):
+            raise DispersionError(f"{where}: iterate left its contraction region")
+        if np.max(np.abs(np.subtract(z_new, z))) <= _FP_TOL * max(1.0, np.max(np.abs(z_new))):
+            return z_new
+        z = z_new
+    raise DispersionError(f"{where}: no convergence in {_MAX_ITER} steps")
+
+
+def _certify(branch: DispersionBranch, tol: float) -> DispersionBranch:
+    if not branch.residual <= tol:
+        raise DispersionError(f"{branch.label} at s={branch.s}, eps={branch.eps}: "
+                              f"residual {branch.residual:.3e} above {tol:.3e}")
+    return branch
 
 
 def solve_z0(s: float, eps: float, cm: CollisionMatrices) -> DispersionBranch:
@@ -143,56 +167,38 @@ def solve_z0(s: float, eps: float, cm: CollisionMatrices) -> DispersionBranch:
     eta = eta_coefficient(cm)
     scale = 1.0 + s * s
     seed = -eta * scale
-    z = complex(seed)
-    for _ in range(_MAX_ITER):
-        z_new = scale * ax.value(eps * eps * z, eps * s)
-        if abs(z_new - seed) > 0.8 * eta * scale:
-            raise DispersionError(
-                f"density-branch iteration left its ball at s={s}, eps={eps}"
-            )
-        if abs(z_new - z) <= _FP_TOL * max(1.0, abs(z_new)):
-            z = z_new
-            break
-        z = z_new
-    for _ in range(8):
-        val, dval = ax.value_and_xderiv(eps * eps * z, eps * s)
-        f = z - scale * val
-        if abs(f) <= _RES_TOL * max(1.0, abs(z)):
-            break
-        fp = 1.0 - scale * eps * eps * dval
-        z = z - f / fp
+    z = _fixed_point(lambda z: scale * ax.value(eps * eps * z, eps * s), complex(seed),
+                     lambda z: abs(z - seed) <= 0.8 * eta * scale,
+                     f"density branch at s={s}, eps={eps}")
     residual = abs(z - scale * ax.value(eps * eps * z, eps * s))
-    return DispersionBranch(
-        label="z0", s=s, eps=eps, value=z, residual=residual, prediction=complex(seed)
-    )
+    return _certify(DispersionBranch(label="z0", s=s, eps=eps, value=z, residual=residual,
+                                     prediction=complex(seed)),
+                    _RES_TOL * max(1.0, abs(z)))
 
 
-def _quadratic_roots(r22: complex, s: float) -> tuple[complex, complex]:
-    disc = np.sqrt(complex(r22 * r22 - 4.0 * s * s))
-    return (r22 + disc) / 2.0, (r22 - disc) / 2.0
+def _transverse_step(s: float, eps: float, tr: _SectorSolver):
+    """The contraction map z -> the root of w^2 - R22(eps^2 z) w + s^2 nearest z."""
+    def step(z: complex) -> complex:
+        r22 = tr.value(eps * eps * z, eps * s)
+        disc = np.sqrt(complex(r22 * r22 - 4.0 * s * s))
+        return min(((r22 + disc) / 2.0, (r22 - disc) / 2.0), key=lambda w: abs(w - z))
+    return step
 
 
-def _near(target: complex, pair) -> complex:
-    return min(pair, key=lambda w: abs(w - target))
+def _transverse_branch(label: str, z: complex, s: float, eps: float, tr: _SectorSolver,
+                       prediction: complex, crossing: bool = False) -> DispersionBranch:
+    val = tr.value(eps * eps * z, eps * s)
+    return _certify(DispersionBranch(label=label, s=s, eps=eps, value=z,
+                                     residual=abs(z * z - val * z + s * s),
+                                     prediction=prediction, crossing_flag=crossing),
+                    _RES_TOL * max(1.0, abs(z) ** 2))
 
 
 def transverse_seeds(s: float, cm: CollisionMatrices) -> tuple[complex, complex]:
+    _check_finite(s=s)
     eta = eta_coefficient(cm)
     disc = np.sqrt(complex(eta * eta - 4.0 * s * s))
     return (-eta + disc) / 2.0, (-eta - disc) / 2.0
-
-
-def _polish_transverse(z: complex, s: float, eps: float, tr: _SectorSolver) -> complex:
-    for _ in range(8):
-        val, dval = tr.value_and_xderiv(eps * eps * z, eps * s)
-        f = z * z - val * z + s * s
-        if abs(f) <= _RES_TOL * max(1.0, abs(z) ** 2):
-            break
-        fp = 2.0 * z - val - z * eps * eps * dval
-        if fp == 0:
-            break
-        z = z - f / fp
-    return z
 
 
 def solve_z_pm(s: float, eps: float,
@@ -200,33 +206,15 @@ def solve_z_pm(s: float, eps: float,
     """Two transverse branches; tracked as a root pair through the crossing."""
     _check_finite(s=s, eps=eps)
     _, tr = _solvers(cm)
-    eta = eta_coefficient(cm)
+    bound = 10.0 * (eta_coefficient(cm) + s + 1.0)
     seeds = transverse_seeds(s, cm)
-    roots = list(seeds)
-    for _ in range(_MAX_ITER):
-        updated = []
-        for z in roots:
-            pair = _quadratic_roots(tr.value(eps * eps * z, eps * s), s)
-            updated.append(_near(z, pair))
-        shift = max(abs(a - b) for a, b in zip(updated, roots))
-        roots = updated
-        if shift <= _FP_TOL * max(1.0, abs(roots[0]), abs(roots[1])):
-            break
-        if max(abs(z) for z in roots) > 10.0 * (eta + s + 1.0):
-            raise DispersionError(
-                f"transverse iteration diverged at s={s}, eps={eps}"
-            )
-    roots = [_polish_transverse(z, s, eps, tr) for z in roots]
+    step = _transverse_step(s, eps, tr)
+    roots = _fixed_point(lambda pair: tuple(step(z) for z in pair), seeds,
+                         lambda pair: np.max(np.abs(pair)) <= bound,
+                         f"transverse pair at s={s}, eps={eps}")
     crossing = abs(roots[0] - roots[1]) <= 1e-8 * max(1.0, abs(roots[0]))
-    out = []
-    for z, seed, label in zip(roots, seeds, ("z_plus", "z_minus")):
-        val = tr.value(eps * eps * z, eps * s)
-        out.append(DispersionBranch(
-            label=label, s=s, eps=eps, value=z,
-            residual=abs(z * z - val * z + s * s),
-            prediction=seed, crossing_flag=crossing,
-        ))
-    return out[0], out[1]
+    return tuple(_transverse_branch(label, z, s, eps, tr, seed, crossing)
+                 for z, seed, label in zip(roots, seeds, ("z_plus", "z_minus")))
 
 
 def crossing_location(eps: float, cm: CollisionMatrices) -> float:
@@ -236,13 +224,8 @@ def crossing_location(eps: float, cm: CollisionMatrices) -> float:
     eta = eta_coefficient(cm)
 
     def discriminant(s: float) -> float:
-        z = -0.5 * eta
-        for _ in range(_MAX_ITER):
-            z_new = 0.5 * tr.value(eps * eps * z, eps * s).real
-            if abs(z_new - z) <= _FP_TOL * max(1.0, abs(z_new)):
-                z = z_new
-                break
-            z = z_new
+        z = _fixed_point(lambda z: 0.5 * tr.value(eps * eps * z, eps * s).real, -0.5 * eta,
+                         math.isfinite, f"crossing discriminant at s={s}, eps={eps}")
         r22 = tr.value(eps * eps * z, eps * s).real
         return r22 * r22 - 4.0 * s * s
 
@@ -259,34 +242,13 @@ def solve_highfreq(s: float, eps: float,
     if s <= 0:
         raise DispersionError(f"oscillatory branches need s > 0, got {s}")
     _, tr = _solvers(cm)
+    step = _transverse_step(s, eps, tr)
     out = []
     for j, label in ((1.0, "highfreq_plus"), (-1.0, "highfreq_minus")):
         center = 1j * j * s
-        z = center
-        converged = False
-        for _ in range(_MAX_ITER):
-            pair = _quadratic_roots(tr.value(eps * eps * z, eps * s), s)
-            z_new = _near(z, pair)
-            if abs(z_new - center) > 0.5 * s:
-                raise DispersionError(
-                    f"oscillatory branch not contracting at s={s}, eps={eps}"
-                )
-            if abs(z_new - z) <= _FP_TOL * max(1.0, abs(z_new)):
-                z = z_new
-                converged = True
-                break
-            z = z_new
-        if not converged:
-            raise DispersionError(
-                f"oscillatory branch not contracting at s={s}, eps={eps}"
-            )
-        z = _polish_transverse(z, s, eps, tr)
-        val = tr.value(eps * eps * z, eps * s)
-        out.append(DispersionBranch(
-            label=label, s=s, eps=eps, value=z,
-            residual=abs(z * z - val * z + s * s),
-            prediction=center,
-        ))
+        z = _fixed_point(step, center, lambda z: abs(z - center) <= 0.5 * s,
+                         f"oscillatory branch at s={s}, eps={eps}")
+        out.append(_transverse_branch(label, z, s, eps, tr, center))
     return out[0], out[1]
 
 
@@ -378,6 +340,11 @@ def fit_boltzmann_expansion(cm: CollisionMatrices, s: float = 1.0,
     """Fitted (mu_j, a_j) from eigenvalue sweeps: Im odd, Re even in eps*s."""
     if eps_list is None:
         eps_list = (0.02, 0.035, 0.05, 0.07, 0.1)
+    if not (math.isfinite(s) and s > 0):
+        raise DispersionError(f"expansion fit needs a finite s > 0, got {s}")
+    if not (all(math.isfinite(e) and e > 0 for e in eps_list) and len(set(eps_list)) >= 2):
+        raise DispersionError(
+            f"expansion fit needs two distinct finite positive eps, got {tuple(eps_list)}")
     xs = np.array([e * s for e in eps_list])
     tracks: dict[str, list[complex]] = {k: [] for k in _BOLTZMANN_LABELS}
     for e in eps_list:

@@ -186,8 +186,8 @@ def _config(**kw):
 
 
 def _layer(**kw):
-    return lambda cm: cl.initial_layer_profile(cl.ExperimentConfig(data_kind="generic"),
-                                               cm, **kw)
+    return lambda cm: cl.initial_layer_profile(
+        cl.ExperimentConfig(data_kind="generic", **kw), cm)
 
 
 def _transient(**kw):
@@ -204,9 +204,7 @@ class TestBoundaryValidation:
         pytest.param(_config(n_s=8.5), "n_s must be an integer", id="n_s-fraction"),
         pytest.param(_config(n_t=4.5), "n_t must be an integer", id="n_t-fraction"),
         pytest.param(_config(seed=-1), "seed", id="seed-negative"),
-        pytest.param(_layer(n_layer=0), "n_layer", id="layer-n_layer-0"),
-        pytest.param(_layer(tau_max=-1.0), "tau_max", id="layer-tau_max-negative"),
-        pytest.param(_layer(layer_width=math.nan), "layer width", id="layer-width-nan"),
+        pytest.param(_layer(profile_width=math.nan), "profile_width", id="layer-width-nan"),
         pytest.param(_transient(eps=0.0), "eps > 0", id="transient-eps-0"),
         pytest.param(_transient(eps=-0.1), "eps > 0", id="transient-eps-negative"),
         pytest.param(_transient(s0=-1.0), "s0", id="transient-s0-negative"),
@@ -559,6 +557,14 @@ class TestInitialLayer:
         assert layer_report.flags["layer_exponent"]
         assert layer_report.fits["layer_exponent"]["exponent"] == pytest.approx(
             -1.0, abs=0.2)
+
+    @pytest.mark.parametrize("width", [0.4, 0.8])
+    def test_profile_width_sets_the_layer(self, collision_small, layer_report, width):
+        cfg = cl.ExperimentConfig(data_kind="generic", profile_width=width)
+        rep = cl.initial_layer_profile(cfg, collision_small)
+        assert rep.config["profile_width"] == width
+        assert rep.errors["layer_front"] != layer_report.errors["layer_front"]
+        assert rep.flags["t0_amplitude"] and rep.flags["layer_exponent"]
 
     def test_well_prepared_layer_is_small(self, collision_small):
         cfg = cl.ExperimentConfig(data_kind="well_prepared")

@@ -1,10 +1,11 @@
 """Scalar dispersion-relation tests.
 
-Covers the two sector resolvent scalars (symmetry at the origin, derivative
-structure, deflation consistency, singular-point detection), the three root
+Covers the two sector resolvent scalars (symmetry at the origin, wave-number
+derivative, deflation consistency, singular-point detection), the root
 solvers (closed forms at eps = 0, quadratic eps rates, duality with the
-assembled operator spectra, branch tracking through the collision point),
-and the small wave-number expansion of the kinetic-only slow branches.
+assembled operator spectra, branch tracking through the collision point,
+failure on non-convergence and on residuals above tolerance), and the small
+wave-number expansion of the kinetic-only slow branches.
 """
 import math
 
@@ -42,15 +43,6 @@ class TestResolventScalars:
         bumped = dsp.resolvent_scalars(0.0, 1.0, h, collision_default).R11
         assert abs(bumped - base) / h < 1e-6
 
-    def test_spectral_derivative_positive(self, collision_default):
-        ax, _ = dsp._solvers(collision_default)
-        val, dval = ax.value_and_xderiv(0.0, 0.0)
-        assert dval.real > 0
-        assert abs(dval.imag) < 1e-13
-        h = 1e-6
-        fd = (ax.value(h, 0.0) - val) / h
-        assert abs(fd - dval) < 1e-5 * abs(dval)
-
     def test_deflation_matches_direct_solve(self, collision_default):
         # away from the origin the undeflated axial matrix is regular and
         # must give the same scalar as the shifted solve
@@ -83,9 +75,53 @@ class TestInputValidation:
         with pytest.raises(dsp.DispersionError, match="non-finite"):
             dsp.crossing_location(eps, collision_small)
 
+    @pytest.mark.parametrize("lam, s, eps", [(0.0, math.nan, 0.1), (math.nan, 1.0, 0.1),
+                                             (complex(0.0, math.inf), 1.0, 0.1),
+                                             (0.0, 1.0, math.nan)])
+    def test_resolvent_scalars_reject(self, collision_small, lam, s, eps):
+        with pytest.raises(dsp.DispersionError, match="non-finite"):
+            dsp.resolvent_scalars(lam, s, eps, collision_small)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_transverse_seeds_reject(self, collision_small, s):
+        with pytest.raises(dsp.DispersionError, match="non-finite"):
+            dsp.transverse_seeds(s, collision_small)
+
     def test_highfreq_needs_positive_wavenumber(self, collision_small):
         with pytest.raises(dsp.DispersionError, match="s > 0"):
             dsp.solve_highfreq(0.0, 0.5, collision_small)
+
+
+_ROOT_CALLS = {
+    "z0": lambda cm: dsp.solve_z0(1.3, 0.04, cm),
+    "z_pm": lambda cm: dsp.solve_z_pm(0.5, 0.02, cm),
+    "highfreq": lambda cm: dsp.solve_highfreq(1.0, 0.5, cm),
+    "crossing": lambda cm: dsp.crossing_location(0.02, cm),
+}
+
+
+class TestCertification:
+    """No root comes back without a converged iteration and a small residual."""
+
+    @pytest.mark.parametrize("name", sorted(_ROOT_CALLS))
+    def test_unconverged_iteration_raises(self, collision_default, monkeypatch, name):
+        monkeypatch.setattr(dsp, "_MAX_ITER", 1)
+        with pytest.raises(dsp.DispersionError, match="no convergence"):
+            _ROOT_CALLS[name](collision_default)
+
+    @pytest.mark.parametrize("name", ["highfreq", "z0", "z_pm"])
+    def test_residual_above_tolerance_raises(self, collision_default, monkeypatch, name):
+        monkeypatch.setattr(dsp, "_RES_TOL", 0.0)
+        with pytest.raises(dsp.DispersionError, match="residual"):
+            _ROOT_CALLS[name](collision_default)
+
+    @pytest.mark.parametrize("name", sorted(_ROOT_CALLS))
+    def test_nan_iterate_raises(self, collision_default, monkeypatch, name):
+        dsp.eta_coefficient(collision_default)  # cached before the scalars turn NaN
+        for solver in dsp._solvers(collision_default):
+            monkeypatch.setattr(solver, "value", lambda x, y: complex(math.nan, 0.0))
+        with pytest.raises(dsp.DispersionError, match="left its contraction region"):
+            _ROOT_CALLS[name](collision_default)
 
 
 class TestDensityBranch:
@@ -268,6 +304,16 @@ class TestSlowBranchExpansion:
     def test_regime_guard_raises(self, collision_default):
         with pytest.raises(dsp.DispersionError):
             dsp.boltzmann_dispersion(10.0, 0.2, collision_default)
+
+    @pytest.mark.parametrize("s, eps_list", [
+        (0.0, None), (-1.0, None), (math.nan, None),
+        (1.0, (0.05,)), (1.0, (0.05, 0.05, 0.05)), (1.0, (0.05, -0.02)),
+        (1.0, (0.05, math.nan)),
+    ], ids=["s-0", "s-negative", "s-nan", "one-eps", "repeated-eps", "negative-eps",
+            "nan-eps"])
+    def test_fit_rejects_degenerate_sweep(self, collision_small, s, eps_list):
+        with pytest.raises(dsp.DispersionError, match="expansion fit"):
+            dsp.fit_boltzmann_expansion(collision_small, s=s, eps_list=eps_list)
 
     def test_truncation_stability(self, collision_default, collision_small):
         big = dsp.expansion_coefficients(collision_default)
