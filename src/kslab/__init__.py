@@ -4,14 +4,10 @@ __version__ = "0.1.0"
 
 from .velocity_basis import (  # noqa: F401
     Basis,
-    BasisElement,
     BasisError,
     BasisSpec,
-    VelocityFunction,
     build_basis,
-    project,
     v_multiplication_matrix,
-    weighted_inner,
 )
 from .collision_ops import (  # noqa: F401
     AssemblyError,
@@ -44,7 +40,6 @@ from .fluid_limits import (  # noqa: F401
     TransportCoefficients,
     Y1_mode,
     Y2_mode,
-    helmholtz_split,
     linear_nsmf_solve,
     p_split,
     transport_coefficients,

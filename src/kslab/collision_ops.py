@@ -120,6 +120,8 @@ def kernel_eval(which: str, v, vstar):
 # n_panel_points samples, so at 8 panels of 24 points a block temporary is
 # about 200 KB; one block over the 6336 pairs of BasisSpec(24, 6) was 10 MB.
 _PAIR_CHUNK = 128
+# geometric panels per pair in the angular integral of the reduced kernels
+_N_PANELS = 8
 
 
 def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int,
@@ -177,7 +179,7 @@ def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int,
 
 
 def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 12,
-                          n_panels: int = 8):
+                          n_panels: int = _N_PANELS):
     """Legendre-degree kernels k1_l(r, r') and k_l(r, r') on a node set.
 
     Returns (k1_tab, k_tab) with shape (lmax+1, n, n).  The angular integral
@@ -201,7 +203,7 @@ def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 
     return k1_tab, k1_tab - g_tab
 
 
-def _gain_matrices(basis: Basis, n_panels: int = 8):
+def _gain_matrices(basis: Basis):
     """Galerkin matrices (K1_deg, K_deg) of the gain kernels, per Legendre degree.
 
     The reduced kernels have a derivative kink across r = r', so the double
@@ -221,7 +223,7 @@ def _gain_matrices(basis: Basis, n_panels: int = 8):
     w_in = 0.5 * r_out[:, None] * wg[None, :]
     rb = r_in.ravel()
     ra = np.repeat(r_out, n_inner)
-    moments = [_pair_kernel_moments(ra, rb, lmax, points, n_panels) for points in (12, 24)]
+    moments = [_pair_kernel_moments(ra, rb, lmax, points, _N_PANELS) for points in (12, 24)]
     inner_w = (w_in * r_in**2).ravel()
 
     out = [({}, {}) for _ in moments]
@@ -259,12 +261,8 @@ def _hermite_indices(degree: int) -> list[tuple[int, int, int]]:
     return idx
 
 
-def hermite_sub_indices() -> list[tuple[int, int, int]]:
-    return _hermite_indices(4)
-
-
 # the one sub-basis every Gamma tensor is expressed in
-_SUB_INDICES = tuple(hermite_sub_indices())
+_SUB_INDICES = tuple(_hermite_indices(4))
 # the degree-<=8 products of two sub-basis elements; sorted by (degree, index),
 # so the first 35 are _SUB_INDICES
 _PRODUCT_INDICES = tuple(_hermite_indices(8))
@@ -306,9 +304,6 @@ class GammaTensor:
     change_of_basis: np.ndarray | None      # Hermite <- Burnett-sub, orthogonal
     L_sub: np.ndarray | None                # 35x35, two-species operator
     L1_sub: np.ndarray | None               # 35x35, single-species operator
-
-    def index_of(self, abc: tuple[int, int, int]) -> int:
-        return self.indices.index(abc)
 
 
 @functools.cache

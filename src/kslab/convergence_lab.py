@@ -42,6 +42,8 @@ from .fluid_limits import (
     transport_coefficients,
 )
 from .mode_operators import (
+    _SPLIT_R0,
+    _SPLIT_R1,
     PropagationError,
     _block_flow,
     _contraction_violations,
@@ -116,10 +118,14 @@ class ExperimentConfig:
     seed: int = 20230823
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_list)
-        object.__setattr__(self, "eps_list", eps)
-        if len(eps) < 2 or not all(math.isfinite(e) and e > 0 for e in eps):
+        try:
+            eps = tuple(self.eps_list)
+        except TypeError:
+            eps = ()
+        if len(eps) < 2 or not all(_finite(e) and e > 0 for e in eps):
             raise ConvergenceError("eps_list must contain at least two finite positive values")
+        eps = tuple(float(e) for e in eps)
+        object.__setattr__(self, "eps_list", eps)
         for name in ("s_cap", "regime_radius", "t_min", "t_max", "profile_width"):
             if not _finite(getattr(self, name)):
                 raise ConvergenceError(f"{name} must be a finite number")
@@ -134,7 +140,7 @@ class ExperimentConfig:
             raise ConvergenceError(
                 f"unknown data_kind {self.data_kind!r}: expected one of {', '.join(_DATA_KINDS)}"
             )
-        if self.norm not in _NORMS:
+        if not isinstance(self.norm, str) or self.norm not in _NORMS:
             raise ConvergenceError(
                 f"unknown norm {self.norm!r}: expected one of {', '.join(_NORMS)}"
             )
@@ -153,10 +159,7 @@ class ExperimentConfig:
         extra = set(mapping) - known
         if extra:
             raise ConvergenceError(f"unknown configuration keys: {sorted(extra)}")
-        kwargs = dict(mapping)
-        if "eps_list" in kwargs:
-            kwargs["eps_list"] = tuple(float(e) for e in kwargs["eps_list"])
-        return cls(**kwargs)
+        return cls(**mapping)
 
     def as_dict(self) -> dict:
         return {
@@ -311,28 +314,6 @@ class InitialData:
         )
         out[:, dim:] = pf[:, None] * self.field_amp[None, :]
         return out
-
-    def vmb_fields(self, s: np.ndarray):
-        """Full (rho0, E0, B0) per mode in the (omega, p1, p2) frame.
-
-        The reduced layout stores only the charge and the transverse fields;
-        the longitudinal parts are rebuilt here as E1 = -i rho / s and B1 = 0,
-        so Gauss's law and div B = 0 hold by construction.
-        """
-        s = np.asarray(s, dtype=float)
-        states = self.vmb_states(s)
-        rho = states[:, 0]
-        x2, x3, y2, y3 = states[:, -4], states[:, -3], states[:, -2], states[:, -1]
-        e0 = np.stack([-1j * rho / s, x3, -x2], axis=1)
-        b0 = np.stack([np.zeros_like(rho), y3, -y2], axis=1)
-        return rho, e0, b0
-
-    def constraint_residual(self, s: np.ndarray) -> float:
-        rho, e0, b0 = self.vmb_fields(s)
-        s = np.asarray(s, dtype=float)
-        div = np.abs(rho - 1j * s * e0[:, 0])
-        mag = np.abs(b0[:, 0])
-        return float(max(div.max(), mag.max()))
 
 
 def make_initial_data(kind: str, cfg: ExperimentConfig,
@@ -614,7 +595,7 @@ def _environment_metadata(cm: CollisionMatrices, cfg: ExperimentConfig,
         "sound_speed": exp["boltzmann_1"][0],
         "branch_rates": {str(j): tc.a_list[j] for j in sorted(tc.a_list)},
         "truncation_delta": dict(tc.truncation_delta),
-        "split_radii": {"r0": 0.1, "r1": 10.0},
+        "split_radii": {"r0": _SPLIT_R0, "r1": _SPLIT_R1},
         "aggregation_radius": cfg.regime_radius,
         "seed": cfg.seed,
         "propagation_failures": failures,
@@ -1010,8 +991,13 @@ def _radial_phase_integral(kappa: float, phi: Callable, m: int,
     return fine
 
 
+# the phase times of the decay check and the radial cutoff of the wave integral
+_OSC_THETAS = (10.0, 1000.0, 13)
+_OSC_R_CUT = 120.0
+
+
 def oscillatory_value(theta: float, x: float, phi: Callable | None = None,
-                      r_cut: float = 120.0) -> complex:
+                      r_cut: float = _OSC_R_CUT) -> complex:
     """The radial wave integral at front offset |x|, via exact sphere kernels."""
     if not (_finite(theta) and _finite(x)):
         raise ConvergenceError(f"wave integral needs finite theta and x, got {theta!r}, {x!r}")
@@ -1061,9 +1047,7 @@ def mc_reference(theta: float, x: float, n: int = 10_000_000,
 
 
 def oscillatory_decay_check(phi: Callable | None = None,
-                            thetas: np.ndarray | None = None,
-                            x_ratios: tuple = (0.0, 0.5, 1.0),
-                            r_cut: float = 120.0) -> ConvergenceReport:
+                            x_ratios: tuple = (0.0, 0.5, 1.0)) -> ConvergenceReport:
     """Stationary-phase decay of the radial wave integral.
 
     Evaluates the integral at front offsets proportional to the phase time
@@ -1074,7 +1058,7 @@ def oscillatory_decay_check(phi: Callable | None = None,
     if len(x_ratios) == 0:
         raise ConvergenceError("oscillatory decay check needs at least one x ratio")
     phi = _default_envelope if phi is None else phi
-    thetas = np.geomspace(10.0, 1000.0, 13) if thetas is None else np.asarray(thetas, float)
+    thetas = np.geomspace(*_OSC_THETAS)
 
     probe = np.geomspace(4.0, 64.0, 5)
     mass = phi(probe) * probe**3
@@ -1087,13 +1071,13 @@ def oscillatory_decay_check(phi: Callable | None = None,
     per_ratio = {r: np.zeros(len(thetas)) for r in x_ratios}
     max_vals = np.zeros(len(thetas))
     for i, theta in enumerate(thetas):
-        vals = [abs(oscillatory_value(float(theta), float(r * theta), phi, r_cut))
+        vals = [abs(oscillatory_value(float(theta), float(r * theta), phi))
                 for r in x_ratios]
         for r, v in zip(x_ratios, vals):
             per_ratio[r][i] = v
         max_vals[i] = max(vals)
 
-    i0 = oscillatory_value(0.0, 0.0, phi, r_cut)
+    i0 = oscillatory_value(0.0, 0.0, phi)
     fit = rate_fit(thetas, max_vals)
 
     errors = {"osc_max": max_vals.tolist()}
@@ -1101,7 +1085,7 @@ def oscillatory_decay_check(phi: Callable | None = None,
         errors[f"osc_x{r:g}"] = per_ratio[r].tolist()
     report = ConvergenceReport(
         experiment="oscillatory",
-        config={"x_ratios": list(x_ratios), "r_cut": r_cut,
+        config={"x_ratios": list(x_ratios), "r_cut": _OSC_R_CUT,
                 "thetas": [float(t) for t in thetas]},
         eps=[],
         t=[float(t) for t in thetas],
@@ -1110,6 +1094,6 @@ def oscillatory_decay_check(phi: Callable | None = None,
     report.fits["oscillatory_exponent"] = fit.as_dict()
     report.flags["oscillatory_exponent"] = bool(abs(fit.exponent + 1.0) <= _TOL_OSC)
     report.metadata["static_value"] = {"re": i0.real, "im": i0.imag}
-    tail = phi(r_cut) * r_cut**3
+    tail = phi(_OSC_R_CUT) * _OSC_R_CUT**3
     report.metadata["tail_bound"] = float(tail)
     return report

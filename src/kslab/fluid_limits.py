@@ -4,8 +4,10 @@ Transport coefficients as quadratic forms of the collision inverse on the
 range of the collision operator (collision_ops.collision_inverse), the two
 per-mode fluid semigroups (heat decay along the incompressible branches, and
 the damped-Maxwell evolution of charge and fields), the compressible versus
-incompressible splittings, and a Duhamel solver for the linearized
-Navier-Stokes-Maxwell-Fourier mode system.
+incompressible splitting of kinetic modes, a Duhamel solver for the
+linearized Navier-Stokes-Maxwell-Fourier mode system, and the aggregate
+decay experiments, whose mode grids and time windows are module constants.
+A wave direction omega must be a finite unit 3-vector.
 
 The damped-Maxwell evolution is one array-valued flow, _field_flow, on the
 reduced coordinates (charge, omega x E, omega x B) over a grid of wave
@@ -41,6 +43,14 @@ from .velocity_basis import (
 )
 
 _CONSTRAINT_TOL = 1e-10
+# Gauss panels of the coarse Duhamel time rule; the check rule has twice as many
+_DUHAMEL_PANELS = 12
+# aggregate decay experiments: radial mode grid on [0, _DECAY_S_MAX], the fit
+# window per kind as geomspace arguments, and the heat profile width
+_DECAY_N_S = 400
+_DECAY_S_MAX = 6.0
+_DECAY_WINDOWS = {"generic": (1.0, 1000.0, 25), "enhanced": (150.0, 3000.0, 25)}
+_Y1_PROFILE_WIDTH = 1.5
 
 
 class FluidError(RuntimeError):
@@ -153,6 +163,18 @@ def _check_time_and_wave(t: float, s: float) -> None:
         raise FluidError(f"time and wave number must be finite, got t={t!r}, s={s!r}")
 
 
+def _check_finite(what: str, *values) -> None:
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise FluidError(f"non-finite {what}")
+
+
+def _check_direction(omega) -> None:
+    omega = np.asarray(omega)
+    if not (omega.shape == (3,) and np.all(np.isfinite(omega))
+            and abs(np.linalg.norm(omega) - 1.0) <= _CONSTRAINT_TOL):
+        raise FluidError(f"wave direction must be a finite unit 3-vector, got {omega!r}")
+
+
 def Y1_mode(t: float, s: float, f0: np.ndarray,
             tc: TransportCoefficients, basis) -> FluidModeState:
     """Heat decay along the entropy and the two shear branches."""
@@ -162,6 +184,7 @@ def Y1_mode(t: float, s: float, f0: np.ndarray,
     f0 = np.asarray(f0, dtype=complex)
     if f0.shape != (basis.dim,):
         raise FluidError(f"state must have length {basis.dim}")
+    _check_finite("initial state", f0)
     p0 = basis.projection_matrix("P0")
     defect = np.linalg.norm(f0 - p0 @ f0)
     if defect > _CONSTRAINT_TOL * max(1.0, np.linalg.norm(f0)):
@@ -301,8 +324,10 @@ def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
     if s <= 0:
         raise FluidError("wave number must be positive")
     omega = np.array([1.0, 0.0, 0.0]) if omega is None else np.asarray(omega, float)
+    _check_direction(omega)
     E0 = np.asarray(E0, dtype=complex)
     B0 = np.asarray(B0, dtype=complex)
+    _check_finite("charge or field data", rho0, E0, B0)
     scale = max(1.0, abs(rho0), np.linalg.norm(E0), np.linalg.norm(B0))
     if abs(rho0 - 1j * s * (omega @ E0)) > _CONSTRAINT_TOL * scale:
         raise FluidError("charge does not match the field divergence")
@@ -317,14 +342,8 @@ def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# splittings
+# compressible / incompressible splitting
 # ---------------------------------------------------------------------------
-
-def helmholtz_split(u: np.ndarray, omega: np.ndarray):
-    u = np.asarray(u, dtype=complex)
-    par = (u @ omega) * omega.astype(complex)
-    return par, u - par
-
 
 def p_split(f: np.ndarray, basis):
     """Compressible / incompressible splitting of kinetic modes along the last axis.
@@ -361,6 +380,8 @@ class NsmfMode:
 def _check_mode(mode: NsmfMode) -> None:
     if not (math.isfinite(mode.s) and mode.s > 0):
         raise FluidError(f"wave number must be finite and positive, got {mode.s!r}")
+    _check_direction(mode.omega)
+    _check_finite("initial mode data", mode.n0, mode.m0, mode.q0, mode.rho0, mode.E0, mode.B0)
     scale = max(1.0, abs(mode.n0), abs(mode.q0), np.linalg.norm(mode.m0),
                 abs(mode.rho0), np.linalg.norm(mode.E0), np.linalg.norm(mode.B0))
     if abs(mode.omega @ mode.m0) > _CONSTRAINT_TOL * scale:
@@ -378,8 +399,7 @@ def _geometric_panels(t: float, n: int) -> np.ndarray:
     return np.concatenate(([0.0], edges))
 
 
-def _duhamel(propagate: Callable, force: Callable, t: float,
-             n_panels: int = 12) -> np.ndarray:
+def _duhamel(propagate: Callable, force: Callable, t: float) -> np.ndarray:
     """integral_0^t propagate(t - tau, force(tau)) dtau, panelwise Gauss.
 
     force(tau) gives the forcing components at one time.  propagate(lags, f)
@@ -397,7 +417,7 @@ def _duhamel(propagate: Callable, force: Callable, t: float,
         forces = np.array([np.atleast_1d(force(tau)) for tau in taus], dtype=complex)
         return (half[:, None] * weights).ravel() @ propagate(t - taus, forces)
 
-    coarse, fine = quad(n_panels), quad(2 * n_panels)
+    coarse, fine = quad(_DUHAMEL_PANELS), quad(2 * _DUHAMEL_PANELS)
     if np.sum(np.abs(fine - coarse)) > 1e-8 * (np.sum(np.abs(fine)) + 1e-12):
         raise FluidError("forcing too rough for the Duhamel time quadrature")
     return fine
@@ -472,16 +492,14 @@ class DecayFit:
     exponent: float
 
 
-def _radial_grid(n_s: int, s_max: float):
-    nodes, weights = np.polynomial.legendre.leggauss(n_s)
-    s = 0.5 * s_max * (nodes + 1.0)
-    w = 0.5 * s_max * weights * s * s
+def _radial_grid():
+    nodes, weights = np.polynomial.legendre.leggauss(_DECAY_N_S)
+    s = 0.5 * _DECAY_S_MAX * (nodes + 1.0)
+    w = 0.5 * _DECAY_S_MAX * weights * s * s
     return s, w
 
 
 def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
-                        n_s: int = 400, s_max: float = 6.0,
-                        times: np.ndarray | None = None,
                         profile_width: float | None = None) -> DecayFit:
     """Aggregate field-system decay over a smooth radial mode profile.
 
@@ -496,13 +514,13 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
     carries an additive exponentially damped term, and the fit window starts
     only after that term is negligible.
     """
-    if kind not in ("generic", "enhanced"):
+    if not isinstance(kind, str) or kind not in _DECAY_WINDOWS:
         raise FluidError(f"unknown decay experiment kind: {kind}")
-    if times is None:
-        times = np.geomspace(1.0, 1000.0, 25) if kind == "generic" \
-            else np.geomspace(150.0, 3000.0, 25)
-    s, w = _radial_grid(n_s, s_max)
     width = tc.eta / math.sqrt(2.0) if profile_width is None else profile_width
+    if not (math.isfinite(width) and width > 0):
+        raise FluidError(f"profile width must be finite and positive, got {width!r}")
+    times = np.geomspace(*_DECAY_WINDOWS[kind])
+    s, w = _radial_grid()
     profile = np.exp(-0.5 * (s / width) ** 2)
     x3 = profile.astype(complex)
     zero = np.zeros_like(x3)
@@ -517,20 +535,16 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
     return DecayFit(times=times, norms=norms, exponent=slope)
 
 
-def y1_decay_experiment(tc: TransportCoefficients, n_s: int = 400,
-                        s_max: float = 6.0,
-                        times: np.ndarray | None = None,
-                        profile_width: float = 1.5) -> DecayFit:
+def y1_decay_experiment(tc: TransportCoefficients) -> DecayFit:
     """Aggregate heat-branch decay for a smooth radial profile.
 
     All three branches are plain heat kernels, so the only design concern is
     that the profile is wide enough for the Gaussian decay to be active from
     the start of the fit window.
     """
-    if times is None:
-        times = np.geomspace(1.0, 1000.0, 25)
-    s, w = _radial_grid(n_s, s_max)
-    profile = np.exp(-0.5 * (s / profile_width) ** 2)
+    times = np.geomspace(*_DECAY_WINDOWS["generic"])
+    s, w = _radial_grid()
+    profile = np.exp(-0.5 * (s / _Y1_PROFILE_WIDTH) ** 2)
     rates = _heat_rates(tc)
     norms = np.empty(len(times))
     for i, t in enumerate(times):

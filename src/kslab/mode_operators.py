@@ -48,6 +48,11 @@ KIND_BOLTZMANN = "boltzmann"
 KIND_VMB = "vmb"
 
 _EIG_COND_LIMIT = 1e8
+# split regimes: low while the streaming load is at most _SPLIT_R0, high (VMB
+# only) once eps*s reaches _SPLIT_R1; the low regime takes _N_FLUID branches
+_SPLIT_R0 = 0.1
+_SPLIT_R1 = 10.0
+_N_FLUID = 5
 
 
 class PropagationError(RuntimeError):
@@ -98,10 +103,6 @@ class ModeOperator:
                     out[np.ix_(idx, idx)] = sign[:, None] * b.matrix * sign[None, :]
             self._matrix = out
         return self._matrix
-
-    @property
-    def n_field(self) -> int:
-        return 4 if self.kind == KIND_VMB else 0
 
     def weighted_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(np.real(np.vdot(u, self.metric_diag * u))))
@@ -431,7 +432,6 @@ class SemigroupSplit:
     measured_gap_b: float
     fit_C: float
     defective: bool
-    eig_cond: float
     branch_mask: np.ndarray
     schur_projectors: tuple           # per block: branch projector, or None
 
@@ -478,28 +478,27 @@ def _schur_projector(a: np.ndarray, select) -> tuple[np.ndarray, int]:
     return z @ ptil @ z.conj().T, k
 
 
-def split_regime(op: ModeOperator, r0: float, r1: float) -> str:
+def split_regime(op: ModeOperator) -> str:
     load = op.eps * (1.0 + op.s) if op.kind == KIND_VMB else op.eps * op.s
-    if load <= r0:
+    if load <= _SPLIT_R0:
         return "low"
-    if op.kind == KIND_VMB and op.eps * op.s >= r1:
+    if op.kind == KIND_VMB and op.eps * op.s >= _SPLIT_R1:
         return "high"
     return "mid"
 
 
-def semigroup_split(op: ModeOperator, r0: float = 0.1, r1: float = 10.0,
-                    n_fluid: int = 5) -> SemigroupSplit:
-    """Split by regime: S1 takes the top n_fluid eigenvalues over all block
+def semigroup_split(op: ModeOperator) -> SemigroupSplit:
+    """Split by regime: S1 takes the top _N_FLUID eigenvalues over all block
     copies (low), S2 those above -mu/2 (high).  A Schur block's projector
     takes each of its eigenvalues down to the lowest one taken, less 1e-12.
     """
-    regime = split_regime(op, r0, r1)
+    regime = split_regime(op)
     dec = _decomposition(op)
     lam = dec.lam
     order = _spectral_order(lam)
     mask = np.zeros(op.dim, dtype=bool)
     if regime == "low":
-        mask[order[:n_fluid]] = True
+        mask[order[:_N_FLUID]] = True
     elif regime == "high":
         mask = lam.real >= -0.5 * op.collision.mu_estimate
     cut = lam[mask].real.min(initial=np.inf) - 1e-12
@@ -516,7 +515,7 @@ def semigroup_split(op: ModeOperator, r0: float = 0.1, r1: float = 10.0,
         lam[~mask], lambda taus: _remainder_norms(op, mask, projectors, taus))
     return SemigroupSplit(op=op, regime=regime, eigen_projections=projections,
                           measured_gap_b=b, fit_C=c_fit, defective=dec.path == "schur",
-                          eig_cond=dec.cond, branch_mask=mask, schur_projectors=projectors)
+                          branch_mask=mask, schur_projectors=projectors)
 
 
 def _remainder_norms(op: ModeOperator, mask: np.ndarray, projectors,
@@ -591,16 +590,25 @@ def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, floa
 # resolvent probe on a dedicated product grid
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _probe_grid(n_r: int, n_c: int, lmax: int, r_max: float):
-    xg, wg = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * r_max * (xg + 1.0)
-    wr2 = 0.5 * r_max * wg * r**2
-    c, wc = np.polynomial.legendre.leggauss(n_c)
-    phi = np.empty((lmax + 1, n_c))
+# the probe's (r, angle-cosine) product grid on [0, _PROBE_R_MAX] x [-1, 1],
+# the Legendre degrees it resolves, and the power iteration's step limit
+_PROBE_N_R = 96
+_PROBE_N_C = 80
+_PROBE_LMAX = 48
+_PROBE_R_MAX = 24.0
+_PROBE_ITERS = 120
+
+
+@functools.cache
+def _probe_grid():
+    xg, wg = np.polynomial.legendre.leggauss(_PROBE_N_R)
+    r = 0.5 * _PROBE_R_MAX * (xg + 1.0)
+    wr2 = 0.5 * _PROBE_R_MAX * wg * r**2
+    c, wc = np.polynomial.legendre.leggauss(_PROBE_N_C)
+    phi = np.empty((_PROBE_LMAX + 1, _PROBE_N_C))
     p_prev = np.ones_like(c)
     p_cur = c.copy()
-    for l in range(lmax + 1):
+    for l in range(_PROBE_LMAX + 1):
         if l == 0:
             pl = p_prev
         elif l == 1:
@@ -612,26 +620,24 @@ def _probe_grid(n_r: int, n_c: int, lmax: int, r_max: float):
         phi[l] = math.sqrt((2 * l + 1) / 2.0) * pl
     pc = phi * np.sqrt(wc)[None, :]
 
-    ii, jj = np.meshgrid(np.arange(n_r), np.arange(n_r), indexing="ij")
-    k1p, _ = _pair_kernel_moments(r[ii.ravel()], r[jj.ravel()], lmax, 16, 8)
+    ii, jj = np.meshgrid(np.arange(_PROBE_N_R), np.arange(_PROBE_N_R), indexing="ij")
+    k1p, _ = _pair_kernel_moments(r[ii.ravel()], r[jj.ravel()], _PROBE_LMAX, 16, 8)
     sw = np.sqrt(wr2)
     tables = []
-    for l in range(lmax + 1):
+    for l in range(_PROBE_LMAX + 1):
         # one-sided gain: half the full gain kernel (see collision assembly)
-        tables.append(0.5 * k1p[l].reshape(n_r, n_r) * np.outer(sw, sw))
-    return r, wr2, c, wc, pc, tables
+        tables.append(0.5 * k1p[l].reshape(_PROBE_N_R, _PROBE_N_R) * np.outer(sw, sw))
+    return r, c, pc, tables
 
 
-def resolvent_norm_probe(op: ModeOperator, lam: complex, n_r: int = 96,
-                         n_c: int = 80, lmax: int = 48, r_max: float = 24.0,
-                         iters: int = 120) -> float:
+def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
     """Operator norm of (one-sided gain) o (lam - streaming part)^{-1}.
 
     The streaming part is multiplication by -nu(v) - i*(eps*s)*v1; the grid is
     an (r, angle-cosine) product rule fine enough to resolve the resonant set,
     independent of the Galerkin basis.
     """
-    r, wr2, c, wc, pc, tables = _probe_grid(n_r, n_c, lmax, r_max)
+    r, c, pc, tables = _probe_grid()
     w = op.eps * op.s
     denom = lam + _nu_of_r(r)[:, None] + 1j * w * r[:, None] * c[None, :]
     if np.min(np.abs(denom)) < 1e-10:
@@ -641,21 +647,21 @@ def resolvent_norm_probe(op: ModeOperator, lam: complex, n_r: int = 96,
     def forward(x):
         g = (x * inv) @ pc.T
         h = np.empty_like(g)
-        for l in range(lmax + 1):
-            h[:, l] = tables[l] @ g[:, l]
+        for l, table in enumerate(tables):
+            h[:, l] = table @ g[:, l]
         return h @ pc
 
     def backward(y):
         g = y @ pc.T
         h = np.empty_like(g)
-        for l in range(lmax + 1):
-            h[:, l] = tables[l] @ g[:, l]
+        for l, table in enumerate(tables):
+            h[:, l] = table @ g[:, l]
         return (h @ pc) * np.conj(inv)
 
-    x = np.full((n_r, n_c), 1.0 + 0.1j, dtype=complex)
+    x = np.full((r.size, c.size), 1.0 + 0.1j, dtype=complex)
     x /= np.linalg.norm(x)
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(_PROBE_ITERS):
         y = forward(x)
         new_sigma = np.linalg.norm(y)
         x = backward(y)

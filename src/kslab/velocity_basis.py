@@ -15,10 +15,17 @@ operator built here and are omitted.
 All quadrature is Gauss type: generalized Gauss-Laguerre (alpha = 1/2) in
 u = r^2/2 for the radial direction, Gauss-Legendre in c.  Weights absorb the
 Maxwellian so that integrands stay polynomially bounded in float64.
+
+A kinetic state is a plain coefficient array in the (axial | cos | sin)
+layout; Basis.index locates one element in it.  The macro/micro projections
+are the matrices Basis.projection_matrix("P0") and ("P1"), and the
+charge-weighted metric of the electromagnetic modes belongs to
+mode_operators.ModeOperator (metric_diag, weighted_inner).
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,14 +62,6 @@ class BasisSpec:
         return max(2 * self.radial_order + 2, 2 * self.radial_order + self.angular_max + 12)
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    sector: int
-    copy: str  # "axial", "cos" or "sin"
-    n: int
-    l: int
-
-
 @dataclass
 class Quadrature:
     u: np.ndarray        # Laguerre nodes in u = r^2/2
@@ -76,7 +75,6 @@ class Quadrature:
 @dataclass
 class Basis:
     spec: BasisSpec
-    elements: list[BasisElement]
     quad: Quadrature
     radial_tables: dict[int, np.ndarray]   # l -> (N_r, N_q) weighted-part values
     ang0: np.ndarray                       # (l_max+1, N_c)
@@ -141,18 +139,14 @@ class Basis:
         return vec
 
     def projection_matrix(self, which: str) -> np.ndarray:
+        """P0, the projection onto the collision invariants, or P1 = I - P0."""
         key = ("proj", which)
         if key in self._v_cache:
             return self._v_cache[key]
-        eye = np.eye(self.dim)
         if which == "P0":
             mat = sum(np.outer(self.chi(j), self.chi(j)) for j in range(5))
         elif which == "P1":
-            mat = eye - self.projection_matrix("P0")
-        elif which == "Pd":
-            mat = np.outer(self.chi(0), self.chi(0))
-        elif which == "Pr":
-            mat = eye - self.projection_matrix("Pd")
+            mat = np.eye(self.dim) - self.projection_matrix("P0")
         else:
             raise BasisError(f"unknown projection {which!r}")
         self._v_cache[key] = mat
@@ -164,33 +158,6 @@ class Basis:
         r = np.asarray(r)
         u = 0.5 * r**2
         return _radial_rows(self.spec.radial_order, l, r, u) * np.exp(-u / 2.0)
-
-
-@dataclass
-class VelocityFunction:
-    """Coefficients of a kinetic state on a Basis (axial | cos | sin layout)."""
-
-    basis: Basis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs)
-        if self.coeffs.shape != (self.basis.dim,):
-            raise BasisError(
-                f"coefficient length {self.coeffs.shape} does not match basis dim {self.basis.dim}"
-            )
-
-    def inner(self, other: "VelocityFunction") -> complex:
-        _check_same_basis(self.basis, other.basis)
-        return complex(np.sum(self.coeffs * np.conj(other.coeffs)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-def _check_same_basis(a: Basis, b: Basis) -> None:
-    if a.spec != b.spec:
-        raise BasisError("functions live on different bases")
 
 
 def _radial_norm(n: int, l: int) -> float:
@@ -232,7 +199,15 @@ def _assoc_legendre_m1(l: int, c: np.ndarray) -> np.ndarray:
     return -lpmv(1, l, c)
 
 
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def build_basis(spec: BasisSpec) -> Basis:
+    for name in ("radial_order", "angular_max", "quad_points"):
+        value = getattr(spec, name)
+        if not (_integer(value) or (name == "quad_points" and value is None)):
+            raise BasisError(f"{name} must be an integer, got {value!r}")
     if spec.radial_order < 2:
         raise BasisError(f"radial_order must be >= 2, got {spec.radial_order}")
     if spec.angular_max < 1:
@@ -271,18 +246,8 @@ def build_basis(spec: BasisSpec) -> Basis:
         norm = math.sqrt((2 * l + 1) / 2.0 / (l * (l + 1)))
         ang1[l - 1] = norm * _assoc_legendre_m1(l, c)
 
-    elements: list[BasisElement] = []
-    for l in range(lmax + 1):
-        for n in range(nr):
-            elements.append(BasisElement(SECTOR_AXIAL, "axial", n, l))
-    for copy in ("cos", "sin"):
-        for l in range(1, lmax + 1):
-            for n in range(nr):
-                elements.append(BasisElement(SECTOR_TRANSVERSE, copy, n, l))
-
     basis = Basis(
         spec=spec,
-        elements=elements,
         quad=Quadrature(u=u, r=r, wr=wr, wr_half=wr_half, c=c, wc=wc),
         radial_tables=radial_tables,
         ang0=ang0,
@@ -348,41 +313,3 @@ def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:
     mat = _sector_matrix(basis, sector, basis.quad.r, basis.quad.c)
     basis._v_cache[key] = mat
     return mat
-
-
-def project(basis: Basis, which: str, f: VelocityFunction) -> VelocityFunction:
-    """Apply one of the projections P0, P1 (macro/micro) or Pd, Pr (density)."""
-    _check_same_basis(basis, f.basis)
-    coeffs = f.coeffs
-    if which == "P0":
-        out = sum((coeffs @ np.conj(basis.chi(j)).astype(coeffs.dtype)) * basis.chi(j) for j in range(5))
-    elif which == "P1":
-        out = coeffs - project(basis, "P0", f).coeffs
-    elif which == "Pd":
-        out = (coeffs @ basis.chi(0)) * basis.chi(0)
-    elif which == "Pr":
-        out = coeffs - (coeffs @ basis.chi(0)) * basis.chi(0)
-    else:
-        raise BasisError(f"unknown projection {which!r}")
-    return VelocityFunction(basis, np.asarray(out))
-
-
-def weighted_inner(basis: Basis, f: VelocityFunction, g: VelocityFunction, s: float) -> complex:
-    """Mode inner product with the density-weighted metric at frequency s > 0."""
-    if s <= 0:
-        raise BasisError(f"weighted inner product needs s > 0, got {s}")
-    _check_same_basis(basis, f.basis)
-    _check_same_basis(basis, g.basis)
-    plain = np.sum(f.coeffs * np.conj(g.coeffs))
-    chi0 = basis.chi(0)
-    fd = np.sum(f.coeffs * chi0)
-    gd = np.sum(g.coeffs * chi0)
-    return complex(plain + fd * np.conj(gd) / s**2)
-
-
-def metric_matrix(basis: Basis, s: float) -> np.ndarray:
-    """Gram matrix of the weighted inner product on the kinetic layout."""
-    if s <= 0:
-        raise BasisError(f"metric needs s > 0, got {s}")
-    chi0 = basis.chi(0)
-    return np.eye(basis.dim) + np.outer(chi0, chi0) / s**2

@@ -27,7 +27,6 @@ from kslab.collision_ops import (
     assemble_collision,
     collision_inverse,
     gamma_apply,
-    hermite_sub_indices,
     kernel_eval,
     null_coordinates,
     nu_eval,
@@ -341,8 +340,9 @@ class TestCollisionInverse:
 
 
 class TestGammaTensor:
-    def test_sub_basis_enumeration(self):
-        idx = hermite_sub_indices()
+    def test_sub_basis_enumeration(self, collision_default):
+        idx = collision_default.gamma.indices
+        assert isinstance(idx, tuple)
         assert len(idx) == 35
         assert idx[0] == (0, 0, 0)
         assert all(sum(t) <= 4 for t in idx)
@@ -441,7 +441,7 @@ class TestGammaTensor:
         # H_i(-v) = (-1)^|i| H_i(v): the mirrored center-of-mass nodes cancel
         # every entry whose three total degrees sum to an odd number
         t = collision_default.gamma.tensor
-        deg = np.array([sum(abc) for abc in hermite_sub_indices()])
+        deg = np.array([sum(abc) for abc in collision_default.gamma.indices])
         odd = (deg[:, None, None] + deg[None, :, None] + deg[None, None, :]) % 2 == 1
         assert odd.sum() == 21073
         assert np.all(t[odd] == 0.0)
@@ -458,7 +458,7 @@ class TestGammaTensor:
             return out
 
         x = np.random.default_rng(17).standard_normal((200, 3))
-        sub = np.stack([herm(x, abc) for abc in hermite_sub_indices()], axis=1)
+        sub = np.stack([herm(x, abc) for abc in collision_ops._SUB_INDICES], axis=1)
         prod_idx = collision_ops._PRODUCT_INDICES
         assert len(prod_idx) == 165 and all(sum(abc) <= 8 for abc in prod_idx)
         h8 = np.stack([herm(x, abc) for abc in prod_idx], axis=1)
@@ -551,5 +551,5 @@ def test_projection_helper_roundtrip(collision_default):
     assert np.allclose(got, g.chi_sub[0], atol=1e-12)
     got = project_poly_to_sub(g, lambda v: v[:, 0] * v[:, 1])
     want = np.zeros(35)
-    want[g.index_of((1, 1, 0))] = 1.0
+    want[g.indices.index((1, 1, 0))] = 1.0
     assert np.allclose(got, want, atol=1e-12)

@@ -146,7 +146,7 @@ def _random_field_mode(rng, s, omega=None):
 
 
 class TestModeInputs:
-    """Non-finite times and wave numbers fail with FluidError."""
+    """Non-finite inputs and bad wave directions fail with FluidError."""
 
     @pytest.mark.parametrize("t, s", [(math.nan, 1.0), (math.inf, 1.0),
                                       (1.0, math.nan), (1.0, math.inf)])
@@ -161,6 +161,42 @@ class TestModeInputs:
         e0 = np.array([0.0, 1.0, 0.0], complex)
         with pytest.raises(fl.FluidError, match="finite"):
             fl.Y2_mode(t, s, 0.0, e0, np.zeros(3, complex), tc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_states_rejected(self, tc, basis_default, value):
+        f0 = basis_default.chi(2).astype(complex)
+        f0[basis_default.index(0, "axial", 0, 0)] = value
+        with pytest.raises(fl.FluidError, match="non-finite"):
+            fl.Y1_mode(1.0, 1.0, f0, tc, basis_default)
+        zero = np.zeros(3, complex)
+        with pytest.raises(fl.FluidError, match="non-finite"):
+            fl.Y2_mode(1.0, 1.0, value, zero, zero, tc)
+        with pytest.raises(fl.FluidError, match="non-finite"):
+            fl.Y2_mode(1.0, 1.0, 0.0, np.array([0.0, value, 0.0]), zero, tc)
+        with pytest.raises(fl.FluidError, match="non-finite"):
+            fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, n0=value, q0=value)],
+                                 np.array([0.0, 1.0]), tc)
+        with pytest.raises(fl.FluidError, match="non-finite"):
+            fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, B0=np.array([0.0, 0.0, value]))],
+                                 np.array([0.0, 1.0]), tc)
+
+    @pytest.mark.parametrize("omega", [
+        [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0 + 1e-8, 0.0, 0.0],
+        [math.nan, 0.0, 0.0], [1.0, 0.0], [0.6, 0.8, 0.0, 0.0],
+    ], ids=["twice-unit", "zero", "near-unit", "nan", "two-components", "four-components"])
+    def test_non_unit_direction_rejected(self, tc, omega):
+        e2, zero = np.array([0.0, 1.0, 0.0], complex), np.zeros(3, complex)
+        with pytest.raises(fl.FluidError, match="unit"):
+            fl.Y2_mode(0.0, 1.0, 0.0, e2, zero, tc, omega=np.array(omega))
+        with pytest.raises(fl.FluidError, match="unit"):
+            fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, E0=e2, omega=np.array(omega))],
+                                 np.array([0.0, 1.0]), tc)
+
+    def test_unit_direction_accepted(self, tc):
+        omega = np.array([0.6, 0.0, 0.8])
+        e0 = np.array([-0.8, 0.0, 0.6], complex)
+        state = fl.Y2_mode(0.0, 1.0, 0.0, e0, np.zeros(3, complex), tc, omega=omega)
+        assert np.abs(state.E - e0).max() <= 1e-14
 
 
 class TestY2Mode:
@@ -280,25 +316,6 @@ class TestFieldFlow:
 
 
 class TestSplittings:
-    def test_helmholtz_trivial_cases(self):
-        omega = np.array([0.0, 0.0, 1.0])
-        par, perp = fl.helmholtz_split(omega.astype(complex), omega)
-        assert np.linalg.norm(par - omega) < 1e-15
-        assert np.linalg.norm(perp) < 1e-15
-        u = np.array([1.0, 2.0, 0.0], complex)
-        par, perp = fl.helmholtz_split(u, omega)
-        assert np.linalg.norm(par) < 1e-15
-        assert np.linalg.norm(perp - u) < 1e-15
-
-    def test_helmholtz_random_parts(self):
-        rng = np.random.default_rng(21)
-        omega = rng.standard_normal(3)
-        omega /= np.linalg.norm(omega)
-        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        par, perp = fl.helmholtz_split(u, omega)
-        assert np.linalg.norm(par + perp - u) < 1e-14
-        assert abs(par @ np.conj(perp)) < 1e-14
-
     def test_mixing_pair_orthonormal(self, basis_default):
         chi0, chi4 = basis_default.chi(0), basis_default.chi(4)
         ht0 = math.sqrt(0.4) * chi0 - math.sqrt(0.6) * chi4
@@ -486,5 +503,12 @@ class TestDecayExperiments:
         assert fit.exponent == pytest.approx(-0.75, abs=0.1)
 
     def test_unknown_kind_rejected(self, tc):
-        with pytest.raises(fl.FluidError, match="unknown"):
-            fl.y2_decay_experiment(tc, "other")
+        for kind in ("other", ["generic"]):
+            with pytest.raises(fl.FluidError, match="unknown"):
+                fl.y2_decay_experiment(tc, kind)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_profile_width_rejected(self, tc, width):
+        for kind in ("generic", "enhanced"):
+            with pytest.raises(fl.FluidError, match="profile width"):
+                fl.y2_decay_experiment(tc, kind, profile_width=width)

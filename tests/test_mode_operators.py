@@ -65,13 +65,12 @@ class TestAssembly:
         op = mo.assemble_A_tilde(1.3, 0.2, collision_default)
         basis = collision_default.basis
         assert op.dim == basis.dim + 4
-        assert op.n_field == 4
         assert op.metric_diag[0] == pytest.approx(1.0 + 1.3**-2)
         assert np.all(op.metric_diag[1:] == 1.0)
 
     def test_boltzmann_has_plain_metric(self, collision_default):
         op = mo.assemble_B(0.7, 0.3, collision_default)
-        assert op.n_field == 0
+        assert op.dim == collision_default.basis.dim
         assert np.all(op.metric_diag == 1.0)
 
     def test_bad_wavenumbers_rejected(self, collision_default):
@@ -434,7 +433,7 @@ class TestPerBlockSplit:
         gap = -lam[5:].max()
         assert abs(sp.measured_gap_b - gap) <= 0.05 * gap
 
-    def test_mixed_eig_and_schur_blocks(self, collision_small):
+    def test_mixed_eig_and_schur_blocks(self, collision_small, monkeypatch):
         # a defective block (Jordan pair at -1) and a well-conditioned block
         # with two signed copies, under a metric that is not the identity
         defective = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.3], [0.0, 0.0, -4.0]],
@@ -462,7 +461,8 @@ class TestPerBlockSplit:
         assert sp.regime == "low" and sp.branch_mask.sum() == 5
         assert np.abs(sp.S1_part + sp.S2_part + sp.S3_part - np.eye(op.dim)).max() <= 1e-12
         # a projector cannot split the Jordan pair, so the mask takes both
-        sp3 = mo.semigroup_split(op, n_fluid=3)
+        monkeypatch.setattr(mo, "_N_FLUID", 3)
+        sp3 = mo.semigroup_split(op)
         assert sp3.branch_mask.sum() == round(np.trace(sp3.S1_part).real) == 4
         gh = np.sqrt(metric)
         taus = np.array([0.3, 1.0, 3.0]) / sp.measured_gap_b
@@ -532,7 +532,7 @@ class TestResolventProbe:
 
     def test_spectral_lambda_reported(self, collision_small):
         op = mo.assemble_B(2.0, 1.0, collision_small)
-        r, _, c, _, _, _ = mo._probe_grid(96, 80, 48, 24.0)
+        r, c, _, _ = mo._probe_grid()
         lam = complex(-nu_eval(r[10]), -2.0 * r[10] * c[5])
         with pytest.raises(ValueError):
             mo.resolvent_norm_probe(op, lam)

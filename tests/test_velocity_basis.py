@@ -3,6 +3,10 @@
 Oracle values frozen before implementation:
   - sector-0 dimension for (radial_order=8, angular_max=4) is 40; for (12, 6) it is 84
   - (chi0, chi0) weighted at s=1 equals 2
+
+The weighted inner product is the electromagnetic generator's
+(ModeOperator.weighted_inner): its metric charges the density coefficient
+1 + 1/s^2 and every other coordinate 1.
 """
 import math
 
@@ -13,16 +17,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, genlaguerre
 
+from kslab.mode_operators import assemble_A_tilde
 from kslab.velocity_basis import (
     BasisError,
     BasisSpec,
-    VelocityFunction,
     build_basis,
     laguerre_rows,
-    metric_matrix,
-    project,
     v_multiplication_matrix,
-    weighted_inner,
 )
 
 
@@ -47,7 +48,6 @@ def test_dimension_enumeration():
     assert b.dim0 == 40
     assert b.dim1 == 32
     assert b.dim == 40 + 2 * 32
-    assert len(b.elements) == b.dim
 
 
 def test_default_dimensions(basis_default):
@@ -93,25 +93,32 @@ def test_chi_functions_match_closed_forms(basis_default):
 
 
 def test_projection_idempotence_and_complement(basis_default, rng):
-    f = VelocityFunction(basis_default, rng.standard_normal(basis_default.dim))
-    for which in ("P0", "P1", "Pd", "Pr"):
-        once = project(basis_default, which, f)
-        twice = project(basis_default, which, once)
-        assert np.max(np.abs(once.coeffs - twice.coeffs)) <= 1e-12
-    total = project(basis_default, "P0", f).coeffs + project(basis_default, "P1", f).coeffs
-    assert np.array_equal(total, f.coeffs)
-    total_d = project(basis_default, "Pd", f).coeffs + project(basis_default, "Pr", f).coeffs
-    assert np.array_equal(total_d, f.coeffs)
-
-
-def test_weighted_inner_values(basis_default):
-    chi0 = VelocityFunction(basis_default, basis_default.chi(0))
-    assert weighted_inner(basis_default, chi0, chi0, 1.0) == pytest.approx(2.0, abs=1e-14)
+    f = rng.standard_normal(basis_default.dim)
+    for which in ("P0", "P1"):
+        p = basis_default.projection_matrix(which)
+        once = p @ f
+        assert np.max(np.abs(p @ once - once)) <= 1e-12
+    p0, p1 = basis_default.projection_matrix("P0"), basis_default.projection_matrix("P1")
+    assert np.array_equal(p0 + p1, np.eye(basis_default.dim))
     with pytest.raises(BasisError):
-        weighted_inner(basis_default, chi0, chi0, 0.0)
-    g = metric_matrix(basis_default, 0.5)
-    manual = basis_default.chi(0) @ g @ basis_default.chi(0)
-    assert manual == pytest.approx(1.0 + 1 / 0.25, rel=1e-14)
+        basis_default.projection_matrix("P2")
+
+
+def _field_state(op, kinetic):
+    u = np.zeros(op.dim, dtype=complex)
+    u[:kinetic.size] = kinetic
+    return u
+
+
+def test_weighted_inner_values(collision_small):
+    chi0 = collision_small.basis.chi(0)
+    op = assemble_A_tilde(1.0, 0.1, collision_small)
+    u = _field_state(op, chi0)
+    assert op.weighted_inner(u, u) == pytest.approx(2.0, abs=1e-14)
+    op = assemble_A_tilde(0.5, 0.1, collision_small)
+    assert op.metric_diag[0] == 1.0 + 1 / 0.25
+    u = _field_state(op, chi0)
+    assert op.weighted_inner(u, u) == pytest.approx(1.0 + 1 / 0.25, rel=1e-14)
 
 
 def test_v_multiplication_symmetry(basis_default):
@@ -168,23 +175,33 @@ def test_build_basis_validation():
         build_basis(BasisSpec(quad_points=400))
 
 
+@pytest.mark.parametrize("spec", [
+    BasisSpec(radial_order=6.5, angular_max=3),
+    BasisSpec(radial_order="6", angular_max=3),
+    BasisSpec(radial_order=6, angular_max=3.0),
+    BasisSpec(radial_order=True, angular_max=3),
+    BasisSpec(radial_order=12, angular_max=6, quad_points=30.5),
+], ids=["radial-fraction", "radial-string", "angular-float", "radial-bool", "quad-fraction"])
+def test_build_basis_rejects_non_integer_sizes(spec):
+    with pytest.raises(BasisError, match="must be an integer"):
+        build_basis(spec)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_weighted_inner_is_sesquilinear(basis_small, data):
-    dim = basis_small.dim
+def test_weighted_inner_is_sesquilinear(collision_small, data):
     seed = data.draw(st.integers(0, 2**31 - 1))
     s = data.draw(st.floats(0.05, 8.0))
     a = data.draw(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
+    op = assemble_A_tilde(s, 0.1, collision_small)
     gen = np.random.default_rng(seed)
-    f = VelocityFunction(basis_small, gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
-    g = VelocityFunction(basis_small, gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
-    h = VelocityFunction(basis_small, gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
-    lhs = weighted_inner(basis_small, VelocityFunction(basis_small, a * f.coeffs + h.coeffs), g, s)
-    rhs = a * weighted_inner(basis_small, f, g, s) + weighted_inner(basis_small, h, g, s)
+    f, g, h = gen.standard_normal((3, op.dim)) + 1j * gen.standard_normal((3, op.dim))
+    lhs = op.weighted_inner(a * f + h, g)
+    rhs = a * op.weighted_inner(f, g) + op.weighted_inner(h, g)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-    sym = weighted_inner(basis_small, g, f, s)
-    assert abs(np.conj(sym) - weighted_inner(basis_small, f, g, s)) <= 1e-9 * max(1.0, abs(sym))
-    norm2 = weighted_inner(basis_small, f, f, s)
+    sym = op.weighted_inner(g, f)
+    assert abs(np.conj(sym) - op.weighted_inner(f, g)) <= 1e-9 * max(1.0, abs(sym))
+    norm2 = op.weighted_inner(f, f)
     assert norm2.real > 0
     assert abs(norm2.imag) <= 1e-9 * norm2.real
 
@@ -192,11 +209,10 @@ def test_weighted_inner_is_sesquilinear(basis_small, data):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_projection_orthogonality_property(basis_small, seed):
-    gen = np.random.default_rng(seed)
-    f = VelocityFunction(basis_small, gen.standard_normal(basis_small.dim))
-    p0 = project(basis_small, "P0", f)
-    p1 = project(basis_small, "P1", f)
-    assert abs(p0.inner(p1)) <= 1e-10 * max(1.0, f.norm() ** 2)
+    f = np.random.default_rng(seed).standard_normal(basis_small.dim)
+    p0 = basis_small.projection_matrix("P0") @ f
+    p1 = basis_small.projection_matrix("P1") @ f
+    assert abs(np.vdot(p1, p0)) <= 1e-10 * max(1.0, np.linalg.norm(f) ** 2)
 
 
 def test_laguerre_rows_match_scipy_bitwise():
