@@ -1057,6 +1057,9 @@ def oscillatory_decay_check(phi: Callable | None = None,
     """
     if len(x_ratios) == 0:
         raise ConvergenceError("oscillatory decay check needs at least one x ratio")
+    names = [f"osc_x{r:g}" for r in x_ratios]
+    if len(set(names)) < len(names):
+        raise ConvergenceError(f"x ratios must be distinct, got {tuple(x_ratios)!r}")
     phi = _default_envelope if phi is None else phi
     thetas = np.geomspace(*_OSC_THETAS)
 
@@ -1081,8 +1084,8 @@ def oscillatory_decay_check(phi: Callable | None = None,
     fit = rate_fit(thetas, max_vals)
 
     errors = {"osc_max": max_vals.tolist()}
-    for r in x_ratios:
-        errors[f"osc_x{r:g}"] = per_ratio[r].tolist()
+    for name, r in zip(names, x_ratios):
+        errors[name] = per_ratio[r].tolist()
     report = ConvergenceReport(
         experiment="oscillatory",
         config={"x_ratios": list(x_ratios), "r_cut": _OSC_R_CUT,

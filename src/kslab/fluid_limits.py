@@ -168,6 +168,12 @@ def _check_finite(what: str, *values) -> None:
         raise FluidError(f"non-finite {what}")
 
 
+def _check_3vectors(**vectors) -> None:
+    for name, v in vectors.items():
+        if np.shape(v) != (3,):
+            raise FluidError(f"{name} must be a 3-vector, got shape {np.shape(v)}")
+
+
 def _check_direction(omega) -> None:
     omega = np.asarray(omega)
     if not (omega.shape == (3,) and np.all(np.isfinite(omega))
@@ -327,6 +333,7 @@ def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
     _check_direction(omega)
     E0 = np.asarray(E0, dtype=complex)
     B0 = np.asarray(B0, dtype=complex)
+    _check_3vectors(E0=E0, B0=B0)
     _check_finite("charge or field data", rho0, E0, B0)
     scale = max(1.0, abs(rho0), np.linalg.norm(E0), np.linalg.norm(B0))
     if abs(rho0 - 1j * s * (omega @ E0)) > _CONSTRAINT_TOL * scale:
@@ -381,6 +388,7 @@ def _check_mode(mode: NsmfMode) -> None:
     if not (math.isfinite(mode.s) and mode.s > 0):
         raise FluidError(f"wave number must be finite and positive, got {mode.s!r}")
     _check_direction(mode.omega)
+    _check_3vectors(m0=mode.m0, E0=mode.E0, B0=mode.B0)
     _check_finite("initial mode data", mode.n0, mode.m0, mode.q0, mode.rho0, mode.E0, mode.B0)
     scale = max(1.0, abs(mode.n0), abs(mode.q0), np.linalg.norm(mode.m0),
                 abs(mode.rho0), np.linalg.norm(mode.E0), np.linalg.norm(mode.B0))
@@ -406,16 +414,23 @@ def _duhamel(propagate: Callable, force: Callable, t: float) -> np.ndarray:
     applies the unforced flow over each lag to the rows of f, one row per
     quadrature node, in a single call.  Returns the integrated components.
     """
+    def forces(taus):
+        # an infinite forcing turns NaN in the frame products; the roughness
+        # test below is False for NaN, so both are rejected here
+        with np.errstate(invalid="ignore"):
+            out = np.array([np.atleast_1d(force(tau)) for tau in taus], dtype=complex)
+        _check_finite("forcing", out)
+        return out
+
     if t == 0:
-        return np.zeros(np.size(force(0.0)), dtype=complex)
+        return np.zeros(forces([0.0]).shape[1], dtype=complex)
     nodes, weights = np.polynomial.legendre.leggauss(6)
 
     def quad(n):
         edges = _geometric_panels(t, n)
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         taus = (mid[:, None] + half[:, None] * nodes).ravel()
-        forces = np.array([np.atleast_1d(force(tau)) for tau in taus], dtype=complex)
-        return (half[:, None] * weights).ravel() @ propagate(t - taus, forces)
+        return (half[:, None] * weights).ravel() @ propagate(t - taus, forces(taus))
 
     coarse, fine = quad(_DUHAMEL_PANELS), quad(2 * _DUHAMEL_PANELS)
     if np.sum(np.abs(fine - coarse)) > 1e-8 * (np.sum(np.abs(fine)) + 1e-12):

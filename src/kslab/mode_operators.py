@@ -17,8 +17,10 @@ probe for the norm of gain-times-resolvent compositions.
 The blocks are the only generator form.  _decompose_stacked decomposes any
 number of operators that share a block layout, one stacked eig per block,
 and gives each operator one record per block: views into the stacks, or the
-block's Schur form when its eigenvectors are too ill-conditioned
-(_EIG_COND_LIMIT).  _block_flow is the one apply, e^{tau A} u0 =
+block's Schur form when its eigenvectors are too ill-conditioned: when the
+Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper bound on cond_2(V_b)
+taken from the inverse the eig record needs anyway, reaches
+_EIG_COND_LIMIT.  _block_flow is the one apply, e^{tau A} u0 =
 V_b diag(e^{tau lam}) V_b^{-1} u0 or Z_b e^{tau T_b} Z_b^H u0 on every block
 copy, for one operator (propagate) or a whole mode grid
 (convergence_lab._evolve_grid); both check the result with the one
@@ -71,8 +73,15 @@ class SectorBlock:
     copies: tuple
 
 
+def _frozen(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _copy(index: np.ndarray, sign: np.ndarray | None = None) -> tuple:
-    return index, np.ones(index.size) if sign is None else sign
+    """A read-only (index, sign) copy: every operator on a basis shares it."""
+    return _frozen(index, np.ones(index.size) if sign is None else sign)
 
 
 class ModeOperator:
@@ -118,22 +127,52 @@ def _check_mode_args(s: float, eps: float) -> None:
         raise ValueError("eps must be nonnegative")
 
 
+class _Layout(NamedTuple):
+    """What every mode generator on one basis shares: the block copies and the
+    coupling vectors.  Built once per basis (_layout); read-only."""
+
+    axial: tuple         # copies of the axial block
+    transverse: tuple    # copies of the kinetic transverse block
+    field: tuple         # copies of the electromagnetic transverse block
+    charge: np.ndarray   # outer(v0 chi0, chi0): the axial charge coupling
+    chi2: np.ndarray     # the transverse momentum coupled to the X field
+
+
+def _layout(basis) -> _Layout:
+    """The basis's _Layout, cached beside its v-multiplication matrices."""
+    key = ("mode_layout",)
+    if key not in basis._v_cache:
+        n0, n1 = basis.dim0, basis.dim1
+        ix2, ix3, iy2, iy3 = (n0 + 2 * n1 + k for k in range(4))
+        chi0 = np.zeros(n0)
+        chi0[0] = 1.0
+        chi2 = np.zeros(n1)
+        chi2[0] = 1.0
+        flip_x = np.ones(n1 + 2)
+        flip_x[n1] = -1.0
+        charge = np.outer(v_multiplication_matrix(basis, SECTOR_AXIAL) @ chi0, chi0)
+        basis._v_cache[key] = _Layout(
+            (_copy(np.arange(n0)),),
+            (_copy(np.arange(n0, n0 + n1)), _copy(np.arange(n0 + n1, n0 + 2 * n1))),
+            (_copy(np.r_[n0:n0 + n1, ix3, iy2]),
+             _copy(np.r_[n0 + n1:n0 + 2 * n1, ix2, iy3], flip_x)),
+            *_frozen(charge, chi2),
+        )
+    return basis._v_cache[key]
+
+
 def assemble_B(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     """Kinetic-only mode generator L - i*eps*s*(v along the wave axis)."""
     _check_mode_args(s, eps)
     if s < 0:
         raise ValueError("s must be nonnegative")
     basis = cm.basis
-    n0, n1 = basis.dim0, basis.dim1
+    layout = _layout(basis)
     w = eps * s
     axial = cm.L_sector[SECTOR_AXIAL] - 1j * w * v_multiplication_matrix(basis, SECTOR_AXIAL)
     trans = (cm.L_sector[SECTOR_TRANSVERSE]
              - 1j * w * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
-    blocks = (
-        SectorBlock(axial, (_copy(np.arange(n0)),)),
-        SectorBlock(trans, (_copy(np.arange(n0, n0 + n1)),
-                            _copy(np.arange(n0 + n1, n0 + 2 * n1)))),
-    )
+    blocks = (SectorBlock(axial, layout.axial), SectorBlock(trans, layout.transverse))
     return ModeOperator(KIND_BOLTZMANN, s, eps, np.ones(basis.dim), cm, blocks)
 
 
@@ -150,36 +189,24 @@ def _vmb_operator(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool) 
     if s <= 0:
         raise ValueError("s must be positive for the electromagnetic operator")
     basis = cm.basis
-    n0, n1 = basis.dim0, basis.dim1
-    ix2, ix3, iy2, iy3 = (n0 + 2 * n1 + k for k in range(4))
+    layout = _layout(basis)
+    n1 = basis.dim1
     sk = -1.0 if sign_flip else 1.0
 
-    v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
-    chi0 = np.zeros(n0)
-    chi0[0] = 1.0
-    chi1 = v0 @ chi0
-    chi2 = np.zeros(n1)
-    chi2[0] = 1.0
-
-    axial = cm.L1_sector[SECTOR_AXIAL] - sk * 1j * eps * s * v0
-    axial -= sk * 1j * (eps / s) * np.outer(chi1, chi0)
+    axial = (cm.L1_sector[SECTOR_AXIAL]
+             - sk * 1j * eps * s * v_multiplication_matrix(basis, SECTOR_AXIAL))
+    axial -= sk * 1j * (eps / s) * layout.charge
 
     trans = np.zeros((n1 + 2, n1 + 2), dtype=complex)
     trans[:n1, :n1] = (cm.L1_sector[SECTOR_TRANSVERSE]
                        - sk * 1j * eps * s * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
-    trans[:n1, n1] = sk * eps * chi2
-    trans[n1, :n1] = -sk * eps * chi2
+    trans[:n1, n1] = sk * eps * layout.chi2
+    trans[n1, :n1] = -sk * eps * layout.chi2
     trans[n1, n1 + 1] = sk * 1j * eps**2 * s
     trans[n1 + 1, n1] = sk * 1j * eps**2 * s
 
-    flip_x = np.ones(n1 + 2)
-    flip_x[n1] = -1.0
-    blocks = (
-        SectorBlock(axial, (_copy(np.arange(n0)),)),
-        SectorBlock(trans, (_copy(np.r_[n0:n0 + n1, ix3, iy2]),
-                            _copy(np.r_[n0 + n1:n0 + 2 * n1, ix2, iy3], flip_x))),
-    )
-    metric = np.ones(n0 + 2 * n1 + 4)
+    blocks = (SectorBlock(axial, layout.axial), SectorBlock(trans, layout.field))
+    metric = np.ones(basis.dim + 4)
     metric[0] = 1.0 + 1.0 / s**2
     return ModeOperator(KIND_VMB, s, eps, metric, cm, blocks)
 
@@ -204,37 +231,60 @@ def metric_adjoint(op: ModeOperator) -> np.ndarray:
 # semigroup
 # ---------------------------------------------------------------------------
 
+def _stacked_inverse(vr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (n, k, k) stack and their Frobenius norms.  A member that
+    is exactly singular keeps a zero inverse and gets an infinite norm."""
+    singular = np.zeros(len(vr), dtype=bool)
+    try:
+        vinv = np.linalg.inv(vr)
+    except np.linalg.LinAlgError:
+        vinv = np.zeros_like(vr)
+        for i, v in enumerate(vr):
+            try:
+                vinv[i] = np.linalg.inv(v)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    # over the real and imaginary parts, where squares can only overflow to inf
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vinv.reshape(len(vr), -1).view(float), axis=1)
+    norms[singular] = np.inf
+    return vinv, norms
+
+
 def _decompose_stacked(ops: list[ModeOperator]):
     """Decompose operators sharing one block layout, one stacked eig per block.
 
     Every operator gets its own _Decomposition: per block views into the
-    stacks, or the block's Schur form when its own eigenvectors are past
-    _EIG_COND_LIMIT.  The condition number is that of the block-diagonal
-    eigenvector matrix (the largest singular value over all blocks divided by
-    the smallest).  Returns per block the stacked (eigenvalues, right
-    eigenvectors, their inverses); inverses are computed only for the eig
-    records, the others keep zeros there.
+    stacks, or the block's Schur form when its eigenvectors are past
+    _EIG_COND_LIMIT.  The gate costs one stacked inverse, which the eig
+    records need anyway: LAPACK's eigenvectors are unit columns, so a k-dim
+    block has ||V_b||_F = sqrt(k), and sqrt(k) ||V_b^{-1}||_F >= cond_2(V_b)
+    is the bound the gate takes (an exactly singular V_b has an infinite
+    one).  The reported condition is max_b sqrt(k_b) * max_b ||V_b^{-1}||_F,
+    an upper bound on cond_2 of the block-diagonal eigenvector matrix.
+    Returns per block the stacked (eigenvalues, right eigenvectors, their
+    inverses); the inverses of the Schur records are zeros.
     """
-    eigs = [np.linalg.eig(np.stack([op.blocks[b].matrix for op in ops]))
-            for b in range(len(ops[0].blocks))]
-    sv = [np.linalg.svd(vr, compute_uv=False) for _, vr in eigs]
-    s_max = np.max([x[..., 0] for x in sv], axis=0)
-    s_min = np.min([x[..., -1] for x in sv], axis=0)
-    with np.errstate(divide="ignore"):
-        cond = s_max / s_min
-        ok = np.stack([x[..., 0] / x[..., -1] < _EIG_COND_LIMIT for x in sv], axis=1)
-    parts = []
-    for (lam, vr), ok_b in zip(eigs, ok.T):
-        vinv = np.zeros_like(vr)
-        vinv[ok_b] = np.linalg.inv(vr[ok_b])
+    parts, vec_norms, inv_norms = [], [], []
+    for b in range(len(ops[0].blocks)):
+        lam, vr = np.linalg.eig(np.stack([op.blocks[b].matrix for op in ops]))
+        vinv, norm = _stacked_inverse(vr)
         parts.append((lam, vr, vinv))
+        vec_norms.append(math.sqrt(lam.shape[1]))
+        inv_norms.append(norm)
+    inv_norms = np.stack(inv_norms, axis=1)
+    ok = np.asarray(vec_norms) * inv_norms < _EIG_COND_LIMIT
+    cond = max(vec_norms) * inv_norms.max(axis=1)
+    for (_, _, vinv), ok_b in zip(parts, ok.T):
+        vinv[~ok_b] = 0.0
+    lam = np.concatenate([np.tile(lb, (1, len(block.copies)))
+                          for (lb, _, _), block in zip(parts, ops[0].blocks)], axis=1)
     for i, op in enumerate(ops):
         blocks = tuple((lb[i], vb[i], wb[i]) if ok[i, b]
                        else (lb[i], *schur(op.blocks[b].matrix, output="complex"))
                        for b, (lb, vb, wb) in enumerate(parts))
         op._decomp = _Decomposition("eig" if ok[i].all() else "schur", float(cond[i]),
-                                    _by_column(op, [rec[0] for rec in blocks]), blocks,
-                                    tuple((~ok[i]).tolist()))
+                                    lam[i], blocks, tuple((~ok[i]).tolist()))
     return parts
 
 
@@ -306,6 +356,8 @@ def eigenvalues(op: ModeOperator) -> np.ndarray:
 
 
 def eigen_condition(op: ModeOperator) -> float:
+    """Upper bound on the 2-norm condition number of the eigenvectors (see
+    _decompose_stacked)."""
     return _decomposition(op).cond
 
 

@@ -360,6 +360,11 @@ class TestOscillatory:
         with pytest.raises(cl.ConvergenceError, match="at least one x ratio"):
             cl.oscillatory_decay_check(x_ratios=())
 
+    @pytest.mark.parametrize("x_ratios", [(0.5, 0.5), (0.0, 1.0, 0.0)])
+    def test_decay_check_rejects_repeated_ratios(self, x_ratios):
+        with pytest.raises(cl.ConvergenceError, match="distinct"):
+            cl.oscillatory_decay_check(x_ratios=x_ratios)
+
     def test_slowly_decaying_envelope_rejected(self):
         with pytest.raises(cl.ConvergenceError, match="does not decay fast enough"):
             cl.oscillatory_decay_check(phi=lambda s: 1.0 / (1.0 + s))
@@ -445,6 +450,18 @@ class TestEvolveGrid:
         _, keep = cl._evolve_grid(mo.assemble_B, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
         assert keep.all()
         assert len(calls) == 2
+
+    def test_decomposition_runs_no_svd(self, collision_small, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the decomposition took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        cm = collision_small
+        u0 = self._states(cm.basis.dim + 4, 27)
+        failures = []
+        _, keep = cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0,
+                                  self.TIMES, failures)
+        assert keep.all() and not failures
 
     def test_transient_check_decomposes_once(self, collision_small, monkeypatch):
         calls = self._count_eig(monkeypatch)

@@ -180,6 +180,29 @@ class TestModeInputs:
             fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, B0=np.array([0.0, 0.0, value]))],
                                  np.array([0.0, 1.0]), tc)
 
+    @pytest.mark.parametrize("forcing", ["g1", "g2", "g3"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_forcing_rejected(self, tc, forcing, value):
+        force = {"g1": lambda tau: np.array([0.0, value, 0.0]),
+                 "g2": lambda tau: value,
+                 "g3": lambda tau: np.array([0.0, 0.0, value])}[forcing]
+        mode = fl.NsmfMode(s=1.0, **{forcing: force})
+        for times in ([0.0, 1.0], [0.0]):
+            with pytest.raises(fl.FluidError, match="non-finite forcing"):
+                fl.linear_nsmf_solve([mode], np.array(times), tc)
+
+    @pytest.mark.parametrize("arg", ["E0", "B0", "m0"])
+    @pytest.mark.parametrize("value", [np.zeros(2, complex), np.zeros(4, complex), 0.0],
+                             ids=["two", "four", "scalar"])
+    def test_non_3vectors_rejected(self, tc, arg, value):
+        if arg != "m0":
+            data = {"E0": np.array([0.0, 1.0, 0.0], complex), "B0": np.zeros(3, complex)}
+            data[arg] = value
+            with pytest.raises(fl.FluidError, match=f"{arg} must be a 3-vector"):
+                fl.Y2_mode(1.0, 1.0, 0.0, data["E0"], data["B0"], tc)
+        with pytest.raises(fl.FluidError, match=f"{arg} must be a 3-vector"):
+            fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, **{arg: value})], np.array([0.0, 1.0]), tc)
+
     @pytest.mark.parametrize("omega", [
         [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0 + 1e-8, 0.0, 0.0],
         [math.nan, 0.0, 0.0], [1.0, 0.0], [0.6, 0.8, 0.0, 0.0],

@@ -61,6 +61,18 @@ def _random_states(dim, count, seed):
 
 
 class TestAssembly:
+    def test_generators_share_a_read_only_layout(self, collision_small):
+        b = mo.assemble_B(1.0, 0.1, collision_small)
+        a = mo.assemble_A_tilde(2.0, 0.3, collision_small)
+        assert a.blocks[0].copies is b.blocks[0].copies
+        assert mo.assemble_A_tilde_star(0.5, 0.1, collision_small).blocks[1].copies \
+            is a.blocks[1].copies
+        index, sign = a.blocks[1].copies[1]
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            sign[0] = 1.0
+
     def test_vmb_layout(self, collision_default):
         op = mo.assemble_A_tilde(1.3, 0.2, collision_default)
         basis = collision_default.basis
@@ -359,6 +371,71 @@ class TestSemigroupSplit:
         assert np.abs(proj @ proj - proj).max() < 1e-12
         assert np.abs(proj @ mat - mat @ proj).max() < 1e-12
         assert round(float(np.real(np.trace(proj)))) == 2
+
+
+def _conditioned_matrices(rng, k, count, spread):
+    """Random k-dim matrices whose eigenvector matrices have condition ~10**spread."""
+    mats = []
+    for _ in range(count):
+        q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+                  for _ in range(2))
+        vecs = q1 @ np.diag(np.logspace(0.0, -spread, k)) @ q2
+        lam = -rng.uniform(0.1, 2.0, k) + 1j * rng.standard_normal(k)
+        mats.append(vecs @ np.diag(lam) @ np.linalg.inv(vecs))
+    return mats
+
+
+def _stacked_ops(cm, rng, count, spread):
+    """Operators with a 4-dim block and a 3-dim block in two signed copies."""
+    sign = np.array([1.0, -1.0, 1.0])
+    return [mo.ModeOperator(mo.KIND_BOLTZMANN, 1.0, 0.1, np.ones(10), cm, (
+                mo.SectorBlock(a, ((np.arange(4), np.ones(4)),)),
+                mo.SectorBlock(b, ((np.arange(4, 7), np.ones(3)), (np.arange(7, 10), sign)))))
+            for a, b in zip(_conditioned_matrices(rng, 4, count, spread),
+                            _conditioned_matrices(rng, 3, count, spread))]
+
+
+class TestConditioningGate:
+    """The eig/Schur gate and eigen_condition come from the stacked inverse."""
+
+    @pytest.mark.parametrize("spread", [0.0, 4.0, 11.0])
+    def test_condition_bounds_two_norm_condition(self, collision_small, spread):
+        ops = _stacked_ops(collision_small, np.random.default_rng(31), 12, spread)
+        parts = mo._decompose_stacked(ops)
+        for i, op in enumerate(ops):
+            vecs = sl.block_diag(*(vr[i] for _, vr, _ in parts))
+            assert mo.eigen_condition(op) >= np.linalg.cond(vecs, 2)
+        # past the limit the members take the Schur record
+        assert all(op._decomp.path == ("schur" if spread > 8 else "eig") for op in ops)
+
+    def test_singular_member_alone_takes_schur(self, collision_small, monkeypatch):
+        reference = _stacked_ops(collision_small, np.random.default_rng(32), 4, 1.0)
+        ops = [mo.ModeOperator(op.kind, op.s, op.eps, op.metric_diag, op.collision, op.blocks)
+               for op in reference]
+        eig = np.linalg.eig
+
+        def singular_second(a):
+            lam, vr = eig(a)
+            if a.shape[1] == 4:
+                vr[1, :, 0] = 0.0
+            return lam, vr
+
+        monkeypatch.setattr(np.linalg, "eig", singular_second)
+        parts = mo._decompose_stacked(ops)
+        monkeypatch.undo()
+        mo._decompose_stacked(reference)
+        assert [op._decomp.schur for op in ops] == [(False, False), (True, False),
+                                                  (False, False), (False, False)]
+        assert mo.eigen_condition(ops[1]) == np.inf
+        assert not np.any(parts[0][2][1])
+        for i in (0, 2, 3):
+            for got, want in zip(ops[i]._decomp.blocks, reference[i]._decomp.blocks):
+                for x, y in zip(got, want):
+                    assert np.array_equal(x, y)
+            assert mo.eigen_condition(ops[i]) == mo.eigen_condition(reference[i])
+        _, t, z = ops[1]._decomp.blocks[0]
+        block = ops[1].blocks[0].matrix
+        assert np.abs(z @ t @ z.conj().T - block).max() <= 1e-12 * np.abs(block).max()
 
 
 class TestPerBlockSplit:
