@@ -12,6 +12,12 @@ Assembly integrates the gain kernels with a 12- and a 24-point panel rule and
 raises AssemblyError when they disagree.  Both rules share one set of inner
 radial nodes, weights and per-degree radial tables (one Laguerre recurrence per
 degree), and the panel quadrature runs over node pairs in cache-sized blocks.
+One per-degree builder, _degree_blocks, makes the gain, nu and collision blocks
+of the Legendre degrees up to a top degree and runs that check on each of
+them.  assemble_collision builds every degree of the basis; the refined pass
+of fluid_limits.transport_coefficients builds only the degrees l <= 2 that its
+quadratic forms read.  The quadrature is sized by the basis, not by the top
+degree, so a degree's blocks are the same bits either way.
 
 The bilinear collision term is kept as a dense 3-index array over a 35-element
 orthonormal tensor-Hermite sub-basis (polynomial degree <= 4).  It does not
@@ -52,6 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -84,8 +91,13 @@ def _nu_of_r(r):
 
 
 def nu_eval(v):
-    """Collision frequency nu(v).  Accepts speeds or velocity vectors."""
+    """Collision frequency nu(v).  Accepts speeds or velocity vectors.
+
+    Raises ValueError for a non-finite entry.
+    """
     arr = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("velocities must be finite")
     if arr.ndim >= 1 and arr.shape[-1] == 3:
         r = np.linalg.norm(arr, axis=-1)
     else:
@@ -95,9 +107,15 @@ def nu_eval(v):
 
 
 def kernel_eval(which: str, v, vstar):
-    """Pointwise kernel values k1 or k at velocity pairs (last axis length 3)."""
+    """Pointwise kernel values k1 or k at velocity pairs (last axis length 3).
+
+    Raises ValueError for a non-finite velocity, coincident velocities, or a
+    kernel name other than 'k' or 'k1'.
+    """
     v = np.asarray(v, dtype=float)
     vs = np.asarray(vstar, dtype=float)
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(vs))):
+        raise ValueError("velocities must be finite")
     diff = v - vs
     d = np.linalg.norm(diff, axis=-1)
     if np.any(d < 1e-12):
@@ -203,31 +221,32 @@ def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 
     return k1_tab, k1_tab - g_tab
 
 
-def _gain_matrices(basis: Basis):
-    """Galerkin matrices (K1_deg, K_deg) of the gain kernels, per Legendre degree.
+def _gain_matrices(basis: Basis, top: int):
+    """Galerkin matrices (K1_deg, K_deg) of the gain kernels for Legendre degrees l <= top.
 
     The reduced kernels have a derivative kink across r = r', so the double
     radial integral is taken over the triangle r' < r, where the integrand is
     one-sidedly smooth, and symmetrized.  The inner integral uses a mapped
     Gauss-Legendre rule; the outer one reuses the basis quadrature.  One pair
     comes back per panel rule, coarse (12 points) then fine (24): the inner
-    nodes, weights and radial tables serve both.
+    nodes, weights and radial tables serve both.  The inner rule is sized by
+    the basis, not by top, so each degree's matrices are the same bits
+    whatever top is.
     """
     spec = basis.spec
-    lmax = spec.angular_max
     r_out = basis.quad.r
     nq = r_out.size
-    n_inner = max(64, 3 * spec.radial_order + 4 * lmax)
+    n_inner = max(64, 3 * spec.radial_order + 4 * spec.angular_max)
     xg, wg = np.polynomial.legendre.leggauss(n_inner)
     r_in = 0.5 * r_out[:, None] * (xg[None, :] + 1.0)
     w_in = 0.5 * r_out[:, None] * wg[None, :]
     rb = r_in.ravel()
     ra = np.repeat(r_out, n_inner)
-    moments = [_pair_kernel_moments(ra, rb, lmax, points, _N_PANELS) for points in (12, 24)]
+    moments = [_pair_kernel_moments(ra, rb, top, points, _N_PANELS) for points in (12, 24)]
     inner_w = (w_in * r_in**2).ravel()
 
     out = [({}, {}) for _ in moments]
-    for l in range(lmax + 1):
+    for l in range(top + 1):
         half_out = basis.radial_tables[l] * basis.quad.wr_half
         bw = (basis.radial_table(l, rb) * inner_w[None, :]).reshape(-1, nq, n_inner)
         for (k1p, gp), (K1_deg, K_deg) in zip(moments, out):
@@ -577,6 +596,12 @@ def collision_inverse(cm: CollisionMatrices, which: str, sector: int,
     """
     null = null_coordinates(cm.basis, which, sector)
     block = {"L": cm.L_sector, "L1": cm.L1_sector}[which][sector]
+    return _deflated_solve(block, null, which, sector, w)
+
+
+def _deflated_solve(block: np.ndarray, null: list[int], which: str, sector: int,
+                    w: np.ndarray) -> np.ndarray:
+    """collision_inverse on a given sector block, which may end at any degree >= 1."""
     wp = np.array(w)
     n = block.shape[0]
     if wp.shape != (n,) or not np.all(np.isfinite(wp)):
@@ -602,18 +627,30 @@ def _clean_block(block: np.ndarray, null_idx) -> np.ndarray:
     return out
 
 
-def _sector_from_blocks(basis: Basis, blocks: dict[int, np.ndarray], sector: int) -> np.ndarray:
-    first = 0 if sector == SECTOR_AXIAL else 1
-    return block_diag(*(blocks[l] for l in range(first, basis.spec.angular_max + 1)))
+def _sector_blocks(blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Axial and transverse sector blocks from the degree blocks l = 0..top."""
+    return {SECTOR_AXIAL: block_diag(*(blocks[l] for l in sorted(blocks))),
+            SECTOR_TRANSVERSE: block_diag(*(blocks[l] for l in sorted(blocks) if l >= 1))}
 
 
-def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatrices:
-    spec = basis.spec
-    lmax = spec.angular_max
-    r = basis.quad.r
-    wr = basis.quad.wr
+class _DegreeBlocks(NamedTuple):
+    """Per-degree blocks l = 0..top of the collision operators."""
 
-    (K1_coarse, K_coarse), (K1_deg, K_deg) = _gain_matrices(basis)
+    K1: dict[int, np.ndarray]
+    K: dict[int, np.ndarray]
+    nu: dict[int, np.ndarray]
+    raw: dict[str, dict[int, np.ndarray]]    # "L" / "L1" -> degree -> K - nu
+    clean: dict[str, dict[int, np.ndarray]]  # the same with null rows and columns zeroed
+    delta: float                             # kernel refinement delta over these degrees
+
+
+def _degree_blocks(basis: Basis, top: int) -> _DegreeBlocks:
+    """Gain, nu and collision blocks of the Legendre degrees l <= top.
+
+    Raises AssemblyError when the 12- and 24-point panel rules disagree on
+    any of these degrees.  A degree's blocks are the same bits whatever top is.
+    """
+    (K1_coarse, K_coarse), (K1_deg, K_deg) = _gain_matrices(basis, top)
     delta = max(
         max(np.max(np.abs(K1_coarse[l] - K1_deg[l])) for l in K1_deg),
         max(np.max(np.abs(K_coarse[l] - K_deg[l])) for l in K_deg),
@@ -622,28 +659,29 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     if delta > 1e-8 * scale:
         raise AssemblyError(f"kernel quadrature not converged: delta={delta:.3e}")
 
-    nu_nodes = _nu_of_r(r)
+    nu_nodes = _nu_of_r(basis.quad.r)
     nu_deg = {}
-    for l in range(lmax + 1):
+    for l in range(top + 1):
         tab = basis.radial_tables[l]
-        nu_deg[l] = (tab * (wr * nu_nodes)) @ tab.T
+        nu_deg[l] = (tab * (basis.quad.wr * nu_nodes)) @ tab.T
 
-    raw_L = {l: K_deg[l] - nu_deg[l] for l in range(lmax + 1)}
-    raw_L1 = {l: K1_deg[l] - nu_deg[l] for l in range(lmax + 1)}
+    raw = {"L": {l: K_deg[l] - nu_deg[l] for l in range(top + 1)},
+           "L1": {l: K1_deg[l] - nu_deg[l] for l in range(top + 1)}}
+    clean = {which: {l: _clean_block(block, _NULL_RADIAL[which].get(l, ()))
+                     for l, block in raw[which].items()} for which in raw}
+    return _DegreeBlocks(K1_deg, K_deg, nu_deg, raw, clean, float(delta))
 
-    raw = {"L": raw_L, "L1": raw_L1}
-    residuals = {f"{which}(n={n}, l={l})": float(np.linalg.norm(raw[which][l][:, n]))
+
+def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatrices:
+    spec = basis.spec
+    lmax = spec.angular_max
+    blocks = _degree_blocks(basis, lmax)
+
+    residuals = {f"{which}(n={n}, l={l})": float(np.linalg.norm(blocks.raw[which][l][:, n]))
                  for which, degrees in _NULL_RADIAL.items()
                  for l, radial in degrees.items() for n in radial}
 
-    clean_L = {l: _clean_block(raw_L[l], _NULL_RADIAL["L"].get(l, ())) for l in raw_L}
-    clean_L1 = {l: _clean_block(raw_L1[l], _NULL_RADIAL["L1"].get(l, ())) for l in raw_L1}
-
-    sectors = (SECTOR_AXIAL, SECTOR_TRANSVERSE)
-    L_sector = {sec: _sector_from_blocks(basis, clean_L, sec) for sec in sectors}
-    L1_sector = {sec: _sector_from_blocks(basis, clean_L1, sec) for sec in sectors}
-
-    mu = _spectral_gap(clean_L, lmax)
+    mu = _spectral_gap(blocks.clean["L"])
 
     grid = np.linspace(0.0, 20.0, 2001)
     ratios = _nu_of_r(grid) / (1.0 + grid)
@@ -654,31 +692,31 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
         tensor = _assemble_gamma_tensor()
         cmat, els = _change_of_basis()
         if spec.radial_order >= 3 and lmax >= 4:
-            l_sub = _sub_operator(cmat, els, raw_L)
-            l1_sub = _sub_operator(cmat, els, raw_L1)
+            l_sub = _sub_operator(cmat, els, blocks.raw["L"])
+            l1_sub = _sub_operator(cmat, els, blocks.raw["L1"])
     gamma = GammaTensor(_SUB_INDICES, tensor, _sub_invariants(), cmat, l_sub, l1_sub)
 
     return CollisionMatrices(
         basis=basis,
-        K_deg=K_deg,
-        K1_deg=K1_deg,
-        nu_deg=nu_deg,
-        L_sector=L_sector,
-        L1_sector=L1_sector,
+        K_deg=blocks.K,
+        K1_deg=blocks.K1,
+        nu_deg=blocks.nu,
+        L_sector=_sector_blocks(blocks.clean["L"]),
+        L1_sector=_sector_blocks(blocks.clean["L1"]),
         mu_estimate=mu,
         nu0=nu0,
         nu1=nu1,
         raw_null_residuals=residuals,
         gamma=gamma,
-        kernel_refinement_delta=float(delta),
+        kernel_refinement_delta=blocks.delta,
     )
 
 
-def _spectral_gap(clean_L: dict[int, np.ndarray], lmax: int) -> float:
+def _spectral_gap(clean_L: dict[int, np.ndarray]) -> float:
     best = -np.inf
-    for l in range(lmax + 1):
+    for l, block in clean_L.items():
         null = _NULL_RADIAL["L"].get(l, ())
-        keep = [i for i in range(clean_L[l].shape[0]) if i not in null]
-        sub = clean_L[l][np.ix_(keep, keep)]
+        keep = [i for i in range(block.shape[0]) if i not in null]
+        sub = block[np.ix_(keep, keep)]
         best = max(best, np.linalg.eigvalsh(sub).max())
     return float(-best)

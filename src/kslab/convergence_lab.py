@@ -864,8 +864,15 @@ def corrector_shapes(cm: CollisionMatrices, f_shape: np.ndarray,
     to the inverted collision operator.  For the electromagnetic system: the
     induced charge and field data, compatible by construction.  Shapes carry
     no radial factor; the mode versions multiply by i*s and the profile.
+    Raises ConvergenceError unless both shapes are finite 1-D arrays of
+    length basis.dim.
     """
     basis = cm.basis
+    for name, shape in (("f_shape", f_shape), ("g_shape", g_shape)):
+        if np.shape(shape) != (basis.dim,) or not np.all(np.isfinite(shape)):
+            raise ConvergenceError(
+                f"{name} must be a finite 1-D array of length {basis.dim}, "
+                f"got shape {np.shape(shape)}")
     p0m = basis.projection_matrix("P0")
     sectors = ((basis.slice_axial, SECTOR_AXIAL), (basis.slice_cos, SECTOR_TRANSVERSE),
                (basis.slice_sin, SECTOR_TRANSVERSE))
@@ -1023,6 +1030,8 @@ def mc_reference(theta: float, x: float, n: int = 10_000_000,
     (the same stream as a single draw), merging the chunk means and centred
     sums of squares pairwise.
     """
+    if not (_finite(theta) and _finite(x)):
+        raise ConvergenceError(f"wave integral needs finite theta and x, got {theta!r}, {x!r}")
     if not _integer(n) or n < 1:
         raise ConvergenceError(f"Monte Carlo sample count must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)

@@ -323,7 +323,7 @@ def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, floa
     """
     if "boltzmann_expansion" in cm._cache:
         return cm._cache["boltzmann_expansion"]
-    core = _core_values(cm)
+    core = _core_values(cm.basis, cm.L_sector, cm.L1_sector)
     coeffs = {
         "boltzmann_-1": (-_SOUND_SPEED, core["a_minus1"]),
         "boltzmann_0": (0.0, core["a0"]),

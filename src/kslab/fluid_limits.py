@@ -33,7 +33,13 @@ from typing import Callable
 
 import numpy as np
 
-from .collision_ops import CollisionMatrices, assemble_collision, collision_inverse
+from .collision_ops import (
+    CollisionMatrices,
+    _deflated_solve,
+    _degree_blocks,
+    _sector_blocks,
+    null_coordinates,
+)
 from .velocity_basis import (
     SECTOR_AXIAL,
     SECTOR_TRANSVERSE,
@@ -70,8 +76,15 @@ class TransportCoefficients:
     truncation_delta: dict[str, float]
 
 
-def _core_values(cm: CollisionMatrices) -> dict[str, float]:
-    basis = cm.basis
+def _core_values(basis, L_sector: dict[int, np.ndarray],
+                 L1_sector: dict[int, np.ndarray]) -> dict[str, float]:
+    """The six quadratic forms -(L^{-1} P w, P w) behind the transport coefficients.
+
+    Each w is v1 times a collision invariant, so it lies in degrees l <= 2,
+    and L is block-diagonal in l: sector blocks that end at degree
+    min(2, angular_max) give the forms of the whole blocks.  w is cut to the
+    length of the blocks.
+    """
     ax = basis.slice_axial
     v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
     v1 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE)
@@ -80,10 +93,14 @@ def _core_values(cm: CollisionMatrices) -> dict[str, float]:
     h0 = _hydro_vectors(basis)[0][ax]
     h_plus = math.sqrt(0.3) * chi0 - math.sqrt(0.5) * chi1 + math.sqrt(0.2) * chi4
     h_minus = math.sqrt(0.3) * chi0 + math.sqrt(0.5) * chi1 + math.sqrt(0.2) * chi4
+    blocks = {"L": L_sector, "L1": L1_sector}
 
     def form(which, sector, w):
         # -(L^{-1} P w, P w); the solution vanishes on the null coordinates
-        return float(-(collision_inverse(cm, which, sector, w) @ w))
+        block = blocks[which][sector]
+        w = w[:block.shape[0]]
+        sol = _deflated_solve(block, null_coordinates(basis, which, sector), which, sector, w)
+        return float(-(sol @ w))
 
     return {
         "kappa0": form("L", SECTOR_TRANSVERSE, v1 @ basis.chi(2)[basis.slice_cos]),
@@ -96,16 +113,25 @@ def _core_values(cm: CollisionMatrices) -> dict[str, float]:
 
 
 def transport_coefficients(cm: CollisionMatrices) -> TransportCoefficients:
+    """Transport coefficients of the Navier-Stokes-Maxwell limit, cached on cm.
+
+    kappa0, kappa1, eta and the branch curvatures a_j are the forms of
+    _core_values on the sector blocks of cm.  truncation_delta holds
+    |value - refined value| for kappa0, kappa1, eta and a1, the refined value
+    taken at radial order + 6 with the same angular_max (so the same
+    quadrature).  The refined pass builds only the degrees l <= 2 the forms
+    read (collision_ops._degree_blocks, which also runs the kernel refinement
+    check on each of them), not a whole CollisionMatrices.  Raises
+    FluidError unless every coefficient is positive.
+    """
     if "transport" in cm._cache:
         return cm._cache["transport"]
-    core = _core_values(cm)
+    core = _core_values(cm.basis, cm.L_sector, cm.L1_sector)
     spec = cm.basis.spec
-    refined = assemble_collision(
-        build_basis(BasisSpec(radial_order=spec.radial_order + 6,
-                              angular_max=spec.angular_max)),
-        build_gamma=False,
-    )
-    fine = _core_values(refined)
+    refined = build_basis(BasisSpec(radial_order=spec.radial_order + 6,
+                                    angular_max=spec.angular_max))
+    clean = _degree_blocks(refined, min(2, spec.angular_max)).clean
+    fine = _core_values(refined, _sector_blocks(clean["L"]), _sector_blocks(clean["L1"]))
     deltas = {k: abs(core[k] - fine[k]) for k in ("kappa0", "kappa1", "eta", "a1")}
     tc = TransportCoefficients(
         kappa0=core["kappa0"],
@@ -295,9 +321,13 @@ def y2_eigenbasis(s: float, eta: float):
 
     Reduced coordinates: (charge, two field-rotation components, two
     magnetic-rotation components).  Valid away from the branch collision.
+    Raises FluidError unless s > 0 and eta >= 0 are finite.
     """
+    _check_finite("wave number or eta", s, eta)
     if s <= 0:
         raise FluidError("wave number must be positive")
+    if eta < 0:
+        raise FluidError(f"eta must be nonnegative, got {eta!r}")
     disc = complex(eta * eta - 4.0 * s * s)
     if abs(disc) < 1e-12:
         raise FluidError("eigenbasis degenerate at the branch collision")
@@ -357,9 +387,14 @@ def p_split(f: np.ndarray, basis):
 
     f_par = (f . chi1) chi1 + (f . ht1) ht1 is the acoustic part (axial
     momentum and the density/heat mixing direction); f_perp = f - f_par holds
-    the heat and shear directions and the microscopic rest.
+    the heat and shear directions and the microscopic rest.  Raises
+    FluidError unless the last axis has length basis.dim and every entry is
+    finite.
     """
     f = np.asarray(f, dtype=complex)
+    if f.shape[-1:] != (basis.dim,):
+        raise FluidError(f"modes must have last-axis length {basis.dim}, got shape {f.shape}")
+    _check_finite("kinetic modes", f)
     chi1, ht1 = basis.chi(1), _hydro_vectors(basis)[1]
     f_par = np.multiply.outer(f @ chi1, chi1) + np.multiply.outer(f @ ht1, ht1)
     return f_par, f - f_par

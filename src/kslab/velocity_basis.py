@@ -306,7 +306,12 @@ def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:
 
     Couples adjacent Legendre degrees only; symmetric by construction of the
     quadrature rule, which integrates the coupling integrands exactly.
+    Raises BasisError for a sector other than SECTOR_AXIAL or
+    SECTOR_TRANSVERSE.
     """
+    if not (_integer(sector) and sector in (SECTOR_AXIAL, SECTOR_TRANSVERSE)):
+        raise BasisError(f"sector must be SECTOR_AXIAL ({SECTOR_AXIAL}) or "
+                         f"SECTOR_TRANSVERSE ({SECTOR_TRANSVERSE}), got {sector!r}")
     key = ("v1", sector)
     if key in basis._v_cache:
         return basis._v_cache[key]

@@ -33,7 +33,14 @@ from kslab.collision_ops import (
     project_poly_to_sub,
     reduced_kernel_tables,
 )
-from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, Basis, _radial_norm
+from kslab.velocity_basis import (
+    SECTOR_AXIAL,
+    SECTOR_TRANSVERSE,
+    Basis,
+    BasisSpec,
+    _radial_norm,
+    build_basis,
+)
 
 NU_ZERO = 5.0132565492620005
 K1_UNIT = 0.6213931207538556
@@ -80,6 +87,12 @@ class TestNu:
     def test_against_loss_integral(self, r):
         assert abs(nu_eval(r) - _nu_loss_oracle(r)) < 1e-7
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, [1.0, math.nan, 0.0],
+                                   [[1.0, 0.0, 0.0], [0.0, -math.inf, 0.0]]])
+    def test_non_finite_velocities_rejected(self, v):
+        with pytest.raises(ValueError, match="finite"):
+            nu_eval(v)
+
     def test_monotone_growth_bounds(self):
         r = np.linspace(0.0, 20.0, 401)
         vals = nu_eval(np.stack([r, np.zeros_like(r), np.zeros_like(r)], axis=1))
@@ -105,6 +118,13 @@ class TestKernelPointwise:
         vs = np.array([1.4, -0.1, 0.2])
         for which in ("k", "k1"):
             assert abs(kernel_eval(which, v, vs) - kernel_eval(which, vs, v)) < 1e-14
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_velocities_rejected(self, bad):
+        for v, vs in (([bad, 0.0, 0.0], [0.0, 1.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, bad, 0.0])):
+            for which in ("k", "k1"):
+                with pytest.raises(ValueError, match="finite"):
+                    kernel_eval(which, v, vs)
 
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
@@ -205,6 +225,31 @@ class TestGainAssembly:
         monkeypatch.setattr(Basis, "radial_table", counted)
         assemble_collision(basis_small, build_gamma=False)
         assert sorted(calls) == list(range(basis_small.spec.angular_max + 1))
+
+    @pytest.mark.parametrize("spec", [(12, 3), (18, 6)])
+    def test_low_degrees_independent_of_top_degree(self, spec):
+        basis = build_basis(BasisSpec(*spec))
+        full = collision_ops._degree_blocks(basis, basis.spec.angular_max)
+        low = collision_ops._degree_blocks(basis, 2)
+        for part in ("K1", "K", "nu"):
+            assert sorted(getattr(low, part)) == [0, 1, 2]
+            for l in range(3):
+                assert np.array_equal(getattr(low, part)[l], getattr(full, part)[l])
+        for part in ("raw", "clean"):
+            for which in ("L", "L1"):
+                assert sorted(getattr(low, part)[which]) == [0, 1, 2]
+                for l in range(3):
+                    assert np.array_equal(getattr(low, part)[which][l],
+                                          getattr(full, part)[which][l])
+
+    def test_kernel_moment_rows_independent_of_lmax(self):
+        rng = np.random.default_rng(8)
+        ra, rb = rng.uniform(0.05, 9.0, (2, 300))
+        for points in (12, 24):
+            low = collision_ops._pair_kernel_moments(ra, rb, 2, points, 8)
+            full = collision_ops._pair_kernel_moments(ra, rb, 6, points, 8)
+            for a, b in zip(low, full):
+                assert np.array_equal(a, b[:3])
 
     def test_matches_per_nl_build_exactly(self, collision_small):
         basis = collision_small.basis

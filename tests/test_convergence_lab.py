@@ -309,6 +309,19 @@ class TestCorrectorShapes:
         with pytest.raises(cl.ConvergenceError, match="no density part"):
             cl.corrector_shapes(collision_small, micro, basis.chi(0))
 
+    @pytest.mark.parametrize("arg", ["f_shape", "g_shape"])
+    @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf"])
+    def test_bad_shapes_rejected(self, collision_small, arg, bad):
+        data = cl.make_initial_data("second_order", _small_cfg(), collision_small)
+        shapes = {"f_shape": data.boltzmann_micro, "g_shape": data.vmb_micro}
+        good = shapes[arg]
+        shapes[arg] = {"short": good[:-1], "long": np.append(good, 0.0),
+                       "matrix": good[None, :],
+                       "nan": np.where(np.arange(good.size) == 7, math.nan, good),
+                       "inf": np.where(np.arange(good.size) == 7, math.inf, good)}[bad]
+        with pytest.raises(cl.ConvergenceError, match=f"{arg} must be a finite 1-D array"):
+            cl.corrector_shapes(collision_small, shapes["f_shape"], shapes["g_shape"])
+
 
 class TestOscillatory:
     def test_static_value_matches_closed_form_to_truncation(self):
@@ -350,6 +363,12 @@ class TestOscillatory:
     def test_non_finite_arguments_rejected(self, theta, x):
         with pytest.raises(cl.ConvergenceError, match="finite theta and x"):
             cl.oscillatory_value(theta, x)
+
+    @pytest.mark.parametrize("theta, x", [(math.nan, 0.5), (1.0, math.nan),
+                                          (math.inf, 0.5), (1.0, -math.inf)])
+    def test_monte_carlo_rejects_non_finite_arguments(self, theta, x):
+        with pytest.raises(cl.ConvergenceError, match="finite theta and x"):
+            cl.mc_reference(theta, x, n=10)
 
     @pytest.mark.parametrize("n", [0, -3, 2.5, 1000.0, True])
     def test_monte_carlo_rejects_bad_sample_count(self, n):

@@ -5,6 +5,7 @@ fixture), the heat-branch and field-system mode semigroups, the Helmholtz and
 compressible/incompressible splittings, the linear fluid-Maxwell mode solver
 with Duhamel forcing, and the aggregate decay-rate fits.
 """
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from kslab import fluid_limits as fl
+from kslab import collision_ops, fluid_limits as fl
+from kslab.collision_ops import AssemblyError, CollisionMatrices, assemble_collision
 from kslab.dispersion import eta_coefficient, expansion_coefficients
+from kslab.velocity_basis import BasisSpec, build_basis
 
 FIXTURE = Path(__file__).parent / "fixtures" / "transport.json"
 
@@ -65,6 +68,62 @@ class TestTransportCoefficients:
 
     def test_cached_on_matrices(self, tc, collision_default):
         assert fl.transport_coefficients(collision_default) is tc
+
+
+class TestRefinedPass:
+    """The order + 6 pass builds only the degrees l <= 2 its forms read."""
+
+    @pytest.mark.parametrize("cm_name", ["collision_small", "collision_default"])
+    def test_deltas_match_full_refined_assembly(self, cm_name, request):
+        cm = request.getfixturevalue(cm_name)
+        tc = fl.transport_coefficients(cm)
+        spec = cm.basis.spec
+        refined = assemble_collision(
+            build_basis(BasisSpec(spec.radial_order + 6, spec.angular_max)),
+            build_gamma=False)
+        core = fl._core_values(cm.basis, cm.L_sector, cm.L1_sector)
+        fine = fl._core_values(refined.basis, refined.L_sector, refined.L1_sector)
+        for key in ("kappa0", "kappa1", "eta"):
+            assert tc.truncation_delta[key] == abs(core[key] - fine[key])
+        # a1 reads the rounding that v_multiplication_matrix leaves in degrees
+        # l >= 3, which the full refined blocks see and the l <= 2 ones do not
+        assert abs(tc.truncation_delta["a1"] - abs(core["a1"] - fine["a1"])) \
+            <= 4e-15 * core["a1"]
+
+    def test_refined_pass_builds_degrees_up_to_two(self, collision_small, monkeypatch):
+        cm = dataclasses.replace(collision_small, _cache={})
+        degrees, built = [], []
+        moments = collision_ops._pair_kernel_moments
+
+        def spy_moments(ra, rb, lmax, *args):
+            degrees.append(lmax)
+            return moments(ra, rb, lmax, *args)
+
+        init = CollisionMatrices.__init__
+
+        def spy_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(collision_ops, "_pair_kernel_moments", spy_moments)
+        monkeypatch.setattr(CollisionMatrices, "__init__", spy_init)
+        fl.transport_coefficients(cm)
+        assert degrees == [2, 2]
+        assert built == []
+
+    def test_refined_pass_checks_kernel_refinement(self, collision_small, monkeypatch):
+        cm = dataclasses.replace(collision_small, _cache={})
+        moments = collision_ops._pair_kernel_moments
+
+        def perturbed(ra, rb, lmax, n_panel_points, n_panels):
+            k1, g = moments(ra, rb, lmax, n_panel_points, n_panels)
+            if n_panel_points == 12:
+                k1[lmax] *= 1.0 + 1e-5
+            return k1, g
+
+        monkeypatch.setattr(collision_ops, "_pair_kernel_moments", perturbed)
+        with pytest.raises(AssemblyError, match="not converged"):
+            fl.transport_coefficients(cm)
 
 
 class TestY1Mode:
@@ -214,6 +273,27 @@ class TestModeInputs:
         with pytest.raises(fl.FluidError, match="unit"):
             fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, E0=e2, omega=np.array(omega))],
                                  np.array([0.0, 1.0]), tc)
+
+    @pytest.mark.parametrize("s, eta, match", [
+        (math.nan, 1.0, "non-finite"), (math.inf, 1.0, "non-finite"),
+        (1.0, math.nan, "non-finite"), (1.0, -math.inf, "non-finite"),
+        (1.0, -1.0, "eta must be nonnegative"), (1.0, -1e-300, "eta must be nonnegative"),
+    ])
+    def test_y2_eigenbasis_rejects(self, s, eta, match):
+        with pytest.raises(fl.FluidError, match=match):
+            fl.y2_eigenbasis(s, eta)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 7)], ids=["scalar", "short", "stack"])
+    def test_p_split_rejects_wrong_length(self, basis_small, shape):
+        with pytest.raises(fl.FluidError, match="last-axis length"):
+            fl.p_split(np.ones(shape), basis_small)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_p_split_rejects_non_finite(self, basis_small, value):
+        f = np.zeros((3, basis_small.dim), complex)
+        f[1, 4] = value
+        with pytest.raises(fl.FluidError, match="non-finite"):
+            fl.p_split(f, basis_small)
 
     def test_unit_direction_accepted(self, tc):
         omega = np.array([0.6, 0.0, 0.8])

@@ -135,6 +135,12 @@ def test_v_multiplication_known_action(basis_default):
     assert np.max(np.abs(col - expect)) <= 1e-12
 
 
+@pytest.mark.parametrize("sector", [7, 2, -1, True, False, 1.0, "0", None])
+def test_v_multiplication_rejects_bad_sector(basis_small, sector):
+    with pytest.raises(BasisError, match="sector must be"):
+        v_multiplication_matrix(basis_small, sector)
+
+
 def test_v_multiplication_entry_against_quadrature(basis_default):
     # generic sector-0 entry: <v1 e_{n=2,l=1}, e_{n=1,l=2}>
     v0 = v_multiplication_matrix(basis_default, 0)
