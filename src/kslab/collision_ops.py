@@ -38,7 +38,11 @@ Each node count integrates its polynomial exactly:
   rule in the polar cosine is exact up to degree 13, and 14 equispaced
   azimuths are exact for azimuthal orders up to 13.  The polar nodes are
   symmetric about 0 and the azimuth count is even, so the rule is symmetric
-  under sigma -> -sigma.
+  under sigma -> -sigma; it is stored as one half and its exact negation,
+  with equal weights.  The post-collision velocities a = (p + r sigma)/sqrt2
+  and b = (p - r sigma)/sqrt2 then satisfy b(sigma) = a(-sigma) bit for bit,
+  so the Hermite table at b is the table at a read at the mirrored node and
+  only one table is evaluated per block.
 - r: the hard-sphere factor r and the Jacobian r^2 make the radial weight
   r^3 exp(-r^2/2) dr, which is u exp(-u) du in u = r^2/2.  After the sigma sum
   on the symmetric rule, the integrands are even in r of degree <= 12, that is
@@ -48,7 +52,13 @@ Each node count integrates its polynomial exactly:
   normalized Hermite products of degree <= 8, so each block of nodes adds one
   product (H_m(a), H_j(b)) to a 165 x 35 accumulator.  The coefficients c
   integrate a degree-4 + 4 + 8 = 16 polynomial per axis on a 9-point product
-  Gauss-Hermite grid, exact up to degree 17.
+  Gauss-Hermite grid, exact up to degree 17; they are contracted one row i at
+  a time, so no (729, 35, 35) product of node values is formed.
+- The node pairs (p, r) run in blocks of 32, each with its 98 sphere nodes:
+  the 165-column Hermite table of a block is about 4 MB, and the table is
+  filled row by row, X_a Y_b once per (a, b) and then times Z_c, so the build
+  holds no gathered copies of it.  The whole build stays within a few MB of
+  temporaries.
 - The change of basis to the Burnett-type elements and the polynomial
   projection integrate products of two degree-<=4 factors (degree <= 8) on
   the same 9-point grid.
@@ -109,11 +119,16 @@ def nu_eval(v):
 def kernel_eval(which: str, v, vstar):
     """Pointwise kernel values k1 or k at velocity pairs (last axis length 3).
 
-    Raises ValueError for a non-finite velocity, coincident velocities, or a
-    kernel name other than 'k' or 'k1'.
+    Raises ValueError for a velocity whose last axis is not of length 3, a
+    non-finite velocity, coincident velocities, or a kernel name other than
+    'k' or 'k1'.
     """
     v = np.asarray(v, dtype=float)
     vs = np.asarray(vstar, dtype=float)
+    if v.shape[-1:] != (3,) or vs.shape[-1:] != (3,):
+        raise ValueError(
+            f"velocities must have a last axis of length 3, got shapes {v.shape} and {vs.shape}"
+        )
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(vs))):
         raise ValueError("velocities must be finite")
     diff = v - vs
@@ -302,11 +317,18 @@ def _sub_table(points: np.ndarray, indices) -> np.ndarray:
 
     The table is a column-major view: each column is one contiguous product.
     """
-    idx = np.array(indices)
     norm = np.sqrt([float(math.factorial(a) * math.factorial(b) * math.factorial(c))
                     for (a, b, c) in indices])
-    he = [_hermite_values(points[:, d], int(idx.max())) for d in range(3)]
-    return (he[0][idx[:, 0]] * he[1][idx[:, 1]] * he[2][idx[:, 2]] / norm[:, None]).T
+    hx, hy, hz = (_hermite_values(points[:, d], max(map(max, indices))) for d in range(3))
+    # (X_a Y_b) Z_c / norm, row by row: no (n_products, n_points) gather copies
+    out = np.empty((len(indices), points.shape[0]))
+    xy: dict[tuple[int, int], np.ndarray] = {}
+    for row, (a, b, c) in enumerate(indices):
+        if (a, b) not in xy:
+            xy[a, b] = hx[a] * hy[b]
+        np.multiply(xy[a, b], hz[c], out=out[row])
+    out /= norm[:, None]
+    return out.T
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -343,15 +365,41 @@ _N_HERM = 7         # Gauss-Hermite, per axis of the center-of-mass velocity
 _N_RAD = 4          # generalized Gauss-Laguerre (alpha = 1) in u = r^2 / 2
 _N_POLAR = 7        # Gauss-Legendre in the polar cosine of the deflection vector
 _N_AZIM = 14        # equispaced azimuths
-_GAMMA_CHUNK = 128  # (center-of-mass, radial) node pairs per block
+_GAMMA_CHUNK = 32   # (center-of-mass, radial) node pairs per block
 
 
 def _product_coefficients() -> np.ndarray:
     """Linearization c[i, k, m] with H_i H_k = sum_m c[i, k, m] H_m, m over _PRODUCT_INDICES."""
     _, w3, table = _sub_quadrature(_PRODUCT_INDICES)
     nb = len(_SUB_INDICES)
-    pairs = (table[:, :nb] * w3[:, None])[:, :, None] * table[:, None, :nb]
-    return (pairs.reshape(w3.size, nb * nb).T @ table).reshape(nb, nb, -1)
+    coef = np.empty((nb, nb, table.shape[1]))
+    for i in range(nb):
+        coef[i] = ((table[:, i] * w3)[:, None] * table[:, :nb]).T @ table
+    return coef
+
+
+def _sphere_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes sigma (n, 3) and weights of the sphere rule; node s + n/2 is exactly -node s.
+
+    The product rule (Gauss-Legendre polar cosines, equispaced azimuths) is
+    closed under sigma -> -sigma: the node (mu, phi) mirrors to (-mu, phi + pi),
+    which lies in the other half of the node list.  Keeping the first half and
+    its exact negation, each with the same weights, makes the mirror exact.
+    """
+    mu, wmu = np.polynomial.legendre.leggauss(_N_POLAR)
+    phi = _TWO_PI * np.arange(_N_AZIM) / _N_AZIM
+    st = np.sqrt(1.0 - mu**2)
+    sig = np.stack(
+        [
+            np.repeat(mu, _N_AZIM),
+            np.repeat(st, _N_AZIM) * np.tile(np.cos(phi), _N_POLAR),
+            np.repeat(st, _N_AZIM) * np.tile(np.sin(phi), _N_POLAR),
+        ],
+        axis=1,
+    )
+    wsig = np.repeat(wmu, _N_AZIM) * (_TWO_PI / _N_AZIM)
+    half = sig.shape[0] // 2
+    return np.concatenate([sig[:half], -sig[:half]]), np.concatenate([wsig[:half], wsig[:half]])
 
 
 @functools.cache
@@ -377,18 +425,11 @@ def _assemble_gamma_tensor() -> np.ndarray:
     rr = np.sqrt(2.0 * u)
     wr = (math.sqrt(2.0) / 2.0) * _TWO_PI ** (-1.5) * wu
 
-    mu, wmu = np.polynomial.legendre.leggauss(_N_POLAR)
-    phi = _TWO_PI * np.arange(_N_AZIM) / _N_AZIM
-    st = np.sqrt(1.0 - mu**2)
-    sig = np.stack(
-        [
-            np.repeat(mu, _N_AZIM),
-            np.repeat(st, _N_AZIM) * np.tile(np.cos(phi), _N_POLAR),
-            np.repeat(st, _N_AZIM) * np.tile(np.sin(phi), _N_POLAR),
-        ],
-        axis=1,
-    )
-    wsig = np.repeat(wmu, _N_AZIM) * (_TWO_PI / _N_AZIM)
+    sig, wsig = _sphere_rule()
+    ns = sig.shape[0]
+    # a(-sigma) = b(sigma) bit for bit, so the b-table is the a-table read at
+    # the mirrored node
+    mirror = (np.arange(ns) + ns // 2) % ns
 
     combos_p = np.repeat(np.arange(pgrid.shape[0]), _N_RAD)
     combos_r = np.tile(np.arange(_N_RAD), pgrid.shape[0])
@@ -404,16 +445,16 @@ def _assemble_gamma_tensor() -> np.ndarray:
         rc = rr[combos_r[sl]]
         m = pc.shape[0]
         apts = inv_sqrt2 * (pc[:, None, :] + rc[:, None, None] * sig[None, :, :])
-        bpts = inv_sqrt2 * (pc[:, None, :] - rc[:, None, None] * sig[None, :, :])
         ha8 = _sub_table(apts.reshape(-1, 3), _PRODUCT_INDICES)
-        hb = _sub_table(bpts.reshape(-1, 3), _SUB_INDICES)
-        haw = ha8[:, :nb].reshape(m, -1, nb) * wsig[None, :, None]
-        s_ij = np.matmul(haw.transpose(0, 2, 1), hb.reshape(m, -1, nb))
+        ha = ha8[:, :nb].reshape(m, ns, nb)
+        hb = ha[:, mirror]
+        haw = ha * wsig[None, :, None]
+        s_ij = np.matmul(haw.transpose(0, 2, 1), hb)
         t1 += s_ij.reshape(m, -1).T @ (wq[sl, None] * haw.sum(axis=1))
         # loss part: the same sphere nodes serve as the relative-velocity
         # directions, and H_i(a) H_k(a) is linearized in H_m(a)
         row_w = (wq[sl, None] * wsig[None, :]).ravel()
-        loss += (hb * row_w[:, None]).T @ ha8
+        loss += (hb.reshape(-1, nb) * row_w[:, None]).T @ ha8
     t2 = (_product_coefficients().reshape(nb * nb, -1) @ loss.T).reshape(nb, nb, nb)
     tensor = t1.reshape(nb, nb, nb) - 4.0 * math.pi * t2.transpose(0, 2, 1)
     # the mirrored nodes cancel every entry of odd total degree

@@ -35,6 +35,7 @@ assembled from the blocks when asked for; the package itself reads none.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -687,8 +688,10 @@ def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
 
     The streaming part is multiplication by -nu(v) - i*(eps*s)*v1; the grid is
     an (r, angle-cosine) product rule fine enough to resolve the resonant set,
-    independent of the Galerkin basis.
+    independent of the Galerkin basis.  Raises ValueError for a non-finite lam.
     """
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     r, c, pc, tables = _probe_grid()
     w = op.eps * op.s
     denom = lam + _nu_of_r(r)[:, None] + 1j * w * r[:, None] * c[None, :]

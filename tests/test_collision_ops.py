@@ -126,6 +126,18 @@ class TestKernelPointwise:
                 with pytest.raises(ValueError, match="finite"):
                     kernel_eval(which, v, vs)
 
+    @pytest.mark.parametrize("v, vs", [
+        ([1.0, 0.0], [0.0, 1.0]),
+        ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),
+        ([1.0, 0.0, 0.0], [0.0, 1.0]),
+        ([1.0, 0.0], [0.0, 1.0, 0.0]),
+        (1.0, 2.0),
+    ])
+    def test_non_3_vectors_rejected(self, v, vs):
+        for which in ("k", "k1"):
+            with pytest.raises(ValueError, match="length 3"):
+                kernel_eval(which, v, vs)
+
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
             kernel_eval("k1", [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
@@ -519,6 +531,56 @@ class TestGammaTensor:
         h8 = collision_ops._sub_table(pts, collision_ops._PRODUCT_INDICES)
         assert h4.shape == (300, 35) and h8.shape == (300, 165)
         assert np.array_equal(h8[:, :35], h4)
+
+    def test_sub_table_matches_gather_build(self):
+        # reference: the (n_products, n_points) gather build it replaced
+        def gather_table(points, indices):
+            idx = np.array(indices)
+            norm = np.sqrt([float(math.factorial(a) * math.factorial(b) * math.factorial(c))
+                            for (a, b, c) in indices])
+            he = [collision_ops._hermite_values(points[:, d], int(idx.max())) for d in range(3)]
+            return (he[0][idx[:, 0]] * he[1][idx[:, 1]] * he[2][idx[:, 2]] / norm[:, None]).T
+
+        pts = 2.0 * np.random.default_rng(29).standard_normal((500, 3))
+        for indices in (collision_ops._SUB_INDICES, collision_ops._PRODUCT_INDICES):
+            got = collision_ops._sub_table(pts, indices)
+            assert got.flags.f_contiguous
+            assert np.array_equal(got, gather_table(pts, indices))
+
+    def test_sphere_rule_closed_under_negation(self):
+        sig, w = collision_ops._sphere_rule()
+        n = sig.shape[0]
+        assert sig.shape == (collision_ops._N_POLAR * collision_ops._N_AZIM, 3)
+        assert np.array_equal(sig[n // 2:], -sig[:n // 2])
+        assert np.array_equal(w[n // 2:], w[:n // 2])
+        assert np.all(np.abs(np.linalg.norm(sig, axis=1) - 1.0) < 1e-15)
+        # exact on every monomial of degree <= 12, as the product rule is:
+        # the sphere integral of x^a y^b z^c is 2 G(A) G(B) G(C) / G(A + B + C),
+        # with A = (a + 1) / 2 and so on, for a, b, c all even, else 0
+        for a, b, c in collision_ops._hermite_indices(12):
+            if a % 2 or b % 2 or c % 2:
+                want = 0.0
+            else:
+                ga, gb, gc = (math.gamma((e + 1) / 2) for e in (a, b, c))
+                want = 2.0 * ga * gb * gc / math.gamma((a + b + c + 3) / 2)
+            got = w @ (sig[:, 0] ** a * sig[:, 1] ** b * sig[:, 2] ** c)
+            assert abs(got - want) < 1e-13
+
+    def test_build_working_set_bounded(self):
+        # a block's (32 x 98, 165) Hermite table is about 4 MB; with 128-pair
+        # blocks, gathered copies of it and a (729, 35, 35) product of node
+        # values, the traced peak was about 59 MB
+        import tracemalloc
+
+        collision_ops._sub_quadrature(collision_ops._SUB_INDICES)
+        collision_ops._sub_quadrature(collision_ops._PRODUCT_INDICES)
+        tracemalloc.start()
+        try:
+            collision_ops._assemble_gamma_tensor.__wrapped__()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
     def test_built_once_and_read_only(self, collision_default, basis_small):
         other = assemble_collision(basis_small, build_gamma=True)

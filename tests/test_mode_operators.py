@@ -6,6 +6,8 @@ adjoint, scaling in eps*s), the semigroup contract (contraction, composition,
 branch splitting with a fitted remainder rate), and the resolvent-composition
 probe scalings.
 """
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sl
@@ -612,6 +614,13 @@ class TestResolventProbe:
         r, c, _, _ = mo._probe_grid()
         lam = complex(-nu_eval(r[10]), -2.0 * r[10] * c[5])
         with pytest.raises(ValueError):
+            mo.resolvent_norm_probe(op, lam)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan), complex(-1.0, math.inf)])
+    def test_non_finite_lambda_rejected(self, collision_small, lam):
+        op = mo.assemble_B(2.0, 1.0, collision_small)
+        with pytest.raises(ValueError, match="finite"):
             mo.resolvent_norm_probe(op, lam)
 
     def test_decay_in_imaginary_part_at_small_streaming(self, collision_small):
