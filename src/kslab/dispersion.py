@@ -61,20 +61,21 @@ class _SectorSolver:
         self.l1 = l1
         self.stream = stream
         self.chi = chi.astype(complex)
-        self.deflate = deflate
         self.n = l1.shape[0]
+        self.eye = np.eye(self.n)
+        # The density direction is a left null vector of the undeflated
+        # matrix whenever x = 0, and the coupling to it is strictly
+        # triangular, so a rank-one shift leaves the restricted scalar
+        # unchanged while keeping the solve well conditioned.
+        self.deflation = None if deflate is None else np.outer(deflate, deflate)
 
     def _matrix(self, x: complex, y: float) -> np.ndarray:
-        mat = self.l1 - x * np.eye(self.n) - 1j * y * self.stream
-        if self.deflate is not None:
-            # The density direction is a left null vector of the undeflated
-            # matrix whenever x = 0, and the coupling to it is strictly
-            # triangular, so a rank-one shift leaves the restricted scalar
-            # unchanged while keeping the solve well conditioned.
+        mat = self.l1 - x * self.eye - 1j * y * self.stream
+        if self.deflation is not None:
             theta = 1.0
             if abs(theta - x) < 1e-6:
                 theta = 1.0 + 2.0 * abs(x)
-            mat = mat + theta * np.outer(self.deflate, self.deflate)
+            mat = mat + theta * self.deflation
         return mat
 
     def value(self, x: complex, y: float) -> complex:
@@ -265,13 +266,19 @@ _BOLTZMANN_LABELS = ("boltzmann_-1", "boltzmann_0", "boltzmann_1",
 def _slow_eigenvalues(s: float, eps: float, cm: CollisionMatrices) -> np.ndarray:
     """The five eigenvalues of B nearest 0, from the eigenvalues of its sector blocks.
 
-    A block's eigenvalues count once per copy, so the shear pair of the
-    transverse block appears twice.
+    Each block runs a real eigvals on its parity frame D^{-1} B_b D
+    (mode_operators._real_frame), which has the block's eigenvalues and
+    gives complex ones in exact conjugate pairs; a block that is not real in
+    its frame runs the complex eigvals on the block itself.  A block's
+    eigenvalues count once per copy, so the shear pair of the transverse
+    block appears twice.
     """
-    from .mode_operators import _by_column, assemble_B
+    from .mode_operators import _by_column, _real_frame, assemble_B
 
     op = assemble_B(s, eps, cm)
-    lam = _by_column(op, [np.linalg.eigvals(b.matrix) for b in op.blocks])
+    frames = [_real_frame(b) for b in op.blocks]
+    lam = _by_column(op, [np.linalg.eigvals(b.matrix if t is None else t)
+                          for b, t in zip(op.blocks, frames)])
     order = np.argsort(np.abs(lam))
     return lam[order[:5]]
 

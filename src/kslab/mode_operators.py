@@ -32,12 +32,28 @@ Z_b e^{tau T_b} Z_b^H (I - P_b), then gives the remainder fit without a
 dense matrix.  The dense generator (ModeOperator.matrix), propagator_matrix
 and the split's S1_part, S2_part and S3_part are views for callers,
 assembled from the blocks when asked for; the package itself reads none.
+
+Each block carries its parity phases, one per row: i^l by the Legendre
+degree l of a kinetic row, i on the X and 1 on the Y row of the field block.
+With D = diag(phase) the block is D T D^{-1} with T real (_real_frame), the
+collision part being real and diagonal in l and the streaming coupling l to
+l +- 1.  The eig records stay complex; the remainder norms of an eig copy run
+in real arithmetic on Re(D^{-1} G^{1/2} V E V^{-1} G^{-1/2} D) when the
+block is real in its frame and the copy's branch mask is closed under
+conjugation, and take the complex product otherwise (a block built without
+phases, or a mask that splits a conjugate pair).
+
+Bad input fails at the boundary with ValueError, the module's documented
+error: non-numeric, boolean or non-finite wave numbers, a negative eps,
+collision data that is not CollisionMatrices, an operator argument that is
+not a ModeOperator, and bad states, times and spectral parameters.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,10 +84,18 @@ class SectorBlock:
 
     Each copy is (index, sign): the block sits on rows and columns ``index``
     of the dense layout, conjugated by diag(sign) with sign entries +-1.
+    ``phase`` holds one unit phase per row, D = diag(phase), such that
+    D^{-1} A_b D is real for the generators built here (see _real_frame); a
+    block built without phases carries ones.
     """
 
     matrix: np.ndarray
     copies: tuple
+    phase: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.phase is None:
+            object.__setattr__(self, "phase", np.ones(self.matrix.shape[0]))
 
 
 def _frozen(*arrays: np.ndarray) -> tuple:
@@ -88,18 +112,31 @@ def _copy(index: np.ndarray, sign: np.ndarray | None = None) -> tuple:
 class ModeOperator:
     """One mode generator, held as its sector blocks.
 
-    ``blocks`` is a sequence of SectorBlock whose copies tile the dense layout.
+    ``blocks`` is a nonempty sequence of SectorBlock whose copies tile the
+    dense layout; ``metric_diag`` holds one finite positive weight per row.
+    Raises ValueError for anything else, and for a non-finite s or eps or a
+    negative eps.
     """
 
     def __init__(self, kind: str, s: float, eps: float, metric_diag: np.ndarray,
                  collision: CollisionMatrices, blocks):
+        _check_mode_args(s, eps, collision)
+        if kind not in (KIND_BOLTZMANN, KIND_VMB):
+            raise ValueError(f"kind must be {KIND_BOLTZMANN!r} or {KIND_VMB!r}, got {kind!r}")
+        blocks = tuple(blocks)
+        if not blocks or not all(isinstance(b, SectorBlock) for b in blocks):
+            raise ValueError("blocks must be a nonempty sequence of SectorBlock")
         self.kind = kind
         self.s = s
         self.eps = eps
         self.metric_diag = metric_diag
         self.collision = collision
-        self.blocks = tuple(blocks)
+        self.blocks = blocks
         self.dim = sum(idx.size for b in self.blocks for idx, _ in b.copies)
+        metric = np.asarray(metric_diag)
+        if not (metric.shape == (self.dim,) and metric.dtype.kind in "iuf"
+                and 0 < metric.min() and metric.max() < math.inf):
+            raise ValueError(f"metric_diag must hold {self.dim} finite positive weights")
         self._matrix = None
         self._decomp = None
 
@@ -121,11 +158,22 @@ class ModeOperator:
         return complex(np.vdot(w, self.metric_diag * u))
 
 
-def _check_mode_args(s: float, eps: float) -> None:
-    if not (math.isfinite(s) and math.isfinite(eps)):
-        raise ValueError(f"s and eps must be finite, got s={s!r}, eps={eps!r}")
+def _real_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_mode_args(s: float, eps: float, cm: CollisionMatrices) -> None:
+    if not (_real_number(s) and _real_number(eps) and math.isfinite(s) and math.isfinite(eps)):
+        raise ValueError(f"s and eps must be finite real numbers, got s={s!r}, eps={eps!r}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if not isinstance(cm, CollisionMatrices):
+        raise ValueError(f"expected CollisionMatrices, got {type(cm).__name__}")
+
+
+def _check_operator(op: ModeOperator) -> None:
+    if not isinstance(op, ModeOperator):
+        raise ValueError(f"expected a ModeOperator, got {type(op).__name__}")
 
 
 class _Layout(NamedTuple):
@@ -137,6 +185,14 @@ class _Layout(NamedTuple):
     field: tuple         # copies of the electromagnetic transverse block
     charge: np.ndarray   # outer(v0 chi0, chi0): the axial charge coupling
     chi2: np.ndarray     # the transverse momentum coupled to the X field
+    axial_phase: np.ndarray       # i^l by Legendre degree
+    transverse_phase: np.ndarray  # i^l by Legendre degree
+    field_phase: np.ndarray       # i^l, then i on X and 1 on Y
+
+
+def _parity_phase(degrees: np.ndarray) -> np.ndarray:
+    """i^l for each degree l, exactly."""
+    return np.array([1.0, 1j, -1.0, -1j])[degrees % 4]
 
 
 def _layout(basis) -> _Layout:
@@ -144,6 +200,7 @@ def _layout(basis) -> _Layout:
     key = ("mode_layout",)
     if key not in basis._v_cache:
         n0, n1 = basis.dim0, basis.dim1
+        nr, lmax = basis.spec.radial_order, basis.spec.angular_max
         ix2, ix3, iy2, iy3 = (n0 + 2 * n1 + k for k in range(4))
         chi0 = np.zeros(n0)
         chi0[0] = 1.0
@@ -152,19 +209,21 @@ def _layout(basis) -> _Layout:
         flip_x = np.ones(n1 + 2)
         flip_x[n1] = -1.0
         charge = np.outer(v_multiplication_matrix(basis, SECTOR_AXIAL) @ chi0, chi0)
+        transverse_phase = _parity_phase(np.repeat(np.arange(1, lmax + 1), nr))
         basis._v_cache[key] = _Layout(
             (_copy(np.arange(n0)),),
             (_copy(np.arange(n0, n0 + n1)), _copy(np.arange(n0 + n1, n0 + 2 * n1))),
             (_copy(np.r_[n0:n0 + n1, ix3, iy2]),
              _copy(np.r_[n0 + n1:n0 + 2 * n1, ix2, iy3], flip_x)),
-            *_frozen(charge, chi2),
+            *_frozen(charge, chi2, _parity_phase(np.repeat(np.arange(lmax + 1), nr)),
+                     transverse_phase, np.r_[transverse_phase, 1j, 1.0]),
         )
     return basis._v_cache[key]
 
 
 def assemble_B(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     """Kinetic-only mode generator L - i*eps*s*(v along the wave axis)."""
-    _check_mode_args(s, eps)
+    _check_mode_args(s, eps, cm)
     if s < 0:
         raise ValueError("s must be nonnegative")
     basis = cm.basis
@@ -173,7 +232,8 @@ def assemble_B(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     axial = cm.L_sector[SECTOR_AXIAL] - 1j * w * v_multiplication_matrix(basis, SECTOR_AXIAL)
     trans = (cm.L_sector[SECTOR_TRANSVERSE]
              - 1j * w * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
-    blocks = (SectorBlock(axial, layout.axial), SectorBlock(trans, layout.transverse))
+    blocks = (SectorBlock(axial, layout.axial, layout.axial_phase),
+              SectorBlock(trans, layout.transverse, layout.transverse_phase))
     return ModeOperator(KIND_BOLTZMANN, s, eps, np.ones(basis.dim), cm, blocks)
 
 
@@ -186,7 +246,7 @@ def _vmb_operator(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool) 
     block acts on (cos, X3, Y2); the sine copy (sin, X2, Y3) is the same block
     with the sign of its X component flipped.
     """
-    _check_mode_args(s, eps)
+    _check_mode_args(s, eps, cm)
     if s <= 0:
         raise ValueError("s must be positive for the electromagnetic operator")
     basis = cm.basis
@@ -206,7 +266,8 @@ def _vmb_operator(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool) 
     trans[n1, n1 + 1] = sk * 1j * eps**2 * s
     trans[n1 + 1, n1] = sk * 1j * eps**2 * s
 
-    blocks = (SectorBlock(axial, layout.axial), SectorBlock(trans, layout.field))
+    blocks = (SectorBlock(axial, layout.axial, layout.axial_phase),
+              SectorBlock(trans, layout.field, layout.field_phase))
     metric = np.ones(basis.dim + 4)
     metric[0] = 1.0 + 1.0 / s**2
     return ModeOperator(KIND_VMB, s, eps, metric, cm, blocks)
@@ -226,6 +287,30 @@ def metric_adjoint(op: ModeOperator) -> np.ndarray:
     """Dense G^{-1} A^H G for the operator's weighted inner product."""
     g = op.metric_diag
     return (op.matrix.conj().T * g[None, :]) / g[:, None]
+
+
+# a block is real in its parity frame when max|Im T| <= _REAL_FRAME_TOL * max|T|
+_REAL_FRAME_TOL = 1e-12
+
+
+def _real_frame(block: SectorBlock) -> np.ndarray | None:
+    """The block in its parity frame, T = D^{-1} A_b D with D = diag(phase), as a
+    real matrix; None when T is not real to _REAL_FRAME_TOL.
+
+    Inside a sector the collision part is real and block-diagonal in the
+    Legendre degree l and -i w v couples l to l +- 1, so the phases i^l (and
+    i on X, 1 on Y for the field rows) leave every generator block real up to
+    the quadrature rounding in its analytically zero entries.
+    """
+    t = block.matrix * np.outer(block.phase.conj(), block.phase)
+    if np.abs(t.imag).max(initial=0.0) > _REAL_FRAME_TOL * np.abs(t).max(initial=0.0):
+        return None
+    return t.real
+
+
+def _conjugate_partners(lam: np.ndarray) -> np.ndarray:
+    """For each eigenvalue, the index of the one nearest its conjugate."""
+    return np.argmin(np.abs(lam[:, None] - lam.conj()[None, :]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +454,7 @@ def spectrum(op: ModeOperator):
     a signature conjugation preserves the column norms.  A Schur block takes
     its eigenvectors from an eig of the block itself.
     """
+    _check_operator(op)
     dec = _decomposition(op)
     pairs = [np.linalg.eig(block.matrix) if s else rec[:2]
              for block, rec, s in zip(op.blocks, dec.blocks, dec.schur)]
@@ -433,9 +519,15 @@ def _contraction_violations(metric: np.ndarray, states0: np.ndarray,
 def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
     """e^{(t/eps^2) A} u0 at a time t, or at each time of a 1-D array (rows).
 
-    Raises PropagationError when the result breaks contraction in the
-    weighted norm.
+    Raises ValueError for a state that is not a finite numeric vector of
+    length op.dim, for a time that is not a finite nonnegative number or 1-D
+    array of them, and for eps = 0; PropagationError when the result breaks
+    contraction in the weighted norm.
     """
+    _check_operator(op)
+    u0 = np.asarray(u0)
+    if u0.dtype.kind not in "iufc":
+        raise ValueError(f"state must be numeric, got dtype {u0.dtype}")
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != (op.dim,):
         raise ValueError(f"state length {u0.shape} does not match operator dim {op.dim}")
@@ -443,9 +535,10 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
         raise ValueError("state must be finite")
     if not op.eps > 0:
         raise ValueError(f"the diffusive-time semigroup needs eps > 0, got eps={op.eps!r}")
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not np.all(np.isfinite(times)):
+    times = np.asarray(t)
+    if times.dtype.kind not in "iuf" or times.ndim > 1 or not np.all(np.isfinite(times)):
         raise ValueError(f"time must be a finite number or a 1-D array of them, got {t!r}")
+    times = times.astype(float)
     if np.any(times < 0):
         raise ValueError("time must be nonnegative")
     dec = _decomposition(op)
@@ -545,6 +638,7 @@ def semigroup_split(op: ModeOperator) -> SemigroupSplit:
     copies (low), S2 those above -mu/2 (high).  A Schur block's projector
     takes each of its eigenvalues down to the lowest one taken, less 1e-12.
     """
+    _check_operator(op)
     regime = split_regime(op)
     dec = _decomposition(op)
     lam = dec.lam
@@ -581,10 +675,21 @@ def _remainder_norms(op: ModeOperator, mask: np.ndarray, projectors,
     The weighted norm is the largest over the copies.  A copy that repeats an
     earlier copy's mask and metric has the same norm (the signature
     conjugation between them is orthogonal) and is skipped.
+
+    An eig copy takes the real path when its block is real in its parity
+    frame D (_real_frame) and its mask is closed under conjugation: every
+    eigenvalue's conjugate partner in the block is taken or left with it.
+    Then D^{-1} G^{1/2} V diag(e^{tau lam} (1 - m)) V^{-1} G^{-1/2} D is a
+    function of the real T restricted to a conjugation-closed set, so it is
+    real up to rounding; its real part is formed one tau at a time by two
+    real matmuls, and its real 2-norm is the copy's norm, since the unitary
+    diagonal D leaves the 2-norm unchanged.  Every other eig copy forms the
+    complex product and its complex 2-norm.
     """
     dec = _decomposition(op)
     gh = np.sqrt(op.metric_diag)
     norms = np.zeros(len(taus))
+    partners = {}
     seen = set()
     for b, idx, _, cols in _copy_columns(op):
         keep, g = ~mask[cols], gh[idx]
@@ -596,11 +701,36 @@ def _remainder_norms(op: ModeOperator, mask: np.ndarray, projectors,
         if dec.schur[b]:
             flows = (g[:, None] * _schur_flow(x, y, taus) @ (np.eye(lb.size) - projectors[b])
                      / g[None, :])
+            norms = np.maximum(norms, np.linalg.norm(flows, ord=2, axis=(1, 2)))
+            continue
+        if b not in partners:
+            partners[b] = (None if _real_frame(op.blocks[b]) is None
+                           else _conjugate_partners(lb))
+        if partners[b] is not None and np.array_equal(keep[partners[b]], keep):
+            phase = op.blocks[b].phase
+            norms = np.maximum(norms, _real_frame_norms(
+                (g * phase.conj())[:, None] * x, (y / g[None, :]) * phase[None, :],
+                lb, keep, taus))
         else:
             growth = np.exp(np.multiply.outer(taus, lb)) * keep
             flows = ((g[:, None] * x)[None] * growth[:, None, :]) @ (y / g[None, :])
-        norms = np.maximum(norms, np.linalg.norm(flows, ord=2, axis=(1, 2)))
+            norms = np.maximum(norms, np.linalg.norm(flows, ord=2, axis=(1, 2)))
     return norms
+
+
+def _real_frame_norms(left: np.ndarray, right: np.ndarray, lam: np.ndarray,
+                      keep: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """||Re(left diag(e^{tau lam} keep) right)||_2 at each tau, in real arithmetic:
+    Re(X E) Re(Y) - Im(X E) Im(Y), one tau at a time."""
+    xr, xi = left.real.copy(), left.imag.copy()
+    yr, yi = right.real.copy(), right.imag.copy()
+    out = np.empty(len(taus))
+    for t, tau in enumerate(taus):
+        e = np.exp(tau * lam) * keep
+        flow = (xr * e.real - xi * e.imag) @ yr
+        flow -= (xr * e.imag + xi * e.real) @ yi
+        out[t] = np.linalg.norm(flow, ord=2)
+    return out
 
 
 def _remainder_flow(split: SemigroupSplit, u0: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -688,10 +818,13 @@ def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
 
     The streaming part is multiplication by -nu(v) - i*(eps*s)*v1; the grid is
     an (r, angle-cosine) product rule fine enough to resolve the resonant set,
-    independent of the Galerkin basis.  Raises ValueError for a non-finite lam.
+    independent of the Galerkin basis.  Raises ValueError for a lam that is not a
+    finite number.
     """
-    if not cmath.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+    _check_operator(op)
+    if not (isinstance(lam, numbers.Complex) and not isinstance(lam, bool)
+            and cmath.isfinite(lam)):
+        raise ValueError(f"lambda must be a finite number, got {lam!r}")
     r, c, pc, tables = _probe_grid()
     w = op.eps * op.s
     denom = lam + _nu_of_r(r)[:, None] + 1j * w * r[:, None] * c[None, :]

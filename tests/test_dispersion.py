@@ -323,3 +323,41 @@ class TestSlowBranchExpansion:
         eta_big = dsp.eta_coefficient(collision_default)
         eta_small = dsp.eta_coefficient(collision_small)
         assert abs(eta_big - eta_small) / eta_big < 1e-4
+
+
+class TestRealFrameSlowEigenvalues:
+    """_slow_eigenvalues runs real eigvals on each B block's parity frame."""
+
+    @pytest.mark.parametrize("which", ["collision_small", "collision_default"])
+    @pytest.mark.parametrize("s, eps", [(0.4, 0.05), (1.3, 0.04), (3.0, 0.02), (4.5, 0.1)])
+    def test_matches_complex_eigvals(self, request, which, s, eps):
+        from kslab.mode_operators import _by_column, assemble_B
+
+        cm = request.getfixturevalue(which)
+        op = assemble_B(s, eps, cm)
+        lam = _by_column(op, [np.linalg.eigvals(b.matrix) for b in op.blocks])
+        want = lam[np.argsort(np.abs(lam))[:5]]
+        got = dsp._slow_eigenvalues(s, eps, cm)
+        dist = np.abs(got[:, None] - want[None, :])
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12
+        # conjugate pairs come out exactly conjugate, real ones exactly real
+        matched = dsp._match_slow_branches(got)
+        assert matched["boltzmann_-1"] == np.conj(matched["boltzmann_1"])
+        assert matched["boltzmann_0"].imag == 0.0
+
+
+class TestSectorSolverMatrix:
+    """The identity and the deflation product are built once per solver."""
+
+    @pytest.mark.parametrize("which", ["collision_small", "collision_default"])
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (-0.003 + 0.001j, 0.07), (1.0 + 1e-7j, 0.3),
+                                      (-2.5, 1.9)])
+    def test_matches_fresh_assembly_bit_for_bit(self, request, which, x, y):
+        ax, tr = dsp._solvers(request.getfixturevalue(which))
+        want = ax.l1 - x * np.eye(ax.n) - 1j * y * ax.stream
+        theta = 1.0 if abs(1.0 - x) >= 1e-6 else 1.0 + 2.0 * abs(x)
+        chi0 = np.zeros(ax.n)
+        chi0[0] = 1.0
+        want = want + theta * np.outer(chi0, chi0)
+        assert np.array_equal(ax._matrix(x, y), want)
+        assert np.array_equal(tr._matrix(x, y), tr.l1 - x * np.eye(tr.n) - 1j * y * tr.stream)

@@ -3,8 +3,10 @@
 Checks the assembled kinetic and kinetic-electromagnetic matrices against
 structural identities (dissipativity in the weighted product, explicit metric
 adjoint, scaling in eps*s), the semigroup contract (contraction, composition,
-branch splitting with a fitted remainder rate), and the resolvent-composition
-probe scalings.
+branch splitting with a fitted remainder rate), the parity frame in which
+every block is real and the real-arithmetic remainder norms it allows, the
+resolvent-composition probe scalings, and the boundary table of bad input
+for every exported callable.
 """
 import math
 
@@ -658,3 +660,280 @@ class TestResolventProbe:
         op = mo.assemble_B(4.0, 1.0, collision_small)
         lam = complex(-0.5 * collision_small.nu0, 3.0)
         assert mo.resolvent_norm_probe(op, lam) == mo.resolvent_norm_probe(op, lam)
+
+
+def _complex_remainder_norms(op, mask, projectors, taus):
+    """The remainder norms by complex SVDs on every eig copy: the formula the
+    real-frame path replaces, kept here as its oracle."""
+    dec = mo._decomposition(op)
+    gh = np.sqrt(op.metric_diag)
+    norms = np.zeros(len(taus))
+    for b, idx, _, cols in mo._copy_columns(op):
+        lb, x, y = dec.blocks[b]
+        g = gh[idx]
+        if dec.schur[b]:
+            flows = (g[:, None] * mo._schur_flow(x, y, taus) @ (np.eye(lb.size) - projectors[b])
+                     / g[None, :])
+        else:
+            growth = np.exp(np.multiply.outer(taus, lb)) * ~mask[cols]
+            flows = ((g[:, None] * x)[None] * growth[:, None, :]) @ (y / g[None, :])
+        norms = np.maximum(norms, np.linalg.norm(flows, ord=2, axis=(1, 2)))
+    return norms
+
+
+def _fit_window(lam, mask):
+    gap = -lam[~mask].real.max()
+    return np.linspace(1.0, 18.0, 10) / gap
+
+
+@pytest.fixture
+def real_path_sizes(monkeypatch):
+    """The block sizes of the copies whose norms took the real-frame path."""
+    sizes = []
+    real_norms = mo._real_frame_norms
+
+    def spy(left, right, lam, keep, taus):
+        sizes.append(lam.size)
+        return real_norms(left, right, lam, keep, taus)
+
+    monkeypatch.setattr(mo, "_real_frame_norms", spy)
+    return sizes
+
+
+# (kind, s, eps) in the low, mid and high split regimes
+_REGIME_CASES = [("B", 1.0, 0.05), ("B", 0.3, 0.02), ("B", 5.0, 0.4), ("B", 16.0, 1.0),
+                 ("A", 1.3, 0.04), ("A", 5.0, 0.4), ("A", 4.2, 0.05), ("A", 16.0, 1.0)]
+
+
+class TestParityFrame:
+    """Every generator block is D T D^{-1} with T real and D its parity phases."""
+
+    @pytest.mark.parametrize("which", ["collision_small", "collision_default"])
+    @pytest.mark.parametrize("kind,s,eps", _REGIME_CASES)
+    def test_blocks_are_real_in_their_frame(self, request, which, kind, s, eps):
+        cm = request.getfixturevalue(which)
+        op = (mo.assemble_B if kind == "B" else mo.assemble_A_tilde)(s, eps, cm)
+        for block in op.blocks:
+            t = block.matrix * np.outer(block.phase.conj(), block.phase)
+            assert np.abs(t.imag).max() <= 1e-12 * np.abs(t).max()
+            frame = mo._real_frame(block)
+            assert frame.dtype == float and np.array_equal(frame, t.real)
+
+    def test_phases_follow_degree_and_field(self, collision_small):
+        basis = collision_small.basis
+        nr, lmax = basis.spec.radial_order, basis.spec.angular_max
+        ax, tr = mo.assemble_B(1.0, 0.1, collision_small).blocks
+        field = mo.assemble_A_tilde(1.0, 0.1, collision_small).blocks[1]
+        assert np.array_equal(ax.phase, np.repeat(1j ** np.arange(lmax + 1), nr).round())
+        assert np.array_equal(tr.phase, np.repeat(1j ** np.arange(1, lmax + 1), nr).round())
+        assert np.array_equal(field.phase, np.r_[tr.phase, 1j, 1.0])
+        assert not (ax.phase.flags.writeable or tr.phase.flags.writeable
+                    or field.phase.flags.writeable)
+        assert ax.phase is mo.assemble_A_tilde(2.0, 0.3, collision_small).blocks[0].phase
+
+    def test_blocks_built_elsewhere_carry_ones(self):
+        block = mo.SectorBlock(np.array([[-1.0, 0.5j], [0.5j, -2.0]]),
+                               ((np.arange(2), np.ones(2)),))
+        assert np.array_equal(block.phase, np.ones(2))
+        assert mo._real_frame(block) is None
+        assert mo._real_frame(mo.SectorBlock(block.matrix.real, block.copies)) is not None
+
+
+class TestRealFrameNorms:
+    """_remainder_norms in real arithmetic against the complex-SVD oracle."""
+
+    @pytest.mark.parametrize("which", ["collision_small", "collision_default"])
+    @pytest.mark.parametrize("kind,s,eps", _REGIME_CASES)
+    def test_matches_complex_formula(self, request, real_path_sizes, which, kind, s, eps):
+        cm = request.getfixturevalue(which)
+        op = (mo.assemble_B if kind == "B" else mo.assemble_A_tilde)(s, eps, cm)
+        sp = mo.semigroup_split(op)
+        assert not sp.defective
+        taus = _fit_window(mo._decomposition(op).lam, sp.branch_mask)
+        real_path_sizes.clear()
+        got = mo._remainder_norms(op, sp.branch_mask, sp.schur_projectors, taus)
+        want = _complex_remainder_norms(op, sp.branch_mask, sp.schur_projectors, taus)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        # every distinct copy took the real path
+        assert sorted(set(real_path_sizes)) == sorted(b.matrix.shape[0] for b in op.blocks)
+
+    def test_one_member_of_a_pair_takes_the_complex_path(self, collision_default,
+                                                         real_path_sizes):
+        op = mo.assemble_B(1.0, 0.05, collision_default)
+        sp = mo.semigroup_split(op)
+        dec = mo._decomposition(op)
+        lam_axial = dec.blocks[0][0]
+        # the slowest non-real eigenvalue the split leaves in the axial block
+        left = ~sp.branch_mask[:lam_axial.size] & (np.abs(lam_axial.imag) > 1e-3)
+        j = np.flatnonzero(left)[np.argmax(lam_axial.real[left])]
+        mask = sp.branch_mask.copy()
+        mask[j] = True
+        taus = _fit_window(dec.lam, mask)
+        real_path_sizes.clear()
+        got = mo._remainder_norms(op, mask, sp.schur_projectors, taus)
+        want = _complex_remainder_norms(op, mask, sp.schur_projectors, taus)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert real_path_sizes == [op.blocks[1].matrix.shape[0]]
+
+    def test_complex_block_takes_the_complex_path(self, collision_small, real_path_sizes):
+        rng = np.random.default_rng(18)
+        k = 5
+        mat = (np.diag(-rng.uniform(0.5, 3.0, k)) + 0.3 * (rng.standard_normal((k, k))
+               + 1j * rng.standard_normal((k, k))))
+        blocks = (mo.SectorBlock(mat, ((np.arange(k), np.ones(k)),
+                                       (np.arange(k, 2 * k), np.array([1.0, -1, 1, -1, 1])))),)
+        metric = np.ones(2 * k)
+        metric[0] = 3.0
+        op = mo.ModeOperator(mo.KIND_BOLTZMANN, 1.0, 0.05, metric, collision_small, blocks)
+        dec = mo._decomposition(op)
+        assert dec.path == "eig" and mo._real_frame(blocks[0]) is None
+        mask = np.zeros(2 * k, dtype=bool)
+        mask[np.argmax(dec.lam.real)] = True
+        taus = _fit_window(dec.lam, mask)
+        got = mo._remainder_norms(op, mask, (None,), taus)
+        want = _complex_remainder_norms(op, mask, (None,), taus)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert real_path_sizes == []
+        # the dense exponential agrees as well
+        s3 = np.eye(2 * k) - mo.SemigroupSplit(
+            op, "low", [], 0.0, 0.0, False, mask, (None,)).S1_part
+        gh = np.sqrt(metric)
+        for tau, norm in zip(taus[:3], got):
+            flow = sl.expm(tau * op.matrix) @ s3
+            dense = np.linalg.norm((flow / gh[None, :]) * gh[:, None], ord=2)
+            assert abs(norm - dense) <= 1e-10 * dense
+
+
+# ---------------------------------------------------------------------------
+# boundary contract: every exported callable, with ValueError as the
+# module's documented error for bad input
+# ---------------------------------------------------------------------------
+
+def _tiny_operator(cm, kind=mo.KIND_BOLTZMANN, s=1.0, eps=1.0, metric=(1.0, 1.0),
+                   collision=None, blocks=None):
+    if blocks is None:
+        blocks = (mo.SectorBlock(np.array([[-1.0, 0.5], [0.0, -2.0]]),
+                                 ((np.arange(2), np.ones(2)),)),)
+    return mo.ModeOperator(kind, s, eps, np.asarray(metric), cm if collision is None
+                           else collision, blocks)
+
+
+def _propagate(cm, u0=None, t=0.5, op=None):
+    op = mo.assemble_B(1.0, 0.2, cm) if op is None else op
+    return mo.propagate(op, np.ones(cm.basis.dim) if u0 is None else u0, t)
+
+
+def _probe(cm, lam=complex(1.0, 0.0), op=None):
+    return mo.resolvent_norm_probe(mo.assemble_B(2.0, 1.0, cm) if op is None else op, lam)
+
+
+def _assembly_rows(assemble):
+    return {
+        "s-nan": lambda cm: assemble(math.nan, 0.1, cm),
+        "s-inf": lambda cm: assemble(math.inf, 0.1, cm),
+        "s-negative": lambda cm: assemble(-0.5, 0.1, cm),
+        "s-bool": lambda cm: assemble(True, 0.1, cm),
+        "s-str": lambda cm: assemble("1.0", 0.1, cm),
+        "s-complex": lambda cm: assemble(1.0j, 0.1, cm),
+        "s-none": lambda cm: assemble(None, 0.1, cm),
+        "eps-nan": lambda cm: assemble(1.0, math.nan, cm),
+        "eps-inf": lambda cm: assemble(1.0, math.inf, cm),
+        "eps-negative": lambda cm: assemble(1.0, -0.1, cm),
+        "eps-bool": lambda cm: assemble(1.0, False, cm),
+        "eps-str": lambda cm: assemble(1.0, "0.1", cm),
+        "cm-none": lambda cm: assemble(1.0, 0.1, None),
+        "cm-basis": lambda cm: assemble(1.0, 0.1, cm.basis),
+    }
+
+
+_BAD_CALLS = {
+    "assemble_B": _assembly_rows(mo.assemble_B),
+    "assemble_A_tilde": {**_assembly_rows(mo.assemble_A_tilde),
+                         "s-zero": lambda cm: mo.assemble_A_tilde(0.0, 0.1, cm)},
+    "ModeOperator": {
+        "kind-unknown": lambda cm: _tiny_operator(cm, kind="fluid"),
+        "s-nan": lambda cm: _tiny_operator(cm, s=math.nan),
+        "s-str": lambda cm: _tiny_operator(cm, s="1.0"),
+        "eps-negative": lambda cm: _tiny_operator(cm, eps=-1.0),
+        "eps-bool": lambda cm: _tiny_operator(cm, eps=True),
+        "metric-short": lambda cm: _tiny_operator(cm, metric=(1.0,)),
+        "metric-zero": lambda cm: _tiny_operator(cm, metric=(1.0, 0.0)),
+        "metric-nan": lambda cm: _tiny_operator(cm, metric=(1.0, math.nan)),
+        "metric-inf": lambda cm: _tiny_operator(cm, metric=(1.0, math.inf)),
+        "metric-complex": lambda cm: _tiny_operator(cm, metric=(1.0, 1.0j)),
+        "collision-basis": lambda cm: _tiny_operator(cm, collision=cm.basis),
+        "blocks-empty": lambda cm: _tiny_operator(cm, blocks=()),
+        "blocks-matrix": lambda cm: _tiny_operator(cm, blocks=(np.eye(2),)),
+    },
+    "propagate": {
+        "op-none": lambda cm: mo.propagate(None, np.ones(3), 0.5),
+        "op-matrix": lambda cm: mo.propagate(mo.assemble_B(1.0, 0.2, cm).matrix,
+                                             np.ones(cm.basis.dim), 0.5),
+        "state-short": lambda cm: _propagate(cm, u0=np.ones(cm.basis.dim - 1)),
+        "state-2d": lambda cm: _propagate(cm, u0=np.ones((cm.basis.dim, 1))),
+        "state-nan": lambda cm: _propagate(cm, u0=np.full(cm.basis.dim, math.nan)),
+        "state-inf": lambda cm: _propagate(cm, u0=np.full(cm.basis.dim, math.inf)),
+        "state-str": lambda cm: _propagate(cm, u0=np.full(cm.basis.dim, "1")),
+        "state-bool": lambda cm: _propagate(cm, u0=np.ones(cm.basis.dim, dtype=bool)),
+        "time-nan": lambda cm: _propagate(cm, t=math.nan),
+        "time-inf": lambda cm: _propagate(cm, t=math.inf),
+        "time-negative": lambda cm: _propagate(cm, t=-0.5),
+        "time-2d": lambda cm: _propagate(cm, t=np.ones((2, 2))),
+        "time-str": lambda cm: _propagate(cm, t="0.5"),
+        "time-bool": lambda cm: _propagate(cm, t=True),
+        "time-complex": lambda cm: _propagate(cm, t=0.5j),
+        "time-none": lambda cm: _propagate(cm, t=None),
+        "eps-zero": lambda cm: _propagate(cm, op=mo.assemble_B(1.0, 0.0, cm)),
+    },
+    "resolvent_norm_probe": {
+        "op-none": lambda cm: mo.resolvent_norm_probe(None, 1.0),
+        "op-matrix": lambda cm: _probe(cm, op=mo.assemble_B(2.0, 1.0, cm).matrix),
+        "lam-nan": lambda cm: _probe(cm, lam=math.nan),
+        "lam-inf": lambda cm: _probe(cm, lam=complex(0.0, math.inf)),
+        "lam-str": lambda cm: _probe(cm, lam="1"),
+        "lam-none": lambda cm: _probe(cm, lam=None),
+        "lam-bool": lambda cm: _probe(cm, lam=True),
+        "lam-on-spectrum": lambda cm: _probe(cm, lam=complex(
+            -nu_eval(mo._probe_grid()[0][10]),
+            -2.0 * mo._probe_grid()[0][10] * mo._probe_grid()[1][5])),
+    },
+    "semigroup_split": {
+        "op-none": lambda cm: mo.semigroup_split(None),
+        "op-matrix": lambda cm: mo.semigroup_split(mo.assemble_B(1.0, 0.2, cm).matrix),
+    },
+    "spectrum": {
+        "op-none": lambda cm: mo.spectrum(None),
+        "op-matrix": lambda cm: mo.spectrum(mo.assemble_B(1.0, 0.2, cm).matrix),
+    },
+}
+# exported names that take no caller input of their own
+_NOT_ENTRY_POINTS = {
+    "PropagationError": "the module's error type",
+    "SemigroupSplit": "the record semigroup_split returns; no caller builds one",
+}
+
+
+class TestBoundaryContract:
+    """Every exported callable of mode_operators rejects bad input with ValueError."""
+
+    def test_table_covers_the_exports(self):
+        import kslab
+
+        exported = {name for name, obj in vars(kslab).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == mo.__name__}
+        assert exported == set(_BAD_CALLS) | set(_NOT_ENTRY_POINTS)
+        assert not set(_BAD_CALLS) & set(_NOT_ENTRY_POINTS)
+
+    @pytest.mark.parametrize("name, case", [(name, case) for name, rows in _BAD_CALLS.items()
+                                            for case in rows])
+    def test_bad_input_raises_value_error(self, collision_small, name, case):
+        with pytest.raises(ValueError):
+            _BAD_CALLS[name][case](collision_small)
+
+    def test_table_calls_are_valid_when_repaired(self, collision_small):
+        # the helpers behind the rows succeed on good input, so each row fails
+        # for its one bad argument
+        cm = collision_small
+        assert _tiny_operator(cm).dim == 2
+        assert _propagate(cm).shape == (cm.basis.dim,)
+        assert _probe(cm) > 0.0
