@@ -61,7 +61,9 @@ Each node count integrates its polynomial exactly:
   temporaries.
 - The change of basis to the Burnett-type elements and the polynomial
   projection integrate products of two degree-<=4 factors (degree <= 8) on
-  the same 9-point grid.
+  the same 9-point grid.  The Burnett-type elements are the velocity basis's
+  own: radial profiles from velocity_basis._radial_rows and angular factors
+  from velocity_basis._legendre_row.
 """
 from __future__ import annotations
 
@@ -74,7 +76,9 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.special import erf, roots_genlaguerre, roots_hermitenorm
 
-from .velocity_basis import Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _radial_norm, laguerre_rows
+from .velocity_basis import (
+    Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _frozen, _integer, _legendre_row, _radial_rows,
+)
 
 _TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -101,19 +105,20 @@ def _nu_of_r(r):
 
 
 def nu_eval(v):
-    """Collision frequency nu(v).  Accepts speeds or velocity vectors.
+    """Collision frequency nu(v) of a speed (a scalar) or of velocity vectors
+    (an array whose last axis has length 3, as kernel_eval takes them).
 
-    Raises ValueError for a non-finite entry.
+    Raises ValueError for an array whose last axis is not of length 3 and for
+    a non-finite entry.
     """
     arr = np.asarray(v, dtype=float)
+    if arr.ndim and arr.shape[-1] != 3:
+        raise ValueError(f"velocities must have a last axis of length 3, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("velocities must be finite")
-    if arr.ndim >= 1 and arr.shape[-1] == 3:
-        r = np.linalg.norm(arr, axis=-1)
-    else:
-        r = np.abs(arr)
+    r = np.abs(arr) if arr.ndim == 0 else np.linalg.norm(arr, axis=-1)
     out = _nu_of_r(np.atleast_1d(r))
-    return float(out[0]) if np.ndim(r) == 0 else out.reshape(np.shape(r))
+    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 def kernel_eval(which: str, v, vstar):
@@ -224,7 +229,7 @@ def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 
         raise ValueError("r_nodes must be a 1-D array of finite speeds r > 0")
     for name, value, least in (("lmax", lmax, 0), ("n_panel_points", n_panel_points, 1),
                                ("n_panels", n_panels, 1)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        if not _integer(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     iu = np.triu_indices(r.size)
     tabs = []
@@ -329,12 +334,6 @@ def _sub_table(points: np.ndarray, indices) -> np.ndarray:
         np.multiply(xy[a, b], hz[c], out=out[row])
     out /= norm[:, None]
     return out.T
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark an array shared between callers read-only."""
-    a.flags.writeable = False
-    return a
 
 
 @dataclass
@@ -468,22 +467,18 @@ _SUB_NL = [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2), (2, 0
 _SUB_RADIAL_CAP = {0: 3, 1: 2, 2: 2, 3: 1, 4: 1}
 
 
-def _real_sph_table(vhat: np.ndarray, lmax: int = 4) -> dict:
-    """Real spherical harmonics with polar axis e1, indexed (l, m, kind)."""
-    from scipy.special import lpmv
-
+def _real_sph_table(vhat: np.ndarray) -> dict:
+    """Real spherical harmonics with polar axis e1, indexed (l, m, kind), for the
+    degrees l <= 4 of the sub-elements."""
     c = vhat[:, 0]
     phi = np.arctan2(vhat[:, 2], vhat[:, 1])
     out = {}
-    for l in range(lmax + 1):
-        out[(l, 0, "axial")] = math.sqrt((2 * l + 1) / (4.0 * math.pi)) * lpmv(0, l, c)
+    for l in _SUB_RADIAL_CAP:
+        out[(l, 0, "axial")] = _legendre_row(l, 0, c) / math.sqrt(_TWO_PI)
         for m in range(1, l + 1):
-            norm = math.sqrt(
-                (2 * l + 1) / (2.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
-            )
-            plm = (-1.0) ** m * lpmv(m, l, c)  # strip the Condon-Shortley phase
-            out[(l, m, "cos")] = norm * plm * np.cos(m * phi)
-            out[(l, m, "sin")] = norm * plm * np.sin(m * phi)
+            plm = _legendre_row(l, m, c) / math.sqrt(math.pi)
+            out[(l, m, "cos")] = plm * np.cos(m * phi)
+            out[(l, m, "sin")] = plm * np.sin(m * phi)
     return out
 
 
@@ -495,11 +490,6 @@ def _burnett_sub_elements():
             els.append((n, l, m, "cos"))
             els.append((n, l, m, "sin"))
     return els
-
-
-def _radial_poly(n: int, l: int, r: np.ndarray) -> np.ndarray:
-    rows = laguerre_rows(n + 1, l + 0.5, 0.5 * r * r)
-    return _radial_norm(n, l) * _TWO_PI ** (-0.75) * rows[n] * r**l
 
 
 @functools.cache
@@ -526,10 +516,11 @@ def _change_of_basis() -> tuple[np.ndarray, tuple]:
     vhat = pts / safe_r[:, None]
     vhat[r < 1e-14] = np.array([1.0, 0.0, 0.0])
     sph = _real_sph_table(vhat)
+    radial = {l: _radial_rows(cap, l, r, 0.5 * r * r) for l, cap in _SUB_RADIAL_CAP.items()}
 
     cols = []
     for (n, l, m, kind) in els:
-        rad = _radial_poly(n, l, r)
+        rad = radial[l][n]
         if l > 0:
             rad = np.where(r < 1e-14, 0.0, rad)
         # strip the Gaussian shared with the Hermite side; absorb into weights

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -53,19 +52,13 @@ from .mode_operators import (
     assemble_B,
     semigroup_split,
 )
-from .velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
+from .velocity_basis import (
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _finite, _integer, v_multiplication_matrix,
+)
 
 
 class ConvergenceError(RuntimeError):
     """Invalid experiment configuration, data, or a degenerate fit."""
-
-
-def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 _EPS_DEFAULT = (0.2, 0.1, 0.05, 0.025, 0.0125)
@@ -155,26 +148,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(mapping) - known
+        extra = set(mapping) - {f.name for f in fields(cls)}
         if extra:
             raise ConvergenceError(f"unknown configuration keys: {sorted(extra)}")
         return cls(**mapping)
 
     def as_dict(self) -> dict:
-        return {
-            "eps_list": list(self.eps_list),
-            "data_kind": self.data_kind,
-            "norm": self.norm,
-            "n_s": self.n_s,
-            "s_cap": self.s_cap,
-            "regime_radius": self.regime_radius,
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "n_t": self.n_t,
-            "profile_width": self.profile_width,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "eps_list": list(self.eps_list)}
 
     def t_grid(self) -> np.ndarray:
         return np.geomspace(self.t_min, self.t_max, self.n_t)
@@ -207,13 +187,7 @@ class RateFit:
     n_points: int
 
     def as_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "ci": self.ci,
-            "rss": self.rss,
-            "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
 def rate_fit(x, y) -> RateFit:
@@ -427,16 +401,7 @@ class ConvergenceReport:
         return all(self.flags.values())
 
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "config": _plain(self.config),
-            "eps": _plain(self.eps),
-            "t": _plain(self.t),
-            "errors": _plain(self.errors),
-            "fits": _plain(self.fits),
-            "flags": _plain(self.flags),
-            "metadata": _plain(self.metadata),
-        }
+        payload = _plain(asdict(self))
         try:
             return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:

@@ -10,10 +10,16 @@ the map contracts or the steps run out, and every returned root has passed a
 residual test.  The two transverse branches are tracked as one pair through
 their collision point.  The module also fits the small wave-number expansion
 of the kinetic-only operator's five slow branches.
+
+Bad input fails at the boundary with DispersionError, the module's documented
+error: collision data that is not CollisionMatrices, and a wave number s,
+scale eps or spectral parameter lam that is not a finite number (bools are
+not numbers here; s and eps must be real).  s and eps are also out of domain
+when negative, as for the mode generators (mode_operators.assemble_B): s is a
+wave-number magnitude, and eps = 0 is the closed-form limit of each root.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +31,10 @@ from scipy.optimize import brentq
 
 from .collision_ops import CollisionMatrices
 from .fluid_limits import _core_values
-from .velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
+from .mode_operators import _by_column, _real_frame, assemble_B
+from .velocity_basis import (
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _finite, _finite_complex, v_multiplication_matrix,
+)
 
 _FP_TOL = 1e-13
 _RES_TOL = 1e-12
@@ -110,15 +119,23 @@ def _solvers(cm: CollisionMatrices) -> tuple[_SectorSolver, _SectorSolver]:
     return cm._cache[key]
 
 
-def _check_finite(**values: complex) -> None:
-    bad = {k: v for k, v in values.items() if not cmath.isfinite(v)}
+def _check_input(cm, **values) -> None:
+    """The boundary check: cm is CollisionMatrices, lam a finite number, and
+    every other value (s, eps) a finite nonnegative real."""
+    if not isinstance(cm, CollisionMatrices):
+        raise DispersionError(f"expected CollisionMatrices, got {type(cm).__name__}")
+    bad = {k: v for k, v in values.items()
+           if not (_finite_complex(v) if k == "lam" else _finite(v))}
     if bad:
-        raise DispersionError(f"non-finite input: {bad}")
+        raise DispersionError(f"non-finite or non-numeric input: {bad}")
+    negative = {k: v for k, v in values.items() if k != "lam" and v < 0}
+    if negative:
+        raise DispersionError(f"s and eps must be nonnegative, got {negative}")
 
 
 def resolvent_scalars(lam: complex, s: float, eps: float,
                       cm: CollisionMatrices) -> ResolventScalars:
-    _check_finite(lam=lam, s=s, eps=eps)
+    _check_input(cm, lam=lam, s=s, eps=eps)
     ax, tr = _solvers(cm)
     y = eps * s
     return ResolventScalars(R11=ax.value(lam, y), R22=tr.value(lam, y))
@@ -126,6 +143,7 @@ def resolvent_scalars(lam: complex, s: float, eps: float,
 
 def eta_coefficient(cm: CollisionMatrices) -> float:
     """Transverse relaxation coefficient -(L1^{-1} chi2, chi2)."""
+    _check_input(cm)
     if "eta" not in cm._cache:
         _, tr = _solvers(cm)
         cm._cache["eta"] = float(-tr.value(0.0, 0.0).real)
@@ -163,7 +181,7 @@ def _certify(branch: DispersionBranch, tol: float) -> DispersionBranch:
 
 def solve_z0(s: float, eps: float, cm: CollisionMatrices) -> DispersionBranch:
     """Unique acoustic-free density branch from the axial scalar equation."""
-    _check_finite(s=s, eps=eps)
+    _check_input(cm, s=s, eps=eps)
     ax, _ = _solvers(cm)
     eta = eta_coefficient(cm)
     scale = 1.0 + s * s
@@ -196,7 +214,7 @@ def _transverse_branch(label: str, z: complex, s: float, eps: float, tr: _Sector
 
 
 def transverse_seeds(s: float, cm: CollisionMatrices) -> tuple[complex, complex]:
-    _check_finite(s=s)
+    _check_input(cm, s=s)
     eta = eta_coefficient(cm)
     disc = np.sqrt(complex(eta * eta - 4.0 * s * s))
     return (-eta + disc) / 2.0, (-eta - disc) / 2.0
@@ -205,7 +223,7 @@ def transverse_seeds(s: float, cm: CollisionMatrices) -> tuple[complex, complex]
 def solve_z_pm(s: float, eps: float,
                cm: CollisionMatrices) -> tuple[DispersionBranch, DispersionBranch]:
     """Two transverse branches; tracked as a root pair through the crossing."""
-    _check_finite(s=s, eps=eps)
+    _check_input(cm, s=s, eps=eps)
     _, tr = _solvers(cm)
     bound = 10.0 * (eta_coefficient(cm) + s + 1.0)
     seeds = transverse_seeds(s, cm)
@@ -220,7 +238,7 @@ def solve_z_pm(s: float, eps: float,
 
 def crossing_location(eps: float, cm: CollisionMatrices) -> float:
     """Wave number where the two transverse branches collide."""
-    _check_finite(eps=eps)
+    _check_input(cm, eps=eps)
     _, tr = _solvers(cm)
     eta = eta_coefficient(cm)
 
@@ -239,7 +257,7 @@ def crossing_location(eps: float, cm: CollisionMatrices) -> float:
 def solve_highfreq(s: float, eps: float,
                    cm: CollisionMatrices) -> tuple[DispersionBranch, DispersionBranch]:
     """Oscillatory branch pair near +/- i s for strong streaming."""
-    _check_finite(s=s, eps=eps)
+    _check_input(cm, s=s, eps=eps)
     if s <= 0:
         raise DispersionError(f"oscillatory branches need s > 0, got {s}")
     _, tr = _solvers(cm)
@@ -268,17 +286,16 @@ def _slow_eigenvalues(s: float, eps: float, cm: CollisionMatrices) -> np.ndarray
 
     Each block runs a real eigvals on its parity frame D^{-1} B_b D
     (mode_operators._real_frame), which has the block's eigenvalues and
-    gives complex ones in exact conjugate pairs; a block that is not real in
-    its frame runs the complex eigvals on the block itself.  A block's
-    eigenvalues count once per copy, so the shear pair of the transverse
-    block appears twice.
+    gives complex ones in exact conjugate pairs.  A block that is not real in
+    its frame raises DispersionError; no B block built here reaches that.  A
+    block's eigenvalues count once per copy, so the shear pair of the
+    transverse block appears twice.
     """
-    from .mode_operators import _by_column, _real_frame, assemble_B
-
     op = assemble_B(s, eps, cm)
     frames = [_real_frame(b) for b in op.blocks]
-    lam = _by_column(op, [np.linalg.eigvals(b.matrix if t is None else t)
-                          for b, t in zip(op.blocks, frames)])
+    if any(t is None for t in frames):
+        raise DispersionError(f"a B block at s={s}, eps={eps} is not real in its parity frame")
+    lam = _by_column(op, [np.linalg.eigvals(t) for t in frames])
     order = np.argsort(np.abs(lam))
     return lam[order[:5]]
 
@@ -304,7 +321,7 @@ def _match_slow_branches(lam: np.ndarray) -> dict[str, complex]:
 def boltzmann_dispersion(s: float, eps: float,
                          cm: CollisionMatrices) -> list[DispersionBranch]:
     """Five slow kinetic branches at one (s, eps), with expansion predictions."""
-    _check_finite(s=s, eps=eps)
+    _check_input(cm, s=s, eps=eps)
     if eps * s > 0.5:
         raise DispersionError(f"slow-branch matching needs eps*s small, got {eps * s}")
     matched = _match_slow_branches(_slow_eigenvalues(s, eps, cm))
@@ -328,6 +345,7 @@ def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, floa
     behind transport_coefficients.  test_fit_matches_quadratic_forms checks
     them independently against fit_boltzmann_expansion's eigenvalue sweeps.
     """
+    _check_input(cm)
     if "boltzmann_expansion" in cm._cache:
         return cm._cache["boltzmann_expansion"]
     core = _core_values(cm.basis, cm.L_sector, cm.L1_sector)
@@ -345,16 +363,21 @@ def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, floa
 def fit_boltzmann_expansion(cm: CollisionMatrices, s: float = 1.0,
                             eps_list=None) -> dict[str, tuple[float, float]]:
     """Fitted (mu_j, a_j) from eigenvalue sweeps: Im odd, Re even in eps*s."""
+    _check_input(cm)
     if eps_list is None:
         eps_list = (0.02, 0.035, 0.05, 0.07, 0.1)
-    if not (math.isfinite(s) and s > 0):
-        raise DispersionError(f"expansion fit needs a finite s > 0, got {s}")
-    if not (all(math.isfinite(e) and e > 0 for e in eps_list) and len(set(eps_list)) >= 2):
+    if not (_finite(s) and s > 0):
+        raise DispersionError(f"expansion fit needs a finite s > 0, got {s!r}")
+    try:
+        eps = tuple(eps_list)
+    except TypeError:
+        eps = ()
+    if not (all(_finite(e) and e > 0 for e in eps) and len(set(eps)) >= 2):
         raise DispersionError(
-            f"expansion fit needs two distinct finite positive eps, got {tuple(eps_list)}")
-    xs = np.array([e * s for e in eps_list])
+            f"expansion fit needs two distinct finite positive eps, got {eps_list!r}")
+    xs = np.array([e * s for e in eps])
     tracks: dict[str, list[complex]] = {k: [] for k in _BOLTZMANN_LABELS}
-    for e in eps_list:
+    for e in eps:
         matched = _match_slow_branches(_slow_eigenvalues(s, float(e), cm))
         for k in _BOLTZMANN_LABELS:
             tracks[k].append(matched[k])

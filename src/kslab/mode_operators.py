@@ -50,18 +50,19 @@ not a ModeOperator, and bad states, times and spectral parameters.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm, schur, solve_sylvester
 
-from .collision_ops import CollisionMatrices, _nu_of_r, _pair_kernel_moments
-from .velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
+from .collision_ops import CollisionMatrices, _nu_of_r, reduced_kernel_tables
+from .velocity_basis import (
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _finite, _finite_complex, _frozen, _legendre_row,
+    v_multiplication_matrix,
+)
 
 KIND_BOLTZMANN = "boltzmann"
 KIND_VMB = "vmb"
@@ -98,15 +99,9 @@ class SectorBlock:
             object.__setattr__(self, "phase", np.ones(self.matrix.shape[0]))
 
 
-def _frozen(*arrays: np.ndarray) -> tuple:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _copy(index: np.ndarray, sign: np.ndarray | None = None) -> tuple:
     """A read-only (index, sign) copy: every operator on a basis shares it."""
-    return _frozen(index, np.ones(index.size) if sign is None else sign)
+    return _frozen(index), _frozen(np.ones(index.size) if sign is None else sign)
 
 
 class ModeOperator:
@@ -158,12 +153,8 @@ class ModeOperator:
         return complex(np.vdot(w, self.metric_diag * u))
 
 
-def _real_number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _check_mode_args(s: float, eps: float, cm: CollisionMatrices) -> None:
-    if not (_real_number(s) and _real_number(eps) and math.isfinite(s) and math.isfinite(eps)):
+    if not (_finite(s) and _finite(eps)):
         raise ValueError(f"s and eps must be finite real numbers, got s={s!r}, eps={eps!r}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -215,8 +206,8 @@ def _layout(basis) -> _Layout:
             (_copy(np.arange(n0, n0 + n1)), _copy(np.arange(n0 + n1, n0 + 2 * n1))),
             (_copy(np.r_[n0:n0 + n1, ix3, iy2]),
              _copy(np.r_[n0 + n1:n0 + 2 * n1, ix2, iy3], flip_x)),
-            *_frozen(charge, chi2, _parity_phase(np.repeat(np.arange(lmax + 1), nr)),
-                     transverse_phase, np.r_[transverse_phase, 1j, 1.0]),
+            *map(_frozen, (charge, chi2, _parity_phase(np.repeat(np.arange(lmax + 1), nr)),
+                           transverse_phase, np.r_[transverse_phase, 1j, 1.0])),
         )
     return basis._v_cache[key]
 
@@ -784,33 +775,16 @@ _PROBE_ITERS = 120
 
 @functools.cache
 def _probe_grid():
+    """Nodes r and c, the weighted Legendre rows (degree, c) and the weighted
+    one-sided gain tables (degree, r, r) of the probe."""
     xg, wg = np.polynomial.legendre.leggauss(_PROBE_N_R)
     r = 0.5 * _PROBE_R_MAX * (xg + 1.0)
-    wr2 = 0.5 * _PROBE_R_MAX * wg * r**2
+    sw = np.sqrt(0.5 * _PROBE_R_MAX * wg * r**2)
     c, wc = np.polynomial.legendre.leggauss(_PROBE_N_C)
-    phi = np.empty((_PROBE_LMAX + 1, _PROBE_N_C))
-    p_prev = np.ones_like(c)
-    p_cur = c.copy()
-    for l in range(_PROBE_LMAX + 1):
-        if l == 0:
-            pl = p_prev
-        elif l == 1:
-            pl = p_cur
-        else:
-            p_next = ((2 * l - 1) * c * p_cur - (l - 1) * p_prev) / l
-            p_prev, p_cur = p_cur, p_next
-            pl = p_cur
-        phi[l] = math.sqrt((2 * l + 1) / 2.0) * pl
-    pc = phi * np.sqrt(wc)[None, :]
-
-    ii, jj = np.meshgrid(np.arange(_PROBE_N_R), np.arange(_PROBE_N_R), indexing="ij")
-    k1p, _ = _pair_kernel_moments(r[ii.ravel()], r[jj.ravel()], _PROBE_LMAX, 16, 8)
-    sw = np.sqrt(wr2)
-    tables = []
-    for l in range(_PROBE_LMAX + 1):
-        # one-sided gain: half the full gain kernel (see collision assembly)
-        tables.append(0.5 * k1p[l].reshape(_PROBE_N_R, _PROBE_N_R) * np.outer(sw, sw))
-    return r, c, pc, tables
+    pc = np.stack([_legendre_row(l, 0, c) for l in range(_PROBE_LMAX + 1)]) * np.sqrt(wc)
+    k1_tab, _ = reduced_kernel_tables(r, _PROBE_LMAX, 16, 8)
+    # one-sided gain: half the full gain kernel (see collision assembly)
+    return r, c, pc, 0.5 * k1_tab * np.outer(sw, sw)
 
 
 def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
@@ -818,12 +792,15 @@ def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
 
     The streaming part is multiplication by -nu(v) - i*(eps*s)*v1; the grid is
     an (r, angle-cosine) product rule fine enough to resolve the resonant set,
-    independent of the Galerkin basis.  Raises ValueError for a lam that is not a
-    finite number.
+    independent of the Galerkin basis.  The gain is reduced per Legendre degree
+    with the basis's own building blocks: the Legendre rows of
+    velocity_basis._legendre_row and the kernel tables of
+    collision_ops.reduced_kernel_tables.  Being real and symmetric, it is its
+    own adjoint, so the power iteration applies one gain both ways.  Raises
+    ValueError for a lam that is not a finite number.
     """
     _check_operator(op)
-    if not (isinstance(lam, numbers.Complex) and not isinstance(lam, bool)
-            and cmath.isfinite(lam)):
+    if not _finite_complex(lam):
         raise ValueError(f"lambda must be a finite number, got {lam!r}")
     r, c, pc, tables = _probe_grid()
     w = op.eps * op.s
@@ -832,27 +809,19 @@ def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
         raise ValueError(f"lambda {lam} is numerically on the streaming spectrum")
     inv = 1.0 / denom
 
-    def forward(x):
-        g = (x * inv) @ pc.T
+    def gain(g):
         h = np.empty_like(g)
         for l, table in enumerate(tables):
             h[:, l] = table @ g[:, l]
         return h @ pc
 
-    def backward(y):
-        g = y @ pc.T
-        h = np.empty_like(g)
-        for l, table in enumerate(tables):
-            h[:, l] = table @ g[:, l]
-        return (h @ pc) * np.conj(inv)
-
     x = np.full((r.size, c.size), 1.0 + 0.1j, dtype=complex)
     x /= np.linalg.norm(x)
     sigma = 0.0
     for _ in range(_PROBE_ITERS):
-        y = forward(x)
+        y = gain((x * inv) @ pc.T)
         new_sigma = np.linalg.norm(y)
-        x = backward(y)
+        x = gain(y @ pc.T) * np.conj(inv)
         nx = np.linalg.norm(x)
         if nx == 0.0:
             return 0.0

@@ -21,9 +21,16 @@ layout; Basis.index locates one element in it.  The macro/micro projections
 are the matrices Basis.projection_matrix("P0") and ("P1"), and the
 charge-weighted metric of the electromagnetic modes belongs to
 mode_operators.ModeOperator (metric_diag, weighted_inner).
+
+This module owns the building blocks the other modules read rather than
+rebuild: the radial profiles (_radial_rows), the normalized Legendre rows
+(_legendre_row), the read-only marker for shared arrays (_frozen), and the
+scalar predicates the boundary checks share (_integer, _finite,
+_finite_complex), which reject bools.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -81,7 +88,6 @@ class Basis:
     ang1: np.ndarray                       # (l_max, N_c), degrees 1..l_max
     gram: np.ndarray = field(repr=False, default=None)
     _v_cache: dict = field(default_factory=dict, repr=False)
-    _chi_cache: dict = field(default_factory=dict, repr=False)
 
     # -- layout ---------------------------------------------------------
     @property
@@ -119,8 +125,9 @@ class Basis:
     # -- chi vectors ----------------------------------------------------
     def chi(self, j: int) -> np.ndarray:
         """Coefficient vectors of the five collision invariants."""
-        if j in self._chi_cache:
-            return self._chi_cache[j]
+        key = ("chi", j)
+        if key in self._v_cache:
+            return self._v_cache[key]
         vec = np.zeros(self.dim)
         if j == 0:
             vec[self.index(0, "axial", 0, 0)] = 1.0
@@ -135,7 +142,7 @@ class Basis:
             vec[self.index(0, "axial", 1, 0)] = -1.0
         else:
             raise BasisError(f"chi index must be 0..4, got {j}")
-        self._chi_cache[j] = vec
+        self._v_cache[key] = vec
         return vec
 
     def projection_matrix(self, which: str) -> np.ndarray:
@@ -194,13 +201,32 @@ def _radial_rows(nr: int, l: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return norms[:, None] * r**l * laguerre_rows(nr, l + 0.5, u)
 
 
-def _assoc_legendre_m1(l: int, c: np.ndarray) -> np.ndarray:
-    """Degree-l, order-1 associated Legendre values without the Condon-Shortley sign."""
-    return -lpmv(1, l, c)
+def _legendre_row(l: int, m: int, c: np.ndarray) -> np.ndarray:
+    """N P_l^m(c) without the Condon-Shortley sign, orthonormal on [-1, 1] for each m."""
+    norm = math.sqrt((2 * l + 1) / 2.0 / math.prod(range(l - m + 1, l + m + 1)))
+    if m == 0:
+        return norm * eval_legendre(l, c)
+    return norm * ((-1) ** m * lpmv(m, l, c))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark an array shared between callers read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    """A finite real number; bools are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _finite_complex(x) -> bool:
+    """A finite real or complex number; bools are not numbers here."""
+    return isinstance(x, numbers.Complex) and not isinstance(x, bool) and cmath.isfinite(x)
 
 
 def build_basis(spec: BasisSpec) -> Basis:
@@ -238,20 +264,12 @@ def build_basis(spec: BasisSpec) -> Basis:
     nr = spec.radial_order
     radial_tables = {l: _radial_rows(nr, l, r, u) for l in range(lmax + 1)}
 
-    ang0 = np.empty((lmax + 1, n_c))
-    for l in range(lmax + 1):
-        ang0[l] = math.sqrt((2 * l + 1) / 2.0) * eval_legendre(l, c)
-    ang1 = np.empty((lmax, n_c))
-    for l in range(1, lmax + 1):
-        norm = math.sqrt((2 * l + 1) / 2.0 / (l * (l + 1)))
-        ang1[l - 1] = norm * _assoc_legendre_m1(l, c)
-
     basis = Basis(
         spec=spec,
         quad=Quadrature(u=u, r=r, wr=wr, wr_half=wr_half, c=c, wc=wc),
         radial_tables=radial_tables,
-        ang0=ang0,
-        ang1=ang1,
+        ang0=np.stack([_legendre_row(l, 0, c) for l in range(lmax + 1)]),
+        ang1=np.stack([_legendre_row(l, 1, c) for l in range(1, lmax + 1)]),
     )
     basis.gram = _assemble_gram(basis)
     return basis

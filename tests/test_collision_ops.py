@@ -93,6 +93,14 @@ class TestNu:
         with pytest.raises(ValueError, match="finite"):
             nu_eval(v)
 
+    @pytest.mark.parametrize("v", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], np.ones((2, 2)), [],
+                                   np.ones((3, 1))],
+                             ids=["two-speeds", "four-speeds", "2x2", "empty", "3x1"])
+    def test_arrays_must_hold_velocity_vectors(self, v):
+        # a scalar is a speed; an array holds velocities along its last axis
+        with pytest.raises(ValueError, match="last axis of length 3"):
+            nu_eval(v)
+
     def test_monotone_growth_bounds(self):
         r = np.linspace(0.0, 20.0, 401)
         vals = nu_eval(np.stack([r, np.zeros_like(r), np.zeros_like(r)], axis=1))

@@ -7,6 +7,7 @@ Monte Carlo oracle with an exact inverse-CDF sampler, and the experiment
 drivers at the small basis: first-order rates, the acoustic layer profile,
 second-order rates, the microscopic transient, and report determinism.
 """
+import dataclasses
 import json
 import math
 import warnings
@@ -123,6 +124,14 @@ class TestExperimentConfig:
         cfg = cl.ExperimentConfig()
         again = cl.ExperimentConfig.from_mapping(cfg.as_dict())
         assert again == cfg
+        # every field of each record makes the round trip, in declaration order
+        assert list(cfg.as_dict()) == [f.name for f in dataclasses.fields(cfg)]
+        assert cfg.as_dict()["eps_list"] == list(cfg.eps_list)
+        fit = cl.rate_fit(np.arange(1.0, 6.0), np.arange(1.0, 6.0) ** -2)
+        assert fit.as_dict() == {f.name: getattr(fit, f.name) for f in dataclasses.fields(fit)}
+        report = cl.ConvergenceReport("probe", cfg.as_dict(), [0.1], [1.0], {"e": [[2.0]]})
+        assert json.loads(report.to_json()) == {
+            f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cl.ConvergenceError, match="unknown configuration keys"):

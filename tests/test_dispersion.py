@@ -361,3 +361,127 @@ class TestSectorSolverMatrix:
         want = want + theta * np.outer(chi0, chi0)
         assert np.array_equal(ax._matrix(x, y), want)
         assert np.array_equal(tr._matrix(x, y), tr.l1 - x * np.eye(tr.n) - 1j * y * tr.stream)
+
+
+class TestRealFrameGuard:
+    def test_block_without_real_frame_raises(self, collision_small, monkeypatch):
+        # no B block built here reaches this path; the guard replaces a silent
+        # complex fallback
+        monkeypatch.setattr(dsp, "_real_frame", lambda block: None)
+        with pytest.raises(dsp.DispersionError, match="parity frame"):
+            dsp._slow_eigenvalues(1.3, 0.04, collision_small)
+
+
+# ---------------------------------------------------------------------------
+# boundary contract: every exported callable, with DispersionError as the
+# module's documented error for bad input
+# ---------------------------------------------------------------------------
+
+def _scalar_rows(call, names):
+    """Bad-value rows for each named real argument of call(cm, **values)."""
+    bad = {"nan": math.nan, "inf": math.inf, "negative": -0.1, "bool": True, "str": "1",
+           "none": None, "complex": 1j}
+    return {f"{name}-{label}": (lambda cm, name=name, value=value: call(cm, **{name: value}))
+            for name in names for label, value in bad.items()}
+
+
+def _collision_rows(call):
+    return {"cm-none": lambda cm: call(None), "cm-basis": lambda cm: call(cm.basis)}
+
+
+def _root_rows(solve):
+    def call(cm, s=1.0, eps=0.1):
+        return solve(s, eps, cm)
+    return {**_scalar_rows(call, ("s", "eps")), **_collision_rows(call)}
+
+
+def _scalars(cm, lam=0.0, s=1.0, eps=0.1):
+    return dsp.resolvent_scalars(lam, s, eps, cm)
+
+
+def _crossing(cm, eps=0.02):
+    return dsp.crossing_location(eps, cm)
+
+
+def _fit(cm, **kw):
+    return dsp.fit_boltzmann_expansion(cm, **kw)
+
+
+_BAD_CALLS = {
+    "solve_z0": _root_rows(dsp.solve_z0),
+    "solve_z_pm": _root_rows(dsp.solve_z_pm),
+    "solve_highfreq": {**_root_rows(dsp.solve_highfreq),
+                       "s-zero": lambda cm: dsp.solve_highfreq(0.0, 0.5, cm)},
+    "boltzmann_dispersion": {**_root_rows(dsp.boltzmann_dispersion),
+                             "out-of-regime": lambda cm: dsp.boltzmann_dispersion(10.0, 0.2, cm)},
+    "crossing_location": {**_scalar_rows(_crossing, ("eps",)), **_collision_rows(_crossing)},
+    "resolvent_scalars": {
+        **_scalar_rows(_scalars, ("s", "eps")),
+        **_collision_rows(_scalars),
+        "lam-nan": lambda cm: _scalars(cm, lam=math.nan),
+        "lam-inf": lambda cm: _scalars(cm, lam=complex(0.0, math.inf)),
+        "lam-bool": lambda cm: _scalars(cm, lam=True),
+        "lam-str": lambda cm: _scalars(cm, lam="1"),
+        "lam-none": lambda cm: _scalars(cm, lam=None),
+    },
+    "eta_coefficient": _collision_rows(dsp.eta_coefficient),
+    "expansion_coefficients": _collision_rows(dsp.expansion_coefficients),
+    "fit_boltzmann_expansion": {
+        **_collision_rows(_fit),
+        "s-nan": lambda cm: _fit(cm, s=math.nan),
+        "s-zero": lambda cm: _fit(cm, s=0.0),
+        "s-bool": lambda cm: _fit(cm, s=True),
+        "s-str": lambda cm: _fit(cm, s="1"),
+        "s-none": lambda cm: _fit(cm, s=None),
+        "s-complex": lambda cm: _fit(cm, s=1j),
+        "eps-one": lambda cm: _fit(cm, eps_list=(0.05,)),
+        "eps-repeated": lambda cm: _fit(cm, eps_list=(0.05, 0.05)),
+        "eps-negative": lambda cm: _fit(cm, eps_list=(0.05, -0.02)),
+        "eps-nan": lambda cm: _fit(cm, eps_list=(0.05, math.nan)),
+        "eps-bool": lambda cm: _fit(cm, eps_list=(0.05, True)),
+        "eps-str": lambda cm: _fit(cm, eps_list=(0.05, "0.02")),
+        "eps-scalar": lambda cm: _fit(cm, eps_list=0.05),
+    },
+}
+# exported names that take no caller input of their own
+_NOT_ENTRY_POINTS = {
+    "DispersionError": "the module's error type",
+    "DispersionBranch": "the record the root solvers return; no caller builds one",
+    "ResolventScalars": "the record resolvent_scalars returns; no caller builds one",
+}
+
+
+class TestBoundaryContract:
+    """Every exported callable of dispersion rejects bad input with DispersionError."""
+
+    def test_table_covers_the_exports(self):
+        import kslab
+
+        exported = {name for name, obj in vars(kslab).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == dsp.__name__}
+        assert exported == set(_BAD_CALLS) | set(_NOT_ENTRY_POINTS)
+        assert not set(_BAD_CALLS) & set(_NOT_ENTRY_POINTS)
+
+    @pytest.mark.parametrize("name, case", [(name, case) for name, rows in _BAD_CALLS.items()
+                                            for case in rows])
+    def test_bad_input_raises_dispersion_error(self, collision_small, name, case):
+        with pytest.raises(dsp.DispersionError):
+            _BAD_CALLS[name][case](collision_small)
+
+    def test_table_calls_are_valid_when_repaired(self, collision_small):
+        # the helpers behind the rows succeed on good input, so each row fails
+        # for its one bad argument
+        cm = collision_small
+        for solve in (dsp.solve_z0, dsp.solve_z_pm, dsp.solve_highfreq,
+                      dsp.boltzmann_dispersion):
+            assert solve(1.0, 0.1, cm)
+        assert _crossing(cm) > 0.0
+        assert _scalars(cm).R11.real < 0.0
+        assert dsp.eta_coefficient(cm) > 0.0
+        assert _fit(cm, s=1.0)
+        assert _fit(cm, eps_list=(0.05, 0.02))
+
+    def test_zero_eps_is_in_the_domain(self, collision_small):
+        # eps = 0 is each root's closed-form limit; only eps < 0 is out of domain
+        eta = dsp.eta_coefficient(collision_small)
+        assert dsp.solve_z0(1.0, 0.0, collision_small).value == pytest.approx(-2.0 * eta)

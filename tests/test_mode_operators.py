@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sl
 
-from kslab.collision_ops import nu_eval
+from kslab.collision_ops import _pair_kernel_moments, nu_eval
 from kslab import convergence_lab as cl
 from kslab import mode_operators as mo
 from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
@@ -610,6 +610,20 @@ class TestResolventProbe:
         op = mo.assemble_B(4.0, 1.0, collision_small)
         val = mo.resolvent_norm_probe(op, complex(1.0, 0.0))
         assert np.isfinite(val) and val > 0.0
+
+    def test_probe_tables_match_all_pairs_build(self):
+        # the tables mirror one triangle of node pairs; the kernel moments are
+        # symmetric in the pair bit for bit, so they equal an all-pairs build
+        r, _, _, tables = mo._probe_grid()
+        n = r.size
+        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        k1p, _ = _pair_kernel_moments(r[ii.ravel()], r[jj.ravel()], mo._PROBE_LMAX, 16, 8)
+        _, wg = np.polynomial.legendre.leggauss(n)
+        sw = np.sqrt(0.5 * mo._PROBE_R_MAX * wg * r**2)
+        assert len(tables) == mo._PROBE_LMAX + 1
+        for l in range(mo._PROBE_LMAX + 1):
+            want = 0.5 * k1p[l].reshape(n, n) * np.outer(sw, sw)
+            assert np.array_equal(tables[l], want), l
 
     def test_spectral_lambda_reported(self, collision_small):
         op = mo.assemble_B(2.0, 1.0, collision_small)

@@ -21,6 +21,7 @@ from kslab.mode_operators import assemble_A_tilde
 from kslab.velocity_basis import (
     BasisError,
     BasisSpec,
+    _legendre_row,
     build_basis,
     laguerre_rows,
     v_multiplication_matrix,
@@ -240,3 +241,13 @@ def test_radial_table_matches_oracle(basis_small):
     assert tab.shape == (basis_small.spec.radial_order, r.size)
     for n in range(basis_small.spec.radial_order):
         assert np.allclose(tab[n], _oracle_radial(n, 2, r), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_legendre_rows_orthonormal(m):
+    # products of two rows are polynomials of degree <= 12: exact on 8 Gauss nodes
+    c, wc = np.polynomial.legendre.leggauss(8)
+    rows = np.stack([_legendre_row(l, m, c) for l in range(m, 7)])
+    assert np.allclose((rows * wc) @ rows.T, np.eye(rows.shape[0]), rtol=0.0, atol=1e-13)
+    # no Condon-Shortley sign: the lowest row is (2m - 1)!! (1 - c^2)^(m/2) > 0 times N
+    assert np.all(rows[0] > 0.0)
