@@ -607,7 +607,7 @@ def null_coordinates(basis: Basis, which: str, sector: int) -> list[int]:
     """Coordinates of the collision invariants in one sector block of L or L1."""
     if which not in ("L", "L1"):
         raise ValueError(f"which must be 'L' or 'L1', got {which!r}")
-    if sector not in (SECTOR_AXIAL, SECTOR_TRANSVERSE):
+    if not _integer(sector) or sector not in (SECTOR_AXIAL, SECTOR_TRANSVERSE):
         raise ValueError(f"sector must be SECTOR_AXIAL ({SECTOR_AXIAL}) or "
                          f"SECTOR_TRANSVERSE ({SECTOR_TRANSVERSE}), got {sector!r}")
     first = 0 if sector == SECTOR_AXIAL else 1

@@ -8,10 +8,13 @@ Each experiment returns a ConvergenceReport whose JSON and CSV forms are
 byte-stable for a fixed configuration and seed.
 
 The rate experiments share one set of pieces.  Each runs its own eps loop
-and propagates every mode of a sweep at once with _evolve_grid, giving
-(n_t, n_s, dim) state grids: one stacked decomposition of the sweep's
-generators (mode_operators._decompose_stacked), then the block apply and
-the contraction guard that mode_operators.propagate uses too.  The fluid
+and propagates the modes of a sweep with _evolve_grid, giving
+(n_t, n_s, dim) state grids.  It works in chunks of _MODE_CHUNK modes, so
+its working set beyond the result does not grow with n_s: per chunk, one
+stacked decomposition of the generators (mode_operators._decompose_stacked),
+then the block apply and the contraction guard that mode_operators.propagate
+uses too.  Each of these steps works mode by mode, so the chunks leave the
+states bit for bit those of one stack.  The fluid
 references are whole grids as well: fluid_limits._heat_flow for the kinetic
 heat flow and _field_reference for the damped-Maxwell flow.  The
 compressible split is fluid_limits.p_split, which works on the last axis of
@@ -436,27 +439,53 @@ class ConvergenceReport:
 # kinetic propagation helpers
 # ---------------------------------------------------------------------------
 
+# modes per decomposition chunk: the default n_s, so a rate-report grid is one
+# chunk and the 240-mode layer grid five
+_MODE_CHUNK = 48
+
+
 def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
                  cm: CollisionMatrices, states0: np.ndarray,
                  times: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndarray]:
     """Propagate every mode; returns (n_t, n_s, dim) states and a keep mask.
 
-    The modes share one block layout: _decompose_stacked decomposes them in
-    one stacked eig per block and _block_flow applies every mode's block
-    records at once, the Schur form of any block whose eigenvectors fail the
-    conditioning limit included.  A mode that fails the contraction guard is
-    dropped: its states are zero and ``failures`` records it.
+    The modes run in chunks of _MODE_CHUNK, each written straight into the
+    result, so the working set beyond the result does not grow with the grid.
+    The modes share one block layout: per chunk, _decompose_stacked
+    decomposes them in one stacked eig per block and _block_flow applies
+    their block records at once, the Schur form of any block whose
+    eigenvectors fail the conditioning limit included.  Every step works per
+    mode (eig and inv per matrix, the batched products per mode, the
+    conditioning gate and the contraction guard per row), so the chunks give
+    the states of one stack bit for bit.  A mode that fails the contraction
+    guard is dropped: its states are zero and ``failures`` records it.
     """
+    taus = np.asarray(times, dtype=float) / eps**2
+    out, keep = None, np.empty(len(s_nodes), dtype=bool)
+    for lo in range(0, len(s_nodes), _MODE_CHUNK):
+        chunk = slice(lo, lo + _MODE_CHUNK)
+        flow, keep[chunk] = _evolve_chunk(assemble, s_nodes[chunk], eps, cm,
+                                          states0[chunk], taus, failures)
+        if out is None:  # after the first chunk has freed its operators
+            out = np.empty((len(taus), len(s_nodes), flow.shape[-1]), dtype=complex)
+        out[:, chunk] = flow
+        del flow  # freed before the next chunk runs
+    return out, keep
+
+
+def _evolve_chunk(assemble: Callable, s_nodes: np.ndarray, eps: float,
+                  cm: CollisionMatrices, states0: np.ndarray, taus: np.ndarray,
+                  failures: list) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of _evolve_grid: (n_t, n, dim) states and the keep mask."""
     ops = [assemble(float(s), eps, cm) for s in s_nodes]
-    parts = _decompose_stacked(ops)
-    out = _block_flow(ops, parts, states0, np.asarray(times, dtype=float) / eps**2)
+    flow = _block_flow(ops, _decompose_stacked(ops), states0, taus)
     growth, bad = _contraction_violations(np.stack([op.metric_diag for op in ops]),
-                                          states0, out)
+                                          states0, flow)
     for i in np.flatnonzero(bad):
         failures.append({"eps": float(eps), "s": float(s_nodes[i]),
                          "reason": f"contraction violated ({growth[i]:.3e})"})
-    out[bad] = 0.0
-    return np.ascontiguousarray(out.transpose(1, 0, 2)), ~bad
+    flow[bad] = 0.0
+    return flow.transpose(1, 0, 2), ~bad
 
 
 def _field_reference(eta: float, s: np.ndarray, times: np.ndarray, rho,
@@ -498,10 +527,19 @@ def _kinetic_errors(kin: np.ndarray, fluid: np.ndarray, wq: np.ndarray,
 
     The error aggregates f_perp - fluid with the Sobolev weights wq; the
     amplitude is the L1 mode integral of |f_par| with the weights wl, the
-    labelled upper proxy for the supremum norm.
+    labelled upper proxy for the supremum norm.  The split runs on blocks of
+    time rows holding about as many states as an n_s = _MODE_CHUNK grid; each
+    row's sums are those of the whole grid, and the mode integrals run once.
     """
-    f_par, f_perp = p_split(kin, basis)
-    return _mode_l2(f_perp - fluid, wq), np.linalg.norm(f_par, axis=-1) @ wl
+    n_t, n_s = kin.shape[:2]
+    perp_sq, par = np.empty((n_t, n_s)), np.empty((n_t, n_s))
+    step = max(1, n_t * _MODE_CHUNK // n_s)
+    for lo in range(0, n_t, step):
+        rows = slice(lo, lo + step)
+        f_par, f_perp = p_split(kin[rows], basis)
+        perp_sq[rows] = np.sum(np.abs(f_perp - fluid[rows]) ** 2, axis=-1)
+        par[rows] = np.linalg.norm(f_par, axis=-1)
+    return np.sqrt(perp_sq @ wq), par @ wl
 
 
 def _tail_mass(data: InitialData, cfg: ExperimentConfig, eps: float) -> float:

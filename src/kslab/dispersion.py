@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.optimize import brentq
 
 from .collision_ops import CollisionMatrices
 from .fluid_limits import _core_values
@@ -251,6 +250,8 @@ def crossing_location(eps: float, cm: CollisionMatrices) -> float:
     lo, hi = 0.25 * eta, 0.95 * eta
     if discriminant(lo) <= 0 or discriminant(hi) >= 0:
         raise DispersionError(f"crossing bracket failed at eps={eps}")
+    # imported here, its only use: scipy.optimize adds about 17 MB to every process
+    from scipy.optimize import brentq
     return float(brentq(discriminant, lo, hi, xtol=1e-12))
 
 

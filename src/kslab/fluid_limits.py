@@ -44,6 +44,7 @@ from .velocity_basis import (
     SECTOR_AXIAL,
     SECTOR_TRANSVERSE,
     BasisSpec,
+    _finite,
     build_basis,
     v_multiplication_matrix,
 )
@@ -185,8 +186,8 @@ def _heat_rates(tc: TransportCoefficients) -> np.ndarray:
 
 
 def _check_time_and_wave(t: float, s: float) -> None:
-    if not (math.isfinite(t) and math.isfinite(s)):
-        raise FluidError(f"time and wave number must be finite, got t={t!r}, s={s!r}")
+    if not (_finite(t) and _finite(s)):
+        raise FluidError(f"time and wave number must be finite real numbers, got t={t!r}, s={s!r}")
 
 
 def _check_finite(what: str, *values) -> None:

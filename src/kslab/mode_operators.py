@@ -22,7 +22,7 @@ Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper bound on cond_2(V_b)
 taken from the inverse the eig record needs anyway, reaches
 _EIG_COND_LIMIT.  _block_flow is the one apply, e^{tau A} u0 =
 V_b diag(e^{tau lam}) V_b^{-1} u0 or Z_b e^{tau T_b} Z_b^H u0 on every block
-copy, for one operator (propagate) or a whole mode grid
+copy, for one operator (propagate) or each chunk of a mode grid
 (convergence_lab._evolve_grid); both check the result with the one
 contraction guard, _contraction_violations.  spectrum takes its residuals
 per block, and the semigroup split marks the eigenvalues it takes into S1/S2
@@ -110,7 +110,9 @@ class ModeOperator:
     ``blocks`` is a nonempty sequence of SectorBlock whose copies tile the
     dense layout; ``metric_diag`` holds one finite positive weight per row.
     Raises ValueError for anything else, and for a non-finite s or eps or a
-    negative eps.
+    negative eps.  The assemblers of this module, which check their own
+    arguments and build valid blocks and metrics, skip these checks
+    (_assembled).
     """
 
     def __init__(self, kind: str, s: float, eps: float, metric_diag: np.ndarray,
@@ -121,6 +123,21 @@ class ModeOperator:
         blocks = tuple(blocks)
         if not blocks or not all(isinstance(b, SectorBlock) for b in blocks):
             raise ValueError("blocks must be a nonempty sequence of SectorBlock")
+        self._fill(kind, s, eps, metric_diag, collision, blocks)
+        metric = np.asarray(metric_diag)
+        if not (metric.shape == (self.dim,) and metric.dtype.kind in "iuf"
+                and 0 < metric.min() and metric.max() < math.inf):
+            raise ValueError(f"metric_diag must hold {self.dim} finite positive weights")
+
+    @classmethod
+    def _assembled(cls, kind: str, s: float, eps: float, metric_diag: np.ndarray,
+                   collision: CollisionMatrices, blocks: tuple) -> "ModeOperator":
+        """An operator from an assembler of this module, which checked its arguments."""
+        op = cls.__new__(cls)
+        op._fill(kind, s, eps, metric_diag, collision, blocks)
+        return op
+
+    def _fill(self, kind, s, eps, metric_diag, collision, blocks) -> None:
         self.kind = kind
         self.s = s
         self.eps = eps
@@ -128,10 +145,6 @@ class ModeOperator:
         self.collision = collision
         self.blocks = blocks
         self.dim = sum(idx.size for b in self.blocks for idx, _ in b.copies)
-        metric = np.asarray(metric_diag)
-        if not (metric.shape == (self.dim,) and metric.dtype.kind in "iuf"
-                and 0 < metric.min() and metric.max() < math.inf):
-            raise ValueError(f"metric_diag must hold {self.dim} finite positive weights")
         self._matrix = None
         self._decomp = None
 
@@ -225,7 +238,7 @@ def assemble_B(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
              - 1j * w * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
     blocks = (SectorBlock(axial, layout.axial, layout.axial_phase),
               SectorBlock(trans, layout.transverse, layout.transverse_phase))
-    return ModeOperator(KIND_BOLTZMANN, s, eps, np.ones(basis.dim), cm, blocks)
+    return ModeOperator._assembled(KIND_BOLTZMANN, s, eps, np.ones(basis.dim), cm, blocks)
 
 
 def _vmb_operator(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool) -> ModeOperator:
@@ -261,7 +274,7 @@ def _vmb_operator(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool) 
               SectorBlock(trans, layout.field, layout.field_phase))
     metric = np.ones(basis.dim + 4)
     metric[0] = 1.0 + 1.0 / s**2
-    return ModeOperator(KIND_VMB, s, eps, metric, cm, blocks)
+    return ModeOperator._assembled(KIND_VMB, s, eps, metric, cm, blocks)
 
 
 def assemble_A_tilde(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:

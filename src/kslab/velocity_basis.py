@@ -125,6 +125,8 @@ class Basis:
     # -- chi vectors ----------------------------------------------------
     def chi(self, j: int) -> np.ndarray:
         """Coefficient vectors of the five collision invariants."""
+        if not _integer(j):
+            raise BasisError(f"chi index must be an integer, got {j!r}")
         key = ("chi", j)
         if key in self._v_cache:
             return self._v_cache[key]

@@ -383,6 +383,14 @@ class TestCollisionInverse:
             with pytest.raises(ValueError, match=match):
                 null_coordinates(cm.basis, which, sector)
 
+    @pytest.mark.parametrize("sector", [True, False, 1.0, 0.0, "1", None])
+    def test_sector_must_be_an_integer(self, collision_small, sector):
+        # a bool or float equal to a sector number is not a sector
+        with pytest.raises(ValueError, match="SECTOR_AXIAL"):
+            null_coordinates(collision_small.basis, "L", sector)
+        with pytest.raises(ValueError, match="SECTOR_AXIAL"):
+            collision_inverse(collision_small, "L", sector, np.ones(4))
+
     @pytest.mark.parametrize("direction", ["coordinate", "generic"])
     def test_extra_null_direction_raises(self, collision_small, direction):
         cm = collision_small

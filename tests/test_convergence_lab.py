@@ -10,6 +10,7 @@ second-order rates, the microscopic transient, and report determinism.
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -543,6 +544,95 @@ class TestEvolveGrid:
                                self.TIMES, [])
         assert np.abs(b[..., sin_idx] - a[..., cos_idx] * sign).max() <= 1e-14
         assert np.abs(np.delete(b, sin_idx, axis=-1)).max() == 0.0
+
+
+def _one_stack_grid(assemble, s_nodes, eps, cm, states0, times, failures):
+    """The whole grid in one stack: _evolve_grid as it was before its mode chunks."""
+    ops = [assemble(float(s), eps, cm) for s in s_nodes]
+    parts = mo._decompose_stacked(ops)
+    out = mo._block_flow(ops, parts, states0, np.asarray(times, dtype=float) / eps**2)
+    growth, bad = mo._contraction_violations(np.stack([op.metric_diag for op in ops]),
+                                             states0, out)
+    for i in np.flatnonzero(bad):
+        failures.append({"eps": float(eps), "s": float(s_nodes[i]),
+                         "reason": f"contraction violated ({growth[i]:.3e})"})
+    out[bad] = 0.0
+    return np.ascontiguousarray(out.transpose(1, 0, 2)), ~bad
+
+
+class TestModeChunks:
+    """_evolve_grid runs in chunks of _MODE_CHUNK modes, bit for bit one stack."""
+
+    EPS = 0.0125
+    TIMES = EPS * np.linspace(0.0, 20.0, 21)   # the initial layer's time grid
+
+    @staticmethod
+    def _grid(n, dim, seed):
+        x, _ = np.polynomial.legendre.leggauss(n)
+        rng = np.random.default_rng(seed)
+        return 1.2 * (x + 1.0), rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    @pytest.mark.parametrize("n", [240, 100])
+    def test_chunks_equal_one_stack(self, collision_small, assemble, n):
+        cm = collision_small
+        s, u0 = self._grid(n, assemble(1.0, self.EPS, cm).dim, 31)
+        got_failures, want_failures = [], []
+        states, keep = cl._evolve_grid(assemble, s, self.EPS, cm, u0, self.TIMES, got_failures)
+        want, want_keep = _one_stack_grid(assemble, s, self.EPS, cm, u0, self.TIMES,
+                                          want_failures)
+        assert states.flags.c_contiguous and states.shape == want.shape
+        assert np.array_equal(states, want)
+        assert np.array_equal(keep, want_keep)
+        assert got_failures == want_failures
+
+    def test_dropped_modes_in_later_chunks(self, collision_small, monkeypatch):
+        # a mode dropped in any chunk is zero at its own place in the grid
+        cm = collision_small
+        s, u0 = self._grid(150, cm.basis.dim, 32)
+        u0[[3, 97, 149]] *= np.nan
+        failures = []
+        states, keep = cl._evolve_grid(mo.assemble_B, s, self.EPS, cm, u0, self.TIMES,
+                                       failures)
+        assert np.flatnonzero(~keep).tolist() == [3, 97, 149]
+        assert [f["s"] for f in failures] == [float(s[i]) for i in (3, 97, 149)]
+        assert np.all(states[:, ~keep] == 0.0)
+        assert np.all(np.isfinite(states))
+
+    def test_kinetic_errors_equal_the_unchunked_formula(self, collision_small):
+        basis = collision_small.basis
+        rng = np.random.default_rng(33)
+        shape = (len(self.TIMES), 240, basis.dim)
+        kin = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        fluid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        wq, wl = rng.random(240), rng.random(240)
+        f_par, f_perp = cl.p_split(kin, basis)
+        want = (cl._mode_l2(f_perp - fluid, wq), np.linalg.norm(f_par, axis=-1) @ wl)
+        got = cl._kinetic_errors(kin, fluid, wq, wl, basis)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @staticmethod
+    def _peak_beyond_result(assemble, s, eps, cm, u0, times):
+        cl._evolve_grid(assemble, s, eps, cm, u0, times, [])   # warm the caches
+        tracemalloc.start()
+        try:
+            states, _ = cl._evolve_grid(assemble, s, eps, cm, u0, times, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - states.nbytes
+
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    def test_working_set_does_not_grow_with_the_grid(self, collision_small, assemble):
+        # the (n_t, n_s, dim) result grows with n_s by definition; what the
+        # propagation holds beside it must not (the one-stack code: 4.9x)
+        cm = collision_small
+        dim = assemble(1.0, self.EPS, cm).dim
+        peaks = []
+        for n in (48, 240):
+            s, u0 = self._grid(n, dim, 34)
+            peaks.append(self._peak_beyond_result(assemble, s, self.EPS, cm, u0, self.TIMES))
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestFirstOrder:

@@ -8,6 +8,10 @@ failure on non-convergence and on residuals above tolerance), and the small
 wave-number expansion of the kinetic-only slow branches.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +238,26 @@ class TestCrossing:
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.4)
         extrap = locs[2] + (locs[2] - locs[1]) / 3.0
         assert abs(extrap - target) < 0.02 * target
+
+
+    def test_import_leaves_the_root_finder_out(self, collision_small):
+        # scipy.optimize loads on the first crossing_location call, not with
+        # kslab, and the crossing is the same number either way
+        script = (
+            "import sys\n"
+            "import kslab\n"
+            "from kslab import collision_ops, dispersion, velocity_basis\n"
+            "loaded = 'scipy.optimize' in sys.modules\n"
+            "basis = velocity_basis.build_basis(velocity_basis.BasisSpec(6, 3))\n"
+            "cm = collision_ops.assemble_collision(basis, build_gamma=False)\n"
+            "print(loaded, dispersion.crossing_location(0.05, cm).hex())\n"
+        )
+        src = str(Path(dsp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == ["False", dsp.crossing_location(0.05, collision_small).hex()]
 
 
 class TestHighFrequency:

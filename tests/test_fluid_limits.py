@@ -221,6 +221,16 @@ class TestModeInputs:
         with pytest.raises(fl.FluidError, match="finite"):
             fl.Y2_mode(t, s, 0.0, e0, np.zeros(3, complex), tc)
 
+    @pytest.mark.parametrize("t, s", [("1.0", 0.5), (1.0, None), (True, 0.5),
+                                      (1.0, True), (1.0 + 0j, 0.5), (1.0, np.array(0.5))])
+    def test_non_real_time_or_wave_rejected(self, tc, basis_default, t, s):
+        # strs, None, complex and arrays fail at the boundary, and a bool is not a time
+        with pytest.raises(fl.FluidError, match="finite real"):
+            fl.Y1_mode(t, s, basis_default.chi(2), tc, basis_default)
+        e0 = np.array([0.0, 1.0, 0.0], complex)
+        with pytest.raises(fl.FluidError, match="finite real"):
+            fl.Y2_mode(t, s, 0.0, e0, np.zeros(3, complex), tc)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_states_rejected(self, tc, basis_default, value):
         f0 = basis_default.chi(2).astype(complex)

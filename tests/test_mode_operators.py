@@ -951,3 +951,22 @@ class TestBoundaryContract:
         assert _tiny_operator(cm).dim == 2
         assert _propagate(cm).shape == (cm.basis.dim,)
         assert _probe(cm) > 0.0
+
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    def test_assembled_operators_are_checked_once(self, collision_small, monkeypatch,
+                                                  assemble):
+        # the assemblers check their arguments; the operator they build does
+        # not check them again
+        calls = []
+        check = mo._check_mode_args
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(mo, "_check_mode_args", counting)
+        op = assemble(0.7, 0.1, collision_small)
+        assert len(calls) == 1
+        assert mo.ModeOperator(op.kind, op.s, op.eps, op.metric_diag, op.collision,
+                               op.blocks).dim == op.dim
+        assert len(calls) == 2

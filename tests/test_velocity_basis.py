@@ -93,6 +93,17 @@ def test_chi_functions_match_closed_forms(basis_default):
     assert np.allclose(chi1_vals, r * sqrt_m, rtol=1e-12)
 
 
+@pytest.mark.parametrize("j", [True, False, 1.0, "1", None, 5, -1])
+def test_chi_rejects_non_invariant_indices(basis_small, j):
+    # a bool is not the invariant index 1 (or 0), nor is a float or str
+    with pytest.raises(BasisError, match="chi index"):
+        basis_small.chi(j)
+
+
+def test_chi_accepts_numpy_integers(basis_small):
+    assert np.array_equal(basis_small.chi(np.int64(1)), basis_small.chi(1))
+
+
 def test_projection_idempotence_and_complement(basis_default, rng):
     f = rng.standard_normal(basis_default.dim)
     for which in ("P0", "P1"):
