@@ -705,6 +705,13 @@ def _degree_blocks(basis: Basis, top: int) -> _DegreeBlocks:
 
 
 def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatrices:
+    """Collision matrices of every Legendre degree of basis, with the Gamma
+    tensor when build_gamma.  Raises ValueError for a basis that is not a
+    Basis and a build_gamma that is not a bool."""
+    if not isinstance(basis, Basis):
+        raise ValueError(f"expected Basis, got {type(basis).__name__}")
+    if not isinstance(build_gamma, (bool, np.bool_)):
+        raise ValueError(f"build_gamma must be a bool, got {build_gamma!r}")
     spec = basis.spec
     lmax = spec.angular_max
     blocks = _degree_blocks(basis, lmax)

@@ -14,14 +14,20 @@ its working set beyond the result does not grow with n_s: per chunk, one
 stacked decomposition of the generators (mode_operators._decompose_stacked),
 then the block apply and the contraction guard that mode_operators.propagate
 uses too.  Each of these steps works mode by mode, so the chunks leave the
-states bit for bit those of one stack.  The fluid
-references are whole grids as well: fluid_limits._heat_flow for the kinetic
-heat flow and _field_reference for the damped-Maxwell flow.  The
+states bit for bit those of one stack.  The fluid references are
+fluid_limits._heat_flow for the kinetic heat flow, which _kinetic_errors
+evaluates one block of time rows at a time (_heat_rows), and
+_field_reference for the damped-Maxwell flow, a whole grid.  The
 compressible split is fluid_limits.p_split, which works on the last axis of
 any array.  _kinetic_errors reduces a grid to the incompressible error and
 the compressible L1 proxy per time, and _field_sq is the electromagnetic
 metric, whose charge counts 1 + 1/s^2.  _fit_eps_slopes holds the eps-slope
 fits and flags, and _environment_metadata the notes every report carries.
+
+Bad input fails at the boundary with ConvergenceError: an experiment's
+configuration that is not an ExperimentConfig, collision data that is not
+CollisionMatrices (_check_experiment), and rate-fit samples that are not
+real numbers.
 """
 
 from __future__ import annotations
@@ -199,8 +205,11 @@ def rate_fit(x, y) -> RateFit:
     The half-width ci is the 1.96-sigma normal interval built from the
     residual variance; an exact power law therefore reports ci = 0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConvergenceError(f"rate fit needs real samples: {exc}") from None
     if x.shape != y.shape or x.ndim != 1:
         raise ConvergenceError("rate fit needs matching one-dimensional samples")
     if x.size < 4:
@@ -293,6 +302,14 @@ class InitialData:
         return out
 
 
+def _check_experiment(cfg: ExperimentConfig, cm: CollisionMatrices) -> None:
+    """The experiments' boundary: cfg an ExperimentConfig, cm CollisionMatrices."""
+    if not isinstance(cfg, ExperimentConfig):
+        raise ConvergenceError(f"expected ExperimentConfig, got {type(cfg).__name__}")
+    if not isinstance(cm, CollisionMatrices):
+        raise ConvergenceError(f"expected CollisionMatrices, got {type(cm).__name__}")
+
+
 def make_initial_data(kind: str, cfg: ExperimentConfig,
                       cm: CollisionMatrices) -> InitialData:
     """Seeded per-mode initial states for both kinetic systems.
@@ -309,6 +326,7 @@ def make_initial_data(kind: str, cfg: ExperimentConfig,
         raise ConvergenceError(
             f"unknown data kind {kind!r}: expected one of {', '.join(_SHAPE_KINDS)}"
         )
+    _check_experiment(cfg, cm)
     basis = cm.basis
     rng = np.random.default_rng(cfg.seed)
     prof_a = _positive_profile(rng)
@@ -521,15 +539,23 @@ def _field_sq(states: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(states) ** 2, axis=-1) + (1.0 / s**2) * np.abs(states[..., 0]) ** 2
 
 
-def _kinetic_errors(kin: np.ndarray, fluid: np.ndarray, wq: np.ndarray,
+def _heat_rows(f0: np.ndarray, s: np.ndarray, times: np.ndarray, tc,
+               basis) -> Callable[[slice], np.ndarray]:
+    """The heat flow of the modes f0 as rows -> its states at times[rows]."""
+    return lambda rows: _heat_flow(f0, s, times[rows], tc, basis)
+
+
+def _kinetic_errors(kin: np.ndarray, fluid: Callable[[slice], np.ndarray], wq: np.ndarray,
                     wl: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
     """Per-time incompressible error and compressible amplitude of (n_t, n_s, dim) states.
 
     The error aggregates f_perp - fluid with the Sobolev weights wq; the
     amplitude is the L1 mode integral of |f_par| with the weights wl, the
     labelled upper proxy for the supremum norm.  The split runs on blocks of
-    time rows holding about as many states as an n_s = _MODE_CHUNK grid; each
-    row's sums are those of the whole grid, and the mode integrals run once.
+    time rows holding about as many states as an n_s = _MODE_CHUNK grid, and
+    fluid(rows) gives the fluid states of a block's rows, so no whole fluid
+    grid is held.  Each row's sums are those of the whole grid (the heat flow
+    too is the same bits per row), and the mode integrals run once.
     """
     n_t, n_s = kin.shape[:2]
     perp_sq, par = np.empty((n_t, n_s)), np.empty((n_t, n_s))
@@ -537,7 +563,7 @@ def _kinetic_errors(kin: np.ndarray, fluid: np.ndarray, wq: np.ndarray,
     for lo in range(0, n_t, step):
         rows = slice(lo, lo + step)
         f_par, f_perp = p_split(kin[rows], basis)
-        perp_sq[rows] = np.sum(np.abs(f_perp - fluid[rows]) ** 2, axis=-1)
+        perp_sq[rows] = np.sum(np.abs(f_perp - fluid(rows)) ** 2, axis=-1)
         par[rows] = np.linalg.norm(f_par, axis=-1)
     return np.sqrt(perp_sq @ wq), par @ wl
 
@@ -622,6 +648,7 @@ def first_order_experiment(cfg: ExperimentConfig,
     labelled upper proxy for the supremum norm), and the macroscopic /
     microscopic kinetic norms whose decay rates the report also fits.
     """
+    _check_experiment(cfg, cm)
     tc = transport_coefficients(cm)
     basis = cm.basis
     data = make_initial_data(cfg.data_kind, cfg, cm)
@@ -656,7 +683,7 @@ def first_order_experiment(cfg: ExperimentConfig,
         defects["boltzmann"].append(float(_mode_l2(f0 @ p1m.T, wq_b)))
         defects["vmb"].append(float(_mode_l2(v0[:, 1:dimk], wq_v)))
 
-        perp, par = _kinetic_errors(kin_b, _heat_flow(f0, s, times, tc, basis),
+        perp, par = _kinetic_errors(kin_b, _heat_rows(f0, s, times, tc, basis),
                                     wq_b, w * s**2 * keep_b, basis)
         streams["boltzmann_perp"].append(perp.tolist())
         streams["boltzmann_par_proxy"].append(par.tolist())
@@ -727,6 +754,7 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
     O(eps) bulk floor, and its fitted rate over the same diffusive-time
     window the splitting itself uses must agree with measured_gap_b.
     """
+    _check_experiment(cfg, cm)
     eps = cfg.eps_list[len(cfg.eps_list) // 2] if eps is None else eps
     if not (_finite(eps) and eps > 0):
         raise ConvergenceError("transient check needs a finite eps > 0")
@@ -789,6 +817,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     stationary-phase decay; both choices converge to the same exponent as
     the window grows.
     """
+    _check_experiment(cfg, cm)
     eps = cfg.eps_list[-1]
     tc = transport_coefficients(cm)
     basis = cm.basis
@@ -818,7 +847,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     a0 = np.einsum("jki,ji->jk", np.sinc(sr / math.pi), wl * ch)
     a1 = np.einsum("jki,ji->jk", spherical_jn(1, sr), wl * c1)
     values = np.max(np.hypot(np.abs(a0), np.abs(a1)), axis=1)
-    bulk, _ = _kinetic_errors(kin, _heat_flow(f0, s, times, tc, basis),
+    bulk, _ = _kinetic_errors(kin, _heat_rows(f0, s, times, tc, basis),
                               _agg_weights(cfg, s, wk, "H2"), wl, basis)
 
     proxy0 = float(np.linalg.norm(p_split(f0, basis)[0], axis=1) @ wl)
@@ -906,6 +935,7 @@ def second_order_experiment(cfg: ExperimentConfig,
     at t = 0.5, past the collisional transient for every eps in the sweep;
     boundedness of the scaled solution at t ~ eps^2 log(1/eps) is recorded.
     """
+    _check_experiment(cfg, cm)
     tc = transport_coefficients(cm)
     basis = cm.basis
     data = make_initial_data("second_order", cfg, cm)
@@ -935,7 +965,7 @@ def second_order_experiment(cfg: ExperimentConfig,
         fluid_v = _field_reference(
             tc.eta, s, times, 1j * s * prof * e_z[0],
             (-(prof * e_z[2]), prof * e_z[1], 0.0, 0.0), keep_v, dimk)
-        fluid_b = _heat_flow((1j * s * prof)[:, None] * z2, s, times, tc, basis)
+        fluid_b = _heat_rows((1j * s * prof)[:, None] * z2, s, times, tc, basis)
 
         perp, par = _kinetic_errors(kin_b[:-1], fluid_b, wq_b, w * s**2 * keep_b, basis)
         streams["boltzmann_perp"].append(perp.tolist())

@@ -8,8 +8,15 @@ contraction maps that certify uniqueness.  One fixed-point iteration serves
 them all: it raises DispersionError when an iterate leaves the region where
 the map contracts or the steps run out, and every returned root has passed a
 residual test.  The two transverse branches are tracked as one pair through
-their collision point.  The module also fits the small wave-number expansion
-of the kinetic-only operator's five slow branches.
+their collision point, and crossing_location finds that point as the root of
+a real discriminant on a bracket, by Brent's method in _brent_root: a
+line-for-line port of SciPy's C Brent root finder in its operation order
+(rtol = 4 DBL_EPSILON, at most 100 iterations), so it returns SciPy's bits
+while the package imports no optimization module (the tests compare the two).
+It raises DispersionError for a non-finite discriminant value, a bracket
+without a sign change and running out of iterations.  The module also fits
+the small wave-number expansion of the kinetic-only operator's five slow
+branches.
 
 Bad input fails at the boundary with DispersionError, the module's documented
 error: collision data that is not CollisionMatrices, and a wave number s,
@@ -21,6 +28,7 @@ wave-number magnitude, and eps = 0 is the closed-form limit of each root.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -38,6 +46,9 @@ from .velocity_basis import (
 _FP_TOL = 1e-13
 _RES_TOL = 1e-12
 _MAX_ITER = 200
+# Brent's method as in SciPy's C root finder: its relative tolerance and iteration cap
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAX_ITER = 100
 
 
 class DispersionError(RuntimeError):
@@ -171,6 +182,64 @@ def _fixed_point(step, z, inside, where: str):
     raise DispersionError(f"{where}: no convergence in {_MAX_ITER} steps")
 
 
+def _brent_root(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of the real function f on the bracket [lo, hi] by Brent's method.
+
+    A line-for-line port of SciPy's C Brent root finder, in its operation
+    order, with rtol = 4 DBL_EPSILON and at most _BRENT_MAX_ITER iterations,
+    so it returns SciPy's bits.  A non-finite value of f, a bracket without a sign
+    change and running out of iterations raise DispersionError.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise DispersionError(f"root bracket: f({x!r}) = {fx!r} is not finite")
+        return fx
+
+    def negative(y: float) -> bool:  # C's signbit
+        return math.copysign(1.0, y) < 0
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise DispersionError(f"root bracket [{lo!r}, {hi!r}] has no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; a zero denominator is C's inf or nan, so a bisection
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise DispersionError(f"root bracket [{lo!r}, {hi!r}]: no convergence in "
+                          f"{_BRENT_MAX_ITER} iterations")
+
+
 def _certify(branch: DispersionBranch, tol: float) -> DispersionBranch:
     if not branch.residual <= tol:
         raise DispersionError(f"{branch.label} at s={branch.s}, eps={branch.eps}: "
@@ -250,9 +319,7 @@ def crossing_location(eps: float, cm: CollisionMatrices) -> float:
     lo, hi = 0.25 * eta, 0.95 * eta
     if discriminant(lo) <= 0 or discriminant(hi) >= 0:
         raise DispersionError(f"crossing bracket failed at eps={eps}")
-    # imported here, its only use: scipy.optimize adds about 17 MB to every process
-    from scipy.optimize import brentq
-    return float(brentq(discriminant, lo, hi, xtol=1e-12))
+    return _brent_root(discriminant, lo, hi, xtol=1e-12)
 
 
 def solve_highfreq(s: float, eps: float,

@@ -123,8 +123,11 @@ def transport_coefficients(cm: CollisionMatrices) -> TransportCoefficients:
     quadrature).  The refined pass builds only the degrees l <= 2 the forms
     read (collision_ops._degree_blocks, which also runs the kernel refinement
     check on each of them), not a whole CollisionMatrices.  Raises
-    FluidError unless every coefficient is positive.
+    FluidError for cm that is not CollisionMatrices and unless every
+    coefficient is positive.
     """
+    if not isinstance(cm, CollisionMatrices):
+        raise FluidError(f"expected CollisionMatrices, got {type(cm).__name__}")
     if "transport" in cm._cache:
         return cm._cache["transport"]
     core = _core_values(cm.basis, cm.L_sector, cm.L1_sector)

@@ -232,6 +232,8 @@ def _finite_complex(x) -> bool:
 
 
 def build_basis(spec: BasisSpec) -> Basis:
+    if not isinstance(spec, BasisSpec):
+        raise BasisError(f"expected BasisSpec, got {type(spec).__name__}")
     for name in ("radial_order", "angular_max", "quad_points"):
         value = getattr(spec, name)
         if not (_integer(value) or (name == "quad_points" and value is None)):
@@ -326,9 +328,11 @@ def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:
 
     Couples adjacent Legendre degrees only; symmetric by construction of the
     quadrature rule, which integrates the coupling integrands exactly.
-    Raises BasisError for a sector other than SECTOR_AXIAL or
-    SECTOR_TRANSVERSE.
+    Raises BasisError for a basis that is not a Basis and for a sector other
+    than SECTOR_AXIAL or SECTOR_TRANSVERSE.
     """
+    if not isinstance(basis, Basis):
+        raise BasisError(f"expected Basis, got {type(basis).__name__}")
     if not (_integer(sector) and sector in (SECTOR_AXIAL, SECTOR_TRANSVERSE)):
         raise BasisError(f"sector must be SECTOR_AXIAL ({SECTOR_AXIAL}) or "
                          f"SECTOR_TRANSVERSE ({SECTOR_TRANSVERSE}), got {sector!r}")

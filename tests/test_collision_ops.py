@@ -283,6 +283,20 @@ class TestGainAssembly:
         assert collision_small.kernel_refinement_delta == delta
 
 
+class TestAssemblyInputs:
+    @pytest.mark.parametrize("basis, build_gamma, match", [
+        pytest.param(None, False, "expected Basis", id="basis-None"),
+        pytest.param(BasisSpec(6, 3), False, "expected Basis", id="basis-spec"),
+        pytest.param("small", "no", "build_gamma must be a bool", id="gamma-string"),
+        pytest.param("small", 1, "build_gamma must be a bool", id="gamma-int"),
+    ])
+    def test_bad_input_rejected(self, basis_small, basis, build_gamma, match):
+        # a truthy non-bool build_gamma used to build Gamma silently
+        with pytest.raises(ValueError, match=match):
+            assemble_collision(basis_small if basis == "small" else basis,
+                               build_gamma=build_gamma)
+
+
 class TestAssembledOperators:
     def test_shapes(self, collision_default):
         b = collision_default.basis

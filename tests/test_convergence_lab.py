@@ -205,6 +205,10 @@ def _transient(**kw):
                                               cm, **kw)
 
 
+_EXPERIMENTS = (cl.first_order_experiment, cl.second_order_experiment,
+                cl.initial_layer_profile, cl.transient_rate_check)
+
+
 class TestBoundaryValidation:
     """Bad input fails with ConvergenceError before any numerical work."""
 
@@ -223,6 +227,21 @@ class TestBoundaryValidation:
         pytest.param(_transient(eps=0.0), "eps > 0", id="transient-eps-0"),
         pytest.param(_transient(eps=-0.1), "eps > 0", id="transient-eps-negative"),
         pytest.param(_transient(s0=-1.0), "s0", id="transient-s0-negative"),
+        # a wrong record type, not an AttributeError further in
+        *(pytest.param(lambda cm, f=f: f(cl.ExperimentConfig(), None),
+                       "expected CollisionMatrices", id=f"{f.__name__}-cm-None")
+          for f in _EXPERIMENTS),
+        *(pytest.param(lambda cm, f=f: f(None, cm), "expected ExperimentConfig",
+                       id=f"{f.__name__}-cfg-None") for f in _EXPERIMENTS),
+        *(pytest.param(lambda cm, kind=kind: cl.make_initial_data(
+            kind, cl.ExperimentConfig(), None), "expected CollisionMatrices",
+            id=f"make_initial_data-{kind}-cm-None") for kind in ("generic", "second_order")),
+        pytest.param(lambda cm: cl.make_initial_data("generic", cm, cm),
+                     "expected ExperimentConfig", id="make_initial_data-cfg-cm"),
+        pytest.param(lambda cm: cl.rate_fit("abcd", [1, 2, 3, 4]), "real samples",
+                     id="rate_fit-string"),
+        pytest.param(lambda cm: cl.rate_fit([1, 2, 3, 4], [1, 2, "x", 4]), "real samples",
+                     id="rate_fit-string-entry"),
     ])
     def test_rejected_with_module_error(self, collision_small, call, match):
         with warnings.catch_warnings():
@@ -608,8 +627,19 @@ class TestModeChunks:
         wq, wl = rng.random(240), rng.random(240)
         f_par, f_perp = cl.p_split(kin, basis)
         want = (cl._mode_l2(f_perp - fluid, wq), np.linalg.norm(f_par, axis=-1) @ wl)
-        got = cl._kinetic_errors(kin, fluid, wq, wl, basis)
+        got = cl._kinetic_errors(kin, lambda rows: fluid[rows], wq, wl, basis)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 5, 7])
+    def test_heat_flow_is_the_same_bits_per_row_block(self, collision_small, block):
+        # _kinetic_errors evaluates the heat flow one block of time rows at a time
+        cm = collision_small
+        s, f0 = self._grid(240, cm.basis.dim, 34)
+        tc = cl.transport_coefficients(cm)
+        heat = cl._heat_rows(f0, s, self.TIMES, tc, cm.basis)
+        got = np.concatenate([heat(slice(lo, lo + block))
+                              for lo in range(0, len(self.TIMES), block)])
+        assert np.array_equal(got, cl._heat_flow(f0, s, self.TIMES, tc, cm.basis))
 
     @staticmethod
     def _peak_beyond_result(assemble, s, eps, cm, u0, times):

@@ -4,8 +4,10 @@ Covers the two sector resolvent scalars (symmetry at the origin, wave-number
 derivative, deflation consistency, singular-point detection), the root
 solvers (closed forms at eps = 0, quadratic eps rates, duality with the
 assembled operator spectra, branch tracking through the collision point,
-failure on non-convergence and on residuals above tolerance), and the small
-wave-number expansion of the kinetic-only slow branches.
+failure on non-convergence and on residuals above tolerance), the bracketed
+Brent root of the crossing against scipy's brentq bit for bit (brentq is
+imported here only), and the small wave-number expansion of the kinetic-only
+slow branches.
 """
 import math
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from kslab import dispersion as dsp
 from kslab.mode_operators import assemble_A_tilde
@@ -241,16 +244,15 @@ class TestCrossing:
 
 
     def test_import_leaves_the_root_finder_out(self, collision_small):
-        # scipy.optimize loads on the first crossing_location call, not with
-        # kslab, and the crossing is the same number either way
+        # no kslab path loads scipy.optimize, a crossing included, and the
+        # crossing is the same number in a fresh process
         script = (
             "import sys\n"
-            "import kslab\n"
             "from kslab import collision_ops, dispersion, velocity_basis\n"
-            "loaded = 'scipy.optimize' in sys.modules\n"
             "basis = velocity_basis.build_basis(velocity_basis.BasisSpec(6, 3))\n"
             "cm = collision_ops.assemble_collision(basis, build_gamma=False)\n"
-            "print(loaded, dispersion.crossing_location(0.05, cm).hex())\n"
+            "x = dispersion.crossing_location(0.05, cm).hex()\n"
+            "print('scipy.optimize' in sys.modules, x)\n"
         )
         src = str(Path(dsp.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -258,6 +260,82 @@ class TestCrossing:
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
         assert out == ["False", dsp.crossing_location(0.05, collision_small).hex()]
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.02, 0.0125, 0.01])
+    @pytest.mark.parametrize("cm_name", ["collision_small", "collision_default"])
+    def test_same_bits_as_brentq(self, request, monkeypatch, cm_name, eps):
+        cm = request.getfixturevalue(cm_name)
+        got = dsp.crossing_location(eps, cm)
+        monkeypatch.setattr(dsp, "_brent_root",
+                            lambda f, lo, hi, xtol: brentq(f, lo, hi, xtol=xtol))
+        assert got.hex() == dsp.crossing_location(eps, cm).hex()
+
+
+def _brent_family(seed: int):
+    """A seeded scalar function with a sign change on its bracket [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    lo = float(rng.uniform(-3.0, 1.0))
+    hi = lo + float(rng.uniform(0.1, 5.0))
+    r, k, a = (float(v) for v in rng.uniform((lo, 0.2, -1.0), (hi, 20.0, 1.0)))
+    shapes = [
+        lambda x: (x - r) * (1.0 + k * (x - r) ** 2),
+        lambda x: math.tanh(k * (x - r)) + 1e-3 * a,
+        lambda x: math.exp(0.2 * k * (x - r)) - 1.0,
+        lambda x: (x - r) ** 3 + 0.1 * k * (x - r),
+        lambda x: 1.0 if x > r else -1.0,
+        lambda x: math.atan(k * (x - r)) * (2.0 + math.sin(7.0 * x)),
+        lambda x: (x - r) * abs(x - r) ** 0.25 - 1e-14 * a,
+    ]
+    f = shapes[seed % len(shapes)]
+    return (lambda x: -f(x)) if rng.random() < 0.5 else f, lo, hi
+
+
+# roots exactly at an end of the bracket, as +0.0 and as -0.0
+_END_ROOTS = {
+    "zero-at-lo": lambda x: x - 0.5,
+    "zero-at-hi": lambda x: 2.0 - x,
+    "minus-zero-at-lo": lambda x: -(x - 0.5),
+    "minus-zero-at-hi": lambda x: -(2.0 - x),
+}
+
+
+class TestBrentRoot:
+    """dispersion._brent_root against scipy's brentq, bit for bit."""
+
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-8])
+    def test_same_bits_as_brentq(self, xtol):
+        for seed in range(700):
+            f, lo, hi = _brent_family(seed)
+            want = brentq(f, lo, hi, xtol=xtol)
+            assert dsp._brent_root(f, lo, hi, xtol).hex() == want.hex(), seed
+
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-8])
+    @pytest.mark.parametrize("name", sorted(_END_ROOTS))
+    def test_root_at_an_end(self, name, xtol):
+        f = _END_ROOTS[name]
+        zero = next(v for v in (f(0.5), f(2.0)) if v == 0.0)
+        assert math.copysign(1.0, zero) == (-1.0 if name.startswith("minus") else 1.0)
+        want = brentq(f, 0.5, 2.0, xtol=xtol)
+        assert dsp._brent_root(f, 0.5, 2.0, xtol).hex() == want.hex()
+
+    @pytest.mark.parametrize("f, lo, hi, xtol, brentq_error, match", [
+        pytest.param(lambda x: math.nan if 0.6 < x < 0.8 else x - 0.7, 0.0, 1.0, 1e-12,
+                     ValueError, "not finite", id="nan-inside"),
+        pytest.param(lambda x: -math.inf if x == 0.0 else x - 0.7, 0.0, 1.0, 1e-12,
+                     None, "not finite", id="inf-at-lo"),
+        pytest.param(lambda x: x + 1.0, 0.0, 1.0, 1e-12, ValueError, "no sign change",
+                     id="no-sign-change"),
+        pytest.param(lambda x: 1.0 if x > 0 else -1.0, -1.0, 2.0, 1e-300, RuntimeError,
+                     "no convergence in 100 iterations", id="out-of-iterations"),
+    ])
+    def test_failures_raise_dispersion_error(self, f, lo, hi, xtol, brentq_error, match):
+        # brentq raised ValueError or RuntimeError here (and ran on through an
+        # infinite value); the port raises the module's own error
+        if brentq_error is not None:
+            with pytest.raises(brentq_error):
+                brentq(f, lo, hi, xtol=xtol)
+        with pytest.raises(dsp.DispersionError, match=match):
+            dsp._brent_root(f, lo, hi, xtol)
 
 
 class TestHighFrequency:

@@ -53,6 +53,11 @@ class TestTransportCoefficients:
                        ("a_2", 2), ("a_3", 3)):
             assert abs(tc.a_list[j] - fx[key]) < tol
 
+    @pytest.mark.parametrize("cm", [None, "basis"])
+    def test_non_collision_data_rejected(self, basis_small, cm):
+        with pytest.raises(fl.FluidError, match="expected CollisionMatrices"):
+            fl.transport_coefficients(basis_small if cm == "basis" else cm)
+
     def test_truncation_deltas_small(self, tc):
         assert set(tc.truncation_delta) == {"kappa0", "kappa1", "eta", "a1"}
         for value in tc.truncation_delta.values():

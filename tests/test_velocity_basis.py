@@ -19,6 +19,7 @@ from scipy.special import eval_genlaguerre, genlaguerre
 
 from kslab.mode_operators import assemble_A_tilde
 from kslab.velocity_basis import (
+    SECTOR_AXIAL,
     BasisError,
     BasisSpec,
     _legendre_row,
@@ -203,6 +204,18 @@ def test_build_basis_validation():
 def test_build_basis_rejects_non_integer_sizes(spec):
     with pytest.raises(BasisError, match="must be an integer"):
         build_basis(spec)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda basis: build_basis(None), id="build_basis-None"),
+    pytest.param(lambda basis: build_basis((6, 3)), id="build_basis-tuple"),
+    pytest.param(lambda basis: v_multiplication_matrix(None, SECTOR_AXIAL), id="v-None"),
+    pytest.param(lambda basis: v_multiplication_matrix(basis.spec, SECTOR_AXIAL),
+                 id="v-spec"),
+])
+def test_wrong_record_types_rejected(basis_small, call):
+    with pytest.raises(BasisError, match="expected Basis"):
+        call(basis_small)
 
 
 @settings(max_examples=25, deadline=None)
