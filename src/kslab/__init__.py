@@ -26,7 +26,6 @@ from .dispersion import (  # noqa: F401
     crossing_location,
     eta_coefficient,
     expansion_coefficients,
-    fit_boltzmann_expansion,
     resolvent_scalars,
     solve_highfreq,
     solve_z0,
@@ -68,7 +67,6 @@ from .convergence_lab import (  # noqa: F401
     first_order_experiment,
     initial_layer_profile,
     make_initial_data,
-    mc_reference,
     oscillatory_decay_check,
     oscillatory_value,
     rate_fit,

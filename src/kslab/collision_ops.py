@@ -59,11 +59,17 @@ Each node count integrates its polynomial exactly:
   filled row by row, X_a Y_b once per (a, b) and then times Z_c, so the build
   holds no gathered copies of it.  The whole build stays within a few MB of
   temporaries.
-- The change of basis to the Burnett-type elements and the polynomial
-  projection integrate products of two degree-<=4 factors (degree <= 8) on
-  the same 9-point grid.  The Burnett-type elements are the velocity basis's
-  own: radial profiles from velocity_basis._radial_rows and angular factors
-  from velocity_basis._legendre_row.
+- The change of basis to the Burnett-type elements integrates products of
+  two degree-<=4 factors (degree <= 8) on the same 9-point grid.  The
+  Burnett-type elements are the velocity basis's own: radial profiles from
+  velocity_basis._radial_rows and angular factors from
+  velocity_basis._legendre_row.
+
+Bad input fails at the boundary with ValueError, the module's documented
+error: collision data or a basis of the wrong type, non-finite or
+wrongly shaped velocities, coefficients and right-hand sides, and sector or
+operator names outside the basis.  AssemblyError is kept for an assembly or
+solve that fails on valid input.
 """
 from __future__ import annotations
 
@@ -154,7 +160,7 @@ def kernel_eval(which: str, v, vstar):
 # per-degree radial reduction of the kernels
 # ---------------------------------------------------------------------------
 
-# Node pairs per block of the panel quadrature.  A pair holds n_panels *
+# Node pairs per block of the panel quadrature.  A pair holds _N_PANELS *
 # n_panel_points samples, so at 8 panels of 24 points a block temporary is
 # about 200 KB; one block over the 6336 pairs of BasisSpec(24, 6) was 10 MB.
 _PAIR_CHUNK = 128
@@ -162,15 +168,14 @@ _PAIR_CHUNK = 128
 _N_PANELS = 8
 
 
-def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int,
-                         n_panel_points: int, n_panels: int):
+def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int, n_panel_points: int):
     """Per-degree moments (k1_l(ra, rb), gauss_l(ra, rb)) at node pairs.
 
     Pairs are independent and every reduction runs along one pair's samples,
     so the blocks of _PAIR_CHUNK pairs give the same bits as one block.
     """
     x, wgl = np.polynomial.legendre.leggauss(n_panel_points)
-    k = np.arange(n_panels + 1)
+    k = np.arange(_N_PANELS + 1)
     k1_pairs = np.empty((lmax + 1, ra.size))
     g_pairs = np.empty((lmax + 1, ra.size))
     for start in range(0, ra.size, _PAIR_CHUNK):
@@ -182,7 +187,7 @@ def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int,
         tau = np.clip(t0 * t1 / (2.0 * math.sqrt(2.0)), 1e-4 * span, span)
 
         # geometric breakpoints b_k = t0 + tau*(rho^k - 1), rho^K = span/tau + 1
-        rho = (span / tau + 1.0) ** (1.0 / n_panels)
+        rho = (span / tau + 1.0) ** (1.0 / _N_PANELS)
         bps = t0[:, None] + tau[:, None] * (rho[:, None] ** k[None, :] - 1.0)
         bps[:, -1] = t1  # guard roundoff
 
@@ -216,24 +221,23 @@ def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int,
     return k1_pairs, g_pairs
 
 
-def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 12,
-                          n_panels: int = _N_PANELS):
+def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 12):
     """Legendre-degree kernels k1_l(r, r') and k_l(r, r') on a node set.
 
     Returns (k1_tab, k_tab) with shape (lmax+1, n, n).  The angular integral
-    is carried out in the variable t = |v - v'|; panels are geometrically
-    graded from t = |r - r'| at the scale of the exponential boundary layer.
+    is carried out in the variable t = |v - v'|; _N_PANELS panels of
+    n_panel_points Gauss points each are geometrically graded from
+    t = |r - r'| at the scale of the exponential boundary layer.
     """
     r = np.asarray(r_nodes, dtype=float)
     if r.ndim != 1 or not np.all(np.isfinite(r)) or np.any(r <= 0.0):
         raise ValueError("r_nodes must be a 1-D array of finite speeds r > 0")
-    for name, value, least in (("lmax", lmax, 0), ("n_panel_points", n_panel_points, 1),
-                               ("n_panels", n_panels, 1)):
+    for name, value, least in (("lmax", lmax, 0), ("n_panel_points", n_panel_points, 1)):
         if not _integer(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     iu = np.triu_indices(r.size)
     tabs = []
-    for pairs in _pair_kernel_moments(r[iu[0]], r[iu[1]], lmax, n_panel_points, n_panels):
+    for pairs in _pair_kernel_moments(r[iu[0]], r[iu[1]], lmax, n_panel_points):
         tab = np.zeros((lmax + 1, r.size, r.size))
         tab[:, iu[0], iu[1]] = tab[:, iu[1], iu[0]] = pairs
         tabs.append(tab)
@@ -262,7 +266,7 @@ def _gain_matrices(basis: Basis, top: int):
     w_in = 0.5 * r_out[:, None] * wg[None, :]
     rb = r_in.ravel()
     ra = np.repeat(r_out, n_inner)
-    moments = [_pair_kernel_moments(ra, rb, top, points, _N_PANELS) for points in (12, 24)]
+    moments = [_pair_kernel_moments(ra, rb, top, points) for points in (12, 24)]
     inner_w = (w_in * r_in**2).ravel()
 
     out = [({}, {}) for _ in moments]
@@ -545,15 +549,9 @@ def _sub_operator(cmat: np.ndarray, els, radial_blocks: dict) -> np.ndarray:
     return cmat @ lam @ cmat.T
 
 
-def project_poly_to_sub(gamma: GammaTensor, poly) -> np.ndarray:
-    """Sub-basis coefficients of p(v) sqrt(M) for a polynomial p of degree <= 4."""
-    pts, w3, table = _sub_quadrature(tuple(gamma.indices))
-    vals = poly(pts)
-    return (table * (w3 * vals)[:, None]).sum(axis=0)
-
-
 def gamma_apply(cm: "CollisionMatrices", f_sub: np.ndarray, g_sub: np.ndarray) -> np.ndarray:
     """Bilinear collision term Gamma(f, g) projected on the Hermite sub-basis."""
+    _check_collision(cm)
     if cm.gamma.tensor is None:
         raise AssemblyError(
             "no Gamma tensor: assemble the collision matrices with build_gamma=True"
@@ -603,8 +601,19 @@ class CollisionMatrices:
 _NULL_RADIAL = {"L": {0: (0, 1), 1: (0,)}, "L1": {0: (0,)}}
 
 
+def _check_collision(cm) -> None:
+    if not isinstance(cm, CollisionMatrices):
+        raise ValueError(f"expected CollisionMatrices, got {type(cm).__name__}")
+
+
+def _check_basis(basis) -> None:
+    if not isinstance(basis, Basis):
+        raise ValueError(f"expected Basis, got {type(basis).__name__}")
+
+
 def null_coordinates(basis: Basis, which: str, sector: int) -> list[int]:
     """Coordinates of the collision invariants in one sector block of L or L1."""
+    _check_basis(basis)
     if which not in ("L", "L1"):
         raise ValueError(f"which must be 'L' or 'L1', got {which!r}")
     if not _integer(sector) or sector not in (SECTOR_AXIAL, SECTOR_TRANSVERSE):
@@ -624,8 +633,9 @@ def collision_inverse(cm: CollisionMatrices, which: str, sector: int,
     singular off its null coordinates or the solution leaves the range or
     picks up a null component.  Raises ValueError for any which or sector
     other than those of null_coordinates, or a w that is not a finite 1-D
-    array of the block's length.
+    array of the block's length, and for cm that is not CollisionMatrices.
     """
+    _check_collision(cm)
     null = null_coordinates(cm.basis, which, sector)
     block = {"L": cm.L_sector, "L1": cm.L1_sector}[which][sector]
     return _deflated_solve(block, null, which, sector, w)
@@ -708,8 +718,7 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     """Collision matrices of every Legendre degree of basis, with the Gamma
     tensor when build_gamma.  Raises ValueError for a basis that is not a
     Basis and a build_gamma that is not a bool."""
-    if not isinstance(basis, Basis):
-        raise ValueError(f"expected Basis, got {type(basis).__name__}")
+    _check_basis(basis)
     if not isinstance(build_gamma, (bool, np.bool_)):
         raise ValueError(f"build_gamma must be a bool, got {build_gamma!r}")
     spec = basis.spec

@@ -24,10 +24,15 @@ the compressible L1 proxy per time, and _field_sq is the electromagnetic
 metric, whose charge counts 1 + 1/s^2.  _fit_eps_slopes holds the eps-slope
 fits and flags, and _environment_metadata the notes every report carries.
 
+The oscillatory decay check has no inputs of its own: its envelope
+(1 + s)^-4, its phase times, its front offsets and the radial cutoff of the
+wave integral are the module constants _envelope, _OSC_THETAS, _OSC_X_RATIOS
+and _OSC_R_CUT, which the report's config records.
+
 Bad input fails at the boundary with ConvergenceError: an experiment's
 configuration that is not an ExperimentConfig, collision data that is not
-CollisionMatrices (_check_experiment), and rate-fit samples that are not
-real numbers.
+CollisionMatrices (_check_experiment, corrector_shapes), and rate-fit
+samples that are not real numbers.
 """
 
 from __future__ import annotations
@@ -306,6 +311,10 @@ def _check_experiment(cfg: ExperimentConfig, cm: CollisionMatrices) -> None:
     """The experiments' boundary: cfg an ExperimentConfig, cm CollisionMatrices."""
     if not isinstance(cfg, ExperimentConfig):
         raise ConvergenceError(f"expected ExperimentConfig, got {type(cfg).__name__}")
+    _check_collision(cm)
+
+
+def _check_collision(cm: CollisionMatrices) -> None:
     if not isinstance(cm, CollisionMatrices):
         raise ConvergenceError(f"expected CollisionMatrices, got {type(cm).__name__}")
 
@@ -896,9 +905,10 @@ def corrector_shapes(cm: CollisionMatrices, f_shape: np.ndarray,
     to the inverted collision operator.  For the electromagnetic system: the
     induced charge and field data, compatible by construction.  Shapes carry
     no radial factor; the mode versions multiply by i*s and the profile.
-    Raises ConvergenceError unless both shapes are finite 1-D arrays of
-    length basis.dim.
+    Raises ConvergenceError unless cm is CollisionMatrices and both shapes
+    are finite 1-D arrays of length basis.dim.
     """
+    _check_collision(cm)
     basis = cm.basis
     for name, shape in (("f_shape", f_shape), ("g_shape", g_shape)):
         if np.shape(shape) != (basis.dim,) or not np.all(np.isfinite(shape)):
@@ -998,31 +1008,37 @@ def second_order_experiment(cfg: ExperimentConfig,
 # oscillatory integral decay
 # ---------------------------------------------------------------------------
 
-def _default_envelope(s):
+def _envelope(s):
+    """The amplitude envelope of the wave integral, (1 + s)^-4."""
     return (1.0 + s) ** -4
 
 
-def _filon_moment(kappa: float, phi: Callable, m: int, r_cut: float,
-                  order: int, width_cap: float) -> complex:
+# the phase times of the decay check, the front offsets x / theta it samples,
+# and the radial cutoff of the wave integral
+_OSC_THETAS = (10.0, 1000.0, 13)
+_OSC_X_RATIOS = (0.0, 0.5, 1.0)
+_OSC_R_CUT = 120.0
+
+
+def _filon_moment(kappa: float, m: int, order: int, width_cap: float) -> complex:
     """Panelled Gauss quadrature of the radial half-line phase integral."""
     width = min(width_cap, 8.0 / max(abs(kappa), 1.0))
-    n_panels = max(int(math.ceil(r_cut / width)), 4)
-    edges = np.linspace(0.0, r_cut, n_panels + 1)
+    panels = max(int(math.ceil(_OSC_R_CUT / width)), 4)
+    edges = np.linspace(0.0, _OSC_R_CUT, panels + 1)
     x, w = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (edges[1] - edges[0])
     nodes = (edges[:-1, None] + half) + half * x[None, :]
     weights = half * w[None, :]
-    vals = np.exp(1j * kappa * nodes) * phi(nodes) * nodes**m
+    vals = np.exp(1j * kappa * nodes) * _envelope(nodes) * nodes**m
     return complex(np.sum(weights * vals))
 
 
-def _radial_phase_integral(kappa: float, phi: Callable, m: int,
-                           r_cut: float) -> complex:
-    coarse = _filon_moment(kappa, phi, m, r_cut, 10, 1.0)
-    fine = _filon_moment(kappa, phi, m, r_cut, 21, 0.5)
+def _radial_phase_integral(kappa: float, m: int) -> complex:
+    coarse = _filon_moment(kappa, m, 10, 1.0)
+    fine = _filon_moment(kappa, m, 21, 0.5)
     scale = max(abs(fine), 1e-300)
     if abs(fine - coarse) > 1e-7 * scale + 1e-13:
-        finest = _filon_moment(kappa, phi, m, r_cut, 32, 0.25)
+        finest = _filon_moment(kappa, m, 32, 0.25)
         if abs(finest - fine) > 1e-6 * max(abs(finest), 1e-300) + 1e-13:
             raise ConvergenceError(
                 f"oscillatory quadrature did not converge at phase {kappa:.3e}"
@@ -1031,106 +1047,39 @@ def _radial_phase_integral(kappa: float, phi: Callable, m: int,
     return fine
 
 
-# the phase times of the decay check and the radial cutoff of the wave integral
-_OSC_THETAS = (10.0, 1000.0, 13)
-_OSC_R_CUT = 120.0
-
-
-def oscillatory_value(theta: float, x: float, phi: Callable | None = None,
-                      r_cut: float = _OSC_R_CUT) -> complex:
-    """The radial wave integral at front offset |x|, via exact sphere kernels."""
+def oscillatory_value(theta: float, x: float) -> complex:
+    """The radial wave integral at front offset |x|, via exact sphere kernels:
+    the envelope _envelope cut off at _OSC_R_CUT."""
     if not (_finite(theta) and _finite(x)):
         raise ConvergenceError(f"wave integral needs finite theta and x, got {theta!r}, {x!r}")
-    phi = _default_envelope if phi is None else phi
     if x < 1e-12:
-        return 4.0 * math.pi * _radial_phase_integral(theta, phi, 2, r_cut)
-    k_plus = _radial_phase_integral(theta + x, phi, 1, r_cut)
-    k_minus = _radial_phase_integral(theta - x, phi, 1, r_cut)
+        return 4.0 * math.pi * _radial_phase_integral(theta, 2)
+    k_plus = _radial_phase_integral(theta + x, 1)
+    k_minus = _radial_phase_integral(theta - x, 1)
     return (2.0 * math.pi / (1j * x)) * (k_plus - k_minus)
 
 
-_MC_CHUNK = 1 << 20
-
-
-def mc_reference(theta: float, x: float, n: int = 10_000_000,
-                 seed: int = 20230823):
-    """Monte Carlo value of the wave integral for the default envelope.
-
-    Radial importance sampling with the exact inverse distribution of the
-    density proportional to s^2 (1+s)^{-4}; the sphere average is analytic.
-    Returns (value, sigma) with sigma the componentwise standard error.
-    Samples are drawn and reduced in chunks of _MC_CHUNK from one generator
-    (the same stream as a single draw), merging the chunk means and centred
-    sums of squares pairwise.
-    """
-    if not (_finite(theta) and _finite(x)):
-        raise ConvergenceError(f"wave integral needs finite theta and x, got {theta!r}, {x!r}")
-    if not _integer(n) or n < 1:
-        raise ConvergenceError(f"Monte Carlo sample count must be an integer >= 1, got {n!r}")
-    rng = np.random.default_rng(seed)
-    count, mean, m2 = 0, 0j, np.zeros(2)
-    while count < n:
-        size = min(_MC_CHUNK, n - count)
-        v = np.cbrt(rng.random(size))
-        r = v / (1.0 - v)
-        samples = np.sinc(r * x / math.pi) * np.exp(1j * theta * r)
-        c_mean = complex(samples.mean())
-        c_m2 = np.array([np.sum((samples.real - c_mean.real) ** 2),
-                         np.sum((samples.imag - c_mean.imag) ** 2)])
-        delta = c_mean - mean
-        total_count = count + size
-        m2 += c_m2 + np.array([delta.real**2, delta.imag**2]) * (count * size / total_count)
-        mean += delta * (size / total_count)
-        count = total_count
-    total = 4.0 * math.pi / 3.0
-    value = total * mean
-    sigma = total * math.sqrt(m2.max() / n) / math.sqrt(n)
-    return value, float(sigma)
-
-
-def oscillatory_decay_check(phi: Callable | None = None,
-                            x_ratios: tuple = (0.0, 0.5, 1.0)) -> ConvergenceReport:
+def oscillatory_decay_check() -> ConvergenceReport:
     """Stationary-phase decay of the radial wave integral.
 
-    Evaluates the integral at front offsets proportional to the phase time
-    and fits the decay of the largest sample; the wavefront value dominates
-    and decays with exponent -1.  The envelope decay needed for absolute
-    convergence is checked numerically, not assumed.
+    Evaluates the integral at the front offsets x = r * theta, r in
+    _OSC_X_RATIOS, over the phase times _OSC_THETAS and fits the decay of the
+    largest sample; the wavefront value dominates and decays with exponent -1.
     """
-    if len(x_ratios) == 0:
-        raise ConvergenceError("oscillatory decay check needs at least one x ratio")
-    names = [f"osc_x{r:g}" for r in x_ratios]
-    if len(set(names)) < len(names):
-        raise ConvergenceError(f"x ratios must be distinct, got {tuple(x_ratios)!r}")
-    phi = _default_envelope if phi is None else phi
     thetas = np.geomspace(*_OSC_THETAS)
+    per_ratio = np.array([[abs(oscillatory_value(float(theta), float(r * theta)))
+                           for theta in thetas] for r in _OSC_X_RATIOS])
+    max_vals = per_ratio.max(axis=0)
 
-    probe = np.geomspace(4.0, 64.0, 5)
-    mass = phi(probe) * probe**3
-    if not np.all(np.isfinite(mass)) or mass[-1] > 0.5 * mass[0]:
-        raise ConvergenceError(
-            "amplitude envelope does not decay fast enough for an absolutely "
-            "convergent wave integral"
-        )
-
-    per_ratio = {r: np.zeros(len(thetas)) for r in x_ratios}
-    max_vals = np.zeros(len(thetas))
-    for i, theta in enumerate(thetas):
-        vals = [abs(oscillatory_value(float(theta), float(r * theta), phi))
-                for r in x_ratios]
-        for r, v in zip(x_ratios, vals):
-            per_ratio[r][i] = v
-        max_vals[i] = max(vals)
-
-    i0 = oscillatory_value(0.0, 0.0, phi)
+    i0 = oscillatory_value(0.0, 0.0)
     fit = rate_fit(thetas, max_vals)
 
     errors = {"osc_max": max_vals.tolist()}
-    for name, r in zip(names, x_ratios):
-        errors[name] = per_ratio[r].tolist()
+    for r, vals in zip(_OSC_X_RATIOS, per_ratio):
+        errors[f"osc_x{r:g}"] = vals.tolist()
     report = ConvergenceReport(
         experiment="oscillatory",
-        config={"x_ratios": list(x_ratios), "r_cut": _OSC_R_CUT,
+        config={"x_ratios": list(_OSC_X_RATIOS), "r_cut": _OSC_R_CUT,
                 "thetas": [float(t) for t in thetas]},
         eps=[],
         t=[float(t) for t in thetas],
@@ -1139,6 +1088,5 @@ def oscillatory_decay_check(phi: Callable | None = None,
     report.fits["oscillatory_exponent"] = fit.as_dict()
     report.flags["oscillatory_exponent"] = bool(abs(fit.exponent + 1.0) <= _TOL_OSC)
     report.metadata["static_value"] = {"re": i0.real, "im": i0.imag}
-    tail = phi(_OSC_R_CUT) * _OSC_R_CUT**3
-    report.metadata["tail_bound"] = float(tail)
+    report.metadata["tail_bound"] = float(_envelope(_OSC_R_CUT) * _OSC_R_CUT**3)
     return report

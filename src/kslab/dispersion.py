@@ -13,9 +13,12 @@ a real discriminant on a bracket, by Brent's method in _brent_root: a
 line-for-line port of SciPy's C Brent root finder in its operation order
 (rtol = 4 DBL_EPSILON, at most 100 iterations), so it returns SciPy's bits
 while the package imports no optimization module (the tests compare the two).
-It raises DispersionError for a non-finite discriminant value, a bracket
-without a sign change and running out of iterations.  The module also fits
-the small wave-number expansion of the kinetic-only operator's five slow
+crossing_location evaluates the discriminant once at each end of the
+bracket, checks the bracket's orientation and hands both values to
+_brent_root, which evaluates only inside the bracket.  It raises
+DispersionError for a non-finite discriminant value, a bracket without a sign
+change and running out of iterations.  The module also gives the closed-form
+small wave-number expansion of the kinetic-only operator's five slow
 branches.
 
 Bad input fails at the boundary with DispersionError, the module's documented
@@ -182,25 +185,30 @@ def _fixed_point(step, z, inside, where: str):
     raise DispersionError(f"{where}: no convergence in {_MAX_ITER} steps")
 
 
-def _brent_root(f, lo: float, hi: float, xtol: float) -> float:
+def _brent_root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> float:
     """Root of the real function f on the bracket [lo, hi] by Brent's method.
 
-    A line-for-line port of SciPy's C Brent root finder, in its operation
+    f_lo and f_hi are f(lo) and f(hi), which the caller has evaluated.  A
+    line-for-line port of SciPy's C Brent root finder, in its operation
     order, with rtol = 4 DBL_EPSILON and at most _BRENT_MAX_ITER iterations,
-    so it returns SciPy's bits.  A non-finite value of f, a bracket without a sign
-    change and running out of iterations raise DispersionError.
+    so it returns SciPy's bits.  A non-finite value of f (the end values
+    included), a bracket without a sign change and running out of iterations
+    raise DispersionError.
     """
-    def value(x: float) -> float:
-        fx = float(f(x))
+    def finite(x: float, fx) -> float:
+        fx = float(fx)
         if not math.isfinite(fx):
             raise DispersionError(f"root bracket: f({x!r}) = {fx!r} is not finite")
         return fx
+
+    def value(x: float) -> float:
+        return finite(x, f(x))
 
     def negative(y: float) -> bool:  # C's signbit
         return math.copysign(1.0, y) < 0
 
     xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = finite(xpre, f_lo), finite(xcur, f_hi)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -317,9 +325,10 @@ def crossing_location(eps: float, cm: CollisionMatrices) -> float:
         return r22 * r22 - 4.0 * s * s
 
     lo, hi = 0.25 * eta, 0.95 * eta
-    if discriminant(lo) <= 0 or discriminant(hi) >= 0:
+    d_lo, d_hi = discriminant(lo), discriminant(hi)
+    if d_lo <= 0 or d_hi >= 0:
         raise DispersionError(f"crossing bracket failed at eps={eps}")
-    return _brent_root(discriminant, lo, hi, xtol=1e-12)
+    return _brent_root(discriminant, lo, hi, d_lo, d_hi, xtol=1e-12)
 
 
 def solve_highfreq(s: float, eps: float,
@@ -410,8 +419,9 @@ def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, floa
 
     The speeds are 0 and +/- sqrt(5/3); the curvatures are the quadratic forms
     a_j = -(L^{-1} P w_j, P w_j) of fluid_limits._core_values, the same solves
-    behind transport_coefficients.  test_fit_matches_quadratic_forms checks
-    them independently against fit_boltzmann_expansion's eigenvalue sweeps.
+    behind transport_coefficients.  The tests check them independently
+    against coefficients fitted to eigenvalue sweeps of B
+    (tests/oracles.py, fit_boltzmann_expansion).
     """
     _check_input(cm)
     if "boltzmann_expansion" in cm._cache:
@@ -426,35 +436,3 @@ def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, floa
     }
     cm._cache["boltzmann_expansion"] = coeffs
     return coeffs
-
-
-def fit_boltzmann_expansion(cm: CollisionMatrices, s: float = 1.0,
-                            eps_list=None) -> dict[str, tuple[float, float]]:
-    """Fitted (mu_j, a_j) from eigenvalue sweeps: Im odd, Re even in eps*s."""
-    _check_input(cm)
-    if eps_list is None:
-        eps_list = (0.02, 0.035, 0.05, 0.07, 0.1)
-    if not (_finite(s) and s > 0):
-        raise DispersionError(f"expansion fit needs a finite s > 0, got {s!r}")
-    try:
-        eps = tuple(eps_list)
-    except TypeError:
-        eps = ()
-    if not (all(_finite(e) and e > 0 for e in eps) and len(set(eps)) >= 2):
-        raise DispersionError(
-            f"expansion fit needs two distinct finite positive eps, got {eps_list!r}")
-    xs = np.array([e * s for e in eps])
-    tracks: dict[str, list[complex]] = {k: [] for k in _BOLTZMANN_LABELS}
-    for e in eps:
-        matched = _match_slow_branches(_slow_eigenvalues(s, float(e), cm))
-        for k in _BOLTZMANN_LABELS:
-            tracks[k].append(matched[k])
-    out = {}
-    for k, vals in tracks.items():
-        vals = np.array(vals)
-        design_odd = np.column_stack([xs, xs**3])
-        design_even = np.column_stack([xs**2, xs**4])
-        mu = np.linalg.lstsq(design_odd, vals.imag, rcond=None)[0][0]
-        a = -np.linalg.lstsq(design_even, vals.real, rcond=None)[0][0]
-        out[k] = (float(mu), float(a))
-    return out

@@ -24,6 +24,11 @@ rate experiments build their fluid references and error streams from these
 two.  The quadratic forms of _core_values, with the hydrodynamic directions
 h0, ht1 and h+-, are the one source of the transport coefficients and of
 dispersion.expansion_coefficients.
+
+Bad input fails at the boundary with FluidError, the module's documented
+error: non-finite or non-real times, wave numbers and mode data, broken
+constraints, and record arguments of the wrong type (_check_record:
+CollisionMatrices, TransportCoefficients, Basis, NsmfMode).
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ from .collision_ops import (
 from .velocity_basis import (
     SECTOR_AXIAL,
     SECTOR_TRANSVERSE,
+    Basis,
     BasisSpec,
     _finite,
     build_basis,
@@ -62,6 +68,12 @@ _Y1_PROFILE_WIDTH = 1.5
 
 class FluidError(RuntimeError):
     """Raised on constraint violations or failed constrained solves."""
+
+
+def _check_record(value, cls) -> None:
+    """The boundary check for a record argument: value is a cls."""
+    if not isinstance(value, cls):
+        raise FluidError(f"expected {cls.__name__}, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +138,7 @@ def transport_coefficients(cm: CollisionMatrices) -> TransportCoefficients:
     FluidError for cm that is not CollisionMatrices and unless every
     coefficient is positive.
     """
-    if not isinstance(cm, CollisionMatrices):
-        raise FluidError(f"expected CollisionMatrices, got {type(cm).__name__}")
+    _check_record(cm, CollisionMatrices)
     if "transport" in cm._cache:
         return cm._cache["transport"]
     core = _core_values(cm.basis, cm.L_sector, cm.L1_sector)
@@ -214,6 +225,8 @@ def _check_direction(omega) -> None:
 def Y1_mode(t: float, s: float, f0: np.ndarray,
             tc: TransportCoefficients, basis) -> FluidModeState:
     """Heat decay along the entropy and the two shear branches."""
+    _check_record(tc, TransportCoefficients)
+    _check_record(basis, Basis)
     _check_time_and_wave(t, s)
     if t < 0:
         raise FluidError("time must be nonnegative")
@@ -358,6 +371,7 @@ def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
             tc: TransportCoefficients,
             omega: np.ndarray | None = None) -> FluidModeState:
     """Damped-Maxwell evolution of one (charge, fields) mode."""
+    _check_record(tc, TransportCoefficients)
     _check_time_and_wave(t, s)
     if t < 0:
         raise FluidError("time must be nonnegative")
@@ -392,9 +406,10 @@ def p_split(f: np.ndarray, basis):
     f_par = (f . chi1) chi1 + (f . ht1) ht1 is the acoustic part (axial
     momentum and the density/heat mixing direction); f_perp = f - f_par holds
     the heat and shear directions and the microscopic rest.  Raises
-    FluidError unless the last axis has length basis.dim and every entry is
-    finite.
+    FluidError unless basis is a Basis, the last axis has length basis.dim
+    and every entry is finite.
     """
+    _check_record(basis, Basis)
     f = np.asarray(f, dtype=complex)
     if f.shape[-1:] != (basis.dim,):
         raise FluidError(f"modes must have last-axis length {basis.dim}, got shape {f.shape}")
@@ -424,7 +439,8 @@ class NsmfMode:
 
 
 def _check_mode(mode: NsmfMode) -> None:
-    if not (math.isfinite(mode.s) and mode.s > 0):
+    _check_record(mode, NsmfMode)
+    if not (_finite(mode.s) and mode.s > 0):
         raise FluidError(f"wave number must be finite and positive, got {mode.s!r}")
     _check_direction(mode.omega)
     _check_3vectors(m0=mode.m0, E0=mode.E0, B0=mode.B0)
@@ -480,6 +496,7 @@ def _duhamel(propagate: Callable, force: Callable, t: float) -> np.ndarray:
 def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
                       tc: TransportCoefficients) -> dict[str, np.ndarray]:
     """Mode-by-mode solution of the linearized fluid-Maxwell system."""
+    _check_record(tc, TransportCoefficients)
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise FluidError("times must be finite")
@@ -568,6 +585,7 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
     carries an additive exponentially damped term, and the fit window starts
     only after that term is negligible.
     """
+    _check_record(tc, TransportCoefficients)
     if not isinstance(kind, str) or kind not in _DECAY_WINDOWS:
         raise FluidError(f"unknown decay experiment kind: {kind}")
     width = tc.eta / math.sqrt(2.0) if profile_width is None else profile_width
@@ -596,6 +614,7 @@ def y1_decay_experiment(tc: TransportCoefficients) -> DecayFit:
     that the profile is wide enough for the Gaussian decay to be active from
     the start of the fit window.
     """
+    _check_record(tc, TransportCoefficients)
     times = np.geomspace(*_DECAY_WINDOWS["generic"])
     s, w = _radial_grid()
     profile = np.exp(-0.5 * (s / _Y1_PROFILE_WIDTH) ** 2)

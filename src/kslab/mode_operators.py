@@ -29,9 +29,10 @@ per block, and the semigroup split marks the eigenvalues it takes into S1/S2
 with a mask per block copy, m, and a projector P_b per Schur block; the
 remainder e^{tau A} S3 = V_b diag(e^{tau lam} (1 - m)) V_b^{-1}, or
 Z_b e^{tau T_b} Z_b^H (I - P_b), then gives the remainder fit without a
-dense matrix.  The dense generator (ModeOperator.matrix), propagator_matrix
-and the split's S1_part, S2_part and S3_part are views for callers,
-assembled from the blocks when asked for; the package itself reads none.
+dense matrix.  The dense generator (ModeOperator.matrix) and the split's
+S1_part, S2_part and S3_part are views for callers outside the package
+(tests and benchmark checks compare them with dense references), assembled
+from the blocks when asked for; the package itself reads none.
 
 Each block carries its parity phases, one per row: i^l by the Legendre
 degree l of a kinetic row, i on the X and 1 on the Y row of the field block.
@@ -241,14 +242,11 @@ def assemble_B(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
     return ModeOperator._assembled(KIND_BOLTZMANN, s, eps, np.ones(basis.dim), cm, blocks)
 
 
-def _vmb_operator(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool) -> ModeOperator:
-    """The electromagnetic mode generator, or its metric adjoint.
+def assemble_A_tilde(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
+    """Electromagnetic mode generator on (kinetic, E-transverse, B-transverse).
 
-    sign_flip=False gives the generator; True flips every coupling term while
-    keeping the collision blocks, which is the metric adjoint (the rank-one
-    metric corrections in the axial block cancel exactly).  The transverse
-    block acts on (cos, X3, Y2); the sine copy (sin, X2, Y3) is the same block
-    with the sign of its X component flipped.
+    The transverse block acts on (cos, X3, Y2); the sine copy (sin, X2, Y3)
+    is the same block with the sign of its X component flipped.
     """
     _check_mode_args(s, eps, cm)
     if s <= 0:
@@ -256,41 +254,24 @@ def _vmb_operator(s: float, eps: float, cm: CollisionMatrices, sign_flip: bool) 
     basis = cm.basis
     layout = _layout(basis)
     n1 = basis.dim1
-    sk = -1.0 if sign_flip else 1.0
 
     axial = (cm.L1_sector[SECTOR_AXIAL]
-             - sk * 1j * eps * s * v_multiplication_matrix(basis, SECTOR_AXIAL))
-    axial -= sk * 1j * (eps / s) * layout.charge
+             - 1j * eps * s * v_multiplication_matrix(basis, SECTOR_AXIAL))
+    axial -= 1j * (eps / s) * layout.charge
 
     trans = np.zeros((n1 + 2, n1 + 2), dtype=complex)
     trans[:n1, :n1] = (cm.L1_sector[SECTOR_TRANSVERSE]
-                       - sk * 1j * eps * s * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
-    trans[:n1, n1] = sk * eps * layout.chi2
-    trans[n1, :n1] = -sk * eps * layout.chi2
-    trans[n1, n1 + 1] = sk * 1j * eps**2 * s
-    trans[n1 + 1, n1] = sk * 1j * eps**2 * s
+                       - 1j * eps * s * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
+    trans[:n1, n1] = eps * layout.chi2
+    trans[n1, :n1] = -eps * layout.chi2
+    trans[n1, n1 + 1] = 1j * eps**2 * s
+    trans[n1 + 1, n1] = 1j * eps**2 * s
 
     blocks = (SectorBlock(axial, layout.axial, layout.axial_phase),
               SectorBlock(trans, layout.field, layout.field_phase))
     metric = np.ones(basis.dim + 4)
     metric[0] = 1.0 + 1.0 / s**2
     return ModeOperator._assembled(KIND_VMB, s, eps, metric, cm, blocks)
-
-
-def assemble_A_tilde(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
-    """Electromagnetic mode generator on (kinetic, E-transverse, B-transverse)."""
-    return _vmb_operator(s, eps, cm, sign_flip=False)
-
-
-def assemble_A_tilde_star(s: float, eps: float, cm: CollisionMatrices) -> ModeOperator:
-    """Explicitly assembled metric adjoint of the electromagnetic generator."""
-    return _vmb_operator(s, eps, cm, sign_flip=True)
-
-
-def metric_adjoint(op: ModeOperator) -> np.ndarray:
-    """Dense G^{-1} A^H G for the operator's weighted inner product."""
-    g = op.metric_diag
-    return (op.matrix.conj().T * g[None, :]) / g[:, None]
 
 
 # a block is real in its parity frame when max|Im T| <= _REAL_FRAME_TOL * max|T|
@@ -474,11 +455,6 @@ def spectrum(op: ModeOperator):
 def _schur_flow(t: np.ndarray, z: np.ndarray, taus) -> np.ndarray:
     """(n_t, k, k) flows Z e^{tau T} Z^H of a Schur record, one per tau."""
     return np.stack([z @ expm(tau * t) @ z.conj().T for tau in taus])
-
-
-def propagator_matrix(op: ModeOperator, t: float) -> np.ndarray:
-    """Dense e^{(t/eps^2) A}: the propagated unit vectors, as columns."""
-    return np.stack([propagate(op, e, t) for e in np.eye(op.dim)], axis=1)
 
 
 def _block_flow(ops: list[ModeOperator], parts, states0: np.ndarray,
@@ -795,7 +771,7 @@ def _probe_grid():
     sw = np.sqrt(0.5 * _PROBE_R_MAX * wg * r**2)
     c, wc = np.polynomial.legendre.leggauss(_PROBE_N_C)
     pc = np.stack([_legendre_row(l, 0, c) for l in range(_PROBE_LMAX + 1)]) * np.sqrt(wc)
-    k1_tab, _ = reduced_kernel_tables(r, _PROBE_LMAX, 16, 8)
+    k1_tab, _ = reduced_kernel_tables(r, _PROBE_LMAX, 16)
     # one-sided gain: half the full gain kernel (see collision assembly)
     return r, c, pc, 0.5 * k1_tab * np.outer(sw, sw)
 

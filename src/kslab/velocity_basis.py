@@ -16,6 +16,11 @@ All quadrature is Gauss type: generalized Gauss-Laguerre (alpha = 1/2) in
 u = r^2/2 for the radial direction, Gauss-Legendre in c.  Weights absorb the
 Maxwellian so that integrands stay polynomially bounded in float64.
 
+BasisSpec holds the two truncation sizes and nothing else: the radial rule
+has 2 N_r + l_max + 12 points, enough for the Gram and v-multiplication
+integrands to be exact, and build_basis refuses a truncation whose rule
+would pass _MAX_QUAD.
+
 A kinetic state is a plain coefficient array in the (axial | cos | sin)
 layout; Basis.index locates one element in it.  The macro/micro projections
 are the matrices Basis.projection_matrix("P0") and ("P1"), and the
@@ -27,6 +32,11 @@ rebuild: the radial profiles (_radial_rows), the normalized Legendre rows
 (_legendre_row), the read-only marker for shared arrays (_frozen), and the
 scalar predicates the boundary checks share (_integer, _finite,
 _finite_complex), which reject bools.
+
+Bad input fails at the boundary with BasisError, the module's documented
+error: a spec that is not a BasisSpec or sizes that are not integers in
+range, and out-of-range sectors, copies, radial indices, degrees, speeds and
+Laguerre row counts in the Basis methods and laguerre_rows.
 """
 from __future__ import annotations
 
@@ -56,17 +66,10 @@ class BasisSpec:
 
     radial_order: number of radial modes per angular degree (N_r >= 2)
     angular_max:  highest Legendre degree kept (l_max >= 1)
-    quad_points:  radial quadrature size; None picks a safe default
     """
 
     radial_order: int = 12
     angular_max: int = 6
-    quad_points: int | None = None
-
-    def resolved_quad_points(self) -> int:
-        if self.quad_points is not None:
-            return self.quad_points
-        return max(2 * self.radial_order + 2, 2 * self.radial_order + self.angular_max + 12)
 
 
 @dataclass
@@ -116,11 +119,26 @@ class Basis:
         return slice(self.dim0 + self.dim1, self.dim)
 
     def index(self, sector: int, copy: str, n: int, l: int) -> int:
+        """Position of the element (n, l) of one sector copy in a kinetic state.
+
+        copy is "axial" in the axial sector and "cos" or "sin" in the
+        transverse one.  Raises BasisError for any other sector or copy, and
+        for an element outside the basis: 0 <= n < N_r, and 0 <= l <= l_max
+        (l >= 1 in the transverse sector).
+        """
+        _check_sector(sector)
         nr = self.spec.radial_order
-        if sector == SECTOR_AXIAL:
-            return l * nr + n
-        base = {"cos": self.dim0, "sin": self.dim0 + self.dim1}[copy]
-        return base + (l - 1) * nr + n
+        first = 0 if sector == SECTOR_AXIAL else 1
+        offsets = ({"axial": 0} if sector == SECTOR_AXIAL
+                   else {"cos": self.dim0, "sin": self.dim0 + self.dim1})
+        if not (isinstance(copy, str) and copy in offsets):
+            raise BasisError(f"copy of sector {sector} must be one of {tuple(offsets)}, "
+                             f"got {copy!r}")
+        if not (_integer(n) and 0 <= n < nr and _integer(l)
+                and first <= l <= self.spec.angular_max):
+            raise BasisError(f"no element (n={n!r}, l={l!r}) in sector {sector}: need "
+                             f"0 <= n < {nr} and {first} <= l <= {self.spec.angular_max}")
+        return offsets[copy] + (l - first) * nr + n
 
     # -- chi vectors ----------------------------------------------------
     def chi(self, j: int) -> np.ndarray:
@@ -149,22 +167,31 @@ class Basis:
 
     def projection_matrix(self, which: str) -> np.ndarray:
         """P0, the projection onto the collision invariants, or P1 = I - P0."""
+        if not (isinstance(which, str) and which in ("P0", "P1")):
+            raise BasisError(f"unknown projection {which!r}")
         key = ("proj", which)
         if key in self._v_cache:
             return self._v_cache[key]
         if which == "P0":
             mat = sum(np.outer(self.chi(j), self.chi(j)) for j in range(5))
-        elif which == "P1":
-            mat = np.eye(self.dim) - self.projection_matrix("P0")
         else:
-            raise BasisError(f"unknown projection {which!r}")
+            mat = np.eye(self.dim) - self.projection_matrix("P0")
         self._v_cache[key] = mat
         return mat
 
     # -- evaluation -----------------------------------------------------
     def radial_table(self, l: int, r: np.ndarray) -> np.ndarray:
-        """rho_{n,l}(r) for every n < N_r, Maxwellian included; shape (N_r, r.size)."""
+        """rho_{n,l}(r) for every n < N_r, Maxwellian included; shape (N_r, r.size).
+
+        Raises BasisError unless l is a degree of the basis (0 <= l <= l_max)
+        and r holds finite speeds r >= 0.
+        """
+        if not (_integer(l) and 0 <= l <= self.spec.angular_max):
+            raise BasisError(f"degree must be an integer in [0, {self.spec.angular_max}], "
+                             f"got {l!r}")
         r = np.asarray(r)
+        if r.dtype.kind not in "iuf" or not np.all(np.isfinite(r)) or np.any(r < 0):
+            raise BasisError("speeds r must be finite real numbers >= 0")
         u = 0.5 * r**2
         return _radial_rows(self.spec.radial_order, l, r, u) * np.exp(-u / 2.0)
 
@@ -184,7 +211,16 @@ def laguerre_rows(n_rows: int, alpha: float, x: np.ndarray) -> np.ndarray:
 
     One pass of the recurrence that scipy's eval_genlaguerre runs for each n
     separately, with its operation order, so every row matches it bit for bit.
+    Raises BasisError unless n_rows is an integer >= 1, alpha a finite number
+    > -1 and x finite real numbers.
     """
+    if not (_integer(n_rows) and n_rows >= 1):
+        raise BasisError(f"n_rows must be an integer >= 1, got {n_rows!r}")
+    if not (_finite(alpha) and alpha > -1):
+        raise BasisError(f"alpha must be a finite number > -1, got {alpha!r}")
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf" or not np.all(np.isfinite(x)):
+        raise BasisError("x must be finite real numbers")
     x = np.asarray(x, dtype=float)
     rows = [np.ones_like(x), -x + alpha + 1]
     d = -x / (alpha + 1)
@@ -231,30 +267,29 @@ def _finite_complex(x) -> bool:
     return isinstance(x, numbers.Complex) and not isinstance(x, bool) and cmath.isfinite(x)
 
 
+def _check_sector(sector) -> None:
+    if not (_integer(sector) and sector in (SECTOR_AXIAL, SECTOR_TRANSVERSE)):
+        raise BasisError(f"sector must be SECTOR_AXIAL ({SECTOR_AXIAL}) or "
+                         f"SECTOR_TRANSVERSE ({SECTOR_TRANSVERSE}), got {sector!r}")
+
+
 def build_basis(spec: BasisSpec) -> Basis:
     if not isinstance(spec, BasisSpec):
         raise BasisError(f"expected BasisSpec, got {type(spec).__name__}")
-    for name in ("radial_order", "angular_max", "quad_points"):
+    for name in ("radial_order", "angular_max"):
         value = getattr(spec, name)
-        if not (_integer(value) or (name == "quad_points" and value is None)):
+        if not _integer(value):
             raise BasisError(f"{name} must be an integer, got {value!r}")
     if spec.radial_order < 2:
         raise BasisError(f"radial_order must be >= 2, got {spec.radial_order}")
     if spec.angular_max < 1:
         raise BasisError(f"angular_max must be >= 1, got {spec.angular_max}")
-    nq = spec.resolved_quad_points()
-    if nq < 2 * spec.radial_order + 2:
-        raise BasisError(
-            f"quad_points={nq} too small; need at least 2*radial_order+2 = {2 * spec.radial_order + 2}"
-        )
+    # exact for the Gram and v-multiplication integrands, of degree
+    # 2 (N_r - 1) + l_max + 1 in u, with room to spare
+    nq = 2 * spec.radial_order + spec.angular_max + 12
     if nq > _MAX_QUAD:
-        raise BasisError(f"quad_points={nq} exceeds float64-safe limit {_MAX_QUAD}")
-    # polynomial exactness of the Gram / v-multiplication integrands
-    if 2 * nq - 1 < 2 * (spec.radial_order - 1) + spec.angular_max + 1:
-        raise BasisError(
-            f"quad_points={nq} cannot integrate degree "
-            f"{2 * (spec.radial_order - 1) + spec.angular_max + 1} exactly"
-        )
+        raise BasisError(f"{spec} needs {nq} radial quadrature points, above the "
+                         f"float64-safe limit {_MAX_QUAD}")
 
     u, w = roots_genlaguerre(nq, 0.5)
     r = np.sqrt(2.0 * u)
@@ -333,9 +368,7 @@ def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:
     """
     if not isinstance(basis, Basis):
         raise BasisError(f"expected Basis, got {type(basis).__name__}")
-    if not (_integer(sector) and sector in (SECTOR_AXIAL, SECTOR_TRANSVERSE)):
-        raise BasisError(f"sector must be SECTOR_AXIAL ({SECTOR_AXIAL}) or "
-                         f"SECTOR_TRANSVERSE ({SECTOR_TRANSVERSE}), got {sector!r}")
+    _check_sector(sector)
     key = ("v1", sector)
     if key in basis._v_cache:
         return basis._v_cache[key]

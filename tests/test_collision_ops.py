@@ -30,7 +30,6 @@ from kslab.collision_ops import (
     kernel_eval,
     null_coordinates,
     nu_eval,
-    project_poly_to_sub,
     reduced_kernel_tables,
 )
 from kslab.velocity_basis import (
@@ -41,6 +40,8 @@ from kslab.velocity_basis import (
     _radial_norm,
     build_basis,
 )
+
+import oracles
 
 NU_ZERO = 5.0132565492620005
 K1_UNIT = 0.6213931207538556
@@ -187,7 +188,6 @@ class TestReducedKernels:
         ([0.5, 1.0], {"lmax": 2.0}, "lmax"),
         ([0.5, 1.0], {"lmax": True}, "lmax"),
         ([0.5, 1.0], {"n_panel_points": 0}, "n_panel_points"),
-        ([0.5, 1.0], {"n_panels": 0}, "n_panels"),
     ])
     def test_bad_input_rejected(self, nodes, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -205,7 +205,7 @@ def _per_nl_gain_matrices(basis, n_panel_points):
     w_in = 0.5 * r_out[:, None] * wg[None, :]
     rb = r_in.ravel()
     k1p, gp = collision_ops._pair_kernel_moments(
-        np.repeat(r_out, n_inner), rb, lmax, n_panel_points, 8)
+        np.repeat(r_out, n_inner), rb, lmax, n_panel_points)
     inner_w = (w_in * r_in**2).ravel()
     u = 0.5 * rb**2
     K1_deg, K_deg = {}, {}
@@ -228,9 +228,9 @@ class TestGainAssembly:
         rng = np.random.default_rng(5)
         ra, rb = rng.uniform(0.05, 9.0, (2, 200))
         monkeypatch.setattr(collision_ops, "_PAIR_CHUNK", ra.size)
-        whole = collision_ops._pair_kernel_moments(ra, rb, 6, 24, 8)
+        whole = collision_ops._pair_kernel_moments(ra, rb, 6, 24)
         monkeypatch.setattr(collision_ops, "_PAIR_CHUNK", 7)
-        blocked = collision_ops._pair_kernel_moments(ra, rb, 6, 24, 8)
+        blocked = collision_ops._pair_kernel_moments(ra, rb, 6, 24)
         for a, b in zip(whole, blocked):
             assert np.array_equal(a, b)
 
@@ -266,8 +266,8 @@ class TestGainAssembly:
         rng = np.random.default_rng(8)
         ra, rb = rng.uniform(0.05, 9.0, (2, 300))
         for points in (12, 24):
-            low = collision_ops._pair_kernel_moments(ra, rb, 2, points, 8)
-            full = collision_ops._pair_kernel_moments(ra, rb, 6, points, 8)
+            low = collision_ops._pair_kernel_moments(ra, rb, 2, points)
+            full = collision_ops._pair_kernel_moments(ra, rb, 6, points)
             for a, b in zip(low, full):
                 assert np.array_equal(a, b[:3])
 
@@ -295,6 +295,23 @@ class TestAssemblyInputs:
         with pytest.raises(ValueError, match=match):
             assemble_collision(basis_small if basis == "small" else basis,
                                build_gamma=build_gamma)
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda cm: gamma_apply(None, np.zeros(35), np.zeros(35)),
+                     "expected CollisionMatrices", id="gamma_apply-cm-None"),
+        pytest.param(lambda cm: collision_inverse(None, "L", SECTOR_AXIAL, np.zeros(3)),
+                     "expected CollisionMatrices", id="collision_inverse-cm-None"),
+        pytest.param(lambda cm: collision_inverse(cm.basis, "L", SECTOR_AXIAL, np.zeros(3)),
+                     "expected CollisionMatrices", id="collision_inverse-cm-basis"),
+        pytest.param(lambda cm: null_coordinates(None, "L", SECTOR_AXIAL),
+                     "expected Basis", id="null_coordinates-basis-None"),
+        pytest.param(lambda cm: null_coordinates(cm, "L", SECTOR_AXIAL),
+                     "expected Basis", id="null_coordinates-basis-cm"),
+    ])
+    def test_wrong_record_types_rejected(self, collision_small, call, match):
+        # a ValueError of the module, not an AttributeError further in
+        with pytest.raises(ValueError, match=match):
+            call(collision_small)
 
 
 class TestAssembledOperators:
@@ -643,7 +660,7 @@ class TestGammaIdentities:
             lhs = gamma_apply(collision_default, chi0, g.chi_sub[j])
             rhs = -g.L1_sub @ g.chi_sub[j]
             assert np.max(np.abs(lhs - rhs)) < 1e-5
-        vsq = project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1))
+        vsq = oracles.project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1))
         lhs = gamma_apply(collision_default, chi0, vsq)
         rhs = -g.L1_sub @ vsq
         assert np.max(np.abs(lhs - rhs)) < 1e-5
@@ -660,23 +677,23 @@ class TestGammaIdentities:
         vecs = [g.chi_sub[1], g.chi_sub[2], g.chi_sub[3]]
         for i in range(3):
             for j in range(i, 3):
-                prod = project_poly_to_sub(
+                prod = oracles.project_poly_to_sub(
                     g, lambda v, a=i, b=j: v[:, a] * v[:, b]
                 )
                 lhs = sym_gamma(vecs[i], vecs[j])
                 rhs = -0.5 * g.L_sub @ (p1 @ prod)
                 assert np.max(np.abs(lhs - rhs)) < 1e-5
 
-        vsq = project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1))
+        vsq = oracles.project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1))
         for i in range(3):
-            prod = project_poly_to_sub(
+            prod = oracles.project_poly_to_sub(
                 g, lambda v, a=i: v[:, a] * np.sum(v * v, axis=1)
             )
             lhs = sym_gamma(vecs[i], vsq)
             rhs = -0.5 * g.L_sub @ (p1 @ prod)
             assert np.max(np.abs(lhs - rhs)) < 1e-5
 
-        quart = project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1) ** 2)
+        quart = oracles.project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1) ** 2)
         lhs = sym_gamma(vsq, vsq)
         rhs = -0.5 * g.L_sub @ (p1 @ quart)
         assert np.max(np.abs(lhs - rhs)) < 1e-5
@@ -684,9 +701,9 @@ class TestGammaIdentities:
 
 def test_projection_helper_roundtrip(collision_default):
     g = collision_default.gamma
-    got = project_poly_to_sub(g, lambda v: np.ones(v.shape[0]))
+    got = oracles.project_poly_to_sub(g, lambda v: np.ones(v.shape[0]))
     assert np.allclose(got, g.chi_sub[0], atol=1e-12)
-    got = project_poly_to_sub(g, lambda v: v[:, 0] * v[:, 1])
+    got = oracles.project_poly_to_sub(g, lambda v: v[:, 0] * v[:, 1])
     want = np.zeros(35)
     want[g.indices.index((1, 1, 0))] = 1.0
     assert np.allclose(got, want, atol=1e-12)

@@ -3,9 +3,10 @@
 Covers the power-law fitter against exact and seeded-noise data, experiment
 configuration validation, the initial-data shapes and their compatibility
 constraints, corrector solves, the oscillatory radial integral against a
-Monte Carlo oracle with an exact inverse-CDF sampler, and the experiment
-drivers at the small basis: first-order rates, the acoustic layer profile,
-second-order rates, the microscopic transient, and report determinism.
+Monte Carlo oracle with an exact inverse-CDF sampler (oracles.mc_reference),
+and the experiment drivers at the small basis: first-order rates, the
+acoustic layer profile, second-order rates, the microscopic transient, and
+report determinism.
 """
 import dataclasses
 import json
@@ -24,6 +25,8 @@ from kslab import convergence_lab as cl
 from kslab import mode_operators as mo
 from kslab.collision_ops import assemble_collision
 from kslab.velocity_basis import BasisSpec, build_basis, v_multiplication_matrix
+
+import oracles
 
 
 REPORTS_FIXTURE = Path(__file__).parent / "fixtures" / "reports.json"
@@ -238,6 +241,10 @@ class TestBoundaryValidation:
             id=f"make_initial_data-{kind}-cm-None") for kind in ("generic", "second_order")),
         pytest.param(lambda cm: cl.make_initial_data("generic", cm, cm),
                      "expected ExperimentConfig", id="make_initial_data-cfg-cm"),
+        *(pytest.param(lambda cm, bad=bad: cl.corrector_shapes(
+            bad(cm), np.zeros(cm.basis.dim), np.zeros(cm.basis.dim)),
+            "expected CollisionMatrices", id=f"corrector_shapes-cm-{name}")
+          for name, bad in (("None", lambda cm: None), ("basis", lambda cm: cm.basis))),
         pytest.param(lambda cm: cl.rate_fit("abcd", [1, 2, 3, 4]), "real samples",
                      id="rate_fit-string"),
         pytest.param(lambda cm: cl.rate_fit([1, 2, 3, 4], [1, 2, "x", 4]), "real samples",
@@ -354,8 +361,8 @@ class TestCorrectorShapes:
 
 class TestOscillatory:
     def test_static_value_matches_closed_form_to_truncation(self):
-        r_cut = 120.0
-        val = cl.oscillatory_value(0.0, 0.0, r_cut=r_cut)
+        r_cut = cl._OSC_R_CUT
+        val = cl.oscillatory_value(0.0, 0.0)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
         assert abs(val.real - 4.0 * math.pi / 3.0) <= 4.0 * math.pi / (1.0 + r_cut)
 
@@ -366,16 +373,16 @@ class TestOscillatory:
 
     def test_monte_carlo_agreement(self):
         val = cl.oscillatory_value(5.0, 2.5)
-        ref, sigma = cl.mc_reference(5.0, 2.5, n=400_000, seed=11)
+        ref, sigma = oracles.mc_reference(5.0, 2.5, n=400_000, seed=11)
         assert abs(val - ref) <= 3.0 * sigma
 
     def test_monte_carlo_static_mass_is_exact(self):
-        ref, sigma = cl.mc_reference(0.0, 0.0, n=1000, seed=0)
+        ref, sigma = oracles.mc_reference(0.0, 0.0, n=1000, seed=0)
         assert ref.real == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
         assert sigma == pytest.approx(0.0, abs=1e-12)
 
     def test_chunked_draws_match_single_shot(self, monkeypatch):
-        monkeypatch.setattr(cl, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(oracles, "_MC_CHUNK", 1000)
         n, theta, x = 3500, 5.0, 2.5
         v = np.cbrt(np.random.default_rng(11).random(n))
         r = v / (1.0 - v)
@@ -383,7 +390,7 @@ class TestOscillatory:
         total = 4.0 * math.pi / 3.0
         ref = total * complex(samples.mean())
         ref_sigma = total * max(samples.real.std(), samples.imag.std()) / math.sqrt(n)
-        val, sigma = cl.mc_reference(theta, x, n=n, seed=11)
+        val, sigma = oracles.mc_reference(theta, x, n=n, seed=11)
         assert abs(val - ref) <= 1e-12 * abs(ref)
         assert abs(sigma - ref_sigma) <= 1e-12 * ref_sigma
 
@@ -392,30 +399,6 @@ class TestOscillatory:
     def test_non_finite_arguments_rejected(self, theta, x):
         with pytest.raises(cl.ConvergenceError, match="finite theta and x"):
             cl.oscillatory_value(theta, x)
-
-    @pytest.mark.parametrize("theta, x", [(math.nan, 0.5), (1.0, math.nan),
-                                          (math.inf, 0.5), (1.0, -math.inf)])
-    def test_monte_carlo_rejects_non_finite_arguments(self, theta, x):
-        with pytest.raises(cl.ConvergenceError, match="finite theta and x"):
-            cl.mc_reference(theta, x, n=10)
-
-    @pytest.mark.parametrize("n", [0, -3, 2.5, 1000.0, True])
-    def test_monte_carlo_rejects_bad_sample_count(self, n):
-        with pytest.raises(cl.ConvergenceError, match="sample count"):
-            cl.mc_reference(1.0, 0.5, n=n)
-
-    def test_decay_check_rejects_empty_ratios(self):
-        with pytest.raises(cl.ConvergenceError, match="at least one x ratio"):
-            cl.oscillatory_decay_check(x_ratios=())
-
-    @pytest.mark.parametrize("x_ratios", [(0.5, 0.5), (0.0, 1.0, 0.0)])
-    def test_decay_check_rejects_repeated_ratios(self, x_ratios):
-        with pytest.raises(cl.ConvergenceError, match="distinct"):
-            cl.oscillatory_decay_check(x_ratios=x_ratios)
-
-    def test_slowly_decaying_envelope_rejected(self):
-        with pytest.raises(cl.ConvergenceError, match="does not decay fast enough"):
-            cl.oscillatory_decay_check(phi=lambda s: 1.0 / (1.0 + s))
 
     def test_decay_check_flags_and_exponent(self):
         rep = cl.oscillatory_decay_check()

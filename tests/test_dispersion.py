@@ -23,6 +23,8 @@ from scipy.optimize import brentq
 from kslab import dispersion as dsp
 from kslab.mode_operators import assemble_A_tilde
 
+import oracles
+
 
 def _nearest(lam, w):
     return lam[np.argmin(np.abs(lam - w))]
@@ -267,8 +269,23 @@ class TestCrossing:
         cm = request.getfixturevalue(cm_name)
         got = dsp.crossing_location(eps, cm)
         monkeypatch.setattr(dsp, "_brent_root",
-                            lambda f, lo, hi, xtol: brentq(f, lo, hi, xtol=xtol))
+                            lambda f, lo, hi, f_lo, f_hi, xtol: brentq(f, lo, hi, xtol=xtol))
         assert got.hex() == dsp.crossing_location(eps, cm).hex()
+
+    @pytest.mark.parametrize("eps", [0.05, 0.02])
+    def test_each_bracket_end_evaluated_once(self, collision_default, monkeypatch, eps):
+        # the bracket check's two end values go into _brent_root, which
+        # evaluates only inside the bracket: 2 + 7 discriminants, not 11
+        where, fixed_point = [], dsp._fixed_point
+
+        def counting(step, z, inside, label):
+            where.append(label)
+            return fixed_point(step, z, inside, label)
+
+        monkeypatch.setattr(dsp, "_fixed_point", counting)
+        dsp.crossing_location(eps, collision_default)
+        assert len(where) == 9
+        assert all(label.startswith("crossing discriminant") for label in where)
 
 
 def _brent_family(seed: int):
@@ -307,7 +324,7 @@ class TestBrentRoot:
         for seed in range(700):
             f, lo, hi = _brent_family(seed)
             want = brentq(f, lo, hi, xtol=xtol)
-            assert dsp._brent_root(f, lo, hi, xtol).hex() == want.hex(), seed
+            assert dsp._brent_root(f, lo, hi, f(lo), f(hi), xtol).hex() == want.hex(), seed
 
     @pytest.mark.parametrize("xtol", [1e-12, 1e-8])
     @pytest.mark.parametrize("name", sorted(_END_ROOTS))
@@ -316,7 +333,7 @@ class TestBrentRoot:
         zero = next(v for v in (f(0.5), f(2.0)) if v == 0.0)
         assert math.copysign(1.0, zero) == (-1.0 if name.startswith("minus") else 1.0)
         want = brentq(f, 0.5, 2.0, xtol=xtol)
-        assert dsp._brent_root(f, 0.5, 2.0, xtol).hex() == want.hex()
+        assert dsp._brent_root(f, 0.5, 2.0, f(0.5), f(2.0), xtol).hex() == want.hex()
 
     @pytest.mark.parametrize("f, lo, hi, xtol, brentq_error, match", [
         pytest.param(lambda x: math.nan if 0.6 < x < 0.8 else x - 0.7, 0.0, 1.0, 1e-12,
@@ -335,7 +352,7 @@ class TestBrentRoot:
             with pytest.raises(brentq_error):
                 brentq(f, lo, hi, xtol=xtol)
         with pytest.raises(dsp.DispersionError, match=match):
-            dsp._brent_root(f, lo, hi, xtol)
+            dsp._brent_root(f, lo, hi, f(lo), f(hi), xtol)
 
 
 class TestHighFrequency:
@@ -366,18 +383,18 @@ class TestHighFrequency:
 
 class TestSlowBranchExpansion:
     def test_sound_speed_from_fit(self, collision_default):
-        fit = dsp.fit_boltzmann_expansion(collision_default)
+        fit = oracles.fit_boltzmann_expansion(collision_default)
         speed = math.sqrt(5.0 / 3.0)
         assert fit["boltzmann_1"][0] == pytest.approx(speed, abs=1e-3)
         assert fit["boltzmann_-1"][0] == pytest.approx(-speed, abs=1e-3)
 
     def test_zero_speed_branches(self, collision_default):
-        fit = dsp.fit_boltzmann_expansion(collision_default)
+        fit = oracles.fit_boltzmann_expansion(collision_default)
         for label in ("boltzmann_0", "boltzmann_2", "boltzmann_3"):
             assert abs(fit[label][0]) < 1e-6
 
     def test_fit_matches_quadratic_forms(self, collision_default):
-        fit = dsp.fit_boltzmann_expansion(collision_default)
+        fit = oracles.fit_boltzmann_expansion(collision_default)
         closed = dsp.expansion_coefficients(collision_default)
         for label, (_, a_fit) in fit.items():
             a_closed = closed[label][1]
@@ -406,16 +423,6 @@ class TestSlowBranchExpansion:
     def test_regime_guard_raises(self, collision_default):
         with pytest.raises(dsp.DispersionError):
             dsp.boltzmann_dispersion(10.0, 0.2, collision_default)
-
-    @pytest.mark.parametrize("s, eps_list", [
-        (0.0, None), (-1.0, None), (math.nan, None),
-        (1.0, (0.05,)), (1.0, (0.05, 0.05, 0.05)), (1.0, (0.05, -0.02)),
-        (1.0, (0.05, math.nan)),
-    ], ids=["s-0", "s-negative", "s-nan", "one-eps", "repeated-eps", "negative-eps",
-            "nan-eps"])
-    def test_fit_rejects_degenerate_sweep(self, collision_small, s, eps_list):
-        with pytest.raises(dsp.DispersionError, match="expansion fit"):
-            dsp.fit_boltzmann_expansion(collision_small, s=s, eps_list=eps_list)
 
     def test_truncation_stability(self, collision_default, collision_small):
         big = dsp.expansion_coefficients(collision_default)
@@ -505,10 +512,6 @@ def _crossing(cm, eps=0.02):
     return dsp.crossing_location(eps, cm)
 
 
-def _fit(cm, **kw):
-    return dsp.fit_boltzmann_expansion(cm, **kw)
-
-
 _BAD_CALLS = {
     "solve_z0": _root_rows(dsp.solve_z0),
     "solve_z_pm": _root_rows(dsp.solve_z_pm),
@@ -528,22 +531,6 @@ _BAD_CALLS = {
     },
     "eta_coefficient": _collision_rows(dsp.eta_coefficient),
     "expansion_coefficients": _collision_rows(dsp.expansion_coefficients),
-    "fit_boltzmann_expansion": {
-        **_collision_rows(_fit),
-        "s-nan": lambda cm: _fit(cm, s=math.nan),
-        "s-zero": lambda cm: _fit(cm, s=0.0),
-        "s-bool": lambda cm: _fit(cm, s=True),
-        "s-str": lambda cm: _fit(cm, s="1"),
-        "s-none": lambda cm: _fit(cm, s=None),
-        "s-complex": lambda cm: _fit(cm, s=1j),
-        "eps-one": lambda cm: _fit(cm, eps_list=(0.05,)),
-        "eps-repeated": lambda cm: _fit(cm, eps_list=(0.05, 0.05)),
-        "eps-negative": lambda cm: _fit(cm, eps_list=(0.05, -0.02)),
-        "eps-nan": lambda cm: _fit(cm, eps_list=(0.05, math.nan)),
-        "eps-bool": lambda cm: _fit(cm, eps_list=(0.05, True)),
-        "eps-str": lambda cm: _fit(cm, eps_list=(0.05, "0.02")),
-        "eps-scalar": lambda cm: _fit(cm, eps_list=0.05),
-    },
 }
 # exported names that take no caller input of their own
 _NOT_ENTRY_POINTS = {
@@ -580,8 +567,6 @@ class TestBoundaryContract:
         assert _crossing(cm) > 0.0
         assert _scalars(cm).R11.real < 0.0
         assert dsp.eta_coefficient(cm) > 0.0
-        assert _fit(cm, s=1.0)
-        assert _fit(cm, eps_list=(0.05, 0.02))
 
     def test_zero_eps_is_in_the_domain(self, collision_small):
         # eps = 0 is each root's closed-form limit; only eps < 0 is out of domain

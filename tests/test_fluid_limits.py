@@ -120,8 +120,8 @@ class TestRefinedPass:
         cm = dataclasses.replace(collision_small, _cache={})
         moments = collision_ops._pair_kernel_moments
 
-        def perturbed(ra, rb, lmax, n_panel_points, n_panels):
-            k1, g = moments(ra, rb, lmax, n_panel_points, n_panels)
+        def perturbed(ra, rb, lmax, n_panel_points):
+            k1, g = moments(ra, rb, lmax, n_panel_points)
             if n_panel_points == 12:
                 k1[lmax] *= 1.0 + 1e-5
             return k1, g
@@ -150,7 +150,7 @@ class TestY1Mode:
 
     def test_microscopic_component_rejected(self, tc, basis_default):
         f0 = np.zeros(basis_default.dim)
-        f0[basis_default.index(0, 0, 3, 0)] = 1.0
+        f0[basis_default.index(0, "axial", 3, 0)] = 1.0
         with pytest.raises(fl.FluidError, match="microscopic"):
             fl.Y1_mode(0.5, 1.0, f0, tc, basis_default)
 
@@ -309,6 +309,37 @@ class TestModeInputs:
         f[1, 4] = value
         with pytest.raises(fl.FluidError, match="non-finite"):
             fl.p_split(f, basis_small)
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), None, b),
+                     "expected TransportCoefficients", id="Y1_mode-tc-None"),
+        pytest.param(lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), tc, None),
+                     "expected Basis", id="Y1_mode-basis-None"),
+        pytest.param(lambda tc, b: fl.Y2_mode(1.0, 1.0, 0.0, np.zeros(3), np.zeros(3), None),
+                     "expected TransportCoefficients", id="Y2_mode-tc-None"),
+        pytest.param(lambda tc, b: fl.linear_nsmf_solve([fl.NsmfMode(s=1.0)], [0.0, 1.0],
+                                                        None),
+                     "expected TransportCoefficients", id="linear_nsmf_solve-tc-None"),
+        pytest.param(lambda tc, b: fl.linear_nsmf_solve([None], [0.0, 1.0], tc),
+                     "expected NsmfMode", id="linear_nsmf_solve-mode-None"),
+        pytest.param(lambda tc, b: fl.linear_nsmf_solve([fl.NsmfMode(s=True)], [0.0, 1.0], tc),
+                     "wave number must be finite", id="linear_nsmf_solve-s-bool"),
+        pytest.param(lambda tc, b: fl.linear_nsmf_solve([fl.NsmfMode(s="1.0")], [0.0, 1.0],
+                                                        tc),
+                     "wave number must be finite", id="linear_nsmf_solve-s-str"),
+        pytest.param(lambda tc, b: fl.y1_decay_experiment(None),
+                     "expected TransportCoefficients", id="y1_decay_experiment-tc-None"),
+        pytest.param(lambda tc, b: fl.y2_decay_experiment(None),
+                     "expected TransportCoefficients", id="y2_decay_experiment-tc-None"),
+        pytest.param(lambda tc, b: fl.p_split(np.ones(b.dim), None),
+                     "expected Basis", id="p_split-basis-None"),
+        pytest.param(lambda tc, b: fl.p_split(np.ones(b.dim), b.spec),
+                     "expected Basis", id="p_split-basis-spec"),
+    ])
+    def test_wrong_record_types_rejected(self, tc, basis_small, call, match):
+        # the module's error, not an AttributeError further in
+        with pytest.raises(fl.FluidError, match=match):
+            call(tc, basis_small)
 
     def test_unit_direction_accepted(self, tc):
         omega = np.array([0.6, 0.0, 0.8])

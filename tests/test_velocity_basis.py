@@ -186,12 +186,11 @@ def test_build_basis_validation():
         build_basis(BasisSpec(radial_order=1))
     with pytest.raises(BasisError):
         build_basis(BasisSpec(angular_max=0))
-    with pytest.raises(BasisError):
-        build_basis(BasisSpec(quad_points=5))
     with pytest.raises(TypeError):
         BasisSpec(sectors=(0,))
-    with pytest.raises(BasisError):
-        build_basis(BasisSpec(quad_points=400))
+    # the radial rule is sized by the truncation alone
+    with pytest.raises(TypeError):
+        BasisSpec(quad_points=40)
 
 
 @pytest.mark.parametrize("spec", [
@@ -199,8 +198,7 @@ def test_build_basis_validation():
     BasisSpec(radial_order="6", angular_max=3),
     BasisSpec(radial_order=6, angular_max=3.0),
     BasisSpec(radial_order=True, angular_max=3),
-    BasisSpec(radial_order=12, angular_max=6, quad_points=30.5),
-], ids=["radial-fraction", "radial-string", "angular-float", "radial-bool", "quad-fraction"])
+], ids=["radial-fraction", "radial-string", "angular-float", "radial-bool"])
 def test_build_basis_rejects_non_integer_sizes(spec):
     with pytest.raises(BasisError, match="must be an integer"):
         build_basis(spec)
@@ -275,3 +273,138 @@ def test_legendre_rows_orthonormal(m):
     assert np.allclose((rows * wc) @ rows.T, np.eye(rows.shape[0]), rtol=0.0, atol=1e-13)
     # no Condon-Shortley sign: the lowest row is (2m - 1)!! (1 - c^2)^(m/2) > 0 times N
     assert np.all(rows[0] > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# boundary contract: every exported callable and every public Basis method,
+# with BasisError as the module's documented error for bad input
+# ---------------------------------------------------------------------------
+
+_R = np.array([0.5, 1.0, 2.0])
+
+
+def _index(basis, sector=0, copy="axial", n=0, l=1):
+    return basis.index(sector, copy, n, l)
+
+
+def _radial(basis, l=1, r=_R):
+    return basis.radial_table(l, r)
+
+
+def _laguerre(basis, n_rows=3, alpha=0.5, x=_R):
+    return laguerre_rows(n_rows, alpha, x)
+
+
+_BAD_CALLS = {
+    "build_basis": {
+        "spec-none": lambda b: build_basis(None),
+        "spec-tuple": lambda b: build_basis((6, 3)),
+        "radial-one": lambda b: build_basis(BasisSpec(1, 3)),
+        "radial-fraction": lambda b: build_basis(BasisSpec(6.5, 3)),
+        "radial-bool": lambda b: build_basis(BasisSpec(True, 3)),
+        "angular-zero": lambda b: build_basis(BasisSpec(6, 0)),
+        "angular-str": lambda b: build_basis(BasisSpec(6, "3")),
+        # 2 * 84 + 1 + 12 = 181 radial points, one above _MAX_QUAD
+        "quadrature-above-limit": lambda b: build_basis(BasisSpec(84, 1)),
+    },
+    "v_multiplication_matrix": {
+        "basis-none": lambda b: v_multiplication_matrix(None, SECTOR_AXIAL),
+        "sector-two": lambda b: v_multiplication_matrix(b, 2),
+        "sector-bool": lambda b: v_multiplication_matrix(b, True),
+    },
+    "Basis.index": {
+        "sector-five": lambda b: _index(b, sector=5, copy="cos"),
+        "sector-bool": lambda b: _index(b, sector=True, copy="cos"),
+        "sector-none": lambda b: _index(b, sector=None),
+        "copy-tan": lambda b: _index(b, sector=1, copy="tan"),
+        "copy-axial-transverse": lambda b: _index(b, sector=1, copy="axial"),
+        "copy-cos-axial": lambda b: _index(b, copy="cos"),
+        "copy-list": lambda b: _index(b, sector=1, copy=["cos"]),
+        "n-out-of-range": lambda b: _index(b, n=99, l=0),
+        "n-negative": lambda b: _index(b, n=-1),
+        "n-bool": lambda b: _index(b, n=True),
+        "n-float": lambda b: _index(b, n=1.0),
+        "l-negative": lambda b: _index(b, l=-1),
+        "l-above-max": lambda b: _index(b, l=b.spec.angular_max + 1),
+        "l-zero-transverse": lambda b: _index(b, sector=1, copy="cos", l=0),
+        "l-str": lambda b: _index(b, l="1"),
+    },
+    "Basis.chi": {
+        "j-five": lambda b: b.chi(5),
+        "j-bool": lambda b: b.chi(True),
+        "j-float": lambda b: b.chi(1.0),
+    },
+    "Basis.projection_matrix": {
+        "which-p2": lambda b: b.projection_matrix("P2"),
+        "which-none": lambda b: b.projection_matrix(None),
+        "which-list": lambda b: b.projection_matrix(["P0"]),
+    },
+    "Basis.radial_table": {
+        "l-negative": lambda b: _radial(b, l=-1),
+        "l-fraction": lambda b: _radial(b, l=1.5),
+        "l-bool": lambda b: _radial(b, l=True),
+        "l-above-max": lambda b: _radial(b, l=b.spec.angular_max + 1),
+        "r-nan": lambda b: _radial(b, r=[math.nan]),
+        "r-inf": lambda b: _radial(b, r=np.array([1.0, math.inf])),
+        "r-negative": lambda b: _radial(b, r=[-0.5]),
+        "r-str": lambda b: _radial(b, r=["1.0"]),
+        "r-complex": lambda b: _radial(b, r=[1.0j]),
+    },
+    "laguerre_rows": {
+        "rows-negative": lambda b: _laguerre(b, n_rows=-1),
+        "rows-zero": lambda b: _laguerre(b, n_rows=0),
+        "rows-bool": lambda b: _laguerre(b, n_rows=True),
+        "rows-float": lambda b: _laguerre(b, n_rows=2.0),
+        "alpha-nan": lambda b: _laguerre(b, alpha=math.nan),
+        "alpha-below-domain": lambda b: _laguerre(b, alpha=-1.0),
+        "alpha-str": lambda b: _laguerre(b, alpha="0.5"),
+        "x-nan": lambda b: _laguerre(b, x=[math.nan]),
+        "x-str": lambda b: _laguerre(b, x=["1"]),
+    },
+}
+# exported names that take no caller input of their own
+_NOT_ENTRY_POINTS = {
+    "BasisError": "the module's error type",
+    "BasisSpec": "the record build_basis checks; building one checks nothing",
+    "Basis": "the record build_basis returns; its public methods are in the table",
+}
+
+
+class TestBoundaryContract:
+    """Every exported callable of velocity_basis and every public Basis method
+    rejects bad input with BasisError."""
+
+    def test_table_covers_the_exports(self):
+        import kslab
+        from kslab import velocity_basis as vb
+
+        exported = {name for name, obj in vars(kslab).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == vb.__name__}
+        exported.add("laguerre_rows")  # public in the module, read by the tests
+        methods = {f"Basis.{name}" for name, obj in vars(vb.Basis).items()
+                   if callable(obj) and not name.startswith("_")}
+        assert exported | methods == set(_BAD_CALLS) | set(_NOT_ENTRY_POINTS)
+        assert not set(_BAD_CALLS) & set(_NOT_ENTRY_POINTS)
+
+    @pytest.mark.parametrize("name, case", [(name, case) for name, rows in _BAD_CALLS.items()
+                                            for case in rows])
+    def test_bad_input_raises_basis_error(self, basis_small, name, case):
+        with pytest.raises(BasisError):
+            _BAD_CALLS[name][case](basis_small)
+
+    def test_table_calls_are_valid_when_repaired(self, basis_small):
+        # the helpers behind the rows succeed on good input, so each row fails
+        # for its one bad argument
+        b = basis_small
+        nr = b.spec.radial_order
+        assert _index(b) == nr
+        assert _index(b, sector=1, copy="sin", n=2, l=1) == b.dim0 + b.dim1 + 2
+        assert _radial(b).shape == (nr, _R.size)
+        assert _radial(b, l=0, r=[0.0]).shape == (nr, 1)
+        assert _laguerre(b).shape == (3, _R.size)
+        assert _laguerre(b, n_rows=1, alpha=-0.5).shape == (1, _R.size)
+
+    def test_largest_radial_rule_builds(self):
+        # 2 * 83 + 1 + 12 = 179 radial points, within _MAX_QUAD = 180
+        basis = build_basis(BasisSpec(83, 1))
+        assert basis.quad.r.size == 179
