@@ -65,11 +65,12 @@ Each node count integrates its polynomial exactly:
   velocity_basis._radial_rows and angular factors from
   velocity_basis._legendre_row.
 
-Bad input fails at the boundary with ValueError, the module's documented
-error: collision data or a basis of the wrong type, non-finite or
-wrongly shaped velocities, coefficients and right-hand sides, and sector or
-operator names outside the basis.  AssemblyError is kept for an assembly or
-solve that fails on valid input.
+Bad input fails at the boundary with ValueError and the module's own
+message, its documented error: collision data or a basis of the wrong type,
+velocities, speeds, coefficients and right-hand sides that are not finite
+numbers (velocity_basis._finite_array, _finite_complex_array) or are wrongly
+shaped, and sector or operator names outside the basis.  AssemblyError is
+kept for an assembly or solve that fails on valid input.
 """
 from __future__ import annotations
 
@@ -83,7 +84,8 @@ from scipy.linalg import block_diag
 from scipy.special import erf, roots_genlaguerre, roots_hermitenorm
 
 from .velocity_basis import (
-    Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _frozen, _integer, _legendre_row, _radial_rows,
+    Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _check_sector, _finite_array,
+    _finite_complex_array, _frozen, _gauss_legendre, _integer, _legendre_row, _radial_rows,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -114,14 +116,14 @@ def nu_eval(v):
     """Collision frequency nu(v) of a speed (a scalar) or of velocity vectors
     (an array whose last axis has length 3, as kernel_eval takes them).
 
-    Raises ValueError for an array whose last axis is not of length 3 and for
-    a non-finite entry.
+    Raises ValueError for an entry that is not a finite real number and for
+    an array whose last axis is not of length 3.
     """
+    if not _finite_array(v):
+        raise ValueError("velocities must be finite real numbers")
     arr = np.asarray(v, dtype=float)
     if arr.ndim and arr.shape[-1] != 3:
         raise ValueError(f"velocities must have a last axis of length 3, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("velocities must be finite")
     r = np.abs(arr) if arr.ndim == 0 else np.linalg.norm(arr, axis=-1)
     out = _nu_of_r(np.atleast_1d(r))
     return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
@@ -130,18 +132,18 @@ def nu_eval(v):
 def kernel_eval(which: str, v, vstar):
     """Pointwise kernel values k1 or k at velocity pairs (last axis length 3).
 
-    Raises ValueError for a velocity whose last axis is not of length 3, a
-    non-finite velocity, coincident velocities, or a kernel name other than
-    'k' or 'k1'.
+    Raises ValueError for a velocity entry that is not a finite real number, a
+    velocity whose last axis is not of length 3, coincident velocities, or a
+    kernel name other than 'k' or 'k1'.
     """
+    if not (_finite_array(v) and _finite_array(vstar)):
+        raise ValueError("velocities must be finite real numbers")
     v = np.asarray(v, dtype=float)
     vs = np.asarray(vstar, dtype=float)
     if v.shape[-1:] != (3,) or vs.shape[-1:] != (3,):
         raise ValueError(
             f"velocities must have a last axis of length 3, got shapes {v.shape} and {vs.shape}"
         )
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(vs))):
-        raise ValueError("velocities must be finite")
     diff = v - vs
     d = np.linalg.norm(diff, axis=-1)
     if np.any(d < 1e-12):
@@ -229,9 +231,10 @@ def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 
     n_panel_points Gauss points each are geometrically graded from
     t = |r - r'| at the scale of the exponential boundary layer.
     """
-    r = np.asarray(r_nodes, dtype=float)
-    if r.ndim != 1 or not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+    if not (_finite_array(r_nodes) and np.ndim(r_nodes) == 1
+            and np.all(np.asarray(r_nodes) > 0.0)):
         raise ValueError("r_nodes must be a 1-D array of finite speeds r > 0")
+    r = np.asarray(r_nodes, dtype=float)
     for name, value, least in (("lmax", lmax, 0), ("n_panel_points", n_panel_points, 1)):
         if not _integer(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -261,9 +264,7 @@ def _gain_matrices(basis: Basis, top: int):
     r_out = basis.quad.r
     nq = r_out.size
     n_inner = max(64, 3 * spec.radial_order + 4 * spec.angular_max)
-    xg, wg = np.polynomial.legendre.leggauss(n_inner)
-    r_in = 0.5 * r_out[:, None] * (xg[None, :] + 1.0)
-    w_in = 0.5 * r_out[:, None] * wg[None, :]
+    r_in, w_in = _gauss_legendre(n_inner, r_out[:, None])
     rb = r_in.ravel()
     ra = np.repeat(r_out, n_inner)
     moments = [_pair_kernel_moments(ra, rb, top, points) for points in (12, 24)]
@@ -550,19 +551,21 @@ def _sub_operator(cmat: np.ndarray, els, radial_blocks: dict) -> np.ndarray:
 
 
 def gamma_apply(cm: "CollisionMatrices", f_sub: np.ndarray, g_sub: np.ndarray) -> np.ndarray:
-    """Bilinear collision term Gamma(f, g) projected on the Hermite sub-basis."""
-    _check_collision(cm)
-    if cm.gamma.tensor is None:
-        raise AssemblyError(
-            "no Gamma tensor: assemble the collision matrices with build_gamma=True"
-        )
+    """Bilinear collision term Gamma(f, g) projected on the Hermite sub-basis.
+
+    Bad arguments raise ValueError before a missing tensor raises AssemblyError."""
+    _check_record(cm, CollisionMatrices, ValueError)
+    if not (_finite_complex_array(f_sub) and _finite_complex_array(g_sub)):
+        raise ValueError("sub-basis coefficients must be finite numbers")
     f_sub = np.asarray(f_sub)
     g_sub = np.asarray(g_sub)
     nb = len(cm.gamma.indices)
     if f_sub.shape != (nb,) or g_sub.shape != (nb,):
         raise ValueError(f"sub-basis coefficients must have length {nb}")
-    if not (np.all(np.isfinite(f_sub)) and np.all(np.isfinite(g_sub))):
-        raise ValueError("sub-basis coefficients must be finite")
+    if cm.gamma.tensor is None:
+        raise AssemblyError(
+            "no Gamma tensor: assemble the collision matrices with build_gamma=True"
+        )
     return np.einsum("ijk,i,j->k", cm.gamma.tensor, f_sub, g_sub)
 
 
@@ -601,24 +604,12 @@ class CollisionMatrices:
 _NULL_RADIAL = {"L": {0: (0, 1), 1: (0,)}, "L1": {0: (0,)}}
 
 
-def _check_collision(cm) -> None:
-    if not isinstance(cm, CollisionMatrices):
-        raise ValueError(f"expected CollisionMatrices, got {type(cm).__name__}")
-
-
-def _check_basis(basis) -> None:
-    if not isinstance(basis, Basis):
-        raise ValueError(f"expected Basis, got {type(basis).__name__}")
-
-
 def null_coordinates(basis: Basis, which: str, sector: int) -> list[int]:
     """Coordinates of the collision invariants in one sector block of L or L1."""
-    _check_basis(basis)
+    _check_record(basis, Basis, ValueError)
     if which not in ("L", "L1"):
         raise ValueError(f"which must be 'L' or 'L1', got {which!r}")
-    if not _integer(sector) or sector not in (SECTOR_AXIAL, SECTOR_TRANSVERSE):
-        raise ValueError(f"sector must be SECTOR_AXIAL ({SECTOR_AXIAL}) or "
-                         f"SECTOR_TRANSVERSE ({SECTOR_TRANSVERSE}), got {sector!r}")
+    _check_sector(sector)  # its BasisError is a ValueError
     first = 0 if sector == SECTOR_AXIAL else 1
     return [(l - first) * basis.spec.radial_order + n
             for l, radial in _NULL_RADIAL[which].items() if l >= first for n in radial]
@@ -635,7 +626,7 @@ def collision_inverse(cm: CollisionMatrices, which: str, sector: int,
     other than those of null_coordinates, or a w that is not a finite 1-D
     array of the block's length, and for cm that is not CollisionMatrices.
     """
-    _check_collision(cm)
+    _check_record(cm, CollisionMatrices, ValueError)
     null = null_coordinates(cm.basis, which, sector)
     block = {"L": cm.L_sector, "L1": cm.L1_sector}[which][sector]
     return _deflated_solve(block, null, which, sector, w)
@@ -644,10 +635,10 @@ def collision_inverse(cm: CollisionMatrices, which: str, sector: int,
 def _deflated_solve(block: np.ndarray, null: list[int], which: str, sector: int,
                     w: np.ndarray) -> np.ndarray:
     """collision_inverse on a given sector block, which may end at any degree >= 1."""
-    wp = np.array(w)
     n = block.shape[0]
-    if wp.shape != (n,) or not np.all(np.isfinite(wp)):
+    if not (_finite_complex_array(w) and np.shape(w) == (n,)):
         raise ValueError(f"w must be a finite 1-D array of length n = {n}")
+    wp = np.array(w)
     wp[null] = 0.0
     shifted = block.copy()
     shifted[null, null] += 1.0
@@ -718,7 +709,7 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     """Collision matrices of every Legendre degree of basis, with the Gamma
     tensor when build_gamma.  Raises ValueError for a basis that is not a
     Basis and a build_gamma that is not a bool."""
-    _check_basis(basis)
+    _check_record(basis, Basis, ValueError)
     if not isinstance(build_gamma, (bool, np.bool_)):
         raise ValueError(f"build_gamma must be a bool, got {build_gamma!r}")
     spec = basis.spec

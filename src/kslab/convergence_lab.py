@@ -30,9 +30,10 @@ wave integral are the module constants _envelope, _OSC_THETAS, _OSC_X_RATIOS
 and _OSC_R_CUT, which the report's config records.
 
 Bad input fails at the boundary with ConvergenceError: an experiment's
-configuration that is not an ExperimentConfig, collision data that is not
-CollisionMatrices (_check_experiment, corrector_shapes), and rate-fit
-samples that are not real numbers.
+configuration that is not an ExperimentConfig or a mapping of its fields,
+collision data that is not CollisionMatrices (_check_experiment,
+corrector_shapes), and rate-fit samples and corrector shapes that are not
+finite numbers (velocity_basis._finite_array, _finite_complex_array).
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .collision_ops import CollisionMatrices, collision_inverse
-from .dispersion import expansion_coefficients
 from .fluid_limits import (
+    _SOUND_SPEED,
     _field_flow,
     _heat_flow,
     _hydro_vectors,
@@ -67,7 +68,8 @@ from .mode_operators import (
     semigroup_split,
 )
 from .velocity_basis import (
-    SECTOR_AXIAL, SECTOR_TRANSVERSE, _finite, _integer, v_multiplication_matrix,
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_array,
+    _finite_complex_array, _gauss_legendre, _integer, v_multiplication_matrix,
 )
 
 
@@ -125,11 +127,9 @@ class ExperimentConfig:
     seed: int = 20230823
 
     def __post_init__(self):
-        try:
-            eps = tuple(self.eps_list)
-        except TypeError:
-            eps = ()
-        if len(eps) < 2 or not all(_finite(e) and e > 0 for e in eps):
+        eps = self.eps_list
+        if not (_finite_array(eps) and np.ndim(eps) == 1 and len(eps) >= 2
+                and np.all(np.asarray(eps) > 0)):
             raise ConvergenceError("eps_list must contain at least two finite positive values")
         eps = tuple(float(e) for e in eps)
         object.__setattr__(self, "eps_list", eps)
@@ -162,6 +162,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
+        if not isinstance(mapping, dict):
+            raise ConvergenceError(f"expected a mapping, got {type(mapping).__name__}")
         extra = set(mapping) - {f.name for f in fields(cls)}
         if extra:
             raise ConvergenceError(f"unknown configuration keys: {sorted(extra)}")
@@ -183,9 +185,7 @@ class ExperimentConfig:
 
     def s_grid(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes and plain dt-weights on [0, s_max(eps)]."""
-        x, w = np.polynomial.legendre.leggauss(self.n_s)
-        half = 0.5 * self.s_max(eps)
-        return half * (x + 1.0), half * w
+        return _gauss_legendre(self.n_s, self.s_max(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +210,14 @@ def rate_fit(x, y) -> RateFit:
     The half-width ci is the 1.96-sigma normal interval built from the
     residual variance; an exact power law therefore reports ci = 0.
     """
-    try:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConvergenceError(f"rate fit needs real samples: {exc}") from None
+    if not (_finite_array(x) and _finite_array(y)):
+        raise ConvergenceError("rate fit needs real samples: finite abscissae and values")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ConvergenceError("rate fit needs matching one-dimensional samples")
     if x.size < 4:
         raise ConvergenceError("rate fit needs at least four points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ConvergenceError("rate fit needs finite abscissae and values")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ConvergenceError("rate fit needs positive abscissae and values")
     lx, ly = np.log(x), np.log(y)
@@ -309,14 +306,8 @@ class InitialData:
 
 def _check_experiment(cfg: ExperimentConfig, cm: CollisionMatrices) -> None:
     """The experiments' boundary: cfg an ExperimentConfig, cm CollisionMatrices."""
-    if not isinstance(cfg, ExperimentConfig):
-        raise ConvergenceError(f"expected ExperimentConfig, got {type(cfg).__name__}")
-    _check_collision(cm)
-
-
-def _check_collision(cm: CollisionMatrices) -> None:
-    if not isinstance(cm, CollisionMatrices):
-        raise ConvergenceError(f"expected CollisionMatrices, got {type(cm).__name__}")
+    _check_record(cfg, ExperimentConfig, ConvergenceError)
+    _check_record(cm, CollisionMatrices, ConvergenceError)
 
 
 def make_initial_data(kind: str, cfg: ExperimentConfig,
@@ -621,7 +612,6 @@ def _environment_metadata(cm: CollisionMatrices, cfg: ExperimentConfig,
                           failures: list, coverage: bool = True) -> dict:
     """Basis, transport and sweep layout notes; coverage counts the eps sweep's modes."""
     tc = transport_coefficients(cm)
-    exp = expansion_coefficients(cm)
     md = {
         "basis": {"radial_order": cm.basis.spec.radial_order,
                   "angular_max": cm.basis.spec.angular_max,
@@ -630,7 +620,7 @@ def _environment_metadata(cm: CollisionMatrices, cfg: ExperimentConfig,
         "eta": tc.eta,
         "kappa0": tc.kappa0,
         "kappa1": tc.kappa1,
-        "sound_speed": exp["boltzmann_1"][0],
+        "sound_speed": _SOUND_SPEED,
         "branch_rates": {str(j): tc.a_list[j] for j in sorted(tc.a_list)},
         "truncation_delta": dict(tc.truncation_delta),
         "split_radii": {"r0": _SPLIT_R0, "r1": _SPLIT_R1},
@@ -831,13 +821,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     tc = transport_coefficients(cm)
     basis = cm.basis
     data = make_initial_data(cfg.data_kind, cfg, cm)
-    mu = expansion_coefficients(cm)["boltzmann_1"][0]
-
-    s_top = 4.0 * cfg.profile_width
-    x_gl, w_gl = np.polynomial.legendre.leggauss(_N_LAYER)
-    half = 0.5 * s_top
-    s = half * (x_gl + 1.0)
-    w = half * w_gl
+    s, w = _gauss_legendre(_N_LAYER, 4.0 * cfg.profile_width)
     f0 = data.boltzmann_states(s)
 
     taus = np.linspace(0.0, _TAU_MAX, _N_TAU)
@@ -850,7 +834,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     # front amplitude at each tau, the largest over the offsets past the cone;
     # sr[j, k, i] is s_i times the radius of (tau_j, offset_k)
     offsets = np.linspace(0.0, 2.0, 5) / cfg.profile_width
-    sr = np.add.outer(mu * taus, offsets)[..., None] * s
+    sr = np.add.outer(_SOUND_SPEED * taus, offsets)[..., None] * s
     c1 = kin @ basis.chi(1)
     ch = kin @ _hydro_vectors(basis)[1]
     a0 = np.einsum("jki,ji->jk", np.sinc(sr / math.pi), wl * ch)
@@ -908,13 +892,11 @@ def corrector_shapes(cm: CollisionMatrices, f_shape: np.ndarray,
     Raises ConvergenceError unless cm is CollisionMatrices and both shapes
     are finite 1-D arrays of length basis.dim.
     """
-    _check_collision(cm)
+    _check_record(cm, CollisionMatrices, ConvergenceError)
     basis = cm.basis
     for name, shape in (("f_shape", f_shape), ("g_shape", g_shape)):
-        if np.shape(shape) != (basis.dim,) or not np.all(np.isfinite(shape)):
-            raise ConvergenceError(
-                f"{name} must be a finite 1-D array of length {basis.dim}, "
-                f"got shape {np.shape(shape)}")
+        if not (_finite_complex_array(shape) and np.shape(shape) == (basis.dim,)):
+            raise ConvergenceError(f"{name} must be a finite 1-D array of length {basis.dim}")
     p0m = basis.projection_matrix("P0")
     sectors = ((basis.slice_axial, SECTOR_AXIAL), (basis.slice_cos, SECTOR_TRANSVERSE),
                (basis.slice_sin, SECTOR_TRANSVERSE))

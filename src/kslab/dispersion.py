@@ -23,10 +23,11 @@ branches.
 
 Bad input fails at the boundary with DispersionError, the module's documented
 error: collision data that is not CollisionMatrices, and a wave number s,
-scale eps or spectral parameter lam that is not a finite number (bools are
-not numbers here; s and eps must be real).  s and eps are also out of domain
-when negative, as for the mode generators (mode_operators.assemble_B): s is a
-wave-number magnitude, and eps = 0 is the closed-form limit of each root.
+scale eps or spectral parameter lam that is not a finite number
+(velocity_basis._finite, _finite_complex: bools are not numbers here; s and
+eps must be real).  s and eps are also out of domain when negative, as for
+the mode generators (mode_operators.assemble_B): s is a wave-number
+magnitude, and eps = 0 is the closed-form limit of each root.
 """
 from __future__ import annotations
 
@@ -40,10 +41,11 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .collision_ops import CollisionMatrices
-from .fluid_limits import _core_values
+from .fluid_limits import _SOUND_SPEED, _own_core_values
 from .mode_operators import _by_column, _real_frame, assemble_B
 from .velocity_basis import (
-    SECTOR_AXIAL, SECTOR_TRANSVERSE, _finite, _finite_complex, v_multiplication_matrix,
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_complex,
+    v_multiplication_matrix,
 )
 
 _FP_TOL = 1e-13
@@ -66,7 +68,6 @@ class DispersionBranch:
     value: complex          # root z; the matrix eigenvalue is eps^2 * z
     residual: float
     prediction: complex
-    crossing_flag: bool = False
 
 
 @dataclass
@@ -110,7 +111,7 @@ class _SectorSolver:
         except (LinAlgError, LinAlgWarning) as exc:
             raise ValueError(f"resolvent solve singular at x={x}, y={y}") from exc
         resid = np.linalg.norm(mat @ sol - self.chi)
-        if not np.isfinite(resid) or resid > 1e-8 * np.linalg.norm(self.chi):
+        if not math.isfinite(resid) or resid > 1e-8 * np.linalg.norm(self.chi):
             raise ValueError(f"resolvent solve singular at x={x}, y={y}")
         return complex(self.chi @ sol)
 
@@ -135,8 +136,7 @@ def _solvers(cm: CollisionMatrices) -> tuple[_SectorSolver, _SectorSolver]:
 def _check_input(cm, **values) -> None:
     """The boundary check: cm is CollisionMatrices, lam a finite number, and
     every other value (s, eps) a finite nonnegative real."""
-    if not isinstance(cm, CollisionMatrices):
-        raise DispersionError(f"expected CollisionMatrices, got {type(cm).__name__}")
+    _check_record(cm, CollisionMatrices, DispersionError)
     bad = {k: v for k, v in values.items()
            if not (_finite_complex(v) if k == "lam" else _finite(v))}
     if bad:
@@ -281,11 +281,11 @@ def _transverse_step(s: float, eps: float, tr: _SectorSolver):
 
 
 def _transverse_branch(label: str, z: complex, s: float, eps: float, tr: _SectorSolver,
-                       prediction: complex, crossing: bool = False) -> DispersionBranch:
+                       prediction: complex) -> DispersionBranch:
     val = tr.value(eps * eps * z, eps * s)
     return _certify(DispersionBranch(label=label, s=s, eps=eps, value=z,
                                      residual=abs(z * z - val * z + s * s),
-                                     prediction=prediction, crossing_flag=crossing),
+                                     prediction=prediction),
                     _RES_TOL * max(1.0, abs(z) ** 2))
 
 
@@ -307,8 +307,7 @@ def solve_z_pm(s: float, eps: float,
     roots = _fixed_point(lambda pair: tuple(step(z) for z in pair), seeds,
                          lambda pair: np.max(np.abs(pair)) <= bound,
                          f"transverse pair at s={s}, eps={eps}")
-    crossing = abs(roots[0] - roots[1]) <= 1e-8 * max(1.0, abs(roots[0]))
-    return tuple(_transverse_branch(label, z, s, eps, tr, seed, crossing)
+    return tuple(_transverse_branch(label, z, s, eps, tr, seed)
                  for z, seed, label in zip(roots, seeds, ("z_plus", "z_minus")))
 
 
@@ -351,8 +350,6 @@ def solve_highfreq(s: float, eps: float,
 # ---------------------------------------------------------------------------
 # kinetic-only slow branches
 # ---------------------------------------------------------------------------
-
-_SOUND_SPEED = math.sqrt(5.0 / 3.0)
 
 _BOLTZMANN_LABELS = ("boltzmann_-1", "boltzmann_0", "boltzmann_1",
                      "boltzmann_2", "boltzmann_3")
@@ -418,21 +415,18 @@ def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, floa
     """Closed-form (mu_j, a_j) of the five slow kinetic branches.
 
     The speeds are 0 and +/- sqrt(5/3); the curvatures are the quadratic forms
-    a_j = -(L^{-1} P w_j, P w_j) of fluid_limits._core_values, the same solves
-    behind transport_coefficients.  The tests check them independently
+    a_j = -(L^{-1} P w_j, P w_j) of fluid_limits._core_values, read from the
+    one pass per collision set that transport_coefficients reads too
+    (fluid_limits._own_core_values).  The tests check them independently
     against coefficients fitted to eigenvalue sweeps of B
     (tests/oracles.py, fit_boltzmann_expansion).
     """
     _check_input(cm)
-    if "boltzmann_expansion" in cm._cache:
-        return cm._cache["boltzmann_expansion"]
-    core = _core_values(cm.basis, cm.L_sector, cm.L1_sector)
-    coeffs = {
+    core = _own_core_values(cm)
+    return {
         "boltzmann_-1": (-_SOUND_SPEED, core["a_minus1"]),
         "boltzmann_0": (0.0, core["a0"]),
         "boltzmann_1": (_SOUND_SPEED, core["a1"]),
         "boltzmann_2": (0.0, core["kappa0"]),
         "boltzmann_3": (0.0, core["kappa0"]),
     }
-    cm._cache["boltzmann_expansion"] = coeffs
-    return coeffs

@@ -22,13 +22,15 @@ over a grid of times as Y1_mode does one, and p_split, the compressible /
 incompressible splitting, acts on the last axis of any array of modes.  The
 rate experiments build their fluid references and error streams from these
 two.  The quadratic forms of _core_values, with the hydrodynamic directions
-h0, ht1 and h+-, are the one source of the transport coefficients and of
-dispersion.expansion_coefficients.
+h0, ht1 and h+- and the sound speed _SOUND_SPEED, are the one source of the
+transport coefficients and of dispersion.expansion_coefficients, which read
+one pass of them per collision set (_own_core_values).
 
 Bad input fails at the boundary with FluidError, the module's documented
-error: non-finite or non-real times, wave numbers and mode data, broken
-constraints, and record arguments of the wrong type (_check_record:
-CollisionMatrices, TransportCoefficients, Basis, NsmfMode).
+error: times, wave numbers, mode data and forcing values that are not finite
+numbers (velocity_basis._finite, _finite_complex and their array forms),
+wrongly shaped, or non-real where real, broken constraints, and record
+arguments of the wrong type (velocity_basis._check_record).
 """
 from __future__ import annotations
 
@@ -39,20 +41,11 @@ from typing import Callable
 import numpy as np
 
 from .collision_ops import (
-    CollisionMatrices,
-    _deflated_solve,
-    _degree_blocks,
-    _sector_blocks,
-    null_coordinates,
+    CollisionMatrices, _deflated_solve, _degree_blocks, _sector_blocks, null_coordinates,
 )
 from .velocity_basis import (
-    SECTOR_AXIAL,
-    SECTOR_TRANSVERSE,
-    Basis,
-    BasisSpec,
-    _finite,
-    build_basis,
-    v_multiplication_matrix,
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, Basis, BasisSpec, _check_record, _finite, _finite_array,
+    _finite_complex, _finite_complex_array, _gauss_legendre, build_basis, v_multiplication_matrix,
 )
 
 _CONSTRAINT_TOL = 1e-10
@@ -68,12 +61,6 @@ _Y1_PROFILE_WIDTH = 1.5
 
 class FluidError(RuntimeError):
     """Raised on constraint violations or failed constrained solves."""
-
-
-def _check_record(value, cls) -> None:
-    """The boundary check for a record argument: value is a cls."""
-    if not isinstance(value, cls):
-        raise FluidError(f"expected {cls.__name__}, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +112,14 @@ def _core_values(basis, L_sector: dict[int, np.ndarray],
     }
 
 
+def _own_core_values(cm: CollisionMatrices) -> dict[str, float]:
+    """_core_values on the sector blocks of cm: one pass per collision set, read by
+    transport_coefficients and dispersion.expansion_coefficients."""
+    if "core_values" not in cm._cache:
+        cm._cache["core_values"] = _core_values(cm.basis, cm.L_sector, cm.L1_sector)
+    return cm._cache["core_values"]
+
+
 def transport_coefficients(cm: CollisionMatrices) -> TransportCoefficients:
     """Transport coefficients of the Navier-Stokes-Maxwell limit, cached on cm.
 
@@ -138,10 +133,10 @@ def transport_coefficients(cm: CollisionMatrices) -> TransportCoefficients:
     FluidError for cm that is not CollisionMatrices and unless every
     coefficient is positive.
     """
-    _check_record(cm, CollisionMatrices)
+    _check_record(cm, CollisionMatrices, FluidError)
     if "transport" in cm._cache:
         return cm._cache["transport"]
-    core = _core_values(cm.basis, cm.L_sector, cm.L1_sector)
+    core = _own_core_values(cm)
     spec = cm.basis.spec
     refined = build_basis(BasisSpec(radial_order=spec.radial_order + 6,
                                     angular_max=spec.angular_max))
@@ -178,6 +173,10 @@ class FluidModeState:
     B: np.ndarray | None = None
 
 
+# speed of the acoustic branches along the directions h+- = (ht1 -+ chi1)/sqrt2
+_SOUND_SPEED = math.sqrt(5.0 / 3.0)
+
+
 def _hydro_vectors(basis) -> tuple[np.ndarray, np.ndarray]:
     """The density/heat mixing pair (h0, ht1) of the macroscopic space.
 
@@ -204,36 +203,41 @@ def _check_time_and_wave(t: float, s: float) -> None:
         raise FluidError(f"time and wave number must be finite real numbers, got t={t!r}, s={s!r}")
 
 
-def _check_finite(what: str, *values) -> None:
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise FluidError(f"non-finite {what}")
-
-
-def _check_3vectors(**vectors) -> None:
+def _check_field_data(s: float, omega, numbers: dict, vectors: dict):
+    """The data checks of Y2_mode and linear_nsmf_solve; returns omega as floats and the
+    constraint scale.  omega is a unit direction, numbers (rho0, ...) are finite numbers
+    and vectors (E0, B0, ...) finite 3-vectors; rho0 matches div E0, B0 is divergence free."""
+    if not (_finite_array(omega) and np.shape(omega) == (3,)
+            and abs(np.linalg.norm(omega) - 1.0) <= _CONSTRAINT_TOL):
+        raise FluidError(f"wave direction must be a finite unit 3-vector, got {omega!r}")
+    if not (all(map(_finite_complex, numbers.values()))
+            and all(map(_finite_complex_array, vectors.values()))):
+        raise FluidError(f"non-finite or non-numeric mode data {sorted(numbers | vectors)}")
     for name, v in vectors.items():
         if np.shape(v) != (3,):
             raise FluidError(f"{name} must be a 3-vector, got shape {np.shape(v)}")
-
-
-def _check_direction(omega) -> None:
-    omega = np.asarray(omega)
-    if not (omega.shape == (3,) and np.all(np.isfinite(omega))
-            and abs(np.linalg.norm(omega) - 1.0) <= _CONSTRAINT_TOL):
-        raise FluidError(f"wave direction must be a finite unit 3-vector, got {omega!r}")
+    scale = max(1.0, *map(abs, numbers.values()), *map(np.linalg.norm, vectors.values()))
+    omega = np.asarray(omega, dtype=float)
+    if abs(numbers["rho0"] - 1j * s * (omega @ vectors["E0"])) > _CONSTRAINT_TOL * scale:
+        raise FluidError("charge does not match the field divergence")
+    if abs(omega @ vectors["B0"]) > _CONSTRAINT_TOL * scale:
+        raise FluidError("magnetic mode must be divergence free")
+    return omega, scale
 
 
 def Y1_mode(t: float, s: float, f0: np.ndarray,
             tc: TransportCoefficients, basis) -> FluidModeState:
     """Heat decay along the entropy and the two shear branches."""
-    _check_record(tc, TransportCoefficients)
-    _check_record(basis, Basis)
+    _check_record(tc, TransportCoefficients, FluidError)
+    _check_record(basis, Basis, FluidError)
     _check_time_and_wave(t, s)
     if t < 0:
         raise FluidError("time must be nonnegative")
+    if not _finite_complex_array(f0):
+        raise FluidError("non-finite or non-numeric initial state")
     f0 = np.asarray(f0, dtype=complex)
     if f0.shape != (basis.dim,):
         raise FluidError(f"state must have length {basis.dim}")
-    _check_finite("initial state", f0)
     p0 = basis.projection_matrix("P0")
     defect = np.linalg.norm(f0 - p0 @ f0)
     if defect > _CONSTRAINT_TOL * max(1.0, np.linalg.norm(f0)):
@@ -338,9 +342,10 @@ def y2_eigenbasis(s: float, eta: float):
 
     Reduced coordinates: (charge, two field-rotation components, two
     magnetic-rotation components).  Valid away from the branch collision.
-    Raises FluidError unless s > 0 and eta >= 0 are finite.
+    Raises FluidError unless s > 0 and eta >= 0 are finite real numbers.
     """
-    _check_finite("wave number or eta", s, eta)
+    if not (_finite(s) and _finite(eta)):
+        raise FluidError(f"non-finite or non-real wave number or eta, got s={s!r}, eta={eta!r}")
     if s <= 0:
         raise FluidError("wave number must be positive")
     if eta < 0:
@@ -371,23 +376,16 @@ def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
             tc: TransportCoefficients,
             omega: np.ndarray | None = None) -> FluidModeState:
     """Damped-Maxwell evolution of one (charge, fields) mode."""
-    _check_record(tc, TransportCoefficients)
+    _check_record(tc, TransportCoefficients, FluidError)
     _check_time_and_wave(t, s)
     if t < 0:
         raise FluidError("time must be nonnegative")
     if s <= 0:
         raise FluidError("wave number must be positive")
-    omega = np.array([1.0, 0.0, 0.0]) if omega is None else np.asarray(omega, float)
-    _check_direction(omega)
+    omega = np.array([1.0, 0.0, 0.0]) if omega is None else omega
+    omega, _ = _check_field_data(s, omega, {"rho0": rho0}, {"E0": E0, "B0": B0})
     E0 = np.asarray(E0, dtype=complex)
     B0 = np.asarray(B0, dtype=complex)
-    _check_3vectors(E0=E0, B0=B0)
-    _check_finite("charge or field data", rho0, E0, B0)
-    scale = max(1.0, abs(rho0), np.linalg.norm(E0), np.linalg.norm(B0))
-    if abs(rho0 - 1j * s * (omega @ E0)) > _CONSTRAINT_TOL * scale:
-        raise FluidError("charge does not match the field divergence")
-    if abs(omega @ B0) > _CONSTRAINT_TOL * scale:
-        raise FluidError("magnetic mode must be divergence free")
     flow = _field_flow(tc.eta, s, [t], rho0, *_rotated(omega, E0),
                        *_rotated(omega, B0))
     coefficients = np.array([v[0, 0] for v in flow], dtype=complex)
@@ -409,11 +407,12 @@ def p_split(f: np.ndarray, basis):
     FluidError unless basis is a Basis, the last axis has length basis.dim
     and every entry is finite.
     """
-    _check_record(basis, Basis)
+    _check_record(basis, Basis, FluidError)
+    if not _finite_complex_array(f):
+        raise FluidError("non-finite or non-numeric kinetic modes")
     f = np.asarray(f, dtype=complex)
     if f.shape[-1:] != (basis.dim,):
         raise FluidError(f"modes must have last-axis length {basis.dim}, got shape {f.shape}")
-    _check_finite("kinetic modes", f)
     chi1, ht1 = basis.chi(1), _hydro_vectors(basis)[1]
     f_par = np.multiply.outer(f @ chi1, chi1) + np.multiply.outer(f @ ht1, ht1)
     return f_par, f - f_par
@@ -439,22 +438,26 @@ class NsmfMode:
 
 
 def _check_mode(mode: NsmfMode) -> None:
-    _check_record(mode, NsmfMode)
+    _check_record(mode, NsmfMode, FluidError)
     if not (_finite(mode.s) and mode.s > 0):
         raise FluidError(f"wave number must be finite and positive, got {mode.s!r}")
-    _check_direction(mode.omega)
-    _check_3vectors(m0=mode.m0, E0=mode.E0, B0=mode.B0)
-    _check_finite("initial mode data", mode.n0, mode.m0, mode.q0, mode.rho0, mode.E0, mode.B0)
-    scale = max(1.0, abs(mode.n0), abs(mode.q0), np.linalg.norm(mode.m0),
-                abs(mode.rho0), np.linalg.norm(mode.E0), np.linalg.norm(mode.B0))
-    if abs(mode.omega @ mode.m0) > _CONSTRAINT_TOL * scale:
+    if not all(g is None or callable(g) for g in (mode.g1, mode.g2, mode.g3)):
+        raise FluidError("the forcings g1, g2 and g3 must be callables or None")
+    omega, scale = _check_field_data(mode.s, mode.omega,
+                                     {"n0": mode.n0, "q0": mode.q0, "rho0": mode.rho0},
+                                     {"m0": mode.m0, "E0": mode.E0, "B0": mode.B0})
+    if abs(omega @ mode.m0) > _CONSTRAINT_TOL * scale:
         raise FluidError("momentum mode must be divergence free")
     if abs(mode.n0 + math.sqrt(2.0 / 3.0) * mode.q0) > _CONSTRAINT_TOL * scale:
         raise FluidError("density and heat modes must satisfy the trace relation")
-    if abs(mode.rho0 - 1j * mode.s * (mode.omega @ mode.E0)) > _CONSTRAINT_TOL * scale:
-        raise FluidError("charge does not match the field divergence")
-    if abs(mode.omega @ mode.B0) > _CONSTRAINT_TOL * scale:
-        raise FluidError("magnetic mode must be divergence free")
+
+
+def _forcing(g: Callable, tau: float, shape: tuple) -> np.ndarray:
+    """g(tau), which must be a finite number (shape ()) or 3-vector (shape (3,))."""
+    value = g(tau)
+    if not (_finite_complex_array(value) and np.shape(value) == shape):
+        raise FluidError(f"non-finite forcing or forcing not of shape {shape}: {value!r}")
+    return value
 
 
 def _geometric_panels(t: float, n: int) -> np.ndarray:
@@ -470,11 +473,10 @@ def _duhamel(propagate: Callable, force: Callable, t: float) -> np.ndarray:
     quadrature node, in a single call.  Returns the integrated components.
     """
     def forces(taus):
-        # an infinite forcing turns NaN in the frame products; the roughness
-        # test below is False for NaN, so both are rejected here
-        with np.errstate(invalid="ignore"):
-            out = np.array([np.atleast_1d(force(tau)) for tau in taus], dtype=complex)
-        _check_finite("forcing", out)
+        # the roughness test below is False for NaN, so an overflow is rejected here
+        out = np.array([np.atleast_1d(force(tau)) for tau in taus], dtype=complex)
+        if not _finite_complex_array(out):
+            raise FluidError("non-finite forcing")
         return out
 
     if t == 0:
@@ -496,12 +498,14 @@ def _duhamel(propagate: Callable, force: Callable, t: float) -> np.ndarray:
 def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
                       tc: TransportCoefficients) -> dict[str, np.ndarray]:
     """Mode-by-mode solution of the linearized fluid-Maxwell system."""
-    _check_record(tc, TransportCoefficients)
+    _check_record(tc, TransportCoefficients, FluidError)
+    if not (_finite_array(times) and np.ndim(times) == 1):
+        raise FluidError(f"times must be a 1-D array of finite real numbers, got {times!r}")
     times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise FluidError("times must be finite")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise FluidError("times must be nonnegative and sorted")
+    if not isinstance(modes, (list, tuple)):
+        raise FluidError(f"modes must be a list of NsmfMode, got {type(modes).__name__}")
     for mode in modes:
         _check_mode(mode)
     nt, nm = len(times), len(modes)
@@ -526,19 +530,20 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
                                           *_rotated(omega, mode.B0)), axis=1)
 
         def field_force(tau):
-            g = mode.g3(tau)
+            g = _forcing(mode.g3, tau, (3,))
             return (1j * s * (omega @ g), *_rotated(omega, g), 0.0, 0.0)
 
         for i, t in enumerate(times):
             if mode.g2 is not None:
                 q[i] += _duhamel(lambda lag, f: np.exp(heat * lag)[:, None] * f,
-                                 lambda tau: 0.6 * mode.g2(tau), t)[0]
+                                 lambda tau: 0.6 * _forcing(mode.g2, tau, ()), t)[0]
             if mode.g1 is not None:
                 # only the transverse forcing drives the momentum; the
                 # parallel part is absorbed by the pressure
                 m_vec[i] += _duhamel(lambda lag, f: np.exp(shear * lag)[:, None] * f,
-                                     lambda tau: frame @ mode.g1(tau), t) @ frame
-                out["p"][i, j] = -1j * (omega @ mode.g1(t)) / s
+                                     lambda tau: frame @ _forcing(mode.g1, tau, (3,)),
+                                     t) @ frame
+                out["p"][i, j] = -1j * (omega @ _forcing(mode.g1, t, (3,))) / s
             if mode.g3 is not None:
                 flow[i] += _duhamel(
                     lambda lag, f: np.concatenate(
@@ -564,10 +569,9 @@ class DecayFit:
 
 
 def _radial_grid():
-    nodes, weights = np.polynomial.legendre.leggauss(_DECAY_N_S)
-    s = 0.5 * _DECAY_S_MAX * (nodes + 1.0)
-    w = 0.5 * _DECAY_S_MAX * weights * s * s
-    return s, w
+    """Gauss-Legendre nodes s on [0, _DECAY_S_MAX] and weights for ds s^2."""
+    s, w = _gauss_legendre(_DECAY_N_S, _DECAY_S_MAX)
+    return s, w * s * s
 
 
 def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
@@ -585,11 +589,11 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
     carries an additive exponentially damped term, and the fit window starts
     only after that term is negligible.
     """
-    _check_record(tc, TransportCoefficients)
+    _check_record(tc, TransportCoefficients, FluidError)
     if not isinstance(kind, str) or kind not in _DECAY_WINDOWS:
         raise FluidError(f"unknown decay experiment kind: {kind}")
     width = tc.eta / math.sqrt(2.0) if profile_width is None else profile_width
-    if not (math.isfinite(width) and width > 0):
+    if not (_finite(width) and width > 0):
         raise FluidError(f"profile width must be finite and positive, got {width!r}")
     times = np.geomspace(*_DECAY_WINDOWS[kind])
     s, w = _radial_grid()
@@ -614,7 +618,7 @@ def y1_decay_experiment(tc: TransportCoefficients) -> DecayFit:
     that the profile is wide enough for the Gaussian decay to be active from
     the start of the fit window.
     """
-    _check_record(tc, TransportCoefficients)
+    _check_record(tc, TransportCoefficients, FluidError)
     times = np.geomspace(*_DECAY_WINDOWS["generic"])
     s, w = _radial_grid()
     profile = np.exp(-0.5 * (s / _Y1_PROFILE_WIDTH) ** 2)

@@ -47,7 +47,8 @@ phases, or a mask that splits a conjugate pair).
 Bad input fails at the boundary with ValueError, the module's documented
 error: non-numeric, boolean or non-finite wave numbers, a negative eps,
 collision data that is not CollisionMatrices, an operator argument that is
-not a ModeOperator, and bad states, times and spectral parameters.
+not a ModeOperator, and bad states, times, metrics (the array predicates
+velocity_basis._finite_array, _finite_complex_array) and spectral parameters.
 """
 from __future__ import annotations
 
@@ -61,8 +62,8 @@ from scipy.linalg import expm, schur, solve_sylvester
 
 from .collision_ops import CollisionMatrices, _nu_of_r, reduced_kernel_tables
 from .velocity_basis import (
-    SECTOR_AXIAL, SECTOR_TRANSVERSE, _finite, _finite_complex, _frozen, _legendre_row,
-    v_multiplication_matrix,
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_array, _finite_complex,
+    _finite_complex_array, _frozen, _gauss_legendre, _legendre_row, v_multiplication_matrix,
 )
 
 KIND_BOLTZMANN = "boltzmann"
@@ -125,9 +126,8 @@ class ModeOperator:
         if not blocks or not all(isinstance(b, SectorBlock) for b in blocks):
             raise ValueError("blocks must be a nonempty sequence of SectorBlock")
         self._fill(kind, s, eps, metric_diag, collision, blocks)
-        metric = np.asarray(metric_diag)
-        if not (metric.shape == (self.dim,) and metric.dtype.kind in "iuf"
-                and 0 < metric.min() and metric.max() < math.inf):
+        if not (_finite_array(metric_diag) and np.shape(metric_diag) == (self.dim,)
+                and np.all(np.asarray(metric_diag) > 0)):
             raise ValueError(f"metric_diag must hold {self.dim} finite positive weights")
 
     @classmethod
@@ -172,13 +172,7 @@ def _check_mode_args(s: float, eps: float, cm: CollisionMatrices) -> None:
         raise ValueError(f"s and eps must be finite real numbers, got s={s!r}, eps={eps!r}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if not isinstance(cm, CollisionMatrices):
-        raise ValueError(f"expected CollisionMatrices, got {type(cm).__name__}")
-
-
-def _check_operator(op: ModeOperator) -> None:
-    if not isinstance(op, ModeOperator):
-        raise ValueError(f"expected a ModeOperator, got {type(op).__name__}")
+    _check_record(cm, CollisionMatrices, ValueError)
 
 
 class _Layout(NamedTuple):
@@ -439,7 +433,7 @@ def spectrum(op: ModeOperator):
     a signature conjugation preserves the column norms.  A Schur block takes
     its eigenvectors from an eig of the block itself.
     """
-    _check_operator(op)
+    _check_record(op, ModeOperator, ValueError)
     dec = _decomposition(op)
     pairs = [np.linalg.eig(block.matrix) if s else rec[:2]
              for block, rec, s in zip(op.blocks, dec.blocks, dec.schur)]
@@ -504,21 +498,17 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
     array of them, and for eps = 0; PropagationError when the result breaks
     contraction in the weighted norm.
     """
-    _check_operator(op)
-    u0 = np.asarray(u0)
-    if u0.dtype.kind not in "iufc":
-        raise ValueError(f"state must be numeric, got dtype {u0.dtype}")
+    _check_record(op, ModeOperator, ValueError)
+    if not _finite_complex_array(u0):
+        raise ValueError("state must be finite numbers")
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != (op.dim,):
         raise ValueError(f"state length {u0.shape} does not match operator dim {op.dim}")
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("state must be finite")
     if not op.eps > 0:
         raise ValueError(f"the diffusive-time semigroup needs eps > 0, got eps={op.eps!r}")
-    times = np.asarray(t)
-    if times.dtype.kind not in "iuf" or times.ndim > 1 or not np.all(np.isfinite(times)):
+    if not (_finite_array(t) and np.ndim(t) <= 1):
         raise ValueError(f"time must be a finite number or a 1-D array of them, got {t!r}")
-    times = times.astype(float)
+    times = np.asarray(t, dtype=float)
     if np.any(times < 0):
         raise ValueError("time must be nonnegative")
     dec = _decomposition(op)
@@ -618,7 +608,7 @@ def semigroup_split(op: ModeOperator) -> SemigroupSplit:
     copies (low), S2 those above -mu/2 (high).  A Schur block's projector
     takes each of its eigenvalues down to the lowest one taken, less 1e-12.
     """
-    _check_operator(op)
+    _check_record(op, ModeOperator, ValueError)
     regime = split_regime(op)
     dec = _decomposition(op)
     lam = dec.lam
@@ -766,9 +756,8 @@ _PROBE_ITERS = 120
 def _probe_grid():
     """Nodes r and c, the weighted Legendre rows (degree, c) and the weighted
     one-sided gain tables (degree, r, r) of the probe."""
-    xg, wg = np.polynomial.legendre.leggauss(_PROBE_N_R)
-    r = 0.5 * _PROBE_R_MAX * (xg + 1.0)
-    sw = np.sqrt(0.5 * _PROBE_R_MAX * wg * r**2)
+    r, wr = _gauss_legendre(_PROBE_N_R, _PROBE_R_MAX)
+    sw = np.sqrt(wr * r**2)
     c, wc = np.polynomial.legendre.leggauss(_PROBE_N_C)
     pc = np.stack([_legendre_row(l, 0, c) for l in range(_PROBE_LMAX + 1)]) * np.sqrt(wc)
     k1_tab, _ = reduced_kernel_tables(r, _PROBE_LMAX, 16)
@@ -788,7 +777,7 @@ def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
     own adjoint, so the power iteration applies one gain both ways.  Raises
     ValueError for a lam that is not a finite number.
     """
-    _check_operator(op)
+    _check_record(op, ModeOperator, ValueError)
     if not _finite_complex(lam):
         raise ValueError(f"lambda must be a finite number, got {lam!r}")
     r, c, pc, tables = _probe_grid()

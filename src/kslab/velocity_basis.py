@@ -29,14 +29,17 @@ mode_operators.ModeOperator (metric_diag, weighted_inner).
 
 This module owns the building blocks the other modules read rather than
 rebuild: the radial profiles (_radial_rows), the normalized Legendre rows
-(_legendre_row), the read-only marker for shared arrays (_frozen), and the
-scalar predicates the boundary checks share (_integer, _finite,
-_finite_complex), which reject bools.
+(_legendre_row), the Gauss-Legendre rule on [0, top] (_gauss_legendre), the
+read-only marker for shared arrays (_frozen), and the boundary checks every
+module shares: the record check (_check_record), the scalar predicates
+(_integer, _finite, _finite_complex) and their array forms (_finite_array,
+_finite_complex_array), which reject bools, strings, None, objects and
+ragged nestings before any conversion of the input.
 
 Bad input fails at the boundary with BasisError, the module's documented
 error: a spec that is not a BasisSpec or sizes that are not integers in
-range, and out-of-range sectors, copies, radial indices, degrees, speeds and
-Laguerre row counts in the Basis methods and laguerre_rows.
+range, and out-of-range sectors, copies, radial indices, degrees, speeds
+(_finite_array) and Laguerre row counts in the Basis methods and laguerre_rows.
 """
 from __future__ import annotations
 
@@ -189,9 +192,9 @@ class Basis:
         if not (_integer(l) and 0 <= l <= self.spec.angular_max):
             raise BasisError(f"degree must be an integer in [0, {self.spec.angular_max}], "
                              f"got {l!r}")
-        r = np.asarray(r)
-        if r.dtype.kind not in "iuf" or not np.all(np.isfinite(r)) or np.any(r < 0):
+        if not (_finite_array(r) and np.all(np.asarray(r) >= 0)):
             raise BasisError("speeds r must be finite real numbers >= 0")
+        r = np.asarray(r)
         u = 0.5 * r**2
         return _radial_rows(self.spec.radial_order, l, r, u) * np.exp(-u / 2.0)
 
@@ -218,8 +221,7 @@ def laguerre_rows(n_rows: int, alpha: float, x: np.ndarray) -> np.ndarray:
         raise BasisError(f"n_rows must be an integer >= 1, got {n_rows!r}")
     if not (_finite(alpha) and alpha > -1):
         raise BasisError(f"alpha must be a finite number > -1, got {alpha!r}")
-    x = np.asarray(x)
-    if x.dtype.kind not in "iuf" or not np.all(np.isfinite(x)):
+    if not _finite_array(x):
         raise BasisError("x must be finite real numbers")
     x = np.asarray(x, dtype=float)
     rows = [np.ones_like(x), -x + alpha + 1]
@@ -267,6 +269,45 @@ def _finite_complex(x) -> bool:
     return isinstance(x, numbers.Complex) and not isinstance(x, bool) and cmath.isfinite(x)
 
 
+def _finite_array(x) -> bool:
+    """The array _finite: a number or array whose entries are all finite reals."""
+    return _finite_entries(x, "iuf")
+
+
+def _finite_complex_array(x) -> bool:
+    """The array _finite_complex: entries all finite real or complex numbers."""
+    return _finite_entries(x, "iufc")
+
+
+def _finite_entries(x, kinds: str) -> bool:
+    """x is an array, or converts to one, of a dtype kind in kinds with finite entries;
+    bools, strings, None, objects and ragged nestings fail.  An ndarray is not
+    copied, and the finiteness test is the one pass over it."""
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError):  # ragged nestings
+        return False
+    if a.dtype.kind not in kinds or not np.isfinite(a).all():
+        return False
+    # numpy reads a bool among numbers in a nesting as a number
+    return isinstance(x, np.ndarray) or not any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)
+
+
+def _gauss_legendre(n: int, top) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, top]; top broadcasts
+    against the nodes, so a column of tops gives one interval per row."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * top
+    return half * (x + 1.0), half * w
+
+
+def _check_record(value, cls: type, error: type) -> None:
+    """The boundary check for a record argument: value is a cls, or error is raised."""
+    if not isinstance(value, cls):
+        raise error(f"expected {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_sector(sector) -> None:
     if not (_integer(sector) and sector in (SECTOR_AXIAL, SECTOR_TRANSVERSE)):
         raise BasisError(f"sector must be SECTOR_AXIAL ({SECTOR_AXIAL}) or "
@@ -274,8 +315,7 @@ def _check_sector(sector) -> None:
 
 
 def build_basis(spec: BasisSpec) -> Basis:
-    if not isinstance(spec, BasisSpec):
-        raise BasisError(f"expected BasisSpec, got {type(spec).__name__}")
+    _check_record(spec, BasisSpec, BasisError)
     for name in ("radial_order", "angular_max"):
         value = getattr(spec, name)
         if not _integer(value):
@@ -366,8 +406,7 @@ def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:
     Raises BasisError for a basis that is not a Basis and for a sector other
     than SECTOR_AXIAL or SECTOR_TRANSVERSE.
     """
-    if not isinstance(basis, Basis):
-        raise BasisError(f"expected Basis, got {type(basis).__name__}")
+    _check_record(basis, Basis, BasisError)
     _check_sector(sector)
     key = ("v1", sector)
     if key in basis._v_cache:

@@ -707,3 +707,164 @@ def test_projection_helper_roundtrip(collision_default):
     want = np.zeros(35)
     want[g.indices.index((1, 1, 0))] = 1.0
     assert np.allclose(got, want, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# boundary contract: every public callable of the module against bad input,
+# with ValueError as the module's documented error for bad input
+# ---------------------------------------------------------------------------
+
+_V = [1.0, 0.0, 0.0]
+_RAGGED = [[1.0, 0.0, 0.0], [1.0, 0.0]]
+
+
+def _kernel(cm, which="k1", v=_V, vstar=(0.0, 1.0, 0.0)):
+    return kernel_eval(which, v, vstar)
+
+
+def _tables(cm, r_nodes=(0.5, 1.0), lmax=2, n_panel_points=12):
+    return reduced_kernel_tables(r_nodes, lmax, n_panel_points)
+
+
+def _gamma(cm, f=None, g=None):
+    zero = np.zeros(35)
+    return gamma_apply(cm, zero if f is None else f, zero if g is None else g)
+
+
+def _inverse(cm, which="L", sector=SECTOR_AXIAL, w=None):
+    n = cm.L_sector[SECTOR_AXIAL].shape[0]
+    return collision_inverse(cm, which, sector, np.ones(n) if w is None else w(n))
+
+
+_BAD_CALLS = {
+    "nu_eval": {
+        "nan": lambda cm: nu_eval(math.nan),
+        "inf-entry": lambda cm: nu_eval([1.0, math.inf, 0.0]),
+        "str": lambda cm: nu_eval("a"),
+        "str-entries": lambda cm: nu_eval(["1", "0", "0"]),
+        "none": lambda cm: nu_eval(None),
+        "bool": lambda cm: nu_eval(True),
+        "bool-entry": lambda cm: nu_eval([True, 0.0, 0.0]),
+        "complex": lambda cm: nu_eval([1.0j, 0.0, 0.0]),
+        "ragged": lambda cm: nu_eval(_RAGGED),
+        "two-components": lambda cm: nu_eval([1.0, 2.0]),
+    },
+    "kernel_eval": {
+        "name-unknown": lambda cm: _kernel(cm, which="k2"),
+        "name-none": lambda cm: _kernel(cm, which=None),
+        "v-nan": lambda cm: _kernel(cm, v=[math.nan, 0.0, 0.0]),
+        "vstar-inf": lambda cm: _kernel(cm, vstar=[0.0, math.inf, 0.0]),
+        "v-str": lambda cm: _kernel(cm, v=["1", "0", "0"]),
+        "vstar-str": lambda cm: _kernel(cm, vstar="abc"),
+        "v-none": lambda cm: _kernel(cm, v=None),
+        "v-bool": lambda cm: _kernel(cm, v=[True, False, False]),
+        "v-complex": lambda cm: _kernel(cm, v=[1.0j, 0.0, 0.0]),
+        "v-ragged": lambda cm: _kernel(cm, v=_RAGGED),
+        "v-two-components": lambda cm: _kernel(cm, v=[1.0, 0.0]),
+        "coincident": lambda cm: _kernel(cm, vstar=_V),
+    },
+    "reduced_kernel_tables": {
+        "nodes-nan": lambda cm: _tables(cm, r_nodes=(0.5, math.nan)),
+        "nodes-zero": lambda cm: _tables(cm, r_nodes=(0.0, 1.0)),
+        "nodes-negative": lambda cm: _tables(cm, r_nodes=(-0.5, 1.0)),
+        "nodes-2d": lambda cm: _tables(cm, r_nodes=((0.5, 1.0),)),
+        "nodes-scalar": lambda cm: _tables(cm, r_nodes=0.5),
+        "nodes-str": lambda cm: _tables(cm, r_nodes=("a", "b")),
+        "nodes-none": lambda cm: _tables(cm, r_nodes=None),
+        "nodes-bool": lambda cm: _tables(cm, r_nodes=(True, True)),
+        "nodes-complex": lambda cm: _tables(cm, r_nodes=(0.5j, 1.0)),
+        "nodes-ragged": lambda cm: _tables(cm, r_nodes=((0.5,), (1.0, 2.0))),
+        "lmax-negative": lambda cm: _tables(cm, lmax=-1),
+        "lmax-float": lambda cm: _tables(cm, lmax=2.0),
+        "lmax-bool": lambda cm: _tables(cm, lmax=True),
+        "points-zero": lambda cm: _tables(cm, n_panel_points=0),
+        "points-str": lambda cm: _tables(cm, n_panel_points="12"),
+    },
+    "assemble_collision": {
+        "basis-none": lambda cm: assemble_collision(None),
+        "basis-spec": lambda cm: assemble_collision(BasisSpec(6, 3)),
+        "gamma-str": lambda cm: assemble_collision(cm.basis, build_gamma="no"),
+        "gamma-int": lambda cm: assemble_collision(cm.basis, build_gamma=1),
+    },
+    "gamma_apply": {
+        "cm-none": lambda cm: _gamma(None),
+        "cm-basis": lambda cm: _gamma(cm.basis),
+        "f-short": lambda cm: _gamma(cm, f=np.zeros(34)),
+        "g-2d": lambda cm: _gamma(cm, g=np.zeros((35, 1))),
+        "f-nan": lambda cm: _gamma(cm, f=np.full(35, math.nan)),
+        "g-inf": lambda cm: _gamma(cm, g=np.full(35, math.inf)),
+        "f-str": lambda cm: _gamma(cm, f=np.full(35, "1")),
+        "g-none": lambda cm: gamma_apply(cm, np.zeros(35), None),
+        "f-bool": lambda cm: _gamma(cm, f=np.zeros(35, dtype=bool)),
+        "f-ragged": lambda cm: _gamma(cm, f=[[0.0] * 34, [0.0]]),
+    },
+    "collision_inverse": {
+        "cm-none": lambda cm: collision_inverse(None, "L", SECTOR_AXIAL, np.zeros(3)),
+        "cm-basis": lambda cm: collision_inverse(cm.basis, "L", SECTOR_AXIAL, np.zeros(3)),
+        "which-unknown": lambda cm: _inverse(cm, which="L2"),
+        "sector-two": lambda cm: _inverse(cm, sector=2),
+        "sector-bool": lambda cm: _inverse(cm, sector=True),
+        "w-short": lambda cm: _inverse(cm, w=lambda n: np.ones(n - 1)),
+        "w-2d": lambda cm: _inverse(cm, w=lambda n: np.ones((n, 1))),
+        "w-nan": lambda cm: _inverse(cm, w=lambda n: np.full(n, math.nan)),
+        "w-str": lambda cm: _inverse(cm, w=lambda n: np.full(n, "1")),
+        "w-none": lambda cm: collision_inverse(cm, "L", SECTOR_AXIAL, None),
+        "w-bool": lambda cm: _inverse(cm, w=lambda n: np.ones(n, dtype=bool)),
+        "w-ragged": lambda cm: _inverse(cm, w=lambda n: [[1.0] * (n - 1), [1.0]]),
+    },
+    "null_coordinates": {
+        "basis-none": lambda cm: null_coordinates(None, "L", SECTOR_AXIAL),
+        "basis-cm": lambda cm: null_coordinates(cm, "L", SECTOR_AXIAL),
+        "which-unknown": lambda cm: null_coordinates(cm.basis, "L2", SECTOR_AXIAL),
+        "which-list": lambda cm: null_coordinates(cm.basis, ["L"], SECTOR_AXIAL),
+        "sector-two": lambda cm: null_coordinates(cm.basis, "L", 2),
+        "sector-bool": lambda cm: null_coordinates(cm.basis, "L", True),
+        "sector-float": lambda cm: null_coordinates(cm.basis, "L", 1.0),
+    },
+}
+# the module's own messages per callable: a ValueError that numpy raises on
+# the way (say "could not convert string to float") does not match them
+_MESSAGES = {
+    "nu_eval": "velocities must",
+    "kernel_eval": "velocities must|kernel",
+    "reduced_kernel_tables": "r_nodes must|lmax must|n_panel_points must",
+    "assemble_collision": "expected Basis|build_gamma must",
+    "gamma_apply": "expected CollisionMatrices|sub-basis coefficients must",
+    "collision_inverse": "expected CollisionMatrices|which must|sector must|w must",
+    "null_coordinates": "expected Basis|which must|sector must",
+}
+# public names that take no caller input of their own
+_NOT_ENTRY_POINTS = {
+    "AssemblyError": "the error of an assembly or solve that fails on valid input",
+    "CollisionMatrices": "the record assemble_collision returns; the functions check it",
+    "GammaTensor": "the record inside CollisionMatrices; no caller builds one",
+}
+
+
+class TestBoundaryContract:
+    """Every public callable of collision_ops rejects bad input with a ValueError
+    that carries the module's own message."""
+
+    def test_table_covers_the_public_names(self):
+        public = {name for name, obj in vars(collision_ops).items()
+                  if callable(obj) and getattr(obj, "__module__", None) == collision_ops.__name__
+                  and not name.startswith("_")}
+        assert public == set(_BAD_CALLS) | set(_NOT_ENTRY_POINTS)
+        assert not set(_BAD_CALLS) & set(_NOT_ENTRY_POINTS)
+        assert set(_MESSAGES) == set(_BAD_CALLS)
+
+    @pytest.mark.parametrize("name, case", [(name, case) for name, rows in _BAD_CALLS.items()
+                                            for case in rows])
+    def test_bad_input_raises_value_error(self, collision_small, name, case):
+        with pytest.raises(ValueError, match=_MESSAGES[name]):
+            _BAD_CALLS[name][case](collision_small)
+
+    def test_table_calls_are_valid_when_repaired(self, collision_small):
+        # the helpers behind the rows succeed on good input, so each row fails
+        # for its one bad argument; gamma_apply gets as far as the missing tensor
+        cm = collision_small
+        assert _kernel(cm) > 0.0
+        assert _tables(cm)[0].shape == (3, 2, 2)
+        assert _inverse(cm).shape == (cm.L_sector[SECTOR_AXIAL].shape[0],)
+        with pytest.raises(AssemblyError, match="build_gamma=True"):
+            _gamma(cm)

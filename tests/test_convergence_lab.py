@@ -828,3 +828,159 @@ class TestFrozenReports:
                 assert abs(got_leaves[path] - value) <= 1e-10 * scale[table(path)], path
             else:
                 assert got_leaves[path] == value, path
+
+
+# ---------------------------------------------------------------------------
+# boundary contract: every exported callable against bad input, with
+# ConvergenceError as the module's documented error
+# ---------------------------------------------------------------------------
+
+def _shapes(cm, f=None, g=None):
+    """corrector_shapes on microscopic data without density, or on f(basis), g(basis)."""
+    b = cm.basis
+    micro = b.projection_matrix("P1") @ np.linspace(-1.0, 1.0, b.dim)
+    return cl.corrector_shapes(cm, micro if f is None else f(b), micro if g is None else g(b))
+
+
+def _fit(x=(1.0, 2.0, 3.0, 4.0), y=(1.0, 0.5, 0.3, 0.2)):
+    return cl.rate_fit(x, y)
+
+
+def _experiment_rows(experiment):
+    cfg = cl.ExperimentConfig
+    return {
+        "cfg-none": lambda cm: experiment(None, cm),
+        "cfg-dict": lambda cm: experiment(cfg().as_dict(), cm),
+        "cm-none": lambda cm: experiment(cfg(), None),
+        "cm-basis": lambda cm: experiment(cfg(), cm.basis),
+    }
+
+
+def _transient(cm, **kw):
+    return cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), cm, **kw)
+
+
+_BAD_CALLS = {
+    "ExperimentConfig": {
+        "eps-nan": lambda cm: cl.ExperimentConfig(eps_list=(0.2, math.nan)),
+        "eps-none": lambda cm: cl.ExperimentConfig(eps_list=None),
+        "eps-str": lambda cm: cl.ExperimentConfig(eps_list=("a", 0.1)),
+        "eps-bool": lambda cm: cl.ExperimentConfig(eps_list=(True, 0.1)),
+        "eps-single": lambda cm: cl.ExperimentConfig(eps_list=(0.1,)),
+        "eps-increasing": lambda cm: cl.ExperimentConfig(eps_list=(0.05, 0.1)),
+        "data-kind-unknown": lambda cm: cl.ExperimentConfig(data_kind="second_order"),
+        "data-kind-list": lambda cm: cl.ExperimentConfig(data_kind=["generic"]),
+        "norm-list": lambda cm: cl.ExperimentConfig(norm=["H2"]),
+        "s-cap-str": lambda cm: cl.ExperimentConfig(s_cap="4"),
+        "t-min-bool": lambda cm: cl.ExperimentConfig(t_min=True),
+        "t-min-above-t-max": lambda cm: cl.ExperimentConfig(t_min=2.0, t_max=1.0),
+        "n-s-fraction": lambda cm: cl.ExperimentConfig(n_s=16.5),
+        "n-s-bool": lambda cm: cl.ExperimentConfig(n_s=True),
+        "n-s-four": lambda cm: cl.ExperimentConfig(n_s=4),
+        "n-t-three": lambda cm: cl.ExperimentConfig(n_t=3),
+        "seed-negative": lambda cm: cl.ExperimentConfig(seed=-1),
+        "seed-float": lambda cm: cl.ExperimentConfig(seed=1.0),
+        "width-zero": lambda cm: cl.ExperimentConfig(profile_width=0.0),
+        "mapping-none": lambda cm: cl.ExperimentConfig.from_mapping(None),
+        "mapping-pairs": lambda cm: cl.ExperimentConfig.from_mapping([("n_s", 16)]),
+        "mapping-str": lambda cm: cl.ExperimentConfig.from_mapping("n_s"),
+        "mapping-unknown-key": lambda cm: cl.ExperimentConfig.from_mapping({"epsilon": 0.1}),
+        "mapping-eps-scalar": lambda cm: cl.ExperimentConfig.from_mapping({"eps_list": 5}),
+    },
+    "rate_fit": {
+        "x-str": lambda cm: _fit(x="abcd"),
+        "y-str-entry": lambda cm: _fit(y=(1.0, 2.0, "x", 4.0)),
+        "x-none": lambda cm: _fit(x=None),
+        "x-ragged": lambda cm: _fit(x=((1.0, 2.0), (3.0,))),
+        "x-bool": lambda cm: _fit(x=(True, True, True, True)),
+        "x-bool-entry": lambda cm: _fit(x=(True, 2.0, 3.0, 4.0)),
+        "y-complex": lambda cm: _fit(y=(1.0, 0.5j, 0.3, 0.2)),
+        "x-nan": lambda cm: _fit(x=(1.0, 2.0, math.nan, 4.0)),
+        "y-inf": lambda cm: _fit(y=(1.0, math.inf, 0.3, 0.2)),
+        "shape-mismatch": lambda cm: _fit(y=(1.0, 0.5, 0.3)),
+        "two-dimensional": lambda cm: _fit(x=((1.0, 2.0), (3.0, 4.0)),
+                                           y=((1.0, 0.5), (0.3, 0.2))),
+        "three-points": lambda cm: _fit(x=(1.0, 2.0, 3.0), y=(1.0, 0.5, 0.3)),
+        "y-negative": lambda cm: _fit(y=(1.0, -0.5, 0.3, 0.2)),
+        "x-repeated": lambda cm: _fit(x=(2.0, 2.0, 2.0, 2.0)),
+    },
+    "corrector_shapes": {
+        "cm-none": lambda cm: cl.corrector_shapes(None, np.zeros(3), np.zeros(3)),
+        "cm-basis": lambda cm: cl.corrector_shapes(cm.basis, np.zeros(3), np.zeros(3)),
+        "f-short": lambda cm: _shapes(cm, f=lambda b: np.zeros(b.dim - 1)),
+        "g-matrix": lambda cm: _shapes(cm, g=lambda b: np.zeros((1, b.dim))),
+        "f-nan": lambda cm: _shapes(cm, f=lambda b: np.full(b.dim, math.nan)),
+        "g-inf": lambda cm: _shapes(cm, g=lambda b: np.full(b.dim, math.inf)),
+        "f-str": lambda cm: _shapes(cm, f=lambda b: np.full(b.dim, "1")),
+        "g-none": lambda cm: _shapes(cm, g=lambda b: None),
+        "f-bool": lambda cm: _shapes(cm, f=lambda b: np.zeros(b.dim, dtype=bool)),
+        "f-ragged": lambda cm: _shapes(cm, f=lambda b: [[0.0] * (b.dim - 1), [0.0]]),
+        "f-macroscopic": lambda cm: _shapes(cm, f=lambda b: b.chi(0)),
+        "g-density": lambda cm: _shapes(cm, g=lambda b: b.chi(0)),
+    },
+    "make_initial_data": {
+        "kind-unknown": lambda cm: cl.make_initial_data("adiabatic", cl.ExperimentConfig(), cm),
+        "kind-list": lambda cm: cl.make_initial_data(["generic"], cl.ExperimentConfig(), cm),
+        "kind-none": lambda cm: cl.make_initial_data(None, cl.ExperimentConfig(), cm),
+        "cfg-none": lambda cm: cl.make_initial_data("generic", None, cm),
+        "cfg-cm": lambda cm: cl.make_initial_data("generic", cm, cm),
+        "cm-none": lambda cm: cl.make_initial_data("generic", cl.ExperimentConfig(), None),
+    },
+    "first_order_experiment": _experiment_rows(cl.first_order_experiment),
+    "second_order_experiment": _experiment_rows(cl.second_order_experiment),
+    "initial_layer_profile": _experiment_rows(cl.initial_layer_profile),
+    "transient_rate_check": {
+        **_experiment_rows(cl.transient_rate_check),
+        "eps-zero": lambda cm: _transient(cm, eps=0.0),
+        "eps-negative": lambda cm: _transient(cm, eps=-0.1),
+        "eps-nan": lambda cm: _transient(cm, eps=math.nan),
+        "eps-bool": lambda cm: _transient(cm, eps=True),
+        "eps-str": lambda cm: _transient(cm, eps="0.1"),
+        "s0-negative": lambda cm: _transient(cm, s0=-1.0),
+        "s0-inf": lambda cm: _transient(cm, s0=math.inf),
+        "s0-bool": lambda cm: _transient(cm, s0=True),
+        "s0-str": lambda cm: _transient(cm, s0="1"),
+    },
+    "oscillatory_value": {
+        "theta-nan": lambda cm: cl.oscillatory_value(math.nan, 0.5),
+        "x-inf": lambda cm: cl.oscillatory_value(1.0, math.inf),
+        "theta-str": lambda cm: cl.oscillatory_value("1", 0.5),
+        "x-none": lambda cm: cl.oscillatory_value(1.0, None),
+        "theta-bool": lambda cm: cl.oscillatory_value(True, 0.5),
+        "theta-complex": lambda cm: cl.oscillatory_value(1.0j, 0.5),
+    },
+}
+# exported names that take no caller input of their own
+_NOT_ENTRY_POINTS = {
+    "ConvergenceError": "the module's error type",
+    "ConvergenceReport": "the record the experiments return",
+    "InitialData": "the record make_initial_data returns",
+    "RateFit": "the record rate_fit returns",
+    "oscillatory_decay_check": "takes no arguments: its inputs are module constants",
+}
+
+
+class TestBoundaryContract:
+    """Every exported callable of convergence_lab rejects bad input with ConvergenceError."""
+
+    def test_table_covers_the_exports(self):
+        import kslab
+
+        exported = {name for name, obj in vars(kslab).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == cl.__name__}
+        assert exported == set(_BAD_CALLS) | set(_NOT_ENTRY_POINTS)
+        assert not set(_BAD_CALLS) & set(_NOT_ENTRY_POINTS)
+
+    @pytest.mark.parametrize("name, case", [(name, case) for name, rows in _BAD_CALLS.items()
+                                            for case in rows])
+    def test_bad_input_raises_convergence_error(self, collision_small, name, case):
+        with pytest.raises(cl.ConvergenceError):
+            _BAD_CALLS[name][case](collision_small)
+
+    def test_table_calls_are_valid_when_repaired(self, collision_small):
+        # the helpers behind the rows succeed on good input, so each row fails
+        # for its one bad argument
+        z2, e_z = _shapes(collision_small)
+        assert z2.shape == (collision_small.basis.dim,) and e_z.shape == (3,)
+        assert _fit().n_points == 4
+        assert cl.ExperimentConfig.from_mapping({"n_s": 16}).n_s == 16

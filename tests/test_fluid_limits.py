@@ -53,6 +53,30 @@ class TestTransportCoefficients:
                        ("a_2", 2), ("a_3", 3)):
             assert abs(tc.a_list[j] - fx[key]) < tol
 
+    @pytest.mark.parametrize("first", ["transport", "expansion"])
+    def test_forms_run_once_per_collision_set(self, collision_small, monkeypatch, first):
+        # transport_coefficients and expansion_coefficients read one pass of
+        # _core_values on the set's own blocks; the refined pass is the other call
+        cm = dataclasses.replace(collision_small, _cache={})
+        own = []
+        core_values = fl._core_values
+
+        def counting(basis, L_sector, L1_sector):
+            own.append(L_sector is cm.L_sector)
+            return core_values(basis, L_sector, L1_sector)
+
+        monkeypatch.setattr(fl, "_core_values", counting)
+        calls = [lambda: fl.transport_coefficients(cm), lambda: expansion_coefficients(cm)]
+        for call in calls if first == "transport" else calls[::-1]:
+            call()
+            call()
+        assert sorted(own) == [False, True]
+        tc = fl.transport_coefficients(cm)
+        coeffs = expansion_coefficients(cm)
+        assert coeffs["boltzmann_1"][1] == tc.a_list[1]
+        assert coeffs["boltzmann_0"][1] == tc.a_list[0]
+        assert coeffs["boltzmann_1"][0] == fl._SOUND_SPEED == math.sqrt(5.0 / 3.0)
+
     @pytest.mark.parametrize("cm", [None, "basis"])
     def test_non_collision_data_rejected(self, basis_small, cm):
         with pytest.raises(fl.FluidError, match="expected CollisionMatrices"):
@@ -661,3 +685,198 @@ class TestDecayExperiments:
         for kind in ("generic", "enhanced"):
             with pytest.raises(fl.FluidError, match="profile width"):
                 fl.y2_decay_experiment(tc, kind, profile_width=width)
+
+
+# ---------------------------------------------------------------------------
+# boundary contract: every exported callable against bad input, with
+# FluidError as the module's documented error
+# ---------------------------------------------------------------------------
+
+_E2 = np.array([0.0, 1.0, 0.0], complex)
+_ZERO3 = np.zeros(3, complex)
+_STR3 = ["a", "b", "c"]
+
+
+def _y1(tc, b, t=1.0, s=1.0, f0=None):
+    return fl.Y1_mode(t, s, b.chi(2) if f0 is None else f0, tc, b)
+
+
+def _y2(tc, t=1.0, s=1.0, rho0=0.0, E0=_E2, B0=_ZERO3, omega=None):
+    return fl.Y2_mode(t, s, rho0, E0, B0, tc, omega=omega)
+
+
+def _solve(tc, times=(0.0, 1.0), **mode):
+    return fl.linear_nsmf_solve([fl.NsmfMode(**{"s": 1.0, **mode})], times, tc)
+
+
+_BAD_CALLS = {
+    "transport_coefficients": {
+        "cm-none": lambda tc, b: fl.transport_coefficients(None),
+        "cm-basis": lambda tc, b: fl.transport_coefficients(b),
+        "cm-transport": lambda tc, b: fl.transport_coefficients(tc),
+    },
+    "Y1_mode": {
+        "t-nan": lambda tc, b: _y1(tc, b, t=math.nan),
+        "t-str": lambda tc, b: _y1(tc, b, t="1.0"),
+        "t-bool": lambda tc, b: _y1(tc, b, t=True),
+        "t-negative": lambda tc, b: _y1(tc, b, t=-1.0),
+        "s-inf": lambda tc, b: _y1(tc, b, s=math.inf),
+        "s-none": lambda tc, b: _y1(tc, b, s=None),
+        "f0-nan": lambda tc, b: _y1(tc, b, f0=np.full(b.dim, math.nan)),
+        "f0-str": lambda tc, b: _y1(tc, b, f0=np.full(b.dim, "a")),
+        "f0-none": lambda tc, b: fl.Y1_mode(1.0, 1.0, None, tc, b),
+        "f0-bool": lambda tc, b: _y1(tc, b, f0=np.zeros(b.dim, dtype=bool)),
+        "f0-short": lambda tc, b: _y1(tc, b, f0=b.chi(2)[:-1]),
+        "f0-ragged": lambda tc, b: _y1(tc, b, f0=[[0.0] * (b.dim - 1), [0.0]]),
+        "f0-microscopic": lambda tc, b: _y1(tc, b, f0=np.ones(b.dim)),
+        "tc-none": lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), None, b),
+        "basis-none": lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), tc, None),
+        "basis-spec": lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), tc, b.spec),
+    },
+    "Y2_mode": {
+        "t-nan": lambda tc, b: _y2(tc, t=math.nan),
+        "t-bool": lambda tc, b: _y2(tc, t=True),
+        "t-negative": lambda tc, b: _y2(tc, t=-1.0),
+        "s-zero": lambda tc, b: _y2(tc, s=0.0),
+        "s-none": lambda tc, b: _y2(tc, s=None),
+        "rho0-str": lambda tc, b: _y2(tc, rho0="x"),
+        "rho0-none": lambda tc, b: _y2(tc, rho0=None),
+        "rho0-nan": lambda tc, b: _y2(tc, rho0=math.nan),
+        "rho0-bool": lambda tc, b: _y2(tc, rho0=False),
+        "rho0-vector": lambda tc, b: _y2(tc, rho0=np.zeros(2)),
+        "E0-str": lambda tc, b: _y2(tc, E0=_STR3),
+        "E0-nan": lambda tc, b: _y2(tc, E0=np.array([0.0, math.nan, 0.0])),
+        "E0-short": lambda tc, b: _y2(tc, E0=_E2[:2]),
+        "E0-none": lambda tc, b: _y2(tc, E0=None),
+        "E0-ragged": lambda tc, b: _y2(tc, E0=[[0.0, 1.0], [0.0]]),
+        "B0-str": lambda tc, b: _y2(tc, B0="abc"),
+        "B0-bool": lambda tc, b: _y2(tc, B0=np.zeros(3, dtype=bool)),
+        "B0-divergent": lambda tc, b: _y2(tc, B0=np.array([1.0, 0.0, 0.0])),
+        "charge-mismatch": lambda tc, b: _y2(tc, rho0=1.0),
+        "omega-str": lambda tc, b: _y2(tc, omega=_STR3),
+        "omega-complex": lambda tc, b: _y2(tc, omega=[1.0j, 0.0, 0.0]),
+        "omega-not-unit": lambda tc, b: _y2(tc, omega=[2.0, 0.0, 0.0]),
+        "omega-ragged": lambda tc, b: _y2(tc, omega=[[1.0], [0.0, 0.0]]),
+        "tc-none": lambda tc, b: fl.Y2_mode(1.0, 1.0, 0.0, _E2, _ZERO3, None),
+    },
+    "y2_eigenbasis": {
+        "s-bool": lambda tc, b: fl.y2_eigenbasis(True, 0.2),
+        "s-str": lambda tc, b: fl.y2_eigenbasis("1", 0.2),
+        "s-none": lambda tc, b: fl.y2_eigenbasis(None, 0.2),
+        "s-complex": lambda tc, b: fl.y2_eigenbasis(1 + 1j, 0.2),
+        "s-nan": lambda tc, b: fl.y2_eigenbasis(math.nan, 0.2),
+        "s-zero": lambda tc, b: fl.y2_eigenbasis(0.0, 0.2),
+        "s-negative": lambda tc, b: fl.y2_eigenbasis(-1.0, 0.2),
+        "eta-inf": lambda tc, b: fl.y2_eigenbasis(1.0, math.inf),
+        "eta-bool": lambda tc, b: fl.y2_eigenbasis(1.0, False),
+        "eta-str": lambda tc, b: fl.y2_eigenbasis(1.0, "0.2"),
+        "eta-negative": lambda tc, b: fl.y2_eigenbasis(1.0, -0.2),
+        "branch-collision": lambda tc, b: fl.y2_eigenbasis(0.5, 1.0),
+    },
+    "p_split": {
+        "f-str": lambda tc, b: fl.p_split(np.full(b.dim, "1"), b),
+        "f-none": lambda tc, b: fl.p_split(None, b),
+        "f-nan": lambda tc, b: fl.p_split(np.full(b.dim, math.nan), b),
+        "f-bool": lambda tc, b: fl.p_split(np.ones(b.dim, dtype=bool), b),
+        "f-short": lambda tc, b: fl.p_split(np.ones(b.dim - 1), b),
+        "f-ragged": lambda tc, b: fl.p_split([[1.0] * b.dim, [1.0]], b),
+        "basis-none": lambda tc, b: fl.p_split(np.ones(b.dim), None),
+        "basis-spec": lambda tc, b: fl.p_split(np.ones(b.dim), b.spec),
+    },
+    "linear_nsmf_solve": {
+        "modes-none": lambda tc, b: fl.linear_nsmf_solve(None, (0.0, 1.0), tc),
+        "modes-bare-mode": lambda tc, b: fl.linear_nsmf_solve(fl.NsmfMode(s=1.0), (0.0, 1.0),
+                                                              tc),
+        "mode-none": lambda tc, b: fl.linear_nsmf_solve([None], (0.0, 1.0), tc),
+        "tc-none": lambda tc, b: fl.linear_nsmf_solve([fl.NsmfMode(s=1.0)], (0.0, 1.0), None),
+        "times-nan": lambda tc, b: _solve(tc, times=(0.0, math.nan)),
+        "times-2d": lambda tc, b: _solve(tc, times=((0.0, 1.0), (2.0, 3.0))),
+        "times-scalar": lambda tc, b: _solve(tc, times=1.0),
+        "times-str": lambda tc, b: _solve(tc, times=("0", "1")),
+        "times-none": lambda tc, b: _solve(tc, times=None),
+        "times-bool": lambda tc, b: _solve(tc, times=(False, True)),
+        "times-complex": lambda tc, b: _solve(tc, times=(0.0, 1.0j)),
+        "times-negative": lambda tc, b: _solve(tc, times=(-1.0, 1.0)),
+        "times-unsorted": lambda tc, b: _solve(tc, times=(1.0, 0.0)),
+        "s-bool": lambda tc, b: _solve(tc, s=True),
+        "s-str": lambda tc, b: _solve(tc, s="1.0"),
+        "s-zero": lambda tc, b: _solve(tc, s=0.0),
+        "n0-str": lambda tc, b: _solve(tc, n0="x"),
+        "q0-none": lambda tc, b: _solve(tc, q0=None),
+        "rho0-nan": lambda tc, b: _solve(tc, rho0=math.nan),
+        "m0-str": lambda tc, b: _solve(tc, m0=_STR3),
+        "m0-ragged": lambda tc, b: _solve(tc, m0=[[0.0], [0.0, 0.0]]),
+        "E0-short": lambda tc, b: _solve(tc, E0=_E2[:2]),
+        "B0-none": lambda tc, b: _solve(tc, B0=None),
+        "omega-str": lambda tc, b: _solve(tc, omega=_STR3),
+        "omega-complex": lambda tc, b: _solve(tc, omega=np.array([1.0j, 0.0, 0.0])),
+        "omega-not-unit": lambda tc, b: _solve(tc, omega=np.array([0.0, 0.0, 0.0])),
+        "m0-divergent": lambda tc, b: _solve(tc, m0=np.array([1.0, 0.0, 0.0])),
+        "trace-relation": lambda tc, b: _solve(tc, n0=0.5, q0=0.5),
+        "charge-mismatch": lambda tc, b: _solve(tc, rho0=1.0),
+        "B0-divergent": lambda tc, b: _solve(tc, B0=np.array([1.0, 0.0, 0.0])),
+        "g1-not-callable": lambda tc, b: _solve(tc, g1="force"),
+        "g2-not-callable": lambda tc, b: _solve(tc, g2=1.0),
+        "g3-not-callable": lambda tc, b: _solve(tc, g3=np.zeros(3)),
+        "g1-two-vector": lambda tc, b: _solve(tc, g1=lambda tau: np.zeros(2)),
+        "g2-str": lambda tc, b: _solve(tc, g2=lambda tau: "1"),
+        "g2-vector": lambda tc, b: _solve(tc, g2=lambda tau: np.ones(3)),
+        "g3-none": lambda tc, b: _solve(tc, g3=lambda tau: None),
+        "g3-inf": lambda tc, b: _solve(tc, g3=lambda tau: np.array([0.0, math.inf, 0.0])),
+    },
+    "y1_decay_experiment": {
+        "tc-none": lambda tc, b: fl.y1_decay_experiment(None),
+        "tc-basis": lambda tc, b: fl.y1_decay_experiment(b),
+    },
+    "y2_decay_experiment": {
+        "tc-none": lambda tc, b: fl.y2_decay_experiment(None),
+        "kind-unknown": lambda tc, b: fl.y2_decay_experiment(tc, "other"),
+        "kind-list": lambda tc, b: fl.y2_decay_experiment(tc, ["generic"]),
+        "kind-none": lambda tc, b: fl.y2_decay_experiment(tc, None),
+        "width-bool": lambda tc, b: fl.y2_decay_experiment(tc, "generic", True),
+        "width-str": lambda tc, b: fl.y2_decay_experiment(tc, "generic", "1"),
+        "width-complex": lambda tc, b: fl.y2_decay_experiment(tc, "generic", 1j),
+        "width-nan": lambda tc, b: fl.y2_decay_experiment(tc, "generic", math.nan),
+        "width-zero": lambda tc, b: fl.y2_decay_experiment(tc, "generic", 0.0),
+    },
+}
+# exported names that take no caller input of their own
+_NOT_ENTRY_POINTS = {
+    "FluidError": "the module's error type",
+    "NsmfMode": "the record linear_nsmf_solve checks (its rows above); building one checks "
+                "nothing",
+    "TransportCoefficients": "the record transport_coefficients returns; the functions "
+                             "check it",
+    "FluidModeState": "the record Y1_mode and Y2_mode return",
+    "DecayFit": "the record the decay experiments return",
+}
+
+
+class TestBoundaryContract:
+    """Every exported callable of fluid_limits rejects bad input with FluidError."""
+
+    def test_table_covers_the_exports(self):
+        import kslab
+
+        exported = {name for name, obj in vars(kslab).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == fl.__name__}
+        assert exported == set(_BAD_CALLS) | set(_NOT_ENTRY_POINTS)
+        assert not set(_BAD_CALLS) & set(_NOT_ENTRY_POINTS)
+
+    @pytest.mark.parametrize("name, case", [(name, case) for name, rows in _BAD_CALLS.items()
+                                            for case in rows])
+    def test_bad_input_raises_fluid_error(self, tc, basis_small, name, case):
+        with pytest.raises(fl.FluidError):
+            _BAD_CALLS[name][case](tc, basis_small)
+
+    def test_table_calls_are_valid_when_repaired(self, tc, basis_small):
+        # the helpers behind the rows succeed on good input, so each row fails
+        # for its one bad argument
+        assert _y1(tc, basis_small).t == 1.0
+        assert _y2(tc).t == 1.0
+        assert _y2(tc, omega=[0.0, 1.0, 0.0], E0=np.array([1.0, 0.0, 0.0])).t == 1.0
+        assert _solve(tc)["q"].shape == (2, 1)
+        forced = _solve(tc, g1=lambda tau: np.zeros(3), g2=lambda tau: 0.0,
+                        g3=lambda tau: np.zeros(3))
+        assert np.all(forced["E"] == 0.0)
+        assert fl.y2_eigenbasis(1.0, 0.2)[0].shape == (5,)

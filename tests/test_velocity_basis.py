@@ -22,6 +22,9 @@ from kslab.velocity_basis import (
     SECTOR_AXIAL,
     BasisError,
     BasisSpec,
+    _finite_array,
+    _finite_complex_array,
+    _gauss_legendre,
     _legendre_row,
     build_basis,
     laguerre_rows,
@@ -275,6 +278,44 @@ def test_legendre_rows_orthonormal(m):
     assert np.all(rows[0] > 0.0)
 
 
+@pytest.mark.parametrize("value, real, numeric", [
+    (1.0, True, True), (3, True, True), (np.float32(2.0), True, True), ([], True, True),
+    ([1.0, 2.0], True, True), (np.arange(4, dtype=np.uint8), True, True),
+    (np.ones((2, 3)), True, True),
+    (1.0j, False, True), ([1.0, 2.0j], False, True),
+    (math.nan, False, False), ([1.0, math.inf], False, False),
+    (complex(0.0, math.nan), False, False),
+    (True, False, False), (np.ones(2, dtype=bool), False, False),
+    ("1", False, False), (["1.0", "2.0"], False, False), (None, False, False),
+    ([1.0, None], False, False), (np.array([1.0], dtype=object), False, False),
+    ([[1.0], [1.0, 2.0]], False, False), ([2.0, True], False, False),
+    ([np.ones(2), np.zeros(2, dtype=bool)], False, False), ([np.ones(2), [3, 4]], True, True),
+], ids=["float", "int", "float32", "empty", "list", "uint8", "matrix", "complex",
+        "complex-entry", "nan", "inf-entry", "complex-nan", "bool", "bool-array", "str",
+        "str-entries", "none", "none-entry", "object", "ragged", "bool-entry",
+        "bool-array-entry", "nested-arrays"])
+def test_array_predicates(value, real, numeric):
+    # the one finiteness check behind every array boundary: bools, strings,
+    # None, objects and ragged nestings are not numbers
+    assert _finite_array(value) is real
+    assert _finite_complex_array(value) is numeric
+
+
+def test_gauss_legendre_interval_map():
+    s, w = _gauss_legendre(8, 3.0)
+    assert s.shape == w.shape == (8,)
+    assert 0.0 < s.min() and s.max() < 3.0
+    # exact for polynomials of degree <= 15
+    assert w @ s**15 == pytest.approx(3.0**16 / 16.0, rel=1e-13)
+    # a column of tops gives one interval per row, each the scalar map's bits
+    tops = np.array([0.5, 2.0, 7.0])
+    rows, row_w = _gauss_legendre(8, tops[:, None])
+    assert rows.shape == row_w.shape == (3, 8)
+    for i, top in enumerate(tops):
+        s_i, w_i = _gauss_legendre(8, top)
+        assert np.array_equal(rows[i], s_i) and np.array_equal(row_w[i], w_i)
+
+
 # ---------------------------------------------------------------------------
 # boundary contract: every exported callable and every public Basis method,
 # with BasisError as the module's documented error for bad input
@@ -349,6 +390,9 @@ _BAD_CALLS = {
         "r-negative": lambda b: _radial(b, r=[-0.5]),
         "r-str": lambda b: _radial(b, r=["1.0"]),
         "r-complex": lambda b: _radial(b, r=[1.0j]),
+        "r-bool": lambda b: _radial(b, r=[True]),
+        "r-none": lambda b: _radial(b, r=None),
+        "r-ragged": lambda b: _radial(b, r=[[1.0], [1.0, 2.0]]),
     },
     "laguerre_rows": {
         "rows-negative": lambda b: _laguerre(b, n_rows=-1),
@@ -360,6 +404,9 @@ _BAD_CALLS = {
         "alpha-str": lambda b: _laguerre(b, alpha="0.5"),
         "x-nan": lambda b: _laguerre(b, x=[math.nan]),
         "x-str": lambda b: _laguerre(b, x=["1"]),
+        "x-bool": lambda b: _laguerre(b, x=np.ones(2, dtype=bool)),
+        "x-none": lambda b: _laguerre(b, x=[None]),
+        "x-ragged": lambda b: _laguerre(b, x=[[1.0], [1.0, 2.0]]),
     },
 }
 # exported names that take no caller input of their own
