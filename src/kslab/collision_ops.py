@@ -322,6 +322,14 @@ def _hermite_values(x: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
+def _hermite_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point product Gauss-Hermite rule for the standard Gaussian: (n^3, 3) points, weights."""
+    xh, wh = roots_hermitenorm(n)
+    wh = wh / math.sqrt(_TWO_PI)
+    pts = np.stack([g.ravel() for g in np.meshgrid(xh, xh, xh, indexing="ij")], axis=1)
+    return pts, (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()
+
+
 def _sub_table(points: np.ndarray, indices) -> np.ndarray:
     """Normalized Hermite products H_idx(v), shape (npoints, len(indices)).  No Gaussian.
 
@@ -415,15 +423,12 @@ def _assemble_gamma_tensor() -> np.ndarray:
     """
     nb = len(_SUB_INDICES)
 
-    xh, wh = roots_hermitenorm(_N_HERM)
-    wh = wh / math.sqrt(_TWO_PI)
-    px, py, pz = np.meshgrid(xh, xh, xh, indexing="ij")
+    pgrid, pw = _hermite_grid(_N_HERM)
     # node n of the p-grid is minus node N - 1 - n: keep the first half and the
     # centre, each off-centre node weighted for its mirror as well
-    half = px.size // 2
-    pw = (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()[:half + 1]
+    half = pw.size // 2
+    pgrid, pw = pgrid[:half + 1], pw[:half + 1]
     pw[:half] *= 2.0
-    pgrid = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=1)[:half + 1]
 
     u, wu = roots_genlaguerre(_N_RAD, 1.0)
     rr = np.sqrt(2.0 * u)
@@ -500,11 +505,7 @@ def _burnett_sub_elements():
 @functools.cache
 def _sub_quadrature(indices: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """9-point product Gauss-Hermite grid: points, weights, Hermite table there."""
-    xh, wh = roots_hermitenorm(9)
-    wh = wh / math.sqrt(_TWO_PI)
-    gx, gy, gz = np.meshgrid(xh, xh, xh, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    w3 = (wh[:, None, None] * wh[None, :, None] * wh[None, None, :]).ravel()
+    pts, w3 = _hermite_grid(9)
     # stored row-major: the layout fixes the summation order of the change of
     # basis and of the projections
     table = np.ascontiguousarray(_sub_table(pts, indices))

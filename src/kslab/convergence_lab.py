@@ -16,13 +16,14 @@ then the block apply and the contraction guard that mode_operators.propagate
 uses too.  Each of these steps works mode by mode, so the chunks leave the
 states bit for bit those of one stack.  The fluid references are
 fluid_limits._heat_flow for the kinetic heat flow, which _kinetic_errors
-evaluates one block of time rows at a time (_heat_rows), and
-_field_reference for the damped-Maxwell flow, a whole grid.  The
-compressible split is fluid_limits.p_split, which works on the last axis of
-any array.  _kinetic_errors reduces a grid to the incompressible error and
-the compressible L1 proxy per time, and _field_sq is the electromagnetic
-metric, whose charge counts 1 + 1/s^2.  _fit_eps_slopes holds the eps-slope
-fits and flags, and _environment_metadata the notes every report carries.
+evaluates one block of time rows at a time, and _field_reference for the
+damped-Maxwell flow, a whole grid.  The compressible split is
+fluid_limits.p_split, which works on the last axis of any array.
+_kinetic_errors reduces a grid to the incompressible error and the
+compressible L1 proxy per time, and _field_sq is the electromagnetic metric,
+whose charge counts 1 + 1/s^2.  The modes aggregate with H2 weights up to
+the cutoff set by _S_CAP and _REGIME_RADIUS.  _fit_eps_slopes holds the
+eps-slope fits and flags, and _report builds every rate report.
 
 The oscillatory decay check has no inputs of its own: its envelope
 (1 + s)^-4, its phase times, its front offsets and the radial cutoff of the
@@ -80,8 +81,9 @@ class ConvergenceError(RuntimeError):
 _EPS_DEFAULT = (0.2, 0.1, 0.05, 0.025, 0.0125)
 _DATA_KINDS = ("generic", "well_prepared")
 _SHAPE_KINDS = _DATA_KINDS + ("second_order",)
-# norm label -> Sobolev order of the mode aggregation weight
-_NORMS = {"H0": 0, "H1": 1, "H2": 2}
+# the mode aggregation's cutoff s_max(eps) = min(_S_CAP, _REGIME_RADIUS/eps - 1)
+_S_CAP = 4.0
+_REGIME_RADIUS = 0.6
 
 # acceptance bands for the pass/fail flags
 _TOL_FIRST_SLOPE = 0.15
@@ -104,9 +106,10 @@ class ExperimentConfig:
     """Sweep layout shared by the convergence experiments.
 
     The mode aggregation uses an n_s-point Gauss-Legendre rule on
-    [0, s_max(eps)] where s_max(eps) = min(s_cap, regime_radius/eps - 1)
-    keeps every resolved mode inside the low-frequency regime; the neglected
-    band carries only the (recorded) tail mass of the data profiles.
+    [0, s_max(eps)] with H2 weights, where s_max(eps) = min(_S_CAP,
+    _REGIME_RADIUS/eps - 1) keeps every resolved mode inside the
+    low-frequency regime; the neglected band carries only the (recorded) tail
+    mass of the data profiles.
 
     The tests cover t_max from 50 to 1e4: the smaller sweeps at 50, the
     rate reports and their frozen fixture at the default 100, and a
@@ -116,10 +119,7 @@ class ExperimentConfig:
 
     eps_list: tuple[float, ...] = _EPS_DEFAULT
     data_kind: str = "well_prepared"
-    norm: str = "H2"
     n_s: int = 48
-    s_cap: float = 4.0
-    regime_radius: float = 0.6
     t_min: float = 1e-3
     t_max: float = 1e2
     n_t: int = 25
@@ -133,7 +133,7 @@ class ExperimentConfig:
             raise ConvergenceError("eps_list must contain at least two finite positive values")
         eps = tuple(float(e) for e in eps)
         object.__setattr__(self, "eps_list", eps)
-        for name in ("s_cap", "regime_radius", "t_min", "t_max", "profile_width"):
+        for name in ("t_min", "t_max", "profile_width"):
             if not _finite(getattr(self, name)):
                 raise ConvergenceError(f"{name} must be a finite number")
         for name in ("n_s", "n_t", "seed"):
@@ -146,10 +146,6 @@ class ExperimentConfig:
         if self.data_kind not in _DATA_KINDS:
             raise ConvergenceError(
                 f"unknown data_kind {self.data_kind!r}: expected one of {', '.join(_DATA_KINDS)}"
-            )
-        if not isinstance(self.norm, str) or self.norm not in _NORMS:
-            raise ConvergenceError(
-                f"unknown norm {self.norm!r}: expected one of {', '.join(_NORMS)}"
             )
         if not 0 < self.t_min < self.t_max:
             raise ConvergenceError("time grid needs 0 < t_min < t_max")
@@ -176,10 +172,10 @@ class ExperimentConfig:
         return np.geomspace(self.t_min, self.t_max, self.n_t)
 
     def s_max(self, eps: float) -> float:
-        cap = min(self.s_cap, self.regime_radius / eps - 1.0)
+        cap = min(_S_CAP, _REGIME_RADIUS / eps - 1.0)
         if cap <= 0.5:
             raise ConvergenceError(
-                f"regime radius {self.regime_radius} leaves no resolvable modes at eps={eps}"
+                f"regime radius {_REGIME_RADIUS} leaves no resolvable modes at eps={eps}"
             )
         return cap
 
@@ -389,20 +385,11 @@ def make_initial_data(kind: str, cfg: ExperimentConfig,
 # reports
 # ---------------------------------------------------------------------------
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+def _numpy_value(obj):
+    """json's default hook: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -422,9 +409,9 @@ class ConvergenceReport:
         return all(self.flags.values())
 
     def to_json(self) -> str:
-        payload = _plain(asdict(self))
         try:
-            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+            return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False,
+                              default=_numpy_value)
         except ValueError as exc:
             raise ConvergenceError(
                 f"{self.experiment} report holds a non-finite value") from exc
@@ -522,11 +509,9 @@ def _field_reference(eta: float, s: np.ndarray, times: np.ndarray, rho,
     return out
 
 
-def _agg_weights(cfg: ExperimentConfig, s: np.ndarray, w: np.ndarray,
-                 norm: str | None = None) -> np.ndarray:
-    """Quadrature weights for the squared Sobolev mode aggregation."""
-    k = _NORMS[cfg.norm if norm is None else norm]
-    return w * s**2 * (1.0 + s**2) ** k
+def _agg_weights(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Quadrature weights for the squared H2 mode aggregation."""
+    return w * s**2 * (1.0 + s**2) ** 2
 
 
 def _mode_l2(states: np.ndarray, wq: np.ndarray) -> np.ndarray:
@@ -539,23 +524,17 @@ def _field_sq(states: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(states) ** 2, axis=-1) + (1.0 / s**2) * np.abs(states[..., 0]) ** 2
 
 
-def _heat_rows(f0: np.ndarray, s: np.ndarray, times: np.ndarray, tc,
-               basis) -> Callable[[slice], np.ndarray]:
-    """The heat flow of the modes f0 as rows -> its states at times[rows]."""
-    return lambda rows: _heat_flow(f0, s, times[rows], tc, basis)
-
-
-def _kinetic_errors(kin: np.ndarray, fluid: Callable[[slice], np.ndarray], wq: np.ndarray,
-                    wl: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
+def _kinetic_errors(kin: np.ndarray, f0: np.ndarray, s: np.ndarray, times: np.ndarray,
+                    tc, wq: np.ndarray, wl: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
     """Per-time incompressible error and compressible amplitude of (n_t, n_s, dim) states.
 
-    The error aggregates f_perp - fluid with the Sobolev weights wq; the
-    amplitude is the L1 mode integral of |f_par| with the weights wl, the
-    labelled upper proxy for the supremum norm.  The split runs on blocks of
-    time rows holding about as many states as an n_s = _MODE_CHUNK grid, and
-    fluid(rows) gives the fluid states of a block's rows, so no whole fluid
-    grid is held.  Each row's sums are those of the whole grid (the heat flow
-    too is the same bits per row), and the mode integrals run once.
+    The error aggregates f_perp - (the heat flow of the modes f0 at times)
+    with the Sobolev weights wq; the amplitude is the L1 mode integral of
+    |f_par| with the weights wl, the labelled upper proxy for the supremum
+    norm.  The split and the heat flow run on blocks of time rows holding
+    about as many states as an n_s = _MODE_CHUNK grid, so no whole fluid grid
+    is held.  Each row's sums are those of the whole grid (the heat flow too
+    is the same bits per row), and the mode integrals run once.
     """
     n_t, n_s = kin.shape[:2]
     perp_sq, par = np.empty((n_t, n_s)), np.empty((n_t, n_s))
@@ -563,7 +542,8 @@ def _kinetic_errors(kin: np.ndarray, fluid: Callable[[slice], np.ndarray], wq: n
     for lo in range(0, n_t, step):
         rows = slice(lo, lo + step)
         f_par, f_perp = p_split(kin[rows], basis)
-        perp_sq[rows] = np.sum(np.abs(f_perp - fluid(rows)) ** 2, axis=-1)
+        fluid = _heat_flow(f0, s, times[rows], tc, basis)
+        perp_sq[rows] = np.sum(np.abs(f_perp - fluid) ** 2, axis=-1)
         par[rows] = np.linalg.norm(f_par, axis=-1)
     return np.sqrt(perp_sq @ wq), par @ wl
 
@@ -573,7 +553,7 @@ def _tail_mass(data: InitialData, cfg: ExperimentConfig, eps: float) -> float:
     lo = cfg.s_max(eps)
     s = np.linspace(lo, lo + 8.0 * cfg.profile_width, 200)
     w = np.full_like(s, s[1] - s[0])
-    wq = _agg_weights(cfg, s, w, "H2")
+    wq = _agg_weights(s, w)
     f = data.boltzmann_states(s)
     v = data.vmb_states(s)
     m = float(wq @ np.sum(np.abs(f) ** 2, axis=1)
@@ -608,11 +588,11 @@ def _fit_eps_slopes(report: ConvergenceReport, eps: np.ndarray, times: np.ndarra
             abs(report.fits[f"eps_slope_{tag}"]["exponent"] - 1.0) <= tol)
 
 
-def _environment_metadata(cm: CollisionMatrices, cfg: ExperimentConfig,
-                          failures: list, coverage: bool = True) -> dict:
-    """Basis, transport and sweep layout notes; coverage counts the eps sweep's modes."""
+def _report(experiment: str, cfg: ExperimentConfig, cm: CollisionMatrices, eps, t: np.ndarray,
+            errors: dict, failures: list, coverage: bool = True) -> ConvergenceReport:
+    """A rate report: cfg and the aggregation constants, basis, transport and sweep notes."""
     tc = transport_coefficients(cm)
-    md = {
+    notes = {
         "basis": {"radial_order": cm.basis.spec.radial_order,
                   "angular_max": cm.basis.spec.angular_max,
                   "dim": cm.basis.dim},
@@ -624,13 +604,14 @@ def _environment_metadata(cm: CollisionMatrices, cfg: ExperimentConfig,
         "branch_rates": {str(j): tc.a_list[j] for j in sorted(tc.a_list)},
         "truncation_delta": dict(tc.truncation_delta),
         "split_radii": {"r0": _SPLIT_R0, "r1": _SPLIT_R1},
-        "aggregation_radius": cfg.regime_radius,
+        "aggregation_radius": _REGIME_RADIUS,
         "seed": cfg.seed,
         "propagation_failures": failures,
     }
     if coverage:
-        md["coverage"] = 1.0 - len(failures) / (2 * cfg.n_s * len(cfg.eps_list))
-    return md
+        notes["coverage"] = 1.0 - len(failures) / (2 * cfg.n_s * len(cfg.eps_list))
+    config = {**cfg.as_dict(), "norm": "H2", "s_cap": _S_CAP, "regime_radius": _REGIME_RADIUS}
+    return ConvergenceReport(experiment, config, list(eps), t.tolist(), errors, metadata=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +648,7 @@ def first_order_experiment(cfg: ExperimentConfig,
 
     for eps in cfg.eps_list:
         s, w = cfg.s_grid(eps)
-        wq = _agg_weights(cfg, s, w)
+        wq = _agg_weights(s, w)
         f0 = data.boltzmann_states(s)
         v0 = data.vmb_states(s)
         tail.append(_tail_mass(data, cfg, eps))
@@ -682,22 +663,14 @@ def first_order_experiment(cfg: ExperimentConfig,
         defects["boltzmann"].append(float(_mode_l2(f0 @ p1m.T, wq_b)))
         defects["vmb"].append(float(_mode_l2(v0[:, 1:dimk], wq_v)))
 
-        perp, par = _kinetic_errors(kin_b, _heat_rows(f0, s, times, tc, basis),
-                                    wq_b, w * s**2 * keep_b, basis)
+        perp, par = _kinetic_errors(kin_b, f0, s, times, tc, wq_b, w * s**2 * keep_b, basis)
         streams["boltzmann_perp"].append(perp.tolist())
         streams["boltzmann_par_proxy"].append(par.tolist())
         streams["boltzmann_p0"].append(_mode_l2(kin_b @ p0m.T, wq_b).tolist())
         streams["boltzmann_p1"].append(_mode_l2(kin_b @ p1m.T, wq_b).tolist())
         streams["vmb"].append(np.sqrt(_field_sq(kin_v - fluid_v, s) @ wq_v).tolist())
 
-    report = ConvergenceReport(
-        experiment="first_order",
-        config=cfg.as_dict(),
-        eps=list(cfg.eps_list),
-        t=times.tolist(),
-        errors=streams,
-    )
-    report.metadata = _environment_metadata(cm, cfg, failures)
+    report = _report("first_order", cfg, cm, cfg.eps_list, times, streams, failures)
     report.metadata["tail_mass_bound"] = tail
     report.metadata["t0_defect"] = defects
 
@@ -750,8 +723,9 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
     The perpendicular error carries an exponentially decaying term whose
     coefficient sits in the remainder part of the semigroup splitting; the
     splitting projector extracts it from a generic trajectory without the
-    O(eps) bulk floor, and its fitted rate over the same diffusive-time
-    window the splitting itself uses must agree with measured_gap_b.
+    O(eps) bulk floor.  Its rate, fitted on tau in [1/b, 14/b] with b =
+    measured_gap_b, must agree with b; the splitting measures b on a window
+    of its own, [1/g, 18/g] with g the remainder's gap.
     """
     _check_experiment(cfg, cm)
     eps = cfg.eps_list[len(cfg.eps_list) // 2] if eps is None else eps
@@ -840,21 +814,14 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     a0 = np.einsum("jki,ji->jk", np.sinc(sr / math.pi), wl * ch)
     a1 = np.einsum("jki,ji->jk", spherical_jn(1, sr), wl * c1)
     values = np.max(np.hypot(np.abs(a0), np.abs(a1)), axis=1)
-    bulk, _ = _kinetic_errors(kin, _heat_rows(f0, s, times, tc, basis),
-                              _agg_weights(cfg, s, wk, "H2"), wl, basis)
+    bulk, _ = _kinetic_errors(kin, f0, s, times, tc, _agg_weights(s, wk), wl, basis)
 
     proxy0 = float(np.linalg.norm(p_split(f0, basis)[0], axis=1) @ wl)
     scale = float(np.linalg.norm(f0, axis=1) @ wl)
 
-    report = ConvergenceReport(
-        experiment="initial_layer",
-        config=cfg.as_dict(),
-        eps=[eps],
-        t=taus.tolist(),
-        errors={"layer_front": [values.tolist()],
-                "bulk_perp": [bulk.tolist()]},
-    )
-    report.metadata = _environment_metadata(cm, cfg, failures, coverage=False)
+    report = _report("initial_layer", cfg, cm, [eps], taus,
+                     {"layer_front": [values.tolist()], "bulk_perp": [bulk.tolist()]},
+                     failures, coverage=False)
     report.metadata["amplitude_t0"] = values[0]
     report.metadata["par_proxy_t0"] = proxy0
     report.flags["t0_amplitude"] = bool(
@@ -942,7 +909,7 @@ def second_order_experiment(cfg: ExperimentConfig,
 
     for eps in cfg.eps_list:
         s, w = cfg.s_grid(eps)
-        wq = _agg_weights(cfg, s, w)
+        wq = _agg_weights(s, w)
         # the last time is the log-time mark of the boundedness check
         times_all = np.append(times, 10.0 * eps**2 * math.log(1.0 / eps))
         prof = _eval_profile(data.profile_micro, data.width, s)
@@ -957,23 +924,15 @@ def second_order_experiment(cfg: ExperimentConfig,
         fluid_v = _field_reference(
             tc.eta, s, times, 1j * s * prof * e_z[0],
             (-(prof * e_z[2]), prof * e_z[1], 0.0, 0.0), keep_v, dimk)
-        fluid_b = _heat_rows((1j * s * prof)[:, None] * z2, s, times, tc, basis)
-
-        perp, par = _kinetic_errors(kin_b[:-1], fluid_b, wq_b, w * s**2 * keep_b, basis)
+        perp, par = _kinetic_errors(kin_b[:-1], (1j * s * prof)[:, None] * z2, s, times, tc,
+                                    wq_b, w * s**2 * keep_b, basis)
         streams["boltzmann_perp"].append(perp.tolist())
         streams["boltzmann_par_proxy"].append(par.tolist())
         streams["vmb"].append(np.sqrt(_field_sq(kin_v[:-1] - fluid_v, s) @ wq_v).tolist())
         bounded["boltzmann"].append(float(_mode_l2(kin_b[-1], wq_b)))
         bounded["vmb"].append(float(np.sqrt(_field_sq(kin_v[-1], s) @ wq_v)))
 
-    report = ConvergenceReport(
-        experiment="second_order",
-        config=cfg.as_dict(),
-        eps=list(cfg.eps_list),
-        t=times.tolist(),
-        errors=streams,
-    )
-    report.metadata = _environment_metadata(cm, cfg, failures)
+    report = _report("second_order", cfg, cm, cfg.eps_list, times, streams, failures)
     report.metadata["scaled_norm_at_log_time"] = bounded
 
     _fit_eps_slopes(report, eps_arr, times, streams,

@@ -4,7 +4,7 @@ The finiteness policy for arrays lives in one predicate,
 velocity_basis._finite_entries (behind _finite_array and
 _finite_complex_array): no other kslab function calls numpy's isfinite.
 And convergence_lab reads the sound speed from fluid_limits, so it does not
-import dispersion.
+import dispersion, and it builds every rate report in _report.
 """
 import ast
 from pathlib import Path
@@ -47,3 +47,22 @@ def test_convergence_lab_does_not_import_dispersion():
                  for alias in node.names}
     assert "dispersion" not in imported and "kslab.dispersion" not in imported
     assert "fluid_limits" in imported
+
+
+def test_reports_are_built_in_one_place():
+    # every rate report goes through _report; the oscillatory check has no
+    # sweep and builds its own
+    tree = ast.parse((_SRC / "convergence_lab.py").read_text())
+    builders = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "ConvergenceReport":
+            builders.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    assert sorted(builders) == ["_report", "oscillatory_decay_check"]
