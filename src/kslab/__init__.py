@@ -44,7 +44,6 @@ from .fluid_limits import (  # noqa: F401
     transport_coefficients,
     y1_decay_experiment,
     y2_decay_experiment,
-    y2_eigenbasis,
 )
 from .mode_operators import (  # noqa: F401
     ModeOperator,

@@ -15,9 +15,12 @@ stacked decomposition of the generators (mode_operators._decompose_stacked),
 then the block apply and the contraction guard that mode_operators.propagate
 uses too.  Each of these steps works mode by mode, so the chunks leave the
 states bit for bit those of one stack.  The fluid references are
-fluid_limits._heat_flow for the kinetic heat flow, which _kinetic_errors
-evaluates one block of time rows at a time, and _field_reference for the
-damped-Maxwell flow, a whole grid.  The compressible split is
+fluid_limits._heat_flow for the kinetic heat flow (on the one heat decay,
+fluid_limits._heat_decay), which _kinetic_errors evaluates one block of time
+rows at a time, and _field_reference for the damped-Maxwell flow
+(fluid_limits._field_flow), a whole grid.  transient_rate_check takes the
+remainder of a semigroup split through mode_operators._remainder_flow, which
+runs on the same block apply.  The compressible split is
 fluid_limits.p_split, which works on the last axis of any array.
 _kinetic_errors reduces a grid to the incompressible error and the
 compressible L1 proxy per time, and _field_sq is the electromagnetic metric,
@@ -722,10 +725,13 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
 
     The perpendicular error carries an exponentially decaying term whose
     coefficient sits in the remainder part of the semigroup splitting; the
-    splitting projector extracts it from a generic trajectory without the
-    O(eps) bulk floor.  Its rate, fitted on tau in [1/b, 14/b] with b =
-    measured_gap_b, must agree with b; the splitting measures b on a window
-    of its own, [1/g, 18/g] with g the remainder's gap.
+    remainder flow e^{tau A} S3 extracts it from a generic trajectory without
+    the O(eps) bulk floor.  That flow is mode_operators._remainder_flow, the
+    block apply on the columns the split leaves to S3 (from (I - P) u0 on a
+    Schur block), so no taken branch leaves a rounding residue; the result
+    passes the contraction guard of propagate.  Its rate, fitted on tau in
+    [1/b, 14/b] with b = measured_gap_b, must agree with b; the splitting
+    measures b on a window of its own, [1/g, 18/g] with g the remainder's gap.
     """
     _check_experiment(cfg, cm)
     eps = cfg.eps_list[len(cfg.eps_list) // 2] if eps is None else eps

@@ -17,14 +17,17 @@ Duhamel forcing integrals apply it on their quadrature nodes in one call.
 Its field blocks use a confluent-safe two-by-two exponential, so the
 branch-collision wave number needs no special casing.
 
-The heat side has the same shape: _heat_flow evolves a grid of kinetic modes
-over a grid of times as Y1_mode does one, and p_split, the compressible /
-incompressible splitting, acts on the last axis of any array of modes.  The
-rate experiments build their fluid references and error streams from these
-two.  The quadratic forms of _core_values, with the hydrodynamic directions
-h0, ht1 and h+- and the sound speed _SOUND_SPEED, are the one source of the
-transport coefficients and of dispersion.expansion_coefficients, which read
-one pass of them per collision set (_own_core_values).
+The heat side has the same shape: _heat_decay is the one heat decay
+exp(-a_j s^2 t) of the three heat branches, and Y1_mode (one mode), _heat_flow
+(a grid of kinetic modes over a grid of times) and the aggregate heat decay
+experiment all evaluate it; p_split, the compressible / incompressible
+splitting, acts on the last axis of any array of modes.  The rate
+experiments build their fluid references and error streams from _heat_flow
+and p_split.  The quadratic forms of _core_values, with the hydrodynamic
+directions h0, ht1 and h+- and the sound speed _SOUND_SPEED, are the one
+source of the transport coefficients and of
+dispersion.expansion_coefficients, which read one pass of them per collision
+set (_own_core_values).
 
 Bad input fails at the boundary with FluidError, the module's documented
 error: times, wave numbers, mode data and forcing values that are not finite
@@ -198,6 +201,13 @@ def _heat_rates(tc: TransportCoefficients) -> np.ndarray:
     return np.array([tc.a_list[0], tc.a_list[2], tc.a_list[3]])
 
 
+def _heat_decay(t, s, tc: TransportCoefficients) -> np.ndarray:
+    """exp(-a_j s^2 t) of the three heat branches: (n_t, n_s, 3) over arrays of
+    times t and wave numbers s, (3,) at a scalar t and s."""
+    return np.exp(-np.multiply.outer(np.asarray(t, dtype=float), s**2)[..., None]
+                  * _heat_rates(tc))
+
+
 def _check_time_and_wave(t: float, s: float) -> None:
     if not (_finite(t) and _finite(s)):
         raise FluidError(f"time and wave number must be finite real numbers, got t={t!r}, s={s!r}")
@@ -242,10 +252,9 @@ def Y1_mode(t: float, s: float, f0: np.ndarray,
     defect = np.linalg.norm(f0 - p0 @ f0)
     if defect > _CONSTRAINT_TOL * max(1.0, np.linalg.norm(f0)):
         raise FluidError("initial state has a microscopic component")
-    hs = _heat_basis(basis)
-    coeffs = np.array([np.exp(-a * s * s * t) * (f0 @ h)
-                       for a, h in zip(_heat_rates(tc), hs)])
-    f = sum(c * h for c, h in zip(coeffs, hs))
+    hs = np.array(_heat_basis(basis))
+    coeffs = _heat_decay(t, s, tc) * (hs @ f0)
+    f = coeffs @ hs
     return FluidModeState(kind="y1", s=s, t=t, coefficients=coeffs, f=f)
 
 
@@ -257,9 +266,7 @@ def _heat_flow(f0: np.ndarray, s: np.ndarray, t: np.ndarray,
     dropped.  Returns (n_t, n_s, dim) states.
     """
     hs = np.array(_heat_basis(basis))
-    decay = np.exp(-np.multiply.outer(np.asarray(t, dtype=float), s**2)[..., None]
-                   * _heat_rates(tc))
-    return (decay * (f0 @ hs.T)) @ hs
+    return (_heat_decay(t, s, tc) * (f0 @ hs.T)) @ hs
 
 
 def _frame(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,41 +342,6 @@ def _fields(omega: np.ndarray, s: float, rho, x2, x3, y2, y3):
     y = np.multiply.outer(y2, p1) + np.multiply.outer(y3, p2)
     e_field = -1j * np.multiply.outer(rho, omega) / s - np.cross(omega, x)
     return e_field, -np.cross(omega, y)
-
-
-def y2_eigenbasis(s: float, eta: float):
-    """Decay rates, reduced eigenvectors, and the metric of the field system.
-
-    Reduced coordinates: (charge, two field-rotation components, two
-    magnetic-rotation components).  Valid away from the branch collision.
-    Raises FluidError unless s > 0 and eta >= 0 are finite real numbers.
-    """
-    if not (_finite(s) and _finite(eta)):
-        raise FluidError(f"non-finite or non-real wave number or eta, got s={s!r}, eta={eta!r}")
-    if s <= 0:
-        raise FluidError("wave number must be positive")
-    if eta < 0:
-        raise FluidError(f"eta must be nonnegative, got {eta!r}")
-    disc = complex(eta * eta - 4.0 * s * s)
-    if abs(disc) < 1e-12:
-        raise FluidError("eigenbasis degenerate at the branch collision")
-    root = np.sqrt(disc)
-    b_minus = (-eta - root) / 2.0
-    b_plus = (-eta + root) / 2.0
-    b = np.array([-eta * (1.0 + s * s), b_minus, b_minus, b_plus, b_plus])
-    x = np.zeros((5, 5), dtype=complex)
-    x[0, 0] = s / math.sqrt(1.0 + s * s)
-    for col, bk, pol in ((1, b_minus, 0), (2, b_minus, 1),
-                         (3, b_plus, 0), (4, b_plus, 1)):
-        ck = bk / np.sqrt(bk * bk - s * s)
-        if pol == 0:
-            x[2, col] = ck
-            x[3, col] = 1j * s * ck / bk
-        else:
-            x[1, col] = -ck
-            x[4, col] = 1j * s * ck / bk
-    metric = np.array([1.0 + s**-2, 1.0, 1.0, 1.0, 1.0])
-    return b, x, metric
 
 
 def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
@@ -622,10 +594,7 @@ def y1_decay_experiment(tc: TransportCoefficients) -> DecayFit:
     times = np.geomspace(*_DECAY_WINDOWS["generic"])
     s, w = _radial_grid()
     profile = np.exp(-0.5 * (s / _Y1_PROFILE_WIDTH) ** 2)
-    rates = _heat_rates(tc)
-    norms = np.empty(len(times))
-    for i, t in enumerate(times):
-        density = sum(np.abs(np.exp(-a * s * s * t) * profile)**2 for a in rates)
-        norms[i] = math.sqrt(4.0 * math.pi * float(w @ density))
+    density = np.sum((_heat_decay(times, s, tc) * profile[:, None])**2, axis=-1)
+    norms = np.sqrt(4.0 * math.pi * (density @ w))
     slope = float(np.polyfit(np.log1p(times), np.log(norms), 1)[0])
     return DecayFit(times=times, norms=norms, exponent=slope)

@@ -20,19 +20,24 @@ and gives each operator one record per block: views into the stacks, or the
 block's Schur form when its eigenvectors are too ill-conditioned: when the
 Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper bound on cond_2(V_b)
 taken from the inverse the eig record needs anyway, reaches
-_EIG_COND_LIMIT.  _block_flow is the one apply, e^{tau A} u0 =
+_EIG_COND_LIMIT.  spectrum takes its residuals per block, and the
+semigroup split marks the eigenvalues it takes into S1/S2 with a mask per
+block copy, m, and a projector P_b per Schur block.
+
+_block_flow is the one apply of the semigroup, e^{tau A} u0 =
 V_b diag(e^{tau lam}) V_b^{-1} u0 or Z_b e^{tau T_b} Z_b^H u0 on every block
-copy, for one operator (propagate) or each chunk of a mode grid
-(convergence_lab._evolve_grid); both check the result with the one
-contraction guard, _contraction_violations.  spectrum takes its residuals
-per block, and the semigroup split marks the eigenvalues it takes into S1/S2
-with a mask per block copy, m, and a projector P_b per Schur block; the
-remainder e^{tau A} S3 = V_b diag(e^{tau lam} (1 - m)) V_b^{-1}, or
-Z_b e^{tau T_b} Z_b^H (I - P_b), then gives the remainder fit without a
-dense matrix.  The dense generator (ModeOperator.matrix) and the split's
-S1_part, S2_part and S3_part are views for callers outside the package
-(tests and benchmark checks compare them with dense references), assembled
-from the blocks when asked for; the package itself reads none.
+copy, for one operator (propagate), each chunk of a mode grid
+(convergence_lab._evolve_grid) and the remainder of a split
+(_remainder_flow): e^{tau A} S3 u0 is _block_flow on the columns off the
+mask, V_b diag(e^{tau lam} (1 - m)) V_b^{-1} u0, from (I - P_b) u0 on a Schur
+block.  The results are checked with the one contraction guard,
+_contraction_violations.  The remainder norms take the same two forms as
+operators, so the remainder fit needs no dense matrix.
+
+The dense generator (ModeOperator.matrix) and the split's S1_part, S2_part
+and S3_part are views for callers outside the package (tests and benchmark
+checks compare them with dense references), assembled from the blocks when
+asked for; the package itself reads none.
 
 Each block carries its parity phases, one per row: i^l by the Legendre
 degree l of a kinetic row, i on the X and 1 on the Y row of the field block.
@@ -448,32 +453,50 @@ def spectrum(op: ModeOperator):
 
 def _schur_flow(t: np.ndarray, z: np.ndarray, taus) -> np.ndarray:
     """(n_t, k, k) flows Z e^{tau T} Z^H of a Schur record, one per tau."""
-    return np.stack([z @ expm(tau * t) @ z.conj().T for tau in taus])
+    return np.array([z @ expm(tau * t) @ z.conj().T for tau in taus],
+                    dtype=complex).reshape(len(taus), *t.shape)
+
+
+def _stacks_of_one(dec: _Decomposition) -> list:
+    """One operator's eig records as the stacks _block_flow takes: stacks of
+    one, and None on its Schur blocks."""
+    return [None if s else (lb[None], vb[None], wb[None])
+            for (lb, vb, wb), s in zip(dec.blocks, dec.schur)]
 
 
 def _block_flow(ops: list[ModeOperator], parts, states0: np.ndarray,
-                taus: np.ndarray) -> np.ndarray:
+                taus: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """(n, n_t, dim) states e^{tau A} u0 of n operators sharing one block layout.
 
     ``parts`` holds per block the stacked (eigenvalues, right vectors,
     inverses) of _decompose_stacked, or None if no operator has an eig record
     there; ``states0`` the (n, dim) initial states.  Schur records flow as
-    Z e^{tau T} Z^H.
+    Z e^{tau T} Z^H.  ``keep``, an (n, dim) mask over the columns (see
+    _Decomposition), restricts each eig copy to its kept columns,
+    V (e^{tau lam} keep V^{-1} u0), so a dropped column leaves no rounding
+    residue; it leaves the Schur records alone.
     """
-    out = np.zeros((len(states0), len(taus), states0.shape[1]), dtype=complex)
+    n = len(states0)
+    out = np.zeros((n, len(taus), states0.shape[1]), dtype=complex)
+    col = 0
     for b, block in enumerate(ops[0].blocks):
+        k, n_copies = block.matrix.shape[0], len(block.copies)
         if parts[b] is not None:
             lam, vr, vinv = parts[b]
             growth = np.exp(taus[None, :, None] * lam[:, None, :])
             vr_t = np.swapaxes(vr, 1, 2)
-            for idx, sign in block.copies:
+            if keep is not None:
+                kept = keep[:, col:col + k * n_copies].reshape(n, n_copies, 1, k)
+            for c, (idx, sign) in enumerate(block.copies):
                 coef = (vinv @ (states0[:, idx] * sign)[:, :, None])[:, None, :, 0]
-                out[:, :, idx] = ((growth * coef) @ vr_t) * sign
+                g = growth if keep is None else growth * kept[:, c]
+                out[:, :, idx] = ((g * coef) @ vr_t) * sign
         for i, op in enumerate(ops):
             if op._decomp.schur[b]:
                 flow = _schur_flow(*op._decomp.blocks[b][1:], taus)
                 for idx, sign in block.copies:
                     out[i][:, idx] = (flow @ (states0[i, idx] * sign)) * sign
+        col += k * n_copies
     return out
 
 
@@ -486,7 +509,8 @@ def _contraction_violations(metric: np.ndarray, states0: np.ndarray,
     non-finite norm counts as a violation.
     """
     n0 = np.sqrt(np.sum(metric * np.abs(states0) ** 2, axis=-1))
-    n1 = np.sqrt(np.max(np.sum(metric[:, None] * np.abs(states) ** 2, axis=-1), axis=-1))
+    n1 = np.sqrt(np.max(np.sum(metric[:, None] * np.abs(states) ** 2, axis=-1), axis=-1,
+                        initial=0.0))
     return n1 / np.maximum(n0, 1e-300), ~(n1 <= n0 * (1.0 + 1e-6) + 1e-12)
 
 
@@ -512,9 +536,7 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
     if np.any(times < 0):
         raise ValueError("time must be nonnegative")
     dec = _decomposition(op)
-    parts = [None if s else (lb[None], vb[None], wb[None])
-             for (lb, vb, wb), s in zip(dec.blocks, dec.schur)]
-    out = _block_flow([op], parts, u0[None], np.atleast_1d(times) / op.eps**2)[0]
+    out = _block_flow([op], _stacks_of_one(dec), u0[None], np.atleast_1d(times) / op.eps**2)[0]
     growth, bad = _contraction_violations(op.metric_diag[None], u0[None], out[None])
     if bad[0]:
         raise PropagationError(
@@ -536,15 +558,13 @@ class SemigroupSplit:
     go to S1 (low regime) or S2 (high regime); it is per block copy, so one
     copy of a degenerate pair can be taken without the other.  A Schur block
     takes its branch on every copy with the spectral projector
-    ``schur_projectors[b]`` of its reordered Schur form, and
-    ``eigen_projections`` come from the eig blocks only.  The remainder fit
+    ``schur_projectors[b]`` of its reordered Schur form.  The remainder fit
     and every S*_part come from the blocks: S1_part, S2_part and S3_part =
     I - S1_part - S2_part are dense views, built on first access.
     """
 
     op: ModeOperator
     regime: str                       # low | high | mid
-    eigen_projections: list           # (eigenvalue, right, left) triples
     measured_gap_b: float
     fit_C: float
     defective: bool
@@ -623,15 +643,10 @@ def semigroup_split(op: ModeOperator) -> SemigroupSplit:
     mask[schur_cols] = lam[schur_cols].real >= cut
     projectors = tuple(_schur_projector(block.matrix, lambda z: z.real >= cut)[0] if s else None
                        for block, s in zip(op.blocks, dec.schur))
-    cols = order[mask[order] & ~schur_cols[order]]
-    right, left = _dense_vectors(
-        op, [None if s else rec[1:] for rec, s in zip(dec.blocks, dec.schur)], cols)
-    projections = [(lam[j], right[:, i], left[i].conj() / op.metric_diag)
-                   for i, j in enumerate(cols)]
     b, c_fit = _fit_remainder_decay(
         lam[~mask], lambda taus: _remainder_norms(op, mask, projectors, taus))
-    return SemigroupSplit(op=op, regime=regime, eigen_projections=projections,
-                          measured_gap_b=b, fit_C=c_fit, defective=dec.path == "schur",
+    return SemigroupSplit(op=op, regime=regime, measured_gap_b=b, fit_C=c_fit,
+                          defective=dec.path == "schur",
                           branch_mask=mask, schur_projectors=projectors)
 
 
@@ -704,20 +719,16 @@ def _real_frame_norms(left: np.ndarray, right: np.ndarray, lam: np.ndarray,
 
 
 def _remainder_flow(split: SemigroupSplit, u0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """(n_t, dim) states e^{tau A} S3 u0: V (e^{tau lam} (1 - m) V^{-1} u0) on an
-    eig copy, so no taken branch leaves a rounding residue, and
-    Z e^{tau T} Z^H (I - P) u0 on a Schur copy."""
+    """(n_t, dim) states e^{tau A} S3 u0 by _block_flow: a Schur copy starts
+    from (I - P) u0, and an eig copy keeps the columns off the branch mask."""
     dec = _decomposition(split.op)
-    out = np.zeros((len(taus), split.op.dim), dtype=complex)
-    for b, idx, sign, cols in _copy_columns(split.op):
-        lb, x, y = dec.blocks[b]
-        u = u0[idx] * sign
+    start = np.array(u0, dtype=complex)
+    for b, idx, sign, _ in _copy_columns(split.op):
         if dec.schur[b]:
-            out[:, idx] = (_schur_flow(x, y, taus) @ (u - split.schur_projectors[b] @ u)) * sign
-        else:
-            growth = np.exp(np.multiply.outer(taus, lb)) * ~split.branch_mask[cols]
-            out[:, idx] = ((growth * (y @ u)) @ x.T) * sign
-    return out
+            u = u0[idx] * sign
+            start[idx] = (u - split.schur_projectors[b] @ u) * sign
+    return _block_flow([split.op], _stacks_of_one(dec), start[None], taus,
+                       ~split.branch_mask[None])[0]
 
 
 def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, float]:

@@ -3,10 +3,11 @@
 kslab never runs these.  Each computes a library quantity by a route of its
 own: the metric adjoint assembled term by term and as a dense conjugation, the
 dense propagator column by column, polynomial projections on the sub-basis
-grid, expansion coefficients fitted to eigenvalue sweeps, and the wave
-integral by Monte Carlo.  A test that compares the two therefore checks the
-library against code the library does not share.  test_oracles.py checks that
-none of the names defined here exists in a kslab module.
+grid, expansion coefficients fitted to eigenvalue sweeps, the wave integral
+by Monte Carlo, and the damped-Maxwell field flow in its eigenbasis.  A test
+that compares the two therefore checks the library against code the library
+does not share.  test_oracles.py checks that none of the names defined here
+exists in a kslab module.
 """
 import math
 
@@ -58,6 +59,32 @@ def metric_adjoint(op):
 def propagator_matrix(op, t):
     """Dense e^{(t/eps^2) A}: the propagated unit vectors, as columns."""
     return np.stack([propagate(op, e, t) for e in np.eye(op.dim)], axis=1)
+
+
+def y2_eigenbasis(s, eta):
+    """Decay rates, reduced eigenvectors, and the metric of the field system.
+
+    Reduced coordinates: (charge, two field-rotation components, two
+    magnetic-rotation components), as in fluid_limits._field_flow.  Valid
+    for s > 0 away from the branch collision eta = 2 s.
+    """
+    root = np.sqrt(complex(eta * eta - 4.0 * s * s))
+    b_minus = (-eta - root) / 2.0
+    b_plus = (-eta + root) / 2.0
+    b = np.array([-eta * (1.0 + s * s), b_minus, b_minus, b_plus, b_plus])
+    x = np.zeros((5, 5), dtype=complex)
+    x[0, 0] = s / math.sqrt(1.0 + s * s)
+    for col, bk, pol in ((1, b_minus, 0), (2, b_minus, 1),
+                         (3, b_plus, 0), (4, b_plus, 1)):
+        ck = bk / np.sqrt(bk * bk - s * s)
+        if pol == 0:
+            x[2, col] = ck
+            x[3, col] = 1j * s * ck / bk
+        else:
+            x[1, col] = -ck
+            x[4, col] = 1j * s * ck / bk
+    metric = np.array([1.0 + s**-2, 1.0, 1.0, 1.0, 1.0])
+    return b, x, metric
 
 
 def project_poly_to_sub(gamma, poly):

@@ -301,6 +301,14 @@ class TestBlockFlow:
         with pytest.raises(mo.PropagationError, match="contraction violated"):
             mo.propagate(op, np.ones(op.dim), 0.5)
 
+    @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
+    def test_empty_time_array_gives_no_rows(self, collision_small, monkeypatch, cond_limit):
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
+        op = mo.assemble_A_tilde(1.3, 0.2, collision_small)
+        rows = mo.propagate(op, _random_states(op.dim, 1, 8)[0], np.array([]))
+        assert rows.shape == (0, op.dim)
+        assert mo._decomposition(op).path == ("eig" if cond_limit > 1.0 else "schur")
+
 
 class TestSemigroupSplit:
     def test_low_regime_partition_and_count(self, collision_default):
@@ -326,11 +334,15 @@ class TestSemigroupSplit:
     def test_branch_projections_biorthonormal(self, collision_default):
         op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
         sp = mo.semigroup_split(op)
-        gram = np.array([
-            [op.weighted_inner(ri, lj) for (_, _, lj) in sp.eigen_projections]
-            for (_, ri, _) in sp.eigen_projections
-        ])
-        assert np.abs(gram - np.eye(len(sp.eigen_projections))).max() <= 1e-10
+        dec = mo._decomposition(op)
+        assert dec.path == "eig"
+        right, left = mo._dense_vectors(op, [rec[1:] for rec in dec.blocks],
+                                        np.flatnonzero(sp.branch_mask))
+        # the adjoint vectors of the weighted product pair with the branch vectors
+        adjoint = left.conj() / op.metric_diag
+        gram = np.array([[op.weighted_inner(ri, lj) for lj in adjoint] for ri in right.T])
+        assert np.abs(gram - np.eye(5)).max() <= 1e-10
+        assert np.abs(right @ left - sp.S1_part).max() <= 1e-10
 
     def test_remainder_rate_positive_and_matches_gap(self, collision_default):
         op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
@@ -350,7 +362,7 @@ class TestSemigroupSplit:
         eye = np.eye(op.dim)
         assert np.abs(sp.S2_part + sp.S3_part - eye).max() <= 1e-10
         centers = np.array([1j * op.eps**2 * op.s, -1j * op.eps**2 * op.s])
-        for lam_j, _, _ in sp.eigen_projections:
+        for lam_j in mo._decomposition(op).lam[sp.branch_mask]:
             assert np.min(np.abs(lam_j - centers)) <= 0.1 * op.eps**2
 
     def test_mid_regime_is_remainder_only(self, collision_default):
@@ -468,6 +480,23 @@ class TestPerBlockSplit:
             dense = np.linalg.norm((flow / gh[None, :]) * gh[:, None], ord=2)
             assert abs(norm - dense) <= 1e-10 * dense
 
+    @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
+    @pytest.mark.parametrize("kind,s,eps", [("B", 1.0, 0.05), ("A", 1.3, 0.04),
+                                            ("A", 16.0, 1.0)], ids=["B-low", "A-low", "A-high"])
+    def test_remainder_flow_matches_dense_exponential(self, collision_default, monkeypatch,
+                                                      kind, s, eps, cond_limit):
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
+        assemble = mo.assemble_B if kind == "B" else mo.assemble_A_tilde
+        op = assemble(s, eps, collision_default)
+        sp = mo.semigroup_split(op)
+        assert sp.defective == (cond_limit == 1.0)
+        u0 = _random_states(op.dim, 1, 12)[0]
+        taus = np.array([0.0, 0.3, 1.0, 3.0]) / sp.measured_gap_b
+        got = mo._remainder_flow(sp, u0, taus)
+        for tau, row in zip(taus, got):
+            want = sl.expm(tau * op.matrix) @ sp.S3_part @ u0
+            assert np.abs(row - want).max() <= 1e-11 * np.abs(want).max()
+
     def test_split_and_propagate_build_no_dense_propagator(self, collision_default,
                                                           collision_small, monkeypatch):
         op = mo.assemble_A_tilde(1.3, 0.04, collision_default)
@@ -563,9 +592,9 @@ class TestPerBlockSplit:
         # the branch part is the dense spectral projector of the taken eigenvalues
         lam, vr = np.linalg.eig(op.matrix)
         sel = np.zeros(lam.size, bool)
-        for lam_j, _, _ in sp.eigen_projections:
+        for lam_j in mo._decomposition(op).lam[sp.branch_mask]:
             sel |= np.abs(lam - lam_j) <= 1e-8 * max(1.0, abs(lam_j))
-        assert sel.sum() == len(sp.eigen_projections)
+        assert sel.sum() == sp.branch_mask.sum()
         dense = vr[:, sel] @ np.linalg.inv(vr)[sel]
         assert np.abs(s1 + s2 - dense).max() <= 1e-8
 
@@ -806,7 +835,8 @@ class TestRealFrameNorms:
         assert real_path_sizes == []
         # the dense exponential agrees as well
         s3 = np.eye(2 * k) - mo.SemigroupSplit(
-            op, "low", [], 0.0, 0.0, False, mask, (None,)).S1_part
+            op=op, regime="low", measured_gap_b=0.0, fit_C=0.0, defective=False,
+            branch_mask=mask, schur_projectors=(None,)).S1_part
         gh = np.sqrt(metric)
         for tau, norm in zip(taus[:3], got):
             flow = sl.expm(tau * op.matrix) @ s3

@@ -41,8 +41,8 @@ def _library_namespaces():
 def test_oracle_names_are_absent_from_the_library():
     defined = _defined_names(Path(oracles.__file__))
     assert {"mc_reference", "_MC_CHUNK", "assemble_A_tilde_star", "metric_adjoint",
-            "propagator_matrix", "project_poly_to_sub",
-            "fit_boltzmann_expansion"} <= defined
+            "propagator_matrix", "project_poly_to_sub", "fit_boltzmann_expansion",
+            "y2_eigenbasis"} <= defined
     namespaces = dict(_library_namespaces())
     assert "kslab.mode_operators.ModeOperator" in namespaces
     for label, names in namespaces.items():
