@@ -728,6 +728,12 @@ _BAD_CALLS = {
         "t-negative": lambda tc, b: _y2(tc, t=-1.0),
         "s-zero": lambda tc, b: _y2(tc, s=0.0),
         "s-none": lambda tc, b: _y2(tc, s=None),
+        "s-bool": lambda tc, b: _y2(tc, s=True),
+        "s-str": lambda tc, b: _y2(tc, s="1"),
+        "s-complex": lambda tc, b: _y2(tc, s=1 + 1j),
+        "s-nan": lambda tc, b: _y2(tc, s=math.nan),
+        "s-inf": lambda tc, b: _y2(tc, s=math.inf),
+        "s-negative": lambda tc, b: _y2(tc, s=-1.0),
         "rho0-str": lambda tc, b: _y2(tc, rho0="x"),
         "rho0-none": lambda tc, b: _y2(tc, rho0=None),
         "rho0-nan": lambda tc, b: _y2(tc, rho0=math.nan),
@@ -776,6 +782,11 @@ _BAD_CALLS = {
         "s-bool": lambda tc, b: _solve(tc, s=True),
         "s-str": lambda tc, b: _solve(tc, s="1.0"),
         "s-zero": lambda tc, b: _solve(tc, s=0.0),
+        "s-none": lambda tc, b: _solve(tc, s=None),
+        "s-complex": lambda tc, b: _solve(tc, s=1 + 1j),
+        "s-nan": lambda tc, b: _solve(tc, s=math.nan),
+        "s-inf": lambda tc, b: _solve(tc, s=math.inf),
+        "s-negative": lambda tc, b: _solve(tc, s=-1.0),
         "n0-str": lambda tc, b: _solve(tc, n0="x"),
         "q0-none": lambda tc, b: _solve(tc, q0=None),
         "rho0-nan": lambda tc, b: _solve(tc, rho0=math.nan),
