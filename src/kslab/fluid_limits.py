@@ -12,20 +12,21 @@ A wave direction omega must be a finite unit 3-vector.
 The damped-Maxwell evolution is one array-valued flow, _field_flow, on the
 reduced coordinates (charge, omega x E, omega x B) over a grid of wave
 numbers and times.  Y2_mode, the linear solver, the aggregate decay
-experiment and the rate experiments in convergence_lab all evaluate it; the
-Duhamel forcing integrals apply it on their quadrature nodes in one call.
+experiment and the rate experiments in convergence_lab all evaluate it.
 Its field blocks use a confluent-safe two-by-two exponential, so the
 branch-collision wave number needs no special casing.
 
 The heat side has the same shape: _heat_decay is the one heat decay
 exp(-a_j s^2 t) of the three heat branches, and Y1_mode (one mode), _heat_flow
-(a grid of kinetic modes over a grid of times) and the aggregate heat decay
-experiment all evaluate it; p_split, the compressible / incompressible
-splitting, acts on the last axis of any array of modes.  The rate
-experiments build their fluid references and error streams from _heat_flow
-and p_split.  The quadratic forms of _core_values, with the hydrodynamic
-directions h0, ht1 and h+- and the sound speed _SOUND_SPEED, are the one
-source of the transport coefficients and of
+(a grid of kinetic modes over a grid of times), the aggregate heat decay
+experiment and the linear solver (its entropy and shear columns) all evaluate
+it.  The solver's Duhamel integrals apply the same two flows to every
+quadrature node of every time in one call per rule.  p_split, the
+compressible / incompressible splitting, acts on the last axis of any array
+of modes.  The rate experiments build their fluid references and error
+streams from _heat_flow and p_split.  The quadratic forms of _core_values,
+with the hydrodynamic directions h0, ht1 and h+- and the sound speed
+_SOUND_SPEED, are the one source of the transport coefficients and of
 dispersion.expansion_coefficients, which read one pass of them per collision
 set (_own_core_values).
 
@@ -202,8 +203,8 @@ def _heat_rates(tc: TransportCoefficients) -> np.ndarray:
 
 
 def _heat_decay(t, s, tc: TransportCoefficients) -> np.ndarray:
-    """exp(-a_j s^2 t) of the three heat branches: (n_t, n_s, 3) over arrays of
-    times t and wave numbers s, (3,) at a scalar t and s."""
+    """exp(-a_j s^2 t) of the three heat branches, (*t.shape, *s.shape, 3) over
+    times t and wave numbers s."""
     return np.exp(-np.multiply.outer(np.asarray(t, dtype=float), s**2)[..., None]
                   * _heat_rates(tc))
 
@@ -424,52 +425,56 @@ def _check_mode(mode: NsmfMode) -> None:
         raise FluidError("density and heat modes must satisfy the trace relation")
 
 
-def _forcing(g: Callable, tau: float, shape: tuple) -> np.ndarray:
-    """g(tau), which must be a finite number (shape ()) or 3-vector (shape (3,))."""
-    value = g(tau)
-    if not (_finite_complex_array(value) and np.shape(value) == shape):
-        raise FluidError(f"non-finite forcing or forcing not of shape {shape}: {value!r}")
-    return value
+def _forcing(g: Callable, taus: np.ndarray, shape: tuple) -> np.ndarray:
+    """g at each of taus, (len(taus), *shape); every value must be a finite number
+    (shape ()) or 3-vector (shape (3,))."""
+    values = [g(tau) for tau in taus]
+    for value in values:
+        if not (_finite_complex_array(value) and np.shape(value) == shape):
+            raise FluidError(f"non-finite forcing or forcing not of shape {shape}: {value!r}")
+    return np.array(values, dtype=complex).reshape(len(taus), *shape)
 
 
-def _geometric_panels(t: float, n: int) -> np.ndarray:
-    edges = t * np.geomspace(1e-3, 1.0, n)
-    return np.concatenate(([0.0], edges))
+def _duhamel(propagate: Callable, force: Callable, times: np.ndarray) -> np.ndarray:
+    """integral_0^t propagate(t - tau, force(tau)) dtau for each t of times, panelwise Gauss.
 
-
-def _duhamel(propagate: Callable, force: Callable, t: float) -> np.ndarray:
-    """integral_0^t propagate(t - tau, force(tau)) dtau, panelwise Gauss.
-
-    force(tau) gives the forcing components at one time.  propagate(lags, f)
-    applies the unforced flow over each lag to the rows of f, one row per
-    quadrature node, in a single call.  Returns the integrated components.
+    Each t has geometric panels on [0, t] (zero weights at t = 0).  force(taus)
+    gives the forcing components at a flat array of times, one row each, and
+    propagate(lags, f) applies the unforced flow over each lag to the rows of
+    f: one call of each per rule over the nodes of all times.  Returns one
+    row of integrated components per t.
     """
-    def forces(taus):
-        # the roughness test below is False for NaN, so an overflow is rejected here
-        out = np.array([np.atleast_1d(force(tau)) for tau in taus], dtype=complex)
-        if not _finite_complex_array(out):
-            raise FluidError("non-finite forcing")
-        return out
-
-    if t == 0:
-        return np.zeros(forces([0.0]).shape[1], dtype=complex)
     nodes, weights = np.polynomial.legendre.leggauss(6)
 
     def quad(n):
-        edges = _geometric_panels(t, n)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        taus = (mid[:, None] + half[:, None] * nodes).ravel()
-        return (half[:, None] * weights).ravel() @ propagate(t - taus, forces(taus))
+        edges = times[:, None] * np.concatenate(([0.0], np.geomspace(1e-3, 1.0, n)))
+        mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
+        taus = mid[..., None] + half[..., None] * nodes
+        f = force(taus.ravel())
+        # the roughness test below is False for NaN, so an overflow is rejected here
+        if not _finite_complex_array(f):
+            raise FluidError("non-finite forcing")
+        flow = propagate((times[:, None, None] - taus).ravel(), f)
+        return np.einsum("tpn,tpnk->tk", half[..., None] * weights,
+                         flow.reshape(*taus.shape, f.shape[1]))
 
     coarse, fine = quad(_DUHAMEL_PANELS), quad(2 * _DUHAMEL_PANELS)
-    if np.sum(np.abs(fine - coarse)) > 1e-8 * (np.sum(np.abs(fine)) + 1e-12):
+    if np.any(np.sum(np.abs(fine - coarse), axis=1)
+              > 1e-8 * (np.sum(np.abs(fine), axis=1) + 1e-12)):
         raise FluidError("forcing too rough for the Duhamel time quadrature")
     return fine
 
 
 def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
                       tc: TransportCoefficients) -> dict[str, np.ndarray]:
-    """Mode-by-mode solution of the linearized fluid-Maxwell system."""
+    """The linearized fluid-Maxwell system of the modes over the times.
+
+    q and m decay on the entropy and shear columns of _heat_decay, charge and
+    fields on one _field_flow call over all modes, and each forcing adds one
+    _duhamel pass over all times on the same flow.  Returns "t", the
+    (n_t, n_modes) arrays "n", "q", "rho" and "p", and "m", "E" and "B" of
+    shape (n_t, n_modes, 3).
+    """
     _check_record(tc, TransportCoefficients, FluidError)
     if not (_finite_array(times) and np.ndim(times) == 1):
         raise FluidError(f"times must be a 1-D array of finite real numbers, got {times!r}")
@@ -481,52 +486,40 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
     for mode in modes:
         _check_mode(mode)
     nt, nm = len(times), len(modes)
-    out = {
-        "t": times,
-        "n": np.zeros((nt, nm), complex),
-        "m": np.zeros((nt, nm, 3), complex),
-        "q": np.zeros((nt, nm), complex),
-        "rho": np.zeros((nt, nm), complex),
-        "E": np.zeros((nt, nm, 3), complex),
-        "B": np.zeros((nt, nm, 3), complex),
-        "p": np.zeros((nt, nm), complex),
-    }
+    s_modes = np.array([mode.s for mode in modes], dtype=float)
+    decay = _heat_decay(times, s_modes, tc)
+    q = decay[..., 0] * np.array([mode.q0 for mode in modes], dtype=complex)
+    m = decay[..., 1, None] * np.array([mode.m0 for mode in modes], dtype=complex).reshape(nm, 3)
+    start = np.array([(mode.rho0, *_rotated(mode.omega, mode.E0), *_rotated(mode.omega, mode.B0))
+                      for mode in modes], dtype=complex).reshape(nm, 5)
+    flow = np.stack(_field_flow(tc.eta, s_modes, times, *start.T), axis=-1)
+    p = np.zeros((nt, nm), complex)
+    e_field, b_field = np.zeros((2, nt, nm, 3), complex)
     for j, mode in enumerate(modes):
-        s, omega, eta = mode.s, mode.omega, tc.eta
-        frame = np.array(_frame(omega))
-        heat, shear = -tc.kappa1 * s * s, -tc.kappa0 * s * s
-        q = np.exp(heat * times) * complex(mode.q0)
-        m_vec = np.exp(shear * times)[:, None] * np.asarray(mode.m0, complex)
-        flow = np.concatenate(_field_flow(eta, s, times, mode.rho0,
-                                          *_rotated(omega, mode.E0),
-                                          *_rotated(omega, mode.B0)), axis=1)
-
-        def field_force(tau):
-            g = _forcing(mode.g3, tau, (3,))
-            return (1j * s * (omega @ g), *_rotated(omega, g), 0.0, 0.0)
-
-        for i, t in enumerate(times):
-            if mode.g2 is not None:
-                q[i] += _duhamel(lambda lag, f: np.exp(heat * lag)[:, None] * f,
-                                 lambda tau: 0.6 * _forcing(mode.g2, tau, ()), t)[0]
-            if mode.g1 is not None:
-                # only the transverse forcing drives the momentum; the
-                # parallel part is absorbed by the pressure
-                m_vec[i] += _duhamel(lambda lag, f: np.exp(shear * lag)[:, None] * f,
-                                     lambda tau: frame @ _forcing(mode.g1, tau, (3,)),
-                                     t) @ frame
-                out["p"][i, j] = -1j * (omega @ _forcing(mode.g1, t, (3,))) / s
-            if mode.g3 is not None:
-                flow[i] += _duhamel(
-                    lambda lag, f: np.concatenate(
-                        _field_flow(eta, s, lag, *f.T[:, :, None]), axis=1),
-                    field_force, t)
-        out["q"][:, j] = q
-        out["n"][:, j] = -math.sqrt(2.0 / 3.0) * q
-        out["m"][:, j] = m_vec
-        out["rho"][:, j] = flow[:, 0]
-        out["E"][:, j], out["B"][:, j] = _fields(omega, s, *flow.T)
-    return out
+        s, omega = mode.s, np.asarray(mode.omega, dtype=float)
+        if mode.g2 is not None:
+            q[:, j] += _duhamel(lambda lag, f: _heat_decay(lag, s, tc)[:, :1] * f,
+                                lambda taus: 0.6 * _forcing(mode.g2, taus, ())[:, None],
+                                times)[:, 0]
+        if mode.g1 is not None:
+            # only the transverse forcing drives the momentum; the parallel
+            # part is absorbed by the pressure
+            frame = np.array(_frame(omega))
+            m[:, j] += _duhamel(lambda lag, f: _heat_decay(lag, s, tc)[:, 1:2] * f,
+                                lambda taus: _forcing(mode.g1, taus, (3,)) @ frame.T,
+                                times) @ frame
+            p[:, j] = -1j * (_forcing(mode.g1, times, (3,)) @ omega) / s
+        if mode.g3 is not None:
+            # the field forcing drives the charge and X only
+            drive = np.column_stack((1j * s * omega, *_rotated(omega, np.eye(3)),
+                                     np.zeros((3, 2))))
+            flow[:, j] += _duhamel(
+                lambda lag, f: np.concatenate(
+                    _field_flow(tc.eta, s, lag, *f.T[:, :, None]), axis=1),
+                lambda taus: _forcing(mode.g3, taus, (3,)) @ drive, times)
+        e_field[:, j], b_field[:, j] = _fields(omega, s, *flow[:, j].T)
+    return {"t": times, "n": -math.sqrt(2.0 / 3.0) * q, "m": m, "q": q, "rho": flow[..., 0],
+            "E": e_field, "B": b_field, "p": p}
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +531,14 @@ class DecayFit:
     times: np.ndarray
     norms: np.ndarray
     exponent: float
+
+
+def _decay_fit(times: np.ndarray, density: np.ndarray, w: np.ndarray) -> DecayFit:
+    """The aggregate norms sqrt(4 pi density @ w) over the radial weights w and
+    their log-log slope in 1 + t."""
+    norms = np.sqrt(4.0 * math.pi * (density @ w))
+    slope = float(np.polyfit(np.log1p(times), np.log(norms), 1)[0])
+    return DecayFit(times=times, norms=norms, exponent=slope)
 
 
 def _radial_grid():
@@ -578,9 +579,7 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
         rho0, y2 = 1j * s * profile, zero
     flow = _field_flow(tc.eta, s, times, rho0, zero, x3, y2, zero)
     density = (1.0 + s**-2) * np.abs(flow[0])**2 + sum(np.abs(v)**2 for v in flow[1:])
-    norms = np.sqrt(4.0 * math.pi * (density @ w))
-    slope = float(np.polyfit(np.log1p(times), np.log(norms), 1)[0])
-    return DecayFit(times=times, norms=norms, exponent=slope)
+    return _decay_fit(times, density, w)
 
 
 def y1_decay_experiment(tc: TransportCoefficients) -> DecayFit:
@@ -595,6 +594,4 @@ def y1_decay_experiment(tc: TransportCoefficients) -> DecayFit:
     s, w = _radial_grid()
     profile = np.exp(-0.5 * (s / _Y1_PROFILE_WIDTH) ** 2)
     density = np.sum((_heat_decay(times, s, tc) * profile[:, None])**2, axis=-1)
-    norms = np.sqrt(4.0 * math.pi * (density @ w))
-    slope = float(np.polyfit(np.log1p(times), np.log(norms), 1)[0])
-    return DecayFit(times=times, norms=norms, exponent=slope)
+    return _decay_fit(times, density, w)

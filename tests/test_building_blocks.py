@@ -5,8 +5,11 @@ velocity_basis._finite_entries (behind _finite_array and
 _finite_complex_array): no other kslab function calls numpy's isfinite.
 Each semigroup has one apply: mode_operators._block_flow for the kinetic
 flow (the S3 remainder runs on it too; only the remainder norms take their
-own Schur flows), and fluid_limits._heat_decay for the heat decay, the one
-reader of the heat rates.  And convergence_lab reads the sound speed from
+own Schur flows), fluid_limits._heat_decay for the heat decay, the one
+reader of the heat rates, and fluid_limits._field_flow, the one reader of
+the two-by-two field exponential.  The linear fluid solver reads those two
+fluid flows for its unforced and its Duhamel parts: it has no exponential
+of its own and loops over modes, never over times.  And convergence_lab reads the sound speed from
 fluid_limits, so it does not import dispersion, and it builds every rate
 report in _report.
 """
@@ -64,6 +67,27 @@ def test_one_apply_per_semigroup():
                  if ("mode_operators", "_remainder_flow") in _where(_reads(name))}
     assert remainder == {"_block_flow"}
     assert set(_where(_reads("_heat_rates"))) == {("fluid_limits", "_heat_decay")}
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((_SRC / f"{module}.py").read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_one_fluid_solver():
+    assert set(_where(_reads("_field_block"))) == {("fluid_limits", "_field_flow")}
+    assert set(_where(_reads("_heat_decay"))) == {
+        ("fluid_limits", name)
+        for name in ("Y1_mode", "_heat_flow", "y1_decay_experiment", "linear_nsmf_solve")}
+    # whole subtrees, so nested functions and lambdas count too
+    solver = [node for name in ("linear_nsmf_solve", "_duhamel")
+              for node in ast.walk(_function("fluid_limits", name))]
+    assert not [node for node in solver
+                if any(_reads(name)(node) for name in ("exp", "expm", "expm1"))]
+    # every loop and comprehension runs over the modes
+    loops = [node.iter for node in solver if isinstance(node, (ast.For, ast.comprehension))]
+    assert loops and all(any(map(_reads("modes"), ast.walk(it))) for it in loops)
 
 
 def test_convergence_lab_does_not_import_dispersion():

@@ -526,6 +526,30 @@ def _osc_integral(alpha, beta, t):
         if beta else (1.0 - np.exp(alpha * t)) / (-alpha)
 
 
+def _mixed_modes(rng):
+    """Four modes at different wave numbers and random directions: g1 only, g2 only,
+    all three forcings, and g3 only."""
+    modes = []
+    for k, s in enumerate([0.4, 1.1, 2.3, 3.0]):
+        omega = rng.standard_normal(3)
+        omega /= np.linalg.norm(omega)
+        rho0, e0, b0 = _random_field_mode(rng, s, omega)
+        m0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        q0 = 0.3 + 0.1j * k
+        forcings = {}
+        if k in (0, 2):
+            forcings["g1"] = lambda tau, k=k: np.array([math.cos(tau), math.sin(0.3 * k * tau),
+                                                        0.5])
+        if k in (1, 2):
+            forcings["g2"] = lambda tau, k=k: (1.0 + k) * math.exp(-0.2 * tau)
+        if k in (2, 3):
+            forcings["g3"] = lambda tau: np.array([math.sin(tau), 0.3, math.cos(0.5 * tau)])
+        modes.append(fl.NsmfMode(s=s, omega=omega, rho0=rho0, E0=e0, B0=b0,
+                                 m0=m0 - (omega @ m0) * omega, q0=q0,
+                                 n0=-math.sqrt(2 / 3) * q0, **forcings))
+    return modes
+
+
 class TestLinearNsmf:
     def test_unforced_closed_forms(self, tc):
         omega = np.array([1.0, 0.0, 0.0])
@@ -627,6 +651,50 @@ class TestLinearNsmf:
         want_b = -np.cross(omega, ya * p1)
         assert np.linalg.norm(out["E"][0, 0] - want_e) < 1e-6
         assert np.linalg.norm(out["B"][0, 0] - want_b) < 1e-6
+
+    def test_modes_solve_independently(self, tc):
+        # one _field_flow call over all modes and the per-mode rotations give
+        # each column the one-mode solve of its mode
+        modes = _mixed_modes(np.random.default_rng(29))
+        times = np.array([0.0, 0.1, 0.7, 2.0])
+        out = fl.linear_nsmf_solve(modes, times, tc)
+        assert np.array_equal(out["t"], times)
+        for j, mode in enumerate(modes):
+            alone = fl.linear_nsmf_solve([mode], times, tc)
+            for key in ("n", "m", "q", "rho", "E", "B", "p"):
+                assert out[key].shape[:2] == (len(times), len(modes))
+                assert (np.abs(out[key][:, j] - alone[key][:, 0]).max()
+                        <= 1e-14 * np.abs(alone[key]).max())
+
+    def test_no_modes_give_zero_width_arrays(self, tc):
+        out = fl.linear_nsmf_solve([], np.array([0.0, 1.0, 2.5]), tc)
+        for key in ("n", "q", "rho", "p"):
+            assert out[key].shape == (3, 0)
+        for key in ("m", "E", "B"):
+            assert out[key].shape == (3, 0, 3)
+
+    def test_no_times_give_no_rows(self, tc):
+        mode = _mixed_modes(np.random.default_rng(31))[2]
+        assert None not in (mode.g1, mode.g2, mode.g3)
+        out = fl.linear_nsmf_solve([mode], np.array([]), tc)
+        assert out["t"].shape == (0,)
+        for key in ("n", "q", "rho", "p"):
+            assert out[key].shape == (0, 1)
+        for key in ("m", "E", "B"):
+            assert out[key].shape == (0, 1, 3)
+
+    def test_forced_initial_row_is_the_initial_state(self, tc):
+        # a t = 0 row has zero Duhamel weights, so the forcing adds exactly nothing
+        mode = _mixed_modes(np.random.default_rng(37))[2]
+        unforced = dataclasses.replace(mode, g1=None, g2=None, g3=None)
+        times = np.array([0.0, 0.6])
+        out = fl.linear_nsmf_solve([mode], times, tc)
+        ref = fl.linear_nsmf_solve([unforced], times, tc)
+        for key in ("n", "m", "q", "rho", "E", "B"):
+            assert np.array_equal(out[key][0], ref[key][0])
+            assert not np.array_equal(out[key][1], ref[key][1])
+        assert out["q"][0, 0] == mode.q0 and out["rho"][0, 0] == mode.rho0
+        assert np.array_equal(out["m"][0, 0], mode.m0)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_wavenumber_rejected(self, tc, s):

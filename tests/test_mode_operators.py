@@ -757,6 +757,36 @@ class TestParityFrame:
             assert np.abs(t.imag).max() <= 1e-12 * np.abs(t).max()
             frame = mo._real_frame(block)
             assert frame.dtype == float and np.array_equal(frame, t.real)
+            # P G T is symmetric, G the metric and P = (-1)^l on the kinetic
+            # rows (D^2 there), +1 on X and -1 on Y (-D^2 on the field rows)
+            idx = block.copies[0][0]
+            pg = (np.where(idx < cm.basis.dim, 1.0, -1.0) * (block.phase ** 2).real
+                  * op.metric_diag[idx])
+            pgt = pg[:, None] * frame
+            assert np.abs(pgt - pgt.T).max() <= 1e-14 * np.abs(pgt).max()
+
+    @pytest.mark.parametrize("which", ["collision_small", "collision_default"])
+    @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
+    def test_propagate_commutes_with_the_parity_conjugation(self, request, monkeypatch,
+                                                            which, cond_limit):
+        # T real gives e^{tA} D^2 conj(u) = D^2 conj(e^{tA} u), where D^2 is
+        # (-1)^l on the kinetic rows, -1 on X and +1 on Y
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
+        cm = request.getfixturevalue(which)
+        times = np.array([0.0, 0.4, 3.0])
+        for seed, (kind, s, eps) in enumerate([("B", 0.5, 0.1), ("B", 3.0, 0.05),
+                                               ("B", 16.0, 1.0), ("A", 0.5, 0.1),
+                                               ("A", 3.0, 0.05), ("A", 16.0, 1.0)]):
+            op = (mo.assemble_B if kind == "B" else mo.assemble_A_tilde)(s, eps, cm)
+            d2 = np.zeros(op.dim)
+            for block in op.blocks:
+                for idx, _ in block.copies:
+                    d2[idx] = (block.phase ** 2).real
+            u = _random_states(op.dim, 1, seed)[0]
+            lhs = mo.propagate(op, d2 * u.conj(), times)
+            rhs = d2 * mo.propagate(op, u, times).conj()
+            assert np.linalg.norm(lhs - rhs, axis=1).max() <= 1e-12 * np.linalg.norm(u)
+            assert mo._decomposition(op).path == ("eig" if cond_limit > 1.0 else "schur")
 
     def test_phases_follow_degree_and_field(self, collision_small):
         basis = collision_small.basis
