@@ -249,7 +249,7 @@ def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 
 
 
 def _gain_matrices(basis: Basis, top: int):
-    """Galerkin matrices (K1_deg, K_deg) of the gain kernels for Legendre degrees l <= top.
+    """Galerkin matrices (K1, K) of the gain kernels, per Legendre degree l <= top.
 
     The reduced kernels have a derivative kink across r = r', so the double
     radial integral is taken over the triangle r' < r, where the integrand is
@@ -274,7 +274,7 @@ def _gain_matrices(basis: Basis, top: int):
     for l in range(top + 1):
         half_out = basis.radial_tables[l] * basis.quad.wr_half
         bw = (basis.radial_table(l, rb) * inner_w[None, :]).reshape(-1, nq, n_inner)
-        for (k1p, gp), (K1_deg, K_deg) in zip(moments, out):
+        for (k1p, gp), (K1, K) in zip(moments, out):
             t1 = (k1p[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1)
             tg = (gp[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1)
             m1 = half_out @ t1.T
@@ -283,9 +283,9 @@ def _gain_matrices(basis: Basis, top: int):
             # the deflection direction swaps the two post-collision velocities,
             # so the two linearization slots contribute equally.  Only the
             # halved operator annihilates sqrt(M), as the one-sided operator must.
-            K1_deg[l] = 0.5 * (m1 + m1.T)
+            K1[l] = 0.5 * (m1 + m1.T)
             mk = m1 - mg
-            K_deg[l] = mk + mk.T
+            K[l] = mk + mk.T
     return out
 
 
@@ -351,12 +351,16 @@ def _sub_table(points: np.ndarray, indices) -> np.ndarray:
 
 @dataclass
 class GammaTensor:
+    """The bilinear collision term on the 35-element Hermite sub-basis.
+
+    tensor and change_of_basis are None unless assemble_collision built them
+    (build_gamma); indices and chi_sub are always there.
+    """
+
     indices: tuple[tuple[int, int, int], ...]
-    tensor: np.ndarray | None               # (35, 35, 35) weak-form values; None unless built
+    tensor: np.ndarray | None               # (35, 35, 35) weak-form values
     chi_sub: np.ndarray                     # (5, 35) collision invariants
     change_of_basis: np.ndarray | None      # Hermite <- Burnett-sub, orthogonal
-    L_sub: np.ndarray | None                # 35x35, two-species operator
-    L1_sub: np.ndarray | None               # 35x35, single-species operator
 
 
 @functools.cache
@@ -493,6 +497,8 @@ def _real_sph_table(vhat: np.ndarray) -> dict:
 
 
 def _burnett_sub_elements():
+    """The (n, l, m, kind) of each Burnett-type sub-element, in column order of
+    _change_of_basis."""
     els = []
     for (n, l) in _SUB_NL:
         els.append((n, l, 0, "axial"))
@@ -513,9 +519,8 @@ def _sub_quadrature(indices: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @functools.cache
-def _change_of_basis() -> tuple[np.ndarray, tuple]:
+def _change_of_basis() -> np.ndarray:
     """Orthogonal matrix C with C[h, b] = (hermite_h, burnett_b), read-only."""
-    els = _burnett_sub_elements()
     pts, w3, herm = _sub_quadrature(_SUB_INDICES)
     r = np.linalg.norm(pts, axis=1)
     safe_r = np.where(r < 1e-14, 1.0, r)
@@ -525,7 +530,7 @@ def _change_of_basis() -> tuple[np.ndarray, tuple]:
     radial = {l: _radial_rows(cap, l, r, 0.5 * r * r) for l, cap in _SUB_RADIAL_CAP.items()}
 
     cols = []
-    for (n, l, m, kind) in els:
+    for (n, l, m, kind) in _burnett_sub_elements():
         rad = radial[l][n]
         if l > 0:
             rad = np.where(r < 1e-14, 0.0, rad)
@@ -533,22 +538,7 @@ def _change_of_basis() -> tuple[np.ndarray, tuple]:
         cols.append(rad * sph[(l, m, kind)] * _TWO_PI**0.75)
     burn = np.stack(cols, axis=1)
     cmat = (herm * w3[:, None]).T @ burn
-    return _frozen(cmat), tuple(els)
-
-
-def _sub_operator(cmat: np.ndarray, els, radial_blocks: dict) -> np.ndarray:
-    """Conjugate per-degree radial blocks into the Hermite sub-basis."""
-    nb = cmat.shape[0]
-    lam = np.zeros((nb, nb))
-    for (l, cap) in _SUB_RADIAL_CAP.items():
-        block = radial_blocks[l][:cap, :cap]
-        for m_kind in {(m, k) for (_, ll, m, k) in els if ll == l}:
-            rows = [i for i, (n, ll, m, k) in enumerate(els) if ll == l and (m, k) == m_kind]
-            rows = sorted(rows, key=lambda i: els[i][0])
-            for a, ia in enumerate(rows):
-                for b, ib in enumerate(rows):
-                    lam[ia, ib] = block[a, b]
-    return cmat @ lam @ cmat.T
+    return _frozen(cmat)
 
 
 def gamma_apply(cm: "CollisionMatrices", f_sub: np.ndarray, g_sub: np.ndarray) -> np.ndarray:
@@ -585,14 +575,9 @@ class CollisionMatrices:
     """
 
     basis: Basis
-    K_deg: dict[int, np.ndarray]
-    K1_deg: dict[int, np.ndarray]
-    nu_deg: dict[int, np.ndarray]
     L_sector: dict[int, np.ndarray]
     L1_sector: dict[int, np.ndarray]
     mu_estimate: float
-    nu0: float
-    nu1: float
     raw_null_residuals: dict[str, float]
     gamma: GammaTensor
     kernel_refinement_delta: float
@@ -684,70 +669,58 @@ def _degree_blocks(basis: Basis, top: int) -> _DegreeBlocks:
     Raises AssemblyError when the 12- and 24-point panel rules disagree on
     any of these degrees.  A degree's blocks are the same bits whatever top is.
     """
-    (K1_coarse, K_coarse), (K1_deg, K_deg) = _gain_matrices(basis, top)
+    (K1_coarse, K_coarse), (K1, K) = _gain_matrices(basis, top)
     delta = max(
-        max(np.max(np.abs(K1_coarse[l] - K1_deg[l])) for l in K1_deg),
-        max(np.max(np.abs(K_coarse[l] - K_deg[l])) for l in K_deg),
+        max(np.max(np.abs(K1_coarse[l] - K1[l])) for l in K1),
+        max(np.max(np.abs(K_coarse[l] - K[l])) for l in K),
     )
-    scale = 1.0 + max(np.max(np.abs(K1_deg[l])) for l in K1_deg)
+    scale = 1.0 + max(np.max(np.abs(K1[l])) for l in K1)
     if delta > 1e-8 * scale:
         raise AssemblyError(f"kernel quadrature not converged: delta={delta:.3e}")
 
     nu_nodes = _nu_of_r(basis.quad.r)
-    nu_deg = {}
+    nu = {}
     for l in range(top + 1):
         tab = basis.radial_tables[l]
-        nu_deg[l] = (tab * (basis.quad.wr * nu_nodes)) @ tab.T
+        nu[l] = (tab * (basis.quad.wr * nu_nodes)) @ tab.T
 
-    raw = {"L": {l: K_deg[l] - nu_deg[l] for l in range(top + 1)},
-           "L1": {l: K1_deg[l] - nu_deg[l] for l in range(top + 1)}}
+    raw = {"L": {l: K[l] - nu[l] for l in range(top + 1)},
+           "L1": {l: K1[l] - nu[l] for l in range(top + 1)}}
     clean = {which: {l: _clean_block(block, _NULL_RADIAL[which].get(l, ()))
                      for l, block in raw[which].items()} for which in raw}
-    return _DegreeBlocks(K1_deg, K_deg, nu_deg, raw, clean, float(delta))
+    return _DegreeBlocks(K1, K, nu, raw, clean, float(delta))
 
 
 def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatrices:
     """Collision matrices of every Legendre degree of basis, with the Gamma
-    tensor when build_gamma.  Raises ValueError for a basis that is not a
-    Basis and a build_gamma that is not a bool."""
+    tensor and its change of basis when build_gamma.
+
+    Keeps the sector blocks, the spectral gap estimate and two assembly
+    diagnostics: the kernel refinement delta and the norms of the raw
+    blocks' null columns.  Raises ValueError for a basis that is not a Basis
+    and a build_gamma that is not a bool.
+    """
     _check_record(basis, Basis, ValueError)
     if not isinstance(build_gamma, (bool, np.bool_)):
         raise ValueError(f"build_gamma must be a bool, got {build_gamma!r}")
-    spec = basis.spec
-    lmax = spec.angular_max
-    blocks = _degree_blocks(basis, lmax)
+    blocks = _degree_blocks(basis, basis.spec.angular_max)
 
     residuals = {f"{which}(n={n}, l={l})": float(np.linalg.norm(blocks.raw[which][l][:, n]))
                  for which, degrees in _NULL_RADIAL.items()
                  for l, radial in degrees.items() for n in radial}
 
-    mu = _spectral_gap(blocks.clean["L"])
-
-    grid = np.linspace(0.0, 20.0, 2001)
-    ratios = _nu_of_r(grid) / (1.0 + grid)
-    nu0, nu1 = float(ratios.min()), float(ratios.max())
-
-    tensor = cmat = l_sub = l1_sub = None
+    tensor = cmat = None
     if build_gamma:
         tensor = _assemble_gamma_tensor()
-        cmat, els = _change_of_basis()
-        if spec.radial_order >= 3 and lmax >= 4:
-            l_sub = _sub_operator(cmat, els, blocks.raw["L"])
-            l1_sub = _sub_operator(cmat, els, blocks.raw["L1"])
-    gamma = GammaTensor(_SUB_INDICES, tensor, _sub_invariants(), cmat, l_sub, l1_sub)
+        cmat = _change_of_basis()
 
     return CollisionMatrices(
         basis=basis,
-        K_deg=blocks.K,
-        K1_deg=blocks.K1,
-        nu_deg=blocks.nu,
         L_sector=_sector_blocks(blocks.clean["L"]),
         L1_sector=_sector_blocks(blocks.clean["L1"]),
-        mu_estimate=mu,
-        nu0=nu0,
-        nu1=nu1,
+        mu_estimate=_spectral_gap(blocks.clean["L"]),
         raw_null_residuals=residuals,
-        gamma=gamma,
+        gamma=GammaTensor(_SUB_INDICES, tensor, _sub_invariants(), cmat),
         kernel_refinement_delta=blocks.delta,
     )
 

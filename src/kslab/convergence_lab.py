@@ -14,17 +14,17 @@ its working set beyond the result does not grow with n_s: per chunk, one
 stacked decomposition of the generators (mode_operators._decompose_stacked),
 then the block apply and the contraction guard that mode_operators.propagate
 uses too.  Each of these steps works mode by mode, so the chunks leave the
-states bit for bit those of one stack.  The fluid references are
-fluid_limits._heat_flow for the kinetic heat flow (on the one heat decay,
-fluid_limits._heat_decay), which _kinetic_errors evaluates one block of time
-rows at a time, and _field_reference for the damped-Maxwell flow
-(fluid_limits._field_flow), a whole grid.  transient_rate_check takes the
-remainder of a semigroup split through mode_operators._remainder_flow, which
-runs on the same block apply.  The compressible split is
-fluid_limits.p_split, which works on the last axis of any array.
-_kinetic_errors reduces a grid to the incompressible error and the
-compressible L1 proxy per time, and _field_sq is the electromagnetic metric,
-whose charge counts 1 + 1/s^2.  The modes aggregate with H2 weights up to
+states bit for bit those of one stack.  Each error stream evaluates its
+own fluid reference: _kinetic_errors the kinetic heat flow
+fluid_limits._heat_flow (on the one heat decay, fluid_limits._heat_decay),
+one block of time rows at a time, and _field_errors the damped-Maxwell flow
+fluid_limits._field_flow, a whole grid, measured in the electromagnetic
+metric fluid_limits._field_sq, whose charge counts 1 + 1/s^2.
+transient_rate_check takes the remainder of a semigroup split through
+mode_operators._remainder_flow, which runs on the same block apply.  The
+compressible split is fluid_limits.p_split, which works on the last axis of
+any array.  _kinetic_errors reduces a grid to the incompressible error and
+the compressible L1 proxy per time.  The modes aggregate with H2 weights up to
 the cutoff set by _S_CAP and _REGIME_RADIUS.  _fit_eps_slopes holds the
 eps-slope fits and flags, and _report builds every rate report.
 
@@ -54,6 +54,7 @@ from .collision_ops import CollisionMatrices, collision_inverse
 from .fluid_limits import (
     _SOUND_SPEED,
     _field_flow,
+    _field_sq,
     _heat_flow,
     _hydro_vectors,
     p_split,
@@ -266,8 +267,6 @@ class InitialData:
     is then exact at t = 0.
     """
 
-    kind: str
-    seed: int
     width: float
     basis: object
     profile_macro: np.ndarray
@@ -369,8 +368,6 @@ def make_initial_data(kind: str, cfg: ExperimentConfig,
         field_amp = np.zeros(4)
 
     return InitialData(
-        kind=kind,
-        seed=cfg.seed,
         width=cfg.profile_width,
         basis=basis,
         profile_macro=prof_a,
@@ -496,22 +493,6 @@ def _evolve_chunk(assemble: Callable, s_nodes: np.ndarray, eps: float,
     return flow.transpose(1, 0, 2), ~bad
 
 
-def _field_reference(eta: float, s: np.ndarray, times: np.ndarray, rho,
-                     fields, keep: np.ndarray, dim: int) -> np.ndarray:
-    """Damped-Maxwell flow in the electromagnetic layout (kinetic, X, Y).
-
-    rho and the four reduced fields (X2, X3, Y2, Y3) are the initial values
-    per mode; returns (n_t, n_s, dim + 4) states whose kinetic part is the
-    charge alone.  Rows of dropped modes stay zero.
-    """
-    flow = _field_flow(eta, s, times, rho, *fields)
-    out = np.zeros((len(times), len(s), dim + 4), dtype=complex)
-    out[..., 0] = flow[0]
-    out[..., dim:] = np.stack(flow[1:], axis=-1)
-    out[:, ~keep] = 0.0
-    return out
-
-
 def _agg_weights(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Quadrature weights for the squared H2 mode aggregation."""
     return w * s**2 * (1.0 + s**2) ** 2
@@ -522,9 +503,21 @@ def _mode_l2(states: np.ndarray, wq: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(states) ** 2, axis=-1) @ wq)
 
 
-def _field_sq(states: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Squared electromagnetic metric per mode: the charge counts 1 + 1/s^2."""
-    return np.sum(np.abs(states) ** 2, axis=-1) + (1.0 / s**2) * np.abs(states[..., 0]) ** 2
+def _field_errors(kin: np.ndarray, eta: float, s: np.ndarray, times: np.ndarray,
+                  rho, fields, wq: np.ndarray) -> np.ndarray:
+    """Per-time electromagnetic error of (n_t, n_s, dim + 4) states (kinetic, X, Y).
+
+    The fluid state of a mode is the damped-Maxwell flow (_field_flow) of its
+    initial charge rho and reduced fields (X2, X3, Y2, Y3) at times: the charge
+    in kinetic coordinate 0, the fields in the last four, and zero elsewhere.
+    The errors aggregate under _field_sq with the weights wq, which are zero on
+    dropped modes.
+    """
+    flow = _field_flow(eta, s, times, rho, *fields)
+    diff = kin.copy()
+    diff[..., 0] -= flow[0]
+    diff[..., -4:] -= np.stack(flow[1:], axis=-1)
+    return np.sqrt(_field_sq(diff, s) @ wq)
 
 
 def _kinetic_errors(kin: np.ndarray, f0: np.ndarray, s: np.ndarray, times: np.ndarray,
@@ -659,8 +652,6 @@ def first_order_experiment(cfg: ExperimentConfig,
         kin_b, keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures)
         kin_v, keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times, failures)
         wq_b, wq_v = wq * keep_b, wq * keep_v
-        fluid_v = _field_reference(tc.eta, s, times, v0[:, 0], v0[:, dimk:].T,
-                                   keep_v, dimk)
 
         # defect identities at t = 0: the parts no fluid flow carries
         defects["boltzmann"].append(float(_mode_l2(f0 @ p1m.T, wq_b)))
@@ -671,7 +662,8 @@ def first_order_experiment(cfg: ExperimentConfig,
         streams["boltzmann_par_proxy"].append(par.tolist())
         streams["boltzmann_p0"].append(_mode_l2(kin_b @ p0m.T, wq_b).tolist())
         streams["boltzmann_p1"].append(_mode_l2(kin_b @ p1m.T, wq_b).tolist())
-        streams["vmb"].append(np.sqrt(_field_sq(kin_v - fluid_v, s) @ wq_v).tolist())
+        streams["vmb"].append(
+            _field_errors(kin_v, tc.eta, s, times, v0[:, 0], v0[:, dimk:].T, wq_v).tolist())
 
     report = _report("first_order", cfg, cm, cfg.eps_list, times, streams, failures)
     report.metadata["tail_mass_bound"] = tail
@@ -906,7 +898,6 @@ def second_order_experiment(cfg: ExperimentConfig,
     data = make_initial_data("second_order", cfg, cm)
     times = np.concatenate([[0.0], cfg.t_grid()])
     eps_arr = np.asarray(cfg.eps_list)
-    dimk = basis.dim
 
     z2, e_z = corrector_shapes(cm, data.boltzmann_micro, data.vmb_micro)
     streams = {name: [] for name in ("vmb", "boltzmann_perp", "boltzmann_par_proxy")}
@@ -926,15 +917,14 @@ def second_order_experiment(cfg: ExperimentConfig,
         kin_v, keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times_all, failures)
         kin_b, kin_v = kin_b / eps, kin_v / eps
         wq_b, wq_v = wq * keep_b, wq * keep_v
-        # corrector data E = prof * e_z, B = 0: rho = i s E1, X2 = -E3, X3 = E2
-        fluid_v = _field_reference(
-            tc.eta, s, times, 1j * s * prof * e_z[0],
-            (-(prof * e_z[2]), prof * e_z[1], 0.0, 0.0), keep_v, dimk)
         perp, par = _kinetic_errors(kin_b[:-1], (1j * s * prof)[:, None] * z2, s, times, tc,
                                     wq_b, w * s**2 * keep_b, basis)
         streams["boltzmann_perp"].append(perp.tolist())
         streams["boltzmann_par_proxy"].append(par.tolist())
-        streams["vmb"].append(np.sqrt(_field_sq(kin_v[:-1] - fluid_v, s) @ wq_v).tolist())
+        # corrector data E = prof * e_z, B = 0: rho = i s E1, X2 = -E3, X3 = E2
+        streams["vmb"].append(_field_errors(
+            kin_v[:-1], tc.eta, s, times, 1j * s * prof * e_z[0],
+            (-(prof * e_z[2]), prof * e_z[1], 0.0, 0.0), wq_v).tolist())
         bounded["boltzmann"].append(float(_mode_l2(kin_b[-1], wq_b)))
         bounded["vmb"].append(float(np.sqrt(_field_sq(kin_v[-1], s) @ wq_v)))
 

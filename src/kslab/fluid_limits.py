@@ -14,19 +14,22 @@ reduced coordinates (charge, omega x E, omega x B) over a grid of wave
 numbers and times.  Y2_mode, the linear solver, the aggregate decay
 experiment and the rate experiments in convergence_lab all evaluate it.
 Its field blocks use a confluent-safe two-by-two exponential, so the
-branch-collision wave number needs no special casing.
+branch-collision wave number needs no special casing.  _field_sq is the
+metric of those coordinates, in which the charge counts 1 + 1/s^2; the
+aggregate decay experiment and the rate experiments measure in it.
 
 The heat side has the same shape: _heat_decay is the one heat decay
 exp(-a_j s^2 t) of the three heat branches, and Y1_mode (one mode), _heat_flow
 (a grid of kinetic modes over a grid of times), the aggregate heat decay
 experiment and the linear solver (its entropy and shear columns) all evaluate
 it.  The solver's Duhamel integrals apply the same two flows to every
-quadrature node of every time in one call per rule.  p_split, the
-compressible / incompressible splitting, acts on the last axis of any array
-of modes.  The rate experiments build their fluid references and error
-streams from _heat_flow and p_split.  The quadratic forms of _core_values,
-with the hydrodynamic directions h0, ht1 and h+- and the sound speed
-_SOUND_SPEED, are the one source of the transport coefficients and of
+quadrature node of every time in one call per rule, on panels graded toward
+zero lag, where the flows vary fastest.  p_split, the compressible /
+incompressible splitting, acts on the last axis of any array of modes.  The
+rate experiments build their fluid references and error streams from
+_heat_flow, _field_flow, _field_sq and p_split.  The quadratic forms of
+_core_values, with the hydrodynamic directions h0, ht1 and h+- and the sound
+speed _SOUND_SPEED, are the one source of the transport coefficients and of
 dispersion.expansion_coefficients, which read one pass of them per collision
 set (_own_core_values).
 
@@ -329,6 +332,12 @@ def _field_flow(eta: float, s, t, rho, x2, x3, y2, y3):
             e12 * x3 + e22 * y2, f12 * x2 + f22 * y3)
 
 
+def _field_sq(states: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Squared electromagnetic metric per mode of states whose last axis starts
+    with the charge: the charge counts 1 + 1/s^2, every other coordinate 1."""
+    return np.sum(np.abs(states) ** 2, axis=-1) + (1.0 / s**2) * np.abs(states[..., 0]) ** 2
+
+
 def _rotated(omega: np.ndarray, v: np.ndarray):
     """Components of omega x v along the frame (p1, p2)."""
     p1, p2 = _frame(omega)
@@ -436,9 +445,11 @@ def _forcing(g: Callable, taus: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _duhamel(propagate: Callable, force: Callable, times: np.ndarray) -> np.ndarray:
-    """integral_0^t propagate(t - tau, force(tau)) dtau for each t of times, panelwise Gauss.
+    """integral_0^t propagate(sigma, force(t - sigma)) dsigma for each t of times,
+    panelwise Gauss in the lag sigma = t - tau.
 
-    Each t has geometric panels on [0, t] (zero weights at t = 0).  force(taus)
+    Each t has geometric panels on the lags [0, t], graded toward sigma = 0,
+    where the propagators vary fastest (zero weights at t = 0).  force(taus)
     gives the forcing components at a flat array of times, one row each, and
     propagate(lags, f) applies the unforced flow over each lag to the rows of
     f: one call of each per rule over the nodes of all times.  Returns one
@@ -449,14 +460,14 @@ def _duhamel(propagate: Callable, force: Callable, times: np.ndarray) -> np.ndar
     def quad(n):
         edges = times[:, None] * np.concatenate(([0.0], np.geomspace(1e-3, 1.0, n)))
         mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
-        taus = mid[..., None] + half[..., None] * nodes
-        f = force(taus.ravel())
+        lags = mid[..., None] + half[..., None] * nodes
+        f = force((times[:, None, None] - lags).ravel())
         # the roughness test below is False for NaN, so an overflow is rejected here
         if not _finite_complex_array(f):
             raise FluidError("non-finite forcing")
-        flow = propagate((times[:, None, None] - taus).ravel(), f)
+        flow = propagate(lags.ravel(), f)
         return np.einsum("tpn,tpnk->tk", half[..., None] * weights,
-                         flow.reshape(*taus.shape, f.shape[1]))
+                         flow.reshape(*lags.shape, f.shape[1]))
 
     coarse, fine = quad(_DUHAMEL_PANELS), quad(2 * _DUHAMEL_PANELS)
     if np.any(np.sum(np.abs(fine - coarse), axis=1)
@@ -578,8 +589,7 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
     else:
         rho0, y2 = 1j * s * profile, zero
     flow = _field_flow(tc.eta, s, times, rho0, zero, x3, y2, zero)
-    density = (1.0 + s**-2) * np.abs(flow[0])**2 + sum(np.abs(v)**2 for v in flow[1:])
-    return _decay_fit(times, density, w)
+    return _decay_fit(times, _field_sq(np.stack(flow, axis=-1), s), w)
 
 
 def y1_decay_experiment(tc: TransportCoefficients) -> DecayFit:

@@ -419,18 +419,6 @@ def _dense_vectors(op: ModeOperator, vectors, cols: np.ndarray):
     return right, left
 
 
-def eigenvalues(op: ModeOperator) -> np.ndarray:
-    """All eigenvalues, by descending real part, then ascending imaginary part."""
-    lam = _decomposition(op).lam
-    return lam[_spectral_order(lam)]
-
-
-def eigen_condition(op: ModeOperator) -> float:
-    """Upper bound on the 2-norm condition number of the eigenvectors (see
-    _decompose_stacked)."""
-    return _decomposition(op).cond
-
-
 def spectrum(op: ModeOperator):
     """Eigenvalues sorted by descending real part, vectors, and residuals.
 

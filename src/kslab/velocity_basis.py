@@ -87,12 +87,17 @@ class Quadrature:
 
 @dataclass
 class Basis:
+    """The truncation, its quadrature, and the radial and angular tables at the nodes.
+
+    The elements are orthonormal, so the plain dot product of coefficient
+    arrays is the L2 inner product and no Gram matrix is kept.
+    """
+
     spec: BasisSpec
     quad: Quadrature
     radial_tables: dict[int, np.ndarray]   # l -> (N_r, N_q) weighted-part values
     ang0: np.ndarray                       # (l_max+1, N_c)
     ang1: np.ndarray                       # (l_max, N_c), degrees 1..l_max
-    gram: np.ndarray = field(repr=False, default=None)
     _v_cache: dict = field(default_factory=dict, repr=False)
 
     # -- layout ---------------------------------------------------------
@@ -343,15 +348,13 @@ def build_basis(spec: BasisSpec) -> Basis:
     nr = spec.radial_order
     radial_tables = {l: _radial_rows(nr, l, r, u) for l in range(lmax + 1)}
 
-    basis = Basis(
+    return Basis(
         spec=spec,
         quad=Quadrature(u=u, r=r, wr=wr, wr_half=wr_half, c=c, wc=wc),
         radial_tables=radial_tables,
         ang0=np.stack([_legendre_row(l, 0, c) for l in range(lmax + 1)]),
         ang1=np.stack([_legendre_row(l, 1, c) for l in range(1, lmax + 1)]),
     )
-    basis.gram = _assemble_gram(basis)
-    return basis
 
 
 def _radial_overlap(basis: Basis, l: int, lp: int, r_weight: np.ndarray) -> np.ndarray:
@@ -383,19 +386,6 @@ def _sector_matrix(basis: Basis, sector: int, r_weight, c_weight) -> np.ndarray:
             block = _radial_overlap(basis, l, lp, r_weight)
             out[a * nr:(a + 1) * nr, b * nr:(b + 1) * nr] = ang[a, b] * block
     return out
-
-
-def _assemble_gram(basis: Basis) -> np.ndarray:
-    ones_r = np.ones_like(basis.quad.r)
-    ones_c = np.ones_like(basis.quad.c)
-    gram = np.zeros((basis.dim, basis.dim))
-    gram[basis.slice_axial, basis.slice_axial] = _sector_matrix(
-        basis, SECTOR_AXIAL, ones_r, ones_c
-    )
-    g1 = _sector_matrix(basis, SECTOR_TRANSVERSE, ones_r, ones_c)
-    gram[basis.slice_cos, basis.slice_cos] = g1
-    gram[basis.slice_sin, basis.slice_sin] = g1
-    return gram
 
 
 def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:

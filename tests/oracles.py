@@ -6,17 +6,56 @@ dense propagator column by column, polynomial projections on the sub-basis
 grid, expansion coefficients fitted to eigenvalue sweeps, the wave integral
 by Monte Carlo, and the damped-Maxwell field flow in its eigenbasis.  A test
 that compares the two therefore checks the library against code the library
-does not share.  test_oracles.py checks that none of the names defined here
-exists in a kslab module.
+does not share.  The others compute what only tests read: the Gram matrix of
+the velocity basis, the collision operators on the Hermite sub-basis and the
+bounds of nu(r)/(1 + r).  test_oracles.py checks that none of the names
+defined here exists in a kslab module.
 """
 import math
 
 import numpy as np
+import scipy.linalg as sl
 
-from kslab.collision_ops import _sub_quadrature
+from kslab.collision_ops import (
+    _burnett_sub_elements, _change_of_basis, _degree_blocks, _nu_of_r, _sub_quadrature,
+)
 from kslab.dispersion import _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues
 from kslab.mode_operators import KIND_VMB, ModeOperator, SectorBlock, _layout, propagate
-from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
+from kslab.velocity_basis import (
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _sector_matrix, v_multiplication_matrix,
+)
+
+
+def gram_matrix(basis):
+    """The Gram matrix of the velocity basis under its own quadrature."""
+    ones_r, ones_c = np.ones_like(basis.quad.r), np.ones_like(basis.quad.c)
+    g1 = _sector_matrix(basis, SECTOR_TRANSVERSE, ones_r, ones_c)
+    return sl.block_diag(_sector_matrix(basis, SECTOR_AXIAL, ones_r, ones_c), g1, g1)
+
+
+def sub_operators(cm):
+    """(L_sub, L1_sub): the raw degree blocks of L and L1 on the Burnett-type
+    sub-elements (n, l, m, kind), conjugated into the Hermite sub-basis.  Needs
+    radial order >= 3 and angular_max >= 4."""
+    cmat, els = _change_of_basis(), _burnett_sub_elements()
+    raw = _degree_blocks(cm.basis, max(l for _, l, _, _ in els)).raw
+    out = []
+    for which in ("L", "L1"):
+        # L couples only elements of one (l, m, kind), through its degree-l block
+        lam = np.zeros(cmat.shape)
+        for ia, (na, *lmk_a) in enumerate(els):
+            for ib, (nb, *lmk_b) in enumerate(els):
+                if lmk_a == lmk_b:
+                    lam[ia, ib] = raw[which][lmk_a[0]][na, nb]
+        out.append(cmat @ lam @ cmat.T)
+    return tuple(out)
+
+
+def nu_bounds():
+    """(nu0, nu1): the least and the largest nu(r)/(1 + r) on 2001 speeds in [0, 20]."""
+    grid = np.linspace(0.0, 20.0, 2001)
+    ratios = _nu_of_r(grid) / (1.0 + grid)
+    return float(ratios.min()), float(ratios.max())
 
 
 def assemble_A_tilde_star(s, eps, cm):

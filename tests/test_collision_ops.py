@@ -44,6 +44,11 @@ from kslab.velocity_basis import (
 import oracles
 
 NU_ZERO = 5.0132565492620005
+
+
+@pytest.fixture(scope="module")
+def sub_operators(collision_default):
+    return oracles.sub_operators(collision_default)
 K1_UNIT = 0.6213931207538556
 GAMMA_FIXTURE = Path(__file__).parent / "fixtures" / "gamma.json"
 
@@ -275,9 +280,10 @@ class TestGainAssembly:
         basis = collision_small.basis
         K1_coarse, K_coarse = _per_nl_gain_matrices(basis, 12)
         K1_fine, K_fine = _per_nl_gain_matrices(basis, 24)
+        blocks = collision_ops._degree_blocks(basis, basis.spec.angular_max)
         for l in range(basis.spec.angular_max + 1):
-            assert np.array_equal(collision_small.K1_deg[l], K1_fine[l])
-            assert np.array_equal(collision_small.K_deg[l], K_fine[l])
+            assert np.array_equal(blocks.K1[l], K1_fine[l])
+            assert np.array_equal(blocks.K[l], K_fine[l])
         delta = max(max(np.max(np.abs(K1_coarse[l] - K1_fine[l])) for l in K1_fine),
                     max(np.max(np.abs(K_coarse[l] - K_fine[l])) for l in K_fine))
         assert collision_small.kernel_refinement_delta == delta
@@ -345,10 +351,11 @@ class TestAssembledOperators:
         )
         want *= 4 * math.pi * (2 * math.pi) ** -1.5
         assert err < 1e-9
-        got = collision_default.nu_deg[0][0, 0]
+        blocks = collision_ops._degree_blocks(collision_default.basis, 0)
+        got = blocks.nu[0][0, 0]
         assert abs(got - want) < 1e-8 * want
         # L1 chi0 = 0 forces the gain table to reproduce the same number
-        assert abs(collision_default.K1_deg[0][0, 0] - want) < 1e-6 * want
+        assert abs(blocks.K1[0][0, 0] - want) < 1e-6 * want
 
     def test_gap_estimate(self, collision_default, collision_small):
         mu = collision_default.mu_estimate
@@ -357,8 +364,9 @@ class TestAssembledOperators:
         # variational: enlarging the space can only lower the estimate
         assert collision_small.mu_estimate >= mu - 1e-9
 
-    def test_nu_bounds(self, collision_default):
-        assert 0.5 < collision_default.nu0 < collision_default.nu1 < 6.0
+    def test_nu_bounds(self):
+        nu0, nu1 = oracles.nu_bounds()
+        assert 0.5 < nu0 < nu1 < 6.0
 
     def test_coercivity_on_hydrodynamic_complement(self, collision_default, rng):
         L0 = collision_default.L_sector[0]
@@ -500,15 +508,16 @@ class TestGammaTensor:
         assert np.allclose(c[:, col[(0, 1, 1, "sin")]], g.chi_sub[3], atol=1e-12)
         assert np.allclose(c[:, col[(1, 0, 0, "axial")]], -g.chi_sub[4], atol=1e-12)
 
-    def test_sub_operators_consistent(self, collision_default):
+    def test_sub_operators_consistent(self, collision_default, sub_operators):
         g = collision_default.gamma
-        for mat in (g.L_sub, g.L1_sub):
+        L_sub, L1_sub = sub_operators
+        for mat in (L_sub, L1_sub):
             assert mat is not None
             assert np.max(np.abs(mat - mat.T)) < 1e-8
             assert np.linalg.eigvalsh(mat).max() < 1e-6
         for j in range(5):
-            assert np.linalg.norm(g.L_sub @ g.chi_sub[j]) < 1e-6
-        assert np.linalg.norm(g.L1_sub @ g.chi_sub[0]) < 1e-6
+            assert np.linalg.norm(L_sub @ g.chi_sub[j]) < 1e-6
+        assert np.linalg.norm(L1_sub @ g.chi_sub[0]) < 1e-6
 
     def test_apply_validates_shape(self, collision_default):
         with pytest.raises(ValueError):
@@ -653,20 +662,22 @@ class TestGammaIdentities:
             p -= np.outer(g.chi_sub[j], g.chi_sub[j])
         return p
 
-    def test_single_species_forcing(self, collision_default):
+    def test_single_species_forcing(self, collision_default, sub_operators):
         g = collision_default.gamma
+        L1_sub = sub_operators[1]
         chi0 = g.chi_sub[0]
         for j in (1, 2, 3):
             lhs = gamma_apply(collision_default, chi0, g.chi_sub[j])
-            rhs = -g.L1_sub @ g.chi_sub[j]
+            rhs = -L1_sub @ g.chi_sub[j]
             assert np.max(np.abs(lhs - rhs)) < 1e-5
         vsq = oracles.project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1))
         lhs = gamma_apply(collision_default, chi0, vsq)
-        rhs = -g.L1_sub @ vsq
+        rhs = -L1_sub @ vsq
         assert np.max(np.abs(lhs - rhs)) < 1e-5
 
-    def test_symmetrized_quadratic_forcing(self, collision_default):
+    def test_symmetrized_quadratic_forcing(self, collision_default, sub_operators):
         g = collision_default.gamma
+        L_sub = sub_operators[0]
         p1 = self._p1_sub(g)
 
         def sym_gamma(a, b):
@@ -681,7 +692,7 @@ class TestGammaIdentities:
                     g, lambda v, a=i, b=j: v[:, a] * v[:, b]
                 )
                 lhs = sym_gamma(vecs[i], vecs[j])
-                rhs = -0.5 * g.L_sub @ (p1 @ prod)
+                rhs = -0.5 * L_sub @ (p1 @ prod)
                 assert np.max(np.abs(lhs - rhs)) < 1e-5
 
         vsq = oracles.project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1))
@@ -690,12 +701,12 @@ class TestGammaIdentities:
                 g, lambda v, a=i: v[:, a] * np.sum(v * v, axis=1)
             )
             lhs = sym_gamma(vecs[i], vsq)
-            rhs = -0.5 * g.L_sub @ (p1 @ prod)
+            rhs = -0.5 * L_sub @ (p1 @ prod)
             assert np.max(np.abs(lhs - rhs)) < 1e-5
 
         quart = oracles.project_poly_to_sub(g, lambda v: np.sum(v * v, axis=1) ** 2)
         lhs = sym_gamma(vsq, vsq)
-        rhs = -0.5 * g.L_sub @ (p1 @ quart)
+        rhs = -0.5 * L_sub @ (p1 @ quart)
         assert np.max(np.abs(lhs - rhs)) < 1e-5
 
 

@@ -618,6 +618,30 @@ class TestModeChunks:
         got = cl._kinetic_errors(kin, f0, s, self.TIMES, tc, wq, wl, cm.basis)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    def test_field_errors_equal_the_padded_formula(self, collision_small):
+        # _field_errors builds no fluid grid; here it is written out in the
+        # (kinetic, X, Y) layout, zero on the dropped mode
+        cm = collision_small
+        dim = cm.basis.dim
+        s, _ = self._grid(48, dim, 36)
+        rng = np.random.default_rng(37)
+        shape = (len(self.TIMES), 48, dim + 4)
+        kin = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rho, *fields = rng.standard_normal((5, 48)) + 1j * rng.standard_normal((5, 48))
+        keep = np.ones(48, dtype=bool)
+        keep[17] = False
+        kin[:, ~keep] = 0.0
+        wq = rng.random(48) * keep
+        eta = cl.transport_coefficients(cm).eta
+        flow = cl._field_flow(eta, s, self.TIMES, rho, *fields)
+        fluid = np.zeros(shape, dtype=complex)
+        fluid[..., 0] = flow[0]
+        fluid[..., dim:] = np.stack(flow[1:], axis=-1)
+        fluid[:, ~keep] = 0.0
+        want = np.sqrt(cl._field_sq(kin - fluid, s) @ wq)
+        got = cl._field_errors(kin, eta, s, self.TIMES, rho, fields, wq)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("block", [1, 2, 4, 5, 7])
     def test_heat_flow_is_the_same_bits_per_row_block(self, collision_small, block):
         # _kinetic_errors evaluates the heat flow one block of time rows at a time

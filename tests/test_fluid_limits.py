@@ -615,6 +615,14 @@ class TestLinearNsmf:
         want = math.exp(-a * 1.3) * 0.2 + 0.6 * (1.0 - math.exp(-a * 1.3)) / a
         assert abs(out["q"][0, 0] - want) < 1e-8
 
+    @pytest.mark.parametrize("s, t", [(3.0, 5.5), (10.0, 1.0)])
+    def test_heat_forcing_constant_past_the_decay_scale(self, tc, s, t):
+        # t is many decay times 1/(a0 s^2): the integrand lives at small lags
+        a = tc.a_list[0] * s * s
+        mode = fl.NsmfMode(s=s, g2=lambda tau: 1.0)
+        out = fl.linear_nsmf_solve([mode], np.array([t]), tc)
+        assert abs(out["q"][0, 0] - 0.6 * (1.0 - math.exp(-a * t)) / a) < 1e-14
+
     def test_axial_field_forcing_drives_charge_only(self, tc):
         s, beta = 1.2, 1.0
         omega = np.array([1.0, 0.0, 0.0])

@@ -116,7 +116,7 @@ class TestAssembly:
             assert np.abs(op.matrix - ref).max() == 0.0
             assert [b.matrix.shape[0] for b in op.blocks] == (
                 [cm.basis.dim0, cm.basis.dim1 + (2 if kind == "A" else 0)])
-            lam, lam_ref = mo.eigenvalues(op), np.linalg.eigvals(ref)
+            lam, lam_ref = mo.spectrum(op)[0], np.linalg.eigvals(ref)
             assert lam.shape == lam_ref.shape
             dist = np.abs(lam[:, None] - lam_ref[None, :])
             assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-8
@@ -241,7 +241,7 @@ class TestPropagation:
             kind=mo.KIND_BOLTZMANN, s=1.0, eps=1.0, metric_diag=np.ones(2),
             collision=collision_default, blocks=(block,),
         )
-        assert mo.eigen_condition(op) > 1e8
+        assert mo._decomposition(op).cond > 1e8
         assert op._decomp[0] == "schur"
         direct = sl.expm(0.6 * mat)
         assert np.abs(oracles.propagator_matrix(op, 0.6) - direct).max() < 1e-12
@@ -276,7 +276,7 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="needs eps > 0"):
             mo.propagate(op, np.ones(op.dim), 0.5)
         # the spectrum and the split stay defined at eps = 0
-        assert mo.eigenvalues(op).size == op.dim
+        assert mo._decomposition(op).lam.size == op.dim
         assert mo.spectrum(op)[0].size == op.dim
         assert mo.semigroup_split(op).regime == "low"
 
@@ -409,7 +409,7 @@ def _stacked_ops(cm, rng, count, spread):
 
 
 class TestConditioningGate:
-    """The eig/Schur gate and eigen_condition come from the stacked inverse."""
+    """The eig/Schur gate and the decomposition condition come from the stacked inverse."""
 
     @pytest.mark.parametrize("spread", [0.0, 4.0, 11.0])
     def test_condition_bounds_two_norm_condition(self, collision_small, spread):
@@ -417,7 +417,7 @@ class TestConditioningGate:
         parts = mo._decompose_stacked(ops)
         for i, op in enumerate(ops):
             vecs = sl.block_diag(*(vr[i] for _, vr, _ in parts))
-            assert mo.eigen_condition(op) >= np.linalg.cond(vecs, 2)
+            assert mo._decomposition(op).cond >= np.linalg.cond(vecs, 2)
         # past the limit the members take the Schur record
         assert all(op._decomp.path == ("schur" if spread > 8 else "eig") for op in ops)
 
@@ -439,13 +439,13 @@ class TestConditioningGate:
         mo._decompose_stacked(reference)
         assert [op._decomp.schur for op in ops] == [(False, False), (True, False),
                                                   (False, False), (False, False)]
-        assert mo.eigen_condition(ops[1]) == np.inf
+        assert mo._decomposition(ops[1]).cond == np.inf
         assert not np.any(parts[0][2][1])
         for i in (0, 2, 3):
             for got, want in zip(ops[i]._decomp.blocks, reference[i]._decomp.blocks):
                 for x, y in zip(got, want):
                     assert np.array_equal(x, y)
-            assert mo.eigen_condition(ops[i]) == mo.eigen_condition(reference[i])
+            assert mo._decomposition(ops[i]).cond == mo._decomposition(reference[i]).cond
         _, t, z = ops[1]._decomp.blocks[0]
         block = ops[1].blocks[0].matrix
         assert np.abs(z @ t @ z.conj().T - block).max() <= 1e-12 * np.abs(block).max()
@@ -520,7 +520,7 @@ class TestPerBlockSplit:
             assert sp.measured_gap_b > 0.0 and np.isfinite(sp.fit_C)
             got = mo.propagate(op, u, t)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-            assert mo.spectrum(op)[0].size == mo.eigenvalues(op).size == op.dim
+            assert mo.spectrum(op)[0].size == mo._decomposition(op).lam.size == op.dim
             _, keep = cl._evolve_grid(mo.assemble_B, np.array([0.05, 0.7, 1.9]), 0.2, cm,
                                       states0, np.array([0.0, 0.1, 2.0]), [])
             assert keep.all()
@@ -562,7 +562,7 @@ class TestPerBlockSplit:
             direct = sl.expm((t / op.eps**2) * mat)
             assert np.abs(oracles.propagator_matrix(op, t) - direct).max() <= 1e-12
             assert np.abs(row - direct @ u).max() <= 1e-12 * np.abs(u).max()
-        assert np.abs(mo.eigenvalues(op) - np.sort_complex(sl.eigvals(mat))[::-1]).max() <= 1e-12
+        assert np.abs(mo.spectrum(op)[0] - np.sort_complex(sl.eigvals(mat))[::-1]).max() <= 1e-12
         sp = mo.semigroup_split(op)
         assert sp.regime == "low" and sp.branch_mask.sum() == 5
         assert np.abs(sp.S1_part + sp.S2_part + sp.S3_part - np.eye(op.dim)).max() <= 1e-12
@@ -601,7 +601,7 @@ class TestPerBlockSplit:
 
 class TestHighFrequencyClustering:
     def test_branches_tighten_toward_pure_oscillation(self, collision_default):
-        nu0 = collision_default.nu0
+        nu0 = oracles.nu_bounds()[0]
         spread = []
         for s in (20.0, 40.0, 80.0):
             op = mo.assemble_A_tilde(s, 1.0, collision_default)
@@ -626,7 +626,7 @@ class TestTruncationBehavior:
         for cm in (collision_small, collision_default):
             op = mo.assemble_A_tilde(1.3, 0.04, cm)
             lam, _, _ = mo.spectrum(op)
-            frac.append(np.mean(lam.real > -cm.nu0))
+            frac.append(np.mean(lam.real > -oracles.nu_bounds()[0]))
         assert frac[1] <= frac[0] + 0.01
 
 
@@ -665,7 +665,7 @@ class TestResolventProbe:
             mo.resolvent_norm_probe(op, lam)
 
     def test_decay_in_imaginary_part_at_small_streaming(self, collision_small):
-        re = -0.5 * collision_small.nu0
+        re = -0.5 * oracles.nu_bounds()[0]
         op = mo.assemble_B(2.0, 1.0, collision_small)
         ims = np.array([2.0, 4.0, 8.0, 16.0])
         vals = [mo.resolvent_norm_probe(op, complex(re, im)) for im in ims]
@@ -674,13 +674,14 @@ class TestResolventProbe:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="measured slope is about -0.34 over this sweep: the norm only "
         "enters its streaming-limited decay once eps*s exceeds the mean "
         "collision frequency, so the first two points sit on a plateau; "
         "the 16 -> 64 segment alone fits -0.46",
     )
     def test_decay_in_streaming_strength(self, collision_small):
-        re = -0.5 * collision_small.nu0
+        re = -0.5 * oracles.nu_bounds()[0]
         ws = np.array([1.0, 4.0, 16.0, 64.0])
         vals = [mo.resolvent_norm_probe(mo.assemble_B(w, 1.0, collision_small),
                                         complex(re, 0.0)) for w in ws]
@@ -688,7 +689,7 @@ class TestResolventProbe:
         assert -0.65 <= slope <= -0.35
 
     def test_streaming_decay_reaches_asymptotic_rate(self, collision_small):
-        re = -0.5 * collision_small.nu0
+        re = -0.5 * oracles.nu_bounds()[0]
         vals = [mo.resolvent_norm_probe(mo.assemble_B(w, 1.0, collision_small),
                                         complex(re, 0.0)) for w in (16.0, 64.0)]
         assert vals[1] < vals[0]
@@ -697,7 +698,7 @@ class TestResolventProbe:
 
     def test_probe_deterministic(self, collision_small):
         op = mo.assemble_B(4.0, 1.0, collision_small)
-        lam = complex(-0.5 * collision_small.nu0, 3.0)
+        lam = complex(-0.5 * oracles.nu_bounds()[0], 3.0)
         assert mo.resolvent_norm_probe(op, lam) == mo.resolvent_norm_probe(op, lam)
 
 

@@ -2,15 +2,23 @@
 
 kslab computes and the tests check it against code kslab never runs.  So no
 name that oracles.py defines may exist in a kslab module, at module level or
-on a class the module defines.
+on a class the module defines, and neither may the accessors whose values the
+tests read from mode_operators.spectrum and _decomposition.  The records hold
+what the laboratory reads: their fields are pinned here.
 """
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import kslab
+from kslab.collision_ops import CollisionMatrices, GammaTensor
+from kslab.convergence_lab import InitialData
+from kslab.velocity_basis import Basis
 
 import oracles
 
@@ -42,8 +50,22 @@ def test_oracle_names_are_absent_from_the_library():
     defined = _defined_names(Path(oracles.__file__))
     assert {"mc_reference", "_MC_CHUNK", "assemble_A_tilde_star", "metric_adjoint",
             "propagator_matrix", "project_poly_to_sub", "fit_boltzmann_expansion",
-            "y2_eigenbasis"} <= defined
+            "y2_eigenbasis", "gram_matrix", "sub_operators", "nu_bounds"} <= defined
+    kept_out = defined | {"eigenvalues", "eigen_condition"}
     namespaces = dict(_library_namespaces())
     assert "kslab.mode_operators.ModeOperator" in namespaces
     for label, names in namespaces.items():
-        assert not defined & names, label
+        assert not kept_out & names, label
+
+
+@pytest.mark.parametrize("record, names", [
+    (Basis, ["spec", "quad", "radial_tables", "ang0", "ang1", "_v_cache"]),
+    (CollisionMatrices, ["basis", "L_sector", "L1_sector", "mu_estimate",
+                         "raw_null_residuals", "gamma", "kernel_refinement_delta", "_cache"]),
+    (GammaTensor, ["indices", "tensor", "chi_sub", "change_of_basis"]),
+    (InitialData, ["width", "basis", "profile_macro", "profile_micro", "profile_field",
+                   "boltzmann_macro", "boltzmann_micro", "vmb_macro", "vmb_micro",
+                   "field_amp"]),
+], ids=["Basis", "CollisionMatrices", "GammaTensor", "InitialData"])
+def test_record_fields(record, names):
+    assert [f.name for f in dataclasses.fields(record)] == names
