@@ -29,11 +29,14 @@ Each node count integrates its polynomial exactly:
 
 - p: the gain integrand H_i(a) H_j(b) H_k(a') and the loss integrand
   H_i(a) H_k(a) H_j(b) have degree <= 4 + 4 + 4 = 12 in each component of p;
-  a 7-point Gauss-Hermite rule per axis is exact up to degree 13.  The 7^3
-  grid is its own mirror (node n is minus node 342 - n), and the node at
-  (-p, r) contributes (-1)^(|i| + |j| + |k|) times the node at (p, r), so the
-  sum runs over the first 171 nodes with weight 2 and the centre with weight
-  1, and the entries of odd total degree are set to exactly 0.
+  a 7-point Gauss-Hermite rule per axis is exact up to degree 13.  Reflecting
+  one axis d of both p and sigma maps the 7^3 grid and the sphere rule onto
+  themselves and multiplies each entry's integrand by (-1)^(i_d + j_d + k_d).
+  So the sum runs over the octant p >= 0, 64 nodes, each weighted by 2^(its
+  nonzero components) for its images, and every entry whose degree sum is
+  odd in some axis is set to exactly 0.  The loss accumulator below is a
+  full-grid sum only where j + m is even in every axis, and an even entry
+  reads no other: c[i, k, m] vanishes unless m_d = i_d + k_d mod 2.
 - sigma: each sphere sum has degree <= 12 in sigma.  A 7-point Gauss-Legendre
   rule in the polar cosine is exact up to degree 13, and 14 equispaced
   azimuths are exact for azimuthal orders up to 13.  The polar nodes are
@@ -50,19 +53,18 @@ Each node count integrates its polynomial exactly:
   is exact up to degree 7.
 - The loss term linearizes H_i H_k = sum_m c[i, k, m] H_m over the 165
   normalized Hermite products of degree <= 8, so each block of nodes adds one
-  product (H_m(a), H_j(b)) to a 165 x 35 accumulator.  The coefficients c
-  integrate a degree-4 + 4 + 8 = 16 polynomial per axis on a 9-point product
-  Gauss-Hermite grid, exact up to degree 17; they are contracted one row i at
-  a time, so no (729, 35, 35) product of node values is formed.
+  product (H_m(a), H_j(b)) to a 165 x 35 accumulator.  The coefficients c are
+  the closed-form one-dimensional linearization of h_m h_n, multiplied over
+  the three axes; no node values enter them.
 - The node pairs (p, r) run in blocks of 32, each with its 98 sphere nodes:
   the 165-column Hermite table of a block is about 4 MB, and the table is
   filled row by row, X_a Y_b once per (a, b) and then times Z_c, so the build
   holds no gathered copies of it.  The whole build stays within a few MB of
   temporaries.
 - The change of basis to the Burnett-type elements integrates products of
-  two degree-<=4 factors (degree <= 8) on the same 9-point grid.  The
-  Burnett-type elements are the velocity basis's own: radial profiles from
-  velocity_basis._radial_rows and angular factors from
+  two degree-<=4 factors (degree <= 8) on a 9-point product Gauss-Hermite
+  grid.  The Burnett-type elements are the velocity basis's own: radial
+  profiles from velocity_basis._radial_rows and angular factors from
   velocity_basis._legendre_row.
 
 Bad input fails at the boundary with ValueError and the module's own
@@ -385,12 +387,22 @@ _GAMMA_CHUNK = 32   # (center-of-mass, radial) node pairs per block
 
 
 def _product_coefficients() -> np.ndarray:
-    """Linearization c[i, k, m] with H_i H_k = sum_m c[i, k, m] H_m, m over _PRODUCT_INDICES."""
-    _, w3, table = _sub_quadrature(_PRODUCT_INDICES)
-    nb = len(_SUB_INDICES)
-    coef = np.empty((nb, nb, table.shape[1]))
-    for i in range(nb):
-        coef[i] = ((table[:, i] * w3)[:, None] * table[:, :nb]).T @ table
+    """Linearization c[i, k, m] with H_i H_k = sum_m c[i, k, m] H_m, m over _PRODUCT_INDICES.
+
+    Closed form, axis by axis: the normalized h_n = He_n / sqrt(n!) multiply as
+    h_m h_n = sum_k sqrt(m! n! q!) / (k! (m - k)! (n - k)!) h_q with q = m + n - 2k.
+    """
+    f = [math.factorial(n) for n in range(9)]
+    c1 = np.zeros((5, 5, 9))
+    for m in range(5):
+        for n in range(5):
+            for k in range(min(m, n) + 1):
+                q = m + n - 2 * k
+                c1[m, n, q] = math.sqrt(f[m] * f[n] * f[q]) / (f[k] * f[m - k] * f[n - k])
+    sub, prod = np.array(_SUB_INDICES), np.array(_PRODUCT_INDICES)
+    coef = np.ones((len(sub), len(sub), len(prod)))
+    for d in range(3):
+        coef *= c1[np.ix_(sub[:, d], sub[:, d], prod[:, d])]
     return coef
 
 
@@ -423,16 +435,18 @@ def _assemble_gamma_tensor() -> np.ndarray:
     """Weak-form tensor tensor[i, j, k] = (Gamma(H_i, H_j), H_k), read-only.
 
     Built once per process: it does not depend on the velocity basis.  The
-    module docstring gives the degree count behind each node count.
+    sum runs over the center-of-mass octant p >= 0, and entries odd in some
+    axis are exactly 0; the module docstring gives the reflection symmetry
+    behind that and the degree count behind each node count.
     """
     nb = len(_SUB_INDICES)
 
     pgrid, pw = _hermite_grid(_N_HERM)
-    # node n of the p-grid is minus node N - 1 - n: keep the first half and the
-    # centre, each off-centre node weighted for its mirror as well
-    half = pw.size // 2
-    pgrid, pw = pgrid[:half + 1], pw[:half + 1]
-    pw[:half] *= 2.0
+    # reflecting one axis of p and sigma maps both rules onto themselves: keep
+    # the octant p >= 0, each node weighted for its 2^(nonzero components) images
+    octant = np.all(pgrid >= 0.0, axis=1)
+    pgrid = pgrid[octant]
+    pw = pw[octant] * 2.0 ** np.count_nonzero(pgrid, axis=1)
 
     u, wu = roots_genlaguerre(_N_RAD, 1.0)
     rr = np.sqrt(2.0 * u)
@@ -470,9 +484,9 @@ def _assemble_gamma_tensor() -> np.ndarray:
         loss += (hb.reshape(-1, nb) * row_w[:, None]).T @ ha8
     t2 = (_product_coefficients().reshape(nb * nb, -1) @ loss.T).reshape(nb, nb, nb)
     tensor = t1.reshape(nb, nb, nb) - 4.0 * math.pi * t2.transpose(0, 2, 1)
-    # the mirrored nodes cancel every entry of odd total degree
-    parity = np.array([sum(abc) % 2 for abc in _SUB_INDICES])
-    tensor[(parity[:, None, None] + parity[None, :, None] + parity[None, None, :]) % 2 == 1] = 0.0
+    # the reflected nodes cancel every entry whose degree sum is odd in an axis
+    idx = np.array(_SUB_INDICES)
+    tensor[((idx[:, None, None] + idx[None, :, None] + idx[None, None, :]) % 2).any(axis=-1)] = 0.0
     return _frozen(tensor)
 
 
@@ -509,19 +523,19 @@ def _burnett_sub_elements():
 
 
 @functools.cache
-def _sub_quadrature(indices: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """9-point product Gauss-Hermite grid: points, weights, Hermite table there."""
+def _sub_quadrature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """9-point product Gauss-Hermite grid: points, weights, sub-basis table there."""
     pts, w3 = _hermite_grid(9)
     # stored row-major: the layout fixes the summation order of the change of
     # basis and of the projections
-    table = np.ascontiguousarray(_sub_table(pts, indices))
+    table = np.ascontiguousarray(_sub_table(pts, _SUB_INDICES))
     return _frozen(pts), _frozen(w3), _frozen(table)
 
 
 @functools.cache
 def _change_of_basis() -> np.ndarray:
     """Orthogonal matrix C with C[h, b] = (hermite_h, burnett_b), read-only."""
-    pts, w3, herm = _sub_quadrature(_SUB_INDICES)
+    pts, w3, herm = _sub_quadrature()
     r = np.linalg.norm(pts, axis=1)
     safe_r = np.where(r < 1e-14, 1.0, r)
     vhat = pts / safe_r[:, None]

@@ -4,20 +4,23 @@ kslab never runs these.  Each computes a library quantity by a route of its
 own: the metric adjoint assembled term by term and as a dense conjugation, the
 dense propagator column by column, polynomial projections on the sub-basis
 grid, expansion coefficients fitted to eigenvalue sweeps, the wave integral
-by Monte Carlo, and the damped-Maxwell field flow in its eigenbasis.  A test
-that compares the two therefore checks the library against code the library
-does not share.  The others compute what only tests read: the Gram matrix of
-the velocity basis, the collision operators on the Hermite sub-basis and the
-bounds of nu(r)/(1 + r).  test_oracles.py checks that none of the names
-defined here exists in a kslab module.
+by Monte Carlo, the damped-Maxwell field flow in its eigenbasis, and the
+Gamma tensor on the whole center-of-mass grid with a quadrature product
+linearization.  A test that compares the two therefore checks the library
+against code the library does not share.  The others compute what only tests
+read: the Gram matrix of the velocity basis, the collision operators on the
+Hermite sub-basis and the bounds of nu(r)/(1 + r).  test_oracles.py checks
+that none of the names defined here exists in a kslab module.
 """
 import math
 
 import numpy as np
 import scipy.linalg as sl
+from scipy.special import roots_genlaguerre
 
 from kslab.collision_ops import (
-    _burnett_sub_elements, _change_of_basis, _degree_blocks, _nu_of_r, _sub_quadrature,
+    _N_HERM, _N_RAD, _PRODUCT_INDICES, _SUB_INDICES, _burnett_sub_elements, _change_of_basis,
+    _degree_blocks, _hermite_grid, _nu_of_r, _sphere_rule, _sub_quadrature, _sub_table,
 )
 from kslab.dispersion import _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues
 from kslab.mode_operators import KIND_VMB, ModeOperator, SectorBlock, _layout, propagate
@@ -56,6 +59,30 @@ def nu_bounds():
     grid = np.linspace(0.0, 20.0, 2001)
     ratios = _nu_of_r(grid) / (1.0 + grid)
     return float(ratios.min()), float(ratios.max())
+
+
+def gamma_full_grid():
+    """The Gamma tensor without the reflection fold: every node of the 7^3
+    center-of-mass grid, the b-table evaluated on its own, no parity mask, and
+    the product linearization c integrated on the 9-point product grid."""
+    nb, (sig, wsig) = len(_SUB_INDICES), _sphere_rule()
+    pts9, w9 = _hermite_grid(9)
+    h9 = _sub_table(pts9, _PRODUCT_INDICES)
+    c = np.stack([((h9[:, i] * w9)[:, None] * h9[:, :nb]).T @ h9 for i in range(nb)])
+    u, wu = roots_genlaguerre(_N_RAD, 1.0)
+    rs = np.sqrt(2.0 * u)[:, None, None] * sig[None]
+    wr = (math.sqrt(2.0) / 2.0) * (2.0 * math.pi) ** -1.5 * wu
+    t1 = np.zeros((nb, nb, nb))
+    loss = np.zeros((nb, len(_PRODUCT_INDICES)))
+    for p, wp in zip(*_hermite_grid(_N_HERM)):
+        ha = _sub_table(((p + rs) / math.sqrt(2.0)).reshape(-1, 3), _PRODUCT_INDICES)
+        hb = _sub_table(((p - rs) / math.sqrt(2.0)).reshape(-1, 3), _SUB_INDICES)
+        ha = ha.reshape(_N_RAD, sig.shape[0], -1) * wsig[None, :, None]
+        hb = hb.reshape(_N_RAD, sig.shape[0], nb)
+        s_ij = np.matmul(ha[..., :nb].transpose(0, 2, 1), hb)
+        t1 += np.tensordot(wp * wr[:, None, None] * s_ij, ha[..., :nb].sum(axis=1), axes=(0, 0))
+        loss += (wp * wr[:, None, None] * hb).reshape(-1, nb).T @ ha.reshape(-1, ha.shape[-1])
+    return t1 - 4.0 * math.pi * np.einsum("ikm,jm->ijk", c, loss)
 
 
 def assemble_A_tilde_star(s, eps, cm):
@@ -128,7 +155,7 @@ def y2_eigenbasis(s, eta):
 
 def project_poly_to_sub(gamma, poly):
     """Sub-basis coefficients of p(v) sqrt(M) for a polynomial p of degree <= 4."""
-    pts, w3, table = _sub_quadrature(tuple(gamma.indices))
+    pts, w3, table = _sub_quadrature()
     vals = poly(pts)
     return (table * (w3 * vals)[:, None]).sum(axis=0)
 

@@ -551,14 +551,30 @@ class TestGammaTensor:
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_odd_parity_entries_vanish_exactly(self, collision_default):
-        # H_i(-v) = (-1)^|i| H_i(v): the mirrored center-of-mass nodes cancel
-        # every entry whose three total degrees sum to an odd number
+        # H_i(-v) = (-1)^|i| H_i(v): an entry whose three total degrees sum to
+        # an odd number is odd in some axis, where the reflected nodes cancel it
         t = collision_default.gamma.tensor
         deg = np.array([sum(abc) for abc in collision_default.gamma.indices])
         odd = (deg[:, None, None] + deg[None, :, None] + deg[None, None, :]) % 2 == 1
         assert odd.sum() == 21073
         assert np.all(t[odd] == 0.0)
         assert np.count_nonzero(t[~odd]) > 0
+
+    def test_odd_axis_parity_entries_vanish_exactly(self, collision_default):
+        # reflecting axis d of p and sigma multiplies an entry by
+        # (-1)^(i_d + j_d + k_d), so the octant fold zeroes it when that is odd
+        t = collision_default.gamma.tensor
+        idx = np.array(collision_default.gamma.indices)
+        odd = ((idx[:, None, None] + idx[None, :, None] + idx[None, None, :]) % 2).any(axis=-1)
+        assert odd.sum() == 37141
+        assert np.all(t[odd] == 0.0)
+        assert np.count_nonzero(t[~odd]) > 0
+
+    def test_matches_full_grid_oracle(self, collision_default):
+        # the octant fold and the closed-form linearization against the build
+        # on every center-of-mass node with the quadrature linearization
+        t = collision_default.gamma.tensor
+        assert np.max(np.abs(t - oracles.gamma_full_grid())) <= 1e-13 * np.max(np.abs(t))
 
     def test_product_coefficients_reproduce_products(self):
         # oracle: numpy's own probabilists' Hermite series, normalized by sqrt(n!)
@@ -622,14 +638,25 @@ class TestGammaTensor:
             got = w @ (sig[:, 0] ** a * sig[:, 1] ** b * sig[:, 2] ** c)
             assert abs(got - want) < 1e-13
 
+    def test_sphere_rule_closed_under_axis_reflections(self):
+        # the octant fold needs each single-axis reflection to map the rule
+        # onto itself: mu -> -mu, phi -> pi - phi and phi -> -phi; it does so
+        # to rounding, not bit for bit
+        sig, w = collision_ops._sphere_rule()
+        for d in range(3):
+            flipped = sig.copy()
+            flipped[:, d] *= -1.0
+            image = np.argmin(np.linalg.norm(flipped[:, None] - sig[None], axis=-1), axis=1)
+            assert sorted(image) == list(range(sig.shape[0]))
+            assert np.max(np.abs(flipped - sig[image])) <= 2e-15
+            assert np.array_equal(w[image], w)
+
     def test_build_working_set_bounded(self):
         # a block's (32 x 98, 165) Hermite table is about 4 MB; with 128-pair
         # blocks, gathered copies of it and a (729, 35, 35) product of node
         # values, the traced peak was about 59 MB
         import tracemalloc
 
-        collision_ops._sub_quadrature(collision_ops._SUB_INDICES)
-        collision_ops._sub_quadrature(collision_ops._PRODUCT_INDICES)
         tracemalloc.start()
         try:
             collision_ops._assemble_gamma_tensor.__wrapped__()

@@ -50,7 +50,8 @@ def test_oracle_names_are_absent_from_the_library():
     defined = _defined_names(Path(oracles.__file__))
     assert {"mc_reference", "_MC_CHUNK", "assemble_A_tilde_star", "metric_adjoint",
             "propagator_matrix", "project_poly_to_sub", "fit_boltzmann_expansion",
-            "y2_eigenbasis", "gram_matrix", "sub_operators", "nu_bounds"} <= defined
+            "y2_eigenbasis", "gram_matrix", "sub_operators", "nu_bounds",
+            "gamma_full_grid"} <= defined
     kept_out = defined | {"eigenvalues", "eigen_condition"}
     namespaces = dict(_library_namespaces())
     assert "kslab.mode_operators.ModeOperator" in namespaces
