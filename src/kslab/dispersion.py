@@ -8,18 +8,11 @@ contraction maps that certify uniqueness.  One fixed-point iteration serves
 them all: it raises DispersionError when an iterate leaves the region where
 the map contracts or the steps run out, and every returned root has passed a
 residual test.  The two transverse branches are tracked as one pair through
-their collision point, and crossing_location finds that point as the root of
-a real discriminant on a bracket, by Brent's method in _brent_root: a
-line-for-line port of SciPy's C Brent root finder in its operation order
-(rtol = 4 DBL_EPSILON, at most 100 iterations), so it returns SciPy's bits
-while the package imports no optimization module (the tests compare the two).
-crossing_location evaluates the discriminant once at each end of the
-bracket, checks the bracket's orientation and hands both values to
-_brent_root, which evaluates only inside the bracket.  It raises
-DispersionError for a non-finite discriminant value, a bracket without a sign
-change and running out of iterations.  The module also gives the closed-form
-small wave-number expansion of the kinetic-only operator's five slow
-branches.
+their collision point.  There the transverse relation has the double root
+z = R22 / 2 = -s, so crossing_location finds that point as the fixed point of
+s -> -Re R22(-eps^2 s, eps s) / 2, starting from its eps = 0 value eta / 2.
+The module also gives the closed-form small wave-number expansion of the
+kinetic-only operator's five slow branches.
 
 Bad input fails at the boundary with DispersionError, the module's documented
 error: collision data that is not CollisionMatrices, and a wave number s,
@@ -27,12 +20,13 @@ scale eps or spectral parameter lam that is not a finite number
 (velocity_basis._finite, _finite_complex: bools are not numbers here; s and
 eps must be real).  s and eps are also out of domain when negative, as for
 the mode generators (mode_operators.assemble_B): s is a wave-number
-magnitude, and eps = 0 is the closed-form limit of each root.
+magnitude, and eps = 0 is the closed-form limit of each root.  A spectral
+parameter on a sector's spectrum, where the resolvent solve is singular,
+raises DispersionError too.
 """
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -51,9 +45,6 @@ from .velocity_basis import (
 _FP_TOL = 1e-13
 _RES_TOL = 1e-12
 _MAX_ITER = 200
-# Brent's method as in SciPy's C root finder: its relative tolerance and iteration cap
-_BRENT_RTOL = 4 * sys.float_info.epsilon
-_BRENT_MAX_ITER = 100
 
 
 class DispersionError(RuntimeError):
@@ -109,10 +100,10 @@ class _SectorSolver:
                 lu = lu_factor(mat)
             sol = lu_solve(lu, self.chi)
         except (LinAlgError, LinAlgWarning) as exc:
-            raise ValueError(f"resolvent solve singular at x={x}, y={y}") from exc
+            raise DispersionError(f"resolvent solve singular at x={x}, y={y}") from exc
         resid = np.linalg.norm(mat @ sol - self.chi)
         if not math.isfinite(resid) or resid > 1e-8 * np.linalg.norm(self.chi):
-            raise ValueError(f"resolvent solve singular at x={x}, y={y}")
+            raise DispersionError(f"resolvent solve singular at x={x}, y={y}")
         return complex(self.chi @ sol)
 
 
@@ -185,74 +176,11 @@ def _fixed_point(step, z, inside, where: str):
     raise DispersionError(f"{where}: no convergence in {_MAX_ITER} steps")
 
 
-def _brent_root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float) -> float:
-    """Root of the real function f on the bracket [lo, hi] by Brent's method.
-
-    f_lo and f_hi are f(lo) and f(hi), which the caller has evaluated.  A
-    line-for-line port of SciPy's C Brent root finder, in its operation
-    order, with rtol = 4 DBL_EPSILON and at most _BRENT_MAX_ITER iterations,
-    so it returns SciPy's bits.  A non-finite value of f (the end values
-    included), a bracket without a sign change and running out of iterations
-    raise DispersionError.
-    """
-    def finite(x: float, fx) -> float:
-        fx = float(fx)
-        if not math.isfinite(fx):
-            raise DispersionError(f"root bracket: f({x!r}) = {fx!r} is not finite")
-        return fx
-
-    def value(x: float) -> float:
-        return finite(x, f(x))
-
-    def negative(y: float) -> bool:  # C's signbit
-        return math.copysign(1.0, y) < 0
-
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = finite(xpre, f_lo), finite(xcur, f_hi)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if negative(fpre) == negative(fcur):
-        raise DispersionError(f"root bracket [{lo!r}, {hi!r}] has no sign change")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate; a zero denominator is C's inf or nan, so a bisection
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise DispersionError(f"root bracket [{lo!r}, {hi!r}]: no convergence in "
-                          f"{_BRENT_MAX_ITER} iterations")
-
-
-def _certify(branch: DispersionBranch, tol: float) -> DispersionBranch:
-    if not branch.residual <= tol:
-        raise DispersionError(f"{branch.label} at s={branch.s}, eps={branch.eps}: "
-                              f"residual {branch.residual:.3e} above {tol:.3e}")
-    return branch
+def _certify(where: str, residual: float, tol: float) -> float:
+    """The residual of the root described by ``where``, which must be <= tol."""
+    if not residual <= tol:
+        raise DispersionError(f"{where}: residual {residual:.3e} above {tol:.3e}")
+    return residual
 
 
 def solve_z0(s: float, eps: float, cm: CollisionMatrices) -> DispersionBranch:
@@ -265,10 +193,11 @@ def solve_z0(s: float, eps: float, cm: CollisionMatrices) -> DispersionBranch:
     z = _fixed_point(lambda z: scale * ax.value(eps * eps * z, eps * s), complex(seed),
                      lambda z: abs(z - seed) <= 0.8 * eta * scale,
                      f"density branch at s={s}, eps={eps}")
-    residual = abs(z - scale * ax.value(eps * eps * z, eps * s))
-    return _certify(DispersionBranch(label="z0", s=s, eps=eps, value=z, residual=residual,
-                                     prediction=complex(seed)),
-                    _RES_TOL * max(1.0, abs(z)))
+    residual = _certify(f"z0 at s={s}, eps={eps}",
+                        abs(z - scale * ax.value(eps * eps * z, eps * s)),
+                        _RES_TOL * max(1.0, abs(z)))
+    return DispersionBranch(label="z0", s=s, eps=eps, value=z, residual=residual,
+                            prediction=complex(seed))
 
 
 def _transverse_step(s: float, eps: float, tr: _SectorSolver):
@@ -283,10 +212,10 @@ def _transverse_step(s: float, eps: float, tr: _SectorSolver):
 def _transverse_branch(label: str, z: complex, s: float, eps: float, tr: _SectorSolver,
                        prediction: complex) -> DispersionBranch:
     val = tr.value(eps * eps * z, eps * s)
-    return _certify(DispersionBranch(label=label, s=s, eps=eps, value=z,
-                                     residual=abs(z * z - val * z + s * s),
-                                     prediction=prediction),
-                    _RES_TOL * max(1.0, abs(z) ** 2))
+    residual = _certify(f"{label} at s={s}, eps={eps}", abs(z * z - val * z + s * s),
+                        _RES_TOL * max(1.0, abs(z) ** 2))
+    return DispersionBranch(label=label, s=s, eps=eps, value=z, residual=residual,
+                            prediction=prediction)
 
 
 def transverse_seeds(s: float, cm: CollisionMatrices) -> tuple[complex, complex]:
@@ -312,22 +241,25 @@ def solve_z_pm(s: float, eps: float,
 
 
 def crossing_location(eps: float, cm: CollisionMatrices) -> float:
-    """Wave number where the two transverse branches collide."""
+    """Wave number where the two transverse branches collide.
+
+    There z^2 - R22(eps^2 z, eps s) z + s^2 has the double root z = R22 / 2,
+    and R22 < 0 (it is -eta at eps = 0), so z = -s: the crossing is the fixed
+    point of s -> -Re R22(-eps^2 s, eps s) / 2, iterated from its eps = 0
+    value eta / 2 inside [0.25 eta, 0.95 eta] and certified by its residual
+    |s - step(s)|.
+    """
     _check_input(cm, eps=eps)
     _, tr = _solvers(cm)
     eta = eta_coefficient(cm)
 
-    def discriminant(s: float) -> float:
-        z = _fixed_point(lambda z: 0.5 * tr.value(eps * eps * z, eps * s).real, -0.5 * eta,
-                         math.isfinite, f"crossing discriminant at s={s}, eps={eps}")
-        r22 = tr.value(eps * eps * z, eps * s).real
-        return r22 * r22 - 4.0 * s * s
+    def step(s: float) -> float:
+        return -0.5 * tr.value(-eps * eps * s, eps * s).real
 
-    lo, hi = 0.25 * eta, 0.95 * eta
-    d_lo, d_hi = discriminant(lo), discriminant(hi)
-    if d_lo <= 0 or d_hi >= 0:
-        raise DispersionError(f"crossing bracket failed at eps={eps}")
-    return _brent_root(discriminant, lo, hi, d_lo, d_hi, xtol=1e-12)
+    where = f"crossing at eps={eps}"
+    s = _fixed_point(step, 0.5 * eta, lambda s: 0.25 * eta <= s <= 0.95 * eta, where)
+    _certify(where, abs(s - step(s)), _RES_TOL * max(1.0, s))
+    return s
 
 
 def solve_highfreq(s: float, eps: float,

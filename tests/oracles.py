@@ -3,7 +3,8 @@
 kslab never runs these.  Each computes a library quantity by a route of its
 own: the metric adjoint assembled term by term and as a dense conjugation, the
 dense propagator column by column, polynomial projections on the sub-basis
-grid, expansion coefficients fitted to eigenvalue sweeps, the wave integral
+grid, expansion coefficients fitted to eigenvalue sweeps, the transverse
+branch crossing as the root of a bracketed discriminant, the wave integral
 by Monte Carlo, the damped-Maxwell field flow in its eigenbasis, and the
 Gamma tensor on the whole center-of-mass grid with a quadrature product
 linearization.  A test that compares the two therefore checks the library
@@ -16,13 +17,17 @@ import math
 
 import numpy as np
 import scipy.linalg as sl
+from scipy.optimize import brentq
 from scipy.special import roots_genlaguerre
 
 from kslab.collision_ops import (
     _N_HERM, _N_RAD, _PRODUCT_INDICES, _SUB_INDICES, _burnett_sub_elements, _change_of_basis,
     _degree_blocks, _hermite_grid, _nu_of_r, _sphere_rule, _sub_quadrature, _sub_table,
 )
-from kslab.dispersion import _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues
+from kslab.dispersion import (
+    _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues, eta_coefficient,
+    resolvent_scalars,
+)
 from kslab.mode_operators import KIND_VMB, ModeOperator, SectorBlock, _layout, propagate
 from kslab.velocity_basis import (
     SECTOR_AXIAL, SECTOR_TRANSVERSE, _sector_matrix, v_multiplication_matrix,
@@ -178,6 +183,28 @@ def fit_boltzmann_expansion(cm, s=1.0, eps_list=(0.02, 0.035, 0.05, 0.07, 0.1)):
         a = -np.linalg.lstsq(design_even, vals.real, rcond=None)[0][0]
         out[k] = (float(mu), float(a))
     return out
+
+
+def crossing_discriminant(s, eps, cm):
+    """R^2 - 4 s^2 for the real transverse scalar R = Re R22(eps^2 z, eps s)
+    at z = R / 2, found by iterating z <- R / 2 from -eta / 2 until a step is
+    at most 1e-13 max(1, |z|).  It vanishes where the transverse branches
+    collide."""
+    z = -0.5 * eta_coefficient(cm)
+    for _ in range(200):
+        r22 = resolvent_scalars(eps * eps * z, s, eps, cm).R22.real
+        z, dz = 0.5 * r22, 0.5 * r22 - z
+        if abs(dz) <= 1e-13 * max(1.0, abs(z)):
+            r22 = resolvent_scalars(eps * eps * z, s, eps, cm).R22.real
+            return r22 * r22 - 4.0 * s * s
+    raise RuntimeError(f"crossing discriminant at s={s}, eps={eps} did not converge")
+
+
+def crossing_by_bracket(eps, cm):
+    """The branch crossing as the root of crossing_discriminant on
+    [0.25 eta, 0.95 eta], by scipy's brentq with xtol = 1e-12."""
+    eta = eta_coefficient(cm)
+    return brentq(crossing_discriminant, 0.25 * eta, 0.95 * eta, args=(eps, cm), xtol=1e-12)
 
 
 _MC_CHUNK = 1 << 20

@@ -4,10 +4,10 @@ Covers the two sector resolvent scalars (symmetry at the origin, wave-number
 derivative, deflation consistency, singular-point detection), the root
 solvers (closed forms at eps = 0, quadratic eps rates, duality with the
 assembled operator spectra, branch tracking through the collision point,
-failure on non-convergence and on residuals above tolerance), the bracketed
-Brent root of the crossing against scipy's brentq bit for bit (brentq is
-imported here only), and the small wave-number expansion of the kinetic-only
-slow branches.
+failure on non-convergence and on residuals above tolerance), the crossing's
+fixed point against the root of the bracketed discriminant by scipy's brentq
+(which only the oracle in tests/oracles.py imports), and the small wave-number
+expansion of the kinetic-only slow branches.
 """
 import math
 import os
@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
 
 from kslab import dispersion as dsp
 from kslab.mode_operators import assemble_A_tilde
+from kslab.velocity_basis import SECTOR_TRANSVERSE
 
 import oracles
 
@@ -64,7 +64,7 @@ class TestResolventScalars:
     def test_singular_point_raises(self, collision_default):
         _, tr = dsp._solvers(collision_default)
         lam = np.linalg.eigvalsh(tr.l1)[-1]
-        with pytest.raises(ValueError):
+        with pytest.raises(dsp.DispersionError, match="singular"):
             tr.value(complex(lam), 0.0)
 
 
@@ -118,9 +118,11 @@ class TestCertification:
         with pytest.raises(dsp.DispersionError, match="no convergence"):
             _ROOT_CALLS[name](collision_default)
 
-    @pytest.mark.parametrize("name", ["highfreq", "z0", "z_pm"])
+    @pytest.mark.parametrize("name", sorted(_ROOT_CALLS))
     def test_residual_above_tolerance_raises(self, collision_default, monkeypatch, name):
-        monkeypatch.setattr(dsp, "_RES_TOL", 0.0)
+        # a negative tolerance fails every residual, an exact 0 included: the
+        # crossing is an exact fixed point in floating point at eps = 0.02
+        monkeypatch.setattr(dsp, "_RES_TOL", -1.0)
         with pytest.raises(dsp.DispersionError, match="residual"):
             _ROOT_CALLS[name](collision_default)
 
@@ -265,94 +267,36 @@ class TestCrossing:
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.02, 0.0125, 0.01])
     @pytest.mark.parametrize("cm_name", ["collision_small", "collision_default"])
-    def test_same_bits_as_brentq(self, request, monkeypatch, cm_name, eps):
+    def test_double_root_of_the_transverse_relation(self, request, cm_name, eps):
+        # the fixed point agrees with the bracketed discriminant's root and is
+        # the more accurate root of it; there z = -s solves the transverse
+        # relation z^2 - R22(eps^2 z, eps s) z + s^2 = 0
         cm = request.getfixturevalue(cm_name)
-        got = dsp.crossing_location(eps, cm)
-        monkeypatch.setattr(dsp, "_brent_root",
-                            lambda f, lo, hi, f_lo, f_hi, xtol: brentq(f, lo, hi, xtol=xtol))
-        assert got.hex() == dsp.crossing_location(eps, cm).hex()
+        s = dsp.crossing_location(eps, cm)
+        assert abs(s - oracles.crossing_by_bracket(eps, cm)) <= 1e-12
+        assert abs(oracles.crossing_discriminant(s, eps, cm)) <= 1e-15
+        r22 = dsp.resolvent_scalars(-eps * eps * s, s, eps, cm).R22
+        assert abs(s * s + r22 * s + s * s) <= 1e-15
 
     @pytest.mark.parametrize("eps", [0.05, 0.02])
-    def test_each_bracket_end_evaluated_once(self, collision_default, monkeypatch, eps):
-        # the bracket check's two end values go into _brent_root, which
-        # evaluates only inside the bracket: 2 + 7 discriminants, not 11
-        where, fixed_point = [], dsp._fixed_point
+    def test_one_fixed_point_and_few_solves(self, collision_default, monkeypatch, eps):
+        dsp.eta_coefficient(collision_default)  # cached before the solves are counted
+        _, tr = dsp._solvers(collision_default)
+        where, fixed_point, solves, value = [], dsp._fixed_point, [], tr.value
 
         def counting(step, z, inside, label):
             where.append(label)
             return fixed_point(step, z, inside, label)
 
+        def counting_value(x, y):
+            solves.append((x, y))
+            return value(x, y)
+
         monkeypatch.setattr(dsp, "_fixed_point", counting)
+        monkeypatch.setattr(tr, "value", counting_value)
         dsp.crossing_location(eps, collision_default)
-        assert len(where) == 9
-        assert all(label.startswith("crossing discriminant") for label in where)
-
-
-def _brent_family(seed: int):
-    """A seeded scalar function with a sign change on its bracket [lo, hi]."""
-    rng = np.random.default_rng(seed)
-    lo = float(rng.uniform(-3.0, 1.0))
-    hi = lo + float(rng.uniform(0.1, 5.0))
-    r, k, a = (float(v) for v in rng.uniform((lo, 0.2, -1.0), (hi, 20.0, 1.0)))
-    shapes = [
-        lambda x: (x - r) * (1.0 + k * (x - r) ** 2),
-        lambda x: math.tanh(k * (x - r)) + 1e-3 * a,
-        lambda x: math.exp(0.2 * k * (x - r)) - 1.0,
-        lambda x: (x - r) ** 3 + 0.1 * k * (x - r),
-        lambda x: 1.0 if x > r else -1.0,
-        lambda x: math.atan(k * (x - r)) * (2.0 + math.sin(7.0 * x)),
-        lambda x: (x - r) * abs(x - r) ** 0.25 - 1e-14 * a,
-    ]
-    f = shapes[seed % len(shapes)]
-    return (lambda x: -f(x)) if rng.random() < 0.5 else f, lo, hi
-
-
-# roots exactly at an end of the bracket, as +0.0 and as -0.0
-_END_ROOTS = {
-    "zero-at-lo": lambda x: x - 0.5,
-    "zero-at-hi": lambda x: 2.0 - x,
-    "minus-zero-at-lo": lambda x: -(x - 0.5),
-    "minus-zero-at-hi": lambda x: -(2.0 - x),
-}
-
-
-class TestBrentRoot:
-    """dispersion._brent_root against scipy's brentq, bit for bit."""
-
-    @pytest.mark.parametrize("xtol", [1e-12, 1e-8])
-    def test_same_bits_as_brentq(self, xtol):
-        for seed in range(700):
-            f, lo, hi = _brent_family(seed)
-            want = brentq(f, lo, hi, xtol=xtol)
-            assert dsp._brent_root(f, lo, hi, f(lo), f(hi), xtol).hex() == want.hex(), seed
-
-    @pytest.mark.parametrize("xtol", [1e-12, 1e-8])
-    @pytest.mark.parametrize("name", sorted(_END_ROOTS))
-    def test_root_at_an_end(self, name, xtol):
-        f = _END_ROOTS[name]
-        zero = next(v for v in (f(0.5), f(2.0)) if v == 0.0)
-        assert math.copysign(1.0, zero) == (-1.0 if name.startswith("minus") else 1.0)
-        want = brentq(f, 0.5, 2.0, xtol=xtol)
-        assert dsp._brent_root(f, 0.5, 2.0, f(0.5), f(2.0), xtol).hex() == want.hex()
-
-    @pytest.mark.parametrize("f, lo, hi, xtol, brentq_error, match", [
-        pytest.param(lambda x: math.nan if 0.6 < x < 0.8 else x - 0.7, 0.0, 1.0, 1e-12,
-                     ValueError, "not finite", id="nan-inside"),
-        pytest.param(lambda x: -math.inf if x == 0.0 else x - 0.7, 0.0, 1.0, 1e-12,
-                     None, "not finite", id="inf-at-lo"),
-        pytest.param(lambda x: x + 1.0, 0.0, 1.0, 1e-12, ValueError, "no sign change",
-                     id="no-sign-change"),
-        pytest.param(lambda x: 1.0 if x > 0 else -1.0, -1.0, 2.0, 1e-300, RuntimeError,
-                     "no convergence in 100 iterations", id="out-of-iterations"),
-    ])
-    def test_failures_raise_dispersion_error(self, f, lo, hi, xtol, brentq_error, match):
-        # brentq raised ValueError or RuntimeError here (and ran on through an
-        # infinite value); the port raises the module's own error
-        if brentq_error is not None:
-            with pytest.raises(brentq_error):
-                brentq(f, lo, hi, xtol=xtol)
-        with pytest.raises(dsp.DispersionError, match=match):
-            dsp._brent_root(f, lo, hi, f(lo), f(hi), xtol)
+        assert where == [f"crossing at eps={eps}"]
+        assert len(solves) <= 8
 
 
 class TestHighFrequency:
@@ -528,6 +472,8 @@ _BAD_CALLS = {
         "lam-bool": lambda cm: _scalars(cm, lam=True),
         "lam-str": lambda cm: _scalars(cm, lam="1"),
         "lam-none": lambda cm: _scalars(cm, lam=None),
+        "lam-on-spectrum": lambda cm: _scalars(
+            cm, lam=np.linalg.eigvalsh(cm.L1_sector[SECTOR_TRANSVERSE])[-1], s=0.0, eps=0.0),
     },
     "eta_coefficient": _collision_rows(dsp.eta_coefficient),
     "expansion_coefficients": _collision_rows(dsp.expansion_coefficients),
@@ -572,3 +518,4 @@ class TestBoundaryContract:
         # eps = 0 is each root's closed-form limit; only eps < 0 is out of domain
         eta = dsp.eta_coefficient(collision_small)
         assert dsp.solve_z0(1.0, 0.0, collision_small).value == pytest.approx(-2.0 * eta)
+        assert dsp.crossing_location(0.0, collision_small) == 0.5 * eta
