@@ -278,6 +278,26 @@ class TestCrossing:
         r22 = dsp.resolvent_scalars(-eps * eps * s, s, eps, cm).R22
         assert abs(s * s + r22 * s + s * s) <= 1e-15
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("cm_name", ["collision_small", "collision_default"])
+    def test_strong_streaming_stays_on_the_bracketed_root(self, request, cm_name, eps):
+        # the crossing drifts from 0.50 eta to 0.71 eta by eps = 3 and stays
+        # within 3.5e-14 of the oracle; there |2 s^2 + R22 s| reaches 7.0e-15
+        cm = request.getfixturevalue(cm_name)
+        eta = dsp.eta_coefficient(cm)
+        s = dsp.crossing_location(eps, cm)
+        assert 0.5 * eta < s < 0.95 * eta
+        assert abs(s - oracles.crossing_by_bracket(eps, cm)) <= 1e-12
+        r22 = dsp.resolvent_scalars(-eps * eps * s, s, eps, cm).R22
+        assert abs(s * s + r22 * s + s * s) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [4.0, 5.0, 10.0])
+    @pytest.mark.parametrize("cm_name", ["collision_small", "collision_default"])
+    def test_beyond_the_contraction_region_raises(self, request, cm_name, eps):
+        cm = request.getfixturevalue(cm_name)
+        with pytest.raises(dsp.DispersionError, match="left its contraction region"):
+            dsp.crossing_location(eps, cm)
+
     @pytest.mark.parametrize("eps", [0.05, 0.02])
     def test_one_fixed_point_and_few_solves(self, collision_default, monkeypatch, eps):
         dsp.eta_coefficient(collision_default)  # cached before the solves are counted
