@@ -11,13 +11,17 @@ panels resolve.
 Assembly integrates the gain kernels with a 12- and a 24-point panel rule and
 raises AssemblyError when they disagree.  Both rules share one set of inner
 radial nodes, weights and per-degree radial tables (one Laguerre recurrence per
-degree), and the panel quadrature runs over node pairs in cache-sized blocks.
-One per-degree builder, _degree_blocks, makes the gain, nu and collision blocks
-of the Legendre degrees up to a top degree and runs that check on each of
-them.  assemble_collision builds every degree of the basis; the refined pass
-of fluid_limits.transport_coefficients builds only the degrees l <= 2 that its
+degree), and one pass of the panel quadrature serves both: it runs over the
+node pairs in cache-sized blocks, computes each block's pair geometry once,
+and runs each rule's Legendre recurrence in a fixed set of block-sized
+buffers.  Every sample sees the operations of a pass per rule in their order,
+so the moments are the same bits either way.  One per-degree builder,
+_degree_blocks, makes the gain, nu and collision blocks of the Legendre
+degrees up to a top degree and runs that check on each of them.
+assemble_collision builds every degree of the basis; the refined pass of
+fluid_limits.transport_coefficients builds only the degrees l <= 2 that its
 quadratic forms read.  The quadrature is sized by the basis, not by the top
-degree, so a degree's blocks are the same bits either way.
+degree, so a degree's blocks are the same bits whatever the top degree.
 
 The bilinear collision term is kept as a dense 3-index array over a 35-element
 orthonormal tensor-Hermite sub-basis (polynomial degree <= 4).  It does not
@@ -165,23 +169,35 @@ def kernel_eval(which: str, v, vstar):
 # ---------------------------------------------------------------------------
 
 # Node pairs per block of the panel quadrature.  A pair holds _N_PANELS *
-# n_panel_points samples, so at 8 panels of 24 points a block temporary is
-# about 200 KB; one block over the 6336 pairs of BasisSpec(24, 6) was 10 MB.
+# n_panel_points samples, so at 8 panels of 24 points a block buffer is about
+# 200 KB; the kernel holds six.  One block over the 6336 pairs of
+# BasisSpec(24, 6) was 10 MB per temporary.
 _PAIR_CHUNK = 128
 # geometric panels per pair in the angular integral of the reduced kernels
 _N_PANELS = 8
 
 
-def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int, n_panel_points: int):
-    """Per-degree moments (k1_l(ra, rb), gauss_l(ra, rb)) at node pairs.
+def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int, rules: tuple[int, ...]):
+    """Per-degree moments (k1_l(ra, rb), gauss_l(ra, rb)) at node pairs, one
+    pair of (lmax + 1, n_pairs) arrays per panel rule in rules.
 
-    Pairs are independent and every reduction runs along one pair's samples,
-    so the blocks of _PAIR_CHUNK pairs give the same bits as one block.
+    One pass runs over blocks of _PAIR_CHUNK pairs.  Each block computes its
+    geometry once: the pair distances t0 = |ra - rb| and t1 = ra + rb, the
+    geometric panel breakpoints and the closing scale factors.  Each rule
+    then maps its Gauss points onto those panels and runs the Legendre
+    recurrence in six block-sized buffers, written in place.  P_0 = 1 and
+    P_1 = cos need no recurrence step: their moments are the row sums of the
+    weights and of the weights times cos.  Every sample sees the same
+    operations in the same order as a pass per rule with fresh temporaries,
+    so the result does not depend on which rules share a call.  Pairs are
+    independent and every reduction runs along one pair's samples, so the
+    blocks give the same bits as one block.
     """
-    x, wgl = np.polynomial.legendre.leggauss(n_panel_points)
+    nodes = [np.polynomial.legendre.leggauss(points) for points in rules]
+    out = [(np.empty((lmax + 1, ra.size)), np.empty((lmax + 1, ra.size))) for _ in rules]
+    size = min(_PAIR_CHUNK, ra.size) * _N_PANELS * max(rules)
+    buffers = [np.empty(size) for _ in range(6)]
     k = np.arange(_N_PANELS + 1)
-    k1_pairs = np.empty((lmax + 1, ra.size))
-    g_pairs = np.empty((lmax + 1, ra.size))
     for start in range(0, ra.size, _PAIR_CHUNK):
         sl = slice(start, start + _PAIR_CHUNK)
         a_r, b_r = ra[sl], rb[sl]
@@ -194,35 +210,76 @@ def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int, n_panel_poin
         rho = (span / tau + 1.0) ** (1.0 / _N_PANELS)
         bps = t0[:, None] + tau[:, None] * (rho[:, None] ** k[None, :] - 1.0)
         bps[:, -1] = t1  # guard roundoff
-
         lo = bps[:, :-1, None]
         hi = bps[:, 1:, None]
-        t = 0.5 * (hi - lo) * x[None, None, :] + 0.5 * (hi + lo)
-        wt = 0.5 * (hi - lo) * wgl[None, None, :]
-        t = t.reshape(t0.size, -1)
-        wt = wt.reshape(t0.size, -1)
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
 
-        a = (a_r**2 - b_r**2) ** 2 / 8.0
-        tsq = t * t
-        expo = np.exp(-a[:, None] / np.maximum(tsq, 1e-300) - tsq / 8.0)
+        neg_a = -((a_r**2 - b_r**2) ** 2 / 8.0)[:, None]
+        sq_sum = a_r**2 + b_r**2
         denom = a_r * b_r
-        cos = (a_r[:, None] ** 2 + b_r[:, None] ** 2 - tsq) / (2.0 * denom[:, None])
-        cos = np.clip(cos, -1.0, 1.0)
+        two_denom = 2.0 * denom[:, None]
+        k1_scale = (_TWO_PI * (2.0 / _SQRT_2PI) / denom)[None, :]
+        g_scale = (_TWO_PI / (2.0 * _SQRT_2PI) / denom * np.exp(-sq_sum / 4.0))[None, :]
 
-        # Legendre moments by upward recurrence (its l = 1 step is cos exactly)
-        p_prev, pl = np.zeros_like(cos), np.ones_like(cos)
-        w_exp = wt * expo
-        w_t2 = wt * tsq
-        for l in range(lmax + 1):
-            if l:
-                p_prev, pl = pl, ((2 * l - 1) * cos * pl - (l - 1) * p_prev) / l
-            k1_pairs[l, sl] = np.sum(w_exp * pl, axis=1)
-            g_pairs[l, sl] = np.sum(w_t2 * pl, axis=1)
+        for (x, wgl), (k1_pairs, g_pairs) in zip(nodes, out):
+            n = a_r.size * _N_PANELS * x.size
+            tsq, wt, expo, cos, *free = (buf[:n].reshape(a_r.size, -1) for buf in buffers)
+            # the rule's points t and weights on every panel, then t^2 in place
+            t = tsq.reshape(half.shape[:2] + x.shape)
+            np.multiply(half, x, out=t)
+            np.add(t, mid, out=t)
+            np.multiply(half, wgl, out=wt.reshape(t.shape))
+            np.multiply(tsq, tsq, out=tsq)
+            # exp(-a / max(t^2, 1e-300) - t^2 / 8)
+            np.maximum(tsq, 1e-300, out=expo)
+            np.divide(neg_a, expo, out=expo)
+            np.divide(tsq, 8.0, out=free[0])
+            np.subtract(expo, free[0], out=expo)
+            np.exp(expo, out=expo)
+            np.subtract(sq_sum[:, None], tsq, out=cos)
+            np.divide(cos, two_denom, out=cos)
+            np.clip(cos, -1.0, 1.0, out=cos)
+            np.multiply(wt, expo, out=expo)  # w exp
+            np.multiply(wt, tsq, out=wt)  # w t^2
+            free.append(tsq)
+            _legendre_moments(lmax, cos, expo, wt, free, k1_pairs[:, sl], g_pairs[:, sl])
+            k1_pairs[:, sl] *= k1_scale
+            g_pairs[:, sl] *= g_scale
+    return out
 
-        k1_pairs[:, sl] *= (_TWO_PI * (2.0 / _SQRT_2PI) / denom)[None, :]
-        g_pairs[:, sl] *= (_TWO_PI / (2.0 * _SQRT_2PI) / denom
-                           * np.exp(-(a_r**2 + b_r**2) / 4.0))[None, :]
-    return k1_pairs, g_pairs
+
+def _legendre_moments(lmax, cos, w_exp, w_t2, free, k1_rows, g_rows):
+    """Row sums of w_exp * P_l(cos) and w_t2 * P_l(cos) into row l of k1_rows
+    and g_rows, l <= lmax, by the upward recurrence
+    P_l = ((2l - 1) cos P_(l-1) - (l - 1) P_(l-2)) / l.
+
+    free holds three spare buffers of cos's shape; cos is never overwritten.
+    """
+    np.sum(w_exp, axis=1, out=k1_rows[0])
+    np.sum(w_t2, axis=1, out=g_rows[0])
+    p_prev, pl = 1.0, cos  # P_0 and P_1, exactly as the recurrence gives them
+    for l in range(1, lmax + 1):
+        if l > 1:
+            new = free.pop()
+            np.multiply(cos, 2 * l - 1, out=new)
+            np.multiply(new, pl, out=new)
+            if l == 2:
+                np.subtract(new, p_prev, out=new)
+            else:
+                # P_1 is cos itself, so its multiple goes to a spare buffer
+                scaled = free[-1] if p_prev is cos else p_prev
+                np.multiply(p_prev, l - 1, out=scaled)
+                np.subtract(new, scaled, out=new)
+                if p_prev is not cos:
+                    free.append(p_prev)
+            np.divide(new, l, out=new)
+            p_prev, pl = pl, new
+        prod = free[-1]
+        np.multiply(w_exp, pl, out=prod)
+        np.sum(prod, axis=1, out=k1_rows[l])
+        np.multiply(w_t2, pl, out=prod)
+        np.sum(prod, axis=1, out=g_rows[l])
 
 
 def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 12):
@@ -241,8 +298,9 @@ def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 
         if not _integer(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     iu = np.triu_indices(r.size)
+    (moments,) = _pair_kernel_moments(r[iu[0]], r[iu[1]], lmax, (n_panel_points,))
     tabs = []
-    for pairs in _pair_kernel_moments(r[iu[0]], r[iu[1]], lmax, n_panel_points):
+    for pairs in moments:
         tab = np.zeros((lmax + 1, r.size, r.size))
         tab[:, iu[0], iu[1]] = tab[:, iu[1], iu[0]] = pairs
         tabs.append(tab)
@@ -257,10 +315,11 @@ def _gain_matrices(basis: Basis, top: int):
     radial integral is taken over the triangle r' < r, where the integrand is
     one-sidedly smooth, and symmetrized.  The inner integral uses a mapped
     Gauss-Legendre rule; the outer one reuses the basis quadrature.  One pair
-    comes back per panel rule, coarse (12 points) then fine (24): the inner
-    nodes, weights and radial tables serve both.  The inner rule is sized by
-    the basis, not by top, so each degree's matrices are the same bits
-    whatever top is.
+    comes back per panel rule, coarse (12 points) then fine (24), from one
+    kernel pass over the node pairs; the inner nodes, weights and radial
+    tables serve both, and every kernel row is weighted in one reused buffer.
+    The inner rule is sized by the basis, not by top, so each degree's
+    matrices are the same bits whatever top is.
     """
     spec = basis.spec
     r_out = basis.quad.r
@@ -269,16 +328,19 @@ def _gain_matrices(basis: Basis, top: int):
     r_in, w_in = _gauss_legendre(n_inner, r_out[:, None])
     rb = r_in.ravel()
     ra = np.repeat(r_out, n_inner)
-    moments = [_pair_kernel_moments(ra, rb, top, points) for points in (12, 24)]
+    moments = _pair_kernel_moments(ra, rb, top, (12, 24))
     inner_w = (w_in * r_in**2).ravel()
 
     out = [({}, {}) for _ in moments]
+    weighted = np.empty((spec.radial_order, nq, n_inner))
     for l in range(top + 1):
         half_out = basis.radial_tables[l] * basis.quad.wr_half
-        bw = (basis.radial_table(l, rb) * inner_w[None, :]).reshape(-1, nq, n_inner)
+        bw = basis.radial_table(l, rb)
+        bw *= inner_w
+        bw = bw.reshape(weighted.shape)
         for (k1p, gp), (K1, K) in zip(moments, out):
-            t1 = (k1p[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1)
-            tg = (gp[l].reshape(nq, n_inner)[None] * bw).sum(axis=-1)
+            t1 = np.multiply(k1p[l].reshape(nq, n_inner)[None], bw, out=weighted).sum(axis=-1)
+            tg = np.multiply(gp[l].reshape(nq, n_inner)[None], bw, out=weighted).sum(axis=-1)
             m1 = half_out @ t1.T
             mg = half_out @ tg.T
             # The one-sided gain carries half the full gain kernel: reflecting
@@ -288,6 +350,7 @@ def _gain_matrices(basis: Basis, top: int):
             K1[l] = 0.5 * (m1 + m1.T)
             mk = m1 - mg
             K[l] = mk + mk.T
+        del bw  # before the next degree's table is built
     return out
 
 

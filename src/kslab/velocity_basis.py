@@ -201,7 +201,9 @@ class Basis:
             raise BasisError("speeds r must be finite real numbers >= 0")
         r = np.asarray(r)
         u = 0.5 * r**2
-        return _radial_rows(self.spec.radial_order, l, r, u) * np.exp(-u / 2.0)
+        rows = _radial_rows(self.spec.radial_order, l, r, u)
+        rows *= np.exp(-u / 2.0)
+        return rows
 
 
 def _radial_norm(n: int, l: int) -> float:
@@ -229,21 +231,28 @@ def laguerre_rows(n_rows: int, alpha: float, x: np.ndarray) -> np.ndarray:
     if not _finite_array(x):
         raise BasisError("x must be finite real numbers")
     x = np.asarray(x, dtype=float)
-    rows = [np.ones_like(x), -x + alpha + 1]
+    rows = np.empty((n_rows,) + x.shape)
+    rows[0] = 1.0
+    if n_rows > 1:
+        rows[1] = -x + alpha + 1
     d = -x / (alpha + 1)
     p = d + 1
     for n in range(2, n_rows):
         k = n - 1.0
         d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
         p = p + d
-        rows.append(binom(n + alpha, n) * p)
-    return np.stack(rows[:n_rows])
+        np.multiply(binom(n + alpha, n), p, out=rows[n])
+    return rows
 
 
 def _radial_rows(nr: int, l: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """c_{n,l} r^l L_n^(l+1/2)(u) for n < nr: the radial profiles without sqrt(M)."""
     norms = np.array([_radial_norm(n, l) * _TWO_PI ** (-0.75) for n in range(nr)])
-    return norms[:, None] * r**l * laguerre_rows(nr, l + 0.5, u)
+    rows = laguerre_rows(nr, l + 0.5, u)
+    r_l = r**l
+    for norm, row in zip(norms, rows):
+        row *= norm * r_l
+    return rows
 
 
 def _legendre_row(l: int, m: int, c: np.ndarray) -> np.ndarray:

@@ -5,13 +5,14 @@ own: the metric adjoint assembled term by term and as a dense conjugation, the
 dense propagator column by column, polynomial projections on the sub-basis
 grid, expansion coefficients fitted to eigenvalue sweeps, the transverse
 branch crossing as the root of a bracketed discriminant, the wave integral
-by Monte Carlo, the damped-Maxwell field flow in its eigenbasis, and the
-Gamma tensor on the whole center-of-mass grid with a quadrature product
-linearization.  A test that compares the two therefore checks the library
-against code the library does not share.  The others compute what only tests
-read: the Gram matrix of the velocity basis, the collision operators on the
-Hermite sub-basis and the bounds of nu(r)/(1 + r).  test_oracles.py checks
-that none of the names defined here exists in a kslab module.
+by Monte Carlo, the damped-Maxwell field flow in its eigenbasis, the
+gain-kernel moments one panel rule at a time, and the Gamma tensor on the
+whole center-of-mass grid with a quadrature product linearization.  A test
+that compares the two therefore checks the library against code the library
+does not share.  The others compute what only tests read: the Gram matrix of
+the velocity basis, the collision operators on the Hermite sub-basis and the
+bounds of nu(r)/(1 + r).  test_oracles.py checks that none of the names
+defined here exists in a kslab module.
 """
 import math
 
@@ -21,8 +22,9 @@ from scipy.optimize import brentq
 from scipy.special import roots_genlaguerre
 
 from kslab.collision_ops import (
-    _N_HERM, _N_RAD, _PRODUCT_INDICES, _SUB_INDICES, _burnett_sub_elements, _change_of_basis,
-    _degree_blocks, _hermite_grid, _nu_of_r, _sphere_rule, _sub_quadrature, _sub_table,
+    _N_HERM, _N_PANELS, _N_RAD, _PAIR_CHUNK, _PRODUCT_INDICES, _SQRT_2PI, _SUB_INDICES, _TWO_PI,
+    _burnett_sub_elements, _change_of_basis, _degree_blocks, _hermite_grid, _nu_of_r,
+    _sphere_rule, _sub_quadrature, _sub_table,
 )
 from kslab.dispersion import (
     _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues, eta_coefficient,
@@ -64,6 +66,64 @@ def nu_bounds():
     grid = np.linspace(0.0, 20.0, 2001)
     ratios = _nu_of_r(grid) / (1.0 + grid)
     return float(ratios.min()), float(ratios.max())
+
+
+def pair_kernel_moments_by_rule(ra, rb, lmax, rules):
+    """The gain-kernel moments one panel rule at a time: [(k1, g) per rule].
+
+    Each rule recomputes the pair geometry and runs the Legendre recurrence
+    from P_0 = 1 on freshly allocated block temporaries, as the kernel did
+    before it took all rules in one pass.
+    """
+    return [_moments_one_rule(ra, rb, lmax, points) for points in rules]
+
+
+def _moments_one_rule(ra, rb, lmax, n_panel_points):
+    x, wgl = np.polynomial.legendre.leggauss(n_panel_points)
+    k = np.arange(_N_PANELS + 1)
+    k1_pairs = np.empty((lmax + 1, ra.size))
+    g_pairs = np.empty((lmax + 1, ra.size))
+    for start in range(0, ra.size, _PAIR_CHUNK):
+        sl = slice(start, start + _PAIR_CHUNK)
+        a_r, b_r = ra[sl], rb[sl]
+        t0 = np.abs(a_r - b_r)
+        t1 = a_r + b_r
+        span = t1 - t0
+        tau = np.clip(t0 * t1 / (2.0 * math.sqrt(2.0)), 1e-4 * span, span)
+
+        # geometric breakpoints b_k = t0 + tau*(rho^k - 1), rho^K = span/tau + 1
+        rho = (span / tau + 1.0) ** (1.0 / _N_PANELS)
+        bps = t0[:, None] + tau[:, None] * (rho[:, None] ** k[None, :] - 1.0)
+        bps[:, -1] = t1  # guard roundoff
+
+        lo = bps[:, :-1, None]
+        hi = bps[:, 1:, None]
+        t = 0.5 * (hi - lo) * x[None, None, :] + 0.5 * (hi + lo)
+        wt = 0.5 * (hi - lo) * wgl[None, None, :]
+        t = t.reshape(t0.size, -1)
+        wt = wt.reshape(t0.size, -1)
+
+        a = (a_r**2 - b_r**2) ** 2 / 8.0
+        tsq = t * t
+        expo = np.exp(-a[:, None] / np.maximum(tsq, 1e-300) - tsq / 8.0)
+        denom = a_r * b_r
+        cos = (a_r[:, None] ** 2 + b_r[:, None] ** 2 - tsq) / (2.0 * denom[:, None])
+        cos = np.clip(cos, -1.0, 1.0)
+
+        # Legendre moments by upward recurrence (its l = 1 step is cos exactly)
+        p_prev, pl = np.zeros_like(cos), np.ones_like(cos)
+        w_exp = wt * expo
+        w_t2 = wt * tsq
+        for l in range(lmax + 1):
+            if l:
+                p_prev, pl = pl, ((2 * l - 1) * cos * pl - (l - 1) * p_prev) / l
+            k1_pairs[l, sl] = np.sum(w_exp * pl, axis=1)
+            g_pairs[l, sl] = np.sum(w_t2 * pl, axis=1)
+
+        k1_pairs[:, sl] *= (_TWO_PI * (2.0 / _SQRT_2PI) / denom)[None, :]
+        g_pairs[:, sl] *= (_TWO_PI / (2.0 * _SQRT_2PI) / denom
+                           * np.exp(-(a_r**2 + b_r**2) / 4.0))[None, :]
+    return k1_pairs, g_pairs
 
 
 def gamma_full_grid():

@@ -9,9 +9,12 @@ own Schur flows), fluid_limits._heat_decay for the heat decay, the one
 reader of the heat rates, and fluid_limits._field_flow, the one reader of
 the two-by-two field exponential.  The linear fluid solver reads those two
 fluid flows for its unforced and its Duhamel parts: it has no exponential
-of its own and loops over modes, never over times.  And convergence_lab reads the sound speed from
-fluid_limits, so it does not import dispersion, and it builds every rate
-report in _report.
+of its own and loops over modes, never over times.  The gain-kernel moments
+of every panel rule come from one pass of collision_ops._pair_kernel_moments:
+_gain_matrices calls it once, outside its loop over degrees, and
+reduced_kernel_tables is its only other reader.  And convergence_lab reads
+the sound speed from fluid_limits, so it does not import dispersion, and it
+builds every rate report in _report.
 """
 import ast
 from pathlib import Path
@@ -88,6 +91,19 @@ def test_one_fluid_solver():
     # every loop and comprehension runs over the modes
     loops = [node.iter for node in solver if isinstance(node, (ast.For, ast.comprehension))]
     assert loops and all(any(map(_reads("modes"), ast.walk(it))) for it in loops)
+
+
+def test_one_gain_kernel_pass():
+    assert set(_where(_reads("_pair_kernel_moments"))) == {
+        ("collision_ops", "_gain_matrices"), ("collision_ops", "reduced_kernel_tables")}
+    # one call for both panel rules, before and outside the loop over degrees
+    gain = _function("collision_ops", "_gain_matrices")
+    calls = [node for node in ast.walk(gain)
+             if isinstance(node, ast.Call) and _reads("_pair_kernel_moments")(node.func)]
+    loops = [node for node in ast.walk(gain)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert len(calls) == 1 and loops
+    assert not [loop for loop in loops for node in ast.walk(loop) if node is calls[0]]
 
 
 def test_convergence_lab_does_not_import_dispersion():

@@ -37,6 +37,7 @@ from kslab.velocity_basis import (
     SECTOR_TRANSVERSE,
     Basis,
     BasisSpec,
+    _gauss_legendre,
     _radial_norm,
     build_basis,
 )
@@ -209,8 +210,8 @@ def _per_nl_gain_matrices(basis, n_panel_points):
     r_in = 0.5 * r_out[:, None] * (xg[None, :] + 1.0)
     w_in = 0.5 * r_out[:, None] * wg[None, :]
     rb = r_in.ravel()
-    k1p, gp = collision_ops._pair_kernel_moments(
-        np.repeat(r_out, n_inner), rb, lmax, n_panel_points)
+    ((k1p, gp),) = collision_ops._pair_kernel_moments(
+        np.repeat(r_out, n_inner), rb, lmax, (n_panel_points,))
     inner_w = (w_in * r_in**2).ravel()
     u = 0.5 * rb**2
     K1_deg, K_deg = {}, {}
@@ -228,14 +229,55 @@ def _per_nl_gain_matrices(basis, n_panel_points):
     return K1_deg, K_deg
 
 
+def _gain_pairs(spec):
+    """The (ra, rb) node pairs at which _gain_matrices evaluates the kernel moments."""
+    basis = build_basis(BasisSpec(*spec))
+    r_out = basis.quad.r
+    n_inner = max(64, 3 * spec[0] + 4 * spec[1])
+    r_in, _ = _gauss_legendre(n_inner, r_out[:, None])
+    return np.repeat(r_out, n_inner), r_in.ravel()
+
+
+def _random_pairs(n):
+    rng = np.random.default_rng(n)
+    ra, rb = rng.uniform(0.05, 9.0, (2, n))
+    rb[: n // 3] = ra[: n // 3]
+    return ra, rb
+
+
 class TestGainAssembly:
+    @pytest.mark.parametrize("pairs, tops", [
+        pytest.param(lambda: _gain_pairs((6, 3)), (0, 1, 2, 3), id="basis-6-3"),
+        pytest.param(lambda: _gain_pairs((12, 6)), (0, 1, 2, 6), id="basis-12-6"),
+        pytest.param(lambda: _gain_pairs((18, 6)), (0, 1, 2, 6), id="basis-18-6"),
+        pytest.param(lambda: _random_pairs(2 * collision_ops._PAIR_CHUNK + 37), (0, 1, 2, 6),
+                     id="ragged"),
+        pytest.param(lambda: _random_pairs(collision_ops._PAIR_CHUNK // 3), (0, 1, 2, 6),
+                     id="under-a-block"),
+        pytest.param(lambda: _random_pairs(0), (0, 1, 2, 6), id="no-pairs"),
+    ])
+    def test_one_pass_matches_the_per_rule_kernel(self, pairs, tops):
+        ra, rb = pairs()
+        # row l of the per-rule kernel does not depend on lmax, so one run at
+        # the top degree serves every lower top
+        want = dict(zip((12, 24, 16),
+                        oracles.pair_kernel_moments_by_rule(ra, rb, max(tops), (12, 24, 16))))
+        for rules in ((12, 24), (24, 12), (16,)):
+            for lmax in tops:
+                got = collision_ops._pair_kernel_moments(ra, rb, lmax, rules)
+                assert len(got) == len(rules)
+                for points, moments in zip(rules, got):
+                    for a, b in zip(moments, want[points]):
+                        assert a.shape == (lmax + 1, ra.size)
+                        assert np.array_equal(a, b[: lmax + 1]), (points, lmax)
+
     def test_pair_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(5)
         ra, rb = rng.uniform(0.05, 9.0, (2, 200))
         monkeypatch.setattr(collision_ops, "_PAIR_CHUNK", ra.size)
-        whole = collision_ops._pair_kernel_moments(ra, rb, 6, 24)
+        (whole,) = collision_ops._pair_kernel_moments(ra, rb, 6, (24,))
         monkeypatch.setattr(collision_ops, "_PAIR_CHUNK", 7)
-        blocked = collision_ops._pair_kernel_moments(ra, rb, 6, 24)
+        (blocked,) = collision_ops._pair_kernel_moments(ra, rb, 6, (24,))
         for a, b in zip(whole, blocked):
             assert np.array_equal(a, b)
 
@@ -271,8 +313,8 @@ class TestGainAssembly:
         rng = np.random.default_rng(8)
         ra, rb = rng.uniform(0.05, 9.0, (2, 300))
         for points in (12, 24):
-            low = collision_ops._pair_kernel_moments(ra, rb, 2, points)
-            full = collision_ops._pair_kernel_moments(ra, rb, 6, points)
+            (low,) = collision_ops._pair_kernel_moments(ra, rb, 2, (points,))
+            (full,) = collision_ops._pair_kernel_moments(ra, rb, 6, (points,))
             for a, b in zip(low, full):
                 assert np.array_equal(a, b[:3])
 

@@ -123,12 +123,12 @@ class TestRefinedPass:
 
     def test_refined_pass_builds_degrees_up_to_two(self, collision_small, monkeypatch):
         cm = dataclasses.replace(collision_small, _cache={})
-        degrees, built = [], []
+        calls, built = [], []
         moments = collision_ops._pair_kernel_moments
 
-        def spy_moments(ra, rb, lmax, *args):
-            degrees.append(lmax)
-            return moments(ra, rb, lmax, *args)
+        def spy_moments(ra, rb, lmax, rules):
+            calls.append((lmax, rules))
+            return moments(ra, rb, lmax, rules)
 
         init = CollisionMatrices.__init__
 
@@ -139,18 +139,18 @@ class TestRefinedPass:
         monkeypatch.setattr(collision_ops, "_pair_kernel_moments", spy_moments)
         monkeypatch.setattr(CollisionMatrices, "__init__", spy_init)
         fl.transport_coefficients(cm)
-        assert degrees == [2, 2]
+        assert calls == [(2, (12, 24))]
         assert built == []
 
     def test_refined_pass_checks_kernel_refinement(self, collision_small, monkeypatch):
         cm = dataclasses.replace(collision_small, _cache={})
         moments = collision_ops._pair_kernel_moments
 
-        def perturbed(ra, rb, lmax, n_panel_points):
-            k1, g = moments(ra, rb, lmax, n_panel_points)
-            if n_panel_points == 12:
-                k1[lmax] *= 1.0 + 1e-5
-            return k1, g
+        def perturbed(ra, rb, lmax, rules):
+            out = moments(ra, rb, lmax, rules)
+            k1, _ = out[rules.index(12)]
+            k1[lmax] *= 1.0 + 1e-5
+            return out
 
         monkeypatch.setattr(collision_ops, "_pair_kernel_moments", perturbed)
         with pytest.raises(AssemblyError, match="not converged"):

@@ -642,7 +642,7 @@ class TestResolventProbe:
         r, _, _, tables = mo._probe_grid()
         n = r.size
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        k1p, _ = _pair_kernel_moments(r[ii.ravel()], r[jj.ravel()], mo._PROBE_LMAX, 16)
+        ((k1p, _),) = _pair_kernel_moments(r[ii.ravel()], r[jj.ravel()], mo._PROBE_LMAX, (16,))
         _, wg = np.polynomial.legendre.leggauss(n)
         sw = np.sqrt(0.5 * mo._PROBE_R_MAX * wg * r**2)
         assert len(tables) == mo._PROBE_LMAX + 1
