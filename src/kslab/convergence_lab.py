@@ -31,7 +31,10 @@ eps-slope fits and flags, and _report builds every rate report.
 The oscillatory decay check has no inputs of its own: its envelope
 (1 + s)^-4, its phase times, its front offsets and the radial cutoff of the
 wave integral are the module constants _envelope, _OSC_THETAS, _OSC_X_RATIOS
-and _OSC_R_CUT, which the report's config records.
+and _OSC_R_CUT, which the report's config records.  The wave integral is
+order-10 Gauss on pieces of [0, _OSC_R_CUT] no wider than min(1, 8/|phase|),
+checked at 1e-7 against every piece bisected by the panel rule that the
+Duhamel integrals of fluid_limits use too (velocity_basis._panel_quadrature).
 
 Bad input fails at the boundary with ConvergenceError: an experiment's
 configuration that is not an ExperimentConfig or a mapping of its fields,
@@ -74,7 +77,8 @@ from .mode_operators import (
 )
 from .velocity_basis import (
     SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_array,
-    _finite_complex_array, _gauss_legendre, _integer, v_multiplication_matrix,
+    _finite_complex_array, _gauss_legendre, _integer, _panel_quadrature,
+    v_multiplication_matrix,
 )
 
 
@@ -957,31 +961,16 @@ _OSC_X_RATIOS = (0.0, 0.5, 1.0)
 _OSC_R_CUT = 120.0
 
 
-def _filon_moment(kappa: float, m: int, order: int, width_cap: float) -> complex:
-    """Panelled Gauss quadrature of the radial half-line phase integral."""
-    width = min(width_cap, 8.0 / max(abs(kappa), 1.0))
-    panels = max(int(math.ceil(_OSC_R_CUT / width)), 4)
-    edges = np.linspace(0.0, _OSC_R_CUT, panels + 1)
-    x, w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (edges[:-1, None] + half) + half * x[None, :]
-    weights = half * w[None, :]
-    vals = np.exp(1j * kappa * nodes) * _envelope(nodes) * nodes**m
-    return complex(np.sum(weights * vals))
-
-
 def _radial_phase_integral(kappa: float, m: int) -> complex:
-    coarse = _filon_moment(kappa, m, 10, 1.0)
-    fine = _filon_moment(kappa, m, 21, 0.5)
-    scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) > 1e-7 * scale + 1e-13:
-        finest = _filon_moment(kappa, m, 32, 0.25)
-        if abs(finest - fine) > 1e-6 * max(abs(finest), 1e-300) + 1e-13:
-            raise ConvergenceError(
-                f"oscillatory quadrature did not converge at phase {kappa:.3e}"
-            )
-        return finest
-    return fine
+    """The half-line phase integral of e^{i kappa r} r^m under _envelope, cut off at
+    _OSC_R_CUT: order-10 Gauss on pieces no wider than min(1, 8/|kappa|), checked
+    at 1e-7 by velocity_basis._panel_quadrature."""
+    def values(rows, r):
+        return np.exp(1j * kappa * r) * _envelope(r) * r**m
+
+    cap = min(1.0, 8.0 / max(abs(kappa), 1.0))
+    return complex(_panel_quadrature([0.0, _OSC_R_CUT], cap, 10, 1e-7, values,
+                                     ConvergenceError)[0])
 
 
 def oscillatory_value(theta: float, x: float) -> complex:
@@ -989,6 +978,7 @@ def oscillatory_value(theta: float, x: float) -> complex:
     the envelope _envelope cut off at _OSC_R_CUT."""
     if not (_finite(theta) and _finite(x)):
         raise ConvergenceError(f"wave integral needs finite theta and x, got {theta!r}, {x!r}")
+    x = abs(x)
     if x < 1e-12:
         return 4.0 * math.pi * _radial_phase_integral(theta, 2)
     k_plus = _radial_phase_integral(theta + x, 1)

@@ -23,9 +23,12 @@ exp(-a_j s^2 t) of the three heat branches, and Y1_mode (one mode), _heat_flow
 (a grid of kinetic modes over a grid of times), the aggregate heat decay
 experiment and the linear solver (its entropy and shear columns) all evaluate
 it.  The solver's Duhamel integrals apply the same two flows to every
-quadrature node of every time in one call per rule, on panels graded toward
-zero lag, where the flows vary fastest.  p_split, the compressible /
-incompressible splitting, acts on the last axis of any array of modes.  The
+quadrature node of every time in one call per rule.  Each flow sets its own
+lag panels: graded geometrically from its shortest decay length (or 1e-3 t)
+and, for the ringing field flow, cut to a quarter period, under the one
+checked panel rule velocity_basis._panel_quadrature.  p_split, the
+compressible / incompressible splitting, acts on the last axis of any array
+of modes.  The
 rate experiments build their fluid references and error streams from
 _heat_flow, _field_flow, _field_sq and p_split.  The quadratic forms of
 _core_values, with the hydrodynamic directions h0, ht1 and h+- and the sound
@@ -52,12 +55,15 @@ from .collision_ops import (
 )
 from .velocity_basis import (
     SECTOR_AXIAL, SECTOR_TRANSVERSE, Basis, BasisSpec, _check_record, _finite, _finite_array,
-    _finite_complex, _finite_complex_array, _gauss_legendre, build_basis, v_multiplication_matrix,
+    _finite_complex, _finite_complex_array, _gauss_legendre, _panel_quadrature, build_basis,
+    v_multiplication_matrix,
 )
 
 _CONSTRAINT_TOL = 1e-10
-# Gauss panels of the coarse Duhamel time rule; the check rule has twice as many
-_DUHAMEL_PANELS = 12
+# the Duhamel rule: Gauss order, and geometric lag panels per time over three
+# decades of lag, before the width cap
+_DUHAMEL_ORDER = 8
+_DUHAMEL_PANELS = 11
 # aggregate decay experiments: radial mode grid on [0, _DECAY_S_MAX], the fit
 # window per kind as geomspace arguments, and the heat profile width
 _DECAY_N_S = 400
@@ -444,36 +450,36 @@ def _forcing(g: Callable, taus: np.ndarray, shape: tuple) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(len(taus), *shape)
 
 
-def _duhamel(propagate: Callable, force: Callable, times: np.ndarray) -> np.ndarray:
+def _duhamel(propagate: Callable, force: Callable, times: np.ndarray, rate: float,
+             cap: float) -> np.ndarray:
     """integral_0^t propagate(sigma, force(t - sigma)) dsigma for each t of times,
     panelwise Gauss in the lag sigma = t - tau.
 
-    Each t has geometric panels on the lags [0, t], graded toward sigma = 0,
-    where the propagators vary fastest (zero weights at t = 0).  force(taus)
-    gives the forcing components at a flat array of times, one row each, and
-    propagate(lags, f) applies the unforced flow over each lag to the rows of
-    f: one call of each per rule over the nodes of all times.  Returns one
-    row of integrated components per t.
+    The flow sets the panels: rate is its fastest decay rate and cap the
+    widest panel it admits (a quarter period for the ringing field flow).
+    Each t has the lag panel [0, a], a = min(1e-3 t, 1/rate), where the flow
+    varies fastest, then _DUHAMEL_PANELS geometric panels over [a, 1e3 a] and
+    one last panel up to t, empty unless t passes 1e3 decay lengths.
+    velocity_basis._panel_quadrature cuts them to cap and checks them at 1e-8
+    (zero weights at t = 0).  force(taus) gives the forcing components at a
+    flat array of times, one row each, and propagate(lags, f) applies the
+    unforced flow over each lag to the rows of f: one call of each per rule
+    over the nodes of all times.  Returns one row of integrated components
+    per t.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(6)
+    # a = min(1e-3 t, 1/rate), with no division by a rate that underflowed to 0
+    first = (1e-3 * times / np.maximum(1.0, 1e-3 * times * rate))[:, None]
+    graded = np.minimum(first * np.geomspace(1.0, 1e3, _DUHAMEL_PANELS + 1), times[:, None])
+    edges = np.concatenate((np.zeros_like(first), graded, times[:, None]), axis=1)
 
-    def quad(n):
-        edges = times[:, None] * np.concatenate(([0.0], np.geomspace(1e-3, 1.0, n)))
-        mid, half = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
-        lags = mid[..., None] + half[..., None] * nodes
-        f = force((times[:, None, None] - lags).ravel())
-        # the roughness test below is False for NaN, so an overflow is rejected here
+    def integrand(rows, lags):
+        f = force(times[rows] - lags)
+        # the roughness test is False for NaN, so an overflow is rejected here
         if not _finite_complex_array(f):
             raise FluidError("non-finite forcing")
-        flow = propagate(lags.ravel(), f)
-        return np.einsum("tpn,tpnk->tk", half[..., None] * weights,
-                         flow.reshape(*lags.shape, f.shape[1]))
+        return propagate(lags, f)
 
-    coarse, fine = quad(_DUHAMEL_PANELS), quad(2 * _DUHAMEL_PANELS)
-    if np.any(np.sum(np.abs(fine - coarse), axis=1)
-              > 1e-8 * (np.sum(np.abs(fine), axis=1) + 1e-12)):
-        raise FluidError("forcing too rough for the Duhamel time quadrature")
-    return fine
+    return _panel_quadrature(edges, cap, _DUHAMEL_ORDER, 1e-8, integrand, FluidError)
 
 
 def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
@@ -508,17 +514,19 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
     e_field, b_field = np.zeros((2, nt, nm, 3), complex)
     for j, mode in enumerate(modes):
         s, omega = mode.s, np.asarray(mode.omega, dtype=float)
+        # the fastest heat decay: the entropy rate a0 or the shear rate kappa0
+        heat_rate = max(tc.a_list[0], tc.kappa0) * s * s
         if mode.g2 is not None:
             q[:, j] += _duhamel(lambda lag, f: _heat_decay(lag, s, tc)[:, :1] * f,
                                 lambda taus: 0.6 * _forcing(mode.g2, taus, ())[:, None],
-                                times)[:, 0]
+                                times, heat_rate, math.inf)[:, 0]
         if mode.g1 is not None:
             # only the transverse forcing drives the momentum; the parallel
             # part is absorbed by the pressure
             frame = np.array(_frame(omega))
             m[:, j] += _duhamel(lambda lag, f: _heat_decay(lag, s, tc)[:, 1:2] * f,
                                 lambda taus: _forcing(mode.g1, taus, (3,)) @ frame.T,
-                                times) @ frame
+                                times, heat_rate, math.inf) @ frame
             p[:, j] = -1j * (_forcing(mode.g1, times, (3,)) @ omega) / s
         if mode.g3 is not None:
             # the field forcing drives the charge and X only
@@ -527,7 +535,8 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
             flow[:, j] += _duhamel(
                 lambda lag, f: np.concatenate(
                     _field_flow(tc.eta, s, lag, *f.T[:, :, None]), axis=1),
-                lambda taus: _forcing(mode.g3, taus, (3,)) @ drive, times)
+                lambda taus: _forcing(mode.g3, taus, (3,)) @ drive, times,
+                tc.eta * (1.0 + s * s), 0.5 * math.pi / s)
         e_field[:, j], b_field[:, j] = _fields(omega, s, *flow[:, j].T)
     return {"t": times, "n": -math.sqrt(2.0 / 3.0) * q, "m": m, "q": q, "rho": flow[..., 0],
             "E": e_field, "B": b_field, "p": p}

@@ -30,6 +30,7 @@ mode_operators.ModeOperator (metric_diag, weighted_inner).
 This module owns the building blocks the other modules read rather than
 rebuild: the radial profiles (_radial_rows), the normalized Legendre rows
 (_legendre_row), the Gauss-Legendre rule on [0, top] (_gauss_legendre), the
+checked panel rule of the time and wave integrals (_panel_quadrature), the
 read-only marker for shared arrays (_frozen), and the boundary checks every
 module shares: the record check (_check_record), the scalar predicates
 (_integer, _finite, _finite_complex) and their array forms (_finite_array,
@@ -47,6 +48,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import binom, eval_legendre, gammaln, lpmv, roots_genlaguerre
@@ -57,6 +59,10 @@ SECTOR_TRANSVERSE = 1
 _TWO_PI = 2.0 * math.pi
 # largest radial rule for which exp(u/2)-weighted kernel quadrature stays finite
 _MAX_QUAD = 180
+# largest check rule of _panel_quadrature: the oscillatory check's finest rule
+# (phase 2000) takes 6e5 nodes; a phase or a time far beyond any check would
+# allocate gigabytes of nodes and values instead of failing
+_MAX_PANEL_NODES = 1_000_000
 
 
 class BasisError(ValueError):
@@ -314,6 +320,47 @@ def _gauss_legendre(n: int, top) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * top
     return half * (x + 1.0), half * w
+
+
+def _panel_quadrature(edges, cap: float, order: int, rtol: float, integrand: Callable,
+                      error: type) -> np.ndarray:
+    """Checked integrals over each row of base panel edges (n_rows, n_edges), or one row.
+
+    Each base panel is cut into equal pieces no wider than cap, and order-point
+    Gauss-Legendre on the pieces is checked against the same rule on every piece
+    bisected, so no panel is shared by the two rules.  integrand(rows, x) gives
+    the values (n, ...) at the flat nodes x of the rows `rows`: one call per
+    rule over all rows.  Returns the check rule's sums, (n_rows, ...).  Raises
+    error, before allocating, when the check rule would pass _MAX_PANEL_NODES,
+    and when the two rules differ by more than rtol of a row's sums.
+    """
+    edges = np.atleast_2d(edges)
+    width = np.diff(edges, axis=1)
+    counts = np.maximum(np.ceil(width / cap), 1.0)
+    nodes = 2 * order * counts.sum()
+    if not nodes <= _MAX_PANEL_NODES:
+        raise error(f"panel quadrature needs {nodes:.3g} nodes, more than {_MAX_PANEL_NODES}")
+    counts = counts.astype(int).ravel()
+    panel = np.repeat(np.arange(counts.size), counts)   # the base panel of each piece
+    first = np.cumsum(counts) - counts                  # the first piece of each base panel
+    step = (width.ravel() / counts)[panel]
+    left = edges[:, :-1].ravel()[panel] + step * (np.arange(panel.size) - first[panel])
+    rows = panel // width.shape[1]
+    x, w = _gauss_legendre(order, 1.0)
+
+    def rule(x, w):
+        values = integrand(np.repeat(rows, len(x)), (left[:, None] + step[:, None] * x).ravel())
+        pieces = np.einsum("pn,pn...->p...", step[:, None] * w,
+                           values.reshape(len(left), len(x), *values.shape[1:]))
+        return np.add.reduceat(pieces, first[::width.shape[1]], axis=0)
+
+    coarse = rule(x, w)
+    fine = rule(np.concatenate((0.5 * x, 0.5 + 0.5 * x)), np.concatenate((0.5 * w, 0.5 * w)))
+    tail = tuple(range(1, fine.ndim))
+    if np.any(np.abs(fine - coarse).sum(axis=tail)
+              > rtol * (np.abs(fine).sum(axis=tail) + 1e-12)):
+        raise error("integrand too rough for the panel quadrature: its two rules disagree")
+    return fine
 
 
 def _check_record(value, cls: type, error: type) -> None:

@@ -9,7 +9,9 @@ own Schur flows), fluid_limits._heat_decay for the heat decay, the one
 reader of the heat rates, and fluid_limits._field_flow, the one reader of
 the two-by-two field exponential.  The linear fluid solver reads those two
 fluid flows for its unforced and its Duhamel parts: it has no exponential
-of its own and loops over modes, never over times.  The gain-kernel moments
+of its own and loops over modes, never over times, and neither does the
+panel rule under it.  That rule, velocity_basis._panel_quadrature, is the
+one behind the Duhamel integrals and the wave integral of convergence_lab.  The gain-kernel moments
 of every panel rule come from one pass of collision_ops._pair_kernel_moments:
 _gain_matrices calls it once, outside its loop over degrees, and
 reduced_kernel_tables is its only other reader.  And convergence_lab reads
@@ -84,13 +86,25 @@ def test_one_fluid_solver():
         ("fluid_limits", name)
         for name in ("Y1_mode", "_heat_flow", "y1_decay_experiment", "linear_nsmf_solve")}
     # whole subtrees, so nested functions and lambdas count too
-    solver = [node for name in ("linear_nsmf_solve", "_duhamel")
-              for node in ast.walk(_function("fluid_limits", name))]
+    solver = [node for module, name in (("fluid_limits", "linear_nsmf_solve"),
+                                        ("fluid_limits", "_duhamel"),
+                                        ("velocity_basis", "_panel_quadrature"))
+              for node in ast.walk(_function(module, name))]
     assert not [node for node in solver
                 if any(_reads(name)(node) for name in ("exp", "expm", "expm1"))]
     # every loop and comprehension runs over the modes
     loops = [node.iter for node in solver if isinstance(node, (ast.For, ast.comprehension))]
     assert loops and all(any(map(_reads("modes"), ast.walk(it))) for it in loops)
+
+
+def test_one_panel_rule():
+    # the Duhamel and the wave integrals share one checked panel rule, and
+    # neither module lays Gauss nodes of its own
+    assert set(_where(_reads("_panel_quadrature"))) == {
+        ("fluid_limits", "<module>"), ("fluid_limits", "_duhamel"),
+        ("convergence_lab", "<module>"), ("convergence_lab", "_radial_phase_integral")}
+    assert not {module for module, _ in _where(_reads("leggauss"))} & {
+        "fluid_limits", "convergence_lab"}
 
 
 def test_one_gain_kernel_pass():

@@ -377,6 +377,8 @@ class TestOscillatory:
         val = cl.oscillatory_value(5.0, 2.5)
         ref, sigma = oracles.mc_reference(5.0, 2.5, n=400_000, seed=11)
         assert abs(val - ref) <= 3.0 * sigma
+        # the integral reads the offset |x|
+        assert cl.oscillatory_value(5.0, -2.5) == val
 
     def test_monte_carlo_static_mass_is_exact(self):
         ref, sigma = oracles.mc_reference(0.0, 0.0, n=1000, seed=0)
@@ -401,6 +403,12 @@ class TestOscillatory:
     def test_non_finite_arguments_rejected(self, theta, x):
         with pytest.raises(cl.ConvergenceError, match="finite theta and x"):
             cl.oscillatory_value(theta, x)
+
+    def test_unresolved_integral_raises_convergence_error(self, monkeypatch):
+        # an envelope that rings at 200 is far below the pieces of width 1 at phase 1
+        monkeypatch.setattr(cl, "_envelope", lambda s: np.cos(200.0 * s))
+        with pytest.raises(cl.ConvergenceError, match="too rough"):
+            cl.oscillatory_value(1.0, 0.0)
 
     def test_decay_check_flags_and_exponent(self):
         rep = cl.oscillatory_decay_check()
@@ -988,6 +996,7 @@ _BAD_CALLS = {
         "x-none": lambda cm: cl.oscillatory_value(1.0, None),
         "theta-bool": lambda cm: cl.oscillatory_value(True, 0.5),
         "theta-complex": lambda cm: cl.oscillatory_value(1.0j, 0.5),
+        "theta-node-budget": lambda cm: cl.oscillatory_value(1e9, 0.0),
     },
 }
 # exported names that take no caller input of their own

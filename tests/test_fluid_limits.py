@@ -550,6 +550,12 @@ def _mixed_modes(rng):
     return modes
 
 
+# the (s, t) grid of the Duhamel regression tests: decay lengths from 4e-3 to
+# about 400, and up to about 480 field periods of lag
+_GRID_S = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+_GRID_T = np.array([0.01, 0.1, 1.0, 5.5, 20.0, 100.0])
+
+
 class TestLinearNsmf:
     def test_unforced_closed_forms(self, tc):
         omega = np.array([1.0, 0.0, 0.0])
@@ -623,6 +629,45 @@ class TestLinearNsmf:
         out = fl.linear_nsmf_solve([mode], np.array([t]), tc)
         assert abs(out["q"][0, 0] - 0.6 * (1.0 - math.exp(-a * t)) / a) < 1e-14
 
+    @pytest.mark.parametrize("s", _GRID_S)
+    def test_constant_heat_and_charge_forcing_over_the_grid(self, tc, s):
+        # at s = 30, t = 100 both flows die out within 5e-3 of lag, far inside
+        # the first panel [0, 1e-3 t] a grading in t alone would start with
+        modes = [fl.NsmfMode(s=s, g2=lambda tau: 1.0),
+                 fl.NsmfMode(s=s, g3=lambda tau: np.array([1.0, 0.0, 0.0], complex))]
+        out = fl.linear_nsmf_solve(modes, _GRID_T, tc)
+        a, b = tc.a_list[0] * s * s, tc.eta * (1.0 + s * s)
+        want_q = -0.6 * np.expm1(-a * _GRID_T) / a
+        want_rho = -1j * s * np.expm1(-b * _GRID_T) / b
+        assert np.all(np.abs(out["q"][:, 0] - want_q) <= 1e-9 * np.abs(want_q))
+        assert np.all(np.abs(out["rho"][:, 1] - want_rho) <= 1e-9 * np.abs(want_rho))
+
+    @pytest.mark.parametrize("s", _GRID_S)
+    def test_constant_transverse_field_forcing_over_the_grid(self, tc, s):
+        # the field blocks ring at frequency ~s over many periods of lag;
+        # with omega = e1 the frame is (e2, e3), and a constant forcing f of
+        # one block [[-eta, c], [c, 0]] adds M^{-1} (e^{tM} - 1) (f, 0)
+        vectors = ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+        modes = [fl.NsmfMode(s=s, g3=lambda tau, v=v: np.array(v, complex)) for v in vectors]
+        out = fl.linear_nsmf_solve(modes, _GRID_T, tc)
+
+        def block(c, t):
+            gen = np.array([[-tc.eta, c], [c, 0.0]])
+            return np.linalg.solve(gen, (expm(t * gen) - np.eye(2))[:, 0])
+
+        b = tc.eta * (1.0 + s * s)
+        e2, e3 = np.eye(3)[1:]
+        for i, t in enumerate(_GRID_T):
+            x3, y2 = block(1j * s, t)      # driven by e2: omega x e2 = e3
+            x2, y3 = -block(-1j * s, t)    # driven by e3: omega x e3 = -e2
+            rho = -1j * s * math.expm1(-b * t) / b
+            wants = [(x3 * e2, -y2 * e3), (-x2 * e3, y3 * e2),
+                     (x3 * e2 - x2 * e3 - 1j * rho / s * np.eye(3)[0], y3 * e2 - y2 * e3)]
+            for j, (want_e, want_b) in enumerate(wants):
+                got = np.concatenate((out["E"][i, j], out["B"][i, j]))
+                want = np.concatenate((want_e, want_b))
+                assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), (t, j)
+
     def test_axial_field_forcing_drives_charge_only(self, tc):
         s, beta = 1.2, 1.0
         omega = np.array([1.0, 0.0, 0.0])
@@ -639,22 +684,19 @@ class TestLinearNsmf:
             assert np.linalg.norm(out["E"][i, 0]
                                   + 1j * omega * out["rho"][i, 0] / s) < 1e-10
 
-    def test_transverse_field_forcing_matches_quadrature(self, tc):
-        s = 0.7
+    @pytest.mark.parametrize("s, t", [(0.7, 2.0), (1.0, 20.0), (3.0, 5.5), (10.0, 1.0)])
+    def test_transverse_field_forcing_matches_quadrature(self, tc, s, t):
         force = lambda tau: np.array([0.0, math.sin(tau), 0.0], complex)
         mode = fl.NsmfMode(s=s, g3=force)
-        out = fl.linear_nsmf_solve([mode], np.array([2.0]), tc)
+        out = fl.linear_nsmf_solve([mode], np.array([t]), tc)
         # dense-grid trapezoid oracle on the block Duhamel integral
-        taus = np.linspace(0.0, 2.0, 20001)
-        vals = np.zeros((len(taus), 2), complex)
+        taus = np.linspace(0.0, t, 20001)
         omega = np.array([1.0, 0.0, 0.0])
         p1 = np.array([0.0, 1.0, 0.0])
         p2 = np.array([0.0, 0.0, 1.0])
-        for k, tau in enumerate(taus):
-            e11, e12, _ = fl._field_block(tc.eta, 1j * s, 2.0 - tau)
-            f1 = np.cross(omega, force(tau)) @ p2
-            vals[k] = (e11 * f1, e12 * f1)
-        xb, ya = np.trapezoid(vals[:, 0], taus), np.trapezoid(vals[:, 1], taus)
+        e11, e12, _ = fl._field_block(tc.eta, 1j * s, t - taus)
+        f1 = np.cross(omega, np.array([force(tau) for tau in taus])) @ p2
+        xb, ya = np.trapezoid(e11 * f1, taus), np.trapezoid(e12 * f1, taus)
         want_e = -np.cross(omega, xb * p2)
         want_b = -np.cross(omega, ya * p1)
         assert np.linalg.norm(out["E"][0, 0] - want_e) < 1e-6
@@ -885,6 +927,7 @@ _BAD_CALLS = {
         "g2-vector": lambda tc, b: _solve(tc, g2=lambda tau: np.ones(3)),
         "g3-none": lambda tc, b: _solve(tc, g3=lambda tau: None),
         "g3-inf": lambda tc, b: _solve(tc, g3=lambda tau: np.array([0.0, math.inf, 0.0])),
+        "g3-node-budget": lambda tc, b: _solve(tc, times=(0.0, 1e9), g3=lambda tau: _E2),
     },
     "y1_decay_experiment": {
         "tc-none": lambda tc, b: fl.y1_decay_experiment(None),

@@ -26,6 +26,7 @@ from kslab.velocity_basis import (
     _finite_complex_array,
     _gauss_legendre,
     _legendre_row,
+    _panel_quadrature,
     build_basis,
     laguerre_rows,
     v_multiplication_matrix,
@@ -316,6 +317,42 @@ def test_gauss_legendre_interval_map():
     for i, top in enumerate(tops):
         s_i, w_i = _gauss_legendre(8, top)
         assert np.array_equal(rows[i], s_i) and np.array_equal(row_w[i], w_i)
+
+
+class _RuleError(RuntimeError):
+    """The error type a caller hands to _panel_quadrature."""
+
+
+class TestPanelQuadrature:
+    def test_rows_integrate_separately(self):
+        # (row + 1) e^{-x} over three rows of base panels, the last one empty;
+        # one integrand call per rule over the nodes of every row
+        edges = np.array([[0.0, 1.0, 3.0], [0.0, 0.5, 4.0], [0.0, 0.0, 0.0]])
+        calls = []
+
+        def integrand(rows, x):
+            calls.append(len(x))
+            return (rows + 1.0) * np.exp(-x)
+
+        sums = _panel_quadrature(edges, 0.75, 6, 1e-12, integrand, _RuleError)
+        # 2 + 3, 1 + 5 and 1 + 1 pieces no wider than 0.75, each bisected by the check
+        assert calls == [6 * 13, 12 * 13]
+        assert sums[0] == pytest.approx(-math.expm1(-3.0), rel=1e-14)
+        assert sums[1] == pytest.approx(-2.0 * math.expm1(-4.0), rel=1e-14)
+        assert sums[2] == 0.0
+
+    def test_disagreeing_rules_raise_the_callers_error(self):
+        # cos(60 x) on one piece of width 1: the 4-point rule and its bisection differ
+        with pytest.raises(_RuleError, match="too rough"):
+            _panel_quadrature([0.0, 1.0], 1.0, 4, 1e-8, lambda rows, x: np.cos(60.0 * x),
+                              _RuleError)
+
+    def test_node_budget_is_checked_before_any_call(self):
+        calls = []
+        with pytest.raises(_RuleError, match="nodes"):
+            _panel_quadrature([0.0, 120.0], 8e-9, 10, 1e-7,
+                              lambda rows, x: calls.append(len(x)), _RuleError)
+        assert not calls
 
 
 # ---------------------------------------------------------------------------
