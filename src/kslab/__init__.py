@@ -15,8 +15,6 @@ from .collision_ops import (  # noqa: F401
     GammaTensor,
     assemble_collision,
     gamma_apply,
-    kernel_eval,
-    nu_eval,
 )
 from .dispersion import (  # noqa: F401
     DispersionBranch,

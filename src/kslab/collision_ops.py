@@ -1,12 +1,13 @@
 """Hard-sphere linearized collision operators on the reduced basis.
 
-Closed-form ingredients: the collision frequency nu(|v|), the smoothing kernel
-k1(v, v*) with its removable 1/|v-v*| singularity, and the Gaussian product
-correction that distinguishes the two-species operator from the single-species
-one.  The angular dependence of both kernels is reduced per Legendre degree by
-a Funk-Hecke step; substituting t = |v-v*| removes the singularity exactly and
-leaves a boundary layer near the radial diagonal that geometrically graded
-panels resolve.
+Closed-form ingredients: the collision frequency nu(|v|) (_nu_of_r), the
+smoothing kernel k1(v, v*) with its removable 1/|v-v*| singularity, and the
+Gaussian product correction that distinguishes the two-species operator from
+the single-species one.  The angular dependence of both kernels is reduced per
+Legendre degree by a Funk-Hecke step; substituting t = |v-v*| removes the
+singularity exactly and leaves a boundary layer near the radial diagonal that
+geometrically graded panels resolve.  Assembly reads only these reduced
+forms; the pointwise kernels are the tests' reference, not the library's.
 
 Assembly integrates the gain kernels with a 12- and a 24-point panel rule and
 raises AssemblyError when they disagree.  Both rules share one set of inner
@@ -73,7 +74,7 @@ Each node count integrates its polynomial exactly:
 
 Bad input fails at the boundary with ValueError and the module's own
 message, its documented error: collision data or a basis of the wrong type,
-velocities, speeds, coefficients and right-hand sides that are not finite
+speeds, coefficients and right-hand sides that are not finite
 numbers (velocity_basis._finite_array, _finite_complex_array) or are wrongly
 shaped, and sector or operator names outside the basis.  AssemblyError is
 kept for an assembly or solve that fails on valid input.
@@ -116,52 +117,6 @@ def _nu_of_r(r):
     gauss_int = math.sqrt(math.pi / 2.0) * erf(rb / math.sqrt(2.0))
     out[~small] = _SQRT_2PI * (np.exp(-0.5 * rb**2) + (rb + 1.0 / rb) * gauss_int)
     return out
-
-
-def nu_eval(v):
-    """Collision frequency nu(v) of a speed (a scalar) or of velocity vectors
-    (an array whose last axis has length 3, as kernel_eval takes them).
-
-    Raises ValueError for an entry that is not a finite real number and for
-    an array whose last axis is not of length 3.
-    """
-    if not _finite_array(v):
-        raise ValueError("velocities must be finite real numbers")
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim and arr.shape[-1] != 3:
-        raise ValueError(f"velocities must have a last axis of length 3, got shape {arr.shape}")
-    r = np.abs(arr) if arr.ndim == 0 else np.linalg.norm(arr, axis=-1)
-    out = _nu_of_r(np.atleast_1d(r))
-    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
-
-
-def kernel_eval(which: str, v, vstar):
-    """Pointwise kernel values k1 or k at velocity pairs (last axis length 3).
-
-    Raises ValueError for a velocity entry that is not a finite real number, a
-    velocity whose last axis is not of length 3, coincident velocities, or a
-    kernel name other than 'k' or 'k1'.
-    """
-    if not (_finite_array(v) and _finite_array(vstar)):
-        raise ValueError("velocities must be finite real numbers")
-    v = np.asarray(v, dtype=float)
-    vs = np.asarray(vstar, dtype=float)
-    if v.shape[-1:] != (3,) or vs.shape[-1:] != (3,):
-        raise ValueError(
-            f"velocities must have a last axis of length 3, got shapes {v.shape} and {vs.shape}"
-        )
-    diff = v - vs
-    d = np.linalg.norm(diff, axis=-1)
-    if np.any(d < 1e-12):
-        raise ValueError("kernel is singular at coincident velocities")
-    n2 = np.sum(v * v, axis=-1)
-    ns2 = np.sum(vs * vs, axis=-1)
-    k1 = (2.0 / _SQRT_2PI) / d * np.exp(-((n2 - ns2) ** 2) / (8.0 * d * d) - d * d / 8.0)
-    if which == "k1":
-        return k1
-    if which == "k":
-        return k1 - d / (2.0 * _SQRT_2PI) * np.exp(-(n2 + ns2) / 4.0)
-    raise ValueError(f"kernel name must be 'k' or 'k1', got {which!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,12 @@ the compressible L1 proxy per time.  The modes aggregate with H2 weights up to
 the cutoff set by _S_CAP and _REGIME_RADIUS.  _fit_eps_slopes holds the
 eps-slope fits and flags, and _report builds every rate report.
 
+Every fitted rate is one least-squares line, velocity_basis._line_fit, which
+refuses fewer than four samples, a value that is not positive and degenerate
+abscissae.  rate_fit fits log y against log x for every eps slope, time
+decay, prefactor, layer and oscillatory exponent, and transient_rate_check
+fits the log of the remainder's norms above 1e-12 against tau.
+
 The oscillatory decay check has no inputs of its own: its envelope
 (1 + s)^-4, its phase times, its front offsets and the radial cutoff of the
 wave integral are the module constants _envelope, _OSC_THETAS, _OSC_X_RATIOS
@@ -77,7 +83,7 @@ from .mode_operators import (
 )
 from .velocity_basis import (
     SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_array,
-    _finite_complex_array, _gauss_legendre, _integer, _panel_quadrature,
+    _finite_complex_array, _gauss_legendre, _integer, _line_fit, _panel_quadrature,
     v_multiplication_matrix,
 )
 
@@ -211,8 +217,9 @@ class RateFit:
 def rate_fit(x, y) -> RateFit:
     """Least-squares power-law fit y ~ C x^p in log-log coordinates.
 
-    The half-width ci is the 1.96-sigma normal interval built from the
-    residual variance; an exact power law therefore reports ci = 0.
+    The fit is velocity_basis._line_fit on log x: the half-width ci is the
+    1.96-sigma normal interval built from the residual variance, so an exact
+    power law reports ci = 0.
     """
     if not (_finite_array(x) and _finite_array(y)):
         raise ConvergenceError("rate fit needs real samples: finite abscissae and values")
@@ -224,23 +231,11 @@ def rate_fit(x, y) -> RateFit:
         raise ConvergenceError("rate fit needs at least four points")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ConvergenceError("rate fit needs positive abscissae and values")
-    lx, ly = np.log(x), np.log(y)
+    lx = np.log(x)
     if np.ptp(lx) < 1e-12:
         raise ConvergenceError("rate fit abscissae are degenerate (repeated values)")
-    design = np.column_stack([lx, np.ones_like(lx)])
-    coef, _, _, _ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ coef
-    rss = float(resid @ resid)
-    sigma2 = rss / (x.size - 2)
-    gram_inv = np.linalg.inv(design.T @ design)
-    ci = 1.96 * math.sqrt(max(sigma2 * gram_inv[0, 0], 0.0))
-    return RateFit(
-        exponent=float(coef[0]),
-        intercept=float(coef[1]),
-        ci=float(ci),
-        rss=rss,
-        n_points=int(x.size),
-    )
+    exponent, intercept, ci, rss = _line_fit(lx, y, ConvergenceError)
+    return RateFit(exponent=exponent, intercept=intercept, ci=ci, rss=rss, n_points=int(x.size))
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +744,9 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices,
     if bad[0]:
         raise PropagationError(f"contraction violated: growth {growth[0]:.3e}")
     norms = np.linalg.norm(states[1:], axis=1)
+    # the fit refuses a transient too weak to leave four samples above 1e-12
     good = norms > 1e-12
-    if good.sum() < 4:
-        raise ConvergenceError("microscopic transient too weak for a rate fit")
-    coef = np.polyfit(taus[good], np.log(norms[good]), 1)
-    fitted_b = float(-coef[0])
+    fitted_b = -_line_fit(taus[good], norms[good], ConvergenceError)[0]
     match = bool(abs(fitted_b - gap) <= _TOL_GAP * gap)
     return {"fitted_b": fitted_b, "split_b": gap, "match": match,
             "eps": float(eps), "s": float(s0)}
@@ -939,8 +932,8 @@ def second_order_experiment(cfg: ExperimentConfig,
                     {"boltzmann": 1.75, "vmb": 0.75}, _TOL_SECOND_SLOPE, t_floor=0.5)
     for tag, marks in bounded.items():
         marks = np.array(marks)
-        growth = rate_fit(eps_arr, marks).exponent if np.all(marks > 0) else 0.0
-        report.fits[f"log_time_growth_{tag}"] = {"exponent": float(growth)}
+        growth = rate_fit(eps_arr, marks).exponent
+        report.fits[f"log_time_growth_{tag}"] = {"exponent": growth}
         report.flags[f"bounded_{tag}"] = bool(abs(growth) <= 0.3)
     return report
 

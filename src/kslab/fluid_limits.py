@@ -40,7 +40,9 @@ Bad input fails at the boundary with FluidError, the module's documented
 error: times, wave numbers, mode data and forcing values that are not finite
 numbers (velocity_basis._finite, _finite_complex and their array forms),
 wrongly shaped, or non-real where real, broken constraints, and record
-arguments of the wrong type (velocity_basis._check_record).
+arguments of the wrong type (velocity_basis._check_record).  A decay
+experiment whose aggregate norms the fit cannot take (velocity_basis._line_fit),
+such as a profile too narrow for the radial grid, raises FluidError too.
 """
 from __future__ import annotations
 
@@ -55,8 +57,8 @@ from .collision_ops import (
 )
 from .velocity_basis import (
     SECTOR_AXIAL, SECTOR_TRANSVERSE, Basis, BasisSpec, _check_record, _finite, _finite_array,
-    _finite_complex, _finite_complex_array, _gauss_legendre, _panel_quadrature, build_basis,
-    v_multiplication_matrix,
+    _finite_complex, _finite_complex_array, _gauss_legendre, _line_fit, _panel_quadrature,
+    build_basis, v_multiplication_matrix,
 )
 
 _CONSTRAINT_TOL = 1e-10
@@ -442,12 +444,15 @@ def _check_mode(mode: NsmfMode) -> None:
 
 def _forcing(g: Callable, taus: np.ndarray, shape: tuple) -> np.ndarray:
     """g at each of taus, (len(taus), *shape); every value must be a finite number
-    (shape ()) or 3-vector (shape (3,))."""
-    values = [g(tau) for tau in taus]
-    for value in values:
-        if not (_finite_complex_array(value) and np.shape(value) == shape):
-            raise FluidError(f"non-finite forcing or forcing not of shape {shape}: {value!r}")
-    return np.array(values, dtype=complex).reshape(len(taus), *shape)
+    (shape ()) or 3-vector (shape (3,)).  One predicate call checks the list of
+    values and one shape test the stack."""
+    # no times give an empty stack of the right shape
+    values = [g(tau) for tau in taus] or np.zeros((0, *shape))
+    if _finite_complex_array(values):
+        stack = np.array(values, dtype=complex)
+        if stack.shape == (len(taus), *shape):
+            return stack
+    raise FluidError(f"non-finite forcing or forcing not of shape {shape}")
 
 
 def _duhamel(propagate: Callable, force: Callable, times: np.ndarray, rate: float,
@@ -548,6 +553,9 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
 
 @dataclass
 class DecayFit:
+    """The aggregate norms of a decay experiment and their fitted exponent; an
+    experiment whose norms cannot be fitted raises FluidError instead."""
+
     times: np.ndarray
     norms: np.ndarray
     exponent: float
@@ -555,9 +563,13 @@ class DecayFit:
 
 def _decay_fit(times: np.ndarray, density: np.ndarray, w: np.ndarray) -> DecayFit:
     """The aggregate norms sqrt(4 pi density @ w) over the radial weights w and
-    their log-log slope in 1 + t."""
+    their log-log slope in 1 + t (velocity_basis._line_fit on log1p(t)).
+
+    Raises FluidError when a norm is not positive, as for a profile too narrow
+    for the radial grid to resolve, whose every norm is 0.
+    """
     norms = np.sqrt(4.0 * math.pi * (density @ w))
-    slope = float(np.polyfit(np.log1p(times), np.log(norms), 1)[0])
+    slope = _line_fit(np.log1p(times), norms, FluidError)[0]
     return DecayFit(times=times, norms=norms, exponent=slope)
 
 

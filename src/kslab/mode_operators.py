@@ -67,8 +67,9 @@ from scipy.linalg import expm, schur, solve_sylvester
 
 from .collision_ops import CollisionMatrices, _nu_of_r, reduced_kernel_tables
 from .velocity_basis import (
-    SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_array, _finite_complex,
-    _finite_complex_array, _frozen, _gauss_legendre, _legendre_row, v_multiplication_matrix,
+    _MIN_FIT_POINTS, SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_array,
+    _finite_complex, _finite_complex_array, _frozen, _gauss_legendre, _legendre_row, _line_fit,
+    v_multiplication_matrix,
 )
 
 KIND_BOLTZMANN = "boltzmann"
@@ -549,6 +550,11 @@ class SemigroupSplit:
     ``schur_projectors[b]`` of its reordered Schur form.  The remainder fit
     and every S*_part come from the blocks: S1_part, S2_part and S3_part =
     I - S1_part - S2_part are dense views, built on first access.
+
+    ``measured_gap_b`` and ``fit_C`` are the remainder fit's rate and constant
+    (_fit_remainder_decay), both NaN when there is nothing to fit: no
+    eigenvalue is left to the remainder, or too few of its norms on the fit
+    window pass 1e-13.
     """
 
     op: ModeOperator
@@ -720,10 +726,13 @@ def _remainder_flow(split: SemigroupSplit, u0: np.ndarray, taus: np.ndarray) -> 
 
 
 def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, float]:
-    """Fit ||S3(t)||_xi ~ C e^{-b t/eps^2} on a window set by the gap.
+    """Fit ||S3(t)||_xi ~ C e^{-b t/eps^2} on a window set by the gap: (b, C).
 
     ``rest`` are the eigenvalues left to the remainder; remainder_norms(taus)
-    gives ||S3(tau eps^2)||_xi on the fit window.
+    gives ||S3(tau eps^2)||_xi on the fit window, and the line is
+    velocity_basis._line_fit through the log of the norms above 1e-13.  When
+    there is nothing to fit, no remainder or fewer such norms than the fit's
+    _MIN_FIT_POINTS, both are NaN.
     """
     if rest.size == 0:
         return float("nan"), float("nan")
@@ -732,10 +741,10 @@ def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, floa
     taus = np.linspace(1.0 / gap, 18.0 / gap, 10)
     norms = np.asarray(remainder_norms(taus))
     good = norms > 1e-13
-    if good.sum() < 3:
+    if good.sum() < _MIN_FIT_POINTS:
         return float("nan"), float("nan")
-    coeff = np.polyfit(taus[good], np.log(norms[good]), 1)
-    return float(-coeff[0]), float(math.exp(coeff[1]))
+    slope, intercept, _, _ = _line_fit(taus[good], norms[good], ValueError)
+    return -slope, math.exp(intercept)
 
 
 # ---------------------------------------------------------------------------

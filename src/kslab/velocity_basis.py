@@ -31,6 +31,8 @@ This module owns the building blocks the other modules read rather than
 rebuild: the radial profiles (_radial_rows), the normalized Legendre rows
 (_legendre_row), the Gauss-Legendre rule on [0, top] (_gauss_legendre), the
 checked panel rule of the time and wave integrals (_panel_quadrature), the
+least-squares line through (x, log y) behind every fitted rate, exponent and
+gap (_line_fit, which takes at least _MIN_FIT_POINTS samples), the
 read-only marker for shared arrays (_frozen), and the boundary checks every
 module shares: the record check (_check_record), the scalar predicates
 (_integer, _finite, _finite_complex) and their array forms (_finite_array,
@@ -63,6 +65,9 @@ _MAX_QUAD = 180
 # (phase 2000) takes 6e5 nodes; a phase or a time far beyond any check would
 # allocate gigabytes of nodes and values instead of failing
 _MAX_PANEL_NODES = 1_000_000
+# fewest samples _line_fit takes: two more than the line, so the residual
+# variance behind its interval has two degrees of freedom
+_MIN_FIT_POINTS = 4
 
 
 class BasisError(ValueError):
@@ -361,6 +366,34 @@ def _panel_quadrature(edges, cap: float, order: int, rtol: float, integrand: Cal
               > rtol * (np.abs(fine).sum(axis=tail) + 1e-12)):
         raise error("integrand too rough for the panel quadrature: its two rules disagree")
     return fine
+
+
+def _line_fit(x, y, error: type) -> tuple[float, float, float, float]:
+    """Least-squares line log y ~ slope x + intercept: (slope, intercept, ci, rss).
+
+    ci is the 1.96-sigma normal half-width of the slope built from the
+    residual variance, so an exact line reports ci = 0, and rss is the
+    residual sum of squares.  Raises error for fewer than _MIN_FIT_POINTS
+    samples, a sample that is not finite or a y that is not positive, and
+    abscissae that span less than 1e-12.
+    """
+    if not (_finite_array(x) and _finite_array(y) and np.size(x) >= _MIN_FIT_POINTS):
+        raise error(f"a line fit needs at least {_MIN_FIT_POINTS} finite samples")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not np.all(y > 0):
+        raise error("a line fit through log y needs positive values")
+    if np.ptp(x) < 1e-12:
+        raise error("line fit abscissae are degenerate (repeated values)")
+    ly = np.log(y)
+    design = np.column_stack([x, np.ones_like(x)])
+    coef, _, _, _ = np.linalg.lstsq(design, ly, rcond=None)
+    resid = ly - design @ coef
+    rss = float(resid @ resid)
+    sigma2 = rss / (x.size - 2)
+    gram_inv = np.linalg.inv(design.T @ design)
+    ci = 1.96 * math.sqrt(max(sigma2 * gram_inv[0, 0], 0.0))
+    return float(coef[0]), float(coef[1]), ci, rss
 
 
 def _check_record(value, cls: type, error: type) -> None:

@@ -10,8 +10,10 @@ gain-kernel moments one panel rule at a time, and the Gamma tensor on the
 whole center-of-mass grid with a quadrature product linearization.  A test
 that compares the two therefore checks the library against code the library
 does not share.  The others compute what only tests read: the Gram matrix of
-the velocity basis, the collision operators on the Hermite sub-basis and the
-bounds of nu(r)/(1 + r).  test_oracles.py checks that none of the names
+the velocity basis, the collision operators on the Hermite sub-basis, the
+bounds of nu(r)/(1 + r), and the pointwise collision frequency and kernels
+(nu_eval, kernel_eval) that the Galerkin gain blocks and nu are checked
+against.  test_oracles.py checks that none of the names
 defined here exists in a kslab module.
 """
 import math
@@ -32,7 +34,7 @@ from kslab.dispersion import (
 )
 from kslab.mode_operators import KIND_VMB, ModeOperator, SectorBlock, _layout, propagate
 from kslab.velocity_basis import (
-    SECTOR_AXIAL, SECTOR_TRANSVERSE, _sector_matrix, v_multiplication_matrix,
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _finite_array, _sector_matrix, v_multiplication_matrix,
 )
 
 
@@ -66,6 +68,52 @@ def nu_bounds():
     grid = np.linspace(0.0, 20.0, 2001)
     ratios = _nu_of_r(grid) / (1.0 + grid)
     return float(ratios.min()), float(ratios.max())
+
+
+def nu_eval(v):
+    """Collision frequency nu(v) of a speed (a scalar) or of velocity vectors
+    (an array whose last axis has length 3, as kernel_eval takes them).
+
+    Raises ValueError for an entry that is not a finite real number and for
+    an array whose last axis is not of length 3.
+    """
+    if not _finite_array(v):
+        raise ValueError("velocities must be finite real numbers")
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim and arr.shape[-1] != 3:
+        raise ValueError(f"velocities must have a last axis of length 3, got shape {arr.shape}")
+    r = np.abs(arr) if arr.ndim == 0 else np.linalg.norm(arr, axis=-1)
+    out = _nu_of_r(np.atleast_1d(r))
+    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+
+
+def kernel_eval(which: str, v, vstar):
+    """Pointwise kernel values k1 or k at velocity pairs (last axis length 3).
+
+    Raises ValueError for a velocity entry that is not a finite real number, a
+    velocity whose last axis is not of length 3, coincident velocities, or a
+    kernel name other than 'k' or 'k1'.
+    """
+    if not (_finite_array(v) and _finite_array(vstar)):
+        raise ValueError("velocities must be finite real numbers")
+    v = np.asarray(v, dtype=float)
+    vs = np.asarray(vstar, dtype=float)
+    if v.shape[-1:] != (3,) or vs.shape[-1:] != (3,):
+        raise ValueError(
+            f"velocities must have a last axis of length 3, got shapes {v.shape} and {vs.shape}"
+        )
+    diff = v - vs
+    d = np.linalg.norm(diff, axis=-1)
+    if np.any(d < 1e-12):
+        raise ValueError("kernel is singular at coincident velocities")
+    n2 = np.sum(v * v, axis=-1)
+    ns2 = np.sum(vs * vs, axis=-1)
+    k1 = (2.0 / _SQRT_2PI) / d * np.exp(-((n2 - ns2) ** 2) / (8.0 * d * d) - d * d / 8.0)
+    if which == "k1":
+        return k1
+    if which == "k":
+        return k1 - d / (2.0 * _SQRT_2PI) * np.exp(-(n2 + ns2) / 4.0)
+    raise ValueError(f"kernel name must be 'k' or 'k1', got {which!r}")
 
 
 def pair_kernel_moments_by_rule(ra, rb, lmax, rules):

@@ -11,7 +11,11 @@ the two-by-two field exponential.  The linear fluid solver reads those two
 fluid flows for its unforced and its Duhamel parts: it has no exponential
 of its own and loops over modes, never over times, and neither does the
 panel rule under it.  That rule, velocity_basis._panel_quadrature, is the
-one behind the Duhamel integrals and the wave integral of convergence_lab.  The gain-kernel moments
+one behind the Duhamel integrals and the wave integral of convergence_lab.
+Every fitted rate, exponent and gap is one least-squares line,
+velocity_basis._line_fit: no other kslab function calls polyfit or lstsq,
+and its readers are rate_fit, the decay fit, the transient check and the
+remainder fit.  The gain-kernel moments
 of every panel rule come from one pass of collision_ops._pair_kernel_moments:
 _gain_matrices calls it once, outside its loop over degrees, and
 reduced_kernel_tables is its only other reader.  And convergence_lab reads
@@ -105,6 +109,16 @@ def test_one_panel_rule():
         ("convergence_lab", "<module>"), ("convergence_lab", "_radial_phase_integral")}
     assert not {module for module, _ in _where(_reads("leggauss"))} & {
         "fluid_limits", "convergence_lab"}
+
+
+def test_one_line_fit():
+    assert not _where(_reads("polyfit"))
+    assert set(_where(_reads("lstsq"))) == {("velocity_basis", "_line_fit")}
+    assert set(_where(_reads("_line_fit"))) == {
+        ("convergence_lab", "<module>"), ("convergence_lab", "rate_fit"),
+        ("convergence_lab", "transient_rate_check"),
+        ("fluid_limits", "<module>"), ("fluid_limits", "_decay_fit"),
+        ("mode_operators", "<module>"), ("mode_operators", "_fit_remainder_decay")}
 
 
 def test_one_gain_kernel_pass():

@@ -27,9 +27,7 @@ from kslab.collision_ops import (
     assemble_collision,
     collision_inverse,
     gamma_apply,
-    kernel_eval,
     null_coordinates,
-    nu_eval,
     reduced_kernel_tables,
 )
 from kslab.velocity_basis import (
@@ -43,6 +41,7 @@ from kslab.velocity_basis import (
 )
 
 import oracles
+from oracles import kernel_eval, nu_eval
 
 NU_ZERO = 5.0132565492620005
 
@@ -790,17 +789,61 @@ def test_projection_helper_roundtrip(collision_default):
 
 
 # ---------------------------------------------------------------------------
-# boundary contract: every public callable of the module against bad input,
-# with ValueError as the module's documented error for bad input
+# the pointwise oracles against bad input
 # ---------------------------------------------------------------------------
 
 _V = [1.0, 0.0, 0.0]
 _RAGGED = [[1.0, 0.0, 0.0], [1.0, 0.0]]
 
 
-def _kernel(cm, which="k1", v=_V, vstar=(0.0, 1.0, 0.0)):
+def _kernel(which="k1", v=_V, vstar=(0.0, 1.0, 0.0)):
     return kernel_eval(which, v, vstar)
 
+
+# the tests' pointwise kernels (oracles.nu_eval, kernel_eval) reject a bad
+# velocity or kernel name with a ValueError that carries their own message
+_ORACLE_BAD_CALLS = {
+    "nu_eval": {
+        "nan": lambda: nu_eval(math.nan),
+        "inf-entry": lambda: nu_eval([1.0, math.inf, 0.0]),
+        "str": lambda: nu_eval("a"),
+        "str-entries": lambda: nu_eval(["1", "0", "0"]),
+        "none": lambda: nu_eval(None),
+        "bool": lambda: nu_eval(True),
+        "bool-entry": lambda: nu_eval([True, 0.0, 0.0]),
+        "complex": lambda: nu_eval([1.0j, 0.0, 0.0]),
+        "ragged": lambda: nu_eval(_RAGGED),
+        "two-components": lambda: nu_eval([1.0, 2.0]),
+    },
+    "kernel_eval": {
+        "name-unknown": lambda: _kernel(which="k2"),
+        "name-none": lambda: _kernel(which=None),
+        "v-nan": lambda: _kernel(v=[math.nan, 0.0, 0.0]),
+        "vstar-inf": lambda: _kernel(vstar=[0.0, math.inf, 0.0]),
+        "v-str": lambda: _kernel(v=["1", "0", "0"]),
+        "vstar-str": lambda: _kernel(vstar="abc"),
+        "v-none": lambda: _kernel(v=None),
+        "v-bool": lambda: _kernel(v=[True, False, False]),
+        "v-complex": lambda: _kernel(v=[1.0j, 0.0, 0.0]),
+        "v-ragged": lambda: _kernel(v=_RAGGED),
+        "v-two-components": lambda: _kernel(v=[1.0, 0.0]),
+        "coincident": lambda: _kernel(vstar=_V),
+    },
+}
+_ORACLE_MESSAGES = {"nu_eval": "velocities must", "kernel_eval": "velocities must|kernel"}
+
+
+@pytest.mark.parametrize("name, case", [(name, case) for name, rows in _ORACLE_BAD_CALLS.items()
+                                        for case in rows])
+def test_pointwise_oracle_rejects_bad_input(name, case):
+    with pytest.raises(ValueError, match=_ORACLE_MESSAGES[name]):
+        _ORACLE_BAD_CALLS[name][case]()
+
+
+# ---------------------------------------------------------------------------
+# boundary contract: every public callable of the module against bad input,
+# with ValueError as the module's documented error for bad input
+# ---------------------------------------------------------------------------
 
 def _tables(cm, r_nodes=(0.5, 1.0), lmax=2, n_panel_points=12):
     return reduced_kernel_tables(r_nodes, lmax, n_panel_points)
@@ -817,32 +860,6 @@ def _inverse(cm, which="L", sector=SECTOR_AXIAL, w=None):
 
 
 _BAD_CALLS = {
-    "nu_eval": {
-        "nan": lambda cm: nu_eval(math.nan),
-        "inf-entry": lambda cm: nu_eval([1.0, math.inf, 0.0]),
-        "str": lambda cm: nu_eval("a"),
-        "str-entries": lambda cm: nu_eval(["1", "0", "0"]),
-        "none": lambda cm: nu_eval(None),
-        "bool": lambda cm: nu_eval(True),
-        "bool-entry": lambda cm: nu_eval([True, 0.0, 0.0]),
-        "complex": lambda cm: nu_eval([1.0j, 0.0, 0.0]),
-        "ragged": lambda cm: nu_eval(_RAGGED),
-        "two-components": lambda cm: nu_eval([1.0, 2.0]),
-    },
-    "kernel_eval": {
-        "name-unknown": lambda cm: _kernel(cm, which="k2"),
-        "name-none": lambda cm: _kernel(cm, which=None),
-        "v-nan": lambda cm: _kernel(cm, v=[math.nan, 0.0, 0.0]),
-        "vstar-inf": lambda cm: _kernel(cm, vstar=[0.0, math.inf, 0.0]),
-        "v-str": lambda cm: _kernel(cm, v=["1", "0", "0"]),
-        "vstar-str": lambda cm: _kernel(cm, vstar="abc"),
-        "v-none": lambda cm: _kernel(cm, v=None),
-        "v-bool": lambda cm: _kernel(cm, v=[True, False, False]),
-        "v-complex": lambda cm: _kernel(cm, v=[1.0j, 0.0, 0.0]),
-        "v-ragged": lambda cm: _kernel(cm, v=_RAGGED),
-        "v-two-components": lambda cm: _kernel(cm, v=[1.0, 0.0]),
-        "coincident": lambda cm: _kernel(cm, vstar=_V),
-    },
     "reduced_kernel_tables": {
         "nodes-nan": lambda cm: _tables(cm, r_nodes=(0.5, math.nan)),
         "nodes-zero": lambda cm: _tables(cm, r_nodes=(0.0, 1.0)),
@@ -905,8 +922,6 @@ _BAD_CALLS = {
 # the module's own messages per callable: a ValueError that numpy raises on
 # the way (say "could not convert string to float") does not match them
 _MESSAGES = {
-    "nu_eval": "velocities must",
-    "kernel_eval": "velocities must|kernel",
     "reduced_kernel_tables": "r_nodes must|lmax must|n_panel_points must",
     "assemble_collision": "expected Basis|build_gamma must",
     "gamma_apply": "expected CollisionMatrices|sub-basis coefficients must",
@@ -943,7 +958,7 @@ class TestBoundaryContract:
         # the helpers behind the rows succeed on good input, so each row fails
         # for its one bad argument; gamma_apply gets as far as the missing tensor
         cm = collision_small
-        assert _kernel(cm) > 0.0
+        assert _kernel() > 0.0
         assert _tables(cm)[0].shape == (3, 2, 2)
         assert _inverse(cm).shape == (cm.L_sector[SECTOR_AXIAL].shape[0],)
         with pytest.raises(AssemblyError, match="build_gamma=True"):

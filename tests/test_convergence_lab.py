@@ -24,7 +24,7 @@ import scipy.linalg as sl
 from kslab import convergence_lab as cl
 from kslab import mode_operators as mo
 from kslab.collision_ops import assemble_collision
-from kslab.velocity_basis import BasisSpec, build_basis, v_multiplication_matrix
+from kslab.velocity_basis import BasisSpec, _line_fit, build_basis, v_multiplication_matrix
 
 import oracles
 
@@ -114,6 +114,14 @@ class TestRateFit:
     def test_degenerate_abscissae(self):
         with pytest.raises(cl.ConvergenceError, match="degenerate"):
             cl.rate_fit([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+
+    def test_is_the_shared_line_fit_on_log_x(self):
+        x = np.geomspace(0.3, 7.0, 6)
+        y = 1.7 * x**-1.2 * (1.0 + 0.01 * np.sin(5.0 * x))
+        fit = cl.rate_fit(x, y)
+        assert (fit.exponent, fit.intercept, fit.ci, fit.rss) == _line_fit(
+            np.log(x), y, cl.ConvergenceError)
+        assert fit.n_points == 6
 
     @given(p=st.floats(-3.0, 3.0), c=st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)
@@ -732,6 +740,35 @@ class TestTransientRate:
         assert out["eps"] == 0.1
         assert out["s"] == 0.5
 
+    @pytest.mark.parametrize("gap", [math.nan, 0.0, -1.0])
+    def test_unusable_gap_refused(self, collision_small, monkeypatch, gap):
+        split = cl.semigroup_split
+        monkeypatch.setattr(cl, "semigroup_split",
+                            lambda op: dataclasses.replace(split(op), measured_gap_b=gap))
+        with pytest.raises(cl.ConvergenceError, match="no usable gap"):
+            cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), collision_small)
+
+    def test_contraction_violation_refused(self, collision_small, monkeypatch):
+        monkeypatch.setattr(cl, "_contraction_violations",
+                            lambda *args: (np.array([2.0]), np.array([True])))
+        with pytest.raises(mo.PropagationError, match="contraction violated"):
+            cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), collision_small)
+
+    @pytest.mark.parametrize("kept", [0, 3])
+    def test_weak_transient_refused_by_the_fit(self, collision_small, monkeypatch, kept):
+        # the remainder flow with all but its first `kept` fit times set to 0:
+        # fewer than four samples above 1e-12 leave nothing to fit
+        flow = cl._remainder_flow
+
+        def weak(split, f0, taus):
+            states = flow(split, f0, taus)
+            states[1 + kept:] = 0.0
+            return states
+
+        monkeypatch.setattr(cl, "_remainder_flow", weak)
+        with pytest.raises(cl.ConvergenceError, match="at least 4"):
+            cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), collision_small)
+
 
 class TestInitialLayer:
     def test_generic_layer_exponent(self, layer_report):
@@ -950,7 +987,10 @@ _BAD_CALLS = {
                                            y=((1.0, 0.5), (0.3, 0.2))),
         "three-points": lambda cm: _fit(x=(1.0, 2.0, 3.0), y=(1.0, 0.5, 0.3)),
         "y-negative": lambda cm: _fit(y=(1.0, -0.5, 0.3, 0.2)),
+        "y-zero": lambda cm: _fit(y=(1.0, 0.5, 0.0, 0.2)),
+        "x-zero": lambda cm: _fit(x=(0.0, 2.0, 3.0, 4.0)),
         "x-repeated": lambda cm: _fit(x=(2.0, 2.0, 2.0, 2.0)),
+        "x-span-1e-13": lambda cm: _fit(x=(2.0, 2.0, 2.0, 2.0 + 2e-13)),
     },
     "corrector_shapes": {
         "cm-none": lambda cm: cl.corrector_shapes(None, np.zeros(3), np.zeros(3)),

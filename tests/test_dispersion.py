@@ -420,7 +420,8 @@ class TestRealFrameSlowEigenvalues:
 
 
 class TestSectorSolverMatrix:
-    """The identity and the deflation product are built once per solver."""
+    """The identity and the deflation product are built once per solver, and a
+    singular solve raises DispersionError."""
 
     @pytest.mark.parametrize("which", ["collision_small", "collision_default"])
     @pytest.mark.parametrize("x, y", [(0.0, 0.0), (-0.003 + 0.001j, 0.07), (1.0 + 1e-7j, 0.3),
@@ -434,6 +435,11 @@ class TestSectorSolverMatrix:
         want = want + theta * np.outer(chi0, chi0)
         assert np.array_equal(ax._matrix(x, y), want)
         assert np.array_equal(tr._matrix(x, y), tr.l1 - x * np.eye(tr.n) - 1j * y * tr.stream)
+
+    def test_exactly_singular_solve_raises(self):
+        solver = dsp._SectorSolver(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2), None)
+        with pytest.raises(dsp.DispersionError, match="singular"):
+            solver.value(0.0, 0.0)
 
 
 class TestRealFrameGuard:

@@ -755,6 +755,14 @@ class TestLinearNsmf:
         with pytest.raises(fl.FluidError, match="finite"):
             fl.linear_nsmf_solve([fl.NsmfMode(s=1.0)], np.array([0.0, math.nan]), tc)
 
+    def test_overflowing_forcing_rejected(self, tc):
+        # a finite forcing whose charge drive i s (omega . g) overflows; with
+        # numpy's warnings silenced, the check after the transform rejects it
+        mode = fl.NsmfMode(s=10.0, g3=lambda tau: np.array([1e308, 0.0, 0.0]))
+        with np.errstate(all="ignore"), pytest.raises(fl.FluidError,
+                                                      match="non-finite forcing"):
+            fl.linear_nsmf_solve([mode], np.array([0.0, 1.0]), tc)
+
     def test_rough_forcing_rejected(self, tc):
         mode = fl.NsmfMode(s=1.0, g2=lambda tau: math.cos(300.0 * tau))
         with pytest.raises(fl.FluidError, match="too rough"):
@@ -927,6 +935,9 @@ _BAD_CALLS = {
         "g2-vector": lambda tc, b: _solve(tc, g2=lambda tau: np.ones(3)),
         "g3-none": lambda tc, b: _solve(tc, g3=lambda tau: None),
         "g3-inf": lambda tc, b: _solve(tc, g3=lambda tau: np.array([0.0, math.inf, 0.0])),
+        "g3-bool": lambda tc, b: _solve(tc, g3=lambda tau: np.array([False, True, False])),
+        "g3-bool-late": lambda tc, b: _solve(tc, times=(0.0, 100.0), g3=lambda tau: (
+            np.array([False, True, False]) if tau >= 50.0 else _E2)),
         "g3-node-budget": lambda tc, b: _solve(tc, times=(0.0, 1e9), g3=lambda tau: _E2),
     },
     "y1_decay_experiment": {
@@ -943,6 +954,8 @@ _BAD_CALLS = {
         "width-complex": lambda tc, b: fl.y2_decay_experiment(tc, "generic", 1j),
         "width-nan": lambda tc, b: fl.y2_decay_experiment(tc, "generic", math.nan),
         "width-zero": lambda tc, b: fl.y2_decay_experiment(tc, "generic", 0.0),
+        # a profile the radial grid cannot resolve: every aggregate norm is 0
+        "width-unresolved": lambda tc, b: fl.y2_decay_experiment(tc, "generic", 1e-6),
     },
 }
 # exported names that take no caller input of their own

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sl
 
-from kslab.collision_ops import _pair_kernel_moments, nu_eval
+from kslab.collision_ops import _pair_kernel_moments
 from kslab import convergence_lab as cl
 from kslab import mode_operators as mo
 from kslab.velocity_basis import SECTOR_AXIAL, SECTOR_TRANSVERSE, v_multiplication_matrix
@@ -385,6 +385,31 @@ class TestSemigroupSplit:
         assert np.abs(proj @ mat - mat @ proj).max() < 1e-12
         assert round(float(np.real(np.trace(proj)))) == 2
 
+    def test_schur_projector_taking_every_eigenvalue_is_identity(self):
+        mat = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -3.0]], dtype=complex)
+        proj, k = mo._schur_projector(mat, lambda z: True)
+        assert k == 3
+        assert np.array_equal(proj, np.eye(3))
+
+    def test_no_remainder_gives_the_nan_sentinel(self):
+        calls = []
+        b, c = mo._fit_remainder_decay(np.array([]), calls.append)
+        assert math.isnan(b) and math.isnan(c) and not calls
+
+    @pytest.mark.parametrize("kept", [3, 4, 10])
+    def test_remainder_fit_needs_four_norms(self, kept):
+        # 3 e^{-2 tau} on the window [1/2, 9] of the gap 2, with the norms past
+        # the first `kept` below 1e-13: fewer than four is nothing to fit
+        def norms(taus):
+            return np.where(np.arange(taus.size) < kept, 3.0 * np.exp(-2.0 * taus), 1e-14)
+
+        b, c = mo._fit_remainder_decay(np.array([-2.0, -5.0 + 1.0j]), norms)
+        if kept < 4:
+            assert math.isnan(b) and math.isnan(c)
+        else:
+            assert b == pytest.approx(2.0, rel=1e-13)
+            assert c == pytest.approx(3.0, rel=1e-13)
+
 
 def _conditioned_matrices(rng, k, count, spread):
     """Random k-dim matrices whose eigenvector matrices have condition ~10**spread."""
@@ -653,7 +678,7 @@ class TestResolventProbe:
     def test_spectral_lambda_reported(self, collision_small):
         op = mo.assemble_B(2.0, 1.0, collision_small)
         r, c, _, _ = mo._probe_grid()
-        lam = complex(-nu_eval(r[10]), -2.0 * r[10] * c[5])
+        lam = complex(-oracles.nu_eval(r[10]), -2.0 * r[10] * c[5])
         with pytest.raises(ValueError):
             mo.resolvent_norm_probe(op, lam)
 
@@ -965,7 +990,7 @@ _BAD_CALLS = {
         "lam-none": lambda cm: _probe(cm, lam=None),
         "lam-bool": lambda cm: _probe(cm, lam=True),
         "lam-on-spectrum": lambda cm: _probe(cm, lam=complex(
-            -nu_eval(mo._probe_grid()[0][10]),
+            -oracles.nu_eval(mo._probe_grid()[0][10]),
             -2.0 * mo._probe_grid()[0][10] * mo._probe_grid()[1][5])),
     },
     "semigroup_split": {

@@ -52,7 +52,7 @@ def test_oracle_names_are_absent_from_the_library():
             "propagator_matrix", "project_poly_to_sub", "fit_boltzmann_expansion",
             "y2_eigenbasis", "gram_matrix", "sub_operators", "nu_bounds",
             "gamma_full_grid", "crossing_discriminant", "crossing_by_bracket",
-            "pair_kernel_moments_by_rule"} <= defined
+            "pair_kernel_moments_by_rule", "nu_eval", "kernel_eval"} <= defined
     kept_out = defined | {"eigenvalues", "eigen_condition"}
     namespaces = dict(_library_namespaces())
     assert "kslab.mode_operators.ModeOperator" in namespaces

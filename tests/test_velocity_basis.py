@@ -26,6 +26,7 @@ from kslab.velocity_basis import (
     _finite_complex_array,
     _gauss_legendre,
     _legendre_row,
+    _line_fit,
     _panel_quadrature,
     build_basis,
     laguerre_rows,
@@ -320,7 +321,7 @@ def test_gauss_legendre_interval_map():
 
 
 class _RuleError(RuntimeError):
-    """The error type a caller hands to _panel_quadrature."""
+    """The error type a caller hands to _panel_quadrature and _line_fit."""
 
 
 class TestPanelQuadrature:
@@ -353,6 +354,49 @@ class TestPanelQuadrature:
             _panel_quadrature([0.0, 120.0], 8e-9, 10, 1e-7,
                               lambda rows, x: calls.append(len(x)), _RuleError)
         assert not calls
+
+
+class TestLineFit:
+    def test_exact_line_through_log_y(self):
+        x = np.linspace(0.0, 3.0, 7)
+        slope, intercept, ci, rss = _line_fit(x, 2.0 * np.exp(-1.5 * x), _RuleError)
+        assert slope == pytest.approx(-1.5, rel=1e-14)
+        assert intercept == pytest.approx(math.log(2.0), rel=1e-14)
+        assert rss < 1e-28 and ci < 1e-13
+
+    def test_noisy_line_against_the_closed_form(self):
+        # the normal-equation slope and the textbook slope interval
+        rng = np.random.default_rng(5)
+        x = np.linspace(1.0, 9.0, 12)
+        ly = 0.3 - 0.8 * x + 0.05 * rng.standard_normal(12)
+        slope, intercept, ci, rss = _line_fit(x, np.exp(ly), _RuleError)
+        xc = x - x.mean()
+        want = xc @ ly / (xc @ xc)
+        resid = ly - (ly.mean() + want * xc)
+        assert slope == pytest.approx(want, rel=1e-12)
+        assert intercept == pytest.approx(ly.mean() - want * x.mean(), rel=1e-12)
+        assert rss == pytest.approx(resid @ resid, rel=1e-10)
+        assert ci == pytest.approx(1.96 * math.sqrt(rss / 10 / (xc @ xc)), rel=1e-10)
+
+    def test_takes_four_samples(self):
+        assert _line_fit([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.25, 0.125], _RuleError)[0] == (
+            pytest.approx(-math.log(2.0), rel=1e-14))
+
+    @pytest.mark.parametrize("x, y, match", [
+        ([0.0, 1.0, 2.0], [1.0, 0.5, 0.25], "at least 4"),
+        ([], [], "at least 4"),
+        ([0.0, 1.0, 2.0, math.inf], [1.0, 0.5, 0.25, 0.1], "at least 4 finite"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, math.nan, 0.25, 0.1], "at least 4 finite"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.0, 0.1], "positive"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, -0.5, 0.25, 0.1], "positive"),
+        ([0.0, 1.0, 2.0, 3.0], np.zeros(4), "positive"),
+        ([2.0, 2.0, 2.0, 2.0], [1.0, 0.5, 0.25, 0.1], "degenerate"),
+        ([2.0, 2.0, 2.0, 2.0 + 1e-13], [1.0, 0.5, 0.25, 0.1], "degenerate"),
+    ], ids=["three", "empty", "x-inf", "y-nan", "y-zero", "y-negative", "all-zero",
+            "repeated", "span-1e-13"])
+    def test_refusals_raise_the_callers_error(self, x, y, match):
+        with pytest.raises(_RuleError, match=match):
+            _line_fit(x, y, _RuleError)
 
 
 # ---------------------------------------------------------------------------
