@@ -487,6 +487,7 @@ def _duhamel(propagate: Callable, force: Callable, times: np.ndarray, rate: floa
     return _panel_quadrature(edges, cap, _DUHAMEL_ORDER, 1e-8, integrand, FluidError)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
                       tc: TransportCoefficients) -> dict[str, np.ndarray]:
     """The linearized fluid-Maxwell system of the modes over the times.
@@ -495,7 +496,9 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
     fields on one _field_flow call over all modes, and each forcing adds one
     _duhamel pass over all times on the same flow.  Returns "t", the
     (n_t, n_modes) arrays "n", "q", "rho" and "p", and "m", "E" and "B" of
-    shape (n_t, n_modes, 3).
+    shape (n_t, n_modes, 3).  It computes with numpy's floating-point warnings
+    off: data or a forcing that overflows raises FluidError, from the Duhamel
+    integrand's check or the test that every returned array is finite.
     """
     _check_record(tc, TransportCoefficients, FluidError)
     if not (_finite_array(times) and np.ndim(times) == 1):
@@ -543,8 +546,11 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
                 lambda taus: _forcing(mode.g3, taus, (3,)) @ drive, times,
                 tc.eta * (1.0 + s * s), 0.5 * math.pi / s)
         e_field[:, j], b_field[:, j] = _fields(omega, s, *flow[:, j].T)
-    return {"t": times, "n": -math.sqrt(2.0 / 3.0) * q, "m": m, "q": q, "rho": flow[..., 0],
-            "E": e_field, "B": b_field, "p": p}
+    out = {"t": times, "n": -math.sqrt(2.0 / 3.0) * q, "m": m, "q": q, "rho": flow[..., 0],
+           "E": e_field, "B": b_field, "p": p}
+    if not all(map(_finite_complex_array, out.values())):
+        raise FluidError("non-finite solution: the data or a forcing overflows")
+    return out
 
 
 # ---------------------------------------------------------------------------

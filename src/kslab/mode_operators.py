@@ -783,7 +783,8 @@ def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
     velocity_basis._legendre_row and the kernel tables of
     collision_ops.reduced_kernel_tables.  Being real and symmetric, it is its
     own adjoint, so the power iteration applies one gain both ways.  Raises
-    ValueError for a lam that is not a finite number.
+    ValueError for a lam that is not a finite number, and when the iteration
+    has not met its 1e-10 relative test within _PROBE_ITERS steps.
     """
     _check_record(op, ModeOperator, ValueError)
     if not _finite_complex(lam):
@@ -813,7 +814,6 @@ def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
             return 0.0
         x /= nx
         if abs(new_sigma - sigma) < 1e-10 * max(new_sigma, 1e-300):
-            sigma = new_sigma
-            break
+            return float(new_sigma)
         sigma = new_sigma
-    return float(sigma)
+    raise ValueError(f"power iteration did not converge in {_PROBE_ITERS} steps")

@@ -88,8 +88,7 @@ class BasisSpec:
 
 @dataclass
 class Quadrature:
-    u: np.ndarray        # Laguerre nodes in u = r^2/2
-    r: np.ndarray        # radial nodes
+    r: np.ndarray        # radial nodes, r = sqrt(2 u) at the Laguerre nodes u
     wr: np.ndarray       # weights for int f g M r^2 dr (full Gaussian absorbed)
     wr_half: np.ndarray  # weights for kernel assembly (half Gaussian absorbed)
     c: np.ndarray        # Gauss-Legendre nodes on [-1, 1]
@@ -439,7 +438,7 @@ def build_basis(spec: BasisSpec) -> Basis:
 
     return Basis(
         spec=spec,
-        quad=Quadrature(u=u, r=r, wr=wr, wr_half=wr_half, c=c, wc=wc),
+        quad=Quadrature(r=r, wr=wr, wr_half=wr_half, c=c, wc=wc),
         radial_tables=radial_tables,
         ang0=np.stack([_legendre_row(l, 0, c) for l in range(lmax + 1)]),
         ang1=np.stack([_legendre_row(l, 1, c) for l in range(1, lmax + 1)]),
@@ -470,8 +469,6 @@ def _sector_matrix(basis: Basis, sector: int, r_weight, c_weight) -> np.ndarray:
     out = np.zeros((dim, dim))
     for a, l in enumerate(degrees):
         for b, lp in enumerate(degrees):
-            if abs(ang[a, b]) < 1e-300:
-                continue
             block = _radial_overlap(basis, l, lp, r_weight)
             out[a * nr:(a + 1) * nr, b * nr:(b + 1) * nr] = ang[a, b] * block
     return out

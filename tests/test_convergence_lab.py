@@ -215,11 +215,6 @@ def _layer(**kw):
         cl.ExperimentConfig(data_kind="generic", **kw), cm)
 
 
-def _transient(**kw):
-    return lambda cm: cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"),
-                                              cm, **kw)
-
-
 _EXPERIMENTS = (cl.first_order_experiment, cl.second_order_experiment,
                 cl.initial_layer_profile, cl.transient_rate_check)
 
@@ -237,9 +232,6 @@ class TestBoundaryValidation:
         pytest.param(_config(n_t=4.5), "n_t must be an integer", id="n_t-fraction"),
         pytest.param(_config(seed=-1), "seed", id="seed-negative"),
         pytest.param(_layer(profile_width=math.nan), "profile_width", id="layer-width-nan"),
-        pytest.param(_transient(eps=0.0), "eps > 0", id="transient-eps-0"),
-        pytest.param(_transient(eps=-0.1), "eps > 0", id="transient-eps-negative"),
-        pytest.param(_transient(s0=-1.0), "s0", id="transient-s0-negative"),
         # a wrong record type, not an AttributeError further in
         *(pytest.param(lambda cm, f=f: f(cl.ExperimentConfig(), None),
                        "expected CollisionMatrices", id=f"{f.__name__}-cm-None")
@@ -733,9 +725,11 @@ class TestFirstOrder:
 
 
 class TestTransientRate:
-    def test_explicit_eps_and_mode(self, collision_small):
-        cfg = cl.ExperimentConfig(data_kind="generic")
-        out = cl.transient_rate_check(cfg, collision_small, s0=0.5, eps=0.1)
+    def test_explicit_eps_and_mode(self, collision_small, monkeypatch):
+        # the middle eps of the sweep and the module's one wave number
+        monkeypatch.setattr(cl, "_TRANSIENT_S0", 0.5)
+        cfg = cl.ExperimentConfig(data_kind="generic", eps_list=(0.2, 0.1, 0.05))
+        out = cl.transient_rate_check(cfg, collision_small)
         assert out["match"]
         assert out["eps"] == 0.1
         assert out["s"] == 0.5
@@ -791,6 +785,15 @@ class TestInitialLayer:
         assert rep.flags["t0_amplitude"]
         assert rep.flags["wp_amplitude_small"]
         assert rep.metadata["amplitude_max"] <= 10.0 * rep.metadata["bulk_reference"]
+
+    def test_layer_below_noise_floor_refused(self, collision_small, monkeypatch):
+        # a kinetic flow that is 0 from t = 0 on leaves no front to fit
+        def silent(assemble, s, eps, cm, f0, times, failures):
+            return np.zeros((len(times), *f0.shape), complex), np.ones(len(s), bool)
+
+        monkeypatch.setattr(cl, "_evolve_grid", silent)
+        with pytest.raises(cl.ConvergenceError, match="below noise floor"):
+            cl.initial_layer_profile(cl.ExperimentConfig(data_kind="generic"), collision_small)
 
 
 class TestSecondOrder:
@@ -943,10 +946,6 @@ def _experiment_rows(experiment):
     }
 
 
-def _transient(cm, **kw):
-    return cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), cm, **kw)
-
-
 _BAD_CALLS = {
     "ExperimentConfig": {
         "eps-nan": lambda cm: cl.ExperimentConfig(eps_list=(0.2, math.nan)),
@@ -1017,18 +1016,7 @@ _BAD_CALLS = {
     "first_order_experiment": _experiment_rows(cl.first_order_experiment),
     "second_order_experiment": _experiment_rows(cl.second_order_experiment),
     "initial_layer_profile": _experiment_rows(cl.initial_layer_profile),
-    "transient_rate_check": {
-        **_experiment_rows(cl.transient_rate_check),
-        "eps-zero": lambda cm: _transient(cm, eps=0.0),
-        "eps-negative": lambda cm: _transient(cm, eps=-0.1),
-        "eps-nan": lambda cm: _transient(cm, eps=math.nan),
-        "eps-bool": lambda cm: _transient(cm, eps=True),
-        "eps-str": lambda cm: _transient(cm, eps="0.1"),
-        "s0-negative": lambda cm: _transient(cm, s0=-1.0),
-        "s0-inf": lambda cm: _transient(cm, s0=math.inf),
-        "s0-bool": lambda cm: _transient(cm, s0=True),
-        "s0-str": lambda cm: _transient(cm, s0="1"),
-    },
+    "transient_rate_check": _experiment_rows(cl.transient_rate_check),
     "oscillatory_value": {
         "theta-nan": lambda cm: cl.oscillatory_value(math.nan, 0.5),
         "x-inf": lambda cm: cl.oscillatory_value(1.0, math.inf),

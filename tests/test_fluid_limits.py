@@ -100,6 +100,17 @@ class TestTransportCoefficients:
     def test_cached_on_matrices(self, tc, collision_default):
         assert fl.transport_coefficients(collision_default) is tc
 
+    @pytest.mark.parametrize("key, value", [("kappa0", 0.0), ("eta", -1.0),
+                                            ("a_minus1", 0.0)])
+    def test_non_positive_coefficient_refused(self, collision_small, monkeypatch,
+                                              key, value):
+        cm = dataclasses.replace(collision_small, _cache={})
+        core = fl._own_core_values(cm)
+        monkeypatch.setattr(fl, "_own_core_values", lambda cm: {**core, key: value})
+        with pytest.raises(fl.FluidError, match="strictly positive"):
+            fl.transport_coefficients(cm)
+        assert "transport" not in cm._cache
+
 
 class TestRefinedPass:
     """The order + 6 pass builds only the degrees l <= 2 its forms read."""
@@ -756,12 +767,15 @@ class TestLinearNsmf:
             fl.linear_nsmf_solve([fl.NsmfMode(s=1.0)], np.array([0.0, math.nan]), tc)
 
     def test_overflowing_forcing_rejected(self, tc):
-        # a finite forcing whose charge drive i s (omega . g) overflows; with
-        # numpy's warnings silenced, the check after the transform rejects it
-        mode = fl.NsmfMode(s=10.0, g3=lambda tau: np.array([1e308, 0.0, 0.0]))
-        with np.errstate(all="ignore"), pytest.raises(fl.FluidError,
-                                                      match="non-finite forcing"):
-            fl.linear_nsmf_solve([mode], np.array([0.0, 1.0]), tc)
+        # a finite forcing whose transform overflows raises FluidError, with no
+        # floating-point warning let out first: the charge drive i s (omega . g3)
+        # inside the Duhamel integrand, and the pressure -i (omega . g1) / s
+        g3 = fl.NsmfMode(s=10.0, g3=lambda tau: np.array([1e308, 0.0, 0.0]))
+        with pytest.raises(fl.FluidError, match="non-finite forcing"):
+            fl.linear_nsmf_solve([g3], np.array([0.0, 1.0]), tc)
+        g1 = fl.NsmfMode(s=0.1, g1=lambda tau: np.array([1e308, 0.0, 0.0]))
+        with pytest.raises(fl.FluidError, match="non-finite solution"):
+            fl.linear_nsmf_solve([g1], np.array([0.0, 1.0]), tc)
 
     def test_rough_forcing_rejected(self, tc):
         mode = fl.NsmfMode(s=1.0, g2=lambda tau: math.cos(300.0 * tau))

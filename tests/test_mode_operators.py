@@ -726,6 +726,19 @@ class TestResolventProbe:
         lam = complex(-0.5 * oracles.nu_bounds()[0], 3.0)
         assert mo.resolvent_norm_probe(op, lam) == mo.resolvent_norm_probe(op, lam)
 
+    def test_unconverged_iteration_refused(self, collision_small, monkeypatch):
+        # two steps cannot meet the 1e-10 test, which takes 7 to 13 here
+        monkeypatch.setattr(mo, "_PROBE_ITERS", 2)
+        op = mo.assemble_B(4.0, 1.0, collision_small)
+        with pytest.raises(ValueError, match="did not converge in 2 steps"):
+            mo.resolvent_norm_probe(op, complex(1.0, 0.0))
+
+    def test_zero_gain_has_norm_zero(self, collision_small, monkeypatch):
+        r, c, pc, tables = mo._probe_grid()
+        monkeypatch.setattr(mo, "_probe_grid", lambda: (r, c, pc, np.zeros_like(tables)))
+        op = mo.assemble_B(4.0, 1.0, collision_small)
+        assert mo.resolvent_norm_probe(op, complex(1.0, 0.0)) == 0.0
+
 
 def _complex_remainder_norms(op, mask, projectors, taus):
     """The remainder norms by complex SVDs on every eig copy: the formula the

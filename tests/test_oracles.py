@@ -18,7 +18,7 @@ import pytest
 import kslab
 from kslab.collision_ops import CollisionMatrices, GammaTensor
 from kslab.convergence_lab import InitialData
-from kslab.velocity_basis import Basis
+from kslab.velocity_basis import Basis, Quadrature
 
 import oracles
 
@@ -62,12 +62,13 @@ def test_oracle_names_are_absent_from_the_library():
 
 @pytest.mark.parametrize("record, names", [
     (Basis, ["spec", "quad", "radial_tables", "ang0", "ang1", "_v_cache"]),
+    (Quadrature, ["r", "wr", "wr_half", "c", "wc"]),
     (CollisionMatrices, ["basis", "L_sector", "L1_sector", "mu_estimate",
                          "raw_null_residuals", "gamma", "kernel_refinement_delta", "_cache"]),
     (GammaTensor, ["indices", "tensor", "chi_sub", "change_of_basis"]),
     (InitialData, ["width", "basis", "profile_macro", "profile_micro", "profile_field",
                    "boltzmann_macro", "boltzmann_micro", "vmb_macro", "vmb_micro",
                    "field_amp"]),
-], ids=["Basis", "CollisionMatrices", "GammaTensor", "InitialData"])
+], ids=["Basis", "Quadrature", "CollisionMatrices", "GammaTensor", "InitialData"])
 def test_record_fields(record, names):
     assert [f.name for f in dataclasses.fields(record)] == names
