@@ -709,6 +709,25 @@ class TestFirstOrder:
         assert wp_report.fits["boltzmann_p1_decay"]["exponent"] == pytest.approx(
             -1.25, abs=0.15)
 
+    @pytest.mark.parametrize("t_max, n_t, n_fit", [
+        pytest.param(4.0, 6, 4, id="none-past-5"),
+        pytest.param(6.0, 8, 4, id="one-past-5"),
+        pytest.param(50.0, 20, 5, id="five-past-5"),
+    ])
+    def test_decay_fits_share_one_window(self, collision_small, t_max, n_t, n_fit):
+        # t >= 5, or the last four times when fewer reach 5: a tail of the grid;
+        # P1 decays at the sharpest eps, its prefactor from every eps's intercept
+        cfg = _small_cfg(data_kind="well_prepared", t_max=t_max, n_t=n_t)
+        rep = cl.first_order_experiment(cfg, collision_small)
+        tw = 1.0 + np.asarray(rep.t[-n_fit:])
+        p0 = cl.rate_fit(tw, rep.errors["boltzmann_p0"][-1][-n_fit:])
+        p1 = [cl.rate_fit(tw, row[-n_fit:]) for row in rep.errors["boltzmann_p1"]]
+        pref = cl.rate_fit(rep.eps, [math.exp(f.intercept) for f in p1])
+        assert rep.fits["boltzmann_p0_decay"] == p0.as_dict()
+        assert rep.fits["boltzmann_p0_decay"]["n_points"] == n_fit
+        assert rep.fits["boltzmann_p1_decay"] == p1[-1].as_dict()
+        assert rep.fits["p1_prefactor"] == pref.as_dict()
+
     def test_generic_transient_matches_split_gap(self, generic_report):
         assert generic_report.flags["transient_gap_match"]
         tr = generic_report.fits["transient_rate"]
@@ -733,6 +752,20 @@ class TestTransientRate:
         assert out["match"]
         assert out["eps"] == 0.1
         assert out["s"] == 0.5
+
+    @pytest.mark.parametrize("eps_list, eps", [
+        pytest.param((0.2, 0.1), 0.1, id="two"),
+        pytest.param((0.1, 0.05, 0.025), 0.05, id="three"),
+        pytest.param((0.2, 0.1, 0.05, 0.025), 0.05, id="four"),
+        pytest.param((0.4, 0.2, 0.1, 0.05, 0.025), 0.1, id="five"),
+    ])
+    def test_scale_is_middle_of_sweep(self, collision_small, eps_list, eps):
+        # eps_list[len // 2] at the module's wave number, nothing else read
+        cfg = cl.ExperimentConfig(data_kind="generic", eps_list=eps_list)
+        out = cl.transient_rate_check(cfg, collision_small)
+        assert out["eps"] == eps
+        assert out["s"] == cl._TRANSIENT_S0 == 1.0
+        assert out["match"]
 
     @pytest.mark.parametrize("gap", [math.nan, 0.0, -1.0])
     def test_unusable_gap_refused(self, collision_small, monkeypatch, gap):
