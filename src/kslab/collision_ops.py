@@ -87,7 +87,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.special import erf, roots_genlaguerre, roots_hermitenorm
 
 from .velocity_basis import (
@@ -678,10 +677,18 @@ def _clean_block(block: np.ndarray, null_idx) -> np.ndarray:
     return out
 
 
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of equal square blocks, in order."""
+    n, k = len(blocks), blocks[0].shape[0]
+    out = np.zeros((n, k, n, k), dtype=np.result_type(*blocks))
+    out[range(n), :, range(n)] = blocks
+    return out.reshape(n * k, n * k)
+
+
 def _sector_blocks(blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Axial and transverse sector blocks from the degree blocks l = 0..top."""
-    return {SECTOR_AXIAL: block_diag(*(blocks[l] for l in sorted(blocks))),
-            SECTOR_TRANSVERSE: block_diag(*(blocks[l] for l in sorted(blocks) if l >= 1))}
+    return {SECTOR_AXIAL: _block_diagonal([blocks[l] for l in sorted(blocks)]),
+            SECTOR_TRANSVERSE: _block_diagonal([blocks[l] for l in sorted(blocks) if l >= 1])}
 
 
 class _DegreeBlocks(NamedTuple):

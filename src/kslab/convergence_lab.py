@@ -221,7 +221,8 @@ def rate_fit(x, y) -> RateFit:
 
     The fit is velocity_basis._line_fit on log x: the half-width ci is the
     1.96-sigma normal interval built from the residual variance, so an exact
-    power law reports ci = 0.
+    power law reports ci = 0.  Needs finite matching 1-D samples with x > 0;
+    the rest of the usable-sample rule, and its ConvergenceError, is _line_fit's.
     """
     if not (_finite_array(x) and _finite_array(y)):
         raise ConvergenceError("rate fit needs real samples: finite abscissae and values")
@@ -229,14 +230,9 @@ def rate_fit(x, y) -> RateFit:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ConvergenceError("rate fit needs matching one-dimensional samples")
-    if x.size < 4:
-        raise ConvergenceError("rate fit needs at least four points")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ConvergenceError("rate fit needs positive abscissae and values")
-    lx = np.log(x)
-    if np.ptp(lx) < 1e-12:
-        raise ConvergenceError("rate fit abscissae are degenerate (repeated values)")
-    exponent, intercept, ci, rss = _line_fit(lx, y, ConvergenceError)
+    if np.any(x <= 0):
+        raise ConvergenceError("rate fit needs positive abscissae")
+    exponent, intercept, ci, rss = _line_fit(np.log(x), y, ConvergenceError)
     return RateFit(exponent=exponent, intercept=intercept, ci=ci, rss=rss, n_points=int(x.size))
 
 
@@ -459,9 +455,9 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
     result, so the working set beyond the result does not grow with the grid.
     The modes share one block layout: per chunk, _decompose_stacked
     decomposes them in one stacked eig per block and _block_flow applies
-    their block records at once, the Schur form of any block whose
-    eigenvectors fail the conditioning limit included.  Every step works per
-    mode (eig and inv per matrix, the batched products per mode, the
+    their block records at once, e^{tau A_b} by scaling and squaring on any
+    block whose eigenvectors fail the conditioning limit.  Every step works
+    per mode (eig and inv per matrix, the batched products per mode, the
     conditioning gate and the contraction guard per row), so the chunks give
     the states of one stack bit for bit.  A mode that fails the contraction
     guard is dropped: its states are zero and ``failures`` records it.
@@ -718,7 +714,7 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices) -> dict:
     remainder flow e^{tau A} S3 extracts it from a generic trajectory without
     the O(eps) bulk floor.  That flow is mode_operators._remainder_flow, the
     block apply on the columns the split leaves to S3 (from (I - P) u0 on a
-    Schur block), so no taken branch leaves a rounding residue; the result
+    fallback block), so no taken branch leaves a rounding residue; the result
     passes the contraction guard of propagate.  Its rate, fitted on tau in
     [1/b, 14/b] with b = measured_gap_b, must agree with b; the splitting
     measures b on a window of its own, [1/g, 18/g] with g the remainder's gap.

@@ -16,23 +16,24 @@ probe for the norm of gain-times-resolvent compositions.
 
 The blocks are the only generator form.  _decompose_stacked decomposes any
 number of operators that share a block layout, one stacked eig per block,
-and gives each operator one record per block: views into the stacks, or the
-block's Schur form when its eigenvectors are too ill-conditioned: when the
-Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper bound on cond_2(V_b)
-taken from the inverse the eig record needs anyway, reaches
-_EIG_COND_LIMIT.  spectrum takes its residuals per block, and the
+and gives each operator one record per block: views into the stacks,
+(eigenvalues, right vectors, inverse).  A block falls back when the
+Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper bound on cond_2(V_b),
+reaches _EIG_COND_LIMIT; its record keeps the eig pair without the inverse,
+(lam_b, V_b, None).  spectrum reads the eig pair of every block, and the
 semigroup split marks the eigenvalues it takes into S1/S2 with a mask per
-block copy, m, and a projector P_b per Schur block.
+block copy, m, and a projector P_b per fallback block (_schur_projector).
 
 _block_flow is the one apply of the semigroup, e^{tau A} u0 =
-V_b diag(e^{tau lam}) V_b^{-1} u0 or Z_b e^{tau T_b} Z_b^H u0 on every block
-copy, for one operator (propagate), each chunk of a mode grid
-(convergence_lab._evolve_grid) and the remainder of a split
-(_remainder_flow): e^{tau A} S3 u0 is _block_flow on the columns off the
-mask, V_b diag(e^{tau lam} (1 - m)) V_b^{-1} u0, from (I - P_b) u0 on a Schur
-block.  The results are checked with the one contraction guard,
-_contraction_violations.  The remainder norms take the same two forms as
-operators, so the remainder fit needs no dense matrix.
+V_b diag(e^{tau lam}) V_b^{-1} u0 on an eig block copy and e^{tau A_b} u0 by
+scaling and squaring (_fallback_flow) on a fallback block, for one operator
+(propagate), each chunk of a mode grid (convergence_lab._evolve_grid) and
+the remainder of a split (_remainder_flow): e^{tau A} S3 u0 is _block_flow
+on the columns off the mask, V_b diag(e^{tau lam} (1 - m)) V_b^{-1} u0, from
+(I - P_b) u0 on a fallback block.  The results are checked with the one
+contraction guard, _contraction_violations.  The remainder norms take the
+same two forms as operators, so the remainder fit needs no dense matrix.
+Only _fallback_flow and _schur_projector import scipy.linalg.
 
 The dense generator (ModeOperator.matrix) and the split's S1_part, S2_part
 and S3_part are views for callers outside the package (tests and benchmark
@@ -63,7 +64,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm, schur, solve_sylvester
 
 from .collision_ops import CollisionMatrices, _nu_of_r, reduced_kernel_tables
 from .velocity_basis import (
@@ -326,15 +326,15 @@ def _decompose_stacked(ops: list[ModeOperator]):
     """Decompose operators sharing one block layout, one stacked eig per block.
 
     Every operator gets its own _Decomposition: per block views into the
-    stacks, or the block's Schur form when its eigenvectors are past
-    _EIG_COND_LIMIT.  The gate costs one stacked inverse, which the eig
+    stacks, with no inverse where the eigenvectors are past _EIG_COND_LIMIT
+    (a fallback block).  The gate costs one stacked inverse, which the eig
     records need anyway: LAPACK's eigenvectors are unit columns, so a k-dim
     block has ||V_b||_F = sqrt(k), and sqrt(k) ||V_b^{-1}||_F >= cond_2(V_b)
     is the bound the gate takes (an exactly singular V_b has an infinite
     one).  The reported condition is max_b sqrt(k_b) * max_b ||V_b^{-1}||_F,
     an upper bound on cond_2 of the block-diagonal eigenvector matrix.
     Returns per block the stacked (eigenvalues, right eigenvectors, their
-    inverses); the inverses of the Schur records are zeros.
+    inverses); the inverses of the fallback records are zeros.
     """
     parts, vec_norms, inv_norms = [], [], []
     for b in range(len(ops[0].blocks)):
@@ -351,8 +351,7 @@ def _decompose_stacked(ops: list[ModeOperator]):
     lam = np.concatenate([np.tile(lb, (1, len(block.copies)))
                           for (lb, _, _), block in zip(parts, ops[0].blocks)], axis=1)
     for i, op in enumerate(ops):
-        blocks = tuple((lb[i], vb[i], wb[i]) if ok[i, b]
-                       else (lb[i], *schur(op.blocks[b].matrix, output="complex"))
+        blocks = tuple((lb[i], vb[i], wb[i] if ok[i, b] else None)
                        for b, (lb, vb, wb) in enumerate(parts))
         op._decomp = _Decomposition("eig" if ok[i].all() else "schur", float(cond[i]),
                                     lam[i], blocks, tuple((~ok[i]).tolist()))
@@ -362,11 +361,11 @@ def _decompose_stacked(ops: list[ModeOperator]):
 class _Decomposition(NamedTuple):
     """A generator's decomposition, one record per sector block.
 
-    ``blocks`` holds per block (eigenvalues, right vectors, inverse), or,
-    where ``schur`` marks it, (eigenvalues, T, Z) of the block's complex
-    Schur form A_b = Z T Z^H.  The columns run block by block and, within a
-    block, copy by copy: ``lam`` holds the eigenvalue of every column (a
-    block's copies repeat its eigenvalues).
+    ``blocks`` holds per block (eigenvalues, right vectors, inverse); where
+    ``schur`` marks a fallback block the inverse is None (see _fallback_flow).
+    The columns run block by block and, within a block, copy by copy:
+    ``lam`` holds the eigenvalue of every column (a block's copies repeat
+    its eigenvalues).
     """
 
     path: str                 # "schur" when any block fell back, else "eig"
@@ -405,12 +404,10 @@ def _spectral_order(lam: np.ndarray) -> np.ndarray:
 
 def _dense_vectors(op: ModeOperator, vectors, cols: np.ndarray):
     """Right eigenvectors (as columns) and inverse rows of the given columns, dense,
-    from per-block (right vectors, inverse); None leaves a block's entries zero."""
+    from per-block (right vectors, inverse); an inverse of None leaves its rows zero."""
     right = np.zeros((op.dim, cols.size), dtype=complex)
     left = np.zeros((cols.size, op.dim), dtype=complex)
     for b, idx, sign, span in _copy_columns(op):
-        if vectors[b] is None:
-            continue
         vb, wb = vectors[b]
         hit = np.flatnonzero((cols >= span.start) & (cols < span.stop))
         local = cols[hit] - span.start
@@ -423,34 +420,30 @@ def _dense_vectors(op: ModeOperator, vectors, cols: np.ndarray):
 def spectrum(op: ModeOperator):
     """Eigenvalues sorted by descending real part, vectors, and residuals.
 
-    The residuals are computed per block; a block's copies share them, since
-    a signature conjugation preserves the column norms.  A Schur block takes
-    its eigenvectors from an eig of the block itself.
+    Every block, a fallback one too, gives the eig pair of its record; the
+    residuals are computed per block, and a block's copies share them, since
+    a signature conjugation preserves the column norms.
     """
     _check_record(op, ModeOperator, ValueError)
     dec = _decomposition(op)
-    pairs = [np.linalg.eig(block.matrix) if s else rec[:2]
-             for block, rec, s in zip(op.blocks, dec.blocks, dec.schur)]
     res = _by_column(op, [
         np.linalg.norm(block.matrix @ vb - vb * lb[None, :], axis=0) / np.linalg.norm(vb, axis=0)
-        for block, (lb, vb) in zip(op.blocks, pairs)])
-    lam = _by_column(op, [lb for lb, _ in pairs])
-    order = _spectral_order(lam)
-    vr, _ = _dense_vectors(op, [(vb, None) for _, vb in pairs], order)
-    return lam[order], vr, res[order]
+        for block, (lb, vb, _) in zip(op.blocks, dec.blocks)])
+    order = _spectral_order(dec.lam)
+    vr, _ = _dense_vectors(op, [(vb, None) for _, vb, _ in dec.blocks], order)
+    return dec.lam[order], vr, res[order]
 
 
-def _schur_flow(t: np.ndarray, z: np.ndarray, taus) -> np.ndarray:
-    """(n_t, k, k) flows Z e^{tau T} Z^H of a Schur record, one per tau."""
-    return np.array([z @ expm(tau * t) @ z.conj().T for tau in taus],
-                    dtype=complex).reshape(len(taus), *t.shape)
+def _fallback_flow(a: np.ndarray, taus) -> np.ndarray:
+    """(n_t, k, k) flows e^{tau a} of a fallback block by scaling and squaring."""
+    from scipy.linalg import expm
+    return np.array([expm(tau * a) for tau in taus], dtype=complex).reshape(len(taus), *a.shape)
 
 
 def _stacks_of_one(dec: _Decomposition) -> list:
     """One operator's eig records as the stacks _block_flow takes: stacks of
-    one, and None on its Schur blocks."""
-    return [None if s else (lb[None], vb[None], wb[None])
-            for (lb, vb, wb), s in zip(dec.blocks, dec.schur)]
+    one, and None on its fallback blocks."""
+    return [None if wb is None else (lb[None], vb[None], wb[None]) for lb, vb, wb in dec.blocks]
 
 
 def _block_flow(ops: list[ModeOperator], parts, states0: np.ndarray,
@@ -459,11 +452,11 @@ def _block_flow(ops: list[ModeOperator], parts, states0: np.ndarray,
 
     ``parts`` holds per block the stacked (eigenvalues, right vectors,
     inverses) of _decompose_stacked, or None if no operator has an eig record
-    there; ``states0`` the (n, dim) initial states.  Schur records flow as
-    Z e^{tau T} Z^H.  ``keep``, an (n, dim) mask over the columns (see
-    _Decomposition), restricts each eig copy to its kept columns,
-    V (e^{tau lam} keep V^{-1} u0), so a dropped column leaves no rounding
-    residue; it leaves the Schur records alone.
+    there; ``states0`` the (n, dim) initial states.  A fallback block flows by
+    _fallback_flow of its operator's own block.  ``keep``, an (n, dim) mask
+    over the columns (see _Decomposition), restricts each eig copy to its
+    kept columns, V (e^{tau lam} keep V^{-1} u0), so a dropped column leaves
+    no rounding residue; it leaves the fallback blocks alone.
     """
     n = len(states0)
     out = np.zeros((n, len(taus), states0.shape[1]), dtype=complex)
@@ -482,7 +475,7 @@ def _block_flow(ops: list[ModeOperator], parts, states0: np.ndarray,
                 out[:, :, idx] = ((g * coef) @ vr_t) * sign
         for i, op in enumerate(ops):
             if op._decomp.schur[b]:
-                flow = _schur_flow(*op._decomp.blocks[b][1:], taus)
+                flow = _fallback_flow(op.blocks[b].matrix, taus)
                 for idx, sign in block.copies:
                     out[i][:, idx] = (flow @ (states0[i, idx] * sign)) * sign
         col += k * n_copies
@@ -545,8 +538,8 @@ class SemigroupSplit:
 
     ``branch_mask`` marks the columns (see _Decomposition) whose eigenvalues
     go to S1 (low regime) or S2 (high regime); it is per block copy, so one
-    copy of a degenerate pair can be taken without the other.  A Schur block
-    takes its branch on every copy with the spectral projector
+    copy of a degenerate pair can be taken without the other.  A fallback
+    block takes its branch on every copy with the spectral projector
     ``schur_projectors[b]`` of its reordered Schur form.  The remainder fit
     and every S*_part come from the blocks: S1_part, S2_part and S3_part =
     I - S1_part - S2_part are dense views, built on first access.
@@ -568,8 +561,8 @@ class SemigroupSplit:
     @functools.cached_property
     def _branch_parts(self) -> tuple[np.ndarray, np.ndarray]:
         dec = _decomposition(self.op)
-        right, left = _dense_vectors(self.op, [None if s else rec[1:] for rec, s in zip(
-            dec.blocks, dec.schur)], np.flatnonzero(self.branch_mask))
+        right, left = _dense_vectors(self.op, [rec[1:] for rec in dec.blocks],
+                                     np.flatnonzero(self.branch_mask))
         branch = right @ left
         for b, idx, sign, _ in _copy_columns(self.op):
             if dec.schur[b]:
@@ -595,6 +588,8 @@ class SemigroupSplit:
 
 
 def _schur_projector(a: np.ndarray, select) -> tuple[np.ndarray, int]:
+    """Spectral projector onto the eigenvalues ``select`` takes, and their number."""
+    from scipy.linalg import schur, solve_sylvester
     t, z, k = schur(a, output="complex", sort=select)
     if k == 0:
         return np.zeros_like(a), 0
@@ -619,7 +614,7 @@ def split_regime(op: ModeOperator) -> str:
 
 def semigroup_split(op: ModeOperator) -> SemigroupSplit:
     """Split by regime: S1 takes the top _N_FLUID eigenvalues over all block
-    copies (low), S2 those above -mu/2 (high).  A Schur block's projector
+    copies (low), S2 those above -mu/2 (high).  A fallback block's projector
     takes each of its eigenvalues down to the lowest one taken, less 1e-12.
     """
     _check_record(op, ModeOperator, ValueError)
@@ -649,8 +644,8 @@ def _remainder_norms(op: ModeOperator, mask: np.ndarray, projectors,
     """||e^{tau A} S3||_xi at each tau, from the blocks.
 
     On an eig copy e^{tau A} S3 = V diag(e^{tau lam} (1 - m)) V^{-1}, with m
-    the copy's slice of the branch mask; on a Schur copy it is
-    Z e^{tau T} Z^H (I - P), with P the block's projector in ``projectors``.
+    the copy's slice of the branch mask; on a fallback copy it is
+    e^{tau A_b} (I - P) by _fallback_flow, P the block's ``projectors`` entry.
     The weighted norm is the largest over the copies.  A copy that repeats an
     earlier copy's mask and metric has the same norm (the signature
     conjugation between them is orthogonal) and is skipped.
@@ -678,8 +673,8 @@ def _remainder_norms(op: ModeOperator, mask: np.ndarray, projectors,
         seen.add(key)
         lb, x, y = dec.blocks[b]
         if dec.schur[b]:
-            flows = (g[:, None] * _schur_flow(x, y, taus) @ (np.eye(lb.size) - projectors[b])
-                     / g[None, :])
+            flows = (g[:, None] * _fallback_flow(op.blocks[b].matrix, taus)
+                     @ (np.eye(lb.size) - projectors[b]) / g[None, :])
             norms = np.maximum(norms, np.linalg.norm(flows, ord=2, axis=(1, 2)))
             continue
         if b not in partners:
@@ -713,7 +708,7 @@ def _real_frame_norms(left: np.ndarray, right: np.ndarray, lam: np.ndarray,
 
 
 def _remainder_flow(split: SemigroupSplit, u0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """(n_t, dim) states e^{tau A} S3 u0 by _block_flow: a Schur copy starts
+    """(n_t, dim) states e^{tau A} S3 u0 by _block_flow: a fallback copy starts
     from (I - P) u0, and an eig copy keeps the columns off the branch mask."""
     dec = _decomposition(split.op)
     start = np.array(u0, dtype=complex)

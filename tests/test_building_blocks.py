@@ -5,7 +5,7 @@ velocity_basis._finite_entries (behind _finite_array and
 _finite_complex_array): no other kslab function calls numpy's isfinite.
 Each semigroup has one apply: mode_operators._block_flow for the kinetic
 flow (the S3 remainder runs on it too; only the remainder norms take their
-own Schur flows), fluid_limits._heat_decay for the heat decay, the one
+own fallback flows), fluid_limits._heat_decay for the heat decay, the one
 reader of the heat rates, and fluid_limits._field_flow, the one reader of
 the two-by-two field exponential.  The linear fluid solver reads those two
 fluid flows for its unforced and its Duhamel parts: it has no exponential
@@ -20,7 +20,10 @@ of every panel rule come from one pass of collision_ops._pair_kernel_moments:
 _gain_matrices calls it once, outside its loop over degrees, and
 reduced_kernel_tables is its only other reader.  And convergence_lab reads
 the sound speed from fluid_limits, so it does not import dispersion, and it
-builds every rate report in _report.
+builds every rate report in _report.  scipy.linalg serves the eig fallback
+only: its flow (expm, in mode_operators._fallback_flow) and its projector
+(schur, in _schur_projector) import it where they run, and spectrum reads
+the decomposition's eig pairs without an eig of its own.
 """
 import ast
 from pathlib import Path
@@ -57,6 +60,19 @@ def _reads(name: str):
     return match
 
 
+def _calls(name: str):
+    """A match for every call of ``name``, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and _reads(name)(node.func)
+
+
+def _imports_scipy_linalg(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").startswith("scipy.linalg")
+                or (node.module == "scipy" and any(a.name == "linalg" for a in node.names)))
+    return isinstance(node, ast.Import) and any(
+        alias.name.startswith("scipy.linalg") for alias in node.names)
+
+
 def _numpy_isfinite(node) -> bool:
     if isinstance(node, ast.Attribute):
         return (node.attr == "isfinite" and isinstance(node.value, ast.Name)
@@ -70,9 +86,9 @@ def test_numpy_isfinite_only_in_the_array_predicate():
 
 
 def test_one_apply_per_semigroup():
-    assert set(_where(_reads("_schur_flow"))) == {("mode_operators", "_block_flow"),
-                                                  ("mode_operators", "_remainder_norms")}
-    remainder = {name for name in ("_block_flow", "exp", "expm", "_schur_flow")
+    assert set(_where(_reads("_fallback_flow"))) == {("mode_operators", "_block_flow"),
+                                                     ("mode_operators", "_remainder_norms")}
+    remainder = {name for name in ("_block_flow", "exp", "expm", "_fallback_flow")
                  if ("mode_operators", "_remainder_flow") in _where(_reads(name))}
     assert remainder == {"_block_flow"}
     assert set(_where(_reads("_heat_rates"))) == {("fluid_limits", "_heat_decay")}
@@ -82,6 +98,16 @@ def _function(module: str, name: str) -> ast.FunctionDef:
     tree = ast.parse((_SRC / f"{module}.py").read_text())
     return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_scipy_linalg_only_on_the_fallback():
+    fallback = {("mode_operators", "_fallback_flow"), ("mode_operators", "_schur_projector")}
+    assert set(_where(_imports_scipy_linalg)) == fallback
+    assert set(_where(_calls("expm"))) == {("mode_operators", "_fallback_flow")}
+    assert set(_where(_calls("schur"))) == {("mode_operators", "_schur_projector")}
+    # spectrum reads the eig pairs of the decomposition, a fallback's included
+    assert not [node for node in ast.walk(_function("mode_operators", "spectrum"))
+                if _reads("eig")(node)]
 
 
 def test_one_fluid_solver():

@@ -9,6 +9,10 @@ resolvent-composition probe scalings, and the boundary table of bad input
 for every exported callable.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,7 +447,7 @@ class TestConditioningGate:
         for i, op in enumerate(ops):
             vecs = sl.block_diag(*(vr[i] for _, vr, _ in parts))
             assert mo._decomposition(op).cond >= np.linalg.cond(vecs, 2)
-        # past the limit the members take the Schur record
+        # past the limit the members take the fallback record
         assert all(op._decomp.path == ("schur" if spread > 8 else "eig") for op in ops)
 
     def test_singular_member_alone_takes_schur(self, collision_small, monkeypatch):
@@ -471,9 +475,70 @@ class TestConditioningGate:
                 for x, y in zip(got, want):
                     assert np.array_equal(x, y)
             assert mo._decomposition(ops[i]).cond == mo._decomposition(reference[i]).cond
-        _, t, z = ops[1]._decomp.blocks[0]
+        # the fallback record keeps the stack's eig pair and no inverse
+        lam, vr, inverse = ops[1]._decomp.blocks[0]
+        assert inverse is None
+        assert np.array_equal(lam, parts[0][0][1]) and np.array_equal(vr, parts[0][1][1])
+        # and flows by expm of its own block, not of the stack's first member
         block = ops[1].blocks[0].matrix
-        assert np.abs(z @ t @ z.conj().T - block).max() <= 1e-12 * np.abs(block).max()
+        taus = np.array([0.0, 0.3, 1.1])
+        u0 = np.random.default_rng(33).standard_normal((len(ops), ops[1].dim)).astype(complex)
+        states = mo._block_flow(ops, parts, u0, taus)
+        for tau, flow, got in zip(taus, mo._fallback_flow(block, taus), states[1]):
+            want = sl.expm(tau * block)
+            assert np.array_equal(flow, want)
+            assert np.abs(got[:4] - want @ u0[1, :4]).max() <= 1e-12 * np.abs(u0[1]).max()
+
+    @pytest.mark.parametrize("kind", ["B", "A"])
+    def test_fallback_spectrum_runs_no_eig(self, collision_small, monkeypatch, kind):
+        # every block falls back, and spectrum still reads the eig pairs the
+        # decomposition kept: no eig of its own, and the eig path's bits
+        assemble = mo.assemble_B if kind == "B" else mo.assemble_A_tilde
+        want = mo.spectrum(assemble(1.3, 0.05, collision_small))
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", 1.0)
+        op = assemble(1.3, 0.05, collision_small)
+        assert mo._decomposition(op).schur == (True, True)
+
+        def no_eig(a):
+            raise AssertionError("spectrum ran an eig")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        for got, ref in zip(mo.spectrum(op), want):
+            assert np.array_equal(got, ref)
+
+    def test_import_leaves_scipy_linalg_to_the_fallback(self):
+        # import kslab leaves scipy.linalg unloaded.  Building a basis loads it
+        # (scipy.special's Gauss-Laguerre roots do), so from there on the
+        # script watches the imports that run: the eig path of propagate and
+        # semigroup_split runs none, and the first block that falls back does
+        script = (
+            "import builtins, sys\n"
+            "import kslab\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "import numpy as np\n"
+            "from kslab import collision_ops, mode_operators as mo, velocity_basis\n"
+            "basis = velocity_basis.build_basis(velocity_basis.BasisSpec(6, 3))\n"
+            "cm = collision_ops.assemble_collision(basis, build_gamma=False)\n"
+            "loads, real_import = [], builtins.__import__\n"
+            "def traced(name, globals=None, locals=None, fromlist=(), level=0):\n"
+            "    if name.startswith('scipy.linalg') or (\n"
+            "            name == 'scipy' and 'linalg' in (fromlist or ())):\n"
+            "        loads.append(name)\n"
+            "    return real_import(name, globals, locals, fromlist, level)\n"
+            "builtins.__import__ = traced\n"
+            "for limit in (mo._EIG_COND_LIMIT, 1.0):\n"
+            "    mo._EIG_COND_LIMIT = limit\n"
+            "    op = mo.assemble_A_tilde(1.3, 0.05, cm)\n"
+            "    mo.propagate(op, np.ones(op.dim), np.array([0.0, 0.01]))\n"
+            "    mo.semigroup_split(op)\n"
+            "    print(mo._decomposition(op).path, bool(loads))\n"
+        )
+        src = str(Path(mo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == ["False", "eig", "False", "schur", "True"]
 
 
 class TestPerBlockSplit:
@@ -750,8 +815,8 @@ def _complex_remainder_norms(op, mask, projectors, taus):
         lb, x, y = dec.blocks[b]
         g = gh[idx]
         if dec.schur[b]:
-            flows = (g[:, None] * mo._schur_flow(x, y, taus) @ (np.eye(lb.size) - projectors[b])
-                     / g[None, :])
+            flows = np.array([sl.expm(tau * op.blocks[b].matrix) for tau in taus])
+            flows = g[:, None] * flows @ (np.eye(lb.size) - projectors[b]) / g[None, :]
         else:
             growth = np.exp(np.multiply.outer(taus, lb)) * ~mask[cols]
             flows = ((g[:, None] * x)[None] * growth[:, None, :]) @ (y / g[None, :])
