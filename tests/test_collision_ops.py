@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 from scipy.special import eval_genlaguerre, eval_legendre
 
 from kslab import collision_ops
@@ -359,6 +360,35 @@ class TestAssemblyInputs:
         # a ValueError of the module, not an AttributeError further in
         with pytest.raises(ValueError, match=match):
             call(collision_small)
+
+
+class TestSectorBlocks:
+    """The sector blocks are the block diagonal of their degree blocks."""
+
+    @pytest.mark.parametrize("count,size,kinds", [
+        (1, 1, "r"), (1, 4, "r"), (3, 2, "r"), (4, 6, "r"), (5, 3, "c"), (3, 3, "rcr"),
+    ], ids=["one-scalar", "one-block", "three-2x2", "four-6x6", "complex", "mixed"])
+    def test_block_diagonal_matches_scipy(self, count, size, kinds):
+        rng = np.random.default_rng(41)
+        blocks = []
+        for i in range(count):
+            block = rng.standard_normal((size, size))
+            if kinds[i % len(kinds)] == "c":
+                block = block + 1j * rng.standard_normal((size, size))
+            blocks.append(block)
+        got = collision_ops._block_diagonal(blocks)
+        want = block_diag(*blocks)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("which,field", [("L", "L_sector"), ("L1", "L1_sector")])
+    def test_sectors_stack_the_degree_blocks(self, collision_small, which, field):
+        # the axial sector holds every degree, the transverse one l >= 1
+        degrees = collision_ops._degree_blocks(collision_small.basis, 3).clean[which]
+        sectors = getattr(collision_small, field)
+        assert np.array_equal(sectors[SECTOR_AXIAL], block_diag(*degrees.values()))
+        assert np.array_equal(sectors[SECTOR_TRANSVERSE],
+                              block_diag(*(degrees[l] for l in range(1, 4))))
 
 
 class TestAssembledOperators:

@@ -114,6 +114,28 @@ class TestRateFit:
         with pytest.raises(cl.ConvergenceError, match="degenerate"):
             cl.rate_fit([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 2.0], [1.0, 2.0]),
+        ([], []),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [-1.0, -2.0, -3.0, -4.0, -5.0]),
+        ([3.0, 3.0 * (1.0 + 1e-14), 3.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+    ], ids=["two-points", "empty", "y-zero", "y-all-negative", "x-span-below-1e-12"])
+    def test_usable_sample_rule_is_the_line_fits(self, x, y):
+        # past its own finite, shape and x > 0 checks, rate_fit raises exactly
+        # what the shared line fit raises on log x
+        with pytest.raises(cl.ConvergenceError) as want:
+            _line_fit(np.log(np.asarray(x, dtype=float)), np.asarray(y, dtype=float),
+                      cl.ConvergenceError)
+        with pytest.raises(cl.ConvergenceError) as got:
+            cl.rate_fit(x, y)
+        assert str(got.value) == str(want.value)
+
+    def test_negative_abscissa_rejected(self):
+        # log x needs x > 0, so rate_fit checks it before the line fit
+        with pytest.raises(cl.ConvergenceError, match="positive abscissae"):
+            cl.rate_fit([1.0, -2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+
     def test_is_the_shared_line_fit_on_log_x(self):
         x = np.geomspace(0.3, 7.0, 6)
         y = 1.7 * x**-1.2 * (1.0 + 0.01 * np.sin(5.0 * x))

@@ -506,6 +506,43 @@ class TestConditioningGate:
         for got, ref in zip(mo.spectrum(op), want):
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("kind", ["B", "A"])
+    @pytest.mark.parametrize("s,eps", [(0.2, 0.0125), (5.0, 0.4), (16.0, 1.0)],
+                             ids=["low", "mid", "high"])
+    def test_fallback_spectrum_keeps_the_eig_path_bits(self, collision_default, monkeypatch,
+                                                      kind, s, eps):
+        # the larger basis, across the three regimes: the fallback record's
+        # pair is the one the eig path keeps, so (lam, V, residuals) agree bit for bit
+        assemble = mo.assemble_B if kind == "B" else mo.assemble_A_tilde
+        op = assemble(s, eps, collision_default)
+        want = mo.spectrum(op)
+        assert mo._decomposition(op).path == "eig"
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", 1.0)
+        op = assemble(s, eps, collision_default)
+        assert all(mo._decomposition(op).schur)
+        got = mo.spectrum(op)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("kind", ["B", "A"])
+    @pytest.mark.parametrize("s,eps", [(1.3, 0.05), (5.0, 0.4), (16.0, 1.0)],
+                             ids=["low", "mid", "high"])
+    def test_fallback_propagate_matches_the_eig_path(self, collision_small, monkeypatch,
+                                                     kind, s, eps):
+        # expm of each block and the eigen-expansion give the same states
+        assemble = mo.assemble_B if kind == "B" else mo.assemble_A_tilde
+        op = assemble(s, eps, collision_small)
+        u = _random_states(op.dim, 1, 34)[0]
+        times = np.array([0.0, 0.1, 1.0, 4.0]) * eps**2
+        want = mo.propagate(op, u, times)
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", 1.0)
+        op = assemble(s, eps, collision_small)
+        got = mo.propagate(op, u, times)
+        assert mo._decomposition(op).path == "schur"
+        assert np.array_equal(got[0], u)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(u).max()
+
     def test_import_leaves_scipy_linalg_to_the_fallback(self):
         # import kslab leaves scipy.linalg unloaded.  Building a basis loads it
         # (scipy.special's Gauss-Laguerre roots do), so from there on the
