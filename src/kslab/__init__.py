@@ -19,12 +19,10 @@ from .collision_ops import (  # noqa: F401
 from .dispersion import (  # noqa: F401
     DispersionBranch,
     DispersionError,
-    ResolventScalars,
     boltzmann_dispersion,
     crossing_location,
     eta_coefficient,
     expansion_coefficients,
-    resolvent_scalars,
     solve_highfreq,
     solve_z0,
     solve_z_pm,

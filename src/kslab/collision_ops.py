@@ -769,6 +769,8 @@ def _spectral_gap(clean_L: dict[int, np.ndarray]) -> float:
     for l, block in clean_L.items():
         null = _NULL_RADIAL["L"].get(l, ())
         keep = [i for i in range(block.shape[0]) if i not in null]
+        if not keep:  # radial order 2 leaves degree 0 only its null coordinates
+            continue
         sub = block[np.ix_(keep, keep)]
         best = max(best, np.linalg.eigvalsh(sub).max())
     return float(-best)

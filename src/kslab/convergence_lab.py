@@ -43,17 +43,17 @@ checked at 1e-7 against every piece bisected by the panel rule that the
 Duhamel integrals of fluid_limits use too (velocity_basis._panel_quadrature).
 
 Bad input fails at the boundary with ConvergenceError: an experiment's
-configuration that is not an ExperimentConfig or a mapping of its fields,
-collision data that is not CollisionMatrices (_check_experiment,
-corrector_shapes), and rate-fit samples and corrector shapes that are not
-finite numbers (velocity_basis._finite_array, _finite_complex_array).
+configuration that is not an ExperimentConfig, collision data that is not
+CollisionMatrices (_check_experiment, corrector_shapes), and rate-fit samples
+and corrector shapes that are not finite numbers (velocity_basis._finite_array,
+_finite_complex_array).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -171,15 +171,6 @@ class ExperimentConfig:
             raise ConvergenceError("mode grid needs at least eight points")
         if self.profile_width <= 0:
             raise ConvergenceError("profile width must be positive")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        if not isinstance(mapping, dict):
-            raise ConvergenceError(f"expected a mapping, got {type(mapping).__name__}")
-        extra = set(mapping) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConvergenceError(f"unknown configuration keys: {sorted(extra)}")
-        return cls(**mapping)
 
     def as_dict(self) -> dict:
         return {**asdict(self), "eps_list": list(self.eps_list)}

@@ -3,26 +3,29 @@
 The slow eigenvalues of the electromagnetic mode operator are roots of scalar
 equations built from two resolvent inner products: an axial one (density
 sector, streaming projected off the density direction) and a transverse one.
-This module evaluates those scalars and solves the root problems by the
-contraction maps that certify uniqueness.  One fixed-point iteration serves
-them all: it raises DispersionError when an iterate leaves the region where
-the map contracts or the steps run out, and every returned root has passed a
-residual test.  The two transverse branches are tracked as one pair through
-their collision point.  There the transverse relation has the double root
-z = R22 / 2 = -s, so crossing_location finds that point as the fixed point of
-s -> -Re R22(-eps^2 s, eps s) / 2, starting from its eps = 0 value eta / 2.
-The module also gives the closed-form small wave-number expansion of the
-kinetic-only operator's five slow branches.
+One evaluator per sector (_SectorSolver, built once per collision set by
+_solvers) gives those scalars to the root solvers, which solve the root
+problems by the contraction maps that certify uniqueness; the tests read the
+scalars through the same evaluators (tests/oracles.py, resolvent_scalars).
+One fixed-point iteration serves them all: it raises DispersionError when an
+iterate leaves the region where the map contracts or the steps run out, and
+every returned root has passed a residual test.  The two transverse branches
+are tracked as one pair through their collision point.  There the transverse
+relation has the double root z = R22 / 2 = -s, so crossing_location finds
+that point as the fixed point of s -> -Re R22(-eps^2 s, eps s) / 2, starting
+from its eps = 0 value eta / 2.  The module also gives the closed-form small
+wave-number expansion of the kinetic-only operator's five slow branches.
 
 Bad input fails at the boundary with DispersionError, the module's documented
-error: collision data that is not CollisionMatrices, and a wave number s,
-scale eps or spectral parameter lam that is not a finite number
-(velocity_basis._finite, _finite_complex: bools are not numbers here; s and
-eps must be real).  s and eps are also out of domain when negative, as for
-the mode generators (mode_operators.assemble_B): s is a wave-number
-magnitude, and eps = 0 is the closed-form limit of each root.  A spectral
-parameter on a sector's spectrum, where the resolvent solve is singular,
-raises DispersionError too.
+error: collision data that is not CollisionMatrices, and a wave number s or
+scale eps that is not a finite real number (velocity_basis._finite: bools
+are not numbers here).  s and eps are also out of domain when negative, as
+for the mode generators (mode_operators.assemble_B): s is a wave-number
+magnitude, and eps = 0 is the closed-form limit of each root.  A singular
+resolvent solve, at a spectral parameter on a sector's spectrum, raises
+DispersionError too, and so does expansion_coefficients on a basis whose
+angular_max is below the Legendre degree 2 its forms read
+(fluid_limits._own_core_values).
 """
 from __future__ import annotations
 
@@ -36,8 +39,7 @@ from .collision_ops import CollisionMatrices
 from .fluid_limits import _SOUND_SPEED, _own_core_values
 from .mode_operators import _by_column, _real_frame, assemble_B
 from .velocity_basis import (
-    SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_complex,
-    v_multiplication_matrix,
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, v_multiplication_matrix,
 )
 
 _FP_TOL = 1e-13
@@ -57,12 +59,6 @@ class DispersionBranch:
     value: complex          # root z; the matrix eigenvalue is eps^2 * z
     residual: float
     prediction: complex
-
-
-@dataclass
-class ResolventScalars:
-    R11: complex
-    R22: complex
 
 
 class _SectorSolver:
@@ -121,24 +117,15 @@ def _solvers(cm: CollisionMatrices) -> tuple[_SectorSolver, _SectorSolver]:
 
 
 def _check_input(cm, **values) -> None:
-    """The boundary check: cm is CollisionMatrices, lam a finite number, and
-    every other value (s, eps) a finite nonnegative real."""
+    """The boundary check: cm is CollisionMatrices and every value (s, eps) a
+    finite nonnegative real."""
     _check_record(cm, CollisionMatrices, DispersionError)
-    bad = {k: v for k, v in values.items()
-           if not (_finite_complex(v) if k == "lam" else _finite(v))}
+    bad = {k: v for k, v in values.items() if not _finite(v)}
     if bad:
         raise DispersionError(f"non-finite or non-numeric input: {bad}")
-    negative = {k: v for k, v in values.items() if k != "lam" and v < 0}
+    negative = {k: v for k, v in values.items() if v < 0}
     if negative:
         raise DispersionError(f"s and eps must be nonnegative, got {negative}")
-
-
-def resolvent_scalars(lam: complex, s: float, eps: float,
-                      cm: CollisionMatrices) -> ResolventScalars:
-    _check_input(cm, lam=lam, s=s, eps=eps)
-    ax, tr = _solvers(cm)
-    y = eps * s
-    return ResolventScalars(R11=ax.value(lam, y), R22=tr.value(lam, y))
 
 
 def eta_coefficient(cm: CollisionMatrices) -> float:
@@ -214,8 +201,8 @@ def _transverse_branch(label: str, z: complex, s: float, eps: float, tr: _Sector
                             prediction=prediction)
 
 
-def transverse_seeds(s: float, cm: CollisionMatrices) -> tuple[complex, complex]:
-    _check_input(cm, s=s)
+def _transverse_seeds(s: float, cm: CollisionMatrices) -> tuple[complex, complex]:
+    """The eps = 0 transverse pair, the roots of z^2 + eta z + s^2."""
     eta = eta_coefficient(cm)
     disc = np.sqrt(complex(eta * eta - 4.0 * s * s))
     return (-eta + disc) / 2.0, (-eta - disc) / 2.0
@@ -227,7 +214,7 @@ def solve_z_pm(s: float, eps: float,
     _check_input(cm, s=s, eps=eps)
     _, tr = _solvers(cm)
     bound = 10.0 * (eta_coefficient(cm) + s + 1.0)
-    seeds = transverse_seeds(s, cm)
+    seeds = _transverse_seeds(s, cm)
     step = _transverse_step(s, eps, tr)
     roots = _fixed_point(lambda pair: tuple(step(z) for z in pair), seeds,
                          lambda pair: np.max(np.abs(pair)) <= bound,
@@ -350,7 +337,7 @@ def expansion_coefficients(cm: CollisionMatrices) -> dict[str, tuple[float, floa
     (tests/oracles.py, fit_boltzmann_expansion).
     """
     _check_input(cm)
-    core = _own_core_values(cm)
+    core = _own_core_values(cm, DispersionError)
     return {
         "boltzmann_-1": (-_SOUND_SPEED, core["a_minus1"]),
         "boltzmann_0": (0.0, core["a0"]),

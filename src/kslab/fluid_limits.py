@@ -34,7 +34,8 @@ _heat_flow, _field_flow, _field_sq and p_split.  The quadratic forms of
 _core_values, with the hydrodynamic directions h0, ht1 and h+- and the sound
 speed _SOUND_SPEED, are the one source of the transport coefficients and of
 dispersion.expansion_coefficients, which read one pass of them per collision
-set (_own_core_values).
+set (_own_core_values); a basis whose angular_max is below 2 truncates the
+degree-2 forms away, and both refuse it.
 
 Bad input fails at the boundary with FluidError, the module's documented
 error: times, wave numbers, mode data and forcing values that are not finite
@@ -96,9 +97,8 @@ def _core_values(basis, L_sector: dict[int, np.ndarray],
     """The six quadratic forms -(L^{-1} P w, P w) behind the transport coefficients.
 
     Each w is v1 times a collision invariant, so it lies in degrees l <= 2,
-    and L is block-diagonal in l: sector blocks that end at degree
-    min(2, angular_max) give the forms of the whole blocks.  w is cut to the
-    length of the blocks.
+    and L is block-diagonal in l: sector blocks that end at degree 2 give the
+    forms of the whole blocks.  w is cut to the length of the blocks.
     """
     ax = basis.slice_axial
     v0 = v_multiplication_matrix(basis, SECTOR_AXIAL)
@@ -127,9 +127,14 @@ def _core_values(basis, L_sector: dict[int, np.ndarray],
     }
 
 
-def _own_core_values(cm: CollisionMatrices) -> dict[str, float]:
+def _own_core_values(cm: CollisionMatrices, error: type) -> dict[str, float]:
     """_core_values on the sector blocks of cm: one pass per collision set, read by
-    transport_coefficients and dispersion.expansion_coefficients."""
+    transport_coefficients and dispersion.expansion_coefficients.  Raises the
+    caller's error when the basis stops below Legendre degree 2, where the
+    kappa0 and a+-1 forms live."""
+    if cm.basis.spec.angular_max < 2:
+        raise error(f"the transport forms need angular_max >= 2, "
+                    f"got {cm.basis.spec.angular_max}")
     if "core_values" not in cm._cache:
         cm._cache["core_values"] = _core_values(cm.basis, cm.L_sector, cm.L1_sector)
     return cm._cache["core_values"]
@@ -145,17 +150,17 @@ def transport_coefficients(cm: CollisionMatrices) -> TransportCoefficients:
     quadrature).  The refined pass builds only the degrees l <= 2 the forms
     read (collision_ops._degree_blocks, which also runs the kernel refinement
     check on each of them), not a whole CollisionMatrices.  Raises
-    FluidError for cm that is not CollisionMatrices and unless every
-    coefficient is positive.
+    FluidError for cm that is not CollisionMatrices or whose angular_max is
+    below 2, and unless every coefficient is positive.
     """
     _check_record(cm, CollisionMatrices, FluidError)
     if "transport" in cm._cache:
         return cm._cache["transport"]
-    core = _own_core_values(cm)
+    core = _own_core_values(cm, FluidError)
     spec = cm.basis.spec
     refined = build_basis(BasisSpec(radial_order=spec.radial_order + 6,
                                     angular_max=spec.angular_max))
-    clean = _degree_blocks(refined, min(2, spec.angular_max)).clean
+    clean = _degree_blocks(refined, 2).clean
     fine = _core_values(refined, _sector_blocks(clean["L"]), _sector_blocks(clean["L1"]))
     deltas = {k: abs(core[k] - fine[k]) for k in ("kappa0", "kappa1", "eta", "a1")}
     tc = TransportCoefficients(

@@ -9,10 +9,10 @@ and, conjugated by a signature matrix, the sine copy.  In the
 electromagnetic generator the transverse block also carries two field
 components, (cos, X3, Y2) and (sin, X2, Y3).
 
-On top of the blocks: the weighted inner product, the semigroup (in
-diffusive time t / eps^2), its split into fluid branches, an oscillatory
-high-frequency part and an exponentially damped remainder, and a grid-based
-probe for the norm of gain-times-resolvent compositions.
+On top of the blocks: the semigroup (in diffusive time t / eps^2), its split
+into fluid branches, an oscillatory high-frequency part and an exponentially
+damped remainder, and a grid-based probe for the norm of gain-times-resolvent
+compositions.
 
 The blocks are the only generator form.  _decompose_stacked decomposes any
 number of operators that share a block layout, one stacked eig per block,
@@ -47,14 +47,16 @@ collision part being real and diagonal in l and the streaming coupling l to
 l +- 1.  The eig records stay complex; the remainder norms of an eig copy run
 in real arithmetic on Re(D^{-1} G^{1/2} V E V^{-1} G^{-1/2} D) when the
 block is real in its frame and the copy's branch mask is closed under
-conjugation, and take the complex product otherwise (a block built without
-phases, or a mask that splits a conjugate pair).
+conjugation, and take the complex product otherwise (a block that its
+phases do not make real, or a mask that splits a conjugate pair).
 
 Bad input fails at the boundary with ValueError, the module's documented
 error: non-numeric, boolean or non-finite wave numbers, a negative eps,
 collision data that is not CollisionMatrices, an operator argument that is
-not a ModeOperator, and bad states, times, metrics (the array predicates
-velocity_basis._finite_array, _finite_complex_array) and spectral parameters.
+not a ModeOperator, blocks given to ModeOperator that break the SectorBlock
+rules (_check_block) or do not tile the layout, and bad states, times,
+metrics (the array predicates velocity_basis._finite_array,
+_finite_complex_array) and spectral parameters.
 """
 from __future__ import annotations
 
@@ -94,17 +96,12 @@ class SectorBlock:
     Each copy is (index, sign): the block sits on rows and columns ``index``
     of the dense layout, conjugated by diag(sign) with sign entries +-1.
     ``phase`` holds one unit phase per row, D = diag(phase), such that
-    D^{-1} A_b D is real for the generators built here (see _real_frame); a
-    block built without phases carries ones.
+    D^{-1} A_b D is real for the generators built here (see _real_frame).
     """
 
     matrix: np.ndarray
     copies: tuple
-    phase: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.phase is None:
-            object.__setattr__(self, "phase", np.ones(self.matrix.shape[0]))
+    phase: np.ndarray
 
 
 def _copy(index: np.ndarray, sign: np.ndarray | None = None) -> tuple:
@@ -115,12 +112,13 @@ def _copy(index: np.ndarray, sign: np.ndarray | None = None) -> tuple:
 class ModeOperator:
     """One mode generator, held as its sector blocks.
 
-    ``blocks`` is a nonempty sequence of SectorBlock whose copies tile the
-    dense layout; ``metric_diag`` holds one finite positive weight per row.
-    Raises ValueError for anything else, and for a non-finite s or eps or a
-    negative eps.  The assemblers of this module, which check their own
-    arguments and build valid blocks and metrics, skip these checks
-    (_assembled).
+    ``blocks`` is a nonempty sequence of SectorBlock, each a valid block
+    (_check_block), whose copies tile the dense layout: their indices
+    together hold every row 0 .. dim - 1 once.  ``metric_diag`` holds one
+    finite positive weight per row.  Raises ValueError for anything else,
+    and for a non-finite s or eps or a negative eps.  The assemblers of this
+    module, which check their own arguments and build valid blocks and
+    metrics, skip these checks (_assembled).
     """
 
     def __init__(self, kind: str, s: float, eps: float, metric_diag: np.ndarray,
@@ -131,7 +129,12 @@ class ModeOperator:
         blocks = tuple(blocks)
         if not blocks or not all(isinstance(b, SectorBlock) for b in blocks):
             raise ValueError("blocks must be a nonempty sequence of SectorBlock")
+        for b in blocks:
+            _check_block(b)
         self._fill(kind, s, eps, metric_diag, collision, blocks)
+        rows = np.sort(np.concatenate([idx for b in blocks for idx, _ in b.copies]))
+        if not np.array_equal(rows, np.arange(self.dim)):
+            raise ValueError(f"the block copies must cover the rows 0 .. {self.dim - 1} once each")
         if not (_finite_array(metric_diag) and np.shape(metric_diag) == (self.dim,)
                 and np.all(np.asarray(metric_diag) > 0)):
             raise ValueError(f"metric_diag must hold {self.dim} finite positive weights")
@@ -166,11 +169,28 @@ class ModeOperator:
             self._matrix = out
         return self._matrix
 
-    def weighted_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(np.real(np.vdot(u, self.metric_diag * u))))
 
-    def weighted_inner(self, u: np.ndarray, w: np.ndarray) -> complex:
-        return complex(np.vdot(w, self.metric_diag * u))
+def _check_block(block: SectorBlock) -> None:
+    """A caller's block: a finite square ndarray of size k >= 1, a nonempty tuple
+    of (index, sign) copies with k integer indices and k signs +-1 each, and k
+    unit phases.  Raises ValueError otherwise."""
+    m = block.matrix
+    if not (isinstance(m, np.ndarray) and m.ndim == 2 and 0 < m.shape[0] == m.shape[1]
+            and _finite_complex_array(m)):
+        raise ValueError("a block matrix must be a finite square array")
+    k = m.shape[0]
+
+    def vector(x, kinds: str) -> bool:
+        return isinstance(x, np.ndarray) and x.shape == (k,) and x.dtype.kind in kinds
+
+    copies = block.copies
+    if not (isinstance(copies, tuple) and copies and all(
+            isinstance(c, tuple) and len(c) == 2 and vector(c[0], "iu") and vector(c[1], "iuf")
+            and np.all(np.abs(c[1]) == 1.0) for c in copies)):
+        raise ValueError(f"a block's copies must be a nonempty tuple of (index, sign), "
+                         f"{k} integer indices and {k} signs +-1 each")
+    if not (vector(block.phase, "iufc") and np.all(np.abs(np.abs(block.phase) - 1.0) <= 1e-12)):
+        raise ValueError(f"a block's phase must be an array of {k} unit numbers")
 
 
 def _check_mode_args(s: float, eps: float, cm: CollisionMatrices) -> None:
@@ -603,7 +623,7 @@ def _schur_projector(a: np.ndarray, select) -> tuple[np.ndarray, int]:
     return z @ ptil @ z.conj().T, k
 
 
-def split_regime(op: ModeOperator) -> str:
+def _split_regime(op: ModeOperator) -> str:
     load = op.eps * (1.0 + op.s) if op.kind == KIND_VMB else op.eps * op.s
     if load <= _SPLIT_R0:
         return "low"
@@ -618,7 +638,7 @@ def semigroup_split(op: ModeOperator) -> SemigroupSplit:
     takes each of its eigenvalues down to the lowest one taken, less 1e-12.
     """
     _check_record(op, ModeOperator, ValueError)
-    regime = split_regime(op)
+    regime = _split_regime(op)
     dec = _decomposition(op)
     lam = dec.lam
     order = _spectral_order(lam)

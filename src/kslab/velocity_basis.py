@@ -25,24 +25,25 @@ A kinetic state is a plain coefficient array in the (axial | cos | sin)
 layout; Basis.index locates one element in it.  The macro/micro projections
 are the matrices Basis.projection_matrix("P0") and ("P1"), and the
 charge-weighted metric of the electromagnetic modes belongs to
-mode_operators.ModeOperator (metric_diag, weighted_inner).
+mode_operators.ModeOperator (metric_diag).
 
 This module owns the building blocks the other modules read rather than
-rebuild: the radial profiles (_radial_rows), the normalized Legendre rows
-(_legendre_row), the Gauss-Legendre rule on [0, top] (_gauss_legendre), the
-checked panel rule of the time and wave integrals (_panel_quadrature), the
-least-squares line through (x, log y) behind every fitted rate, exponent and
-gap (_line_fit, which takes at least _MIN_FIT_POINTS samples), the
-read-only marker for shared arrays (_frozen), and the boundary checks every
-module shares: the record check (_check_record), the scalar predicates
-(_integer, _finite, _finite_complex) and their array forms (_finite_array,
-_finite_complex_array), which reject bools, strings, None, objects and
-ragged nestings before any conversion of the input.
+rebuild: the radial profiles (_radial_rows) and their Laguerre rows
+(_laguerre_rows), the normalized Legendre rows (_legendre_row), the
+Gauss-Legendre rule on [0, top] (_gauss_legendre), the checked panel rule of
+the time and wave integrals (_panel_quadrature), the least-squares line
+through (x, log y) behind every fitted rate, exponent and gap (_line_fit,
+which takes at least _MIN_FIT_POINTS samples), the read-only marker for shared
+arrays (_frozen), and the boundary checks every module shares: the record
+check (_check_record), the scalar predicates (_integer, _finite,
+_finite_complex) and their array forms (_finite_array, _finite_complex_array),
+which reject bools, strings, None, objects and ragged nestings before any
+conversion of the input.
 
 Bad input fails at the boundary with BasisError, the module's documented
 error: a spec that is not a BasisSpec or sizes that are not integers in
-range, and out-of-range sectors, copies, radial indices, degrees, speeds
-(_finite_array) and Laguerre row counts in the Basis methods and laguerre_rows.
+range, and out-of-range sectors, copies, radial indices, degrees and speeds
+(_finite_array) in the Basis methods.
 """
 from __future__ import annotations
 
@@ -226,20 +227,13 @@ def _radial_norm(n: int, l: int) -> float:
     return math.exp(ln)
 
 
-def laguerre_rows(n_rows: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """L_n^(alpha)(x) for every n < n_rows, shape (n_rows,) + x.shape.
+def _laguerre_rows(n_rows: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """L_n^(alpha)(x) for every n < n_rows, shape (n_rows,) + x.shape, for
+    n_rows >= 1, alpha > -1 and finite real x (_radial_rows passes these).
 
     One pass of the recurrence that scipy's eval_genlaguerre runs for each n
     separately, with its operation order, so every row matches it bit for bit.
-    Raises BasisError unless n_rows is an integer >= 1, alpha a finite number
-    > -1 and x finite real numbers.
     """
-    if not (_integer(n_rows) and n_rows >= 1):
-        raise BasisError(f"n_rows must be an integer >= 1, got {n_rows!r}")
-    if not (_finite(alpha) and alpha > -1):
-        raise BasisError(f"alpha must be a finite number > -1, got {alpha!r}")
-    if not _finite_array(x):
-        raise BasisError("x must be finite real numbers")
     x = np.asarray(x, dtype=float)
     rows = np.empty((n_rows,) + x.shape)
     rows[0] = 1.0
@@ -258,7 +252,7 @@ def laguerre_rows(n_rows: int, alpha: float, x: np.ndarray) -> np.ndarray:
 def _radial_rows(nr: int, l: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """c_{n,l} r^l L_n^(l+1/2)(u) for n < nr: the radial profiles without sqrt(M)."""
     norms = np.array([_radial_norm(n, l) * _TWO_PI ** (-0.75) for n in range(nr)])
-    rows = laguerre_rows(nr, l + 0.5, u)
+    rows = _laguerre_rows(nr, l + 0.5, u)
     r_l = r**l
     for norm, row in zip(norms, rows):
         row *= norm * r_l

@@ -11,12 +11,14 @@ whole center-of-mass grid with a quadrature product linearization.  A test
 that compares the two therefore checks the library against code the library
 does not share.  The others compute what only tests read: the Gram matrix of
 the velocity basis, the collision operators on the Hermite sub-basis, the
-bounds of nu(r)/(1 + r), and the pointwise collision frequency and kernels
+bounds of nu(r)/(1 + r), the pointwise collision frequency and kernels
 (nu_eval, kernel_eval) that the Galerkin gain blocks and nu are checked
-against.  test_oracles.py checks that none of the names
-defined here exists in a kslab module.
+against, the weighted inner product and norm of a mode operator's metric,
+and the two resolvent scalars of the dispersion relations.  test_oracles.py
+checks that none of the names defined here exists in a kslab module.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sl
@@ -29,8 +31,7 @@ from kslab.collision_ops import (
     _sphere_rule, _sub_quadrature, _sub_table,
 )
 from kslab.dispersion import (
-    _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues, eta_coefficient,
-    resolvent_scalars,
+    _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues, _solvers, eta_coefficient,
 )
 from kslab.mode_operators import KIND_VMB, ModeOperator, SectorBlock, _layout, propagate
 from kslab.velocity_basis import (
@@ -235,6 +236,16 @@ def metric_adjoint(op):
     return (op.matrix.conj().T * g[None, :]) / g[:, None]
 
 
+def weighted_inner(op, u, w):
+    """(u, w) = w^H G u in the operator's metric G = diag(op.metric_diag)."""
+    return complex(np.vdot(w, op.metric_diag * u))
+
+
+def weighted_norm(op, u):
+    """sqrt((u, u)) in the operator's metric."""
+    return float(np.sqrt(np.real(np.vdot(u, op.metric_diag * u))))
+
+
 def propagator_matrix(op, t):
     """Dense e^{(t/eps^2) A}: the propagated unit vectors, as columns."""
     return np.stack([propagate(op, e, t) for e in np.eye(op.dim)], axis=1)
@@ -291,6 +302,18 @@ def fit_boltzmann_expansion(cm, s=1.0, eps_list=(0.02, 0.035, 0.05, 0.07, 0.1)):
         a = -np.linalg.lstsq(design_even, vals.real, rcond=None)[0][0]
         out[k] = (float(mu), float(a))
     return out
+
+
+class ResolventScalars(NamedTuple):
+    R11: complex
+    R22: complex
+
+
+def resolvent_scalars(lam, s, eps, cm):
+    """The axial and transverse resolvent scalars at (lam, eps s), from the
+    sector evaluators the root solvers read (dispersion._solvers)."""
+    ax, tr = _solvers(cm)
+    return ResolventScalars(R11=ax.value(lam, eps * s), R22=tr.value(lam, eps * s))
 
 
 def crossing_discriminant(s, eps, cm):

@@ -435,6 +435,23 @@ class TestAssembledOperators:
         # variational: enlarging the space can only lower the estimate
         assert collision_small.mu_estimate >= mu - 1e-9
 
+    def test_gap_estimate_at_radial_order_two(self):
+        # degree 0 holds only the density and energy coordinates there, so it
+        # has nothing off the null space; the gap comes from the other degrees
+        cm = assemble_collision(build_basis(BasisSpec(2, 2)), build_gamma=False)
+        basis = cm.basis
+        null = set(null_coordinates(basis, "L", SECTOR_AXIAL))
+        top = []
+        for l in range(basis.spec.angular_max + 1):
+            rows = [i for i in (basis.index(SECTOR_AXIAL, "axial", n, l) for n in range(2))
+                    if i not in null]
+            if rows:
+                top.append(np.linalg.eigvalsh(cm.L_sector[SECTOR_AXIAL][np.ix_(rows, rows)])[-1])
+        assert len(top) == 2
+        assert cm.mu_estimate == pytest.approx(-max(top), rel=1e-12)
+        assert 0.05 < cm.mu_estimate < NU_ZERO
+        assert cm.kernel_refinement_delta <= 1e-11
+
     def test_nu_bounds(self):
         nu0, nu1 = oracles.nu_bounds()
         assert 0.5 < nu0 < nu1 < 6.0

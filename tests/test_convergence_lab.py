@@ -8,9 +8,12 @@ and the experiment drivers at the small basis: first-order rates, the
 acoustic layer profile, second-order rates, the microscopic transient, and
 report determinism.
 """
+import copy
 import dataclasses
+import importlib.util
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -23,12 +26,14 @@ import scipy.linalg as sl
 from kslab import convergence_lab as cl
 from kslab import mode_operators as mo
 from kslab.collision_ops import assemble_collision
+from kslab.fluid_limits import FluidError
 from kslab.velocity_basis import BasisSpec, _line_fit, build_basis, v_multiplication_matrix
 
 import oracles
 
 
 REPORTS_FIXTURE = Path(__file__).parent / "fixtures" / "reports.json"
+DIGEST_TOOL = Path(__file__).parent.parent / "tools" / "report_digests.py"
 
 
 def _small_cfg(**kw):
@@ -155,7 +160,7 @@ class TestRateFit:
 class TestExperimentConfig:
     def test_default_round_trip(self):
         cfg = cl.ExperimentConfig()
-        again = cl.ExperimentConfig.from_mapping(cfg.as_dict())
+        again = cl.ExperimentConfig(**cfg.as_dict())
         assert again == cfg
         # every field of each record makes the round trip, in declaration order
         assert list(cfg.as_dict()) == [f.name for f in dataclasses.fields(cfg)]
@@ -165,10 +170,6 @@ class TestExperimentConfig:
         report = cl.ConvergenceReport("probe", cfg.as_dict(), [0.1], [1.0], {"e": [[2.0]]})
         assert json.loads(report.to_json()) == {
             f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(cl.ConvergenceError, match="unknown configuration keys"):
-            cl.ExperimentConfig.from_mapping({"epsilon": [0.1, 0.05]})
 
     def test_eps_must_decrease(self):
         with pytest.raises(cl.ConvergenceError, match="strictly decreasing"):
@@ -184,9 +185,9 @@ class TestExperimentConfig:
         cfg = _small_cfg(data_kind="well_prepared")
         config = twin_reports[0].config
         assert config == {**cfg.as_dict(), "norm": "H2", "s_cap": 4.0, "regime_radius": 0.6}
-        # constants, not options: a mapping that sets them is rejected
-        with pytest.raises(cl.ConvergenceError, match="unknown configuration keys"):
-            cl.ExperimentConfig.from_mapping(config)
+        # constants, not options: a config that sets them is rejected
+        with pytest.raises(TypeError, match="unexpected keyword argument 'norm'"):
+            cl.ExperimentConfig(**config)
 
     def test_grid_validation(self):
         with pytest.raises(cl.ConvergenceError, match="t_min < t_max"):
@@ -710,6 +711,15 @@ class TestFirstOrder:
         assert wp_report.passed()
         assert generic_report.passed()
 
+    def test_degree_one_basis_fails_before_any_propagation(self, monkeypatch):
+        # the transport forms read Legendre degree 2, which angular_max = 1 cuts away
+        cm = assemble_collision(build_basis(BasisSpec(2, 1)), build_gamma=False)
+        calls = []
+        monkeypatch.setattr(cl, "_evolve_grid", lambda *args: calls.append(args))
+        with pytest.raises(FluidError, match="angular_max >= 2"):
+            cl.first_order_experiment(cl.ExperimentConfig(), cm)
+        assert calls == []
+
 
 class TestTransientRate:
     def test_explicit_eps_and_mode(self, collision_small, monkeypatch):
@@ -862,6 +872,18 @@ class TestReportSerialization:
         with pytest.raises(TypeError):
             cl.ConvergenceReport("probe", {"z": 1j}, [], [], {}).to_json()
 
+    def test_digest_tool_on_the_tier1_reports(self, wp_report, generic_report, second_report,
+                                              layer_report):
+        # tools/report_digests.py: one sha256 of to_json() and csv_rows() per report
+        spec = importlib.util.spec_from_file_location("report_digests", DIGEST_TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        reports = (wp_report, generic_report, second_report, layer_report)
+        digests = [tool.report_digest(rep) for rep in reports]
+        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+        assert len(set(digests)) == len(reports)
+        assert [tool.report_digest(copy.deepcopy(rep)) for rep in reports] == digests
+
     def test_non_finite_value_fails_before_writing(self, tmp_path):
         rep = cl.ConvergenceReport(experiment="first_order", config={}, eps=[0.1],
                                    t=[0.0, 1.0], errors={"vmb": [[0.5, float("nan")]]})
@@ -951,10 +973,6 @@ def _config(**kw):
     return lambda cm: cl.ExperimentConfig(**kw)
 
 
-def _mapping(value):
-    return lambda cm: cl.ExperimentConfig.from_mapping(value)
-
-
 def _initial(kind, cfg=cl.ExperimentConfig()):
     return lambda cm: cl.make_initial_data(kind, cfg, cm)
 
@@ -980,11 +998,7 @@ _BAD_CALLS = {
         "seed-negative": ("seed must be nonnegative", _config(seed=-1)),
         "seed-float": ("seed must be an integer", _config(seed=1.0)),
         "width-zero": ("profile width must be positive", _config(profile_width=0.0)),
-        "mapping-none": ("expected a mapping", _mapping(None)),
-        "mapping-pairs": ("expected a mapping", _mapping([("n_s", 16)])),
-        "mapping-str": ("expected a mapping", _mapping("n_s")),
-        "mapping-unknown-key": ("unknown configuration keys", _mapping({"epsilon": 0.1})),
-        "mapping-eps-scalar": ("two finite positive", _mapping({"eps_list": 5})),
+        "eps-scalar": ("two finite positive", _config(eps_list=5)),
     },
     "rate_fit": {
         "x-str": ("real samples", lambda cm: _fit(x="abcd")),
@@ -1089,4 +1103,4 @@ class TestBoundaryContract:
         z2, e_z = _shapes(collision_small)
         assert z2.shape == (collision_small.basis.dim,) and e_z.shape == (3,)
         assert _fit().n_points == 4
-        assert cl.ExperimentConfig.from_mapping({"n_s": 16}).n_s == 16
+        assert cl.ExperimentConfig(n_s=16).n_s == 16

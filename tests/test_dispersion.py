@@ -9,6 +9,7 @@ fixed point against the root of the bracketed discriminant by scipy's brentq
 (which only the oracle in tests/oracles.py imports), and the small wave-number
 expansion of the kinetic-only slow branches.
 """
+import functools
 import math
 import os
 import subprocess
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kslab import dispersion as dsp
+from kslab.collision_ops import assemble_collision
 from kslab.mode_operators import assemble_A_tilde
-from kslab.velocity_basis import SECTOR_TRANSVERSE
+from kslab.velocity_basis import BasisSpec, build_basis
 
 import oracles
 
@@ -38,7 +40,7 @@ def _spectrum_mismatch(op, z):
 
 class TestResolventScalars:
     def test_sector_symmetry_at_origin(self, collision_default):
-        rs = dsp.resolvent_scalars(0.0, 0.0, 0.0, collision_default)
+        rs = oracles.resolvent_scalars(0.0, 0.0, 0.0, collision_default)
         eta = dsp.eta_coefficient(collision_default)
         assert eta > 0
         assert rs.R11 == pytest.approx(-eta, abs=1e-13)
@@ -48,8 +50,8 @@ class TestResolventScalars:
 
     def test_wavenumber_derivative_vanishes_at_origin(self, collision_default):
         h = 1e-6
-        base = dsp.resolvent_scalars(0.0, 0.0, 0.0, collision_default).R11
-        bumped = dsp.resolvent_scalars(0.0, 1.0, h, collision_default).R11
+        base = oracles.resolvent_scalars(0.0, 0.0, 0.0, collision_default).R11
+        bumped = oracles.resolvent_scalars(0.0, 1.0, h, collision_default).R11
         assert abs(bumped - base) / h < 1e-6
 
     def test_deflation_matches_direct_solve(self, collision_default):
@@ -83,18 +85,6 @@ class TestInputValidation:
     def test_crossing_rejects(self, collision_small, eps):
         with pytest.raises(dsp.DispersionError, match="non-finite"):
             dsp.crossing_location(eps, collision_small)
-
-    @pytest.mark.parametrize("lam, s, eps", [(0.0, math.nan, 0.1), (math.nan, 1.0, 0.1),
-                                             (complex(0.0, math.inf), 1.0, 0.1),
-                                             (0.0, 1.0, math.nan)])
-    def test_resolvent_scalars_reject(self, collision_small, lam, s, eps):
-        with pytest.raises(dsp.DispersionError, match="non-finite"):
-            dsp.resolvent_scalars(lam, s, eps, collision_small)
-
-    @pytest.mark.parametrize("s", [math.nan, math.inf])
-    def test_transverse_seeds_reject(self, collision_small, s):
-        with pytest.raises(dsp.DispersionError, match="non-finite"):
-            dsp.transverse_seeds(s, collision_small)
 
     def test_highfreq_needs_positive_wavenumber(self, collision_small):
         with pytest.raises(dsp.DispersionError, match="s > 0"):
@@ -177,7 +167,7 @@ class TestTransversePair:
 
     @pytest.mark.parametrize("s", [0.04, 0.3])
     def test_zero_eps_equals_seeds(self, collision_default, s):
-        seeds = dsp.transverse_seeds(s, collision_default)
+        seeds = dsp._transverse_seeds(s, collision_default)
         zp, zm = dsp.solve_z_pm(s, 0.0, collision_default)
         assert abs(zp.value - seeds[0]) < 1e-13
         assert abs(zm.value - seeds[1]) < 1e-13
@@ -191,7 +181,7 @@ class TestTransversePair:
         assert zp.value.imag > 0
 
     def test_eps_rate_quadratic_off_crossing(self, collision_default):
-        seed = dsp.transverse_seeds(0.5, collision_default)[0]
+        seed = dsp._transverse_seeds(0.5, collision_default)[0]
         errs = [
             abs(dsp.solve_z_pm(0.5, e, collision_default)[0].value - seed)
             for e in (0.02, 0.01, 0.005)
@@ -275,7 +265,7 @@ class TestCrossing:
         s = dsp.crossing_location(eps, cm)
         assert abs(s - oracles.crossing_by_bracket(eps, cm)) <= 1e-12
         assert abs(oracles.crossing_discriminant(s, eps, cm)) <= 1e-15
-        r22 = dsp.resolvent_scalars(-eps * eps * s, s, eps, cm).R22
+        r22 = oracles.resolvent_scalars(-eps * eps * s, s, eps, cm).R22
         assert abs(s * s + r22 * s + s * s) <= 1e-15
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 3.0])
@@ -288,7 +278,7 @@ class TestCrossing:
         s = dsp.crossing_location(eps, cm)
         assert 0.5 * eta < s < 0.95 * eta
         assert abs(s - oracles.crossing_by_bracket(eps, cm)) <= 1e-12
-        r22 = dsp.resolvent_scalars(-eps * eps * s, s, eps, cm).R22
+        r22 = oracles.resolvent_scalars(-eps * eps * s, s, eps, cm).R22
         assert abs(s * s + r22 * s + s * s) <= 1e-13
 
     @pytest.mark.parametrize("eps", [4.0, 5.0, 10.0])
@@ -464,6 +454,12 @@ def _scalar_rows(call, names):
             for name in names for label, value in bad.items()}
 
 
+@functools.cache
+def _angular_max_one():
+    """Collision data whose basis stops at Legendre degree 1."""
+    return assemble_collision(build_basis(BasisSpec(2, 1)), build_gamma=False)
+
+
 def _collision_rows(call):
     return {"cm-none": lambda cm: call(None), "cm-basis": lambda cm: call(cm.basis)}
 
@@ -472,10 +468,6 @@ def _root_rows(solve):
     def call(cm, s=1.0, eps=0.1):
         return solve(s, eps, cm)
     return {**_scalar_rows(call, ("s", "eps")), **_collision_rows(call)}
-
-
-def _scalars(cm, lam=0.0, s=1.0, eps=0.1):
-    return dsp.resolvent_scalars(lam, s, eps, cm)
 
 
 def _crossing(cm, eps=0.02):
@@ -490,25 +482,17 @@ _BAD_CALLS = {
     "boltzmann_dispersion": {**_root_rows(dsp.boltzmann_dispersion),
                              "out-of-regime": lambda cm: dsp.boltzmann_dispersion(10.0, 0.2, cm)},
     "crossing_location": {**_scalar_rows(_crossing, ("eps",)), **_collision_rows(_crossing)},
-    "resolvent_scalars": {
-        **_scalar_rows(_scalars, ("s", "eps")),
-        **_collision_rows(_scalars),
-        "lam-nan": lambda cm: _scalars(cm, lam=math.nan),
-        "lam-inf": lambda cm: _scalars(cm, lam=complex(0.0, math.inf)),
-        "lam-bool": lambda cm: _scalars(cm, lam=True),
-        "lam-str": lambda cm: _scalars(cm, lam="1"),
-        "lam-none": lambda cm: _scalars(cm, lam=None),
-        "lam-on-spectrum": lambda cm: _scalars(
-            cm, lam=np.linalg.eigvalsh(cm.L1_sector[SECTOR_TRANSVERSE])[-1], s=0.0, eps=0.0),
-    },
     "eta_coefficient": _collision_rows(dsp.eta_coefficient),
-    "expansion_coefficients": _collision_rows(dsp.expansion_coefficients),
+    "expansion_coefficients": {
+        **_collision_rows(dsp.expansion_coefficients),
+        # the a+-1 and kappa0 forms read degree 2, which angular_max = 1 cuts away
+        "angular-max-one": lambda cm: dsp.expansion_coefficients(_angular_max_one()),
+    },
 }
 # exported names that take no caller input of their own
 _NOT_ENTRY_POINTS = {
     "DispersionError": "the module's error type",
     "DispersionBranch": "the record the root solvers return; no caller builds one",
-    "ResolventScalars": "the record resolvent_scalars returns; no caller builds one",
 }
 
 
@@ -537,7 +521,6 @@ class TestBoundaryContract:
                       dsp.boltzmann_dispersion):
             assert solve(1.0, 0.1, cm)
         assert _crossing(cm) > 0.0
-        assert _scalars(cm).R11.real < 0.0
         assert dsp.eta_coefficient(cm) > 0.0
 
     def test_zero_eps_is_in_the_domain(self, collision_small):

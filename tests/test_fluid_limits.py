@@ -6,6 +6,7 @@ compressible/incompressible splittings, the linear fluid-Maxwell mode solver
 with Duhamel forcing, and the aggregate decay-rate fits.
 """
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -28,6 +29,12 @@ FIXTURE = Path(__file__).parent / "fixtures" / "transport.json"
 @pytest.fixture(scope="module")
 def tc(collision_default):
     return fl.transport_coefficients(collision_default)
+
+
+@functools.cache
+def _angular_max_one():
+    """Collision data whose basis stops at Legendre degree 1."""
+    return assemble_collision(build_basis(BasisSpec(2, 1)), build_gamma=False)
 
 
 class TestTransportCoefficients:
@@ -105,8 +112,8 @@ class TestTransportCoefficients:
     def test_non_positive_coefficient_refused(self, collision_small, monkeypatch,
                                               key, value):
         cm = dataclasses.replace(collision_small, _cache={})
-        core = fl._own_core_values(cm)
-        monkeypatch.setattr(fl, "_own_core_values", lambda cm: {**core, key: value})
+        core = fl._own_core_values(cm, fl.FluidError)
+        monkeypatch.setattr(fl, "_own_core_values", lambda cm, error: {**core, key: value})
         with pytest.raises(fl.FluidError, match="strictly positive"):
             fl.transport_coefficients(cm)
         assert "transport" not in cm._cache
@@ -843,6 +850,8 @@ _BAD_CALLS = {
         "cm-none": lambda tc, b: fl.transport_coefficients(None),
         "cm-basis": lambda tc, b: fl.transport_coefficients(b),
         "cm-transport": lambda tc, b: fl.transport_coefficients(tc),
+        # kappa0 and a+-1 read degree 2, which angular_max = 1 cuts away
+        "angular-max-one": lambda tc, b: fl.transport_coefficients(_angular_max_one()),
     },
     "Y1_mode": {
         "t-nan": lambda tc, b: _y1(tc, b, t=math.nan),

@@ -181,8 +181,8 @@ class TestAdjoint:
         star = oracles.assemble_A_tilde_star(0.9, 0.15, collision_default)
         states = _random_states(op.dim, 40, 217)
         for u, w in zip(states[:20], states[20:]):
-            lhs = op.weighted_inner(op.matrix @ u, w)
-            rhs = op.weighted_inner(u, star.matrix @ w)
+            lhs = oracles.weighted_inner(op, op.matrix @ u, w)
+            rhs = oracles.weighted_inner(op, u, star.matrix @ w)
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) <= 1e-10 * scale
 
@@ -219,14 +219,14 @@ class TestPropagation:
         for t in (0.1, 1.0, 10.0):
             prop = oracles.propagator_matrix(op, t)
             for u in states:
-                before = op.weighted_norm(u)
-                after = op.weighted_norm(prop @ u)
+                before = oracles.weighted_norm(op, u)
+                after = oracles.weighted_norm(op, prop @ u)
                 assert after <= before * (1.0 + 1e-9)
 
     def test_weighted_norm_monotone_in_time(self, collision_default):
         op = mo.assemble_A_tilde(0.8, 0.25, collision_default)
         u = _random_states(op.dim, 1, 40)[0]
-        norms = [op.weighted_norm(mo.propagate(op, u, t))
+        norms = [oracles.weighted_norm(op, mo.propagate(op, u, t))
                  for t in (0.0, 0.05, 0.2, 0.8, 3.0)]
         diffs = np.diff(norms)
         assert np.all(diffs <= 1e-12 * norms[0])
@@ -240,7 +240,7 @@ class TestPropagation:
 
     def test_schur_path_on_defective_matrix(self, collision_default):
         mat = np.array([[-1.0, 1.0], [0.0, -1.0]], dtype=complex)
-        block = mo.SectorBlock(mat, ((np.arange(2), np.ones(2)),))
+        block = mo.SectorBlock(mat, ((np.arange(2), np.ones(2)),), np.ones(2))
         op = mo.ModeOperator(
             kind=mo.KIND_BOLTZMANN, s=1.0, eps=1.0, metric_diag=np.ones(2),
             collision=collision_default, blocks=(block,),
@@ -344,7 +344,7 @@ class TestSemigroupSplit:
                                         np.flatnonzero(sp.branch_mask))
         # the adjoint vectors of the weighted product pair with the branch vectors
         adjoint = left.conj() / op.metric_diag
-        gram = np.array([[op.weighted_inner(ri, lj) for lj in adjoint] for ri in right.T])
+        gram = np.array([[oracles.weighted_inner(op, ri, lj) for lj in adjoint] for ri in right.T])
         assert np.abs(gram - np.eye(5)).max() <= 1e-10
         assert np.abs(right @ left - sp.S1_part).max() <= 1e-10
 
@@ -431,8 +431,9 @@ def _stacked_ops(cm, rng, count, spread):
     """Operators with a 4-dim block and a 3-dim block in two signed copies."""
     sign = np.array([1.0, -1.0, 1.0])
     return [mo.ModeOperator(mo.KIND_BOLTZMANN, 1.0, 0.1, np.ones(10), cm, (
-                mo.SectorBlock(a, ((np.arange(4), np.ones(4)),)),
-                mo.SectorBlock(b, ((np.arange(4, 7), np.ones(3)), (np.arange(7, 10), sign)))))
+                mo.SectorBlock(a, ((np.arange(4), np.ones(4)),), np.ones(4)),
+                mo.SectorBlock(b, ((np.arange(4, 7), np.ones(3)), (np.arange(7, 10), sign)),
+                               np.ones(3))))
             for a, b in zip(_conditioned_matrices(rng, 4, count, spread),
                             _conditioned_matrices(rng, 3, count, spread))]
 
@@ -672,9 +673,10 @@ class TestPerBlockSplit:
         defective = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 0.3], [0.0, 0.0, -4.0]],
                              dtype=complex)
         regular = np.array([[-0.1, 0.05, 0.0], [0.0, -2.0, 0.5j], [0.05, 0.0, -3.0]])
-        blocks = (mo.SectorBlock(defective, ((np.arange(3), np.ones(3)),)),
+        blocks = (mo.SectorBlock(defective, ((np.arange(3), np.ones(3)),), np.ones(3)),
                   mo.SectorBlock(regular, ((np.arange(3, 6), np.ones(3)),
-                                           (np.arange(6, 9), np.array([1.0, -1.0, 1.0])))))
+                                           (np.arange(6, 9), np.array([1.0, -1.0, 1.0]))),
+                                 np.ones(3)))
         metric = np.ones(9)
         metric[0] = 2.0
         op = mo.ModeOperator(kind=mo.KIND_BOLTZMANN, s=1.0, eps=0.05, metric_diag=metric,
@@ -941,12 +943,15 @@ class TestParityFrame:
                     or field.phase.flags.writeable)
         assert ax.phase is mo.assemble_A_tilde(2.0, 0.3, collision_small).blocks[0].phase
 
-    def test_blocks_built_elsewhere_carry_ones(self):
-        block = mo.SectorBlock(np.array([[-1.0, 0.5j], [0.5j, -2.0]]),
-                               ((np.arange(2), np.ones(2)),))
-        assert np.array_equal(block.phase, np.ones(2))
-        assert mo._real_frame(block) is None
-        assert mo._real_frame(mo.SectorBlock(block.matrix.real, block.copies)) is not None
+    def test_blocks_built_elsewhere_pass_their_phases(self):
+        # no default phase: a caller's block states the frame it is real in
+        mat, copies = np.array([[-1.0, 0.5j], [0.5j, -2.0]]), ((np.arange(2), np.ones(2)),)
+        with pytest.raises(TypeError):
+            mo.SectorBlock(mat, copies)
+        assert mo._real_frame(mo.SectorBlock(mat, copies, np.ones(2))) is None
+        assert mo._real_frame(mo.SectorBlock(mat.real, copies, np.ones(2))) is not None
+        assert np.array_equal(mo._real_frame(mo.SectorBlock(mat, copies, np.array([1.0, 1j]))),
+                              [[-1.0, -0.5], [0.5, -2.0]])
 
 
 class TestRealFrameNorms:
@@ -991,7 +996,8 @@ class TestRealFrameNorms:
         mat = (np.diag(-rng.uniform(0.5, 3.0, k)) + 0.3 * (rng.standard_normal((k, k))
                + 1j * rng.standard_normal((k, k))))
         blocks = (mo.SectorBlock(mat, ((np.arange(k), np.ones(k)),
-                                       (np.arange(k, 2 * k), np.array([1.0, -1, 1, -1, 1])))),)
+                                       (np.arange(k, 2 * k), np.array([1.0, -1, 1, -1, 1]))),
+                                 np.ones(k)),)
         metric = np.ones(2 * k)
         metric[0] = 3.0
         op = mo.ModeOperator(mo.KIND_BOLTZMANN, 1.0, 0.05, metric, collision_small, blocks)
@@ -1020,13 +1026,27 @@ class TestRealFrameNorms:
 # module's documented error for bad input
 # ---------------------------------------------------------------------------
 
+_TINY = np.array([[-1.0, 0.5], [0.0, -2.0]])
+
+
+def _tiny_block(matrix=_TINY, index=np.arange(2), sign=np.ones(2), phase=np.ones(2)):
+    """The one block of _tiny_operator, a single copy, with one part replaced."""
+    return mo.SectorBlock(matrix, ((index, sign),), phase)
+
+
+def _two_copies(second):
+    """The tiny block in two copies, the second on rows ``second``."""
+    return mo.SectorBlock(_TINY, ((np.arange(2), np.ones(2)), (second, np.ones(2))), np.ones(2))
+
+
 def _tiny_operator(cm, kind=mo.KIND_BOLTZMANN, s=1.0, eps=1.0, metric=(1.0, 1.0),
-                   collision=None, blocks=None):
-    if blocks is None:
-        blocks = (mo.SectorBlock(np.array([[-1.0, 0.5], [0.0, -2.0]]),
-                                 ((np.arange(2), np.ones(2)),)),)
+                   collision=None, blocks=(_tiny_block(),)):
     return mo.ModeOperator(kind, s, eps, np.asarray(metric), cm if collision is None
                            else collision, blocks)
+
+
+def _tiny_blocks(cm, *blocks, metric=(1.0, 1.0)):
+    return _tiny_operator(cm, metric=metric, blocks=blocks)
 
 
 def _propagate(cm, u0=None, t=0.5, op=None):
@@ -1075,6 +1095,18 @@ _BAD_CALLS = {
         "collision-basis": lambda cm: _tiny_operator(cm, collision=cm.basis),
         "blocks-empty": lambda cm: _tiny_operator(cm, blocks=()),
         "blocks-matrix": lambda cm: _tiny_operator(cm, blocks=(np.eye(2),)),
+        "block-nonsquare": lambda cm: _tiny_blocks(cm, _tiny_block(matrix=np.ones((2, 3)))),
+        "block-nan": lambda cm: _tiny_blocks(cm, _tiny_block(matrix=np.diag([math.nan, 1.0]))),
+        "block-str": lambda cm: _tiny_blocks(cm, _tiny_block(matrix=np.full((2, 2), "1"))),
+        "copies-empty": lambda cm: _tiny_blocks(cm, mo.SectorBlock(_TINY, (), np.ones(2))),
+        "index-float": lambda cm: _tiny_blocks(cm, _tiny_block(index=np.array([0.0, 1.0]))),
+        "index-short": lambda cm: _tiny_blocks(cm, _tiny_block(index=np.arange(1))),
+        "index-out-of-range": lambda cm: _tiny_blocks(cm, _tiny_block(index=np.array([0, 2]))),
+        "index-overlap": lambda cm: _tiny_blocks(cm, _two_copies(np.arange(1, 3)),
+                                                 metric=(1.0,) * 4),
+        "sign-two": lambda cm: _tiny_blocks(cm, _tiny_block(sign=np.array([1.0, 2.0]))),
+        "phase-short": lambda cm: _tiny_blocks(cm, _tiny_block(phase=np.ones(1))),
+        "phase-modulus": lambda cm: _tiny_blocks(cm, _tiny_block(phase=np.array([1.0, 0.5]))),
     },
     "propagate": {
         "op-none": lambda cm: mo.propagate(None, np.ones(3), 0.5),
@@ -1146,6 +1178,9 @@ class TestBoundaryContract:
         # for its one bad argument
         cm = collision_small
         assert _tiny_operator(cm).dim == 2
+        assert _tiny_blocks(cm, _two_copies(np.arange(2, 4)), metric=(1.0,) * 4).dim == 4
+        assert _tiny_blocks(cm, _tiny_block(index=np.array([1, 0]), sign=np.array([1.0, -1.0]),
+                                            phase=np.array([1j, -1.0]))).dim == 2
         assert _propagate(cm).shape == (cm.basis.dim,)
         assert _probe(cm) > 0.0
 

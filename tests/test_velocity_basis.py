@@ -5,8 +5,8 @@ Oracle values frozen before implementation:
   - (chi0, chi0) weighted at s=1 equals 2
 
 The weighted inner product is the electromagnetic generator's
-(ModeOperator.weighted_inner): its metric charges the density coefficient
-1 + 1/s^2 and every other coordinate 1.
+(oracles.weighted_inner on ModeOperator.metric_diag): its metric charges the
+density coefficient 1 + 1/s^2 and every other coordinate 1.
 """
 import math
 
@@ -25,11 +25,11 @@ from kslab.velocity_basis import (
     _finite_array,
     _finite_complex_array,
     _gauss_legendre,
+    _laguerre_rows,
     _legendre_row,
     _line_fit,
     _panel_quadrature,
     build_basis,
-    laguerre_rows,
     v_multiplication_matrix,
 )
 
@@ -134,11 +134,11 @@ def test_weighted_inner_values(collision_small):
     chi0 = collision_small.basis.chi(0)
     op = assemble_A_tilde(1.0, 0.1, collision_small)
     u = _field_state(op, chi0)
-    assert op.weighted_inner(u, u) == pytest.approx(2.0, abs=1e-14)
+    assert oracles.weighted_inner(op, u, u) == pytest.approx(2.0, abs=1e-14)
     op = assemble_A_tilde(0.5, 0.1, collision_small)
     assert op.metric_diag[0] == 1.0 + 1 / 0.25
     u = _field_state(op, chi0)
-    assert op.weighted_inner(u, u) == pytest.approx(1.0 + 1 / 0.25, rel=1e-14)
+    assert oracles.weighted_inner(op, u, u) == pytest.approx(1.0 + 1 / 0.25, rel=1e-14)
 
 
 def test_v_multiplication_symmetry(basis_default):
@@ -232,12 +232,12 @@ def test_weighted_inner_is_sesquilinear(collision_small, data):
     op = assemble_A_tilde(s, 0.1, collision_small)
     gen = np.random.default_rng(seed)
     f, g, h = gen.standard_normal((3, op.dim)) + 1j * gen.standard_normal((3, op.dim))
-    lhs = op.weighted_inner(a * f + h, g)
-    rhs = a * op.weighted_inner(f, g) + op.weighted_inner(h, g)
+    lhs = oracles.weighted_inner(op, a * f + h, g)
+    rhs = a * oracles.weighted_inner(op, f, g) + oracles.weighted_inner(op, h, g)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
-    sym = op.weighted_inner(g, f)
-    assert abs(np.conj(sym) - op.weighted_inner(f, g)) <= 1e-9 * max(1.0, abs(sym))
-    norm2 = op.weighted_inner(f, f)
+    sym = oracles.weighted_inner(op, g, f)
+    assert abs(np.conj(sym) - oracles.weighted_inner(op, f, g)) <= 1e-9 * max(1.0, abs(sym))
+    norm2 = oracles.weighted_inner(op, f, f)
     assert norm2.real > 0
     assert abs(norm2.imag) <= 1e-9 * norm2.real
 
@@ -258,10 +258,10 @@ def test_laguerre_rows_match_scipy_bitwise():
     xg, _ = np.polynomial.legendre.leggauss(max(64, 3 * spec.radial_order + 4 * spec.angular_max))
     u = 0.5 * (0.5 * r[:, None] * (xg[None, :] + 1.0)).ravel() ** 2
     for l in range(7):
-        rows = laguerre_rows(31, l + 0.5, u)
+        rows = _laguerre_rows(31, l + 0.5, u)
         for n in range(31):
             assert np.array_equal(rows[n], eval_genlaguerre(n, l + 0.5, u)), (n, l)
-    assert laguerre_rows(1, 0.5, u).shape == (1, u.size)
+    assert _laguerre_rows(1, 0.5, u).shape == (1, u.size)
 
 
 def test_radial_table_matches_oracle(basis_small):
@@ -415,10 +415,6 @@ def _radial(basis, l=1, r=_R):
     return basis.radial_table(l, r)
 
 
-def _laguerre(basis, n_rows=3, alpha=0.5, x=_R):
-    return laguerre_rows(n_rows, alpha, x)
-
-
 _BAD_CALLS = {
     "build_basis": {
         "spec-none": lambda b: build_basis(None),
@@ -477,20 +473,6 @@ _BAD_CALLS = {
         "r-none": lambda b: _radial(b, r=None),
         "r-ragged": lambda b: _radial(b, r=[[1.0], [1.0, 2.0]]),
     },
-    "laguerre_rows": {
-        "rows-negative": lambda b: _laguerre(b, n_rows=-1),
-        "rows-zero": lambda b: _laguerre(b, n_rows=0),
-        "rows-bool": lambda b: _laguerre(b, n_rows=True),
-        "rows-float": lambda b: _laguerre(b, n_rows=2.0),
-        "alpha-nan": lambda b: _laguerre(b, alpha=math.nan),
-        "alpha-below-domain": lambda b: _laguerre(b, alpha=-1.0),
-        "alpha-str": lambda b: _laguerre(b, alpha="0.5"),
-        "x-nan": lambda b: _laguerre(b, x=[math.nan]),
-        "x-str": lambda b: _laguerre(b, x=["1"]),
-        "x-bool": lambda b: _laguerre(b, x=np.ones(2, dtype=bool)),
-        "x-none": lambda b: _laguerre(b, x=[None]),
-        "x-ragged": lambda b: _laguerre(b, x=[[1.0], [1.0, 2.0]]),
-    },
 }
 # exported names that take no caller input of their own
 _NOT_ENTRY_POINTS = {
@@ -510,7 +492,6 @@ class TestBoundaryContract:
 
         exported = {name for name, obj in vars(kslab).items()
                     if callable(obj) and getattr(obj, "__module__", None) == vb.__name__}
-        exported.add("laguerre_rows")  # public in the module, read by the tests
         methods = {f"Basis.{name}" for name, obj in vars(vb.Basis).items()
                    if callable(obj) and not name.startswith("_")}
         assert exported | methods == set(_BAD_CALLS) | set(_NOT_ENTRY_POINTS)
@@ -531,8 +512,6 @@ class TestBoundaryContract:
         assert _index(b, sector=1, copy="sin", n=2, l=1) == b.dim0 + b.dim1 + 2
         assert _radial(b).shape == (nr, _R.size)
         assert _radial(b, l=0, r=[0.0]).shape == (nr, 1)
-        assert _laguerre(b).shape == (3, _R.size)
-        assert _laguerre(b, n_rows=1, alpha=-0.5).shape == (1, _R.size)
 
     def test_largest_radial_rule_builds(self):
         # 2 * 83 + 1 + 12 = 179 radial points, within _MAX_QUAD = 180
