@@ -435,10 +435,11 @@ class TestAssembledOperators:
         # variational: enlarging the space can only lower the estimate
         assert collision_small.mu_estimate >= mu - 1e-9
 
-    def test_gap_estimate_at_radial_order_two(self):
+    @pytest.mark.parametrize("angular_max", [1, 2, 3])
+    def test_gap_estimate_at_radial_order_two(self, angular_max):
         # degree 0 holds only the density and energy coordinates there, so it
         # has nothing off the null space; the gap comes from the other degrees
-        cm = assemble_collision(build_basis(BasisSpec(2, 2)), build_gamma=False)
+        cm = assemble_collision(build_basis(BasisSpec(2, angular_max)), build_gamma=False)
         basis = cm.basis
         null = set(null_coordinates(basis, "L", SECTOR_AXIAL))
         top = []
@@ -447,7 +448,7 @@ class TestAssembledOperators:
                     if i not in null]
             if rows:
                 top.append(np.linalg.eigvalsh(cm.L_sector[SECTOR_AXIAL][np.ix_(rows, rows)])[-1])
-        assert len(top) == 2
+        assert len(top) == angular_max
         assert cm.mu_estimate == pytest.approx(-max(top), rel=1e-12)
         assert 0.05 < cm.mu_estimate < NU_ZERO
         assert cm.kernel_refinement_delta <= 1e-11

@@ -158,6 +158,10 @@ class TestRateFit:
 
 
 class TestExperimentConfig:
+    def test_unknown_key_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'epsilon'"):
+            cl.ExperimentConfig(**{"epsilon": [0.1, 0.05]})
+
     def test_default_round_trip(self):
         cfg = cl.ExperimentConfig()
         again = cl.ExperimentConfig(**cfg.as_dict())
@@ -712,13 +716,18 @@ class TestFirstOrder:
         assert generic_report.passed()
 
     def test_degree_one_basis_fails_before_any_propagation(self, monkeypatch):
-        # the transport forms read Legendre degree 2, which angular_max = 1 cuts away
-        cm = assemble_collision(build_basis(BasisSpec(2, 1)), build_gamma=False)
-        calls = []
-        monkeypatch.setattr(cl, "_evolve_grid", lambda *args: calls.append(args))
-        with pytest.raises(FluidError, match="angular_max >= 2"):
-            cl.first_order_experiment(cl.ExperimentConfig(), cm)
-        assert calls == []
+        _fails_before_any_propagation(cl.first_order_experiment, monkeypatch)
+
+
+def _fails_before_any_propagation(experiment, monkeypatch):
+    """The experiment refuses collision data whose basis stops at Legendre degree 1,
+    where its transport forms read degree 2, before it evolves any mode."""
+    cm = assemble_collision(build_basis(BasisSpec(2, 1)), build_gamma=False)
+    calls = []
+    monkeypatch.setattr(cl, "_evolve_grid", lambda *args: calls.append(args))
+    with pytest.raises(FluidError, match="angular_max >= 2"):
+        experiment(cl.ExperimentConfig(), cm)
+    assert calls == []
 
 
 class TestTransientRate:
@@ -806,8 +815,14 @@ class TestInitialLayer:
         with pytest.raises(cl.ConvergenceError, match="below noise floor"):
             cl.initial_layer_profile(cl.ExperimentConfig(data_kind="generic"), collision_small)
 
+    def test_degree_one_basis_fails_before_any_propagation(self, monkeypatch):
+        _fails_before_any_propagation(cl.initial_layer_profile, monkeypatch)
+
 
 class TestSecondOrder:
+    def test_degree_one_basis_fails_before_any_propagation(self, monkeypatch):
+        _fails_before_any_propagation(cl.second_order_experiment, monkeypatch)
+
     def test_eps_slopes(self, second_report):
         assert second_report.flags["eps_slope_boltzmann"]
         assert second_report.flags["eps_slope_vmb"]

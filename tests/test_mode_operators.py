@@ -1107,6 +1107,32 @@ _BAD_CALLS = {
         "sign-two": lambda cm: _tiny_blocks(cm, _tiny_block(sign=np.array([1.0, 2.0]))),
         "phase-short": lambda cm: _tiny_blocks(cm, _tiny_block(phase=np.ones(1))),
         "phase-modulus": lambda cm: _tiny_blocks(cm, _tiny_block(phase=np.array([1.0, 0.5]))),
+        "block-inf": lambda cm: _tiny_blocks(cm, _tiny_block(matrix=np.diag([math.inf, 1.0]))),
+        "block-bool": lambda cm: _tiny_blocks(cm, _tiny_block(matrix=np.eye(2, dtype=bool))),
+        "block-list": lambda cm: _tiny_blocks(cm, _tiny_block(matrix=_TINY.tolist())),
+        "block-none": lambda cm: _tiny_blocks(cm, _tiny_block(matrix=None)),
+        "block-1d": lambda cm: _tiny_blocks(cm, _tiny_block(matrix=np.ones(2))),
+        "block-empty": lambda cm: _tiny_blocks(cm, _tiny_block(
+            matrix=np.zeros((0, 0)), index=np.arange(0), sign=np.ones(0), phase=np.ones(0))),
+        "copies-list": lambda cm: _tiny_blocks(cm, mo.SectorBlock(
+            _TINY, [(np.arange(2), np.ones(2))], np.ones(2))),
+        "copy-triple": lambda cm: _tiny_blocks(cm, mo.SectorBlock(
+            _TINY, ((np.arange(2), np.ones(2), np.ones(2)),), np.ones(2))),
+        # numpy would read -1 as row 1 and never write row 0
+        "index-negative": lambda cm: _tiny_blocks(cm, _tiny_block(index=np.array([-1, 1]))),
+        "index-repeated": lambda cm: _tiny_blocks(cm, _tiny_block(index=np.array([0, 0]))),
+        "index-bool": lambda cm: _tiny_blocks(cm, _tiny_block(index=np.array([False, True]))),
+        "index-list": lambda cm: _tiny_blocks(cm, _tiny_block(index=[0, 1])),
+        "index-2d": lambda cm: _tiny_blocks(cm, _tiny_block(index=np.arange(2)[:, None])),
+        "sign-zero": lambda cm: _tiny_blocks(cm, _tiny_block(sign=np.array([1.0, 0.0]))),
+        "sign-nan": lambda cm: _tiny_blocks(cm, _tiny_block(sign=np.array([1.0, math.nan]))),
+        "sign-complex": lambda cm: _tiny_blocks(cm, _tiny_block(sign=np.array([1.0, 1j]))),
+        "sign-bool": lambda cm: _tiny_blocks(cm, _tiny_block(sign=np.ones(2, dtype=bool))),
+        "sign-short": lambda cm: _tiny_blocks(cm, _tiny_block(sign=np.ones(1))),
+        "phase-nan": lambda cm: _tiny_blocks(cm, _tiny_block(phase=np.array([1.0, math.nan]))),
+        "phase-zero": lambda cm: _tiny_blocks(cm, _tiny_block(phase=np.array([1.0, 0.0]))),
+        "phase-str": lambda cm: _tiny_blocks(cm, _tiny_block(phase=np.array(["1", "1"]))),
+        "phase-none": lambda cm: _tiny_blocks(cm, _tiny_block(phase=None)),
     },
     "propagate": {
         "op-none": lambda cm: mo.propagate(None, np.ones(3), 0.5),
@@ -1183,6 +1209,16 @@ class TestBoundaryContract:
                                             phase=np.array([1j, -1.0]))).dim == 2
         assert _propagate(cm).shape == (cm.basis.dim,)
         assert _probe(cm) > 0.0
+
+    @pytest.mark.parametrize("assemble, eps", [(mo.assemble_B, 0.1), (mo.assemble_B, 0.0),
+                                               (mo.assemble_A_tilde, 0.1)])
+    def test_assembled_blocks_pass_the_public_checks(self, collision_small, assemble, eps):
+        # the assemblers skip the constructor's checks (_assembled); what they
+        # build passes them, and the checked operator is the same one
+        op = assemble(0.7, eps, collision_small)
+        again = mo.ModeOperator(op.kind, op.s, op.eps, op.metric_diag, op.collision, op.blocks)
+        assert again.dim == op.dim
+        assert np.array_equal(again.matrix, op.matrix)
 
     @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
     def test_assembled_operators_are_checked_once(self, collision_small, monkeypatch,
