@@ -687,8 +687,8 @@ def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
 
 def _sector_blocks(blocks: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Axial and transverse sector blocks from the degree blocks l = 0..top."""
-    return {SECTOR_AXIAL: _block_diagonal([blocks[l] for l in sorted(blocks)]),
-            SECTOR_TRANSVERSE: _block_diagonal([blocks[l] for l in sorted(blocks) if l >= 1])}
+    return {sector: _frozen(_block_diagonal([blocks[l] for l in sorted(blocks) if l >= first]))
+            for sector, first in ((SECTOR_AXIAL, 0), (SECTOR_TRANSVERSE, 1))}
 
 
 class _DegreeBlocks(NamedTuple):

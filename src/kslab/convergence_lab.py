@@ -10,11 +10,12 @@ byte-stable for a fixed configuration and seed.
 The rate experiments share one set of pieces.  Each runs its own eps loop
 and propagates the modes of a sweep with _evolve_grid, giving
 (n_t, n_s, dim) state grids.  It works in chunks of _MODE_CHUNK modes, so
-its working set beyond the result does not grow with n_s: per chunk, one
-stacked decomposition of the generators (mode_operators._decompose_stacked),
-then the block apply and the contraction guard that mode_operators.propagate
-uses too.  Each of these steps works mode by mode, so the chunks leave the
-states bit for bit those of one stack.  Each error stream evaluates its
+its working set beyond the result does not grow with n_s: per chunk,
+mode_operators._block_flow decomposes the generators, one stacked eig per
+block, and applies their records, and the contraction guard that
+mode_operators.propagate uses too checks the states.  Each of these steps
+works mode by mode, so the chunks leave the states bit for bit those of one
+stack.  Each error stream evaluates its
 own fluid reference: _kinetic_errors the kinetic heat flow
 fluid_limits._heat_flow (on the one heat decay, fluid_limits._heat_decay),
 one block of time rows at a time, and _field_errors the damped-Maxwell flow
@@ -75,7 +76,6 @@ from .mode_operators import (
     PropagationError,
     _block_flow,
     _contraction_violations,
-    _decompose_stacked,
     _remainder_flow,
     assemble_A_tilde,
     assemble_B,
@@ -444,10 +444,10 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
 
     The modes run in chunks of _MODE_CHUNK, each written straight into the
     result, so the working set beyond the result does not grow with the grid.
-    The modes share one block layout: per chunk, _decompose_stacked
-    decomposes them in one stacked eig per block and _block_flow applies
-    their block records at once, e^{tau A_b} by scaling and squaring on any
-    block whose eigenvectors fail the conditioning limit.  Every step works
+    The modes share one block layout: per chunk, _block_flow decomposes them
+    in one stacked eig per block and applies their records at once,
+    e^{tau A_b} by scaling and squaring on any block whose eigenvectors fail
+    the conditioning limit.  Every step works
     per mode (eig and inv per matrix, the batched products per mode, the
     conditioning gate and the contraction guard per row), so the chunks give
     the states of one stack bit for bit.  A mode that fails the contraction
@@ -471,7 +471,7 @@ def _evolve_chunk(assemble: Callable, s_nodes: np.ndarray, eps: float,
                   failures: list) -> tuple[np.ndarray, np.ndarray]:
     """One chunk of _evolve_grid: (n_t, n, dim) states and the keep mask."""
     ops = [assemble(float(s), eps, cm) for s in s_nodes]
-    flow = _block_flow(ops, _decompose_stacked(ops), states0, taus)
+    flow = _block_flow(ops, states0, taus)
     growth, bad = _contraction_violations(np.stack([op.metric_diag for op in ops]),
                                           states0, flow)
     for i in np.flatnonzero(bad):

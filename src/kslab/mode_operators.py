@@ -14,26 +14,26 @@ into fluid branches, an oscillatory high-frequency part and an exponentially
 damped remainder, and a grid-based probe for the norm of gain-times-resolvent
 compositions.
 
-The blocks are the only generator form.  _decompose_stacked decomposes any
-number of operators that share a block layout, one stacked eig per block,
-and gives each operator one record per block: views into the stacks,
-(eigenvalues, right vectors, inverse).  A block falls back when the
-Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper bound on cond_2(V_b),
-reaches _EIG_COND_LIMIT; its record keeps the eig pair without the inverse,
-(lam_b, V_b, None).  spectrum reads the eig pair of every block, and the
-semigroup split marks the eigenvalues it takes into S1/S2 with a mask per
-block copy, m, and a projector P_b per fallback block (_schur_projector).
+The blocks are the only generator form, and a _Decomposition on the
+operator is the only decomposition form: one record per block, (eigenvalues,
+right vectors, inverse).  _decompose_stacked writes the records of any number
+of operators that share a block layout, one stacked eig per block.  A block
+falls back when the Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper
+bound on cond_2(V_b), reaches _EIG_COND_LIMIT; its record keeps the eig pair
+without the inverse, (lam_b, V_b, None).  spectrum reads the eig pair of
+every record, and the semigroup split marks the eigenvalues it takes into
+S1/S2 with a mask per block copy, m, and a projector P_b per fallback block.
 
-_block_flow is the one apply of the semigroup, e^{tau A} u0 =
+_block_flow is the one apply of the semigroup: it decomposes the operators
+that lack records and stacks the records per block, e^{tau A} u0 =
 V_b diag(e^{tau lam}) V_b^{-1} u0 on an eig block copy and e^{tau A_b} u0 by
-scaling and squaring (_fallback_flow) on a fallback block, for one operator
-(propagate), each chunk of a mode grid (convergence_lab._evolve_grid) and
-the remainder of a split (_remainder_flow): e^{tau A} S3 u0 is _block_flow
-on the columns off the mask, V_b diag(e^{tau lam} (1 - m)) V_b^{-1} u0, from
-(I - P_b) u0 on a fallback block.  The results are checked with the one
-contraction guard, _contraction_violations.  The remainder norms take the
-same two forms as operators, so the remainder fit needs no dense matrix.
-Only _fallback_flow and _schur_projector import scipy.linalg.
+scaling and squaring (_fallback_flow) on a fallback block.  It serves one
+operator (propagate), each chunk of a mode grid (convergence_lab._evolve_grid)
+and the remainder of a split (_remainder_flow): V_b diag(e^{tau lam} (1 - m))
+V_b^{-1} u0, from (I - P_b) u0 on a fallback block.  The results are checked
+with the one contraction guard, _contraction_violations, and the remainder
+norms read the same records.  Only _fallback_flow and _schur_projector
+import scipy.linalg.
 
 The dense generator (ModeOperator.matrix) and the split's S1_part, S2_part
 and S3_part are views for callers outside the package (tests and benchmark
@@ -342,7 +342,7 @@ def _stacked_inverse(vr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vinv, norms
 
 
-def _decompose_stacked(ops: list[ModeOperator]):
+def _decompose_stacked(ops: list[ModeOperator]) -> None:
     """Decompose operators sharing one block layout, one stacked eig per block.
 
     Every operator gets its own _Decomposition: per block views into the
@@ -353,39 +353,32 @@ def _decompose_stacked(ops: list[ModeOperator]):
     is the bound the gate takes (an exactly singular V_b has an infinite
     one).  The reported condition is max_b sqrt(k_b) * max_b ||V_b^{-1}||_F,
     an upper bound on cond_2 of the block-diagonal eigenvector matrix.
-    Returns per block the stacked (eigenvalues, right eigenvectors, their
-    inverses); the inverses of the fallback records are zeros.
     """
-    parts, vec_norms, inv_norms = [], [], []
+    stacks, vec_norms, inv_norms = [], [], []
     for b in range(len(ops[0].blocks)):
         lam, vr = np.linalg.eig(np.stack([op.blocks[b].matrix for op in ops]))
         vinv, norm = _stacked_inverse(vr)
-        parts.append((lam, vr, vinv))
+        stacks.append((lam, vr, vinv))
         vec_norms.append(math.sqrt(lam.shape[1]))
         inv_norms.append(norm)
     inv_norms = np.stack(inv_norms, axis=1)
     ok = np.asarray(vec_norms) * inv_norms < _EIG_COND_LIMIT
     cond = max(vec_norms) * inv_norms.max(axis=1)
-    for (_, _, vinv), ok_b in zip(parts, ok.T):
-        vinv[~ok_b] = 0.0
-    lam = np.concatenate([np.tile(lb, (1, len(block.copies)))
-                          for (lb, _, _), block in zip(parts, ops[0].blocks)], axis=1)
     for i, op in enumerate(ops):
         blocks = tuple((lb[i], vb[i], wb[i] if ok[i, b] else None)
-                       for b, (lb, vb, wb) in enumerate(parts))
+                       for b, (lb, vb, wb) in enumerate(stacks))
         op._decomp = _Decomposition("eig" if ok[i].all() else "schur", float(cond[i]),
-                                    lam[i], blocks, tuple((~ok[i]).tolist()))
-    return parts
+                                    _by_column(op, [lb for lb, _, _ in blocks]), blocks,
+                                    tuple((~ok[i]).tolist()))
 
 
 class _Decomposition(NamedTuple):
-    """A generator's decomposition, one record per sector block.
+    """A generator's decomposition (ModeOperator._decomp), one record per block.
 
     ``blocks`` holds per block (eigenvalues, right vectors, inverse); where
     ``schur`` marks a fallback block the inverse is None (see _fallback_flow).
-    The columns run block by block and, within a block, copy by copy:
-    ``lam`` holds the eigenvalue of every column (a block's copies repeat
-    its eigenvalues).
+    The columns run block by block and, within a block, copy by copy
+    (_copy_columns): ``lam`` holds the eigenvalue of every column.
     """
 
     path: str                 # "schur" when any block fell back, else "eig"
@@ -422,17 +415,17 @@ def _spectral_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((lam.imag, -lam.real))
 
 
-def _dense_vectors(op: ModeOperator, vectors, cols: np.ndarray):
-    """Right eigenvectors (as columns) and inverse rows of the given columns, dense,
-    from per-block (right vectors, inverse); an inverse of None leaves its rows zero."""
+def _dense_vectors(op: ModeOperator, cols: np.ndarray, inverse: bool = False):
+    """Right eigenvectors (as columns) of the given columns, dense, from the records;
+    with ``inverse`` also their inverse rows, zero for a fallback record."""
     right = np.zeros((op.dim, cols.size), dtype=complex)
-    left = np.zeros((cols.size, op.dim), dtype=complex)
+    left = np.zeros((cols.size, op.dim), dtype=complex) if inverse else None
     for b, idx, sign, span in _copy_columns(op):
-        vb, wb = vectors[b]
+        _, vb, wb = op._decomp.blocks[b]
         hit = np.flatnonzero((cols >= span.start) & (cols < span.stop))
         local = cols[hit] - span.start
         right[np.ix_(idx, hit)] = sign[:, None] * vb[:, local]
-        if wb is not None:
+        if inverse and wb is not None:
             left[np.ix_(hit, idx)] = wb[local] * sign[None, :]
     return right, left
 
@@ -450,7 +443,7 @@ def spectrum(op: ModeOperator):
         np.linalg.norm(block.matrix @ vb - vb * lb[None, :], axis=0) / np.linalg.norm(vb, axis=0)
         for block, (lb, vb, _) in zip(op.blocks, dec.blocks)])
     order = _spectral_order(dec.lam)
-    vr, _ = _dense_vectors(op, [(vb, None) for _, vb, _ in dec.blocks], order)
+    vr, _ = _dense_vectors(op, order)
     return dec.lam[order], vr, res[order]
 
 
@@ -460,45 +453,40 @@ def _fallback_flow(a: np.ndarray, taus) -> np.ndarray:
     return np.array([expm(tau * a) for tau in taus], dtype=complex).reshape(len(taus), *a.shape)
 
 
-def _stacks_of_one(dec: _Decomposition) -> list:
-    """One operator's eig records as the stacks _block_flow takes: stacks of
-    one, and None on its fallback blocks."""
-    return [None if wb is None else (lb[None], vb[None], wb[None]) for lb, vb, wb in dec.blocks]
-
-
-def _block_flow(ops: list[ModeOperator], parts, states0: np.ndarray,
-                taus: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+def _block_flow(ops: list[ModeOperator], states0: np.ndarray, taus: np.ndarray,
+                keep: np.ndarray | None = None) -> np.ndarray:
     """(n, n_t, dim) states e^{tau A} u0 of n operators sharing one block layout.
 
-    ``parts`` holds per block the stacked (eigenvalues, right vectors,
-    inverses) of _decompose_stacked, or None if no operator has an eig record
-    there; ``states0`` the (n, dim) initial states.  A fallback block flows by
-    _fallback_flow of its operator's own block.  ``keep``, an (n, dim) mask
-    over the columns (see _Decomposition), restricts each eig copy to its
-    kept columns, V (e^{tau lam} keep V^{-1} u0), so a dropped column leaves
-    no rounding residue; it leaves the fallback blocks alone.
+    ``states0`` holds the (n, dim) initial states.  The operators without
+    records are decomposed in one _decompose_stacked call.  Per block the
+    records are stacked, a fallback's missing inverse as zero rows, and each
+    copy flows by batched products, member by member; a fallback block then
+    flows by _fallback_flow of its operator's own block.  ``keep``, an
+    (n, dim) mask over the columns (see _Decomposition), restricts each eig
+    copy to its kept columns, V (e^{tau lam} keep V^{-1} u0), so a dropped
+    column leaves no rounding residue; it leaves the fallback blocks alone.
     """
-    n = len(states0)
-    out = np.zeros((n, len(taus), states0.shape[1]), dtype=complex)
-    col = 0
-    for b, block in enumerate(ops[0].blocks):
-        k, n_copies = block.matrix.shape[0], len(block.copies)
-        if parts[b] is not None:
-            lam, vr, vinv = parts[b]
+    fresh = [op for op in ops if op._decomp is None]
+    if fresh:
+        _decompose_stacked(fresh)
+    out = np.zeros((len(ops), len(taus), states0.shape[1]), dtype=complex)
+    copies = list(_copy_columns(ops[0]))
+    for b in range(len(ops[0].blocks)):
+        records = [op._decomp.blocks[b] for op in ops]
+        if any(wb is not None for _, _, wb in records):
+            lam = np.stack([lb for lb, _, _ in records])
+            vr_t = np.swapaxes(np.stack([vb for _, vb, _ in records]), 1, 2)
+            vinv = np.stack([np.zeros_like(vb) if wb is None else wb for _, vb, wb in records])
             growth = np.exp(taus[None, :, None] * lam[:, None, :])
-            vr_t = np.swapaxes(vr, 1, 2)
-            if keep is not None:
-                kept = keep[:, col:col + k * n_copies].reshape(n, n_copies, 1, k)
-            for c, (idx, sign) in enumerate(block.copies):
+            for _, idx, sign, cols in (c for c in copies if c[0] == b):
                 coef = (vinv @ (states0[:, idx] * sign)[:, :, None])[:, None, :, 0]
-                g = growth if keep is None else growth * kept[:, c]
+                g = growth if keep is None else growth * keep[:, None, cols]
                 out[:, :, idx] = ((g * coef) @ vr_t) * sign
-        for i, op in enumerate(ops):
-            if op._decomp.schur[b]:
+        for i, (op, (_, _, wb)) in enumerate(zip(ops, records)):
+            if wb is None:
                 flow = _fallback_flow(op.blocks[b].matrix, taus)
-                for idx, sign in block.copies:
+                for idx, sign in op.blocks[b].copies:
                     out[i][:, idx] = (flow @ (states0[i, idx] * sign)) * sign
-        col += k * n_copies
     return out
 
 
@@ -538,7 +526,7 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
     if np.any(times < 0):
         raise ValueError("time must be nonnegative")
     dec = _decomposition(op)
-    out = _block_flow([op], _stacks_of_one(dec), u0[None], np.atleast_1d(times) / op.eps**2)[0]
+    out = _block_flow([op], u0[None], np.atleast_1d(times) / op.eps**2)[0]
     growth, bad = _contraction_violations(op.metric_diag[None], u0[None], out[None])
     if bad[0]:
         raise PropagationError(
@@ -581,8 +569,7 @@ class SemigroupSplit:
     @functools.cached_property
     def _branch_parts(self) -> tuple[np.ndarray, np.ndarray]:
         dec = _decomposition(self.op)
-        right, left = _dense_vectors(self.op, [rec[1:] for rec in dec.blocks],
-                                     np.flatnonzero(self.branch_mask))
+        right, left = _dense_vectors(self.op, np.flatnonzero(self.branch_mask), inverse=True)
         branch = right @ left
         for b, idx, sign, _ in _copy_columns(self.op):
             if dec.schur[b]:
@@ -736,8 +723,7 @@ def _remainder_flow(split: SemigroupSplit, u0: np.ndarray, taus: np.ndarray) -> 
         if dec.schur[b]:
             u = u0[idx] * sign
             start[idx] = (u - split.schur_projectors[b] @ u) * sign
-    return _block_flow([split.op], _stacks_of_one(dec), start[None], taus,
-                       ~split.branch_mask[None])[0]
+    return _block_flow([split.op], start[None], taus, ~split.branch_mask[None])[0]
 
 
 def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, float]:

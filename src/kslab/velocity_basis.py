@@ -181,7 +181,7 @@ class Basis:
             vec[self.index(0, "axial", 1, 0)] = -1.0
         else:
             raise BasisError(f"chi index must be 0..4, got {j}")
-        self._v_cache[key] = vec
+        self._v_cache[key] = _frozen(vec)
         return vec
 
     def projection_matrix(self, which: str) -> np.ndarray:
@@ -195,7 +195,7 @@ class Basis:
             mat = sum(np.outer(self.chi(j), self.chi(j)) for j in range(5))
         else:
             mat = np.eye(self.dim) - self.projection_matrix("P0")
-        self._v_cache[key] = mat
+        self._v_cache[key] = _frozen(mat)
         return mat
 
     # -- evaluation -----------------------------------------------------
@@ -482,5 +482,5 @@ def v_multiplication_matrix(basis: Basis, sector: int) -> np.ndarray:
     if key in basis._v_cache:
         return basis._v_cache[key]
     mat = _sector_matrix(basis, sector, basis.quad.r, basis.quad.c)
-    basis._v_cache[key] = mat
+    basis._v_cache[key] = _frozen(mat)
     return mat

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads: on kslab's small blocks a second
+# thread costs more than it saves, and the digest tool and the benchmark run
+# at one thread too.  An explicit value in the environment stands.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

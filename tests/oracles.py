@@ -10,7 +10,8 @@ gain-kernel moments one panel rule at a time, and the Gamma tensor on the
 whole center-of-mass grid with a quadrature product linearization.  A test
 that compares the two therefore checks the library against code the library
 does not share.  The others compute what only tests read: the Gram matrix of
-the velocity basis, the collision operators on the Hermite sub-basis, the
+the velocity basis, the first Sonine approximations of the viscosity and
+the heat conductivity, the collision operators on the Hermite sub-basis, the
 bounds of nu(r)/(1 + r), the pointwise collision frequency and kernels
 (nu_eval, kernel_eval) that the Galerkin gain blocks and nu are checked
 against, the weighted inner product and norm of a mode operator's metric,
@@ -44,6 +45,26 @@ def gram_matrix(basis):
     ones_r, ones_c = np.ones_like(basis.quad.r), np.ones_like(basis.quad.c)
     g1 = _sector_matrix(basis, SECTOR_TRANSVERSE, ones_r, ones_c)
     return sl.block_diag(_sector_matrix(basis, SECTOR_AXIAL, ones_r, ones_c), g1, g1)
+
+
+def first_sonine_forms(cm):
+    """(kappa0, kappa1) in the first Sonine approximation, read off cm.L_sector.
+
+    Each form of fluid_limits._core_values, -(L^{-1} P w, P w), kept to one
+    coordinate of its degree: w_i^2 / (-L_ii), and 0.6 times it for kappa1.
+    The viscosity form kappa0 takes the n = 0 coordinate of degree 2 in the
+    transverse block.  The conductivity form kappa1 takes the n = 1 coordinate
+    of degree 1 in the axial block, since n = 0 there is momentum, a null
+    coordinate that P removes (Chapman & Cowling, The Mathematical Theory of
+    Non-Uniform Gases, 3rd ed., 1970, ch. 7 and 9).
+    """
+    basis = cm.basis
+    i0 = basis.index(SECTOR_TRANSVERSE, "cos", 0, 2) - basis.dim0
+    w0 = v_multiplication_matrix(basis, SECTOR_TRANSVERSE) @ basis.chi(2)[basis.slice_cos]
+    i1 = basis.index(SECTOR_AXIAL, "axial", 1, 1)
+    w1 = v_multiplication_matrix(basis, SECTOR_AXIAL) @ basis.chi(4)[basis.slice_axial]
+    return (w0[i0] ** 2 / -cm.L_sector[SECTOR_TRANSVERSE][i0, i0],
+            0.6 * w1[i1] ** 2 / -cm.L_sector[SECTOR_AXIAL][i1, i1])
 
 
 def sub_operators(cm):

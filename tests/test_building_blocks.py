@@ -3,11 +3,15 @@
 The finiteness policy for arrays lives in one predicate,
 velocity_basis._finite_entries (behind _finite_array and
 _finite_complex_array): no other kslab function calls numpy's isfinite.
-Each semigroup has one apply: mode_operators._block_flow for the kinetic
-flow (the S3 remainder runs on it too; only the remainder norms take their
-own fallback flows), fluid_limits._heat_decay for the heat decay, the one
-reader of the heat rates, and fluid_limits._field_flow, the one reader of
-the two-by-two field exponential.  The linear fluid solver reads those two
+A kinetic decomposition has one form, the per-operator record of
+mode_operators._Decomposition: _decompose_stacked writes the records, and
+only _decomposition and _block_flow, which decomposes the operators that
+lack them, call it; _block_flow stacks the records itself and takes no
+stacked parts.  Each semigroup has one apply: mode_operators._block_flow for
+the kinetic flow (the S3 remainder runs on it too; only the remainder norms
+take their own fallback flows), fluid_limits._heat_decay for the heat decay,
+the one reader of the heat rates, and fluid_limits._field_flow, the one
+reader of the two-by-two field exponential.  The linear fluid solver reads those two
 fluid flows for its unforced and its Duhamel parts: it has no exponential
 of its own and loops over modes, never over times, and neither does the
 panel rule under it.  That rule, velocity_basis._panel_quadrature, is the
@@ -98,6 +102,17 @@ def _function(module: str, name: str) -> ast.FunctionDef:
     tree = ast.parse((_SRC / f"{module}.py").read_text())
     return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_one_decomposition_form():
+    # the per-operator records are the only form: _block_flow decomposes what
+    # lacks them and takes no stacked parts
+    assert set(_where(_reads("_decompose_stacked"))) == {
+        ("mode_operators", "_block_flow"), ("mode_operators", "_decomposition")}
+    assert not _where(lambda node: isinstance(node, ast.FunctionDef)
+                      and node.name == "_stacks_of_one")
+    flow = _function("mode_operators", "_block_flow")
+    assert [a.arg for a in flow.args.args] == ["ops", "states0", "taus", "keep"]
 
 
 def test_scipy_linalg_only_on_the_fallback():

@@ -39,6 +39,7 @@ from kslab.velocity_basis import (
     _gauss_legendre,
     _radial_norm,
     build_basis,
+    v_multiplication_matrix,
 )
 
 import oracles
@@ -389,6 +390,27 @@ class TestSectorBlocks:
         assert np.array_equal(sectors[SECTOR_AXIAL], block_diag(*degrees.values()))
         assert np.array_equal(sectors[SECTOR_TRANSVERSE],
                               block_diag(*(degrees[l] for l in range(1, 4))))
+
+
+    @pytest.mark.parametrize("shared", [
+        lambda cm: cm.basis.chi(4),
+        lambda cm: cm.basis.projection_matrix("P0"),
+        lambda cm: cm.basis.projection_matrix("P1"),
+        lambda cm: v_multiplication_matrix(cm.basis, SECTOR_AXIAL),
+        lambda cm: v_multiplication_matrix(cm.basis, SECTOR_TRANSVERSE),
+        lambda cm: cm.L_sector[SECTOR_AXIAL],
+        lambda cm: cm.L_sector[SECTOR_TRANSVERSE],
+        lambda cm: cm.L1_sector[SECTOR_AXIAL],
+        lambda cm: cm.L1_sector[SECTOR_TRANSVERSE],
+    ], ids=["chi", "P0", "P1", "v_axial", "v_transverse", "L_axial", "L_transverse",
+            "L1_axial", "L1_transverse"])
+    def test_shared_arrays_are_read_only(self, collision_small, shared):
+        # every operator and transport form on a basis reads these arrays: a
+        # write into one would move them all
+        a = shared(collision_small)
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+        assert shared(collision_small) is a
 
 
 class TestAssembledOperators:

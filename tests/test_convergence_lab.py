@@ -13,6 +13,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -483,7 +484,7 @@ class TestEvolveGrid:
         assert len(calls) == 2
 
     def test_non_finite_flow_drops_the_modes(self, collision_small, monkeypatch):
-        def nan_flow(layout, parts, states0, taus):
+        def nan_flow(ops, states0, taus):
             return np.full((len(states0), len(taus), states0.shape[1]), np.nan + 0j)
 
         monkeypatch.setattr(cl, "_block_flow", nan_flow)
@@ -534,8 +535,7 @@ class TestEvolveGrid:
 def _one_stack_grid(assemble, s_nodes, eps, cm, states0, times, failures):
     """The whole grid in one stack: _evolve_grid as it was before its mode chunks."""
     ops = [assemble(float(s), eps, cm) for s in s_nodes]
-    parts = mo._decompose_stacked(ops)
-    out = mo._block_flow(ops, parts, states0, np.asarray(times, dtype=float) / eps**2)
+    out = mo._block_flow(ops, states0, np.asarray(times, dtype=float) / eps**2)
     growth, bad = mo._contraction_violations(np.stack([op.metric_diag for op in ops]),
                                              states0, out)
     for i in np.flatnonzero(bad):
@@ -887,17 +887,44 @@ class TestReportSerialization:
         with pytest.raises(TypeError):
             cl.ConvergenceReport("probe", {"z": 1j}, [], [], {}).to_json()
 
-    def test_digest_tool_on_the_tier1_reports(self, wp_report, generic_report, second_report,
-                                              layer_report):
-        # tools/report_digests.py: one sha256 of to_json() and csv_rows() per report
+    @staticmethod
+    def _digest_tool():
         spec = importlib.util.spec_from_file_location("report_digests", DIGEST_TOOL)
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
+        return tool
+
+    def test_digest_tool_on_the_tier1_reports(self, wp_report, generic_report, second_report,
+                                              layer_report):
+        # tools/report_digests.py: one sha256 of to_json() and csv_rows() per report
+        tool = self._digest_tool()
         reports = (wp_report, generic_report, second_report, layer_report)
         digests = [tool.report_digest(rep) for rep in reports]
         assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
         assert len(set(digests)) == len(reports)
         assert [tool.report_digest(copy.deepcopy(rep)) for rep in reports] == digests
+
+    def test_digest_tool_on_the_science(self, collision_small):
+        # the transport, crossing and mode sections: one sha256 of exact values each
+        tool, limit = self._digest_tool(), mo._EIG_COND_LIMIT
+        got = tool.science_digests({"(6, 3)": collision_small})
+        assert mo._EIG_COND_LIMIT == limit
+        modes = got["modes"]
+        assert len(modes) == 12 and all(len(entry) == 4 for entry in modes.values())
+        leaves = [got["transport"]["(6, 3)"], got["crossing"]["(6, 3)"]]
+        leaves += [d for entry in modes.values() for d in entry.values()]
+        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in leaves)
+        # the fallback keeps each block's eig pair, and flows by expm instead
+        for key in (k for k in modes if k.startswith("eig ")):
+            fallback = modes["fallback" + key[3:]]
+            assert modes[key]["spectrum"] == fallback["spectrum"]
+            assert modes[key]["propagate"] != fallback["propagate"]
+        assert tool.science_digests({"(6, 3)": collision_small}) == got
+        assert tool.value_digest(1.0) != tool.value_digest(np.nextafter(1.0, 2.0))
+
+    def test_tier1_runs_at_the_tools_blas_threads(self):
+        # tests/conftest.py sets these before numpy loads, unless the caller did
+        assert all(os.environ.get(var) for var in self._digest_tool().BLAS_VARS)
 
     def test_non_finite_value_fails_before_writing(self, tmp_path):
         rep = cl.ConvergenceReport(experiment="first_order", config={}, eps=[0.1],

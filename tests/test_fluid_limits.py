@@ -119,6 +119,31 @@ class TestTransportCoefficients:
         assert "transport" not in cm._cache
 
 
+@functools.cache
+def _radial_order_collision(radial_order):
+    return assemble_collision(build_basis(BasisSpec(radial_order, 2)), build_gamma=False)
+
+
+class TestKineticTheoryAnchors:
+    """Two classical results on the linearized hard-sphere operator, from outside
+    kslab's own history (Chapman & Cowling, The Mathematical Theory of
+    Non-Uniform Gases, 3rd ed., 1970)."""
+
+    def test_eucken_ratio_in_the_first_sonine_approximation(self):
+        # for any kernel the first approximations give a Prandtl number of 2/3
+        kappa0, kappa1 = oracles.first_sonine_forms(_radial_order_collision(2))
+        assert abs(kappa0 / kappa1 - 2.0 / 3.0) <= 1e-10
+
+    def test_hard_sphere_corrections_to_the_first_approximation(self):
+        # converged over first approximation: 1.016 for viscosity and 1.025
+        # for heat conduction, the printed digits (1.0 for Maxwell molecules)
+        cm = _radial_order_collision(12)
+        tc = fl.transport_coefficients(cm)
+        kappa0, kappa1 = oracles.first_sonine_forms(cm)
+        assert abs(tc.kappa0 / kappa0 - 1.016) <= 5e-4
+        assert abs(tc.kappa1 / kappa1 - 1.025) <= 5e-4
+
+
 class TestRefinedPass:
     """The order + 6 pass builds only the degrees l <= 2 its forms read."""
 

@@ -300,10 +300,38 @@ class TestBlockFlow:
     def test_non_finite_flow_raises(self, collision_small, monkeypatch):
         op = mo.assemble_B(1.0, 0.2, collision_small)
         monkeypatch.setattr(mo, "_block_flow",
-                            lambda layout, parts, states0, taus: np.full(
+                            lambda ops, states0, taus: np.full(
                                 (len(states0), len(taus), states0.shape[1]), np.nan + 0j))
         with pytest.raises(mo.PropagationError, match="contraction violated"):
             mo.propagate(op, np.ones(op.dim), 0.5)
+
+    @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    def test_partly_decomposed_grid_flows_like_a_fresh_one(self, collision_small, monkeypatch,
+                                                            assemble, cond_limit):
+        # _block_flow decomposes only the operators without records, in one
+        # stacked eig per block, and stacks every record as for a fresh grid
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
+        cm, eps, s_nodes = collision_small, 0.05, (0.05, 0.4, 0.7, 1.3, 1.9)
+        fresh = [assemble(s, eps, cm) for s in s_nodes]
+        partly = [assemble(s, eps, cm) for s in s_nodes]
+        mo._decomposition(partly[1])
+        mo._decompose_stacked(partly[3:])
+        u0 = _random_states(fresh[0].dim, len(s_nodes), 41)
+        taus = np.array([0.0, 0.3, 4.0, 60.0])
+        keep = np.random.default_rng(42).random((len(s_nodes), fresh[0].dim)) < 0.7
+        for mask in (None, keep):
+            want = mo._block_flow(fresh, u0, taus, mask)
+            eig, calls = np.linalg.eig, []
+            monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(len(a)) or eig(a))
+            got = mo._block_flow(partly, u0, taus, mask)
+            monkeypatch.setattr(np.linalg, "eig", eig)
+            assert calls == ([2, 2] if mask is None else [])
+            assert np.array_equal(got, want)
+        for a, b in zip(partly, fresh):
+            assert a._decomp.schur == b._decomp.schur and a._decomp.cond == b._decomp.cond
+            assert all(np.array_equal(x, y) for ra, rb in zip(a._decomp.blocks, b._decomp.blocks)
+                       for x, y in zip(ra, rb) if x is not None)
 
     @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
     def test_empty_time_array_gives_no_rows(self, collision_small, monkeypatch, cond_limit):
@@ -340,8 +368,7 @@ class TestSemigroupSplit:
         sp = mo.semigroup_split(op)
         dec = mo._decomposition(op)
         assert dec.path == "eig"
-        right, left = mo._dense_vectors(op, [rec[1:] for rec in dec.blocks],
-                                        np.flatnonzero(sp.branch_mask))
+        right, left = mo._dense_vectors(op, np.flatnonzero(sp.branch_mask), inverse=True)
         # the adjoint vectors of the weighted product pair with the branch vectors
         adjoint = left.conj() / op.metric_diag
         gram = np.array([[oracles.weighted_inner(op, ri, lj) for lj in adjoint] for ri in right.T])
@@ -444,9 +471,9 @@ class TestConditioningGate:
     @pytest.mark.parametrize("spread", [0.0, 4.0, 11.0])
     def test_condition_bounds_two_norm_condition(self, collision_small, spread):
         ops = _stacked_ops(collision_small, np.random.default_rng(31), 12, spread)
-        parts = mo._decompose_stacked(ops)
-        for i, op in enumerate(ops):
-            vecs = sl.block_diag(*(vr[i] for _, vr, _ in parts))
+        mo._decompose_stacked(ops)
+        for op in ops:
+            vecs = sl.block_diag(*(vr for _, vr, _ in op._decomp.blocks))
             assert mo._decomposition(op).cond >= np.linalg.cond(vecs, 2)
         # past the limit the members take the fallback record
         assert all(op._decomp.path == ("schur" if spread > 8 else "eig") for op in ops)
@@ -464,13 +491,12 @@ class TestConditioningGate:
             return lam, vr
 
         monkeypatch.setattr(np.linalg, "eig", singular_second)
-        parts = mo._decompose_stacked(ops)
+        mo._decompose_stacked(ops)
         monkeypatch.undo()
         mo._decompose_stacked(reference)
         assert [op._decomp.schur for op in ops] == [(False, False), (True, False),
                                                   (False, False), (False, False)]
         assert mo._decomposition(ops[1]).cond == np.inf
-        assert not np.any(parts[0][2][1])
         for i in (0, 2, 3):
             for got, want in zip(ops[i]._decomp.blocks, reference[i]._decomp.blocks):
                 for x, y in zip(got, want):
@@ -479,12 +505,13 @@ class TestConditioningGate:
         # the fallback record keeps the stack's eig pair and no inverse
         lam, vr, inverse = ops[1]._decomp.blocks[0]
         assert inverse is None
-        assert np.array_equal(lam, parts[0][0][1]) and np.array_equal(vr, parts[0][1][1])
+        want_lam, want_vr = singular_second(np.stack([op.blocks[0].matrix for op in ops]))
+        assert np.array_equal(lam, want_lam[1]) and np.array_equal(vr, want_vr[1])
         # and flows by expm of its own block, not of the stack's first member
         block = ops[1].blocks[0].matrix
         taus = np.array([0.0, 0.3, 1.1])
         u0 = np.random.default_rng(33).standard_normal((len(ops), ops[1].dim)).astype(complex)
-        states = mo._block_flow(ops, parts, u0, taus)
+        states = mo._block_flow(ops, u0, taus)
         for tau, flow, got in zip(taus, mo._fallback_flow(block, taus), states[1]):
             want = sl.expm(tau * block)
             assert np.array_equal(flow, want)

@@ -55,7 +55,8 @@ def test_oracle_names_are_absent_from_the_library():
             "y2_eigenbasis", "gram_matrix", "sub_operators", "nu_bounds",
             "gamma_full_grid", "crossing_discriminant", "crossing_by_bracket",
             "pair_kernel_moments_by_rule", "nu_eval", "kernel_eval", "weighted_inner",
-            "weighted_norm", "resolvent_scalars", "ResolventScalars"} <= defined
+            "weighted_norm", "resolvent_scalars", "ResolventScalars",
+            "first_sonine_forms"} <= defined
     kept_out = defined | {"eigenvalues", "eigen_condition", "from_mapping", "laguerre_rows",
                           "transverse_seeds", "split_regime"}
     namespaces = dict(_library_namespaces())

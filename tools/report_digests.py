@@ -1,4 +1,5 @@
-"""Digests of the byte-stable reports: one command to check that a change kept their bits.
+"""Digests of the byte-stable reports and of the science under them: one command
+to check that a change kept their bits.
 
 Usage, from the root of the repository:
 
@@ -8,12 +9,23 @@ Builds the collision data at BasisSpec(6, 3) without the Gamma tensor, runs
 the four reports of the tier-1 suite (first order on well-prepared and on
 generic data, second order, the initial layer on generic data), the initial
 layer on well-prepared data and oscillatory_decay_check(), and prints one JSON
-object: per report, the sha256 of its to_json() followed by its csv_rows().
-Run it on two checkouts and compare the objects.
+object.  Its "reports" section holds, per report, the sha256 of its to_json()
+followed by its csv_rows().  The other sections hold the sha256 of the exact
+values under the reports (science_digests):
 
-The bits depend on the BLAS build and the host, so only runs on one machine
-compare.  The script sets one BLAS thread before numpy loads, so the
-reductions run in one order.
+- "transport": the transport coefficients, their truncation deltas and
+  mu_estimate at BasisSpec(6, 3) and (12, 6);
+- "crossing": crossing_location at six eps on both bases;
+- "modes": for B and A-tilde at a low, a mid and a high (s, eps) on
+  BasisSpec(6, 3), propagate, spectrum (eigenvalues and residuals),
+  semigroup_split (branch mask, measured_gap_b, fit_C and the S1/S2/S3
+  parts) and the split's _remainder_flow; once with the conditioning limit
+  _EIG_COND_LIMIT ("eig") and once with a limit of 1.0, which sends every
+  block to the eig fallback ("fallback").
+
+Run it on two checkouts and compare the objects.  The bits depend on the
+BLAS build and the host, so only runs on one machine compare.  The script
+sets one BLAS thread before numpy loads, so the reductions run in one order.
 """
 from __future__ import annotations
 
@@ -25,12 +37,86 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CROSSING_EPS = (0.2, 0.1, 0.05, 0.02, 0.0125, 0.01)
+# (s, eps) in the low, mid and high split regime of the electromagnetic generator
+MODE_POINTS = {"low": (1.0, 0.04), "mid": (1.3, 0.2), "high": (25.0, 0.5)}
 
 
 def report_digest(report) -> str:
     """The sha256 hex digest of report.to_json() followed by its CSV rows."""
     text = report.to_json() + "\n" + "\n".join(report.csv_rows())
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def value_digest(*values) -> str:
+    """The sha256 hex digest of the exact values: each one's shape, dtype and bytes."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for value in values:
+        a = np.ascontiguousarray(value)
+        h.update(f"{a.shape} {a.dtype}|".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def transport_digest(cm) -> str:
+    """Digest of the transport coefficients, their truncation deltas and mu_estimate."""
+    from kslab.fluid_limits import transport_coefficients
+
+    tc = transport_coefficients(cm)
+    return value_digest(tc.kappa0, tc.kappa1, tc.eta, *(tc.a_list[j] for j in sorted(tc.a_list)),
+                        *(tc.truncation_delta[k] for k in sorted(tc.truncation_delta)),
+                        cm.mu_estimate)
+
+
+def crossing_digest(cm) -> str:
+    """Digest of crossing_location at each of CROSSING_EPS."""
+    from kslab.dispersion import crossing_location
+
+    return value_digest([crossing_location(eps, cm) for eps in CROSSING_EPS])
+
+
+def mode_digests(cm) -> dict:
+    """Per conditioning limit, kind and regime: digests of propagate, spectrum,
+    semigroup_split and _remainder_flow on operators built for that limit."""
+    import numpy as np
+    from kslab import mode_operators as mo
+
+    limits = {"eig": mo._EIG_COND_LIMIT, "fallback": 1.0}
+    out = {}
+    try:
+        for path, limit in limits.items():
+            mo._EIG_COND_LIMIT = limit
+            for kind, assemble in (("B", mo.assemble_B), ("A_tilde", mo.assemble_A_tilde)):
+                for regime, (s, eps) in MODE_POINTS.items():
+                    op = assemble(s, eps, cm)
+                    rng = np.random.default_rng(7)
+                    u0 = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+                    taus = np.array([0.0, 0.5, 2.0, 8.0])
+                    lam, _, res = mo.spectrum(op)
+                    split = mo.semigroup_split(op)
+                    out[f"{path} {kind} {regime}"] = {
+                        "propagate": value_digest(mo.propagate(op, u0, eps**2 * taus)),
+                        "spectrum": value_digest(lam, res),
+                        "split": value_digest(split.branch_mask, split.measured_gap_b,
+                                              split.fit_C, split.S1_part, split.S2_part,
+                                              split.S3_part),
+                        "remainder_flow": value_digest(mo._remainder_flow(split, u0, taus)),
+                    }
+    finally:
+        mo._EIG_COND_LIMIT = limits["eig"]
+    return out
+
+
+def science_digests(bases: dict) -> dict:
+    """The transport, crossing and mode sections for collision data by basis name;
+    the modes run on the first basis."""
+    return {
+        "transport": {name: transport_digest(cm) for name, cm in bases.items()},
+        "crossing": {name: crossing_digest(cm) for name, cm in bases.items()},
+        "modes": mode_digests(next(iter(bases.values()))),
+    }
 
 
 def main() -> None:
@@ -41,7 +127,9 @@ def main() -> None:
     from kslab.collision_ops import assemble_collision
     from kslab.velocity_basis import BasisSpec, build_basis
 
-    cm = assemble_collision(build_basis(BasisSpec(6, 3)), build_gamma=False)
+    bases = {f"({n}, {l})": assemble_collision(build_basis(BasisSpec(n, l)), build_gamma=False)
+             for n, l in ((6, 3), (12, 6))}
+    cm = bases["(6, 3)"]
     wp, generic = (cl.ExperimentConfig(data_kind=kind) for kind in ("well_prepared", "generic"))
     reports = {
         "first_order_well_prepared": cl.first_order_experiment(wp, cm),
@@ -51,7 +139,8 @@ def main() -> None:
         "initial_layer_well_prepared": cl.initial_layer_profile(wp, cm),
         "oscillatory_decay": cl.oscillatory_decay_check(),
     }
-    print(json.dumps({name: report_digest(r) for name, r in reports.items()}, indent=2))
+    digests = {"reports": {name: report_digest(r) for name, r in reports.items()}}
+    print(json.dumps({**digests, **science_digests(bases)}, indent=2))
 
 
 if __name__ == "__main__":
