@@ -91,7 +91,8 @@ from scipy.special import erf, roots_genlaguerre, roots_hermitenorm
 
 from .velocity_basis import (
     Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _check_sector, _finite_array,
-    _finite_complex_array, _frozen, _gauss_legendre, _integer, _legendre_row, _radial_rows,
+    _finite_complex_array, _frozen, _gauss_legendre, _integer, _legendre_row, _radial_overlap,
+    _radial_rows,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -718,10 +719,7 @@ def _degree_blocks(basis: Basis, top: int) -> _DegreeBlocks:
         raise AssemblyError(f"kernel quadrature not converged: delta={delta:.3e}")
 
     nu_nodes = _nu_of_r(basis.quad.r)
-    nu = {}
-    for l in range(top + 1):
-        tab = basis.radial_tables[l]
-        nu[l] = (tab * (basis.quad.wr * nu_nodes)) @ tab.T
+    nu = {l: _radial_overlap(basis, l, l, nu_nodes) for l in range(top + 1)}
 
     raw = {"L": {l: K[l] - nu[l] for l in range(top + 1)},
            "L1": {l: K1[l] - nu[l] for l in range(top + 1)}}

@@ -503,8 +503,8 @@ def _field_errors(kin: np.ndarray, eta: float, s: np.ndarray, times: np.ndarray,
     """
     flow = _field_flow(eta, s, times, rho, *fields)
     diff = kin.copy()
-    diff[..., 0] -= flow[0]
-    diff[..., -4:] -= np.stack(flow[1:], axis=-1)
+    diff[..., 0] -= flow[..., 0]
+    diff[..., -4:] -= flow[..., 1:]
     return np.sqrt(_field_sq(diff, s) @ wq)
 
 

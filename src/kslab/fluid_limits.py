@@ -9,11 +9,11 @@ linearized Navier-Stokes-Maxwell-Fourier mode system, and the aggregate
 decay experiments, whose mode grids and time windows are module constants.
 A wave direction omega must be a finite unit 3-vector.
 
-The damped-Maxwell evolution is one array-valued flow, _field_flow, on the
-reduced coordinates (charge, omega x E, omega x B) over a grid of wave
-numbers and times.  Y2_mode, the linear solver, the aggregate decay
-experiment and the rate experiments in convergence_lab all evaluate it.
-Its field blocks use a confluent-safe two-by-two exponential, so the
+The damped-Maxwell evolution is one flow, _field_flow, of the reduced state
+(rho, X2, X3, Y2, Y3) of charge, omega x E and omega x B on a last axis, over
+a grid of wave numbers and times; Y2_mode, the linear solver, the aggregate
+decay experiment and the rate experiments in convergence_lab index it.  Both
+field pairs read one confluent-safe two-by-two exponential, so the
 branch-collision wave number needs no special casing.  _field_sq is the
 metric of those coordinates, in which the charge counts 1 + 1/s^2; the
 aggregate decay experiment and the rate experiments measure in it.
@@ -296,11 +296,12 @@ def _frame(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decayed_sinhc(z):
-    """e^{-z} sinh(z)/z = (1 - e^{-2z})/(2z): bounded for Re z >= 0, finite at z = 0."""
+    """e^{-z} sinh(z)/z = (1 - e^{-2z})/(2z): bounded for Re z >= 0, finite at z = 0.
+    The series (|z| < 1e-6) and the closed form each see 0 or 1 off their entries."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-6
-    guarded = np.where(small, 1.0, z)
-    return np.where(small, 1.0 - z + (2.0 / 3.0) * z * z,
+    tiny, guarded = np.where(small, z, 0.0), np.where(small, 1.0, z)
+    return np.where(small, 1.0 - tiny + (2.0 / 3.0) * tiny * tiny,
                     -np.expm1(-2.0 * guarded) / (2.0 * guarded))
 
 
@@ -313,7 +314,8 @@ def _field_block(eta: float, c, t):
     e^{(m+delta)t} times a bounded factor in e^{-2 delta t}: since
     m + Re delta <= 0 for imaginary c, nothing overflows at long times, and
     the sinh(z)/z form stays finite when the two branch rates collide.
-    Elementwise over arrays c and t that broadcast together.
+    Elementwise over arrays c and t that broadcast together.  Only the
+    off-diagonal entry depends on the sign of c: the rest reads c^2.
     """
     c = np.asarray(c, dtype=complex)
     t = np.asarray(t, dtype=float)
@@ -325,24 +327,23 @@ def _field_block(eta: float, c, t):
     return even + m * odd, c * odd, even - m * odd
 
 
-def _field_flow(eta: float, s, t, rho, x2, x3, y2, y3):
+def _field_flow(eta: float, s, t, rho, x2, x3, y2, y3) -> np.ndarray:
     """Damped-Maxwell flow of (charge, field) modes in reduced coordinates.
 
     X = omega x E and Y = omega x B have components (X2, X3), (Y2, Y3) along
     the frame (p1, p2) of _frame.  The charge decays at eta (1 + s^2); the
-    blocks (X3, Y2) and (X2, Y3) evolve by _field_block with coupling +i s
-    and -i s.  Times t run along axis 0 and wave numbers s along axis 1; the
-    initial values broadcast against that grid.  Returns the five reduced
-    coordinates (rho, X2, X3, Y2, Y3) on the grid: (len(t), len(s)), or
-    (len(t), 1) for a single wave number.
+    block (X3, Y2) evolves by _field_block with coupling +i s, and (X2, Y3)
+    by the same block with the coupling negated.  Times t run along axis 0
+    and wave numbers s along axis 1; the initial values broadcast against
+    that grid.  Returns the reduced state (rho, X2, X3, Y2, Y3) on a last
+    axis: (len(t), len(s), 5), or (len(t), 1, 5) for a single wave number.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)[:, None]
     rho_t = np.exp(-eta * (1.0 + s * s) * t) * rho
     e11, e12, e22 = _field_block(eta, 1j * s, t)
-    f11, f12, f22 = _field_block(eta, -1j * s, t)
-    return (rho_t, f11 * x2 + f12 * y3, e11 * x3 + e12 * y2,
-            e12 * x3 + e22 * y2, f12 * x2 + f22 * y3)
+    return np.stack(np.broadcast_arrays(rho_t, e11 * x2 - e12 * y3, e11 * x3 + e12 * y2,
+                                        e12 * x3 + e22 * y2, e22 * y3 - e12 * x2), axis=-1)
 
 
 def _field_sq(states: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -367,10 +368,12 @@ def _fields(omega: np.ndarray, s: float, rho, x2, x3, y2, y3):
     return e_field, -np.cross(omega, y)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
             tc: TransportCoefficients,
             omega: np.ndarray | None = None) -> FluidModeState:
-    """Damped-Maxwell evolution of one (charge, fields) mode."""
+    """Damped-Maxwell evolution of one (charge, fields) mode; a result that is
+    not finite, as at a time past the float range, raises FluidError."""
     _check_record(tc, TransportCoefficients, FluidError)
     _check_time_and_wave(t, s)
     if t < 0:
@@ -381,10 +384,11 @@ def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
     omega, _ = _check_field_data(s, omega, {"rho0": rho0}, {"E0": E0, "B0": B0})
     E0 = np.asarray(E0, dtype=complex)
     B0 = np.asarray(B0, dtype=complex)
-    flow = _field_flow(tc.eta, s, [t], rho0, *_rotated(omega, E0),
-                       *_rotated(omega, B0))
-    coefficients = np.array([v[0, 0] for v in flow], dtype=complex)
+    coefficients = _field_flow(tc.eta, s, [t], rho0, *_rotated(omega, E0),
+                               *_rotated(omega, B0))[0, 0]
     e_field, b_field = _fields(omega, s, *coefficients)
+    if not all(map(_finite_complex_array, (coefficients, e_field, b_field))):
+        raise FluidError(f"non-finite field mode at t={t!r}: the time or the data overflow")
     return FluidModeState(kind="y2", s=s, t=t, coefficients=coefficients,
                           rho=complex(coefficients[0]), E=e_field, B=b_field)
 
@@ -522,7 +526,7 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
     m = decay[..., 1, None] * np.array([mode.m0 for mode in modes], dtype=complex).reshape(nm, 3)
     start = np.array([(mode.rho0, *_rotated(mode.omega, mode.E0), *_rotated(mode.omega, mode.B0))
                       for mode in modes], dtype=complex).reshape(nm, 5)
-    flow = np.stack(_field_flow(tc.eta, s_modes, times, *start.T), axis=-1)
+    flow = _field_flow(tc.eta, s_modes, times, *start.T)
     p = np.zeros((nt, nm), complex)
     e_field, b_field = np.zeros((2, nt, nm, 3), complex)
     for j, mode in enumerate(modes):
@@ -546,8 +550,7 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
             drive = np.column_stack((1j * s * omega, *_rotated(omega, np.eye(3)),
                                      np.zeros((3, 2))))
             flow[:, j] += _duhamel(
-                lambda lag, f: np.concatenate(
-                    _field_flow(tc.eta, s, lag, *f.T[:, :, None]), axis=1),
+                lambda lag, f: _field_flow(tc.eta, s, lag, *f.T[:, :, None])[:, 0],
                 lambda taus: _forcing(mode.g3, taus, (3,)) @ drive, times,
                 tc.eta * (1.0 + s * s), 0.5 * math.pi / s)
         e_field[:, j], b_field[:, j] = _fields(omega, s, *flow[:, j].T)
@@ -620,8 +623,8 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
         rho0, y2 = zero, x3
     else:
         rho0, y2 = 1j * s * profile, zero
-    flow = _field_flow(tc.eta, s, times, rho0, zero, x3, y2, zero)
-    return _decay_fit(times, _field_sq(np.stack(flow, axis=-1), s), w)
+    return _decay_fit(times, _field_sq(_field_flow(tc.eta, s, times, rho0, zero, x3, y2, zero),
+                                       s), w)
 
 
 def y1_decay_experiment(tc: TransportCoefficients) -> DecayFit:

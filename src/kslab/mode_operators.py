@@ -203,13 +203,13 @@ def _check_mode_args(s: float, eps: float, cm: CollisionMatrices) -> None:
 
 class _Layout(NamedTuple):
     """What every mode generator on one basis shares: the block copies and the
-    coupling vectors.  Built once per basis (_layout); read-only."""
+    coupling vectors, read off Basis.chi.  Built once per basis (_layout); read-only."""
 
     axial: tuple         # copies of the axial block
     transverse: tuple    # copies of the kinetic transverse block
     field: tuple         # copies of the electromagnetic transverse block
-    charge: np.ndarray   # outer(v0 chi0, chi0): the axial charge coupling
-    chi2: np.ndarray     # the transverse momentum coupled to the X field
+    charge: np.ndarray   # outer(v0 chi0, chi0), chi0 = chi(0) on the axial copy
+    chi2: np.ndarray     # chi(2) on the cos copy: the momentum coupled to the X field
     axial_phase: np.ndarray       # i^l by Legendre degree
     transverse_phase: np.ndarray  # i^l by Legendre degree
     field_phase: np.ndarray       # i^l, then i on X and 1 on Y
@@ -227,10 +227,7 @@ def _layout(basis) -> _Layout:
         n0, n1 = basis.dim0, basis.dim1
         nr, lmax = basis.spec.radial_order, basis.spec.angular_max
         ix2, ix3, iy2, iy3 = (n0 + 2 * n1 + k for k in range(4))
-        chi0 = np.zeros(n0)
-        chi0[0] = 1.0
-        chi2 = np.zeros(n1)
-        chi2[0] = 1.0
+        chi0, chi2 = basis.chi(0)[basis.slice_axial], basis.chi(2)[basis.slice_cos]
         flip_x = np.ones(n1 + 2)
         flip_x[n1] = -1.0
         charge = np.outer(v_multiplication_matrix(basis, SECTOR_AXIAL) @ chi0, chi0)

@@ -11,11 +11,17 @@ stacked parts.  Each semigroup has one apply: mode_operators._block_flow for
 the kinetic flow (the S3 remainder runs on it too; only the remainder norms
 take their own fallback flows), fluid_limits._heat_decay for the heat decay,
 the one reader of the heat rates, and fluid_limits._field_flow, the one
-reader of the two-by-two field exponential.  The linear fluid solver reads those two
-fluid flows for its unforced and its Duhamel parts: it has no exponential
-of its own and loops over modes, never over times, and neither does the
-panel rule under it.  That rule, velocity_basis._panel_quadrature, is the
-one behind the Duhamel integrals and the wave integral of convergence_lab.
+reader of the two-by-two field exponential: it evaluates the block once,
+with the same bits as one call per coupling, and returns one (..., 5) array
+that no caller stacks, concatenates or iterates over.  Facts the basis owns
+are read from it: collision_ops._degree_blocks takes its nu blocks from
+velocity_basis._radial_overlap, as _sector_matrix does, and
+mode_operators._layout takes its coupling vectors from Basis.chi.  The
+linear fluid solver reads the heat and the field flow for its unforced and
+its Duhamel parts: it has no exponential of its own and loops over modes,
+never over times, and neither does the panel rule under it.  That rule,
+velocity_basis._panel_quadrature, is the one behind the Duhamel integrals
+and the wave integral of convergence_lab.
 Every fitted rate, exponent and gap is one least-squares line,
 velocity_basis._line_fit: no other kslab function calls polyfit or lstsq,
 and its readers are rate_fit, the decay fit, the transient check and the
@@ -32,7 +38,10 @@ the decomposition's eig pairs without an eig of its own.
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import kslab
+from kslab import fluid_limits as fl
 
 _SRC = Path(kslab.__file__).parent
 
@@ -191,3 +200,75 @@ def test_reports_are_built_in_one_place():
         node.func, ast.Name) and node.func.id == "ConvergenceReport")
     assert sorted(builders) == [("convergence_lab", "_report"),
                                 ("convergence_lab", "oscillatory_decay_check")]
+
+
+def test_one_field_block_per_flow():
+    # the (X2, Y3) block is the (X3, Y2) block with its coupling negated
+    flow = _function("fluid_limits", "_field_flow")
+    assert len([node for node in ast.walk(flow) if _calls("_field_block")(node)]) == 1
+
+
+def _two_block_flow(eta, s, t, rho, x2, x3, y2, y3):
+    """The field flow with one _field_block call per coupling, +i s and -i s."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)[:, None]
+    rho_t = np.exp(-eta * (1.0 + s * s) * t) * rho
+    e11, e12, e22 = fl._field_block(eta, 1j * s, t)
+    f11, f12, f22 = fl._field_block(eta, -1j * s, t)
+    return (rho_t, f11 * x2 + f12 * y3, e11 * x3 + e12 * y2,
+            e12 * x3 + e22 * y2, f12 * x2 + f22 * y3)
+
+
+def test_one_field_block_gives_the_bits_of_two():
+    eta = 0.215581
+    # wave numbers on both sides of the branch collision eta/2, and t = 0
+    s = eta / 2.0 * np.array([0.3, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.4, 4.0])
+    t = np.array([0.0, 1e-9, 0.4, 1.7, 6.0, 1e4])
+    rng = np.random.default_rng(37)
+    for wave, v0 in ((s, rng.standard_normal((5, s.size)) + 1j * rng.standard_normal((5, s.size))),
+                     (s[3], rng.standard_normal(5) + 1j * rng.standard_normal(5))):
+        flow = fl._field_flow(eta, wave, t, *v0)
+        assert isinstance(flow, np.ndarray) and flow.shape == (t.size, np.size(wave), 5)
+        for k, want in enumerate(_two_block_flow(eta, wave, t, *v0)):
+            assert np.array_equal(flow[..., k], np.broadcast_to(want, flow.shape[:-1]))
+
+
+def test_field_flow_callers_read_one_array():
+    # each caller indexes the (..., 5) flow: none stacks, concatenates or
+    # iterates over it
+    callers = set(_where(_calls("_field_flow")))
+    assert callers == {("convergence_lab", "_field_errors"), ("fluid_limits", "Y2_mode"),
+                       ("fluid_limits", "linear_nsmf_solve"),
+                       ("fluid_limits", "y2_decay_experiment")}
+    packers = ("stack", "concatenate", "hstack", "vstack", "column_stack", "dstack")
+    for module, name in callers:
+        caller = _function(module, name)
+        names = {target.id for node in ast.walk(caller) if isinstance(node, ast.Assign)
+                 and any(map(_calls("_field_flow"), ast.walk(node.value)))
+                 for target in node.targets if isinstance(target, ast.Name)}
+
+        def holds_flow(tree):
+            return any(_calls("_field_flow")(node)
+                       or (isinstance(node, ast.Name) and node.id in names)
+                       for node in ast.walk(tree))
+
+        assert not [node for node in ast.walk(caller) if isinstance(node, ast.Call)
+                    and any(_reads(p)(node.func) for p in packers)
+                    and any(map(holds_flow, node.args))]
+        assert not [node for node in ast.walk(caller)
+                    if isinstance(node, (ast.For, ast.comprehension)) and holds_flow(node.iter)]
+
+
+def test_basis_facts_are_read_not_respelled():
+    # the nu blocks are radial overlaps, as every sector matrix's blocks are
+    assert set(_where(_calls("_radial_overlap"))) == {
+        ("velocity_basis", "_sector_matrix"), ("collision_ops", "_degree_blocks")}
+    assert not [node for node in ast.walk(_function("collision_ops", "_degree_blocks"))
+                if _reads("radial_tables")(node)]
+    # the generators' density and transverse-momentum vectors are Basis.chi(0)
+    # and chi(2) on their copies: _layout lays no unit vector of its own
+    layout = _function("mode_operators", "_layout")
+    chis = [node for node in ast.walk(layout) if _calls("chi")(node)]
+    assert sorted(ast.literal_eval(node.args[0]) for node in chis) == [0, 2]
+    assert not [node for node in ast.walk(layout)
+                if any(_calls(name)(node) for name in ("zeros", "eye", "identity"))]

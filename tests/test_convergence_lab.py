@@ -616,8 +616,8 @@ class TestModeChunks:
         eta = cl.transport_coefficients(cm).eta
         flow = cl._field_flow(eta, s, self.TIMES, rho, *fields)
         fluid = np.zeros(shape, dtype=complex)
-        fluid[..., 0] = flow[0]
-        fluid[..., dim:] = np.stack(flow[1:], axis=-1)
+        fluid[..., 0] = flow[..., 0]
+        fluid[..., dim:] = flow[..., 1:]
         fluid[:, ~keep] = 0.0
         want = np.sqrt(cl._field_sq(kin - fluid, s) @ wq)
         got = cl._field_errors(kin, eta, s, self.TIMES, rho, fields, wq)
@@ -921,6 +921,19 @@ class TestReportSerialization:
             assert modes[key]["propagate"] != fallback["propagate"]
         assert tool.science_digests({"(6, 3)": collision_small}) == got
         assert tool.value_digest(1.0) != tool.value_digest(np.nextafter(1.0, 2.0))
+
+    def test_digest_tool_on_the_assembly(self, collision_small, collision_default):
+        # the collision section (gain, delta, nu, sectors) and the Gamma section
+        tool = self._digest_tool()
+        collision = tool.collision_digests(collision_small)
+        gamma = tool.gamma_digests(collision_default)
+        assert sorted(collision) == ["delta", "gain", "nu", "sectors"]
+        assert sorted(gamma) == ["change_of_basis", "chi_sub", "sub_operators", "tensor"]
+        leaves = [*collision.values(), *gamma.values()]
+        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in leaves)
+        assert len(set(leaves)) == len(leaves)
+        assert tool.collision_digests(collision_small) == collision
+        assert tool.collision_digests(collision_default) != collision
 
     def test_tier1_runs_at_the_tools_blas_threads(self):
         # tests/conftest.py sets these before numpy loads, unless the caller did

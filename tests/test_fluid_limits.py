@@ -490,8 +490,8 @@ class TestFieldFlow:
         t = np.array([0.0, 0.4, 1.7, 6.0])
         rng = np.random.default_rng(17)
         v0 = rng.standard_normal((5, len(s))) + 1j * rng.standard_normal((5, len(s)))
-        flow = np.array(fl._field_flow(eta, s, t, *v0))        # (5, n_t, n_s)
-        assert flow.shape == (5, len(t), len(s))
+        flow = fl._field_flow(eta, s, t, *v0)                  # (n_t, n_s, 5)
+        assert isinstance(flow, np.ndarray) and flow.shape == (len(t), len(s), 5)
         for j, sj in enumerate(s):
             # reduced order (rho, X2, X3, Y2, Y3); (X3, Y2) couple through
             # +i s and (X2, Y3) through -i s
@@ -500,13 +500,13 @@ class TestFieldFlow:
             gen[1, 4] = gen[4, 1] = -1j * sj
             for k, tk in enumerate(t):
                 want = expm(tk * gen) @ v0[:, j]
-                assert np.max(np.abs(flow[:, k, j] - want)) < 1e-12
+                assert np.max(np.abs(flow[k, j] - want)) < 1e-12
             if abs(2.0 * sj / eta - 1.0) > 0.2:
                 b, x, metric = oracles.y2_eigenbasis(sj, eta)
                 weights = (v0[:, j] * metric) @ x
                 for k, tk in enumerate(t):
                     via_eigen = x @ (np.exp(b * tk) * weights)
-                    assert np.max(np.abs(flow[:, k, j] - via_eigen)) < 1e-12
+                    assert np.max(np.abs(flow[k, j] - via_eigen)) < 1e-12
 
     @pytest.mark.parametrize("s", [0.0, 0.01, 0.1, 0.107790, 0.2, 1.0])
     def test_long_time_block_matches_generator_exponential(self, s):
@@ -518,6 +518,38 @@ class TestFieldFlow:
             want = expm(t * np.array([[-eta, c], [c, 0.0]]))
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), 1e-300)
+
+    def test_decayed_sinhc_keeps_the_bits_of_the_unguarded_series(self):
+        # the series branch once ran on every entry; for |z| <= 1e150, where
+        # z^2 does not overflow, the guarded form gives the same bits
+        def unguarded(z):
+            z = np.asarray(z, dtype=complex)
+            small = np.abs(z) < 1e-6
+            guarded = np.where(small, 1.0, z)
+            return np.where(small, 1.0 - z + (2.0 / 3.0) * z * z,
+                            -np.expm1(-2.0 * guarded) / (2.0 * guarded))
+
+        switch = 1e-6
+        moduli = np.array([0.0, 1e-300, 1e-12, 1e-7, np.nextafter(switch, 0.0), switch,
+                           np.nextafter(switch, 1.0), 1e-3, 0.5, 1.0, 7.0, 1e3, 1e50, 1e150])
+        phases = np.exp(1j * np.linspace(-0.5 * np.pi, 0.5 * np.pi, 7))
+        z = np.multiply.outer(moduli, phases)
+        assert np.array_equal(fl._decayed_sinhc(z), unguarded(z))
+
+    def test_long_times_stay_finite(self, tc):
+        # t z^2 overflowed in the series branch from t ~ 1e155 on
+        e2 = np.array([0.0, 1.0, 0.0])
+        assert np.all(np.isfinite(fl._decayed_sinhc([1e155, 1e200j, 1e300])))
+        state = fl.Y2_mode(1e200, 1.0, 0.0, e2, np.zeros(3), tc)
+        assert np.all(np.isfinite(state.coefficients))
+        assert np.all(np.isfinite(state.E)) and np.all(np.isfinite(state.B))
+        s = tc.eta / 2.0 * np.array([0.3, 1.0, 4.0])
+        assert np.all(np.isfinite(fl._field_flow(tc.eta, s, [1e200], 1.0, 1.0, 1.0, 1.0, 1.0)))
+
+    def test_time_past_the_float_range_is_refused(self, tc):
+        e2 = np.array([0.0, 1.0, 0.0])
+        with pytest.raises(fl.FluidError, match="non-finite field mode"):
+            fl.Y2_mode(1.7e308, 1.0, 0.0, e2, np.zeros(3), tc)
 
 
 class TestSplittings:

@@ -5,13 +5,15 @@ Usage, from the root of the repository:
 
     python3 tools/report_digests.py
 
-Builds the collision data at BasisSpec(6, 3) without the Gamma tensor, runs
-the four reports of the tier-1 suite (first order on well-prepared and on
-generic data, second order, the initial layer on generic data), the initial
-layer on well-prepared data and oscillatory_decay_check(), and prints one JSON
-object.  Its "reports" section holds, per report, the sha256 of its to_json()
-followed by its csv_rows().  The other sections hold the sha256 of the exact
-values under the reports (science_digests):
+Builds the collision data at BasisSpec(6, 3) and (24, 6) without the Gamma
+tensor and at (12, 6) with it, runs the four reports of the tier-1 suite
+(first order on well-prepared and on generic data, second order, the initial
+layer on generic data), the initial layer on well-prepared data and
+oscillatory_decay_check(), and prints one JSON object.  Its "reports" section
+holds, per report, the sha256 of its to_json() followed by its csv_rows().
+The other sections hold the sha256 of the exact values under the reports
+(science_digests) and of the assembly under those (collision_digests and
+gamma_digests):
 
 - "transport": the transport coefficients, their truncation deltas and
   mu_estimate at BasisSpec(6, 3) and (12, 6);
@@ -21,7 +23,13 @@ values under the reports (science_digests):
   semigroup_split (branch mask, measured_gap_b, fit_C and the S1/S2/S3
   parts) and the split's _remainder_flow; once with the conditioning limit
   _EIG_COND_LIMIT ("eig") and once with a limit of 1.0, which sends every
-  block to the eig fallback ("fallback").
+  block to the eig fallback ("fallback");
+- "collision": at BasisSpec(6, 3), (12, 6) and (24, 6), the gain matrices K1
+  and K of both panel rules (_gain_matrices), the kernel refinement delta,
+  the nu blocks of _degree_blocks and the sector blocks L_sector and
+  L1_sector;
+- "gamma": the Gamma tensor, chi_sub and change_of_basis, and L_sub and L1_sub
+  (tests/oracles.py::sub_operators) at BasisSpec(12, 6).
 
 Run it on two checkouts and compare the objects.  The bits depend on the
 BLAS build and the host, so only runs on one machine compare.  The script
@@ -35,7 +43,7 @@ import os
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CROSSING_EPS = (0.2, 0.1, 0.05, 0.02, 0.0125, 0.01)
 # (s, eps) in the low, mid and high split regime of the electromagnetic generator
@@ -109,6 +117,39 @@ def mode_digests(cm) -> dict:
     return out
 
 
+def collision_digests(cm) -> dict:
+    """Digests of the collision assembly on cm's basis: both panel rules' gain
+    matrices, the kernel refinement delta, the nu blocks and the sector blocks."""
+    from kslab.collision_ops import _degree_blocks, _gain_matrices
+
+    top = cm.basis.spec.angular_max
+    nu = _degree_blocks(cm.basis, top).nu
+    return {
+        "gain": value_digest(*(mats[l] for rule in _gain_matrices(cm.basis, top)
+                               for mats in rule for l in sorted(mats))),
+        "delta": value_digest(cm.kernel_refinement_delta),
+        "nu": value_digest(*(nu[l] for l in sorted(nu))),
+        "sectors": value_digest(*(blocks[k] for blocks in (cm.L_sector, cm.L1_sector)
+                                  for k in sorted(blocks))),
+    }
+
+
+def gamma_digests(cm) -> dict:
+    """Digests of cm's Gamma tensor, chi_sub and change of basis, and of the
+    sub-basis operators L_sub and L1_sub on cm's basis (tests/oracles.py)."""
+    if str(ROOT / "tests") not in sys.path:
+        sys.path.insert(0, str(ROOT / "tests"))
+    from oracles import sub_operators
+
+    gamma = cm.gamma
+    return {
+        "tensor": value_digest(gamma.tensor),
+        "chi_sub": value_digest(gamma.chi_sub),
+        "change_of_basis": value_digest(gamma.change_of_basis),
+        "sub_operators": value_digest(*sub_operators(cm)),
+    }
+
+
 def science_digests(bases: dict) -> dict:
     """The transport, crossing and mode sections for collision data by basis name;
     the modes run on the first basis."""
@@ -122,13 +163,13 @@ def science_digests(bases: dict) -> dict:
 def main() -> None:
     for var in BLAS_VARS:
         os.environ[var] = "1"
-    sys.path.insert(0, str(SRC))
+    sys.path.insert(0, str(ROOT / "src"))
     from kslab import convergence_lab as cl
     from kslab.collision_ops import assemble_collision
     from kslab.velocity_basis import BasisSpec, build_basis
 
-    bases = {f"({n}, {l})": assemble_collision(build_basis(BasisSpec(n, l)), build_gamma=False)
-             for n, l in ((6, 3), (12, 6))}
+    bases = {f"({n}, {l})": assemble_collision(build_basis(BasisSpec(n, l)), gamma)
+             for n, l, gamma in ((6, 3, False), (12, 6, True), (24, 6, False))}
     cm = bases["(6, 3)"]
     wp, generic = (cl.ExperimentConfig(data_kind=kind) for kind in ("well_prepared", "generic"))
     reports = {
@@ -140,7 +181,10 @@ def main() -> None:
         "oscillatory_decay": cl.oscillatory_decay_check(),
     }
     digests = {"reports": {name: report_digest(r) for name, r in reports.items()}}
-    print(json.dumps({**digests, **science_digests(bases)}, indent=2))
+    science = science_digests({name: bases[name] for name in ("(6, 3)", "(12, 6)")})
+    assembly = {"collision": {name: collision_digests(c) for name, c in bases.items()},
+                "gamma": gamma_digests(bases["(12, 6)"])}
+    print(json.dumps({**digests, **science, **assembly}, indent=2))
 
 
 if __name__ == "__main__":
