@@ -38,6 +38,7 @@ from .fluid_limits import (  # noqa: F401
     linear_nsmf_solve,
     p_split,
     transport_coefficients,
+    truncation_deltas,
     y1_decay_experiment,
     y2_decay_experiment,
 )

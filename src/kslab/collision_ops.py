@@ -20,7 +20,7 @@ so the moments are the same bits either way.  One per-degree builder,
 _degree_blocks, makes the gain, nu and collision blocks of the Legendre
 degrees up to a top degree and runs that check on each of them.
 assemble_collision builds every degree of the basis; the refined pass of
-fluid_limits.transport_coefficients builds only the degrees l <= 2 that its
+fluid_limits.truncation_deltas builds only the degrees l <= 2 that its
 quadratic forms read.  The quadrature is sized by the basis, not by the top
 degree, so a degree's blocks are the same bits whatever the top degree.
 

@@ -69,6 +69,7 @@ from .fluid_limits import (
     _hydro_vectors,
     p_split,
     transport_coefficients,
+    truncation_deltas,
 )
 from .mode_operators import (
     _SPLIT_R0,
@@ -586,7 +587,7 @@ def _report(experiment: str, cfg: ExperimentConfig, cm: CollisionMatrices, eps, 
         "kappa1": tc.kappa1,
         "sound_speed": _SOUND_SPEED,
         "branch_rates": {str(j): tc.a_list[j] for j in sorted(tc.a_list)},
-        "truncation_delta": dict(tc.truncation_delta),
+        "truncation_delta": dict(truncation_deltas(cm)),
         "split_radii": {"r0": _SPLIT_R0, "r1": _SPLIT_R1},
         "aggregation_radius": _REGIME_RADIUS,
         "seed": cfg.seed,

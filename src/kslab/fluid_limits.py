@@ -35,7 +35,10 @@ _core_values, with the hydrodynamic directions h0, ht1 and h+- and the sound
 speed _SOUND_SPEED, are the one source of the transport coefficients and of
 dispersion.expansion_coefficients, which read one pass of them per collision
 set (_own_core_values); a basis whose angular_max is below 2 truncates the
-degree-2 forms away, and both refuse it.
+degree-2 forms away, and both refuse it.  truncation_deltas reads that pass
+too and compares it with the same forms at radial order + 6; the refined
+pass runs only when it is called, once per collision set, so the transport
+coefficients build no basis and run no kernel quadrature of their own.
 
 Bad input fails at the boundary with FluidError, the module's documented
 error: times, wave numbers, mode data and forcing values that are not finite
@@ -89,7 +92,6 @@ class TransportCoefficients:
     kappa1: float
     eta: float
     a_list: dict[int, float]
-    truncation_delta: dict[str, float]
 
 
 def _core_values(basis, L_sector: dict[int, np.ndarray],
@@ -129,9 +131,9 @@ def _core_values(basis, L_sector: dict[int, np.ndarray],
 
 def _own_core_values(cm: CollisionMatrices, error: type) -> dict[str, float]:
     """_core_values on the sector blocks of cm: one pass per collision set, read by
-    transport_coefficients and dispersion.expansion_coefficients.  Raises the
-    caller's error when the basis stops below Legendre degree 2, where the
-    kappa0 and a+-1 forms live."""
+    transport_coefficients, truncation_deltas and dispersion.expansion_coefficients.
+    Raises the caller's error when the basis stops below Legendre degree 2,
+    where the kappa0 and a+-1 forms live."""
     if cm.basis.spec.angular_max < 2:
         raise error(f"the transport forms need angular_max >= 2, "
                     f"got {cm.basis.spec.angular_max}")
@@ -144,37 +146,50 @@ def transport_coefficients(cm: CollisionMatrices) -> TransportCoefficients:
     """Transport coefficients of the Navier-Stokes-Maxwell limit, cached on cm.
 
     kappa0, kappa1, eta and the branch curvatures a_j are the forms of
-    _core_values on the sector blocks of cm.  truncation_delta holds
-    |value - refined value| for kappa0, kappa1, eta and a1, the refined value
-    taken at radial order + 6 with the same angular_max (so the same
-    quadrature).  The refined pass builds only the degrees l <= 2 the forms
-    read (collision_ops._degree_blocks, which also runs the kernel refinement
-    check on each of them), not a whole CollisionMatrices.  Raises
-    FluidError for cm that is not CollisionMatrices or whose angular_max is
-    below 2, and unless every coefficient is positive.
+    _core_values on the sector blocks of cm; their truncation deltas are
+    truncation_deltas(cm).  Raises FluidError for cm that is not
+    CollisionMatrices or whose angular_max is below 2, and unless every
+    coefficient is positive.
     """
     _check_record(cm, CollisionMatrices, FluidError)
     if "transport" in cm._cache:
         return cm._cache["transport"]
     core = _own_core_values(cm, FluidError)
-    spec = cm.basis.spec
-    refined = build_basis(BasisSpec(radial_order=spec.radial_order + 6,
-                                    angular_max=spec.angular_max))
-    clean = _degree_blocks(refined, 2).clean
-    fine = _core_values(refined, _sector_blocks(clean["L"]), _sector_blocks(clean["L1"]))
-    deltas = {k: abs(core[k] - fine[k]) for k in ("kappa0", "kappa1", "eta", "a1")}
     tc = TransportCoefficients(
         kappa0=core["kappa0"],
         kappa1=core["kappa1"],
         eta=core["eta"],
         a_list={-1: core["a_minus1"], 0: core["a0"], 1: core["a1"],
                 2: core["kappa0"], 3: core["kappa0"]},
-        truncation_delta=deltas,
     )
     if min(tc.kappa0, tc.kappa1, tc.eta, *tc.a_list.values()) <= 0:
         raise FluidError("transport coefficients must be strictly positive")
     cm._cache["transport"] = tc
     return tc
+
+
+def truncation_deltas(cm: CollisionMatrices) -> dict[str, float]:
+    """|value - refined value| of kappa0, kappa1, eta and a1, cached on cm.
+
+    The refined value is taken at radial order + 6 with the same angular_max
+    (so the same quadrature).  The refined pass builds only the degrees l <= 2
+    the forms read (collision_ops._degree_blocks, which also runs the kernel
+    refinement check on each of them and raises AssemblyError when it fails),
+    not a whole CollisionMatrices.  Raises FluidError, before it builds
+    anything, for cm that is not CollisionMatrices or whose angular_max is
+    below 2.
+    """
+    _check_record(cm, CollisionMatrices, FluidError)
+    core = _own_core_values(cm, FluidError)
+    if "truncation_deltas" not in cm._cache:
+        spec = cm.basis.spec
+        refined = build_basis(BasisSpec(radial_order=spec.radial_order + 6,
+                                        angular_max=spec.angular_max))
+        clean = _degree_blocks(refined, 2).clean
+        fine = _core_values(refined, _sector_blocks(clean["L"]), _sector_blocks(clean["L1"]))
+        cm._cache["truncation_deltas"] = {k: abs(core[k] - fine[k])
+                                          for k in ("kappa0", "kappa1", "eta", "a1")}
+    return cm._cache["truncation_deltas"]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,11 @@ and its readers are rate_fit, the decay fit, the transient check and the
 remainder fit.  The gain-kernel moments
 of every panel rule come from one pass of collision_ops._pair_kernel_moments:
 _gain_matrices calls it once, outside its loop over degrees, and
-reduced_kernel_tables is its only other reader.  And convergence_lab reads
+reduced_kernel_tables is its only other reader.  The per-degree collision
+blocks have one builder, collision_ops._degree_blocks: assemble_collision
+calls it for every degree, and fluid_limits.truncation_deltas, the only
+reader of the refined pass, for the degrees l <= 2 at radial order + 6;
+transport_coefficients builds no basis and no blocks.  And convergence_lab reads
 the sound speed from fluid_limits, so it does not import dispersion, and it
 builds every rate report in _report.  scipy.linalg serves the eig fallback
 only: its flow (expm, in mode_operators._fallback_flow) and its projector
@@ -182,6 +186,15 @@ def test_one_gain_kernel_pass():
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert len(calls) == 1 and loops
     assert not [loop for loop in loops for node in ast.walk(loop) if node is calls[0]]
+
+
+def test_one_degree_block_builder():
+    assert set(_where(_calls("_degree_blocks"))) == {
+        ("collision_ops", "assemble_collision"), ("fluid_limits", "truncation_deltas")}
+    # the refined basis is built in truncation_deltas alone, and only the
+    # reports read its deltas
+    assert set(_where(_calls("build_basis"))) == {("fluid_limits", "truncation_deltas")}
+    assert set(_where(_calls("truncation_deltas"))) == {("convergence_lab", "_report")}
 
 
 def test_convergence_lab_does_not_import_dispersion():

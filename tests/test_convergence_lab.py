@@ -24,9 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 import scipy.linalg as sl
 
+from kslab import collision_ops
 from kslab import convergence_lab as cl
+from kslab import fluid_limits as fl
 from kslab import mode_operators as mo
-from kslab.collision_ops import assemble_collision
+from kslab.collision_ops import AssemblyError, assemble_collision
 from kslab.fluid_limits import FluidError
 from kslab.velocity_basis import BasisSpec, _line_fit, build_basis, v_multiplication_matrix
 
@@ -718,6 +720,23 @@ class TestFirstOrder:
     def test_degree_one_basis_fails_before_any_propagation(self, monkeypatch):
         _fails_before_any_propagation(cl.first_order_experiment, monkeypatch)
 
+    def test_kernel_refinement_check_guards_the_truncation_notes(self, collision_small,
+                                                                 monkeypatch):
+        # the report's truncation deltas come from the refined pass, which
+        # refuses 12- and 24-point moments that disagree
+        cm = dataclasses.replace(collision_small, _cache={})
+        moments = collision_ops._pair_kernel_moments
+
+        def perturbed(ra, rb, lmax, rules):
+            out = moments(ra, rb, lmax, rules)
+            k1, _ = out[rules.index(12)]
+            k1[lmax] *= 1.0 + 1e-5
+            return out
+
+        monkeypatch.setattr(collision_ops, "_pair_kernel_moments", perturbed)
+        with pytest.raises(AssemblyError, match="not converged"):
+            cl.first_order_experiment(_small_cfg(data_kind="well_prepared"), cm)
+
 
 def _fails_before_any_propagation(experiment, monkeypatch):
     """The experiment refuses collision data whose basis stops at Legendre degree 1,
@@ -934,6 +953,14 @@ class TestReportSerialization:
         assert len(set(leaves)) == len(leaves)
         assert tool.collision_digests(collision_small) == collision
         assert tool.collision_digests(collision_default) != collision
+
+    @pytest.mark.parametrize("report", ["wp_report", "generic_report", "second_report",
+                                        "layer_report"])
+    def test_truncation_notes_are_the_truncation_deltas(self, request, collision_small,
+                                                        report):
+        notes = request.getfixturevalue(report).metadata["truncation_delta"]
+        assert notes == fl.truncation_deltas(collision_small)
+        assert notes is not fl.truncation_deltas(collision_small)
 
     def test_tier1_runs_at_the_tools_blas_threads(self):
         # tests/conftest.py sets these before numpy loads, unless the caller did

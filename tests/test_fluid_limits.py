@@ -1,9 +1,10 @@
 """Fluid-limit tests.
 
 Covers transport coefficients (positivity, branch identities, the frozen
-fixture), the heat-branch and field-system mode semigroups, the Helmholtz and
-compressible/incompressible splittings, the linear fluid-Maxwell mode solver
-with Duhamel forcing, and the aggregate decay-rate fits.
+fixture) and their truncation deltas, the heat-branch and field-system mode
+semigroups, the Helmholtz and compressible/incompressible splittings, the
+linear fluid-Maxwell mode solver with Duhamel forcing, and the aggregate
+decay-rate fits.
 """
 import dataclasses
 import functools
@@ -65,7 +66,8 @@ class TestTransportCoefficients:
     @pytest.mark.parametrize("first", ["transport", "expansion"])
     def test_forms_run_once_per_collision_set(self, collision_small, monkeypatch, first):
         # transport_coefficients and expansion_coefficients read one pass of
-        # _core_values on the set's own blocks; the refined pass is the other call
+        # _core_values on the set's own blocks; the refined pass of
+        # truncation_deltas is the other call, and only it makes that call
         cm = dataclasses.replace(collision_small, _cache={})
         own = []
         core_values = fl._core_values
@@ -79,6 +81,9 @@ class TestTransportCoefficients:
         for call in calls if first == "transport" else calls[::-1]:
             call()
             call()
+        assert sorted(own) == [True]
+        fl.truncation_deltas(cm)
+        fl.truncation_deltas(cm)
         assert sorted(own) == [False, True]
         tc = fl.transport_coefficients(cm)
         coeffs = expansion_coefficients(cm)
@@ -91,10 +96,25 @@ class TestTransportCoefficients:
         with pytest.raises(fl.FluidError, match="expected CollisionMatrices"):
             fl.transport_coefficients(basis_small if cm == "basis" else cm)
 
-    def test_truncation_deltas_small(self, tc):
-        assert set(tc.truncation_delta) == {"kappa0", "kappa1", "eta", "a1"}
-        for value in tc.truncation_delta.values():
+    def test_truncation_deltas_small(self, collision_default):
+        deltas = fl.truncation_deltas(collision_default)
+        assert set(deltas) == {"kappa0", "kappa1", "eta", "a1"}
+        for value in deltas.values():
             assert 0 <= value < 1e-6
+
+    def test_builds_no_basis_and_runs_no_kernel_moments(self, collision_small, monkeypatch):
+        # the refined pass belongs to truncation_deltas alone
+        cm = dataclasses.replace(collision_small, _cache={})
+        calls = []
+        for module, name in ((fl, "build_basis"), (collision_ops, "_pair_kernel_moments")):
+            def spy(*args, _name=name, _call=getattr(module, name)):
+                calls.append(_name)
+                return _call(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        fl.transport_coefficients(cm)
+        assert calls == []
+        assert "truncation_deltas" not in cm._cache
 
     def test_agrees_with_dispersion_route(self, tc, collision_default):
         assert tc.eta == pytest.approx(eta_coefficient(collision_default),
@@ -145,12 +165,13 @@ class TestKineticTheoryAnchors:
 
 
 class TestRefinedPass:
-    """The order + 6 pass builds only the degrees l <= 2 its forms read."""
+    """truncation_deltas: the order + 6 pass builds only the degrees l <= 2 its
+    forms read, once per collision set."""
 
     @pytest.mark.parametrize("cm_name", ["collision_small", "collision_default"])
     def test_deltas_match_full_refined_assembly(self, cm_name, request):
         cm = request.getfixturevalue(cm_name)
-        tc = fl.transport_coefficients(cm)
+        deltas = fl.truncation_deltas(cm)
         spec = cm.basis.spec
         refined = assemble_collision(
             build_basis(BasisSpec(spec.radial_order + 6, spec.angular_max)),
@@ -158,10 +179,10 @@ class TestRefinedPass:
         core = fl._core_values(cm.basis, cm.L_sector, cm.L1_sector)
         fine = fl._core_values(refined.basis, refined.L_sector, refined.L1_sector)
         for key in ("kappa0", "kappa1", "eta"):
-            assert tc.truncation_delta[key] == abs(core[key] - fine[key])
+            assert deltas[key] == abs(core[key] - fine[key])
         # a1 reads the rounding that v_multiplication_matrix leaves in degrees
         # l >= 3, which the full refined blocks see and the l <= 2 ones do not
-        assert abs(tc.truncation_delta["a1"] - abs(core["a1"] - fine["a1"])) \
+        assert abs(deltas["a1"] - abs(core["a1"] - fine["a1"])) \
             <= 4e-15 * core["a1"]
 
     def test_refined_pass_builds_degrees_up_to_two(self, collision_small, monkeypatch):
@@ -181,9 +202,12 @@ class TestRefinedPass:
 
         monkeypatch.setattr(collision_ops, "_pair_kernel_moments", spy_moments)
         monkeypatch.setattr(CollisionMatrices, "__init__", spy_init)
-        fl.transport_coefficients(cm)
+        deltas = fl.truncation_deltas(cm)
         assert calls == [(2, (12, 24))]
         assert built == []
+        # once per collision set: a second call reads the cache
+        assert fl.truncation_deltas(cm) is deltas
+        assert calls == [(2, (12, 24))]
 
     def test_refined_pass_checks_kernel_refinement(self, collision_small, monkeypatch):
         cm = dataclasses.replace(collision_small, _cache={})
@@ -197,7 +221,17 @@ class TestRefinedPass:
 
         monkeypatch.setattr(collision_ops, "_pair_kernel_moments", perturbed)
         with pytest.raises(AssemblyError, match="not converged"):
-            fl.transport_coefficients(cm)
+            fl.truncation_deltas(cm)
+
+    def test_short_angular_basis_refused_before_the_refined_pass(self, monkeypatch):
+        cm = _angular_max_one()
+
+        def no_basis(spec):
+            raise AssertionError(f"built a basis at {spec}")
+
+        monkeypatch.setattr(fl, "build_basis", no_basis)
+        with pytest.raises(fl.FluidError, match="angular_max >= 2"):
+            fl.truncation_deltas(cm)
 
 
 class TestY1Mode:
@@ -909,6 +943,13 @@ _BAD_CALLS = {
         "cm-transport": lambda tc, b: fl.transport_coefficients(tc),
         # kappa0 and a+-1 read degree 2, which angular_max = 1 cuts away
         "angular-max-one": lambda tc, b: fl.transport_coefficients(_angular_max_one()),
+    },
+    "truncation_deltas": {
+        "cm-none": lambda tc, b: fl.truncation_deltas(None),
+        "cm-basis": lambda tc, b: fl.truncation_deltas(b),
+        "cm-transport": lambda tc, b: fl.truncation_deltas(tc),
+        # the forms it refines read degree 2; it refuses before building a basis
+        "angular-max-one": lambda tc, b: fl.truncation_deltas(_angular_max_one()),
     },
     "Y1_mode": {
         "t-nan": lambda tc, b: _y1(tc, b, t=math.nan),

@@ -20,6 +20,7 @@ import pytest
 import kslab
 from kslab.collision_ops import CollisionMatrices, GammaTensor
 from kslab.convergence_lab import InitialData
+from kslab.fluid_limits import TransportCoefficients
 from kslab.velocity_basis import Basis, Quadrature
 
 import oracles
@@ -74,6 +75,8 @@ def test_oracle_names_are_absent_from_the_library():
     (InitialData, ["width", "basis", "profile_macro", "profile_micro", "profile_field",
                    "boltzmann_macro", "boltzmann_micro", "vmb_macro", "vmb_micro",
                    "field_amp"]),
-], ids=["Basis", "Quadrature", "CollisionMatrices", "GammaTensor", "InitialData"])
+    (TransportCoefficients, ["kappa0", "kappa1", "eta", "a_list"]),
+], ids=["Basis", "Quadrature", "CollisionMatrices", "GammaTensor", "InitialData",
+        "TransportCoefficients"])
 def test_record_fields(record, names):
     assert [f.name for f in dataclasses.fields(record)] == names

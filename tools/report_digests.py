@@ -15,8 +15,8 @@ The other sections hold the sha256 of the exact values under the reports
 (science_digests) and of the assembly under those (collision_digests and
 gamma_digests):
 
-- "transport": the transport coefficients, their truncation deltas and
-  mu_estimate at BasisSpec(6, 3) and (12, 6);
+- "transport": the transport coefficients, their truncation deltas
+  (truncation_deltas) and mu_estimate at BasisSpec(6, 3) and (12, 6);
 - "crossing": crossing_location at six eps on both bases;
 - "modes": for B and A-tilde at a low, a mid and a high (s, eps) on
   BasisSpec(6, 3), propagate, spectrum (eigenvalues and residuals),
@@ -70,12 +70,12 @@ def value_digest(*values) -> str:
 
 def transport_digest(cm) -> str:
     """Digest of the transport coefficients, their truncation deltas and mu_estimate."""
-    from kslab.fluid_limits import transport_coefficients
+    from kslab.fluid_limits import transport_coefficients, truncation_deltas
 
     tc = transport_coefficients(cm)
+    deltas = truncation_deltas(cm)
     return value_digest(tc.kappa0, tc.kappa1, tc.eta, *(tc.a_list[j] for j in sorted(tc.a_list)),
-                        *(tc.truncation_delta[k] for k in sorted(tc.truncation_delta)),
-                        cm.mu_estimate)
+                        *(deltas[k] for k in sorted(deltas)), cm.mu_estimate)
 
 
 def crossing_digest(cm) -> str:
