@@ -610,7 +610,6 @@ class CollisionMatrices:
     L_sector: dict[int, np.ndarray]
     L1_sector: dict[int, np.ndarray]
     mu_estimate: float
-    raw_null_residuals: dict[str, float]
     gamma: GammaTensor
     kernel_refinement_delta: float
     _cache: dict = field(default_factory=dict, repr=False)
@@ -732,19 +731,14 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
     """Collision matrices of every Legendre degree of basis, with the Gamma
     tensor and its change of basis when build_gamma.
 
-    Keeps the sector blocks, the spectral gap estimate and two assembly
-    diagnostics: the kernel refinement delta and the norms of the raw
-    blocks' null columns.  Raises ValueError for a basis that is not a Basis
-    and a build_gamma that is not a bool.
+    Keeps the sector blocks, the spectral gap estimate and the kernel
+    refinement delta.  Raises ValueError for a basis that is not a Basis and a
+    build_gamma that is not a bool.
     """
     _check_record(basis, Basis, ValueError)
     if not isinstance(build_gamma, (bool, np.bool_)):
         raise ValueError(f"build_gamma must be a bool, got {build_gamma!r}")
     blocks = _degree_blocks(basis, basis.spec.angular_max)
-
-    residuals = {f"{which}(n={n}, l={l})": float(np.linalg.norm(blocks.raw[which][l][:, n]))
-                 for which, degrees in _NULL_RADIAL.items()
-                 for l, radial in degrees.items() for n in radial}
 
     tensor = cmat = None
     if build_gamma:
@@ -756,7 +750,6 @@ def assemble_collision(basis: Basis, build_gamma: bool = True) -> CollisionMatri
         L_sector=_sector_blocks(blocks.clean["L"]),
         L1_sector=_sector_blocks(blocks.clean["L1"]),
         mu_estimate=_spectral_gap(blocks.clean["L"]),
-        raw_null_residuals=residuals,
         gamma=GammaTensor(_SUB_INDICES, tensor, _sub_invariants(), cmat),
         kernel_refinement_delta=blocks.delta,
     )

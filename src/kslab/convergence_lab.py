@@ -26,8 +26,10 @@ mode_operators._remainder_flow, which runs on the same block apply.  The
 compressible split is fluid_limits.p_split, which works on the last axis of
 any array.  _kinetic_errors reduces a grid to the incompressible error and
 the compressible L1 proxy per time.  The modes aggregate with H2 weights up to
-the cutoff set by _S_CAP and _REGIME_RADIUS.  _fit_eps_slopes holds the
-eps-slope fits and flags, and _report builds every rate report.
+the cutoff set by _S_CAP and _REGIME_RADIUS, the time grids start at _T_MIN,
+and the data profiles have the width _PROFILE_WIDTH: module constants, not
+options.  _fit_eps_slopes holds the eps-slope fits and flags, and _report
+builds every rate report, whose config records these constants and the norm.
 
 Every fitted rate is one least-squares line, velocity_basis._line_fit, which
 refuses fewer than four samples, a value that is not positive and degenerate
@@ -38,10 +40,12 @@ fits the log of the remainder's norms above 1e-12 against tau.
 The oscillatory decay check has no inputs of its own: its envelope
 (1 + s)^-4, its phase times, its front offsets and the radial cutoff of the
 wave integral are the module constants _envelope, _OSC_THETAS, _OSC_X_RATIOS
-and _OSC_R_CUT, which the report's config records.  The wave integral is
-order-10 Gauss on pieces of [0, _OSC_R_CUT] no wider than min(1, 8/|phase|),
-checked at 1e-7 against every piece bisected by the panel rule that the
-Duhamel integrals of fluid_limits use too (velocity_basis._panel_quadrature).
+and _OSC_R_CUT, which the report's config records.  The wave integral is one
+integral of the sphere's exact kernel, e^{i theta r} r^2 sinc(|x| r) under the
+envelope, at every offset x: order-10 Gauss on pieces of [0, _OSC_R_CUT] no
+wider than min(1, 8/(|theta| + |x|)), checked at 1e-7 against every piece
+bisected by the panel rule that the Duhamel integrals of fluid_limits use too
+(velocity_basis._panel_quadrature).
 
 Bad input fails at the boundary with ConvergenceError: an experiment's
 configuration that is not an ExperimentConfig, collision data that is not
@@ -99,6 +103,10 @@ _SHAPE_KINDS = _DATA_KINDS + ("second_order",)
 # the mode aggregation's cutoff s_max(eps) = min(_S_CAP, _REGIME_RADIUS/eps - 1)
 _S_CAP = 4.0
 _REGIME_RADIUS = 0.6
+# the first time of every sweep's geometric grid, and the width w of the data
+# profiles (c0 + c2 s^2) exp(-s^2/(2w^2)); every rate report's config records both
+_T_MIN = 1e-3
+_PROFILE_WIDTH = 0.6
 
 # acceptance bands for the pass/fail flags
 _TOL_FIRST_SLOPE = 0.15
@@ -126,7 +134,8 @@ class ExperimentConfig:
     [0, s_max(eps)] with H2 weights, where s_max(eps) = min(_S_CAP,
     _REGIME_RADIUS/eps - 1) keeps every resolved mode inside the
     low-frequency regime; the neglected band carries only the (recorded) tail
-    mass of the data profiles.
+    mass of the data profiles.  The time grid runs geometrically from the
+    module constant _T_MIN to t_max.
 
     The tests cover t_max from 50 to 1e4: the smaller sweeps at 50, the
     rate reports and their frozen fixture at the default 100, and a
@@ -137,10 +146,8 @@ class ExperimentConfig:
     eps_list: tuple[float, ...] = _EPS_DEFAULT
     data_kind: str = "well_prepared"
     n_s: int = 48
-    t_min: float = 1e-3
     t_max: float = 1e2
     n_t: int = 25
-    profile_width: float = 0.6
     seed: int = 20230823
 
     def __post_init__(self):
@@ -150,9 +157,8 @@ class ExperimentConfig:
             raise ConvergenceError("eps_list must contain at least two finite positive values")
         eps = tuple(float(e) for e in eps)
         object.__setattr__(self, "eps_list", eps)
-        for name in ("t_min", "t_max", "profile_width"):
-            if not _finite(getattr(self, name)):
-                raise ConvergenceError(f"{name} must be a finite number")
+        if not _finite(self.t_max):
+            raise ConvergenceError("t_max must be a finite number")
         for name in ("n_s", "n_t", "seed"):
             if not _integer(getattr(self, name)):
                 raise ConvergenceError(f"{name} must be an integer")
@@ -164,20 +170,18 @@ class ExperimentConfig:
             raise ConvergenceError(
                 f"unknown data_kind {self.data_kind!r}: expected one of {', '.join(_DATA_KINDS)}"
             )
-        if not 0 < self.t_min < self.t_max:
-            raise ConvergenceError("time grid needs 0 < t_min < t_max")
+        if not 0 < _T_MIN < self.t_max:
+            raise ConvergenceError(f"time grid needs 0 < t_min < t_max, with t_min = {_T_MIN}")
         if self.n_t < 4:
             raise ConvergenceError("time grid needs at least four points")
         if self.n_s < 8:
             raise ConvergenceError("mode grid needs at least eight points")
-        if self.profile_width <= 0:
-            raise ConvergenceError("profile width must be positive")
 
     def as_dict(self) -> dict:
         return {**asdict(self), "eps_list": list(self.eps_list)}
 
     def t_grid(self) -> np.ndarray:
-        return np.geomspace(self.t_min, self.t_max, self.n_t)
+        return np.geomspace(_T_MIN, self.t_max, self.n_t)
 
     def s_max(self, eps: float) -> float:
         cap = min(_S_CAP, _REGIME_RADIUS / eps - 1.0)
@@ -241,14 +245,16 @@ def _positive_profile(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(0.5, 1.5, size=2)
 
 
-def _eval_profile(coefs: np.ndarray, width: float, s: np.ndarray) -> np.ndarray:
+def _eval_profile(coefs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The profile (c0 + c2 s^2) exp(-s^2/(2w^2)) at s, with w = _PROFILE_WIDTH."""
     s = np.asarray(s, dtype=float)
-    return (coefs[0] + coefs[1] * s**2) * np.exp(-0.5 * (s / width) ** 2)
+    return (coefs[0] + coefs[1] * s**2) * np.exp(-0.5 * (s / _PROFILE_WIDTH) ** 2)
 
 
 @dataclass
 class InitialData:
-    """Mode-wise initial states: radial profiles times fixed velocity shapes.
+    """Mode-wise initial states: radial profiles (_eval_profile, of width
+    _PROFILE_WIDTH) times fixed velocity shapes.
 
     The kinetic shape deliberately carries no axial-momentum component so the
     compressible part of generic data sits entirely in the density/heat
@@ -256,8 +262,6 @@ class InitialData:
     is then exact at t = 0.
     """
 
-    width: float
-    basis: object
     profile_macro: np.ndarray
     profile_micro: np.ndarray
     profile_field: np.ndarray
@@ -268,8 +272,8 @@ class InitialData:
     field_amp: np.ndarray
 
     def boltzmann_states(self, s: np.ndarray) -> np.ndarray:
-        pa = _eval_profile(self.profile_macro, self.width, s)
-        pb = _eval_profile(self.profile_micro, self.width, s)
+        pa = _eval_profile(self.profile_macro, s)
+        pb = _eval_profile(self.profile_micro, s)
         return (
             pa[:, None] * self.boltzmann_macro[None, :]
             + pb[:, None] * self.boltzmann_micro[None, :]
@@ -278,10 +282,10 @@ class InitialData:
     def vmb_states(self, s: np.ndarray) -> np.ndarray:
         """Electromagnetic states in the reduced layout (kinetic, X, Y)."""
         n = len(s)
-        dim = self.basis.dim
-        pa = _eval_profile(self.profile_macro, self.width, s)
-        pb = _eval_profile(self.profile_micro, self.width, s)
-        pf = _eval_profile(self.profile_field, self.width, s)
+        dim = self.vmb_macro.size
+        pa = _eval_profile(self.profile_macro, s)
+        pb = _eval_profile(self.profile_micro, s)
+        pf = _eval_profile(self.profile_field, s)
         out = np.zeros((n, dim + 4), dtype=complex)
         out[:, :dim] = (
             pa[:, None] * self.vmb_macro[None, :]
@@ -357,8 +361,6 @@ def make_initial_data(kind: str, cfg: ExperimentConfig,
         field_amp = np.zeros(4)
 
     return InitialData(
-        width=cfg.profile_width,
-        basis=basis,
         profile_macro=prof_a,
         profile_micro=prof_b,
         profile_field=prof_f,
@@ -458,28 +460,21 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
     out, keep = None, np.empty(len(s_nodes), dtype=bool)
     for lo in range(0, len(s_nodes), _MODE_CHUNK):
         chunk = slice(lo, lo + _MODE_CHUNK)
-        flow, keep[chunk] = _evolve_chunk(assemble, s_nodes[chunk], eps, cm,
-                                          states0[chunk], taus, failures)
-        if out is None:  # after the first chunk has freed its operators
+        ops = [assemble(float(s), eps, cm) for s in s_nodes[chunk]]
+        flow = _block_flow(ops, states0[chunk], taus)
+        growth, bad = _contraction_violations(np.stack([op.metric_diag for op in ops]),
+                                              states0[chunk], flow)
+        del ops  # the chunk's operators and records, freed before the result exists
+        for i in np.flatnonzero(bad):
+            failures.append({"eps": float(eps), "s": float(s_nodes[lo + i]),
+                             "reason": f"contraction violated ({growth[i]:.3e})"})
+        flow[bad] = 0.0
+        keep[chunk] = ~bad
+        if out is None:
             out = np.empty((len(taus), len(s_nodes), flow.shape[-1]), dtype=complex)
-        out[:, chunk] = flow
+        out[:, chunk] = flow.transpose(1, 0, 2)
         del flow  # freed before the next chunk runs
     return out, keep
-
-
-def _evolve_chunk(assemble: Callable, s_nodes: np.ndarray, eps: float,
-                  cm: CollisionMatrices, states0: np.ndarray, taus: np.ndarray,
-                  failures: list) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk of _evolve_grid: (n_t, n, dim) states and the keep mask."""
-    ops = [assemble(float(s), eps, cm) for s in s_nodes]
-    flow = _block_flow(ops, states0, taus)
-    growth, bad = _contraction_violations(np.stack([op.metric_diag for op in ops]),
-                                          states0, flow)
-    for i in np.flatnonzero(bad):
-        failures.append({"eps": float(eps), "s": float(s_nodes[i]),
-                         "reason": f"contraction violated ({growth[i]:.3e})"})
-    flow[bad] = 0.0
-    return flow.transpose(1, 0, 2), ~bad
 
 
 def _agg_weights(s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -536,7 +531,7 @@ def _kinetic_errors(kin: np.ndarray, f0: np.ndarray, s: np.ndarray, times: np.nd
 def _tail_mass(data: InitialData, cfg: ExperimentConfig, eps: float) -> float:
     """Data mass (squared, H2-weighted) beyond the aggregation cutoff."""
     lo = cfg.s_max(eps)
-    s = np.linspace(lo, lo + 8.0 * cfg.profile_width, 200)
+    s = np.linspace(lo, lo + 8.0 * _PROFILE_WIDTH, 200)
     w = np.full_like(s, s[1] - s[0])
     wq = _agg_weights(s, w)
     f = data.boltzmann_states(s)
@@ -595,7 +590,8 @@ def _report(experiment: str, cfg: ExperimentConfig, cm: CollisionMatrices, eps, 
     }
     if coverage:
         notes["coverage"] = 1.0 - len(failures) / (2 * cfg.n_s * len(cfg.eps_list))
-    config = {**cfg.as_dict(), "norm": "H2", "s_cap": _S_CAP, "regime_radius": _REGIME_RADIUS}
+    config = {**cfg.as_dict(), "norm": "H2", "s_cap": _S_CAP, "regime_radius": _REGIME_RADIUS,
+              "t_min": _T_MIN, "profile_width": _PROFILE_WIDTH}
     return ConvergenceReport(experiment, config, list(eps), t.tolist(), errors, metadata=notes)
 
 
@@ -739,7 +735,7 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices) -> dict:
 # initial layer
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre nodes on [0, 4 * profile_width], the tau = t/eps grid, and
+# Gauss-Legendre nodes on [0, 4 * _PROFILE_WIDTH], the tau = t/eps grid, and
 # the start of the power fit
 _N_LAYER = 240
 _N_TAU = 21
@@ -756,7 +752,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     Bessel function for the axial-momentum direction).  The outgoing shell
     vanishes exactly on the cone for pressure-type data, so the amplitude is
     maximised over a few offsets spanning the data's position-space width
-    cfg.profile_width.  Generic data fits a power of tau = t/eps;
+    _PROFILE_WIDTH.  Generic data fits a power of tau = t/eps;
     well-prepared data has no layer and the profile is compared against the
     scaled bulk error instead.
 
@@ -773,7 +769,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     tc = transport_coefficients(cm)
     basis = cm.basis
     data = make_initial_data(cfg.data_kind, cfg, cm)
-    s, w = _gauss_legendre(_N_LAYER, 4.0 * cfg.profile_width)
+    s, w = _gauss_legendre(_N_LAYER, 4.0 * _PROFILE_WIDTH)
     f0 = data.boltzmann_states(s)
 
     taus = np.linspace(0.0, _TAU_MAX, _N_TAU)
@@ -785,7 +781,7 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
 
     # front amplitude at each tau, the largest over the offsets past the cone;
     # sr[j, k, i] is s_i times the radius of (tau_j, offset_k)
-    offsets = np.linspace(0.0, 2.0, 5) / cfg.profile_width
+    offsets = np.linspace(0.0, 2.0, 5) / _PROFILE_WIDTH
     sr = np.add.outer(_SOUND_SPEED * taus, offsets)[..., None] * s
     c1 = kin @ basis.chi(1)
     ch = kin @ _hydro_vectors(basis)[1]
@@ -889,7 +885,7 @@ def second_order_experiment(cfg: ExperimentConfig,
         wq = _agg_weights(s, w)
         # the last time is the log-time mark of the boundedness check
         times_all = np.append(times, 10.0 * eps**2 * math.log(1.0 / eps))
-        prof = _eval_profile(data.profile_micro, data.width, s)
+        prof = _eval_profile(data.profile_micro, s)
 
         f0 = data.boltzmann_states(s)
         v0 = data.vmb_states(s)
@@ -937,29 +933,26 @@ _OSC_X_RATIOS = (0.0, 0.5, 1.0)
 _OSC_R_CUT = 120.0
 
 
-def _radial_phase_integral(kappa: float, m: int) -> complex:
-    """The half-line phase integral of e^{i kappa r} r^m under _envelope, cut off at
-    _OSC_R_CUT: order-10 Gauss on pieces no wider than min(1, 8/|kappa|), checked
-    at 1e-7 by velocity_basis._panel_quadrature."""
-    def values(rows, r):
-        return np.exp(1j * kappa * r) * _envelope(r) * r**m
-
-    cap = min(1.0, 8.0 / max(abs(kappa), 1.0))
-    return complex(_panel_quadrature([0.0, _OSC_R_CUT], cap, 10, 1e-7, values,
-                                     ConvergenceError)[0])
-
-
 def oscillatory_value(theta: float, x: float) -> complex:
-    """The radial wave integral at front offset |x|, via exact sphere kernels:
-    the envelope _envelope cut off at _OSC_R_CUT."""
+    """The radial wave integral at front offset |x| through the sphere's exact kernel,
+
+        4 pi int_0^_OSC_R_CUT e^{i theta r} _envelope(r) r^2 sinc(|x| r) dr,
+
+    one integral at every x, so nothing cancels as x goes to 0.  Order-10
+    Gauss on pieces no wider than min(1, 8/(|theta| + |x|)), checked at 1e-7 by
+    velocity_basis._panel_quadrature, which raises ConvergenceError for a
+    rough integrand or one that needs more nodes than its budget.
+    """
     if not (_finite(theta) and _finite(x)):
         raise ConvergenceError(f"wave integral needs finite theta and x, got {theta!r}, {x!r}")
     x = abs(x)
-    if x < 1e-12:
-        return 4.0 * math.pi * _radial_phase_integral(theta, 2)
-    k_plus = _radial_phase_integral(theta + x, 1)
-    k_minus = _radial_phase_integral(theta - x, 1)
-    return (2.0 * math.pi / (1j * x)) * (k_plus - k_minus)
+
+    def values(rows, r):
+        return np.exp(1j * theta * r) * _envelope(r) * r**2 * np.sinc(x * r / math.pi)
+
+    cap = min(1.0, 8.0 / max(abs(theta) + x, 1.0))
+    return 4.0 * math.pi * complex(_panel_quadrature([0.0, _OSC_R_CUT], cap, 10, 1e-7, values,
+                                                     ConvergenceError)[0])
 
 
 def oscillatory_decay_check() -> ConvergenceReport:

@@ -71,11 +71,13 @@ _CONSTRAINT_TOL = 1e-10
 _DUHAMEL_ORDER = 8
 _DUHAMEL_PANELS = 11
 # aggregate decay experiments: radial mode grid on [0, _DECAY_S_MAX], the fit
-# window per kind as geomspace arguments, and the heat profile width
+# window per kind as geomspace arguments, the heat profile width, and the
+# divisor of the field profile width eta / sqrt(2)
 _DECAY_N_S = 400
 _DECAY_S_MAX = 6.0
 _DECAY_WINDOWS = {"generic": (1.0, 1000.0, 25), "enhanced": (150.0, 3000.0, 25)}
 _Y1_PROFILE_WIDTH = 1.5
+_Y2_WIDTH_DIVISOR = math.sqrt(2.0)
 
 
 class FluidError(RuntimeError):
@@ -608,15 +610,15 @@ def _radial_grid():
     return s, w * s * s
 
 
-def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
-                        profile_width: float | None = None) -> DecayFit:
+def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic") -> DecayFit:
     """Aggregate field-system decay over a smooth radial mode profile.
 
     generic: order-one magnetic content excites the slow diffusive branch
     directly and the aggregate tracks the (1+t)^(-3/4) envelope.  Modes above
     the eigenvalue crossing only ring down at exp(-eta*t/2), so the profile
-    width defaults to sqrt(2) times the crossing wave number; that balance
-    keeps the diffusive branch in charge across the whole fit window.
+    exp(-s^2/(2w^2)) of both kinds has w = tc.eta / _Y2_WIDTH_DIVISOR, sqrt(2)
+    times the crossing wave number eta/2; that balance keeps the diffusive
+    branch in charge across the whole fit window.
 
     enhanced: no magnetic data, so the slow-branch weight is wave-number
     suppressed and the aggregate gains half a power of time.  The envelope
@@ -626,9 +628,7 @@ def y2_decay_experiment(tc: TransportCoefficients, kind: str = "generic",
     _check_record(tc, TransportCoefficients, FluidError)
     if not isinstance(kind, str) or kind not in _DECAY_WINDOWS:
         raise FluidError(f"unknown decay experiment kind: {kind}")
-    width = tc.eta / math.sqrt(2.0) if profile_width is None else profile_width
-    if not (_finite(width) and width > 0):
-        raise FluidError(f"profile width must be finite and positive, got {width!r}")
+    width = tc.eta / _Y2_WIDTH_DIVISOR
     times = np.geomspace(*_DECAY_WINDOWS[kind])
     s, w = _radial_grid()
     profile = np.exp(-0.5 * (s / width) ** 2)

@@ -11,8 +11,8 @@ whole center-of-mass grid with a quadrature product linearization.  A test
 that compares the two therefore checks the library against code the library
 does not share.  The others compute what only tests read: the Gram matrix of
 the velocity basis, the first Sonine approximations of the viscosity and
-the heat conductivity, the collision operators on the Hermite sub-basis, the
-bounds of nu(r)/(1 + r), the pointwise collision frequency and kernels
+the heat conductivity, the norms of the raw collision blocks' null columns,
+the collision operators on the Hermite sub-basis, the bounds of nu(r)/(1 + r), the pointwise collision frequency and kernels
 (nu_eval, kernel_eval) that the Galerkin gain blocks and nu are checked
 against, the weighted inner product and norm of a mode operator's metric,
 and the two resolvent scalars of the dispersion relations.  test_oracles.py
@@ -28,8 +28,8 @@ from scipy.special import roots_genlaguerre
 
 from kslab.collision_ops import (
     _N_HERM, _N_PANELS, _N_RAD, _PAIR_CHUNK, _PRODUCT_INDICES, _SQRT_2PI, _SUB_INDICES, _TWO_PI,
-    _burnett_sub_elements, _change_of_basis, _degree_blocks, _hermite_grid, _nu_of_r,
-    _sphere_rule, _sub_quadrature, _sub_table,
+    _NULL_RADIAL, _burnett_sub_elements, _change_of_basis, _degree_blocks, _hermite_grid,
+    _nu_of_r, _sphere_rule, _sub_quadrature, _sub_table,
 )
 from kslab.dispersion import (
     _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues, _solvers, eta_coefficient,
@@ -83,6 +83,16 @@ def sub_operators(cm):
                     lam[ia, ib] = raw[which][lmk_a[0]][na, nb]
         out.append(cmat @ lam @ cmat.T)
     return tuple(out)
+
+
+def raw_null_residuals(cm):
+    """The norms of the raw degree blocks' null columns, by "L(n=.., l=..)" and
+    "L1(n=.., l=..)": how far K - nu is from annihilating each collision
+    invariant before assembly zeroes its rows and columns."""
+    raw = _degree_blocks(cm.basis, cm.basis.spec.angular_max).raw
+    return {f"{which}(n={n}, l={l})": float(np.linalg.norm(raw[which][l][:, n]))
+            for which, degrees in _NULL_RADIAL.items()
+            for l, radial in degrees.items() for n in radial}
 
 
 def nu_bounds():

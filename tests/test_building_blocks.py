@@ -7,7 +7,9 @@ A kinetic decomposition has one form, the per-operator record of
 mode_operators._Decomposition: _decompose_stacked writes the records, and
 only _decomposition and _block_flow, which decomposes the operators that
 lack them, call it; _block_flow stacks the records itself and takes no
-stacked parts.  Each semigroup has one apply: mode_operators._block_flow for
+stacked parts.  The experiments' mode grids have one evolver,
+convergence_lab._evolve_grid, which assembles, flows and guards each chunk
+of modes itself.  Each semigroup has one apply: mode_operators._block_flow for
 the kinetic flow (the S3 remainder runs on it too; only the remainder norms
 take their own fallback flows), fluid_limits._heat_decay for the heat decay,
 the one reader of the heat rates, and fluid_limits._field_flow, the one
@@ -128,6 +130,15 @@ def test_one_decomposition_form():
     assert [a.arg for a in flow.args.args] == ["ops", "states0", "taus", "keep"]
 
 
+def test_one_grid_evolver():
+    # _evolve_grid runs its chunks itself: no chunk helper, and the only
+    # kinetic flow call of convergence_lab
+    assert not _where(lambda node: isinstance(node, ast.FunctionDef)
+                      and node.name == "_evolve_chunk")
+    assert [where for where in _where(_calls("_block_flow"))
+            if where[0] == "convergence_lab"] == [("convergence_lab", "_evolve_grid")]
+
+
 def test_scipy_linalg_only_on_the_fallback():
     fallback = {("mode_operators", "_fallback_flow"), ("mode_operators", "_schur_projector")}
     assert set(_where(_imports_scipy_linalg)) == fallback
@@ -160,7 +171,7 @@ def test_one_panel_rule():
     # neither module lays Gauss nodes of its own
     assert set(_where(_reads("_panel_quadrature"))) == {
         ("fluid_limits", "<module>"), ("fluid_limits", "_duhamel"),
-        ("convergence_lab", "<module>"), ("convergence_lab", "_radial_phase_integral")}
+        ("convergence_lab", "<module>"), ("convergence_lab", "oscillatory_value")}
     assert not {module for module, _ in _where(_reads("leggauss"))} & {
         "fluid_limits", "convergence_lab"}
 

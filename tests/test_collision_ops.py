@@ -426,7 +426,7 @@ class TestAssembledOperators:
                 assert np.linalg.eigvalsh(mat).max() < 1e-10
 
     def test_raw_null_residuals_small(self, collision_default):
-        for name, res in collision_default.raw_null_residuals.items():
+        for name, res in oracles.raw_null_residuals(collision_default).items():
             assert res < 1e-6, f"{name}: {res}"
 
     def test_enforced_null_columns_vanish(self, collision_default):

@@ -30,7 +30,9 @@ from kslab import fluid_limits as fl
 from kslab import mode_operators as mo
 from kslab.collision_ops import AssemblyError, assemble_collision
 from kslab.fluid_limits import FluidError
-from kslab.velocity_basis import BasisSpec, _line_fit, build_basis, v_multiplication_matrix
+from kslab.velocity_basis import (
+    BasisSpec, _line_fit, _panel_quadrature, build_basis, v_multiplication_matrix,
+)
 
 import oracles
 
@@ -191,20 +193,32 @@ class TestExperimentConfig:
     def test_reports_record_the_aggregation_constants(self, twin_reports):
         cfg = _small_cfg(data_kind="well_prepared")
         config = twin_reports[0].config
-        assert config == {**cfg.as_dict(), "norm": "H2", "s_cap": 4.0, "regime_radius": 0.6}
+        assert config == {**cfg.as_dict(), "norm": "H2", "s_cap": 4.0, "regime_radius": 0.6,
+                          "t_min": 1e-3, "profile_width": 0.6}
         # constants, not options: a config that sets them is rejected
         with pytest.raises(TypeError, match="unexpected keyword argument 'norm'"):
             cl.ExperimentConfig(**config)
 
     def test_grid_validation(self):
-        with pytest.raises(cl.ConvergenceError, match="t_min < t_max"):
-            cl.ExperimentConfig(t_min=2.0, t_max=1.0)
+        with pytest.raises(cl.ConvergenceError, match="0 < t_min < t_max"):
+            cl.ExperimentConfig(t_max=1e-4)
         with pytest.raises(cl.ConvergenceError, match="four points"):
             cl.ExperimentConfig(n_t=3)
         with pytest.raises(cl.ConvergenceError, match="eight points"):
             cl.ExperimentConfig(n_s=4)
-        with pytest.raises(cl.ConvergenceError, match="width"):
-            cl.ExperimentConfig(profile_width=0.0)
+
+    def test_removed_options_are_type_errors(self, collision_small):
+        # the time grid's first time and the profile widths are module
+        # constants: _T_MIN, _PROFILE_WIDTH and fluid_limits._Y2_WIDTH_DIVISOR
+        tc = cl.transport_coefficients(collision_small)
+        with pytest.raises(TypeError, match="unexpected keyword argument 't_min'"):
+            cl.ExperimentConfig(t_min=1e-2)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'profile_width'"):
+            cl.ExperimentConfig(profile_width=0.4)
+        with pytest.raises(TypeError, match="positional argument"):
+            fl.y2_decay_experiment(tc, "generic", 1.0)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'profile_width'"):
+            fl.y2_decay_experiment(tc, kind="generic", profile_width=1.0)
 
     def test_mode_cap_shrinks_with_eps(self):
         cfg = cl.ExperimentConfig()
@@ -214,9 +228,9 @@ class TestExperimentConfig:
             cfg.s_max(0.5)
 
     def test_t_grid_endpoints(self):
-        cfg = cl.ExperimentConfig(t_min=0.01, t_max=10.0, n_t=7)
+        cfg = cl.ExperimentConfig(t_max=10.0, n_t=7)
         grid = cfg.t_grid()
-        assert grid[0] == pytest.approx(0.01)
+        assert grid[0] == pytest.approx(cl._T_MIN)
         assert grid[-1] == pytest.approx(10.0)
         assert len(grid) == 7
 
@@ -348,6 +362,31 @@ class TestOscillatory:
         a = cl.oscillatory_value(3.0, 0.0)
         b = cl.oscillatory_value(3.0, 1e-6)
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("theta", [3.0, 10.0, 100.0, 1000.0])
+    def test_continuous_down_to_zero_offset(self, theta):
+        # one integral at every offset, so nothing cancels as x goes to 0
+        v0 = cl.oscillatory_value(theta, 0.0)
+        for x in (1e-11, 1e-9, 1e-7):
+            assert abs(cl.oscillatory_value(theta, x) - v0) <= 1e-8 * abs(v0)
+
+    @staticmethod
+    def _two_kernel_value(theta, x):
+        """(2 pi / (i x)) (K(theta + x) - K(theta - x)), K(k) the half-line
+        integral of e^{i k r} r under the envelope: the sphere kernel split in two."""
+        def kernel(kappa):
+            def values(rows, r):
+                return np.exp(1j * kappa * r) * cl._envelope(r) * r
+            cap = min(1.0, 8.0 / max(abs(kappa), 1.0))
+            return complex(_panel_quadrature([0.0, cl._OSC_R_CUT], cap, 10, 1e-7, values,
+                                             cl.ConvergenceError)[0])
+        return (2.0 * math.pi / (1j * x)) * (kernel(theta + x) - kernel(theta - x))
+
+    @pytest.mark.parametrize("theta", [3.0, 10.0, 100.0, 1000.0])
+    def test_matches_the_two_kernel_form_at_the_front(self, theta):
+        for x in (theta / 2.0, theta):
+            want = self._two_kernel_value(theta, x)
+            assert abs(cl.oscillatory_value(theta, x) - want) <= 1e-9 * abs(want)
 
     def test_monte_carlo_agreement(self):
         val = cl.oscillatory_value(5.0, 2.5)
@@ -811,8 +850,10 @@ class TestInitialLayer:
             -1.0, abs=0.2)
 
     @pytest.mark.parametrize("width", [0.4, 0.8])
-    def test_profile_width_sets_the_layer(self, collision_small, layer_report, width):
-        cfg = cl.ExperimentConfig(data_kind="generic", profile_width=width)
+    def test_profile_width_sets_the_layer(self, collision_small, layer_report, monkeypatch,
+                                          width):
+        monkeypatch.setattr(cl, "_PROFILE_WIDTH", width)
+        cfg = cl.ExperimentConfig(data_kind="generic")
         rep = cl.initial_layer_profile(cfg, collision_small)
         assert rep.config["profile_width"] == width
         assert rep.errors["layer_front"] != layer_report.errors["layer_front"]
@@ -954,6 +995,18 @@ class TestReportSerialization:
         assert tool.collision_digests(collision_small) == collision
         assert tool.collision_digests(collision_default) != collision
 
+    def test_digest_tool_on_the_fluid_flows(self, collision_small):
+        # the fluid section: the three decay experiments and one forced solve
+        tool = self._digest_tool()
+        got = tool.fluid_digests(collision_small)
+        assert sorted(got) == ["nsmf", "y1", "y2 enhanced", "y2 generic"]
+        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in got.values())
+        assert len(set(got.values())) == len(got)
+        assert tool.fluid_digests(collision_small) == got
+        modes = tool.nsmf_modes()
+        assert [m.s for m in modes] == list(tool.NSMF_S)
+        assert all(None not in (m.g1, m.g2, m.g3) for m in modes)
+
     @pytest.mark.parametrize("report", ["wp_report", "generic_report", "second_report",
                                         "layer_report"])
     def test_truncation_notes_are_the_truncation_deltas(self, request, collision_small,
@@ -1070,8 +1123,7 @@ _BAD_CALLS = {
         "eps-increasing": ("strictly decreasing", _config(eps_list=(0.05, 0.1))),
         "data-kind-unknown": ("unknown data_kind", _config(data_kind="second_order")),
         "data-kind-list": ("unknown data_kind", _config(data_kind=["generic"])),
-        "t-min-bool": ("t_min must be a finite number", _config(t_min=True)),
-        "t-min-above-t-max": ("0 < t_min < t_max", _config(t_min=2.0, t_max=1.0)),
+        "t-min-above-t-max": ("0 < t_min < t_max", _config(t_max=1e-4)),
         "n-s-fraction": ("n_s must be an integer", _config(n_s=16.5)),
         "n-s-bool": ("n_s must be an integer", _config(n_s=True)),
         "n-s-four": ("at least eight points", _config(n_s=4)),
@@ -1079,7 +1131,6 @@ _BAD_CALLS = {
         "n-t-fraction": ("n_t must be an integer", _config(n_t=4.5)),
         "seed-negative": ("seed must be nonnegative", _config(seed=-1)),
         "seed-float": ("seed must be an integer", _config(seed=1.0)),
-        "width-zero": ("profile width must be positive", _config(profile_width=0.0)),
         "eps-scalar": ("two finite positive", _config(eps_list=5)),
     },
     "rate_fit": {
@@ -1135,11 +1186,7 @@ _BAD_CALLS = {
     },
     "first_order_experiment": _experiment_rows(cl.first_order_experiment),
     "second_order_experiment": _experiment_rows(cl.second_order_experiment),
-    "initial_layer_profile": {
-        **_experiment_rows(cl.initial_layer_profile),
-        "width-nan": ("profile_width", lambda cm: cl.initial_layer_profile(
-            cl.ExperimentConfig(data_kind="generic", profile_width=math.nan), cm)),
-    },
+    "initial_layer_profile": _experiment_rows(cl.initial_layer_profile),
     "transient_rate_check": _experiment_rows(cl.transient_rate_check),
     "oscillatory_value": {
         "theta-nan": ("finite theta and x", lambda cm: cl.oscillatory_value(math.nan, 0.5)),

@@ -19,7 +19,7 @@ import pytest
 
 import kslab
 from kslab.collision_ops import CollisionMatrices, GammaTensor
-from kslab.convergence_lab import InitialData
+from kslab.convergence_lab import ExperimentConfig, InitialData
 from kslab.fluid_limits import TransportCoefficients
 from kslab.velocity_basis import Basis, Quadrature
 
@@ -57,7 +57,7 @@ def test_oracle_names_are_absent_from_the_library():
             "gamma_full_grid", "crossing_discriminant", "crossing_by_bracket",
             "pair_kernel_moments_by_rule", "nu_eval", "kernel_eval", "weighted_inner",
             "weighted_norm", "resolvent_scalars", "ResolventScalars",
-            "first_sonine_forms"} <= defined
+            "first_sonine_forms", "raw_null_residuals"} <= defined
     kept_out = defined | {"eigenvalues", "eigen_condition", "from_mapping", "laguerre_rows",
                           "transverse_seeds", "split_regime"}
     namespaces = dict(_library_namespaces())
@@ -69,14 +69,14 @@ def test_oracle_names_are_absent_from_the_library():
 @pytest.mark.parametrize("record, names", [
     (Basis, ["spec", "quad", "radial_tables", "ang0", "ang1", "_v_cache"]),
     (Quadrature, ["r", "wr", "wr_half", "c", "wc"]),
-    (CollisionMatrices, ["basis", "L_sector", "L1_sector", "mu_estimate",
-                         "raw_null_residuals", "gamma", "kernel_refinement_delta", "_cache"]),
+    (CollisionMatrices, ["basis", "L_sector", "L1_sector", "mu_estimate", "gamma",
+                         "kernel_refinement_delta", "_cache"]),
     (GammaTensor, ["indices", "tensor", "chi_sub", "change_of_basis"]),
-    (InitialData, ["width", "basis", "profile_macro", "profile_micro", "profile_field",
-                   "boltzmann_macro", "boltzmann_micro", "vmb_macro", "vmb_micro",
-                   "field_amp"]),
+    (InitialData, ["profile_macro", "profile_micro", "profile_field", "boltzmann_macro",
+                   "boltzmann_micro", "vmb_macro", "vmb_micro", "field_amp"]),
     (TransportCoefficients, ["kappa0", "kappa1", "eta", "a_list"]),
+    (ExperimentConfig, ["eps_list", "data_kind", "n_s", "t_max", "n_t", "seed"]),
 ], ids=["Basis", "Quadrature", "CollisionMatrices", "GammaTensor", "InitialData",
-        "TransportCoefficients"])
+        "TransportCoefficients", "ExperimentConfig"])
 def test_record_fields(record, names):
     assert [f.name for f in dataclasses.fields(record)] == names

@@ -12,8 +12,8 @@ layer on generic data), the initial layer on well-prepared data and
 oscillatory_decay_check(), and prints one JSON object.  Its "reports" section
 holds, per report, the sha256 of its to_json() followed by its csv_rows().
 The other sections hold the sha256 of the exact values under the reports
-(science_digests) and of the assembly under those (collision_digests and
-gamma_digests):
+(science_digests), of the fluid flows (fluid_digests) and of the assembly
+under those (collision_digests and gamma_digests):
 
 - "transport": the transport coefficients, their truncation deltas
   (truncation_deltas) and mu_estimate at BasisSpec(6, 3) and (12, 6);
@@ -24,6 +24,10 @@ gamma_digests):
   parts) and the split's _remainder_flow; once with the conditioning limit
   _EIG_COND_LIMIT ("eig") and once with a limit of 1.0, which sends every
   block to the eig fallback ("fallback");
+- "fluid": on the transport coefficients of BasisSpec(6, 3), the norms and
+  exponent of y1_decay_experiment and of y2_decay_experiment for both kinds,
+  and one linear_nsmf_solve of three forced modes (NSMF_MODES) at
+  NSMF_TIMES, every array it returns;
 - "collision": at BasisSpec(6, 3), (12, 6) and (24, 6), the gain matrices K1
   and K of both panel rules (_gain_matrices), the kernel refinement delta,
   the nu blocks of _degree_blocks and the sector blocks L_sector and
@@ -48,6 +52,10 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CROSSING_EPS = (0.2, 0.1, 0.05, 0.02, 0.0125, 0.01)
 # (s, eps) in the low, mid and high split regime of the electromagnetic generator
 MODE_POINTS = {"low": (1.0, 0.04), "mid": (1.3, 0.2), "high": (25.0, 0.5)}
+# the forced linear_nsmf_solve: wave numbers on both sides of the branch
+# crossing, every forcing on, and the times it reports
+NSMF_S = (0.05, 0.6, 2.5)
+NSMF_TIMES = (0.0, 0.5, 2.0, 8.0)
 
 
 def report_digest(report) -> str:
@@ -117,6 +125,44 @@ def mode_digests(cm) -> dict:
     return out
 
 
+def nsmf_modes() -> list:
+    """The forced modes of the "fluid" section: one per NSMF_S on the default
+    direction, with data that meets every constraint and all three forcings."""
+    import math
+
+    import numpy as np
+    from kslab.fluid_limits import NsmfMode
+
+    def g1(tau):
+        return np.array([0.1 * math.cos(tau), math.cos(tau), 0.2 * math.sin(tau)])
+
+    def g3(tau):
+        return np.array([0.0, 0.3 * math.exp(-0.5 * tau), 0.1])
+
+    e0 = np.array([0.2, 0.3, -0.2], complex)
+    return [NsmfMode(s=s, n0=-math.sqrt(2.0 / 3.0) * 0.5, m0=np.array([0.0, 1.0, 0.5], complex),
+                     q0=0.5, rho0=1j * s * e0[0], E0=e0, B0=np.array([0.0, 0.1, 0.4], complex),
+                     g1=g1, g2=lambda tau: math.exp(-tau), g3=g3)
+            for s in NSMF_S]
+
+
+def fluid_digests(cm) -> dict:
+    """Digests of the fluid flows on cm's transport coefficients: each decay
+    experiment's norms and exponent, and the forced linear_nsmf_solve."""
+    import numpy as np
+    from kslab.fluid_limits import (
+        linear_nsmf_solve, transport_coefficients, y1_decay_experiment, y2_decay_experiment,
+    )
+
+    tc = transport_coefficients(cm)
+    fits = {"y1": y1_decay_experiment(tc),
+            **{f"y2 {kind}": y2_decay_experiment(tc, kind) for kind in ("generic", "enhanced")}}
+    out = {name: value_digest(fit.norms, fit.exponent) for name, fit in fits.items()}
+    solved = linear_nsmf_solve(nsmf_modes(), np.array(NSMF_TIMES), tc)
+    out["nsmf"] = value_digest(*(solved[key] for key in sorted(solved)))
+    return out
+
+
 def collision_digests(cm) -> dict:
     """Digests of the collision assembly on cm's basis: both panel rules' gain
     matrices, the kernel refinement delta, the nu blocks and the sector blocks."""
@@ -182,6 +228,7 @@ def main() -> None:
     }
     digests = {"reports": {name: report_digest(r) for name, r in reports.items()}}
     science = science_digests({name: bases[name] for name in ("(6, 3)", "(12, 6)")})
+    science["fluid"] = fluid_digests(cm)
     assembly = {"collision": {name: collision_digests(c) for name, c in bases.items()},
                 "gamma": gamma_digests(bases["(12, 6)"])}
     print(json.dumps({**digests, **science, **assembly}, indent=2))
