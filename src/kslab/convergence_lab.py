@@ -8,28 +8,31 @@ Each experiment returns a ConvergenceReport whose JSON and CSV forms are
 byte-stable for a fixed configuration and seed.
 
 The rate experiments share one set of pieces.  Each runs its own eps loop
-and propagates the modes of a sweep with _evolve_grid, giving
-(n_t, n_s, dim) state grids.  It works in chunks of _MODE_CHUNK modes, so
-its working set beyond the result does not grow with n_s: per chunk,
-mode_operators._block_flow decomposes the generators, one stacked eig per
-block, and applies their records, and the contraction guard that
-mode_operators.propagate uses too checks the states.  Each of these steps
-works mode by mode, so the chunks leave the states bit for bit those of one
-stack.  Each error stream evaluates its
-own fluid reference: _kinetic_errors the kinetic heat flow
+and propagates the modes of a sweep with _evolve_grid in chunks of
+_MODE_CHUNK modes: per chunk, mode_operators._block_flow decomposes the
+generators, one stacked eig per block, and applies their records, and the
+contraction guard that mode_operators.propagate uses too checks the states.
+Each of these steps works mode by mode, so the chunks leave the states bit
+for bit those of one stack.  No experiment holds the (n_t, n_s, dim) states
+of all its modes: _evolve_grid hands each chunk's (n_t, chunk, dim) states
+to the experiment's reducer, which keeps only per-(t, mode) tables, and the
+mode integrals then run once on the whole tables, so the working set is one
+chunk's whatever n_s is.  Each error table evaluates its own fluid
+reference on the chunk: _kinetic_tables the kinetic heat flow
 fluid_limits._heat_flow (on the one heat decay, fluid_limits._heat_decay),
-one block of time rows at a time, and _field_errors the damped-Maxwell flow
-fluid_limits._field_flow, a whole grid, measured in the electromagnetic
-metric fluid_limits._field_sq, whose charge counts 1 + 1/s^2.
-transient_rate_check takes the remainder of a semigroup split through
-mode_operators._remainder_flow, which runs on the same block apply.  The
-compressible split is fluid_limits.p_split, which works on the last axis of
-any array.  _kinetic_errors reduces a grid to the incompressible error and
-the compressible L1 proxy per time.  The modes aggregate with H2 weights up to
-the cutoff set by _S_CAP and _REGIME_RADIUS, the time grids start at _T_MIN,
-and the data profiles have the width _PROFILE_WIDTH: module constants, not
-options.  _fit_eps_slopes holds the eps-slope fits and flags, and _report
-builds every rate report, whose config records these constants and the norm.
+one block of at most _ROW_STATES states at a time, and _field_table the
+damped-Maxwell flow fluid_limits._field_flow, measured in the
+electromagnetic metric fluid_limits._field_sq, whose charge counts
+1 + 1/s^2.  transient_rate_check takes the remainder of a semigroup split
+through mode_operators._remainder_flow, which runs on the same block apply.
+The compressible split is fluid_limits.p_split, which works on the last axis
+of any array; _kinetic_tables reduces it to the squared incompressible error
+and the compressible norm per (t, mode).  The modes aggregate with H2
+weights up to the cutoff set by _S_CAP and _REGIME_RADIUS, the time grids
+start at _T_MIN, and the data profiles have the width _PROFILE_WIDTH: module
+constants, not options.  _fit_eps_slopes holds the eps-slope fits and flags,
+and _report builds every rate report, whose config records these constants
+and the norm.
 
 Every fitted rate is one least-squares line, velocity_basis._line_fit, which
 refuses fewer than four samples, a value that is not positive and degenerate
@@ -435,46 +438,50 @@ class ConvergenceReport:
 # kinetic propagation helpers
 # ---------------------------------------------------------------------------
 
-# modes per decomposition chunk: the default n_s, so a rate-report grid is one
-# chunk and the 240-mode layer grid five
-_MODE_CHUNK = 48
+# modes per decomposition chunk: each chunk's states reduce to their per-mode
+# tables before the next chunk runs, so the working set is one chunk's
+_MODE_CHUNK = 16
+# states per row block of the kinetic reduction: the split and the heat flow
+# of a block are what _kinetic_tables holds beside the chunk
+_ROW_STATES = 512
 
 
 def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
-                 cm: CollisionMatrices, states0: np.ndarray,
-                 times: np.ndarray, failures: list) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate every mode; returns (n_t, n_s, dim) states and a keep mask.
+                 cm: CollisionMatrices, states0: np.ndarray, times: np.ndarray,
+                 failures: list, reduce: Callable) -> np.ndarray:
+    """Propagate every mode, one chunk at a time, into ``reduce``; returns the keep mask.
 
-    The modes run in chunks of _MODE_CHUNK, each written straight into the
-    result, so the working set beyond the result does not grow with the grid.
-    The modes share one block layout: per chunk, _block_flow decomposes them
-    in one stacked eig per block and applies their records at once,
-    e^{tau A_b} by scaling and squaring on any block whose eigenvectors fail
-    the conditioning limit.  Every step works
+    Each chunk of _MODE_CHUNK modes goes to reduce(chunk, states), with
+    ``chunk`` its slice of s_nodes and ``states`` its contiguous
+    (n_t, len, dim) states, which reduce may overwrite.  No grid of all modes
+    is built: reduce keeps the chunk's per-mode tables, and the states are
+    freed before the next chunk runs.  The modes share one block layout: per
+    chunk, _block_flow decomposes them in one stacked eig per block and
+    applies their records at once, e^{tau A_b} by scaling and squaring on any
+    block whose eigenvectors fail the conditioning limit.  Every step works
     per mode (eig and inv per matrix, the batched products per mode, the
     conditioning gate and the contraction guard per row), so the chunks give
     the states of one stack bit for bit.  A mode that fails the contraction
     guard is dropped: its states are zero and ``failures`` records it.
     """
     taus = np.asarray(times, dtype=float) / eps**2
-    out, keep = None, np.empty(len(s_nodes), dtype=bool)
+    keep = np.empty(len(s_nodes), dtype=bool)
     for lo in range(0, len(s_nodes), _MODE_CHUNK):
         chunk = slice(lo, lo + _MODE_CHUNK)
         ops = [assemble(float(s), eps, cm) for s in s_nodes[chunk]]
         flow = _block_flow(ops, states0[chunk], taus)
         growth, bad = _contraction_violations(np.stack([op.metric_diag for op in ops]),
                                               states0[chunk], flow)
-        del ops  # the chunk's operators and records, freed before the result exists
+        del ops  # the chunk's operators and records, freed before its states are reduced
         for i in np.flatnonzero(bad):
             failures.append({"eps": float(eps), "s": float(s_nodes[lo + i]),
                              "reason": f"contraction violated ({growth[i]:.3e})"})
         flow[bad] = 0.0
         keep[chunk] = ~bad
-        if out is None:
-            out = np.empty((len(taus), len(s_nodes), flow.shape[-1]), dtype=complex)
-        out[:, chunk] = flow.transpose(1, 0, 2)
+        flow = np.ascontiguousarray(flow.transpose(1, 0, 2))
+        reduce(chunk, flow)
         del flow  # freed before the next chunk runs
-    return out, keep
+    return keep
 
 
 def _agg_weights(s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -482,50 +489,52 @@ def _agg_weights(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w * s**2 * (1.0 + s**2) ** 2
 
 
+def _norm_sq(states: np.ndarray) -> np.ndarray:
+    """Squared norm of every mode state (..., dim) along the last axis."""
+    return np.sum(np.abs(states) ** 2, axis=-1)
+
+
 def _mode_l2(states: np.ndarray, wq: np.ndarray) -> np.ndarray:
     """Aggregated norm of mode states (..., n_s, dim) under the weights wq."""
-    return np.sqrt(np.sum(np.abs(states) ** 2, axis=-1) @ wq)
+    return np.sqrt(_norm_sq(states) @ wq)
 
 
-def _field_errors(kin: np.ndarray, eta: float, s: np.ndarray, times: np.ndarray,
-                  rho, fields, wq: np.ndarray) -> np.ndarray:
-    """Per-time electromagnetic error of (n_t, n_s, dim + 4) states (kinetic, X, Y).
+def _field_table(kin: np.ndarray, eta: float, s: np.ndarray, times: np.ndarray,
+                 rho, x2, x3, y2, y3) -> np.ndarray:
+    """Per-(t, mode) squared electromagnetic error of (n_t, m, dim + 4) states
+    (kinetic, X, Y) at the m wave numbers s.
 
     The fluid state of a mode is the damped-Maxwell flow (_field_flow) of its
     initial charge rho and reduced fields (X2, X3, Y2, Y3) at times: the charge
     in kinetic coordinate 0, the fields in the last four, and zero elsewhere.
-    The errors aggregate under _field_sq with the weights wq, which are zero on
-    dropped modes.
+    The error is measured by _field_sq; the states are overwritten.
     """
-    flow = _field_flow(eta, s, times, rho, *fields)
-    diff = kin.copy()
-    diff[..., 0] -= flow[..., 0]
-    diff[..., -4:] -= flow[..., 1:]
-    return np.sqrt(_field_sq(diff, s) @ wq)
+    flow = _field_flow(eta, s, times, rho, x2, x3, y2, y3)
+    kin[..., 0] -= flow[..., 0]
+    kin[..., -4:] -= flow[..., 1:]
+    return _field_sq(kin, s)
 
 
-def _kinetic_errors(kin: np.ndarray, f0: np.ndarray, s: np.ndarray, times: np.ndarray,
-                    tc, wq: np.ndarray, wl: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
-    """Per-time incompressible error and compressible amplitude of (n_t, n_s, dim) states.
+def _kinetic_tables(kin: np.ndarray, f0: np.ndarray, s: np.ndarray, times: np.ndarray,
+                    tc, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Per-(t, mode) squared incompressible error and compressible norm of
+    (n_t, m, dim) states at the m wave numbers s.
 
-    The error aggregates f_perp - (the heat flow of the modes f0 at times)
-    with the Sobolev weights wq; the amplitude is the L1 mode integral of
-    |f_par| with the weights wl, the labelled upper proxy for the supremum
-    norm.  The split and the heat flow run on blocks of time rows holding
-    about as many states as an n_s = _MODE_CHUNK grid, so no whole fluid grid
-    is held.  Each row's sums are those of the whole grid (the heat flow too
-    is the same bits per row), and the mode integrals run once.
+    The error is f_perp - (the heat flow of the modes f0 (m, dim) at times);
+    the norm is that of f_par, whose L1 mode integral is the labelled upper
+    proxy for the supremum norm.  The split and the heat flow run on blocks
+    of time rows holding at most _ROW_STATES states (one row if m is
+    larger); each row is the same bits in any block, the heat flow's too.
     """
-    n_t, n_s = kin.shape[:2]
-    perp_sq, par = np.empty((n_t, n_s)), np.empty((n_t, n_s))
-    step = max(1, n_t * _MODE_CHUNK // n_s)
+    n_t, m = kin.shape[:2]
+    perp_sq, par = np.empty((n_t, m)), np.empty((n_t, m))
+    step = max(1, _ROW_STATES // m)
     for lo in range(0, n_t, step):
         rows = slice(lo, lo + step)
         f_par, f_perp = p_split(kin[rows], basis)
-        fluid = _heat_flow(f0, s, times[rows], tc, basis)
-        perp_sq[rows] = np.sum(np.abs(f_perp - fluid) ** 2, axis=-1)
+        perp_sq[rows] = _norm_sq(f_perp - _heat_flow(f0, s, times[rows], tc, basis))
         par[rows] = np.linalg.norm(f_par, axis=-1)
-    return np.sqrt(perp_sq @ wq), par @ wl
+    return perp_sq, par
 
 
 def _tail_mass(data: InitialData, cfg: ExperimentConfig, eps: float) -> float:
@@ -636,21 +645,33 @@ def first_order_experiment(cfg: ExperimentConfig,
         v0 = data.vmb_states(s)
         tail.append(_tail_mass(data, cfg, eps))
 
-        kin_b, keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures)
-        kin_v, keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times, failures)
+        # per-(t, mode) tables, each chunk of modes reduced as it is evolved
+        perp_sq, par, p0_sq, p1_sq, field_sq = (np.empty((len(times), cfg.n_s))
+                                                for _ in range(5))
+
+        def kinetic(chunk, kin):
+            perp_sq[:, chunk], par[:, chunk] = _kinetic_tables(kin, f0[chunk], s[chunk],
+                                                               times, tc, basis)
+            p0_sq[:, chunk] = _norm_sq(kin @ p0m.T)
+            p1_sq[:, chunk] = _norm_sq(kin @ p1m.T)
+
+        def field(chunk, kin):
+            field_sq[:, chunk] = _field_table(kin, tc.eta, s[chunk], times, v0[chunk, 0],
+                                              *v0[chunk, dimk:].T)
+
+        keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures, kinetic)
+        keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times, failures, field)
         wq_b, wq_v = wq * keep_b, wq * keep_v
 
         # defect identities at t = 0: the parts no fluid flow carries
         defects["boltzmann"].append(float(_mode_l2(f0 @ p1m.T, wq_b)))
         defects["vmb"].append(float(_mode_l2(v0[:, 1:dimk], wq_v)))
 
-        perp, par = _kinetic_errors(kin_b, f0, s, times, tc, wq_b, w * s**2 * keep_b, basis)
-        streams["boltzmann_perp"].append(perp.tolist())
-        streams["boltzmann_par_proxy"].append(par.tolist())
-        streams["boltzmann_p0"].append(_mode_l2(kin_b @ p0m.T, wq_b).tolist())
-        streams["boltzmann_p1"].append(_mode_l2(kin_b @ p1m.T, wq_b).tolist())
-        streams["vmb"].append(
-            _field_errors(kin_v, tc.eta, s, times, v0[:, 0], v0[:, dimk:].T, wq_v).tolist())
+        streams["boltzmann_perp"].append(np.sqrt(perp_sq @ wq_b).tolist())
+        streams["boltzmann_par_proxy"].append((par @ (w * s**2 * keep_b)).tolist())
+        streams["boltzmann_p0"].append(np.sqrt(p0_sq @ wq_b).tolist())
+        streams["boltzmann_p1"].append(np.sqrt(p1_sq @ wq_b).tolist())
+        streams["vmb"].append(np.sqrt(field_sq @ wq_v).tolist())
 
     report = _report("first_order", cfg, cm, cfg.eps_list, times, streams, failures)
     report.metadata["tail_mass_bound"] = tail
@@ -775,7 +796,16 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     taus = np.linspace(0.0, _TAU_MAX, _N_TAU)
     times = eps * taus
     failures: list = []
-    kin, keep = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures)
+    # per-(tau, mode) tables: the chi1 and ht1 coefficients and the squared bulk error
+    c1, ch = (np.empty((_N_TAU, _N_LAYER), dtype=complex) for _ in range(2))
+    perp_sq = np.empty((_N_TAU, _N_LAYER))
+    chi1, ht1 = basis.chi(1), _hydro_vectors(basis)[1]
+
+    def layer(chunk, kin):
+        c1[:, chunk], ch[:, chunk] = kin @ chi1, kin @ ht1
+        perp_sq[:, chunk] = _kinetic_tables(kin, f0[chunk], s[chunk], times, tc, basis)[0]
+
+    keep = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures, layer)
     wk = w * keep
     wl = wk * s**2
 
@@ -783,12 +813,10 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     # sr[j, k, i] is s_i times the radius of (tau_j, offset_k)
     offsets = np.linspace(0.0, 2.0, 5) / _PROFILE_WIDTH
     sr = np.add.outer(_SOUND_SPEED * taus, offsets)[..., None] * s
-    c1 = kin @ basis.chi(1)
-    ch = kin @ _hydro_vectors(basis)[1]
     a0 = np.einsum("jki,ji->jk", np.sinc(sr / math.pi), wl * ch)
     a1 = np.einsum("jki,ji->jk", spherical_jn(1, sr), wl * c1)
     values = np.max(np.hypot(np.abs(a0), np.abs(a1)), axis=1)
-    bulk, _ = _kinetic_errors(kin, f0, s, times, tc, _agg_weights(s, wk), wl, basis)
+    bulk = np.sqrt(perp_sq @ _agg_weights(s, wk))
 
     proxy0 = float(np.linalg.norm(p_split(f0, basis)[0], axis=1) @ wl)
     scale = float(np.linalg.norm(f0, axis=1) @ wl)
@@ -889,20 +917,34 @@ def second_order_experiment(cfg: ExperimentConfig,
 
         f0 = data.boltzmann_states(s)
         v0 = data.vmb_states(s)
-        kin_b, keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times_all, failures)
-        kin_v, keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times_all, failures)
-        kin_b, kin_v = kin_b / eps, kin_v / eps
+        # the corrector flows' data: kinetic (i s prof) z2; fields E = prof * e_z, B = 0,
+        # so rho = i s E1, X2 = -E3, X3 = E2
+        fluid0 = (1j * s * prof)[:, None] * z2
+        field0 = (1j * s * prof * e_z[0], -(prof * e_z[2]), prof * e_z[1])
+        # per-(t, mode) tables of the 1/eps-scaled states, and their log-time marks
+        perp_sq, par, field_sq = (np.empty((len(times), cfg.n_s)) for _ in range(3))
+        mark_b, mark_v = np.empty(cfg.n_s), np.empty(cfg.n_s)
+
+        def kinetic(chunk, kin):
+            kin /= eps
+            mark_b[chunk] = _norm_sq(kin[-1])
+            perp_sq[:, chunk], par[:, chunk] = _kinetic_tables(
+                kin[:-1], fluid0[chunk], s[chunk], times, tc, basis)
+
+        def field(chunk, kin):
+            kin /= eps
+            mark_v[chunk] = _field_sq(kin[-1], s[chunk])
+            field_sq[:, chunk] = _field_table(kin[:-1], tc.eta, s[chunk], times,
+                                              *(a[chunk] for a in field0), 0.0, 0.0)
+
+        keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times_all, failures, kinetic)
+        keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times_all, failures, field)
         wq_b, wq_v = wq * keep_b, wq * keep_v
-        perp, par = _kinetic_errors(kin_b[:-1], (1j * s * prof)[:, None] * z2, s, times, tc,
-                                    wq_b, w * s**2 * keep_b, basis)
-        streams["boltzmann_perp"].append(perp.tolist())
-        streams["boltzmann_par_proxy"].append(par.tolist())
-        # corrector data E = prof * e_z, B = 0: rho = i s E1, X2 = -E3, X3 = E2
-        streams["vmb"].append(_field_errors(
-            kin_v[:-1], tc.eta, s, times, 1j * s * prof * e_z[0],
-            (-(prof * e_z[2]), prof * e_z[1], 0.0, 0.0), wq_v).tolist())
-        bounded["boltzmann"].append(float(_mode_l2(kin_b[-1], wq_b)))
-        bounded["vmb"].append(float(np.sqrt(_field_sq(kin_v[-1], s) @ wq_v)))
+        streams["boltzmann_perp"].append(np.sqrt(perp_sq @ wq_b).tolist())
+        streams["boltzmann_par_proxy"].append((par @ (w * s**2 * keep_b)).tolist())
+        streams["vmb"].append(np.sqrt(field_sq @ wq_v).tolist())
+        bounded["boltzmann"].append(float(np.sqrt(mark_b @ wq_b)))
+        bounded["vmb"].append(float(np.sqrt(mark_v @ wq_v)))
 
     report = _report("second_order", cfg, cm, cfg.eps_list, times, streams, failures)
     report.metadata["scaled_norm_at_log_time"] = bounded

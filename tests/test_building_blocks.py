@@ -9,11 +9,12 @@ only _decomposition and _block_flow, which decomposes the operators that
 lack them, call it; _block_flow stacks the records itself and takes no
 stacked parts.  The experiments' mode grids have one evolver,
 convergence_lab._evolve_grid, which assembles, flows and guards each chunk
-of modes itself.  Each semigroup has one apply: mode_operators._block_flow for
-the kinetic flow (the S3 remainder runs on it too; only the remainder norms
-take their own fallback flows), fluid_limits._heat_decay for the heat decay,
-the one reader of the heat rates, and fluid_limits._field_flow, the one
-reader of the two-by-two field exponential: it evaluates the block once,
+of modes itself and hands it to its caller's reducer.  Each semigroup has
+one apply: mode_operators._block_flow for the kinetic flow (the S3 remainder
+runs on it too; only the remainder norms take their own fallback flows),
+fluid_limits._heat_decay for the heat decay, the one reader of the heat
+rates, and fluid_limits._field_flow, the one reader of the two-by-two field
+exponential: it evaluates the block once,
 with the same bits as one call per coupling, and returns one (..., 5) array
 that no caller stacks, concatenates or iterates over.  Facts the basis owns
 are read from it: collision_ops._degree_blocks takes its nu blocks from
@@ -261,7 +262,7 @@ def test_field_flow_callers_read_one_array():
     # each caller indexes the (..., 5) flow: none stacks, concatenates or
     # iterates over it
     callers = set(_where(_calls("_field_flow")))
-    assert callers == {("convergence_lab", "_field_errors"), ("fluid_limits", "Y2_mode"),
+    assert callers == {("convergence_lab", "_field_table"), ("fluid_limits", "Y2_mode"),
                        ("fluid_limits", "linear_nsmf_solve"),
                        ("fluid_limits", "y2_decay_experiment")}
     packers = ("stack", "concatenate", "hstack", "vstack", "column_stack", "dstack")

@@ -440,6 +440,26 @@ class TestOscillatory:
         assert minus == pytest.approx(np.conj(plus), rel=1e-9, abs=1e-12)
 
 
+def _whole_grid(assemble, s_nodes, eps, cm, states0, times, failures):
+    """_evolve_grid's chunks put together: the (n_t, n_s, dim) states and the keep mask.
+
+    Each chunk must be the next run of at most _MODE_CHUNK modes, its states
+    contiguous (n_t, len, dim).
+    """
+    chunks = []
+
+    def collect(chunk, states):
+        assert chunk.start == sum(c.shape[1] for c in chunks)
+        assert states.flags.c_contiguous
+        assert states.shape[:2] == (len(times), len(s_nodes[chunk]))
+        assert 0 < states.shape[1] <= cl._MODE_CHUNK
+        chunks.append(states)
+
+    keep = cl._evolve_grid(assemble, s_nodes, eps, cm, states0, times, failures, collect)
+    assert sum(c.shape[1] for c in chunks) == len(s_nodes)
+    return np.concatenate(chunks, axis=1), keep
+
+
 class TestEvolveGrid:
     S_NODES = np.array([0.05, 0.7, 1.9])
     TIMES = np.array([0.0, 1e-3, 0.1, 2.0])
@@ -468,8 +488,8 @@ class TestEvolveGrid:
         cm = collision_small
         u0 = self._states(assemble(1.0, eps, cm).dim, 21)
         failures = []
-        states, keep = cl._evolve_grid(assemble, self.S_NODES, eps, cm, u0,
-                                       self.TIMES, failures)
+        states, keep = _whole_grid(assemble, self.S_NODES, eps, cm, u0,
+                                   self.TIMES, failures)
         assert keep.all() and not failures
         for i, s in enumerate(self.S_NODES):
             op = assemble(float(s), eps, cm)
@@ -481,11 +501,11 @@ class TestEvolveGrid:
     def test_schur_fallback_gives_same_states(self, collision_small, monkeypatch, assemble):
         cm, eps = collision_small, 0.2
         u0 = self._states(assemble(1.0, eps, cm).dim, 22)
-        fast, _ = cl._evolve_grid(assemble, self.S_NODES, eps, cm, u0, self.TIMES, [])
+        fast, _ = _whole_grid(assemble, self.S_NODES, eps, cm, u0, self.TIMES, [])
         monkeypatch.setattr(mo, "_EIG_COND_LIMIT", 1.0)
         failures = []
-        slow, keep = cl._evolve_grid(assemble, self.S_NODES, eps, cm, u0,
-                                     self.TIMES, failures)
+        slow, keep = _whole_grid(assemble, self.S_NODES, eps, cm, u0,
+                                 self.TIMES, failures)
         assert keep.all() and not failures
         assert mo._decomposition(assemble(1.0, eps, cm))[0] == "schur"
         assert np.abs(fast - slow).max() <= 1e-9 * np.abs(u0).max()
@@ -494,7 +514,7 @@ class TestEvolveGrid:
         calls = self._count_eig(monkeypatch)
         cm = collision_small
         u0 = self._states(cm.basis.dim + 4, 23)
-        cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
+        _whole_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
         n0, n1 = cm.basis.dim0, cm.basis.dim1
         assert calls == [(3, n0, n0), (3, n1 + 2, n1 + 2)]
 
@@ -503,7 +523,7 @@ class TestEvolveGrid:
         calls = self._count_eig(monkeypatch)
         cm = collision_small
         u0 = self._states(cm.basis.dim, 25)
-        _, keep = cl._evolve_grid(mo.assemble_B, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
+        _, keep = _whole_grid(mo.assemble_B, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
         assert keep.all()
         assert len(calls) == 2
 
@@ -515,8 +535,8 @@ class TestEvolveGrid:
         cm = collision_small
         u0 = self._states(cm.basis.dim + 4, 27)
         failures = []
-        _, keep = cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0,
-                                  self.TIMES, failures)
+        _, keep = _whole_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0,
+                              self.TIMES, failures)
         assert keep.all() and not failures
 
     def test_transient_check_decomposes_once(self, collision_small, monkeypatch):
@@ -532,8 +552,8 @@ class TestEvolveGrid:
         cm = collision_small
         u0 = self._states(cm.basis.dim + 4, 26)
         failures = []
-        states, keep = cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0,
-                                       self.TIMES, failures)
+        states, keep = _whole_grid(mo.assemble_A_tilde, self.S_NODES, 0.2, cm, u0,
+                                   self.TIMES, failures)
         assert not keep.any()
         assert [f["s"] for f in failures] == list(self.S_NODES)
         assert all("contraction violated" in f["reason"] for f in failures)
@@ -543,7 +563,7 @@ class TestEvolveGrid:
     def test_matches_propagate(self, collision_small, assemble):
         cm, eps = collision_small, 0.05
         u0 = self._states(assemble(1.0, eps, cm).dim, 27)
-        states, _ = cl._evolve_grid(assemble, self.S_NODES, eps, cm, u0, self.TIMES, [])
+        states, _ = _whole_grid(assemble, self.S_NODES, eps, cm, u0, self.TIMES, [])
         for i, s in enumerate(self.S_NODES):
             op = assemble(float(s), eps, cm)
             for j, t in enumerate(self.TIMES):
@@ -565,10 +585,10 @@ class TestEvolveGrid:
         u_sin = np.zeros_like(u_cos)
         u_cos[:, cos_idx] = block
         u_sin[:, sin_idx] = block * sign
-        a, _ = cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, eps, cm, u_cos,
-                               self.TIMES, [])
-        b, _ = cl._evolve_grid(mo.assemble_A_tilde, self.S_NODES, eps, cm, u_sin,
-                               self.TIMES, [])
+        a, _ = _whole_grid(mo.assemble_A_tilde, self.S_NODES, eps, cm, u_cos,
+                           self.TIMES, [])
+        b, _ = _whole_grid(mo.assemble_A_tilde, self.S_NODES, eps, cm, u_sin,
+                           self.TIMES, [])
         assert np.abs(b[..., sin_idx] - a[..., cos_idx] * sign).max() <= 1e-14
         assert np.abs(np.delete(b, sin_idx, axis=-1)).max() == 0.0
 
@@ -604,7 +624,7 @@ class TestModeChunks:
         cm = collision_small
         s, u0 = self._grid(n, assemble(1.0, self.EPS, cm).dim, 31)
         got_failures, want_failures = [], []
-        states, keep = cl._evolve_grid(assemble, s, self.EPS, cm, u0, self.TIMES, got_failures)
+        states, keep = _whole_grid(assemble, s, self.EPS, cm, u0, self.TIMES, got_failures)
         want, want_keep = _one_stack_grid(assemble, s, self.EPS, cm, u0, self.TIMES,
                                           want_failures)
         assert states.flags.c_contiguous and states.shape == want.shape
@@ -618,30 +638,34 @@ class TestModeChunks:
         s, u0 = self._grid(150, cm.basis.dim, 32)
         u0[[3, 97, 149]] *= np.nan
         failures = []
-        states, keep = cl._evolve_grid(mo.assemble_B, s, self.EPS, cm, u0, self.TIMES,
-                                       failures)
+        states, keep = _whole_grid(mo.assemble_B, s, self.EPS, cm, u0, self.TIMES,
+                                   failures)
         assert np.flatnonzero(~keep).tolist() == [3, 97, 149]
         assert [f["s"] for f in failures] == [float(s[i]) for i in (3, 97, 149)]
         assert np.all(states[:, ~keep] == 0.0)
         assert np.all(np.isfinite(states))
 
-    def test_kinetic_errors_equal_the_unchunked_formula(self, collision_small):
-        # 240 modes: blocks of four time rows, the last one short
+    @pytest.mark.parametrize("n", [240, 16])
+    def test_kinetic_tables_equal_the_unblocked_formula(self, collision_small, n):
+        # 240 modes: blocks of two time rows, the last one short; 16 modes
+        # (one chunk): one block
         cm = collision_small
-        s, f0 = self._grid(240, cm.basis.dim, 33)
+        s, f0 = self._grid(n, cm.basis.dim, 33)
         tc = cl.transport_coefficients(cm)
         rng = np.random.default_rng(35)
-        shape = (len(self.TIMES), 240, cm.basis.dim)
+        shape = (len(self.TIMES), n, cm.basis.dim)
         kin = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        wq, wl = rng.random(240), rng.random(240)
+        wq, wl = rng.random(n), rng.random(n)
         f_par, f_perp = cl.p_split(kin, cm.basis)
         fluid = cl._heat_flow(f0, s, self.TIMES, tc, cm.basis)
-        want = (cl._mode_l2(f_perp - fluid, wq), np.linalg.norm(f_par, axis=-1) @ wl)
-        got = cl._kinetic_errors(kin, f0, s, self.TIMES, tc, wq, wl, cm.basis)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        perp_sq, par = cl._kinetic_tables(kin, f0, s, self.TIMES, tc, cm.basis)
+        assert np.array_equal(perp_sq, cl._norm_sq(f_perp - fluid))
+        assert np.array_equal(par, np.linalg.norm(f_par, axis=-1))
+        assert np.array_equal(np.sqrt(perp_sq @ wq), cl._mode_l2(f_perp - fluid, wq))
+        assert np.array_equal(par @ wl, np.linalg.norm(f_par, axis=-1) @ wl)
 
-    def test_field_errors_equal_the_padded_formula(self, collision_small):
-        # _field_errors builds no fluid grid; here it is written out in the
+    def test_field_table_equals_the_padded_formula(self, collision_small):
+        # _field_table builds no padded fluid grid; here it is written out in the
         # (kinetic, X, Y) layout, zero on the dropped mode
         cm = collision_small
         dim = cm.basis.dim
@@ -660,13 +684,14 @@ class TestModeChunks:
         fluid[..., 0] = flow[..., 0]
         fluid[..., dim:] = flow[..., 1:]
         fluid[:, ~keep] = 0.0
-        want = np.sqrt(cl._field_sq(kin - fluid, s) @ wq)
-        got = cl._field_errors(kin, eta, s, self.TIMES, rho, fields, wq)
-        assert np.array_equal(got, want)
+        want = cl._field_sq(kin - fluid, s)
+        got = cl._field_table(kin.copy(), eta, s, self.TIMES, rho, *fields)
+        assert np.array_equal(got[:, keep], want[:, keep])
+        assert np.array_equal(np.sqrt(got @ wq), np.sqrt(want @ wq))
 
     @pytest.mark.parametrize("block", [1, 2, 4, 5, 7])
     def test_heat_flow_is_the_same_bits_per_row_block(self, collision_small, block):
-        # _kinetic_errors evaluates the heat flow one block of time rows at a time
+        # _kinetic_tables evaluates the heat flow one block of time rows at a time
         cm = collision_small
         s, f0 = self._grid(240, cm.basis.dim, 34)
         tc = cl.transport_coefficients(cm)
@@ -674,28 +699,41 @@ class TestModeChunks:
                               for lo in range(0, len(self.TIMES), block)])
         assert np.array_equal(got, cl._heat_flow(f0, s, self.TIMES, tc, cm.basis))
 
-    @staticmethod
-    def _peak_beyond_result(assemble, s, eps, cm, u0, times):
-        cl._evolve_grid(assemble, s, eps, cm, u0, times, [])   # warm the caches
+
+class TestStreamedReports:
+    """The rate experiments reduce each chunk of modes as it flows: no report
+    holds a grid of all its modes, and the chunk size moves no bit."""
+
+    @pytest.mark.parametrize("experiment, kind, report", [
+        pytest.param(cl.initial_layer_profile, "generic", "layer_report", id="layer"),
+        pytest.param(cl.second_order_experiment, "well_prepared", "second_report",
+                     id="second_order"),
+    ])
+    def test_working_set_holds_no_state_grid(self, request, collision_small, experiment,
+                                             kind, report):
+        # the tier-1 configuration, warm: 10.1 and 8.7 MB while the reports
+        # built their (n_t, n_s, dim) state grids, about 2.3 MB streamed
+        request.getfixturevalue(report)   # the same report, so the caches are warm
         tracemalloc.start()
         try:
-            states, _ = cl._evolve_grid(assemble, s, eps, cm, u0, times, [])
+            experiment(cl.ExperimentConfig(data_kind=kind), collision_small)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - states.nbytes
+        assert peak <= 4 * 2**20
 
-    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
-    def test_working_set_does_not_grow_with_the_grid(self, collision_small, assemble):
-        # the (n_t, n_s, dim) result grows with n_s by definition; what the
-        # propagation holds beside it must not (the one-stack code: 4.9x)
-        cm = collision_small
-        dim = assemble(1.0, self.EPS, cm).dim
-        peaks = []
-        for n in (48, 240):
-            s, u0 = self._grid(n, dim, 34)
-            peaks.append(self._peak_beyond_result(assemble, s, self.EPS, cm, u0, self.TIMES))
-        assert peaks[1] <= 1.5 * peaks[0]
+    @pytest.mark.parametrize("experiment", [
+        cl.first_order_experiment, cl.second_order_experiment, cl.initial_layer_profile])
+    def test_reports_do_not_depend_on_the_chunk(self, collision_small, monkeypatch,
+                                                experiment):
+        # chunks of 7 (20 modes: 7, 7, 6; the layer's 240 end in 2) against one stack
+        cfg = cl.ExperimentConfig(data_kind="generic", n_s=20, n_t=7, t_max=50.0)
+        texts = []
+        for chunk in (7, 10**6):
+            monkeypatch.setattr(cl, "_MODE_CHUNK", chunk)
+            rep = experiment(cfg, collision_small)
+            texts.append((rep.to_json(), rep.csv_rows()))
+        assert texts[0] == texts[1]
 
 
 class TestFirstOrder:
@@ -868,8 +906,9 @@ class TestInitialLayer:
 
     def test_layer_below_noise_floor_refused(self, collision_small, monkeypatch):
         # a kinetic flow that is 0 from t = 0 on leaves no front to fit
-        def silent(assemble, s, eps, cm, f0, times, failures):
-            return np.zeros((len(times), *f0.shape), complex), np.ones(len(s), bool)
+        def silent(assemble, s, eps, cm, f0, times, failures, reduce):
+            reduce(slice(0, len(s)), np.zeros((len(times), *f0.shape), complex))
+            return np.ones(len(s), bool)
 
         monkeypatch.setattr(cl, "_evolve_grid", silent)
         with pytest.raises(cl.ConvergenceError, match="below noise floor"):

@@ -676,8 +676,9 @@ class TestPerBlockSplit:
             got = mo.propagate(op, u, t)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
             assert mo.spectrum(op)[0].size == mo._decomposition(op).lam.size == op.dim
-            _, keep = cl._evolve_grid(mo.assemble_B, np.array([0.05, 0.7, 1.9]), 0.2, cm,
-                                      states0, np.array([0.0, 0.1, 2.0]), [])
+            keep = cl._evolve_grid(mo.assemble_B, np.array([0.05, 0.7, 1.9]), 0.2, cm,
+                                   states0, np.array([0.0, 0.1, 2.0]), [],
+                                   lambda chunk, states: None)
             assert keep.all()
             gap = cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), cm)
             assert gap["match"]
