@@ -91,8 +91,8 @@ from scipy.special import erf, roots_genlaguerre, roots_hermitenorm
 
 from .velocity_basis import (
     Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _check_sector, _finite_array,
-    _finite_complex_array, _frozen, _gauss_legendre, _integer, _legendre_row, _radial_overlap,
-    _radial_rows,
+    _finite_complex_array, _frozen, _gauss_legendre, _integer, _leggauss, _legendre_row,
+    _radial_overlap, _radial_rows,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -148,7 +148,7 @@ def _pair_kernel_moments(ra: np.ndarray, rb: np.ndarray, lmax: int, rules: tuple
     independent and every reduction runs along one pair's samples, so the
     blocks give the same bits as one block.
     """
-    nodes = [np.polynomial.legendre.leggauss(points) for points in rules]
+    nodes = [_leggauss(points) for points in rules]
     out = [(np.empty((lmax + 1, ra.size)), np.empty((lmax + 1, ra.size))) for _ in rules]
     size = min(_PAIR_CHUNK, ra.size) * _N_PANELS * max(rules)
     buffers = [np.empty(size) for _ in range(6)]
@@ -432,7 +432,7 @@ def _sphere_rule() -> tuple[np.ndarray, np.ndarray]:
     which lies in the other half of the node list.  Keeping the first half and
     its exact negation, each with the same weights, makes the mirror exact.
     """
-    mu, wmu = np.polynomial.legendre.leggauss(_N_POLAR)
+    mu, wmu = _leggauss(_N_POLAR)
     phi = _TWO_PI * np.arange(_N_AZIM) / _N_AZIM
     st = np.sqrt(1.0 - mu**2)
     sig = np.stack(

@@ -10,24 +10,30 @@ byte-stable for a fixed configuration and seed.
 The rate experiments share one set of pieces.  Each runs its own eps loop
 and propagates the modes of a sweep with _evolve_grid in chunks of
 _MODE_CHUNK modes: per chunk, mode_operators._block_flow decomposes the
-generators, one stacked eig per block, and applies their records, and the
-contraction guard that mode_operators.propagate uses too checks the states.
+generators, one stacked eig per block, and applies the stacks of that
+decomposition, and the contraction guard that mode_operators.propagate uses
+too checks the states.
 Each of these steps works mode by mode, so the chunks leave the states bit
 for bit those of one stack.  No experiment holds the (n_t, n_s, dim) states
 of all its modes: _evolve_grid hands each chunk's (n_t, chunk, dim) states
 to the experiment's reducer, which keeps only per-(t, mode) tables, and the
 mode integrals then run once on the whole tables, so the working set is one
-chunk's whatever n_s is.  Each error table evaluates its own fluid
-reference on the chunk: _kinetic_tables the kinetic heat flow
+chunk's whatever n_s is.  _block_flow writes the states in that layout, so
+the chunk goes to the reducer as it flowed, uncopied; the reducer owns it,
+reads what it needs first and may overwrite it.  Each error table evaluates
+its own fluid reference on the chunk: _kinetic_tables the kinetic heat flow
 fluid_limits._heat_flow (on the one heat decay, fluid_limits._heat_decay),
 one block of at most _ROW_STATES states at a time, and _field_table the
 damped-Maxwell flow fluid_limits._field_flow, measured in the
 electromagnetic metric fluid_limits._field_sq, whose charge counts
 1 + 1/s^2.  transient_rate_check takes the remainder of a semigroup split
 through mode_operators._remainder_flow, which runs on the same block apply.
-The compressible split is fluid_limits.p_split, which works on the last axis
-of any array; _kinetic_tables reduces it to the squared incompressible error
-and the compressible norm per (t, mode).  The modes aggregate with H2
+The compressible split is that of fluid_limits.p_split: _kinetic_tables
+reads its compressible part from fluid_limits._compressible_part, the one
+form of the formula, and subtracts it and then the heat flow from the
+chunk's states in place, so it reduces the split to the squared
+incompressible error and the compressible norm per (t, mode) without
+building f_perp.  The modes aggregate with H2
 weights up to the cutoff set by _S_CAP and _REGIME_RADIUS, the time grids
 start at _T_MIN, and the data profiles have the width _PROFILE_WIDTH: module
 constants, not options.  _fit_eps_slopes holds the eps-slope fits and flags,
@@ -70,6 +76,7 @@ from scipy.special import spherical_jn
 from .collision_ops import CollisionMatrices, collision_inverse
 from .fluid_limits import (
     _SOUND_SPEED,
+    _compressible_part,
     _field_flow,
     _field_sq,
     _heat_flow,
@@ -453,12 +460,14 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
 
     Each chunk of _MODE_CHUNK modes goes to reduce(chunk, states), with
     ``chunk`` its slice of s_nodes and ``states`` its contiguous
-    (n_t, len, dim) states, which reduce may overwrite.  No grid of all modes
-    is built: reduce keeps the chunk's per-mode tables, and the states are
-    freed before the next chunk runs.  The modes share one block layout: per
-    chunk, _block_flow decomposes them in one stacked eig per block and
-    applies their records at once, e^{tau A_b} by scaling and squaring on any
-    block whose eigenvectors fail the conditioning limit.  Every step works
+    (n_t, len, dim) states: the array _block_flow wrote, not a copy.  reduce
+    owns it: it reads what it needs first and may then overwrite it.  No
+    grid of all modes is built: reduce keeps the chunk's per-mode tables, and
+    the states are freed before the next chunk runs.  The modes share one
+    block layout: per chunk, _block_flow decomposes them in one stacked eig
+    per block and applies the stacks of that decomposition at once,
+    e^{tau A_b} by scaling and squaring on any block whose eigenvectors fail
+    the conditioning limit.  Every step works
     per mode (eig and inv per matrix, the batched products per mode, the
     conditioning gate and the contraction guard per row), so the chunks give
     the states of one stack bit for bit.  A mode that fails the contraction
@@ -476,9 +485,8 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
         for i in np.flatnonzero(bad):
             failures.append({"eps": float(eps), "s": float(s_nodes[lo + i]),
                              "reason": f"contraction violated ({growth[i]:.3e})"})
-        flow[bad] = 0.0
+        flow[:, bad] = 0.0
         keep[chunk] = ~bad
-        flow = np.ascontiguousarray(flow.transpose(1, 0, 2))
         reduce(chunk, flow)
         del flow  # freed before the next chunk runs
     return keep
@@ -518,22 +526,28 @@ def _field_table(kin: np.ndarray, eta: float, s: np.ndarray, times: np.ndarray,
 def _kinetic_tables(kin: np.ndarray, f0: np.ndarray, s: np.ndarray, times: np.ndarray,
                     tc, basis) -> tuple[np.ndarray, np.ndarray]:
     """Per-(t, mode) squared incompressible error and compressible norm of
-    (n_t, m, dim) states at the m wave numbers s.
+    (n_t, m, dim) states at the m wave numbers s; the states are overwritten.
 
     The error is f_perp - (the heat flow of the modes f0 (m, dim) at times);
     the norm is that of f_par, whose L1 mode integral is the labelled upper
-    proxy for the supremum norm.  The split and the heat flow run on blocks
-    of time rows holding at most _ROW_STATES states (one row if m is
-    larger); each row is the same bits in any block, the heat flow's too.
+    proxy for the supremum norm.  f_par is fluid_limits._compressible_part,
+    and the states become first f - f_par = f_perp and then the error, in
+    place: the bits of p_split's f_perp minus the heat flow.  The split and
+    the heat flow run on blocks of time rows holding at most _ROW_STATES
+    states (one row if m is larger); each row is the same bits in any block,
+    the heat flow's too.
     """
     n_t, m = kin.shape[:2]
     perp_sq, par = np.empty((n_t, m)), np.empty((n_t, m))
     step = max(1, _ROW_STATES // m)
     for lo in range(0, n_t, step):
         rows = slice(lo, lo + step)
-        f_par, f_perp = p_split(kin[rows], basis)
-        perp_sq[rows] = _norm_sq(f_perp - _heat_flow(f0, s, times[rows], tc, basis))
+        block = kin[rows]
+        f_par = _compressible_part(block, basis)
         par[rows] = np.linalg.norm(f_par, axis=-1)
+        block -= f_par
+        block -= _heat_flow(f0, s, times[rows], tc, basis)
+        perp_sq[rows] = _norm_sq(block)
     return perp_sq, par
 
 
@@ -650,10 +664,11 @@ def first_order_experiment(cfg: ExperimentConfig,
                                                 for _ in range(5))
 
         def kinetic(chunk, kin):
-            perp_sq[:, chunk], par[:, chunk] = _kinetic_tables(kin, f0[chunk], s[chunk],
-                                                               times, tc, basis)
+            # the P0/P1 norms first: _kinetic_tables overwrites the states
             p0_sq[:, chunk] = _norm_sq(kin @ p0m.T)
             p1_sq[:, chunk] = _norm_sq(kin @ p1m.T)
+            perp_sq[:, chunk], par[:, chunk] = _kinetic_tables(kin, f0[chunk], s[chunk],
+                                                               times, tc, basis)
 
         def field(chunk, kin):
             field_sq[:, chunk] = _field_table(kin, tc.eta, s[chunk], times, v0[chunk, 0],
@@ -740,7 +755,7 @@ def transient_rate_check(cfg: ExperimentConfig, cm: CollisionMatrices) -> dict:
     taus = np.linspace(1.0 / gap, 14.0 / gap, 10)
     states = _remainder_flow(split, f0, np.r_[0.0, taus])
     growth, bad = _contraction_violations(op.metric_diag[None], states[None, 0],
-                                          states[None, 1:])
+                                          states[1:, None])
     if bad[0]:
         raise PropagationError(f"contraction violated: growth {growth[0]:.3e}")
     norms = np.linalg.norm(states[1:], axis=1)

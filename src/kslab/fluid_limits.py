@@ -28,7 +28,8 @@ lag panels: graded geometrically from its shortest decay length (or 1e-3 t)
 and, for the ringing field flow, cut to a quarter period, under the one
 checked panel rule velocity_basis._panel_quadrature.  p_split, the
 compressible / incompressible splitting, acts on the last axis of any array
-of modes.  The
+of modes; its compressible part is _compressible_part, which the rate
+experiments read too.  The
 rate experiments build their fluid references and error streams from
 _heat_flow, _field_flow, _field_sq and p_split.  The quadratic forms of
 _core_values, with the hydrodynamic directions h0, ht1 and h+- and the sound
@@ -429,9 +430,14 @@ def p_split(f: np.ndarray, basis):
     f = np.asarray(f, dtype=complex)
     if f.shape[-1:] != (basis.dim,):
         raise FluidError(f"modes must have last-axis length {basis.dim}, got shape {f.shape}")
-    chi1, ht1 = basis.chi(1), _hydro_vectors(basis)[1]
-    f_par = np.multiply.outer(f @ chi1, chi1) + np.multiply.outer(f @ ht1, ht1)
+    f_par = _compressible_part(f, basis)
     return f_par, f - f_par
+
+
+def _compressible_part(f: np.ndarray, basis) -> np.ndarray:
+    """f_par of p_split for complex modes f along the last axis, unchecked."""
+    chi1, ht1 = basis.chi(1), _hydro_vectors(basis)[1]
+    return np.multiply.outer(f @ chi1, chi1) + np.multiply.outer(f @ ht1, ht1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,16 +24,20 @@ without the inverse, (lam_b, V_b, None).  spectrum reads the eig pair of
 every record, and the semigroup split marks the eigenvalues it takes into
 S1/S2 with a mask per block copy, m, and a projector P_b per fallback block.
 
-_block_flow is the one apply of the semigroup: it decomposes the operators
-that lack records and stacks the records per block, e^{tau A} u0 =
+_block_flow is the one apply of the semigroup, e^{tau A} u0 =
 V_b diag(e^{tau lam}) V_b^{-1} u0 on an eig block copy and e^{tau A_b} u0 by
-scaling and squaring (_fallback_flow) on a fallback block.  It serves one
-operator (propagate), each chunk of a mode grid (convergence_lab._evolve_grid)
-and the remainder of a split (_remainder_flow): V_b diag(e^{tau lam} (1 - m))
-V_b^{-1} u0, from (I - P_b) u0 on a fallback block.  The results are checked
-with the one contraction guard, _contraction_violations, and the remainder
-norms read the same records.  Only _fallback_flow and _schur_projector
-import scipy.linalg.
+scaling and squaring (_fallback_flow) on a fallback block.  When it
+decomposes every operator itself it applies the per-block stacks that
+_decompose_stacked returns, with zero inverse rows for a fallback member;
+when some operators already hold records it stacks the records per block
+(_stacked_records).  Its states are (n_t, n, dim), times first, the layout
+the reducers of convergence_lab._evolve_grid read, so a chunk of a mode grid
+goes to them uncopied.  It serves one operator (propagate), each chunk of a
+mode grid and the remainder of a split (_remainder_flow):
+V_b diag(e^{tau lam} (1 - m)) V_b^{-1} u0, from (I - P_b) u0 on a fallback
+block.  The results are checked with the one contraction guard,
+_contraction_violations, and the remainder norms read the same records.
+Only _fallback_flow and _schur_projector import scipy.linalg.
 
 The dense generator (ModeOperator.matrix) and the split's S1_part, S2_part
 and S3_part are views for callers outside the package (tests and benchmark
@@ -70,8 +74,8 @@ import numpy as np
 from .collision_ops import CollisionMatrices, _nu_of_r, reduced_kernel_tables
 from .velocity_basis import (
     _MIN_FIT_POINTS, SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_array,
-    _finite_complex, _finite_complex_array, _frozen, _gauss_legendre, _legendre_row, _line_fit,
-    v_multiplication_matrix,
+    _finite_complex, _finite_complex_array, _frozen, _gauss_legendre, _leggauss, _legendre_row,
+    _line_fit, v_multiplication_matrix,
 )
 
 KIND_BOLTZMANN = "boltzmann"
@@ -339,7 +343,7 @@ def _stacked_inverse(vr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vinv, norms
 
 
-def _decompose_stacked(ops: list[ModeOperator]) -> None:
+def _decompose_stacked(ops: list[ModeOperator]) -> list[tuple]:
     """Decompose operators sharing one block layout, one stacked eig per block.
 
     Every operator gets its own _Decomposition: per block views into the
@@ -350,6 +354,11 @@ def _decompose_stacked(ops: list[ModeOperator]) -> None:
     is the bound the gate takes (an exactly singular V_b has an infinite
     one).  The reported condition is max_b sqrt(k_b) * max_b ||V_b^{-1}||_F,
     an upper bound on cond_2 of the block-diagonal eigenvector matrix.
+
+    Returns the stacks, per block (eigenvalues, right vectors, inverses) of
+    shapes (n, k) and (n, k, k), with zero inverse rows for a fallback
+    member: the records' stacked form (_stacked_records), so _block_flow
+    applies them without stacking the records back.
     """
     stacks, vec_norms, inv_norms = [], [], []
     for b in range(len(ops[0].blocks)):
@@ -367,6 +376,16 @@ def _decompose_stacked(ops: list[ModeOperator]) -> None:
         op._decomp = _Decomposition("eig" if ok[i].all() else "schur", float(cond[i]),
                                     _by_column(op, [lb for lb, _, _ in blocks]), blocks,
                                     tuple((~ok[i]).tolist()))
+    for b, (_, _, wb) in enumerate(stacks):
+        wb[~ok[:, b]] = 0.0
+    return stacks
+
+
+def _stacked_records(records: list) -> tuple:
+    """One block's records of n operators as (n, k) and (n, k, k) stacks, a
+    fallback's missing inverse as zero rows."""
+    return (np.stack([lb for lb, _, _ in records]), np.stack([vb for _, vb, _ in records]),
+            np.stack([np.zeros_like(vb) if wb is None else wb for _, vb, wb in records]))
 
 
 class _Decomposition(NamedTuple):
@@ -452,38 +471,39 @@ def _fallback_flow(a: np.ndarray, taus) -> np.ndarray:
 
 def _block_flow(ops: list[ModeOperator], states0: np.ndarray, taus: np.ndarray,
                 keep: np.ndarray | None = None) -> np.ndarray:
-    """(n, n_t, dim) states e^{tau A} u0 of n operators sharing one block layout.
+    """(n_t, n, dim) states e^{tau A} u0 of n operators sharing one block layout.
 
-    ``states0`` holds the (n, dim) initial states.  The operators without
-    records are decomposed in one _decompose_stacked call.  Per block the
-    records are stacked, a fallback's missing inverse as zero rows, and each
-    copy flows by batched products, member by member; a fallback block then
-    flows by _fallback_flow of its operator's own block.  ``keep``, an
+    ``states0`` holds the (n, dim) initial states.  When no operator has
+    records yet, one _decompose_stacked call decomposes them all and its
+    stacks are applied as they are; otherwise the operators without records
+    are decomposed and every block's records are stacked (_stacked_records).
+    Each copy flows by batched products, member by member; a fallback block
+    then flows by _fallback_flow of its operator's own block.  ``keep``, an
     (n, dim) mask over the columns (see _Decomposition), restricts each eig
     copy to its kept columns, V (e^{tau lam} keep V^{-1} u0), so a dropped
     column leaves no rounding residue; it leaves the fallback blocks alone.
+    The times lead, as the reducers of convergence_lab._evolve_grid read them.
     """
     fresh = [op for op in ops if op._decomp is None]
-    if fresh:
-        _decompose_stacked(fresh)
-    out = np.zeros((len(ops), len(taus), states0.shape[1]), dtype=complex)
+    stacks = _decompose_stacked(fresh) if fresh else []
+    if len(fresh) < len(ops):
+        stacks = [_stacked_records([op._decomp.blocks[b] for op in ops])
+                  for b in range(len(ops[0].blocks))]
+    out = np.zeros((len(taus), len(ops), states0.shape[1]), dtype=complex)
     copies = list(_copy_columns(ops[0]))
-    for b in range(len(ops[0].blocks)):
-        records = [op._decomp.blocks[b] for op in ops]
-        if any(wb is not None for _, _, wb in records):
-            lam = np.stack([lb for lb, _, _ in records])
-            vr_t = np.swapaxes(np.stack([vb for _, vb, _ in records]), 1, 2)
-            vinv = np.stack([np.zeros_like(vb) if wb is None else wb for _, vb, wb in records])
+    for b, (lam, vr, vinv) in enumerate(stacks):
+        fallback = [i for i, op in enumerate(ops) if op._decomp.schur[b]]
+        if len(fallback) < len(ops):
+            vr_t = np.swapaxes(vr, 1, 2)
             growth = np.exp(taus[None, :, None] * lam[:, None, :])
             for _, idx, sign, cols in (c for c in copies if c[0] == b):
                 coef = (vinv @ (states0[:, idx] * sign)[:, :, None])[:, None, :, 0]
                 g = growth if keep is None else growth * keep[:, None, cols]
-                out[:, :, idx] = ((g * coef) @ vr_t) * sign
-        for i, (op, (_, _, wb)) in enumerate(zip(ops, records)):
-            if wb is None:
-                flow = _fallback_flow(op.blocks[b].matrix, taus)
-                for idx, sign in op.blocks[b].copies:
-                    out[i][:, idx] = (flow @ (states0[i, idx] * sign)) * sign
+                out[:, :, idx] = (((g * coef) @ vr_t) * sign).transpose(1, 0, 2)
+        for i in fallback:
+            flow = _fallback_flow(ops[i].blocks[b].matrix, taus)
+            for idx, sign in ops[i].blocks[b].copies:
+                out[:, i, idx] = (flow @ (states0[i, idx] * sign)) * sign
     return out
 
 
@@ -491,12 +511,12 @@ def _contraction_violations(metric: np.ndarray, states0: np.ndarray,
                             states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Growth of the weighted norm per operator, and where it breaks contraction.
 
-    ``metric`` and ``states0`` are (n, dim), ``states`` (n, n_t, dim); the
-    growth is the largest norm over the times divided by the initial norm.  A
-    non-finite norm counts as a violation.
+    ``metric`` and ``states0`` are (n, dim), ``states`` (n_t, n, dim), the
+    layout of _block_flow; the growth is the largest norm over the times
+    divided by the initial norm.  A non-finite norm counts as a violation.
     """
     n0 = np.sqrt(np.sum(metric * np.abs(states0) ** 2, axis=-1))
-    n1 = np.sqrt(np.max(np.sum(metric[:, None] * np.abs(states) ** 2, axis=-1), axis=-1,
+    n1 = np.sqrt(np.max(np.sum(metric * np.abs(states) ** 2, axis=-1), axis=0,
                         initial=0.0))
     return n1 / np.maximum(n0, 1e-300), ~(n1 <= n0 * (1.0 + 1e-6) + 1e-12)
 
@@ -523,8 +543,8 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
     if np.any(times < 0):
         raise ValueError("time must be nonnegative")
     dec = _decomposition(op)
-    out = _block_flow([op], u0[None], np.atleast_1d(times) / op.eps**2)[0]
-    growth, bad = _contraction_violations(op.metric_diag[None], u0[None], out[None])
+    out = _block_flow([op], u0[None], np.atleast_1d(times) / op.eps**2)[:, 0]
+    growth, bad = _contraction_violations(op.metric_diag[None], u0[None], out[:, None])
     if bad[0]:
         raise PropagationError(
             f"contraction violated: growth {growth[0]:.3e} "
@@ -720,7 +740,7 @@ def _remainder_flow(split: SemigroupSplit, u0: np.ndarray, taus: np.ndarray) -> 
         if dec.schur[b]:
             u = u0[idx] * sign
             start[idx] = (u - split.schur_projectors[b] @ u) * sign
-    return _block_flow([split.op], start[None], taus, ~split.branch_mask[None])[0]
+    return _block_flow([split.op], start[None], taus, ~split.branch_mask[None])[:, 0]
 
 
 def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, float]:
@@ -764,7 +784,7 @@ def _probe_grid():
     one-sided gain tables (degree, r, r) of the probe."""
     r, wr = _gauss_legendre(_PROBE_N_R, _PROBE_R_MAX)
     sw = np.sqrt(wr * r**2)
-    c, wc = np.polynomial.legendre.leggauss(_PROBE_N_C)
+    c, wc = _leggauss(_PROBE_N_C)
     pc = np.stack([_legendre_row(l, 0, c) for l in range(_PROBE_LMAX + 1)]) * np.sqrt(wc)
     k1_tab, _ = reduced_kernel_tables(r, _PROBE_LMAX, 16)
     # one-sided gain: half the full gain kernel (see collision assembly)

@@ -29,8 +29,9 @@ mode_operators.ModeOperator (metric_diag).
 
 This module owns the building blocks the other modules read rather than
 rebuild: the radial profiles (_radial_rows) and their Laguerre rows
-(_laguerre_rows), the normalized Legendre rows (_legendre_row), the
-Gauss-Legendre rule on [0, top] (_gauss_legendre), the checked panel rule of
+(_laguerre_rows), the normalized Legendre rows (_legendre_row), the one
+cached Gauss-Legendre rule on [-1, 1] (_leggauss) and its map onto [0, top]
+(_gauss_legendre), the checked panel rule of
 the time and wave integrals (_panel_quadrature), the least-squares line
 through (x, log y) behind every fitted rate, exponent and gap (_line_fit,
 which takes at least _MIN_FIT_POINTS samples), the read-only marker for shared
@@ -48,6 +49,7 @@ range, and out-of-range sectors, copies, radial indices, degrees and speeds
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -312,10 +314,18 @@ def _finite_entries(x, kinds: str) -> bool:
         isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)
 
 
+@functools.cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only and built
+    once per n: the rule behind every Gauss-Legendre grid of the package."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return _frozen(x), _frozen(w)
+
+
 def _gauss_legendre(n: int, top) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [0, top]; top broadcasts
     against the nodes, so a column of tops gives one interval per row."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * top
     return half * (x + 1.0), half * w
 
@@ -424,7 +434,7 @@ def build_basis(spec: BasisSpec) -> Basis:
     # exp(log w + u/2) avoids overflow for the half-Gaussian weights
     wr_half = math.sqrt(2.0) * np.exp(np.log(w) + 0.5 * u)
     n_c = 2 * (spec.angular_max + 2)
-    c, wc = np.polynomial.legendre.leggauss(n_c)
+    c, wc = _leggauss(n_c)
 
     lmax = spec.angular_max
     nr = spec.radial_order

@@ -6,10 +6,13 @@ _finite_complex_array): no other kslab function calls numpy's isfinite.
 A kinetic decomposition has one form, the per-operator record of
 mode_operators._Decomposition: _decompose_stacked writes the records, and
 only _decomposition and _block_flow, which decomposes the operators that
-lack them, call it; _block_flow stacks the records itself and takes no
-stacked parts.  The experiments' mode grids have one evolver,
-convergence_lab._evolve_grid, which assembles, flows and guards each chunk
-of modes itself and hands it to its caller's reducer.  Each semigroup has
+lack them, call it; _block_flow applies the stacks of its own
+decomposition or stacks the records itself, and takes no stacked parts.
+The experiments' mode grids have one evolver, convergence_lab._evolve_grid,
+which assembles, flows and guards each chunk of modes itself and hands it to
+its caller's reducer as _block_flow wrote it, with no transposed or
+contiguous copy.  Every Gauss-Legendre rule is the one cached
+velocity_basis._leggauss.  Each semigroup has
 one apply: mode_operators._block_flow for the kinetic flow (the S3 remainder
 runs on it too; only the remainder norms take their own fallback flows),
 fluid_limits._heat_decay for the heat decay, the one reader of the heat
@@ -138,6 +141,16 @@ def test_one_grid_evolver():
                       and node.name == "_evolve_chunk")
     assert [where for where in _where(_calls("_block_flow"))
             if where[0] == "convergence_lab"] == [("convergence_lab", "_evolve_grid")]
+    # and hands each chunk on as _block_flow wrote it, times first
+    evolve = _function("convergence_lab", "_evolve_grid")
+    assert not [node for node in ast.walk(evolve)
+                if any(_reads(name)(node) for name in ("transpose", "ascontiguousarray",
+                                                       "swapaxes", "moveaxis", "copy"))]
+
+
+def test_one_gauss_legendre_rule():
+    # numpy's rule is built once per size, in the cached _leggauss
+    assert set(_where(_reads("leggauss"))) == {("velocity_basis", "_leggauss")}
 
 
 def test_scipy_linalg_only_on_the_fallback():

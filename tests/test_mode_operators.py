@@ -301,33 +301,48 @@ class TestBlockFlow:
         op = mo.assemble_B(1.0, 0.2, collision_small)
         monkeypatch.setattr(mo, "_block_flow",
                             lambda ops, states0, taus: np.full(
-                                (len(states0), len(taus), states0.shape[1]), np.nan + 0j))
+                                (len(taus), len(states0), states0.shape[1]), np.nan + 0j))
         with pytest.raises(mo.PropagationError, match="contraction violated"):
             mo.propagate(op, np.ones(op.dim), 0.5)
 
-    @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
+    @pytest.mark.parametrize("cond_limit,fallbacks", [(mo._EIG_COND_LIMIT, 0), (None, 1),
+                                                      (1.0, 5)], ids=["eig", "one", "schur"])
     @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
     def test_partly_decomposed_grid_flows_like_a_fresh_one(self, collision_small, monkeypatch,
-                                                            assemble, cond_limit):
-        # _block_flow decomposes only the operators without records, in one
-        # stacked eig per block, and stacks every record as for a fresh grid
-        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
+                                                            assemble, cond_limit, fallbacks):
+        # a fresh grid flows on the stacks of _block_flow's own decomposition,
+        # with no record stacked back; on a grid that holds records, some or
+        # all, _block_flow decomposes only the operators without them, in one
+        # stacked eig per block, and stacks every record: the same bits.  A
+        # limit of None sends exactly one member to the fallback
         cm, eps, s_nodes = collision_small, 0.05, (0.05, 0.4, 0.7, 1.3, 1.9)
-        fresh = [assemble(s, eps, cm) for s in s_nodes]
+        if cond_limit is None:
+            cond_limit = self._one_member_limit([assemble(s, eps, cm) for s in s_nodes])
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
         partly = [assemble(s, eps, cm) for s in s_nodes]
         mo._decomposition(partly[1])
         mo._decompose_stacked(partly[3:])
-        u0 = _random_states(fresh[0].dim, len(s_nodes), 41)
+        u0 = _random_states(partly[0].dim, len(s_nodes), 41)
         taus = np.array([0.0, 0.3, 4.0, 60.0])
-        keep = np.random.default_rng(42).random((len(s_nodes), fresh[0].dim)) < 0.7
+        keep = np.random.default_rng(42).random((len(s_nodes), partly[0].dim)) < 0.7
+        stacked_records = mo._stacked_records
+
+        def no_stacking(records):
+            raise AssertionError("a fresh grid stacked its records back")
+
         for mask in (None, keep):
+            fresh = [assemble(s, eps, cm) for s in s_nodes]
+            monkeypatch.setattr(mo, "_stacked_records", no_stacking)
             want = mo._block_flow(fresh, u0, taus, mask)
+            monkeypatch.setattr(mo, "_stacked_records", stacked_records)
             eig, calls = np.linalg.eig, []
             monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(len(a)) or eig(a))
             got = mo._block_flow(partly, u0, taus, mask)
             monkeypatch.setattr(np.linalg, "eig", eig)
+            # the second pass finds every operator decomposed beforehand
             assert calls == ([2, 2] if mask is None else [])
             assert np.array_equal(got, want)
+        assert [any(op._decomp.schur) for op in fresh].count(True) == fallbacks
         for a, b in zip(partly, fresh):
             assert a._decomp.schur == b._decomp.schur and a._decomp.cond == b._decomp.cond
             assert all(np.array_equal(x, y) for ra, rb in zip(a._decomp.blocks, b._decomp.blocks)
@@ -340,6 +355,38 @@ class TestBlockFlow:
         rows = mo.propagate(op, _random_states(op.dim, 1, 8)[0], np.array([]))
         assert rows.shape == (0, op.dim)
         assert mo._decomposition(op).path == ("eig" if cond_limit > 1.0 else "schur")
+
+    @staticmethod
+    def _one_member_limit(ops):
+        """A conditioning limit between the two largest gate products
+        sqrt(k) ||V_b^{-1}||_F of the ops, so exactly one (member, block) falls back."""
+        products = []
+        for b in range(len(ops[0].blocks)):
+            lam, vr = np.linalg.eig(np.stack([op.blocks[b].matrix for op in ops]))
+            products.append(math.sqrt(lam.shape[1]) * mo._stacked_inverse(vr)[1])
+        second, first = np.sort(np.concatenate(products))[-2:]
+        assert second < first
+        return math.sqrt(first * second)
+
+    def test_stacks_hold_the_records(self, collision_small, monkeypatch):
+        # the stacks _decompose_stacked returns are its records stacked, a
+        # fallback member's inverse as zero rows
+        cm, eps, s_nodes = collision_small, 0.05, (0.05, 0.4, 0.7, 1.3, 1.9)
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", self._one_member_limit(
+            [mo.assemble_A_tilde(s, eps, cm) for s in s_nodes]))
+        ops = [mo.assemble_A_tilde(s, eps, cm) for s in s_nodes]
+        stacks = mo._decompose_stacked(ops)
+        assert len(stacks) == len(ops[0].blocks)
+        fallbacks = 0
+        for b, stack in enumerate(stacks):
+            records = [op._decomp.blocks[b] for op in ops]
+            for got, want in zip(stack, mo._stacked_records(records)):
+                assert np.array_equal(got, want)
+            for i, op in enumerate(ops):
+                if op._decomp.schur[b]:
+                    fallbacks += 1
+                    assert records[i][2] is None and not stack[2][i].any()
+        assert fallbacks == 1
 
 
 class TestSemigroupSplit:
@@ -512,7 +559,7 @@ class TestConditioningGate:
         taus = np.array([0.0, 0.3, 1.1])
         u0 = np.random.default_rng(33).standard_normal((len(ops), ops[1].dim)).astype(complex)
         states = mo._block_flow(ops, u0, taus)
-        for tau, flow, got in zip(taus, mo._fallback_flow(block, taus), states[1]):
+        for tau, flow, got in zip(taus, mo._fallback_flow(block, taus), states[:, 1]):
             want = sl.expm(tau * block)
             assert np.array_equal(flow, want)
             assert np.abs(got[:4] - want @ u0[1, :4]).max() <= 1e-12 * np.abs(u0[1]).max()

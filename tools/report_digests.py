@@ -11,7 +11,10 @@ tensor and at (12, 6) with it, runs the four reports of the tier-1 suite
 layer on generic data), the initial layer on well-prepared data and
 oscillatory_decay_check(), and prints one JSON object.  Its "reports" section
 holds, per report, the sha256 of its to_json() followed by its csv_rows().
-The other sections hold the sha256 of the exact values under the reports
+The "chunks" section holds the same digests for the rate reports at mode
+counts that leave a partial last chunk of convergence_lab._MODE_CHUNK modes
+(chunk_digests), so a change to the chunk loop shows its bits here.  The
+other sections hold the sha256 of the exact values under the reports
 (science_digests), of the fluid flows (fluid_digests) and of the assembly
 under those (collision_digests and gamma_digests):
 
@@ -56,6 +59,10 @@ MODE_POINTS = {"low": (1.0, 0.04), "mid": (1.3, 0.2), "high": (25.0, 0.5)}
 # crossing, every forcing on, and the times it reports
 NSMF_S = (0.05, 0.6, 2.5)
 NSMF_TIMES = (0.0, 0.5, 2.0, 8.0)
+# the "chunks" section: the four tier-1 rate reports on a short sweep of 20
+# modes, and second order and generic first order on 100 modes
+CHUNK_SWEEP = {"n_s": 20, "n_t": 7, "t_max": 50.0}
+CHUNK_MODES = 100
 
 
 def report_digest(report) -> str:
@@ -196,6 +203,28 @@ def gamma_digests(cm) -> dict:
     }
 
 
+def chunk_digests(cm) -> dict:
+    """Report digests of the rate experiments at mode counts that are no
+    multiple of the chunk size: the four tier-1 reports at CHUNK_SWEEP (the
+    layer keeps its own 240 modes and times), and second order and generic
+    first order with CHUNK_MODES modes."""
+    from kslab import convergence_lab as cl
+
+    wp, generic = (cl.ExperimentConfig(data_kind=kind, **CHUNK_SWEEP)
+                   for kind in ("well_prepared", "generic"))
+    m, n = CHUNK_SWEEP["n_s"], CHUNK_MODES
+    reports = {
+        f"first_order_well_prepared n_s={m}": cl.first_order_experiment(wp, cm),
+        f"first_order_generic n_s={m}": cl.first_order_experiment(generic, cm),
+        f"second_order n_s={m}": cl.second_order_experiment(wp, cm),
+        f"initial_layer_generic n_s={m}": cl.initial_layer_profile(generic, cm),
+        f"second_order n_s={n}": cl.second_order_experiment(cl.ExperimentConfig(n_s=n), cm),
+        f"first_order_generic n_s={n}": cl.first_order_experiment(
+            cl.ExperimentConfig(data_kind="generic", n_s=n), cm),
+    }
+    return {name: report_digest(r) for name, r in reports.items()}
+
+
 def science_digests(bases: dict) -> dict:
     """The transport, crossing and mode sections for collision data by basis name;
     the modes run on the first basis."""
@@ -226,7 +255,8 @@ def main() -> None:
         "initial_layer_well_prepared": cl.initial_layer_profile(wp, cm),
         "oscillatory_decay": cl.oscillatory_decay_check(),
     }
-    digests = {"reports": {name: report_digest(r) for name, r in reports.items()}}
+    digests = {"reports": {name: report_digest(r) for name, r in reports.items()},
+               "chunks": chunk_digests(cm)}
     science = science_digests({name: bases[name] for name in ("(6, 3)", "(12, 6)")})
     science["fluid"] = fluid_digests(cm)
     assembly = {"collision": {name: collision_digests(c) for name, c in bases.items()},
