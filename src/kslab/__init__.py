@@ -23,18 +23,14 @@ from .dispersion import (  # noqa: F401
     crossing_location,
     eta_coefficient,
     expansion_coefficients,
-    solve_highfreq,
     solve_z0,
     solve_z_pm,
 )
 from .fluid_limits import (  # noqa: F401
     DecayFit,
     FluidError,
-    FluidModeState,
     NsmfMode,
     TransportCoefficients,
-    Y1_mode,
-    Y2_mode,
     linear_nsmf_solve,
     p_split,
     transport_coefficients,
@@ -49,7 +45,6 @@ from .mode_operators import (  # noqa: F401
     assemble_A_tilde,
     assemble_B,
     propagate,
-    resolvent_norm_probe,
     semigroup_split,
     spectrum,
 )

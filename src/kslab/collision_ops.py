@@ -74,10 +74,10 @@ Each node count integrates its polynomial exactly:
 
 Bad input fails at the boundary with ValueError and the module's own
 message, its documented error: collision data or a basis of the wrong type,
-speeds, coefficients and right-hand sides that are not finite
-numbers (velocity_basis._finite_array, _finite_complex_array) or are wrongly
-shaped, and sector or operator names outside the basis.  AssemblyError is
-kept for an assembly or solve that fails on valid input.
+coefficients and right-hand sides that are not finite numbers
+(velocity_basis._finite_complex_array) or are wrongly shaped, and sector or
+operator names outside the basis.  AssemblyError is kept for an assembly or
+solve that fails on valid input.
 """
 from __future__ import annotations
 
@@ -90,8 +90,8 @@ import numpy as np
 from scipy.special import erf, roots_genlaguerre, roots_hermitenorm
 
 from .velocity_basis import (
-    Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _check_sector, _finite_array,
-    _finite_complex_array, _frozen, _gauss_legendre, _integer, _leggauss, _legendre_row,
+    Basis, SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _check_sector,
+    _finite_complex_array, _frozen, _gauss_legendre, _leggauss, _legendre_row,
     _radial_overlap, _radial_rows,
 )
 
@@ -235,32 +235,6 @@ def _legendre_moments(lmax, cos, w_exp, w_t2, free, k1_rows, g_rows):
         np.sum(prod, axis=1, out=k1_rows[l])
         np.multiply(w_t2, pl, out=prod)
         np.sum(prod, axis=1, out=g_rows[l])
-
-
-def reduced_kernel_tables(r_nodes: np.ndarray, lmax: int, n_panel_points: int = 12):
-    """Legendre-degree kernels k1_l(r, r') and k_l(r, r') on a node set.
-
-    Returns (k1_tab, k_tab) with shape (lmax+1, n, n).  The angular integral
-    is carried out in the variable t = |v - v'|; _N_PANELS panels of
-    n_panel_points Gauss points each are geometrically graded from
-    t = |r - r'| at the scale of the exponential boundary layer.
-    """
-    if not (_finite_array(r_nodes) and np.ndim(r_nodes) == 1
-            and np.all(np.asarray(r_nodes) > 0.0)):
-        raise ValueError("r_nodes must be a 1-D array of finite speeds r > 0")
-    r = np.asarray(r_nodes, dtype=float)
-    for name, value, least in (("lmax", lmax, 0), ("n_panel_points", n_panel_points, 1)):
-        if not _integer(value) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    iu = np.triu_indices(r.size)
-    (moments,) = _pair_kernel_moments(r[iu[0]], r[iu[1]], lmax, (n_panel_points,))
-    tabs = []
-    for pairs in moments:
-        tab = np.zeros((lmax + 1, r.size, r.size))
-        tab[:, iu[0], iu[1]] = tab[:, iu[1], iu[0]] = pairs
-        tabs.append(tab)
-    k1_tab, g_tab = tabs
-    return k1_tab, k1_tab - g_tab
 
 
 def _gain_matrices(basis: Basis, top: int):

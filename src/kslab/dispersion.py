@@ -245,23 +245,6 @@ def crossing_location(eps: float, cm: CollisionMatrices) -> float:
     return s
 
 
-def solve_highfreq(s: float, eps: float,
-                   cm: CollisionMatrices) -> tuple[DispersionBranch, DispersionBranch]:
-    """Oscillatory branch pair near +/- i s for strong streaming."""
-    _check_input(cm, s=s, eps=eps)
-    if s <= 0:
-        raise DispersionError(f"oscillatory branches need s > 0, got {s}")
-    _, tr = _solvers(cm)
-    step = _transverse_step(s, eps, tr)
-    out = []
-    for j, label in ((1.0, "highfreq_plus"), (-1.0, "highfreq_minus")):
-        center = 1j * j * s
-        z = _fixed_point(step, center, lambda z: abs(z - center) <= 0.5 * s,
-                         f"oscillatory branch at s={s}, eps={eps}")
-        out.append(_transverse_branch(label, z, s, eps, tr, center))
-    return out[0], out[1]
-
-
 # ---------------------------------------------------------------------------
 # kinetic-only slow branches
 # ---------------------------------------------------------------------------

@@ -11,18 +11,17 @@ A wave direction omega must be a finite unit 3-vector.
 
 The damped-Maxwell evolution is one flow, _field_flow, of the reduced state
 (rho, X2, X3, Y2, Y3) of charge, omega x E and omega x B on a last axis, over
-a grid of wave numbers and times; Y2_mode, the linear solver, the aggregate
-decay experiment and the rate experiments in convergence_lab index it.  Both
+a grid of wave numbers and times; the linear solver, the aggregate decay
+experiment and the rate experiments in convergence_lab index it.  Both
 field pairs read one confluent-safe two-by-two exponential, so the
 branch-collision wave number needs no special casing.  _field_sq is the
 metric of those coordinates, in which the charge counts 1 + 1/s^2; the
 aggregate decay experiment and the rate experiments measure in it.
 
 The heat side has the same shape: _heat_decay is the one heat decay
-exp(-a_j s^2 t) of the three heat branches, and Y1_mode (one mode), _heat_flow
-(a grid of kinetic modes over a grid of times), the aggregate heat decay
-experiment and the linear solver (its entropy and shear columns) all evaluate
-it.  The solver's Duhamel integrals apply the same two flows to every
+exp(-a_j s^2 t) of the three heat branches, and _heat_flow (a grid of kinetic
+modes over a grid of times), the aggregate heat decay experiment and the
+linear solver (its entropy and shear columns) all evaluate it.  The solver's Duhamel integrals apply the same two flows to every
 quadrature node of every time in one call per rule.  Each flow sets its own
 lag panels: graded geometrically from its shortest decay length (or 1e-3 t)
 and, for the ringing field flow, cut to a quarter period, under the one
@@ -199,18 +198,6 @@ def truncation_deltas(cm: CollisionMatrices) -> dict[str, float]:
 # mode-level fluid semigroups
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FluidModeState:
-    kind: str
-    s: float
-    t: float
-    coefficients: np.ndarray
-    f: np.ndarray | None = None
-    rho: complex | None = None
-    E: np.ndarray | None = None
-    B: np.ndarray | None = None
-
-
 # speed of the acoustic branches along the directions h+- = (ht1 -+ chi1)/sqrt2
 _SOUND_SPEED = math.sqrt(5.0 / 3.0)
 
@@ -243,62 +230,14 @@ def _heat_decay(t, s, tc: TransportCoefficients) -> np.ndarray:
                   * _heat_rates(tc))
 
 
-def _check_time_and_wave(t: float, s: float) -> None:
-    if not (_finite(t) and _finite(s)):
-        raise FluidError(f"time and wave number must be finite real numbers, got t={t!r}, s={s!r}")
-
-
-def _check_field_data(s: float, omega, numbers: dict, vectors: dict):
-    """The data checks of Y2_mode and linear_nsmf_solve; returns omega as floats and the
-    constraint scale.  omega is a unit direction, numbers (rho0, ...) are finite numbers
-    and vectors (E0, B0, ...) finite 3-vectors; rho0 matches div E0, B0 is divergence free."""
-    if not (_finite_array(omega) and np.shape(omega) == (3,)
-            and abs(np.linalg.norm(omega) - 1.0) <= _CONSTRAINT_TOL):
-        raise FluidError(f"wave direction must be a finite unit 3-vector, got {omega!r}")
-    if not (all(map(_finite_complex, numbers.values()))
-            and all(map(_finite_complex_array, vectors.values()))):
-        raise FluidError(f"non-finite or non-numeric mode data {sorted(numbers | vectors)}")
-    for name, v in vectors.items():
-        if np.shape(v) != (3,):
-            raise FluidError(f"{name} must be a 3-vector, got shape {np.shape(v)}")
-    scale = max(1.0, *map(abs, numbers.values()), *map(np.linalg.norm, vectors.values()))
-    omega = np.asarray(omega, dtype=float)
-    if abs(numbers["rho0"] - 1j * s * (omega @ vectors["E0"])) > _CONSTRAINT_TOL * scale:
-        raise FluidError("charge does not match the field divergence")
-    if abs(omega @ vectors["B0"]) > _CONSTRAINT_TOL * scale:
-        raise FluidError("magnetic mode must be divergence free")
-    return omega, scale
-
-
-def Y1_mode(t: float, s: float, f0: np.ndarray,
-            tc: TransportCoefficients, basis) -> FluidModeState:
-    """Heat decay along the entropy and the two shear branches."""
-    _check_record(tc, TransportCoefficients, FluidError)
-    _check_record(basis, Basis, FluidError)
-    _check_time_and_wave(t, s)
-    if t < 0:
-        raise FluidError("time must be nonnegative")
-    if not _finite_complex_array(f0):
-        raise FluidError("non-finite or non-numeric initial state")
-    f0 = np.asarray(f0, dtype=complex)
-    if f0.shape != (basis.dim,):
-        raise FluidError(f"state must have length {basis.dim}")
-    p0 = basis.projection_matrix("P0")
-    defect = np.linalg.norm(f0 - p0 @ f0)
-    if defect > _CONSTRAINT_TOL * max(1.0, np.linalg.norm(f0)):
-        raise FluidError("initial state has a microscopic component")
-    hs = np.array(_heat_basis(basis))
-    coeffs = _heat_decay(t, s, tc) * (hs @ f0)
-    f = coeffs @ hs
-    return FluidModeState(kind="y1", s=s, t=t, coefficients=coeffs, f=f)
-
-
 def _heat_flow(f0: np.ndarray, s: np.ndarray, t: np.ndarray,
                tc: TransportCoefficients, basis) -> np.ndarray:
     """Heat flow of the modes f0 (n_s, dim) at wave numbers s over the times t.
 
-    The heat-span part of each mode decays as in Y1_mode; the rest is
-    dropped.  Returns (n_t, n_s, dim) states.
+    The heat-span part of each mode, its entropy (h0) and two shear (chi2,
+    chi3) coordinates, decays by _heat_decay, c_j e^{-a_j s^2 t}; the rest,
+    the acoustic pair and the microscopic part, is dropped.  Returns
+    (n_t, n_s, dim) states.
     """
     hs = np.array(_heat_basis(basis))
     return (_heat_decay(t, s, tc) * (f0 @ hs.T)) @ hs
@@ -386,31 +325,6 @@ def _fields(omega: np.ndarray, s: float, rho, x2, x3, y2, y3):
     return e_field, -np.cross(omega, y)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def Y2_mode(t: float, s: float, rho0: complex, E0: np.ndarray, B0: np.ndarray,
-            tc: TransportCoefficients,
-            omega: np.ndarray | None = None) -> FluidModeState:
-    """Damped-Maxwell evolution of one (charge, fields) mode; a result that is
-    not finite, as at a time past the float range, raises FluidError."""
-    _check_record(tc, TransportCoefficients, FluidError)
-    _check_time_and_wave(t, s)
-    if t < 0:
-        raise FluidError("time must be nonnegative")
-    if s <= 0:
-        raise FluidError("wave number must be positive")
-    omega = np.array([1.0, 0.0, 0.0]) if omega is None else omega
-    omega, _ = _check_field_data(s, omega, {"rho0": rho0}, {"E0": E0, "B0": B0})
-    E0 = np.asarray(E0, dtype=complex)
-    B0 = np.asarray(B0, dtype=complex)
-    coefficients = _field_flow(tc.eta, s, [t], rho0, *_rotated(omega, E0),
-                               *_rotated(omega, B0))[0, 0]
-    e_field, b_field = _fields(omega, s, *coefficients)
-    if not all(map(_finite_complex_array, (coefficients, e_field, b_field))):
-        raise FluidError(f"non-finite field mode at t={t!r}: the time or the data overflow")
-    return FluidModeState(kind="y2", s=s, t=t, coefficients=coefficients,
-                          rho=complex(coefficients[0]), E=e_field, B=b_field)
-
-
 # ---------------------------------------------------------------------------
 # compressible / incompressible splitting
 # ---------------------------------------------------------------------------
@@ -460,14 +374,33 @@ class NsmfMode:
 
 
 def _check_mode(mode: NsmfMode) -> None:
+    """The data checks of linear_nsmf_solve.  s is a finite positive number, the
+    forcings are callables or None, omega is a unit direction, the numbers (n0,
+    q0, rho0) are finite numbers and the vectors (m0, E0, B0) finite 3-vectors;
+    rho0 matches div E0, B0 and m0 are divergence free, and n0 and q0 satisfy
+    the trace relation."""
     _check_record(mode, NsmfMode, FluidError)
     if not (_finite(mode.s) and mode.s > 0):
         raise FluidError(f"wave number must be finite and positive, got {mode.s!r}")
     if not all(g is None or callable(g) for g in (mode.g1, mode.g2, mode.g3)):
         raise FluidError("the forcings g1, g2 and g3 must be callables or None")
-    omega, scale = _check_field_data(mode.s, mode.omega,
-                                     {"n0": mode.n0, "q0": mode.q0, "rho0": mode.rho0},
-                                     {"m0": mode.m0, "E0": mode.E0, "B0": mode.B0})
+    if not (_finite_array(mode.omega) and np.shape(mode.omega) == (3,)
+            and abs(np.linalg.norm(mode.omega) - 1.0) <= _CONSTRAINT_TOL):
+        raise FluidError(f"wave direction must be a finite unit 3-vector, got {mode.omega!r}")
+    numbers = {"n0": mode.n0, "q0": mode.q0, "rho0": mode.rho0}
+    vectors = {"m0": mode.m0, "E0": mode.E0, "B0": mode.B0}
+    if not (all(map(_finite_complex, numbers.values()))
+            and all(map(_finite_complex_array, vectors.values()))):
+        raise FluidError(f"non-finite or non-numeric mode data {sorted(numbers | vectors)}")
+    for name, v in vectors.items():
+        if np.shape(v) != (3,):
+            raise FluidError(f"{name} must be a 3-vector, got shape {np.shape(v)}")
+    scale = max(1.0, *map(abs, numbers.values()), *map(np.linalg.norm, vectors.values()))
+    omega = np.asarray(mode.omega, dtype=float)
+    if abs(mode.rho0 - 1j * mode.s * (omega @ mode.E0)) > _CONSTRAINT_TOL * scale:
+        raise FluidError("charge does not match the field divergence")
+    if abs(omega @ mode.B0) > _CONSTRAINT_TOL * scale:
+        raise FluidError("magnetic mode must be divergence free")
     if abs(omega @ mode.m0) > _CONSTRAINT_TOL * scale:
         raise FluidError("momentum mode must be divergence free")
     if abs(mode.n0 + math.sqrt(2.0 / 3.0) * mode.q0) > _CONSTRAINT_TOL * scale:
@@ -547,13 +480,15 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
     decay = _heat_decay(times, s_modes, tc)
     q = decay[..., 0] * np.array([mode.q0 for mode in modes], dtype=complex)
     m = decay[..., 1, None] * np.array([mode.m0 for mode in modes], dtype=complex).reshape(nm, 3)
-    start = np.array([(mode.rho0, *_rotated(mode.omega, mode.E0), *_rotated(mode.omega, mode.B0))
-                      for mode in modes], dtype=complex).reshape(nm, 5)
+    # a checked omega may be any finite sequence; the frame reads an array
+    omegas = [np.asarray(mode.omega, dtype=float) for mode in modes]
+    start = np.array([(mode.rho0, *_rotated(omega, mode.E0), *_rotated(omega, mode.B0))
+                      for mode, omega in zip(modes, omegas)], dtype=complex).reshape(nm, 5)
     flow = _field_flow(tc.eta, s_modes, times, *start.T)
     p = np.zeros((nt, nm), complex)
     e_field, b_field = np.zeros((2, nt, nm, 3), complex)
     for j, mode in enumerate(modes):
-        s, omega = mode.s, np.asarray(mode.omega, dtype=float)
+        s, omega = mode.s, omegas[j]
         # the fastest heat decay: the entropy rate a0 or the shear rate kappa0
         heat_rate = max(tc.a_list[0], tc.kappa0) * s * s
         if mode.g2 is not None:

@@ -9,10 +9,9 @@ and, conjugated by a signature matrix, the sine copy.  In the
 electromagnetic generator the transverse block also carries two field
 components, (cos, X3, Y2) and (sin, X2, Y3).
 
-On top of the blocks: the semigroup (in diffusive time t / eps^2), its split
-into fluid branches, an oscillatory high-frequency part and an exponentially
-damped remainder, and a grid-based probe for the norm of gain-times-resolvent
-compositions.
+On top of the blocks: the semigroup (in diffusive time t / eps^2) and its
+split into fluid branches, an oscillatory high-frequency part and an
+exponentially damped remainder.
 
 The blocks are the only generator form, and a _Decomposition on the
 operator is the only decomposition form: one record per block, (eigenvalues,
@@ -56,11 +55,13 @@ phases do not make real, or a mask that splits a conjugate pair).
 
 Bad input fails at the boundary with ValueError, the module's documented
 error: non-numeric, boolean or non-finite wave numbers, a negative eps,
-collision data that is not CollisionMatrices, an operator argument that is
-not a ModeOperator, blocks given to ModeOperator that break the SectorBlock
-rules (_check_block) or do not tile the layout, and bad states, times,
-metrics (the array predicates velocity_basis._finite_array,
-_finite_complex_array) and spectral parameters.
+finite s and eps whose generator coefficients are not finite (the streaming
+load eps s max|v| of every generator, and 1/s^2, eps/s and eps^2 s of the
+electromagnetic one), collision data that is not CollisionMatrices, an
+operator argument that is not a ModeOperator, blocks given to ModeOperator
+that break the SectorBlock rules (_check_block) or do not tile the layout,
+and bad states, times and metrics (the array predicates
+velocity_basis._finite_array, _finite_complex_array).
 """
 from __future__ import annotations
 
@@ -71,11 +72,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .collision_ops import CollisionMatrices, _nu_of_r, reduced_kernel_tables
+from .collision_ops import CollisionMatrices
 from .velocity_basis import (
     _MIN_FIT_POINTS, SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite, _finite_array,
-    _finite_complex, _finite_complex_array, _frozen, _gauss_legendre, _leggauss, _legendre_row,
-    _line_fit, v_multiplication_matrix,
+    _finite_complex_array, _frozen, _line_fit, v_multiplication_matrix,
 )
 
 KIND_BOLTZMANN = "boltzmann"
@@ -198,11 +198,32 @@ def _check_block(block: SectorBlock) -> None:
 
 
 def _check_mode_args(s: float, eps: float, cm: CollisionMatrices) -> None:
+    """s and eps finite real numbers, eps >= 0, cm CollisionMatrices, and the
+    streaming load eps s max|v| finite: every entry of v_multiplication_matrix is
+    at most the largest quadrature speed, so eps s v is then finite too."""
     if not (_finite(s) and _finite(eps)):
         raise ValueError(f"s and eps must be finite real numbers, got s={s!r}, eps={eps!r}")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     _check_record(cm, CollisionMatrices, ValueError)
+    # Python floats: an overflow is inf here, not a numpy warning; the radial
+    # nodes ascend, so the last is the largest speed
+    if not math.isfinite(float(eps) * float(s) * float(cm.basis.quad.r[-1])):
+        raise ValueError(f"the streaming load eps*s*max|v| overflows at s={s!r}, eps={eps!r}")
+
+
+def _field_coefficients(s: float, eps: float) -> tuple:
+    """1/s^2, eps/s and eps^2 s, the metric weight and the couplings of
+    assemble_A_tilde, for checked s > 0 and eps.  Raises ValueError unless each
+    is finite; an s^2 that overflows or underflows to 0 counts as not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            coefficients = (1.0 / s**2, eps / s, eps**2 * s)
+    except (OverflowError, ZeroDivisionError):
+        coefficients = (math.inf,)
+    if not all(map(math.isfinite, coefficients)):
+        raise ValueError(f"1/s^2, eps/s and eps^2*s must be finite, got s={s!r}, eps={eps!r}")
+    return coefficients
 
 
 class _Layout(NamedTuple):
@@ -272,26 +293,26 @@ def assemble_A_tilde(s: float, eps: float, cm: CollisionMatrices) -> ModeOperato
     _check_mode_args(s, eps, cm)
     if s <= 0:
         raise ValueError("s must be positive for the electromagnetic operator")
+    inv_s2, charge_coupling, field_coupling = _field_coefficients(s, eps)
     basis = cm.basis
     layout = _layout(basis)
     n1 = basis.dim1
 
     axial = (cm.L1_sector[SECTOR_AXIAL]
              - 1j * eps * s * v_multiplication_matrix(basis, SECTOR_AXIAL))
-    axial -= 1j * (eps / s) * layout.charge
+    axial -= 1j * charge_coupling * layout.charge
 
     trans = np.zeros((n1 + 2, n1 + 2), dtype=complex)
     trans[:n1, :n1] = (cm.L1_sector[SECTOR_TRANSVERSE]
                        - 1j * eps * s * v_multiplication_matrix(basis, SECTOR_TRANSVERSE))
     trans[:n1, n1] = eps * layout.chi2
     trans[n1, :n1] = -eps * layout.chi2
-    trans[n1, n1 + 1] = 1j * eps**2 * s
-    trans[n1 + 1, n1] = 1j * eps**2 * s
+    trans[n1, n1 + 1] = trans[n1 + 1, n1] = 1j * field_coupling
 
     blocks = (SectorBlock(axial, layout.axial, layout.axial_phase),
               SectorBlock(trans, layout.field, layout.field_phase))
     metric = np.ones(basis.dim + 4)
-    metric[0] = 1.0 + 1.0 / s**2
+    metric[0] = 1.0 + inv_s2
     return ModeOperator._assembled(KIND_VMB, s, eps, metric, cm, blocks)
 
 
@@ -763,75 +784,3 @@ def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, floa
         return float("nan"), float("nan")
     slope, intercept, _, _ = _line_fit(taus[good], norms[good], ValueError)
     return -slope, math.exp(intercept)
-
-
-# ---------------------------------------------------------------------------
-# resolvent probe on a dedicated product grid
-# ---------------------------------------------------------------------------
-
-# the probe's (r, angle-cosine) product grid on [0, _PROBE_R_MAX] x [-1, 1],
-# the Legendre degrees it resolves, and the power iteration's step limit
-_PROBE_N_R = 96
-_PROBE_N_C = 80
-_PROBE_LMAX = 48
-_PROBE_R_MAX = 24.0
-_PROBE_ITERS = 120
-
-
-@functools.cache
-def _probe_grid():
-    """Nodes r and c, the weighted Legendre rows (degree, c) and the weighted
-    one-sided gain tables (degree, r, r) of the probe."""
-    r, wr = _gauss_legendre(_PROBE_N_R, _PROBE_R_MAX)
-    sw = np.sqrt(wr * r**2)
-    c, wc = _leggauss(_PROBE_N_C)
-    pc = np.stack([_legendre_row(l, 0, c) for l in range(_PROBE_LMAX + 1)]) * np.sqrt(wc)
-    k1_tab, _ = reduced_kernel_tables(r, _PROBE_LMAX, 16)
-    # one-sided gain: half the full gain kernel (see collision assembly)
-    return r, c, pc, 0.5 * k1_tab * np.outer(sw, sw)
-
-
-def resolvent_norm_probe(op: ModeOperator, lam: complex) -> float:
-    """Operator norm of (one-sided gain) o (lam - streaming part)^{-1}.
-
-    The streaming part is multiplication by -nu(v) - i*(eps*s)*v1; the grid is
-    an (r, angle-cosine) product rule fine enough to resolve the resonant set,
-    independent of the Galerkin basis.  The gain is reduced per Legendre degree
-    with the basis's own building blocks: the Legendre rows of
-    velocity_basis._legendre_row and the kernel tables of
-    collision_ops.reduced_kernel_tables.  Being real and symmetric, it is its
-    own adjoint, so the power iteration applies one gain both ways.  Raises
-    ValueError for a lam that is not a finite number, and when the iteration
-    has not met its 1e-10 relative test within _PROBE_ITERS steps.
-    """
-    _check_record(op, ModeOperator, ValueError)
-    if not _finite_complex(lam):
-        raise ValueError(f"lambda must be a finite number, got {lam!r}")
-    r, c, pc, tables = _probe_grid()
-    w = op.eps * op.s
-    denom = lam + _nu_of_r(r)[:, None] + 1j * w * r[:, None] * c[None, :]
-    if np.min(np.abs(denom)) < 1e-10:
-        raise ValueError(f"lambda {lam} is numerically on the streaming spectrum")
-    inv = 1.0 / denom
-
-    def gain(g):
-        h = np.empty_like(g)
-        for l, table in enumerate(tables):
-            h[:, l] = table @ g[:, l]
-        return h @ pc
-
-    x = np.full((r.size, c.size), 1.0 + 0.1j, dtype=complex)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(_PROBE_ITERS):
-        y = gain((x * inv) @ pc.T)
-        new_sigma = np.linalg.norm(y)
-        x = gain(y @ pc.T) * np.conj(inv)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return 0.0
-        x /= nx
-        if abs(new_sigma - sigma) < 1e-10 * max(new_sigma, 1e-300):
-            return float(new_sigma)
-        sigma = new_sigma
-    raise ValueError(f"power iteration did not converge in {_PROBE_ITERS} steps")

@@ -15,9 +15,13 @@ the heat conductivity, the norms of the raw collision blocks' null columns,
 the collision operators on the Hermite sub-basis, the bounds of nu(r)/(1 + r), the pointwise collision frequency and kernels
 (nu_eval, kernel_eval) that the Galerkin gain blocks and nu are checked
 against, the weighted inner product and norm of a mode operator's metric,
-and the two resolvent scalars of the dispersion relations.  test_oracles.py
-checks that none of the names defined here exists in a kslab module.
+the two resolvent scalars of the dispersion relations, the oscillatory
+transverse branch pair (solve_highfreq), and the norm probe of
+gain-times-resolvent compositions (resolvent_norm_probe) with the per-degree
+gain-kernel tables it reads (reduced_kernel_tables).  test_oracles.py checks
+that none of the names defined here exists in a kslab module.
 """
+import functools
 import math
 from typing import NamedTuple
 
@@ -29,14 +33,16 @@ from scipy.special import roots_genlaguerre
 from kslab.collision_ops import (
     _N_HERM, _N_PANELS, _N_RAD, _PAIR_CHUNK, _PRODUCT_INDICES, _SQRT_2PI, _SUB_INDICES, _TWO_PI,
     _NULL_RADIAL, _burnett_sub_elements, _change_of_basis, _degree_blocks, _hermite_grid,
-    _nu_of_r, _sphere_rule, _sub_quadrature, _sub_table,
+    _nu_of_r, _pair_kernel_moments, _sphere_rule, _sub_quadrature, _sub_table,
 )
 from kslab.dispersion import (
-    _BOLTZMANN_LABELS, _match_slow_branches, _slow_eigenvalues, _solvers, eta_coefficient,
+    _BOLTZMANN_LABELS, DispersionError, _check_input, _fixed_point, _match_slow_branches,
+    _slow_eigenvalues, _solvers, _transverse_branch, _transverse_step, eta_coefficient,
 )
 from kslab.mode_operators import KIND_VMB, ModeOperator, SectorBlock, _layout, propagate
 from kslab.velocity_basis import (
-    SECTOR_AXIAL, SECTOR_TRANSVERSE, _finite_array, _sector_matrix, v_multiplication_matrix,
+    SECTOR_AXIAL, SECTOR_TRANSVERSE, _check_record, _finite_array, _finite_complex,
+    _gauss_legendre, _integer, _leggauss, _legendre_row, _sector_matrix, v_multiplication_matrix,
 )
 
 
@@ -206,6 +212,36 @@ def _moments_one_rule(ra, rb, lmax, n_panel_points):
     return k1_pairs, g_pairs
 
 
+def reduced_kernel_tables(r_nodes, lmax, n_panel_points=12):
+    """Legendre-degree kernels k1_l(r, r') and k_l(r, r') on a node set.
+
+    Returns (k1_tab, k_tab) with shape (lmax+1, n, n).  The angular integral
+    is carried out in the variable t = |v - v'|, by the library's one panel
+    pass (collision_ops._pair_kernel_moments): _N_PANELS panels of
+    n_panel_points Gauss points each, geometrically graded from t = |r - r'|
+    at the scale of the exponential boundary layer.  The pass runs over one
+    triangle of node pairs and the tables mirror it.  Raises ValueError for
+    nodes that are not a 1-D array of finite speeds r > 0, an lmax that is
+    not an integer >= 0 and an n_panel_points that is not an integer >= 1.
+    """
+    if not (_finite_array(r_nodes) and np.ndim(r_nodes) == 1
+            and np.all(np.asarray(r_nodes) > 0.0)):
+        raise ValueError("r_nodes must be a 1-D array of finite speeds r > 0")
+    r = np.asarray(r_nodes, dtype=float)
+    for name, value, least in (("lmax", lmax, 0), ("n_panel_points", n_panel_points, 1)):
+        if not _integer(value) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    iu = np.triu_indices(r.size)
+    (moments,) = _pair_kernel_moments(r[iu[0]], r[iu[1]], lmax, (n_panel_points,))
+    tabs = []
+    for pairs in moments:
+        tab = np.zeros((lmax + 1, r.size, r.size))
+        tab[:, iu[0], iu[1]] = tab[:, iu[1], iu[0]] = pairs
+        tabs.append(tab)
+    k1_tab, g_tab = tabs
+    return k1_tab, k1_tab - g_tab
+
+
 def gamma_full_grid():
     """The Gamma tensor without the reflection fold: every node of the 7^3
     center-of-mass grid, the b-table evaluated on its own, no parity mask, and
@@ -282,6 +318,75 @@ def propagator_matrix(op, t):
     return np.stack([propagate(op, e, t) for e in np.eye(op.dim)], axis=1)
 
 
+# the resolvent probe's (r, angle-cosine) product grid on [0, _PROBE_R_MAX] x
+# [-1, 1], the Legendre degrees it resolves, and the power iteration's step limit
+_PROBE_N_R = 96
+_PROBE_N_C = 80
+_PROBE_LMAX = 48
+_PROBE_R_MAX = 24.0
+_PROBE_ITERS = 120
+
+
+@functools.cache
+def _probe_grid():
+    """Nodes r and c, the weighted Legendre rows (degree, c) and the weighted
+    one-sided gain tables (degree, r, r) of the probe."""
+    r, wr = _gauss_legendre(_PROBE_N_R, _PROBE_R_MAX)
+    sw = np.sqrt(wr * r**2)
+    c, wc = _leggauss(_PROBE_N_C)
+    pc = np.stack([_legendre_row(l, 0, c) for l in range(_PROBE_LMAX + 1)]) * np.sqrt(wc)
+    k1_tab, _ = reduced_kernel_tables(r, _PROBE_LMAX, 16)
+    # one-sided gain: half the full gain kernel (see collision assembly)
+    return r, c, pc, 0.5 * k1_tab * np.outer(sw, sw)
+
+
+def resolvent_norm_probe(op, lam):
+    """Operator norm of (one-sided gain) o (lam - streaming part)^{-1}.
+
+    The streaming part is multiplication by -nu(v) - i*(eps*s)*v1; the grid is
+    an (r, angle-cosine) product rule fine enough to resolve the resonant set,
+    independent of the Galerkin basis.  The gain is reduced per Legendre degree
+    with the basis's own building blocks: the Legendre rows of
+    velocity_basis._legendre_row and the kernel tables of
+    reduced_kernel_tables.  Being real and symmetric, it is its own adjoint,
+    so the power iteration applies one gain both ways.  Raises ValueError for
+    an op that is not a ModeOperator, a lam that is not a finite number, and
+    when the iteration has not met its 1e-10 relative test within
+    _PROBE_ITERS steps.
+    """
+    _check_record(op, ModeOperator, ValueError)
+    if not _finite_complex(lam):
+        raise ValueError(f"lambda must be a finite number, got {lam!r}")
+    r, c, pc, tables = _probe_grid()
+    w = op.eps * op.s
+    denom = lam + _nu_of_r(r)[:, None] + 1j * w * r[:, None] * c[None, :]
+    if np.min(np.abs(denom)) < 1e-10:
+        raise ValueError(f"lambda {lam} is numerically on the streaming spectrum")
+    inv = 1.0 / denom
+
+    def gain(g):
+        h = np.empty_like(g)
+        for l, table in enumerate(tables):
+            h[:, l] = table @ g[:, l]
+        return h @ pc
+
+    x = np.full((r.size, c.size), 1.0 + 0.1j, dtype=complex)
+    x /= np.linalg.norm(x)
+    sigma = 0.0
+    for _ in range(_PROBE_ITERS):
+        y = gain((x * inv) @ pc.T)
+        new_sigma = np.linalg.norm(y)
+        x = gain(y @ pc.T) * np.conj(inv)
+        nx = np.linalg.norm(x)
+        if nx == 0.0:
+            return 0.0
+        x /= nx
+        if abs(new_sigma - sigma) < 1e-10 * max(new_sigma, 1e-300):
+            return float(new_sigma)
+        sigma = new_sigma
+    raise ValueError(f"power iteration did not converge in {_PROBE_ITERS} steps")
+
+
 def y2_eigenbasis(s, eta):
     """Decay rates, reduced eigenvectors, and the metric of the field system.
 
@@ -345,6 +450,29 @@ def resolvent_scalars(lam, s, eps, cm):
     sector evaluators the root solvers read (dispersion._solvers)."""
     ax, tr = _solvers(cm)
     return ResolventScalars(R11=ax.value(lam, eps * s), R22=tr.value(lam, eps * s))
+
+
+def solve_highfreq(s, eps, cm):
+    """The oscillatory transverse branch pair near +/- i s for strong streaming.
+
+    Each root is the fixed point of the transverse contraction map of
+    dispersion.solve_z_pm (dispersion._transverse_step) from the seed +/- i s,
+    inside the disc |z -+ i s| <= s / 2, and certified by the same residual
+    test.  Raises DispersionError on the library's bad-input rows
+    (dispersion._check_input), for s = 0, and for a root it cannot certify.
+    """
+    _check_input(cm, s=s, eps=eps)
+    if s <= 0:
+        raise DispersionError(f"oscillatory branches need s > 0, got {s}")
+    _, tr = _solvers(cm)
+    step = _transverse_step(s, eps, tr)
+    out = []
+    for j, label in ((1.0, "highfreq_plus"), (-1.0, "highfreq_minus")):
+        center = 1j * j * s
+        z = _fixed_point(step, center, lambda z: abs(z - center) <= 0.5 * s,
+                         f"oscillatory branch at s={s}, eps={eps}")
+        out.append(_transverse_branch(label, z, s, eps, tr, center))
+    return out[0], out[1]
 
 
 def crossing_discriminant(s, eps, cm):

@@ -33,8 +33,8 @@ velocity_basis._line_fit: no other kslab function calls polyfit or lstsq,
 and its readers are rate_fit, the decay fit, the transient check and the
 remainder fit.  The gain-kernel moments
 of every panel rule come from one pass of collision_ops._pair_kernel_moments:
-_gain_matrices calls it once, outside its loop over degrees, and
-reduced_kernel_tables is its only other reader.  The per-degree collision
+_gain_matrices, its only reader in kslab, calls it once, outside its loop
+over degrees.  The per-degree collision
 blocks have one builder, collision_ops._degree_blocks: assemble_collision
 calls it for every degree, and fluid_limits.truncation_deltas, the only
 reader of the refined pass, for the degrees l <= 2 at radial order + 6;
@@ -167,7 +167,7 @@ def test_one_fluid_solver():
     assert set(_where(_reads("_field_block"))) == {("fluid_limits", "_field_flow")}
     assert set(_where(_reads("_heat_decay"))) == {
         ("fluid_limits", name)
-        for name in ("Y1_mode", "_heat_flow", "y1_decay_experiment", "linear_nsmf_solve")}
+        for name in ("_heat_flow", "y1_decay_experiment", "linear_nsmf_solve")}
     # whole subtrees, so nested functions and lambdas count too
     solver = [node for module, name in (("fluid_limits", "linear_nsmf_solve"),
                                         ("fluid_limits", "_duhamel"),
@@ -201,8 +201,7 @@ def test_one_line_fit():
 
 
 def test_one_gain_kernel_pass():
-    assert set(_where(_reads("_pair_kernel_moments"))) == {
-        ("collision_ops", "_gain_matrices"), ("collision_ops", "reduced_kernel_tables")}
+    assert set(_where(_reads("_pair_kernel_moments"))) == {("collision_ops", "_gain_matrices")}
     # one call for both panel rules, before and outside the loop over degrees
     gain = _function("collision_ops", "_gain_matrices")
     calls = [node for node in ast.walk(gain)
@@ -275,8 +274,7 @@ def test_field_flow_callers_read_one_array():
     # each caller indexes the (..., 5) flow: none stacks, concatenates or
     # iterates over it
     callers = set(_where(_calls("_field_flow")))
-    assert callers == {("convergence_lab", "_field_table"), ("fluid_limits", "Y2_mode"),
-                       ("fluid_limits", "linear_nsmf_solve"),
+    assert callers == {("convergence_lab", "_field_table"), ("fluid_limits", "linear_nsmf_solve"),
                        ("fluid_limits", "y2_decay_experiment")}
     packers = ("stack", "concatenate", "hstack", "vstack", "column_stack", "dstack")
     for module, name in callers:

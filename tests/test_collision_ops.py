@@ -29,7 +29,6 @@ from kslab.collision_ops import (
     collision_inverse,
     gamma_apply,
     null_coordinates,
-    reduced_kernel_tables,
 )
 from kslab.velocity_basis import (
     SECTOR_AXIAL,
@@ -43,7 +42,7 @@ from kslab.velocity_basis import (
 )
 
 import oracles
-from oracles import kernel_eval, nu_eval
+from oracles import kernel_eval, nu_eval, reduced_kernel_tables
 
 NU_ZERO = 5.0132565492620005
 
@@ -883,8 +882,13 @@ def _kernel(which="k1", v=_V, vstar=(0.0, 1.0, 0.0)):
     return kernel_eval(which, v, vstar)
 
 
+def _tables(r_nodes=(0.5, 1.0), lmax=2, n_panel_points=12):
+    return reduced_kernel_tables(r_nodes, lmax, n_panel_points)
+
+
 # the tests' pointwise kernels (oracles.nu_eval, kernel_eval) reject a bad
-# velocity or kernel name with a ValueError that carries their own message
+# velocity or kernel name, and their kernel tables (oracles.reduced_kernel_tables)
+# bad nodes or sizes, with a ValueError that carries their own message
 _ORACLE_BAD_CALLS = {
     "nu_eval": {
         "nan": lambda: nu_eval(math.nan),
@@ -912,8 +916,26 @@ _ORACLE_BAD_CALLS = {
         "v-two-components": lambda: _kernel(v=[1.0, 0.0]),
         "coincident": lambda: _kernel(vstar=_V),
     },
+    "reduced_kernel_tables": {
+        "nodes-nan": lambda: _tables(r_nodes=(0.5, math.nan)),
+        "nodes-zero": lambda: _tables(r_nodes=(0.0, 1.0)),
+        "nodes-negative": lambda: _tables(r_nodes=(-0.5, 1.0)),
+        "nodes-2d": lambda: _tables(r_nodes=((0.5, 1.0),)),
+        "nodes-scalar": lambda: _tables(r_nodes=0.5),
+        "nodes-str": lambda: _tables(r_nodes=("a", "b")),
+        "nodes-none": lambda: _tables(r_nodes=None),
+        "nodes-bool": lambda: _tables(r_nodes=(True, True)),
+        "nodes-complex": lambda: _tables(r_nodes=(0.5j, 1.0)),
+        "nodes-ragged": lambda: _tables(r_nodes=((0.5,), (1.0, 2.0))),
+        "lmax-negative": lambda: _tables(lmax=-1),
+        "lmax-float": lambda: _tables(lmax=2.0),
+        "lmax-bool": lambda: _tables(lmax=True),
+        "points-zero": lambda: _tables(n_panel_points=0),
+        "points-str": lambda: _tables(n_panel_points="12"),
+    },
 }
-_ORACLE_MESSAGES = {"nu_eval": "velocities must", "kernel_eval": "velocities must|kernel"}
+_ORACLE_MESSAGES = {"nu_eval": "velocities must", "kernel_eval": "velocities must|kernel",
+                    "reduced_kernel_tables": "r_nodes must|lmax must|n_panel_points must"}
 
 
 @pytest.mark.parametrize("name, case", [(name, case) for name, rows in _ORACLE_BAD_CALLS.items()
@@ -928,10 +950,6 @@ def test_pointwise_oracle_rejects_bad_input(name, case):
 # with ValueError as the module's documented error for bad input
 # ---------------------------------------------------------------------------
 
-def _tables(cm, r_nodes=(0.5, 1.0), lmax=2, n_panel_points=12):
-    return reduced_kernel_tables(r_nodes, lmax, n_panel_points)
-
-
 def _gamma(cm, f=None, g=None):
     zero = np.zeros(35)
     return gamma_apply(cm, zero if f is None else f, zero if g is None else g)
@@ -943,23 +961,6 @@ def _inverse(cm, which="L", sector=SECTOR_AXIAL, w=None):
 
 
 _BAD_CALLS = {
-    "reduced_kernel_tables": {
-        "nodes-nan": lambda cm: _tables(cm, r_nodes=(0.5, math.nan)),
-        "nodes-zero": lambda cm: _tables(cm, r_nodes=(0.0, 1.0)),
-        "nodes-negative": lambda cm: _tables(cm, r_nodes=(-0.5, 1.0)),
-        "nodes-2d": lambda cm: _tables(cm, r_nodes=((0.5, 1.0),)),
-        "nodes-scalar": lambda cm: _tables(cm, r_nodes=0.5),
-        "nodes-str": lambda cm: _tables(cm, r_nodes=("a", "b")),
-        "nodes-none": lambda cm: _tables(cm, r_nodes=None),
-        "nodes-bool": lambda cm: _tables(cm, r_nodes=(True, True)),
-        "nodes-complex": lambda cm: _tables(cm, r_nodes=(0.5j, 1.0)),
-        "nodes-ragged": lambda cm: _tables(cm, r_nodes=((0.5,), (1.0, 2.0))),
-        "lmax-negative": lambda cm: _tables(cm, lmax=-1),
-        "lmax-float": lambda cm: _tables(cm, lmax=2.0),
-        "lmax-bool": lambda cm: _tables(cm, lmax=True),
-        "points-zero": lambda cm: _tables(cm, n_panel_points=0),
-        "points-str": lambda cm: _tables(cm, n_panel_points="12"),
-    },
     "assemble_collision": {
         "basis-none": lambda cm: assemble_collision(None),
         "basis-spec": lambda cm: assemble_collision(BasisSpec(6, 3)),
@@ -1005,7 +1006,6 @@ _BAD_CALLS = {
 # the module's own messages per callable: a ValueError that numpy raises on
 # the way (say "could not convert string to float") does not match them
 _MESSAGES = {
-    "reduced_kernel_tables": "r_nodes must|lmax must|n_panel_points must",
     "assemble_collision": "expected Basis|build_gamma must",
     "gamma_apply": "expected CollisionMatrices|sub-basis coefficients must",
     "collision_inverse": "expected CollisionMatrices|which must|sector must|w must",
@@ -1042,7 +1042,7 @@ class TestBoundaryContract:
         # for its one bad argument; gamma_apply gets as far as the missing tensor
         cm = collision_small
         assert _kernel() > 0.0
-        assert _tables(cm)[0].shape == (3, 2, 2)
+        assert _tables()[0].shape == (3, 2, 2)
         assert _inverse(cm).shape == (cm.L_sector[SECTOR_AXIAL].shape[0],)
         with pytest.raises(AssemblyError, match="build_gamma=True"):
             _gamma(cm)

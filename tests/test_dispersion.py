@@ -6,8 +6,9 @@ solvers (closed forms at eps = 0, quadratic eps rates, duality with the
 assembled operator spectra, branch tracking through the collision point,
 failure on non-convergence and on residuals above tolerance), the crossing's
 fixed point against the root of the bracketed discriminant by scipy's brentq
-(which only the oracle in tests/oracles.py imports), and the small wave-number
-expansion of the kinetic-only slow branches.
+(which only the oracle in tests/oracles.py imports), the oscillatory branch
+pair of tests/oracles.py (solve_highfreq, on the solvers' transverse map), and
+the small wave-number expansion of the kinetic-only slow branches.
 """
 import functools
 import math
@@ -73,7 +74,7 @@ class TestResolventScalars:
 class TestInputValidation:
     """Non-finite s or eps fails with DispersionError before any root work."""
 
-    @pytest.mark.parametrize("solve", [dsp.solve_z0, dsp.solve_z_pm, dsp.solve_highfreq,
+    @pytest.mark.parametrize("solve", [dsp.solve_z0, dsp.solve_z_pm, oracles.solve_highfreq,
                                        dsp.boltzmann_dispersion])
     @pytest.mark.parametrize("s, eps", [(math.nan, 0.1), (math.inf, 0.1),
                                         (1.0, math.nan), (1.0, math.inf)])
@@ -88,13 +89,13 @@ class TestInputValidation:
 
     def test_highfreq_needs_positive_wavenumber(self, collision_small):
         with pytest.raises(dsp.DispersionError, match="s > 0"):
-            dsp.solve_highfreq(0.0, 0.5, collision_small)
+            oracles.solve_highfreq(0.0, 0.5, collision_small)
 
 
 _ROOT_CALLS = {
     "z0": lambda cm: dsp.solve_z0(1.3, 0.04, cm),
     "z_pm": lambda cm: dsp.solve_z_pm(0.5, 0.02, cm),
-    "highfreq": lambda cm: dsp.solve_highfreq(1.0, 0.5, cm),
+    "highfreq": lambda cm: oracles.solve_highfreq(1.0, 0.5, cm),
     "crossing": lambda cm: dsp.crossing_location(0.02, cm),
 }
 
@@ -310,10 +311,13 @@ class TestCrossing:
 
 
 class TestHighFrequency:
+    """The oscillatory branch pair of tests/oracles.py, on the library's
+    transverse contraction map."""
+
     def test_decay_band(self, collision_default):
         products = []
         for es in (20.0, 40.0, 80.0):
-            for br in dsp.solve_highfreq(es, 1.0, collision_default):
+            for br in oracles.solve_highfreq(es, 1.0, collision_default):
                 y = br.value - br.prediction
                 products.append(-y.real * es)
         assert min(products) > 0
@@ -321,17 +325,17 @@ class TestHighFrequency:
 
     def test_imaginary_log_bound(self, collision_default):
         for es in (20.0, 40.0, 80.0):
-            br = dsp.solve_highfreq(es, 1.0, collision_default)[0]
+            br = oracles.solve_highfreq(es, 1.0, collision_default)[0]
             y = br.value - br.prediction
             assert abs(y.imag) * es / math.log(es) < 1.0
 
     def test_conjugate_pair(self, collision_default):
-        zp, zm = dsp.solve_highfreq(20.0, 1.0, collision_default)
+        zp, zm = oracles.solve_highfreq(20.0, 1.0, collision_default)
         assert abs(zp.value - np.conj(zm.value)) < 1e-12
 
     def test_matches_operator_spectrum(self, collision_default):
         op = assemble_A_tilde(20.0, 1.0, collision_default)
-        for br in dsp.solve_highfreq(20.0, 1.0, collision_default):
+        for br in oracles.solve_highfreq(20.0, 1.0, collision_default):
             assert _spectrum_mismatch(op, br.value) < 1e-6
 
 
@@ -477,8 +481,6 @@ def _crossing(cm, eps=0.02):
 _BAD_CALLS = {
     "solve_z0": _root_rows(dsp.solve_z0),
     "solve_z_pm": _root_rows(dsp.solve_z_pm),
-    "solve_highfreq": {**_root_rows(dsp.solve_highfreq),
-                       "s-zero": lambda cm: dsp.solve_highfreq(0.0, 0.5, cm)},
     "boltzmann_dispersion": {**_root_rows(dsp.boltzmann_dispersion),
                              "out-of-regime": lambda cm: dsp.boltzmann_dispersion(10.0, 0.2, cm)},
     "crossing_location": {**_scalar_rows(_crossing, ("eps",)), **_collision_rows(_crossing)},
@@ -488,6 +490,11 @@ _BAD_CALLS = {
         # the a+-1 and kappa0 forms read degree 2, which angular_max = 1 cuts away
         "angular-max-one": lambda cm: dsp.expansion_coefficients(_angular_max_one()),
     },
+}
+# the oscillatory pair of tests/oracles.py checks its input as the root solvers do
+_ORACLE_BAD_CALLS = {
+    "solve_highfreq": {**_root_rows(oracles.solve_highfreq),
+                       "s-zero": lambda cm: oracles.solve_highfreq(0.0, 0.5, cm)},
 }
 # exported names that take no caller input of their own
 _NOT_ENTRY_POINTS = {
@@ -513,11 +520,18 @@ class TestBoundaryContract:
         with pytest.raises(dsp.DispersionError):
             _BAD_CALLS[name][case](collision_small)
 
+    @pytest.mark.parametrize("name, case", [(name, case)
+                                            for name, rows in _ORACLE_BAD_CALLS.items()
+                                            for case in rows])
+    def test_oracle_bad_input_raises_dispersion_error(self, collision_small, name, case):
+        with pytest.raises(dsp.DispersionError):
+            _ORACLE_BAD_CALLS[name][case](collision_small)
+
     def test_table_calls_are_valid_when_repaired(self, collision_small):
         # the helpers behind the rows succeed on good input, so each row fails
         # for its one bad argument
         cm = collision_small
-        for solve in (dsp.solve_z0, dsp.solve_z_pm, dsp.solve_highfreq,
+        for solve in (dsp.solve_z0, dsp.solve_z_pm, oracles.solve_highfreq,
                       dsp.boltzmann_dispersion):
             assert solve(1.0, 0.1, cm)
         assert _crossing(cm) > 0.0

@@ -234,43 +234,60 @@ class TestRefinedPass:
             fl.truncation_deltas(cm)
 
 
-class TestY1Mode:
+def _heat_directions(basis):
+    """The heat span (h0, chi2, chi3) as rows: entropy, then the two shears."""
+    h0 = math.sqrt(0.4) * basis.chi(0) - math.sqrt(0.6) * basis.chi(4)
+    return np.array([h0, basis.chi(2), basis.chi(3)])
+
+
+def _heat_closed_form(tc, basis, c, t, s):
+    """sum_k c_k e^{-a_k s^2 t} h_k over the heat span: the oracle of _heat_flow."""
+    rates = (tc.a_list[0], tc.a_list[2], tc.a_list[3])
+    return sum(ck * math.exp(-a * s * s * t) * h
+               for ck, a, h in zip(c, rates, _heat_directions(basis)))
+
+
+def _heat(tc, basis, f0, t, s):
+    """_heat_flow of the one mode f0 at the one (t, s)."""
+    return fl._heat_flow(np.asarray(f0)[None], np.array([s]), np.array([t]), tc, basis)[0, 0]
+
+
+class TestHeatFlow:
     def _heat_state(self, basis, c0, c2, c3):
-        h0 = math.sqrt(0.4) * basis.chi(0) - math.sqrt(0.6) * basis.chi(4)
-        return c0 * h0 + c2 * basis.chi(2) + c3 * basis.chi(3)
+        return np.array([c0, c2, c3]) @ _heat_directions(basis)
 
     def test_time_zero_is_projection_sum(self, tc, basis_default):
         f0 = self._heat_state(basis_default, 0.4, -0.9, 0.25)
-        state = fl.Y1_mode(0.0, 1.3, f0, tc, basis_default)
-        assert np.linalg.norm(state.f - f0) < 1e-13
-        assert state.coefficients == pytest.approx([0.4, -0.9, 0.25], abs=1e-13)
+        f = _heat(tc, basis_default, f0, 0.0, 1.3)
+        assert np.linalg.norm(f - f0) < 1e-13
+        assert _heat_directions(basis_default) @ f == pytest.approx([0.4, -0.9, 0.25], abs=1e-13)
 
     def test_acoustic_content_dropped(self, tc, basis_default):
         # axial momentum lies in the macroscopic space but not on the three
         # heat branches, so the semigroup annihilates it
-        state = fl.Y1_mode(0.0, 1.0, basis_default.chi(1), tc, basis_default)
-        assert np.linalg.norm(state.f) < 1e-13
+        f = _heat(tc, basis_default, basis_default.chi(1), 0.0, 1.0)
+        assert np.linalg.norm(f) < 1e-13
 
-    def test_microscopic_component_rejected(self, tc, basis_default):
+    def test_microscopic_component_dropped(self, tc, basis_default):
+        # a state off the macroscopic space has no heat-span part
         f0 = np.zeros(basis_default.dim)
         f0[basis_default.index(0, "axial", 3, 0)] = 1.0
-        with pytest.raises(fl.FluidError, match="microscopic"):
-            fl.Y1_mode(0.5, 1.0, f0, tc, basis_default)
+        assert np.linalg.norm(_heat(tc, basis_default, f0, 0.5, 1.0)) < 1e-13
 
     def test_parallel_projection_vanishes(self, tc, basis_default):
         f0 = self._heat_state(basis_default, 1.0, 0.3, -0.7)
         for t in (0.0, 0.8, 4.0):
-            state = fl.Y1_mode(t, 0.9, f0, tc, basis_default)
-            f_par, f_perp = fl.p_split(state.f, basis_default)
+            f = _heat(tc, basis_default, f0, t, 0.9)
+            f_par, f_perp = fl.p_split(f, basis_default)
             assert np.linalg.norm(f_par) < 1e-13
-            assert np.linalg.norm(f_perp - state.f) < 1e-13
+            assert np.linalg.norm(f_perp - f) < 1e-13
 
     def test_semigroup_law(self, tc, basis_default):
         f0 = self._heat_state(basis_default, 0.3, 0.7, -0.2)
-        one = fl.Y1_mode(0.4, 1.2, f0, tc, basis_default)
-        two = fl.Y1_mode(0.9, 1.2, one.f, tc, basis_default)
-        direct = fl.Y1_mode(1.3, 1.2, f0, tc, basis_default)
-        assert np.linalg.norm(two.f - direct.f) < 1e-12
+        one = _heat(tc, basis_default, f0, 0.4, 1.2)
+        two = _heat(tc, basis_default, one, 0.9, 1.2)
+        direct = _heat(tc, basis_default, f0, 1.3, 1.2)
+        assert np.linalg.norm(two - direct) < 1e-12
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -280,26 +297,25 @@ class TestY1Mode:
         s = float(r.uniform(0.1, 3.0))
         t = float(r.uniform(0.0, 5.0))
         f0 = self._heat_state(basis_default, *c)
-        state = fl.Y1_mode(t, s, f0, tc, basis_default)
+        f = _heat(tc, basis_default, f0, t, s)
         rates = (tc.a_list[0], tc.a_list[2], tc.a_list[3])
         expected = [ck * math.exp(-a * s * s * t) for ck, a in zip(c, rates)]
-        assert state.coefficients == pytest.approx(expected, abs=1e-12)
-        assert np.linalg.norm(state.f) <= np.linalg.norm(f0) * (1 + 1e-12)
+        assert _heat_directions(basis_default) @ f == pytest.approx(expected, abs=1e-12)
+        assert np.linalg.norm(f) <= np.linalg.norm(f0) * (1 + 1e-12)
 
-    def test_heat_flow_grid_matches_y1_mode(self, tc, basis_default, rng):
+    def test_heat_flow_grid_matches_closed_form(self, tc, basis_default, rng):
         # _heat_flow drops everything off the heat span, so the per-mode
-        # oracle is Y1_mode of the heat-span projection
+        # oracle is the closed form on the heat coordinates of the mode
         dim = basis_default.dim
-        hs = np.array([self._heat_state(basis_default, *row) for row in np.eye(3)])
+        hs = _heat_directions(basis_default)
         s = np.array([0.2, 0.9, 2.5])
         t = np.array([0.0, 0.3, 1.7, 6.0])
         f0 = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
         flow = fl._heat_flow(f0, s, t, tc, basis_default)
         assert flow.shape == (4, 3, dim)
         for i, si in enumerate(s):
-            heat_part = (hs @ f0[i]) @ hs
             for j, tj in enumerate(t):
-                want = fl.Y1_mode(float(tj), float(si), heat_part, tc, basis_default).f
+                want = _heat_closed_form(tc, basis_default, hs @ f0[i], float(tj), float(si))
                 assert np.max(np.abs(flow[j, i] - want)) < 1e-14
 
 
@@ -317,39 +333,28 @@ class TestModeInputs:
 
     @pytest.mark.parametrize("t, s", [(math.nan, 1.0), (math.inf, 1.0),
                                       (1.0, math.nan), (1.0, math.inf)])
-    def test_y1_rejects(self, tc, basis_default, t, s):
-        f0 = basis_default.chi(2)
+    def test_field_mode_rejects(self, tc, t, s):
+        mode = fl.NsmfMode(s=s, E0=np.array([0.0, 1.0, 0.0], complex))
         with pytest.raises(fl.FluidError, match="finite"):
-            fl.Y1_mode(t, s, f0, tc, basis_default)
-
-    @pytest.mark.parametrize("t, s", [(math.nan, 1.0), (math.inf, 1.0),
-                                      (1.0, math.nan), (1.0, math.inf)])
-    def test_y2_rejects(self, tc, t, s):
-        e0 = np.array([0.0, 1.0, 0.0], complex)
-        with pytest.raises(fl.FluidError, match="finite"):
-            fl.Y2_mode(t, s, 0.0, e0, np.zeros(3, complex), tc)
+            fl.linear_nsmf_solve([mode], np.array([t]), tc)
 
     @pytest.mark.parametrize("t, s", [("1.0", 0.5), (1.0, None), (True, 0.5),
                                       (1.0, True), (1.0 + 0j, 0.5), (1.0, np.array(0.5))])
-    def test_non_real_time_or_wave_rejected(self, tc, basis_default, t, s):
-        # strs, None, complex and arrays fail at the boundary, and a bool is not a time
-        with pytest.raises(fl.FluidError, match="finite real"):
-            fl.Y1_mode(t, s, basis_default.chi(2), tc, basis_default)
-        e0 = np.array([0.0, 1.0, 0.0], complex)
-        with pytest.raises(fl.FluidError, match="finite real"):
-            fl.Y2_mode(t, s, 0.0, e0, np.zeros(3, complex), tc)
+    def test_non_real_time_or_wave_rejected(self, tc, t, s):
+        # strs, None, complex and arrays fail at the boundary, and a bool is not
+        # a time; the times and the wave number each have their own message
+        mode = fl.NsmfMode(s=s, E0=np.array([0.0, 1.0, 0.0], complex))
+        match = "wave number must be finite" if type(t) is float else "finite real"
+        with pytest.raises(fl.FluidError, match=match):
+            fl.linear_nsmf_solve([mode], [t], tc)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_states_rejected(self, tc, basis_default, value):
-        f0 = basis_default.chi(2).astype(complex)
-        f0[basis_default.index(0, "axial", 0, 0)] = value
+    def test_non_finite_states_rejected(self, tc, value):
         with pytest.raises(fl.FluidError, match="non-finite"):
-            fl.Y1_mode(1.0, 1.0, f0, tc, basis_default)
-        zero = np.zeros(3, complex)
+            fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, rho0=value)], np.array([0.0, 1.0]), tc)
         with pytest.raises(fl.FluidError, match="non-finite"):
-            fl.Y2_mode(1.0, 1.0, value, zero, zero, tc)
-        with pytest.raises(fl.FluidError, match="non-finite"):
-            fl.Y2_mode(1.0, 1.0, 0.0, np.array([0.0, value, 0.0]), zero, tc)
+            fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, E0=np.array([0.0, value, 0.0]))],
+                                 np.array([0.0, 1.0]), tc)
         with pytest.raises(fl.FluidError, match="non-finite"):
             fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, n0=value, q0=value)],
                                  np.array([0.0, 1.0]), tc)
@@ -372,11 +377,6 @@ class TestModeInputs:
     @pytest.mark.parametrize("value", [np.zeros(2, complex), np.zeros(4, complex), 0.0],
                              ids=["two", "four", "scalar"])
     def test_non_3vectors_rejected(self, tc, arg, value):
-        if arg != "m0":
-            data = {"E0": np.array([0.0, 1.0, 0.0], complex), "B0": np.zeros(3, complex)}
-            data[arg] = value
-            with pytest.raises(fl.FluidError, match=f"{arg} must be a 3-vector"):
-                fl.Y2_mode(1.0, 1.0, 0.0, data["E0"], data["B0"], tc)
         with pytest.raises(fl.FluidError, match=f"{arg} must be a 3-vector"):
             fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, **{arg: value})], np.array([0.0, 1.0]), tc)
 
@@ -385,9 +385,7 @@ class TestModeInputs:
         [math.nan, 0.0, 0.0], [1.0, 0.0], [0.6, 0.8, 0.0, 0.0],
     ], ids=["twice-unit", "zero", "near-unit", "nan", "two-components", "four-components"])
     def test_non_unit_direction_rejected(self, tc, omega):
-        e2, zero = np.array([0.0, 1.0, 0.0], complex), np.zeros(3, complex)
-        with pytest.raises(fl.FluidError, match="unit"):
-            fl.Y2_mode(0.0, 1.0, 0.0, e2, zero, tc, omega=np.array(omega))
+        e2 = np.array([0.0, 1.0, 0.0], complex)
         with pytest.raises(fl.FluidError, match="unit"):
             fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, E0=e2, omega=np.array(omega))],
                                  np.array([0.0, 1.0]), tc)
@@ -405,12 +403,6 @@ class TestModeInputs:
             fl.p_split(f, basis_small)
 
     @pytest.mark.parametrize("call, match", [
-        pytest.param(lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), None, b),
-                     "expected TransportCoefficients", id="Y1_mode-tc-None"),
-        pytest.param(lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), tc, None),
-                     "expected Basis", id="Y1_mode-basis-None"),
-        pytest.param(lambda tc, b: fl.Y2_mode(1.0, 1.0, 0.0, np.zeros(3), np.zeros(3), None),
-                     "expected TransportCoefficients", id="Y2_mode-tc-None"),
         pytest.param(lambda tc, b: fl.linear_nsmf_solve([fl.NsmfMode(s=1.0)], [0.0, 1.0],
                                                         None),
                      "expected TransportCoefficients", id="linear_nsmf_solve-tc-None"),
@@ -438,18 +430,33 @@ class TestModeInputs:
     def test_unit_direction_accepted(self, tc):
         omega = np.array([0.6, 0.0, 0.8])
         e0 = np.array([-0.8, 0.0, 0.6], complex)
-        state = fl.Y2_mode(0.0, 1.0, 0.0, e0, np.zeros(3, complex), tc, omega=omega)
-        assert np.abs(state.E - e0).max() <= 1e-14
+        out = fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, E0=e0, omega=omega)], np.array([0.0]), tc)
+        assert np.abs(out["E"][0, 0] - e0).max() <= 1e-14
 
 
-class TestY2Mode:
+def _field_solve(tc, times, s, rho0, e0, b0, omega=None):
+    """linear_nsmf_solve of one unforced charge-and-field mode over times: the
+    charge, E and B per time, and the reduced state (rho, X2, X3, Y2, Y3) of
+    fluid_limits._field_flow read back from them."""
+    omega = np.array([1.0, 0.0, 0.0]) if omega is None else omega
+    out = fl.linear_nsmf_solve([fl.NsmfMode(s=s, rho0=rho0, E0=e0, B0=b0, omega=omega)],
+                               np.asarray(times, dtype=float), tc)
+    rho, e_field, b_field = out["rho"][:, 0], out["E"][:, 0], out["B"][:, 0]
+    reduced = np.array([[r, *fl._rotated(omega, e), *fl._rotated(omega, b)]
+                        for r, e, b in zip(rho, e_field, b_field)])
+    return rho, e_field, b_field, reduced
+
+
+class TestFieldMode:
+    """The damped-Maxwell flow of one unforced mode, through linear_nsmf_solve."""
+
     def test_time_zero_reproduction(self, tc):
         rng = np.random.default_rng(3)
         rho0, e0, b0 = _random_field_mode(rng, 0.8)
-        state = fl.Y2_mode(0.0, 0.8, rho0, e0, b0, tc)
-        assert abs(state.rho - rho0) < 1e-10
-        assert np.linalg.norm(state.E - e0) < 1e-10
-        assert np.linalg.norm(state.B - b0) < 1e-10
+        rho, e_field, b_field, _ = _field_solve(tc, [0.0], 0.8, rho0, e0, b0)
+        assert abs(rho[0] - rho0) < 1e-10
+        assert np.linalg.norm(e_field[0] - e0) < 1e-10
+        assert np.linalg.norm(b_field[0] - b0) < 1e-10
 
     def test_biorthonormality_at_unit_wavenumber(self, tc):
         b, x, metric = oracles.y2_eigenbasis(1.0, tc.eta)
@@ -462,11 +469,10 @@ class TestY2Mode:
         s, t = 1.0, 1.7
         rho0, e0, b0 = _random_field_mode(rng, s)
         b, x, metric = oracles.y2_eigenbasis(s, tc.eta)
-        v0 = fl.Y2_mode(0.0, s, rho0, e0, b0, tc).coefficients
+        v0, state = _field_solve(tc, [0.0, t], s, rho0, e0, b0)[3]
         weights = np.array([(v0 * metric) @ x[:, j] for j in range(5)])
         via_eigen = x @ (np.exp(b * t) * weights)
-        state = fl.Y2_mode(t, s, rho0, e0, b0, tc)
-        assert np.max(np.abs(via_eigen - state.coefficients)) < 1e-12
+        assert np.max(np.abs(via_eigen - state)) < 1e-12
 
     def test_confluent_continuity_at_crossing(self, tc):
         omega = np.array([1.0, 0.0, 0.0])
@@ -477,8 +483,8 @@ class TestY2Mode:
         s_star = tc.eta / 2.0
         outs = []
         for s in (s_star, s_star - 1e-6, s_star + 1e-6):
-            state = fl.Y2_mode(3.0, s, 1j * s * (omega @ e0), e0, b0, tc)
-            outs.append(np.concatenate([[state.rho], state.E, state.B]))
+            rho, e_field, b_field, _ = _field_solve(tc, [3.0], s, 1j * s * (omega @ e0), e0, b0)
+            outs.append(np.concatenate([rho, e_field[0], b_field[0]]))
         assert np.max(np.abs(outs[0] - outs[1])) < 1e-4
         assert np.max(np.abs(outs[0] - outs[2])) < 1e-4
 
@@ -487,18 +493,18 @@ class TestY2Mode:
         s = 1.4
         rho0, e0, b0 = _random_field_mode(rng, s)
         omega = np.array([1.0, 0.0, 0.0])
-        for t in (0.3, 2.5, 12.0):
-            state = fl.Y2_mode(t, s, rho0, e0, b0, tc)
-            assert abs(state.rho - 1j * s * (omega @ state.E)) < 1e-10
-            assert abs(omega @ state.B) < 1e-10
+        rho, e_field, b_field, _ = _field_solve(tc, [0.3, 2.5, 12.0], s, rho0, e0, b0)
+        for k in range(3):
+            assert abs(rho[k] - 1j * s * (omega @ e_field[k])) < 1e-10
+            assert abs(omega @ b_field[k]) < 1e-10
 
     def test_constraint_violations_rejected(self, tc):
         rng = np.random.default_rng(9)
         rho0, e0, b0 = _random_field_mode(rng, 1.0)
         with pytest.raises(fl.FluidError, match="charge"):
-            fl.Y2_mode(1.0, 1.0, rho0 + 0.1, e0, b0, tc)
+            _field_solve(tc, [1.0], 1.0, rho0 + 0.1, e0, b0)
         with pytest.raises(fl.FluidError, match="divergence free"):
-            fl.Y2_mode(1.0, 1.0, rho0, e0, b0 + np.array([0.1, 0, 0]), tc)
+            _field_solve(tc, [1.0], 1.0, rho0, e0, b0 + np.array([0.1, 0, 0]))
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -508,13 +514,8 @@ class TestY2Mode:
         t = float(r.uniform(0.0, 20.0))
         rho0, e0, b0 = _random_field_mode(r, s)
         metric = np.array([1.0 + s**-2, 1, 1, 1, 1])
-
-        def energy(state):
-            return float(metric @ np.abs(state.coefficients) ** 2)
-
-        start = fl.Y2_mode(0.0, s, rho0, e0, b0, tc)
-        later = fl.Y2_mode(t, s, rho0, e0, b0, tc)
-        assert energy(later) <= energy(start) * (1 + 1e-11)
+        start, later = metric @ np.abs(_field_solve(tc, [0.0, t], s, rho0, e0, b0)[3]).T ** 2
+        assert later <= start * (1 + 1e-11)
 
 
 class TestFieldFlow:
@@ -574,16 +575,16 @@ class TestFieldFlow:
         # t z^2 overflowed in the series branch from t ~ 1e155 on
         e2 = np.array([0.0, 1.0, 0.0])
         assert np.all(np.isfinite(fl._decayed_sinhc([1e155, 1e200j, 1e300])))
-        state = fl.Y2_mode(1e200, 1.0, 0.0, e2, np.zeros(3), tc)
-        assert np.all(np.isfinite(state.coefficients))
-        assert np.all(np.isfinite(state.E)) and np.all(np.isfinite(state.B))
+        out = fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, E0=e2)], np.array([1e200]), tc)
+        for key in ("rho", "E", "B"):
+            assert np.all(np.isfinite(out[key]))
         s = tc.eta / 2.0 * np.array([0.3, 1.0, 4.0])
         assert np.all(np.isfinite(fl._field_flow(tc.eta, s, [1e200], 1.0, 1.0, 1.0, 1.0, 1.0)))
 
     def test_time_past_the_float_range_is_refused(self, tc):
         e2 = np.array([0.0, 1.0, 0.0])
-        with pytest.raises(fl.FluidError, match="non-finite field mode"):
-            fl.Y2_mode(1.7e308, 1.0, 0.0, e2, np.zeros(3), tc)
+        with pytest.raises(fl.FluidError, match="non-finite solution"):
+            fl.linear_nsmf_solve([fl.NsmfMode(s=1.0, E0=e2)], np.array([1.7e308]), tc)
 
 
 class TestSplittings:
@@ -685,10 +686,12 @@ class TestLinearNsmf:
                        + math.sqrt(2 / 3) * out["q"][i, 0]) < 1e-14
             assert abs(out["rho"][i, 0]
                        - math.exp(-tc.eta * 5.0 * t) * rho0) < 1e-12
-        # field trajectory must match the mode semigroup itself
-        ref = fl.Y2_mode(2.0, 2.0, rho0, e0, b0, tc)
-        assert np.linalg.norm(out["E"][2, 0] - ref.E) < 1e-12
-        assert np.linalg.norm(out["B"][2, 0] - ref.B) < 1e-12
+        # field trajectory must match the mode semigroup in its eigenbasis
+        b, x, metric = oracles.y2_eigenbasis(2.0, tc.eta)
+        v0 = np.array([rho0, *fl._rotated(omega, e0), *fl._rotated(omega, b0)])
+        ref_e, ref_b = fl._fields(omega, 2.0, *(x @ (np.exp(b * 2.0) * ((v0 * metric) @ x))))
+        assert np.linalg.norm(out["E"][2, 0] - ref_e) < 1e-12
+        assert np.linalg.norm(out["B"][2, 0] - ref_b) < 1e-12
 
     def test_constraint_rejections(self, tc):
         times = np.array([0.0, 1.0])
@@ -918,14 +921,6 @@ _ZERO3 = np.zeros(3, complex)
 _STR3 = ["a", "b", "c"]
 
 
-def _y1(tc, b, t=1.0, s=1.0, f0=None):
-    return fl.Y1_mode(t, s, b.chi(2) if f0 is None else f0, tc, b)
-
-
-def _y2(tc, t=1.0, s=1.0, rho0=0.0, E0=_E2, B0=_ZERO3, omega=None):
-    return fl.Y2_mode(t, s, rho0, E0, B0, tc, omega=omega)
-
-
 def _solve(tc, times=(0.0, 1.0), **mode):
     return fl.linear_nsmf_solve([fl.NsmfMode(**{"s": 1.0, **mode})], times, tc)
 
@@ -954,56 +949,6 @@ _BAD_CALLS = {
         "cm-transport": lambda tc, b: fl.truncation_deltas(tc),
         # the forms it refines read degree 2; it refuses before building a basis
         "angular-max-one": lambda tc, b: fl.truncation_deltas(_angular_max_one()),
-    },
-    "Y1_mode": {
-        "t-nan": lambda tc, b: _y1(tc, b, t=math.nan),
-        "t-str": lambda tc, b: _y1(tc, b, t="1.0"),
-        "t-bool": lambda tc, b: _y1(tc, b, t=True),
-        "t-negative": lambda tc, b: _y1(tc, b, t=-1.0),
-        "s-inf": lambda tc, b: _y1(tc, b, s=math.inf),
-        "s-none": lambda tc, b: _y1(tc, b, s=None),
-        "f0-nan": lambda tc, b: _y1(tc, b, f0=np.full(b.dim, math.nan)),
-        "f0-str": lambda tc, b: _y1(tc, b, f0=np.full(b.dim, "a")),
-        "f0-none": lambda tc, b: fl.Y1_mode(1.0, 1.0, None, tc, b),
-        "f0-bool": lambda tc, b: _y1(tc, b, f0=np.zeros(b.dim, dtype=bool)),
-        "f0-short": lambda tc, b: _y1(tc, b, f0=b.chi(2)[:-1]),
-        "f0-ragged": lambda tc, b: _y1(tc, b, f0=[[0.0] * (b.dim - 1), [0.0]]),
-        "f0-microscopic": lambda tc, b: _y1(tc, b, f0=np.ones(b.dim)),
-        "tc-none": lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), None, b),
-        "basis-none": lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), tc, None),
-        "basis-spec": lambda tc, b: fl.Y1_mode(1.0, 1.0, b.chi(2), tc, b.spec),
-    },
-    "Y2_mode": {
-        "t-nan": lambda tc, b: _y2(tc, t=math.nan),
-        "t-bool": lambda tc, b: _y2(tc, t=True),
-        "t-negative": lambda tc, b: _y2(tc, t=-1.0),
-        "s-zero": lambda tc, b: _y2(tc, s=0.0),
-        "s-none": lambda tc, b: _y2(tc, s=None),
-        "s-bool": lambda tc, b: _y2(tc, s=True),
-        "s-str": lambda tc, b: _y2(tc, s="1"),
-        "s-complex": lambda tc, b: _y2(tc, s=1 + 1j),
-        "s-nan": lambda tc, b: _y2(tc, s=math.nan),
-        "s-inf": lambda tc, b: _y2(tc, s=math.inf),
-        "s-negative": lambda tc, b: _y2(tc, s=-1.0),
-        "rho0-str": lambda tc, b: _y2(tc, rho0="x"),
-        "rho0-none": lambda tc, b: _y2(tc, rho0=None),
-        "rho0-nan": lambda tc, b: _y2(tc, rho0=math.nan),
-        "rho0-bool": lambda tc, b: _y2(tc, rho0=False),
-        "rho0-vector": lambda tc, b: _y2(tc, rho0=np.zeros(2)),
-        "E0-str": lambda tc, b: _y2(tc, E0=_STR3),
-        "E0-nan": lambda tc, b: _y2(tc, E0=np.array([0.0, math.nan, 0.0])),
-        "E0-short": lambda tc, b: _y2(tc, E0=_E2[:2]),
-        "E0-none": lambda tc, b: _y2(tc, E0=None),
-        "E0-ragged": lambda tc, b: _y2(tc, E0=[[0.0, 1.0], [0.0]]),
-        "B0-str": lambda tc, b: _y2(tc, B0="abc"),
-        "B0-bool": lambda tc, b: _y2(tc, B0=np.zeros(3, dtype=bool)),
-        "B0-divergent": lambda tc, b: _y2(tc, B0=np.array([1.0, 0.0, 0.0])),
-        "charge-mismatch": lambda tc, b: _y2(tc, rho0=1.0),
-        "omega-str": lambda tc, b: _y2(tc, omega=_STR3),
-        "omega-complex": lambda tc, b: _y2(tc, omega=[1.0j, 0.0, 0.0]),
-        "omega-not-unit": lambda tc, b: _y2(tc, omega=[2.0, 0.0, 0.0]),
-        "omega-ragged": lambda tc, b: _y2(tc, omega=[[1.0], [0.0, 0.0]]),
-        "tc-none": lambda tc, b: fl.Y2_mode(1.0, 1.0, 0.0, _E2, _ZERO3, None),
     },
     "p_split": {
         "f-str": lambda tc, b: fl.p_split(np.full(b.dim, "1"), b),
@@ -1041,11 +986,22 @@ _BAD_CALLS = {
         "n0-str": lambda tc, b: _solve(tc, n0="x"),
         "q0-none": lambda tc, b: _solve(tc, q0=None),
         "rho0-nan": lambda tc, b: _solve(tc, rho0=math.nan),
+        "rho0-str": lambda tc, b: _solve(tc, rho0="x"),
+        "rho0-none": lambda tc, b: _solve(tc, rho0=None),
+        "rho0-bool": lambda tc, b: _solve(tc, rho0=False),
+        "rho0-vector": lambda tc, b: _solve(tc, rho0=np.zeros(2)),
         "m0-str": lambda tc, b: _solve(tc, m0=_STR3),
         "m0-ragged": lambda tc, b: _solve(tc, m0=[[0.0], [0.0, 0.0]]),
         "E0-short": lambda tc, b: _solve(tc, E0=_E2[:2]),
+        "E0-str": lambda tc, b: _solve(tc, E0=_STR3),
+        "E0-nan": lambda tc, b: _solve(tc, E0=np.array([0.0, math.nan, 0.0])),
+        "E0-none": lambda tc, b: _solve(tc, E0=None),
+        "E0-ragged": lambda tc, b: _solve(tc, E0=[[0.0, 1.0], [0.0]]),
         "B0-none": lambda tc, b: _solve(tc, B0=None),
+        "B0-str": lambda tc, b: _solve(tc, B0="abc"),
+        "B0-bool": lambda tc, b: _solve(tc, B0=np.zeros(3, dtype=bool)),
         "omega-str": lambda tc, b: _solve(tc, omega=_STR3),
+        "omega-ragged": lambda tc, b: _solve(tc, omega=[[1.0], [0.0, 0.0]]),
         "omega-complex": lambda tc, b: _solve(tc, omega=np.array([1.0j, 0.0, 0.0])),
         "omega-not-unit": lambda tc, b: _solve(tc, omega=np.array([0.0, 0.0, 0.0])),
         "m0-divergent": lambda tc, b: _solve(tc, m0=np.array([1.0, 0.0, 0.0])),
@@ -1085,7 +1041,6 @@ _NOT_ENTRY_POINTS = {
                 "nothing",
     "TransportCoefficients": "the record transport_coefficients returns; the functions "
                              "check it",
-    "FluidModeState": "the record Y1_mode and Y2_mode return",
     "DecayFit": "the record the decay experiments return",
 }
 
@@ -1110,10 +1065,9 @@ class TestBoundaryContract:
     def test_table_calls_are_valid_when_repaired(self, tc, basis_small):
         # the helpers behind the rows succeed on good input, so each row fails
         # for its one bad argument
-        assert _y1(tc, basis_small).t == 1.0
-        assert _y2(tc).t == 1.0
-        assert _y2(tc, omega=[0.0, 1.0, 0.0], E0=np.array([1.0, 0.0, 0.0])).t == 1.0
         assert _solve(tc)["q"].shape == (2, 1)
+        assert _solve(tc, omega=[0.0, 1.0, 0.0], E0=np.array([1.0, 0.0, 0.0]))["E"].shape \
+            == (2, 1, 3)
         forced = _solve(tc, g1=lambda tau: np.zeros(3), g2=lambda tau: 0.0,
                         g3=lambda tau: np.zeros(3))
         assert np.all(forced["E"] == 0.0)

@@ -835,44 +835,47 @@ class TestTruncationBehavior:
 
 
 class TestResolventProbe:
+    """The gain-times-resolvent norm probe of tests/oracles.py on the operators
+    the assemblers build."""
+
     def test_right_half_plane_is_resolvent_set(self, collision_small):
         op = mo.assemble_B(4.0, 1.0, collision_small)
-        val = mo.resolvent_norm_probe(op, complex(1.0, 0.0))
+        val = oracles.resolvent_norm_probe(op, complex(1.0, 0.0))
         assert np.isfinite(val) and val > 0.0
 
     def test_probe_tables_match_all_pairs_build(self):
         # the tables mirror one triangle of node pairs; the kernel moments are
         # symmetric in the pair bit for bit, so they equal an all-pairs build
-        r, _, _, tables = mo._probe_grid()
+        r, _, _, tables = oracles._probe_grid()
         n = r.size
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        ((k1p, _),) = _pair_kernel_moments(r[ii.ravel()], r[jj.ravel()], mo._PROBE_LMAX, (16,))
+        ((k1p, _),) = _pair_kernel_moments(r[ii.ravel()], r[jj.ravel()], oracles._PROBE_LMAX, (16,))
         _, wg = np.polynomial.legendre.leggauss(n)
-        sw = np.sqrt(0.5 * mo._PROBE_R_MAX * wg * r**2)
-        assert len(tables) == mo._PROBE_LMAX + 1
-        for l in range(mo._PROBE_LMAX + 1):
+        sw = np.sqrt(0.5 * oracles._PROBE_R_MAX * wg * r**2)
+        assert len(tables) == oracles._PROBE_LMAX + 1
+        for l in range(oracles._PROBE_LMAX + 1):
             want = 0.5 * k1p[l].reshape(n, n) * np.outer(sw, sw)
             assert np.array_equal(tables[l], want), l
 
     def test_spectral_lambda_reported(self, collision_small):
         op = mo.assemble_B(2.0, 1.0, collision_small)
-        r, c, _, _ = mo._probe_grid()
+        r, c, _, _ = oracles._probe_grid()
         lam = complex(-oracles.nu_eval(r[10]), -2.0 * r[10] * c[5])
         with pytest.raises(ValueError):
-            mo.resolvent_norm_probe(op, lam)
+            oracles.resolvent_norm_probe(op, lam)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf,
                                      complex(0.0, math.nan), complex(-1.0, math.inf)])
     def test_non_finite_lambda_rejected(self, collision_small, lam):
         op = mo.assemble_B(2.0, 1.0, collision_small)
         with pytest.raises(ValueError, match="finite"):
-            mo.resolvent_norm_probe(op, lam)
+            oracles.resolvent_norm_probe(op, lam)
 
     def test_decay_in_imaginary_part_at_small_streaming(self, collision_small):
         re = -0.5 * oracles.nu_bounds()[0]
         op = mo.assemble_B(2.0, 1.0, collision_small)
         ims = np.array([2.0, 4.0, 8.0, 16.0])
-        vals = [mo.resolvent_norm_probe(op, complex(re, im)) for im in ims]
+        vals = [oracles.resolvent_norm_probe(op, complex(re, im)) for im in ims]
         slope = np.polyfit(np.log(ims), np.log(vals), 1)[0]
         assert -0.65 <= slope <= -0.35
 
@@ -887,14 +890,14 @@ class TestResolventProbe:
     def test_decay_in_streaming_strength(self, collision_small):
         re = -0.5 * oracles.nu_bounds()[0]
         ws = np.array([1.0, 4.0, 16.0, 64.0])
-        vals = [mo.resolvent_norm_probe(mo.assemble_B(w, 1.0, collision_small),
+        vals = [oracles.resolvent_norm_probe(mo.assemble_B(w, 1.0, collision_small),
                                         complex(re, 0.0)) for w in ws]
         slope = np.polyfit(np.log1p(ws), np.log(vals), 1)[0]
         assert -0.65 <= slope <= -0.35
 
     def test_streaming_decay_reaches_asymptotic_rate(self, collision_small):
         re = -0.5 * oracles.nu_bounds()[0]
-        vals = [mo.resolvent_norm_probe(mo.assemble_B(w, 1.0, collision_small),
+        vals = [oracles.resolvent_norm_probe(mo.assemble_B(w, 1.0, collision_small),
                                         complex(re, 0.0)) for w in (16.0, 64.0)]
         assert vals[1] < vals[0]
         tail = (np.log(vals[1]) - np.log(vals[0])) / (np.log(65.0) - np.log(17.0))
@@ -903,20 +906,20 @@ class TestResolventProbe:
     def test_probe_deterministic(self, collision_small):
         op = mo.assemble_B(4.0, 1.0, collision_small)
         lam = complex(-0.5 * oracles.nu_bounds()[0], 3.0)
-        assert mo.resolvent_norm_probe(op, lam) == mo.resolvent_norm_probe(op, lam)
+        assert oracles.resolvent_norm_probe(op, lam) == oracles.resolvent_norm_probe(op, lam)
 
     def test_unconverged_iteration_refused(self, collision_small, monkeypatch):
         # two steps cannot meet the 1e-10 test, which takes 7 to 13 here
-        monkeypatch.setattr(mo, "_PROBE_ITERS", 2)
+        monkeypatch.setattr(oracles, "_PROBE_ITERS", 2)
         op = mo.assemble_B(4.0, 1.0, collision_small)
         with pytest.raises(ValueError, match="did not converge in 2 steps"):
-            mo.resolvent_norm_probe(op, complex(1.0, 0.0))
+            oracles.resolvent_norm_probe(op, complex(1.0, 0.0))
 
     def test_zero_gain_has_norm_zero(self, collision_small, monkeypatch):
-        r, c, pc, tables = mo._probe_grid()
-        monkeypatch.setattr(mo, "_probe_grid", lambda: (r, c, pc, np.zeros_like(tables)))
+        r, c, pc, tables = oracles._probe_grid()
+        monkeypatch.setattr(oracles, "_probe_grid", lambda: (r, c, pc, np.zeros_like(tables)))
         op = mo.assemble_B(4.0, 1.0, collision_small)
-        assert mo.resolvent_norm_probe(op, complex(1.0, 0.0)) == 0.0
+        assert oracles.resolvent_norm_probe(op, complex(1.0, 0.0)) == 0.0
 
 
 def _complex_remainder_norms(op, mask, projectors, taus):
@@ -1130,7 +1133,7 @@ def _propagate(cm, u0=None, t=0.5, op=None):
 
 
 def _probe(cm, lam=complex(1.0, 0.0), op=None):
-    return mo.resolvent_norm_probe(mo.assemble_B(2.0, 1.0, cm) if op is None else op, lam)
+    return oracles.resolvent_norm_probe(mo.assemble_B(2.0, 1.0, cm) if op is None else op, lam)
 
 
 def _assembly_rows(assemble):
@@ -1149,13 +1152,25 @@ def _assembly_rows(assemble):
         "eps-str": lambda cm: assemble(1.0, "0.1", cm),
         "cm-none": lambda cm: assemble(1.0, 0.1, None),
         "cm-basis": lambda cm: assemble(1.0, 0.1, cm.basis),
+        # finite s and eps whose streaming load eps*s*max|v| overflows
+        "w-overflow": lambda cm: assemble(1e200, 1e200, cm),
+        "s-overflow": lambda cm: assemble(1e308, 1.0, cm),
+        "eps-overflow": lambda cm: assemble(1.0, 1e308, cm),
     }
 
 
 _BAD_CALLS = {
     "assemble_B": _assembly_rows(mo.assemble_B),
-    "assemble_A_tilde": {**_assembly_rows(mo.assemble_A_tilde),
-                         "s-zero": lambda cm: mo.assemble_A_tilde(0.0, 0.1, cm)},
+    "assemble_A_tilde": {
+        **_assembly_rows(mo.assemble_A_tilde),
+        "s-zero": lambda cm: mo.assemble_A_tilde(0.0, 0.1, cm),
+        # the metric weight 1 + 1/s^2 and the couplings eps/s and eps^2 s: s^2
+        # underflows to 0, 1/s^2 overflows, s^2 overflows, eps^2 overflows
+        "s-underflow": lambda cm: mo.assemble_A_tilde(1e-300, 0.1, cm),
+        "metric-overflow": lambda cm: mo.assemble_A_tilde(1e-160, 0.1, cm),
+        "s-overflow": lambda cm: mo.assemble_A_tilde(1e300, 0.1, cm),
+        "eps-overflow": lambda cm: mo.assemble_A_tilde(1.0, 1e160, cm),
+    },
     "ModeOperator": {
         "kind-unknown": lambda cm: _tiny_operator(cm, kind="fluid"),
         "s-nan": lambda cm: _tiny_operator(cm, s=math.nan),
@@ -1229,18 +1244,6 @@ _BAD_CALLS = {
         "time-none": lambda cm: _propagate(cm, t=None),
         "eps-zero": lambda cm: _propagate(cm, op=mo.assemble_B(1.0, 0.0, cm)),
     },
-    "resolvent_norm_probe": {
-        "op-none": lambda cm: mo.resolvent_norm_probe(None, 1.0),
-        "op-matrix": lambda cm: _probe(cm, op=mo.assemble_B(2.0, 1.0, cm).matrix),
-        "lam-nan": lambda cm: _probe(cm, lam=math.nan),
-        "lam-inf": lambda cm: _probe(cm, lam=complex(0.0, math.inf)),
-        "lam-str": lambda cm: _probe(cm, lam="1"),
-        "lam-none": lambda cm: _probe(cm, lam=None),
-        "lam-bool": lambda cm: _probe(cm, lam=True),
-        "lam-on-spectrum": lambda cm: _probe(cm, lam=complex(
-            -oracles.nu_eval(mo._probe_grid()[0][10]),
-            -2.0 * mo._probe_grid()[0][10] * mo._probe_grid()[1][5])),
-    },
     "semigroup_split": {
         "op-none": lambda cm: mo.semigroup_split(None),
         "op-matrix": lambda cm: mo.semigroup_split(mo.assemble_B(1.0, 0.2, cm).matrix),
@@ -1248,6 +1251,21 @@ _BAD_CALLS = {
     "spectrum": {
         "op-none": lambda cm: mo.spectrum(None),
         "op-matrix": lambda cm: mo.spectrum(mo.assemble_B(1.0, 0.2, cm).matrix),
+    },
+}
+# the probe of tests/oracles.py refuses bad input with ValueError too
+_ORACLE_BAD_CALLS = {
+    "resolvent_norm_probe": {
+        "op-none": lambda cm: oracles.resolvent_norm_probe(None, 1.0),
+        "op-matrix": lambda cm: _probe(cm, op=mo.assemble_B(2.0, 1.0, cm).matrix),
+        "lam-nan": lambda cm: _probe(cm, lam=math.nan),
+        "lam-inf": lambda cm: _probe(cm, lam=complex(0.0, math.inf)),
+        "lam-str": lambda cm: _probe(cm, lam="1"),
+        "lam-none": lambda cm: _probe(cm, lam=None),
+        "lam-bool": lambda cm: _probe(cm, lam=True),
+        "lam-on-spectrum": lambda cm: _probe(cm, lam=complex(
+            -oracles.nu_eval(oracles._probe_grid()[0][10]),
+            -2.0 * oracles._probe_grid()[0][10] * oracles._probe_grid()[1][5])),
     },
 }
 # exported names that take no caller input of their own
@@ -1285,15 +1303,28 @@ class TestBoundaryContract:
         assert _propagate(cm).shape == (cm.basis.dim,)
         assert _probe(cm) > 0.0
 
-    @pytest.mark.parametrize("assemble, eps", [(mo.assemble_B, 0.1), (mo.assemble_B, 0.0),
-                                               (mo.assemble_A_tilde, 0.1)])
-    def test_assembled_blocks_pass_the_public_checks(self, collision_small, assemble, eps):
+    @pytest.mark.parametrize("name, case", [(name, case)
+                                            for name, rows in _ORACLE_BAD_CALLS.items()
+                                            for case in rows])
+    def test_oracle_bad_input_raises_value_error(self, collision_small, name, case):
+        with pytest.raises(ValueError):
+            _ORACLE_BAD_CALLS[name][case](collision_small)
+
+    @pytest.mark.parametrize("assemble, s, eps", [
+        (mo.assemble_B, 0.7, 0.1), (mo.assemble_B, 0.7, 0.0), (mo.assemble_A_tilde, 0.7, 0.1),
+        # short of the overflow rows above: large but finite coefficients
+        (mo.assemble_B, 1e300, 0.1), (mo.assemble_A_tilde, 1e150, 0.1),
+        (mo.assemble_A_tilde, 1e-150, 0.1)])
+    def test_assembled_blocks_pass_the_public_checks(self, collision_small, assemble, s, eps):
         # the assemblers skip the constructor's checks (_assembled); what they
         # build passes them, and the checked operator is the same one
-        op = assemble(0.7, eps, collision_small)
+        op = assemble(s, eps, collision_small)
         again = mo.ModeOperator(op.kind, op.s, op.eps, op.metric_diag, op.collision, op.blocks)
         assert again.dim == op.dim
         assert np.array_equal(again.matrix, op.matrix)
+        # the streaming check reads the largest speed as the last radial node
+        r = collision_small.basis.quad.r
+        assert r[-1] == r.max()
 
     @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
     def test_assembled_operators_are_checked_once(self, collision_small, monkeypatch,

@@ -57,9 +57,13 @@ def test_oracle_names_are_absent_from_the_library():
             "gamma_full_grid", "crossing_discriminant", "crossing_by_bracket",
             "pair_kernel_moments_by_rule", "nu_eval", "kernel_eval", "weighted_inner",
             "weighted_norm", "resolvent_scalars", "ResolventScalars",
-            "first_sonine_forms", "raw_null_residuals"} <= defined
+            "first_sonine_forms", "raw_null_residuals", "resolvent_norm_probe", "_probe_grid",
+            "_PROBE_ITERS", "reduced_kernel_tables", "solve_highfreq"} <= defined
+    # names that went away: the per-mode fluid flows and their record and checks,
+    # whose flows _heat_flow and linear_nsmf_solve compute
     kept_out = defined | {"eigenvalues", "eigen_condition", "from_mapping", "laguerre_rows",
-                          "transverse_seeds", "split_regime"}
+                          "transverse_seeds", "split_regime", "Y1_mode", "Y2_mode",
+                          "FluidModeState", "_check_time_and_wave", "_check_field_data"}
     namespaces = dict(_library_namespaces())
     assert "kslab.mode_operators.ModeOperator" in namespaces
     for label, names in namespaces.items():
