@@ -447,13 +447,22 @@ def _field_solve(tc, times, s, rho0, e0, b0, omega=None):
     return rho, e_field, b_field, reduced
 
 
+# wave directions: the three axes, an oblique one in a coordinate plane and
+# one off every coordinate plane
+_OMEGAS = pytest.mark.parametrize("omega", [
+    (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8),
+    (1 / 3, 2 / 3, 2 / 3)], ids=["x", "y", "z", "oblique", "generic"])
+
+
 class TestFieldMode:
     """The damped-Maxwell flow of one unforced mode, through linear_nsmf_solve."""
 
-    def test_time_zero_reproduction(self, tc):
+    @_OMEGAS
+    def test_time_zero_reproduction(self, tc, omega):
         rng = np.random.default_rng(3)
-        rho0, e0, b0 = _random_field_mode(rng, 0.8)
-        rho, e_field, b_field, _ = _field_solve(tc, [0.0], 0.8, rho0, e0, b0)
+        omega = np.array(omega)
+        rho0, e0, b0 = _random_field_mode(rng, 0.8, omega)
+        rho, e_field, b_field, _ = _field_solve(tc, [0.0], 0.8, rho0, e0, b0, omega)
         assert abs(rho[0] - rho0) < 1e-10
         assert np.linalg.norm(e_field[0] - e0) < 1e-10
         assert np.linalg.norm(b_field[0] - b0) < 1e-10
@@ -464,12 +473,14 @@ class TestFieldMode:
         assert np.max(np.abs(gram - np.eye(5))) < 1e-12
         assert abs((np.abs(x[:, 0]) ** 2 * metric).sum() - 1.0) < 1e-12
 
-    def test_eigen_expansion_matches_block_route(self, tc):
+    @_OMEGAS
+    def test_eigen_expansion_matches_block_route(self, tc, omega):
         rng = np.random.default_rng(11)
         s, t = 1.0, 1.7
-        rho0, e0, b0 = _random_field_mode(rng, s)
+        omega = np.array(omega)
+        rho0, e0, b0 = _random_field_mode(rng, s, omega)
         b, x, metric = oracles.y2_eigenbasis(s, tc.eta)
-        v0, state = _field_solve(tc, [0.0, t], s, rho0, e0, b0)[3]
+        v0, state = _field_solve(tc, [0.0, t], s, rho0, e0, b0, omega)[3]
         weights = np.array([(v0 * metric) @ x[:, j] for j in range(5)])
         via_eigen = x @ (np.exp(b * t) * weights)
         assert np.max(np.abs(via_eigen - state)) < 1e-12
@@ -488,12 +499,13 @@ class TestFieldMode:
         assert np.max(np.abs(outs[0] - outs[1])) < 1e-4
         assert np.max(np.abs(outs[0] - outs[2])) < 1e-4
 
-    def test_constraints_preserved_along_trajectory(self, tc):
+    @_OMEGAS
+    def test_constraints_preserved_along_trajectory(self, tc, omega):
         rng = np.random.default_rng(7)
         s = 1.4
-        rho0, e0, b0 = _random_field_mode(rng, s)
-        omega = np.array([1.0, 0.0, 0.0])
-        rho, e_field, b_field, _ = _field_solve(tc, [0.3, 2.5, 12.0], s, rho0, e0, b0)
+        omega = np.array(omega)
+        rho0, e0, b0 = _random_field_mode(rng, s, omega)
+        rho, e_field, b_field, _ = _field_solve(tc, [0.3, 2.5, 12.0], s, rho0, e0, b0, omega)
         for k in range(3):
             assert abs(rho[k] - 1j * s * (omega @ e_field[k])) < 1e-10
             assert abs(omega @ b_field[k]) < 1e-10

@@ -1327,6 +1327,33 @@ class TestBoundaryContract:
         assert r[-1] == r.max()
 
     @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-154, 1e-150, 1e-10, 1.0, 1e10,
+                                   1e150, 1e154, 1e160, 1e300])
+    def test_assemblers_refuse_exactly_the_overflowing_coefficients(self, collision_small,
+                                                                    assemble, s):
+        # over the float range, an assembler refuses (s, eps) with ValueError
+        # when a coefficient of its blocks or metric is not finite, and else
+        # builds an operator whose every entry is finite
+        speed = float(collision_small.basis.quad.r.max())
+        for eps in (0.0, 1e-300, 0.1, 1e150, 1e300):
+            with np.errstate(all="ignore"):
+                s2 = np.float64(s) * s
+                loads = [np.float64(eps) * s * speed]
+                if assemble is mo.assemble_A_tilde:
+                    loads += [s2 if s2 > 0.0 else math.inf, 1.0 / s2, np.float64(eps) / s,
+                              np.float64(eps) * eps * s]
+            if not np.all(np.isfinite(loads)):
+                with pytest.raises(ValueError, match="finite|overflows"):
+                    assemble(s, eps, collision_small)
+                continue
+            op = assemble(s, eps, collision_small)
+            assert np.all(np.isfinite(op.metric_diag))
+            assert all(np.all(np.isfinite(block.matrix)) for block in op.blocks)
+            again = mo.ModeOperator(op.kind, op.s, op.eps, op.metric_diag, op.collision,
+                                    op.blocks)
+            assert np.array_equal(again.matrix, op.matrix)
+
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
     def test_assembled_operators_are_checked_once(self, collision_small, monkeypatch,
                                                   assemble):
         # the assemblers check their arguments; the operator they build does
