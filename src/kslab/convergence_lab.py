@@ -16,14 +16,14 @@ too checks the states.
 Each of these steps works mode by mode, so the chunks leave the states bit
 for bit those of one stack.  No experiment holds the (n_t, n_s, dim) states
 of all its modes: _evolve_grid hands each chunk's (n_t, chunk, dim) states
-to the experiment's reducer, which keeps only per-(t, mode) tables, and the
-mode integrals then run once on the whole tables, so the working set is one
-chunk's whatever n_s is.  _block_flow writes the states in that layout, so
-the chunk goes to the reducer as it flowed, uncopied; the reducer owns it,
-reads what it needs first and may overwrite it.  Each error table evaluates
-its own fluid reference on the chunk: _kinetic_tables the kinetic heat flow
-fluid_limits._heat_flow (on the one heat decay, fluid_limits._heat_decay),
-one block of at most _ROW_STATES states at a time, and _field_table the
+to the experiment's reducer, which returns the chunk's per-(t, mode) tables,
+and _evolve_grid writes them into whole tables, whose mode integrals then
+run once, so the working set is one chunk's whatever n_s is.  _block_flow
+writes the states in that layout, so the chunk goes to the reducer as it
+flowed, uncopied; the reducer owns it, reads what it needs first and may
+overwrite it.  Each error table evaluates its own fluid reference on the
+whole chunk: _kinetic_tables the kinetic heat flow fluid_limits._heat_flow
+(on the one heat decay, fluid_limits._heat_decay), and _field_table the
 damped-Maxwell flow fluid_limits._field_flow, measured in the
 electromagnetic metric fluid_limits._field_sq, whose charge counts
 1 + 1/s^2.  transient_rate_check takes the remainder of a semigroup split
@@ -448,26 +448,26 @@ class ConvergenceReport:
 # modes per decomposition chunk: each chunk's states reduce to their per-mode
 # tables before the next chunk runs, so the working set is one chunk's
 _MODE_CHUNK = 16
-# states per row block of the kinetic reduction: the split and the heat flow
-# of a block are what _kinetic_tables holds beside the chunk
-_ROW_STATES = 512
 
 
 def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
                  cm: CollisionMatrices, states0: np.ndarray, times: np.ndarray,
-                 failures: list, reduce: Callable) -> np.ndarray:
-    """Propagate every mode, one chunk at a time, into ``reduce``; returns the keep mask.
+                 failures: list, reduce: Callable) -> tuple[np.ndarray, tuple]:
+    """Propagate every mode, one chunk at a time, into ``reduce``; returns the
+    keep mask and the tables.
 
     Each chunk of _MODE_CHUNK modes goes to reduce(chunk, states), with
     ``chunk`` its slice of s_nodes and ``states`` its contiguous
     (n_t, len, dim) states: the array _block_flow wrote, not a copy.  reduce
-    owns it: it reads what it needs first and may then overwrite it.  No
-    grid of all modes is built: reduce keeps the chunk's per-mode tables, and
-    the states are freed before the next chunk runs.  The modes share one
-    block layout: per chunk, _block_flow decomposes them in one stacked eig
-    per block and applies the stacks of that decomposition at once,
-    e^{tau A_b} by scaling and squaring on any block whose eigenvectors fail
-    the conditioning limit.  Every step works
+    owns it: it reads what it needs first and may then overwrite it.  It
+    returns a tuple of the chunk's tables, the modes on the last axis; each
+    table of all modes is allocated once, with the shape and dtype of the
+    first chunk's, and takes every chunk's part at that chunk's modes.  No
+    grid of all modes is built: the states are freed before the next chunk
+    runs.  The modes share one block layout: per chunk, _block_flow
+    decomposes them in one stacked eig per block and applies the stacks of
+    that decomposition at once, e^{tau A_b} by scaling and squaring on any
+    block whose eigenvectors fail the conditioning limit.  Every step works
     per mode (eig and inv per matrix, the batched products per mode, the
     conditioning gate and the contraction guard per row), so the chunks give
     the states of one stack bit for bit.  A mode that fails the contraction
@@ -475,6 +475,7 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
     """
     taus = np.asarray(times, dtype=float) / eps**2
     keep = np.empty(len(s_nodes), dtype=bool)
+    tables = None
     for lo in range(0, len(s_nodes), _MODE_CHUNK):
         chunk = slice(lo, lo + _MODE_CHUNK)
         ops = [assemble(float(s), eps, cm) for s in s_nodes[chunk]]
@@ -487,9 +488,13 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
                              "reason": f"contraction violated ({growth[i]:.3e})"})
         flow[:, bad] = 0.0
         keep[chunk] = ~bad
-        reduce(chunk, flow)
+        parts = reduce(chunk, flow)
         del flow  # freed before the next chunk runs
-    return keep
+        if tables is None:
+            tables = tuple(np.empty((*p.shape[:-1], len(s_nodes)), p.dtype) for p in parts)
+        for table, part in zip(tables, parts):
+            table[..., chunk] = part
+    return keep, tables
 
 
 def _agg_weights(s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -533,22 +538,13 @@ def _kinetic_tables(kin: np.ndarray, f0: np.ndarray, s: np.ndarray, times: np.nd
     proxy for the supremum norm.  f_par is fluid_limits._compressible_part,
     and the states become first f - f_par = f_perp and then the error, in
     place: the bits of p_split's f_perp minus the heat flow.  The split and
-    the heat flow run on blocks of time rows holding at most _ROW_STATES
-    states (one row if m is larger); each row is the same bits in any block,
-    the heat flow's too.
+    the heat flow run on the whole chunk at once.
     """
-    n_t, m = kin.shape[:2]
-    perp_sq, par = np.empty((n_t, m)), np.empty((n_t, m))
-    step = max(1, _ROW_STATES // m)
-    for lo in range(0, n_t, step):
-        rows = slice(lo, lo + step)
-        block = kin[rows]
-        f_par = _compressible_part(block, basis)
-        par[rows] = np.linalg.norm(f_par, axis=-1)
-        block -= f_par
-        block -= _heat_flow(f0, s, times[rows], tc, basis)
-        perp_sq[rows] = _norm_sq(block)
-    return perp_sq, par
+    f_par = _compressible_part(kin, basis)
+    par = np.linalg.norm(f_par, axis=-1)
+    kin -= f_par
+    kin -= _heat_flow(f0, s, times, tc, basis)
+    return _norm_sq(kin), par
 
 
 def _tail_mass(data: InitialData, cfg: ExperimentConfig, eps: float) -> float:
@@ -557,11 +553,7 @@ def _tail_mass(data: InitialData, cfg: ExperimentConfig, eps: float) -> float:
     s = np.linspace(lo, lo + 8.0 * _PROFILE_WIDTH, 200)
     w = np.full_like(s, s[1] - s[0])
     wq = _agg_weights(s, w)
-    f = data.boltzmann_states(s)
-    v = data.vmb_states(s)
-    m = float(wq @ np.sum(np.abs(f) ** 2, axis=1)
-              + wq @ np.sum(np.abs(v) ** 2, axis=1))
-    return m
+    return float(wq @ _norm_sq(data.boltzmann_states(s)) + wq @ _norm_sq(data.vmb_states(s)))
 
 
 def _fit_eps_slopes(report: ConvergenceReport, eps: np.ndarray, times: np.ndarray,
@@ -660,22 +652,19 @@ def first_order_experiment(cfg: ExperimentConfig,
         tail.append(_tail_mass(data, cfg, eps))
 
         # per-(t, mode) tables, each chunk of modes reduced as it is evolved
-        perp_sq, par, p0_sq, p1_sq, field_sq = (np.empty((len(times), cfg.n_s))
-                                                for _ in range(5))
-
         def kinetic(chunk, kin):
             # the P0/P1 norms first: _kinetic_tables overwrites the states
-            p0_sq[:, chunk] = _norm_sq(kin @ p0m.T)
-            p1_sq[:, chunk] = _norm_sq(kin @ p1m.T)
-            perp_sq[:, chunk], par[:, chunk] = _kinetic_tables(kin, f0[chunk], s[chunk],
-                                                               times, tc, basis)
+            p0_sq, p1_sq = _norm_sq(kin @ p0m.T), _norm_sq(kin @ p1m.T)
+            return (p0_sq, p1_sq) + _kinetic_tables(kin, f0[chunk], s[chunk], times, tc, basis)
 
         def field(chunk, kin):
-            field_sq[:, chunk] = _field_table(kin, tc.eta, s[chunk], times, v0[chunk, 0],
-                                              *v0[chunk, dimk:].T)
+            return (_field_table(kin, tc.eta, s[chunk], times, v0[chunk, 0],
+                                 *v0[chunk, dimk:].T),)
 
-        keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures, kinetic)
-        keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times, failures, field)
+        keep_b, (p0_sq, p1_sq, perp_sq, par) = _evolve_grid(assemble_B, s, eps, cm, f0, times,
+                                                            failures, kinetic)
+        keep_v, (field_sq,) = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times, failures,
+                                           field)
         wq_b, wq_v = wq * keep_b, wq * keep_v
 
         # defect identities at t = 0: the parts no fluid flow carries
@@ -811,16 +800,15 @@ def initial_layer_profile(cfg: ExperimentConfig, cm: CollisionMatrices) -> Conve
     taus = np.linspace(0.0, _TAU_MAX, _N_TAU)
     times = eps * taus
     failures: list = []
-    # per-(tau, mode) tables: the chi1 and ht1 coefficients and the squared bulk error
-    c1, ch = (np.empty((_N_TAU, _N_LAYER), dtype=complex) for _ in range(2))
-    perp_sq = np.empty((_N_TAU, _N_LAYER))
     chi1, ht1 = basis.chi(1), _hydro_vectors(basis)[1]
 
+    # per-(tau, mode) tables: the chi1 and ht1 coefficients and the squared bulk error
     def layer(chunk, kin):
-        c1[:, chunk], ch[:, chunk] = kin @ chi1, kin @ ht1
-        perp_sq[:, chunk] = _kinetic_tables(kin, f0[chunk], s[chunk], times, tc, basis)[0]
+        # the coefficients first: _kinetic_tables overwrites the states
+        c1, ch = kin @ chi1, kin @ ht1
+        return c1, ch, _kinetic_tables(kin, f0[chunk], s[chunk], times, tc, basis)[0]
 
-    keep = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures, layer)
+    keep, (c1, ch, perp_sq) = _evolve_grid(assemble_B, s, eps, cm, f0, times, failures, layer)
     wk = w * keep
     wl = wk * s**2
 
@@ -937,23 +925,21 @@ def second_order_experiment(cfg: ExperimentConfig,
         fluid0 = (1j * s * prof)[:, None] * z2
         field0 = (1j * s * prof * e_z[0], -(prof * e_z[2]), prof * e_z[1])
         # per-(t, mode) tables of the 1/eps-scaled states, and their log-time marks
-        perp_sq, par, field_sq = (np.empty((len(times), cfg.n_s)) for _ in range(3))
-        mark_b, mark_v = np.empty(cfg.n_s), np.empty(cfg.n_s)
-
         def kinetic(chunk, kin):
             kin /= eps
-            mark_b[chunk] = _norm_sq(kin[-1])
-            perp_sq[:, chunk], par[:, chunk] = _kinetic_tables(
-                kin[:-1], fluid0[chunk], s[chunk], times, tc, basis)
+            mark = _norm_sq(kin[-1])
+            return _kinetic_tables(kin[:-1], fluid0[chunk], s[chunk], times, tc, basis) + (mark,)
 
         def field(chunk, kin):
             kin /= eps
-            mark_v[chunk] = _field_sq(kin[-1], s[chunk])
-            field_sq[:, chunk] = _field_table(kin[:-1], tc.eta, s[chunk], times,
-                                              *(a[chunk] for a in field0), 0.0, 0.0)
+            mark = _field_sq(kin[-1], s[chunk])
+            return _field_table(kin[:-1], tc.eta, s[chunk], times,
+                                *(a[chunk] for a in field0), 0.0, 0.0), mark
 
-        keep_b = _evolve_grid(assemble_B, s, eps, cm, f0, times_all, failures, kinetic)
-        keep_v = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times_all, failures, field)
+        keep_b, (perp_sq, par, mark_b) = _evolve_grid(assemble_B, s, eps, cm, f0, times_all,
+                                                      failures, kinetic)
+        keep_v, (field_sq, mark_v) = _evolve_grid(assemble_A_tilde, s, eps, cm, v0, times_all,
+                                                  failures, field)
         wq_b, wq_v = wq * keep_b, wq * keep_v
         streams["boltzmann_perp"].append(np.sqrt(perp_sq @ wq_b).tolist())
         streams["boltzmann_par_proxy"].append((par @ (w * s**2 * keep_b)).tolist())

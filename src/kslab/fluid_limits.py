@@ -463,7 +463,8 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
     (n_t, n_modes) arrays "n", "q", "rho" and "p", and "m", "E" and "B" of
     shape (n_t, n_modes, 3).  It computes with numpy's floating-point warnings
     off: data or a forcing that overflows raises FluidError, from the Duhamel
-    integrand's check or the test that every returned array is finite.
+    integrand's check or the test that every returned array is finite, which
+    names the arrays that are not and the last time.
     """
     _check_record(tc, TransportCoefficients, FluidError)
     if not (_finite_array(times) and np.ndim(times) == 1):
@@ -514,8 +515,10 @@ def linear_nsmf_solve(modes: list[NsmfMode], times: np.ndarray,
         e_field[:, j], b_field[:, j] = _fields(omega, s, *flow[:, j].T)
     out = {"t": times, "n": -math.sqrt(2.0 / 3.0) * q, "m": m, "q": q, "rho": flow[..., 0],
            "E": e_field, "B": b_field, "p": p}
-    if not all(map(_finite_complex_array, out.values())):
-        raise FluidError("non-finite solution: the data or a forcing overflows")
+    bad = [*filter(lambda key: not _finite_complex_array(out[key]), out)]
+    if bad:
+        raise FluidError(f"non-finite solution in {', '.join(bad)} up to t = "
+                         f"{float(times[-1])!r}: the data or a forcing overflows")
     return out
 
 

@@ -19,20 +19,21 @@ right vectors, inverse).  _decompose_stacked writes the records of any number
 of operators that share a block layout, one stacked eig per block.  A block
 falls back when the Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper
 bound on cond_2(V_b), reaches _EIG_COND_LIMIT; its record keeps the eig pair
-without the inverse, (lam_b, V_b, None).  spectrum reads the eig pair of
-every record, and the semigroup split marks the eigenvalues it takes into
-S1/S2 with a mask per block copy, m, and a projector P_b per fallback block.
+with zero inverse rows, (lam_b, V_b, 0), and only the decomposition's
+``schur`` flags mark it.  spectrum reads the eig pair of every record, and
+the semigroup split marks the eigenvalues it takes into S1/S2 with a mask
+per block copy, m, and a projector P_b per fallback block.
 
 _block_flow is the one apply of the semigroup, e^{tau A} u0 =
 V_b diag(e^{tau lam}) V_b^{-1} u0 on an eig block copy and e^{tau A_b} u0 by
 scaling and squaring (_fallback_flow) on a fallback block.  When it
 decomposes every operator itself it applies the per-block stacks that
-_decompose_stacked returns, with zero inverse rows for a fallback member;
-when some operators already hold records it stacks the records per block
-(_stacked_records).  Its states are (n_t, n, dim), times first, the layout
-the reducers of convergence_lab._evolve_grid read, so a chunk of a mode grid
-goes to them uncopied.  It serves one operator (propagate), each chunk of a
-mode grid and the remainder of a split (_remainder_flow):
+_decompose_stacked returns, the records' stacked form; when some operators
+already hold records it stacks the records per block (_stacked_records).
+Its states are (n_t, n, dim), times first, the layout the reducers of
+convergence_lab._evolve_grid read, so a chunk of a mode grid goes to them
+uncopied.  It serves one operator (propagate), each chunk of a mode grid
+and the remainder of a split (_remainder_flow):
 V_b diag(e^{tau lam} (1 - m)) V_b^{-1} u0, from (I - P_b) u0 on a fallback
 block.  The results are checked with the one contraction guard,
 _contraction_violations, and the remainder norms read the same records.
@@ -368,18 +369,17 @@ def _decompose_stacked(ops: list[ModeOperator]) -> list[tuple]:
     """Decompose operators sharing one block layout, one stacked eig per block.
 
     Every operator gets its own _Decomposition: per block views into the
-    stacks, with no inverse where the eigenvectors are past _EIG_COND_LIMIT
-    (a fallback block).  The gate costs one stacked inverse, which the eig
-    records need anyway: LAPACK's eigenvectors are unit columns, so a k-dim
-    block has ||V_b||_F = sqrt(k), and sqrt(k) ||V_b^{-1}||_F >= cond_2(V_b)
-    is the bound the gate takes (an exactly singular V_b has an infinite
-    one).  The reported condition is max_b sqrt(k_b) * max_b ||V_b^{-1}||_F,
+    stacks, with zero inverse rows where the eigenvectors are past
+    _EIG_COND_LIMIT (a fallback block).  The gate costs one stacked inverse,
+    which the eig records need anyway: LAPACK's eigenvectors are unit
+    columns, so a k-dim block has ||V_b||_F = sqrt(k), and
+    sqrt(k) ||V_b^{-1}||_F >= cond_2(V_b) is the bound the gate takes (an
+    exactly singular V_b has an infinite one).  The reported condition is max_b sqrt(k_b) * max_b ||V_b^{-1}||_F,
     an upper bound on cond_2 of the block-diagonal eigenvector matrix.
 
     Returns the stacks, per block (eigenvalues, right vectors, inverses) of
-    shapes (n, k) and (n, k, k), with zero inverse rows for a fallback
-    member: the records' stacked form (_stacked_records), so _block_flow
-    applies them without stacking the records back.
+    shapes (n, k) and (n, k, k): the records' stacked form (_stacked_records),
+    so _block_flow applies them without stacking the records back.
     """
     stacks, vec_norms, inv_norms = [], [], []
     for b in range(len(ops[0].blocks)):
@@ -391,29 +391,27 @@ def _decompose_stacked(ops: list[ModeOperator]) -> list[tuple]:
     inv_norms = np.stack(inv_norms, axis=1)
     ok = np.asarray(vec_norms) * inv_norms < _EIG_COND_LIMIT
     cond = max(vec_norms) * inv_norms.max(axis=1)
+    for b, (_, _, wb) in enumerate(stacks):
+        wb[~ok[:, b]] = 0.0
     for i, op in enumerate(ops):
-        blocks = tuple((lb[i], vb[i], wb[i] if ok[i, b] else None)
-                       for b, (lb, vb, wb) in enumerate(stacks))
+        blocks = tuple((lb[i], vb[i], wb[i]) for lb, vb, wb in stacks)
         op._decomp = _Decomposition("eig" if ok[i].all() else "schur", float(cond[i]),
                                     _by_column(op, [lb for lb, _, _ in blocks]), blocks,
                                     tuple((~ok[i]).tolist()))
-    for b, (_, _, wb) in enumerate(stacks):
-        wb[~ok[:, b]] = 0.0
     return stacks
 
 
 def _stacked_records(records: list) -> tuple:
-    """One block's records of n operators as (n, k) and (n, k, k) stacks, a
-    fallback's missing inverse as zero rows."""
-    return (np.stack([lb for lb, _, _ in records]), np.stack([vb for _, vb, _ in records]),
-            np.stack([np.zeros_like(vb) if wb is None else wb for _, vb, wb in records]))
+    """One block's records of n operators as (n, k) and (n, k, k) stacks."""
+    return tuple(map(np.stack, zip(*records)))
 
 
 class _Decomposition(NamedTuple):
     """A generator's decomposition (ModeOperator._decomp), one record per block.
 
     ``blocks`` holds per block (eigenvalues, right vectors, inverse); where
-    ``schur`` marks a fallback block the inverse is None (see _fallback_flow).
+    ``schur`` marks a fallback block the inverse is zero rows, and the block
+    flows by _fallback_flow.
     The columns run block by block and, within a block, copy by copy
     (_copy_columns): ``lam`` holds the eigenvalue of every column.
     """
@@ -462,7 +460,7 @@ def _dense_vectors(op: ModeOperator, cols: np.ndarray, inverse: bool = False):
         hit = np.flatnonzero((cols >= span.start) & (cols < span.stop))
         local = cols[hit] - span.start
         right[np.ix_(idx, hit)] = sign[:, None] * vb[:, local]
-        if inverse and wb is not None:
+        if inverse:
             left[np.ix_(hit, idx)] = wb[local] * sign[None, :]
     return right, left
 

@@ -4,16 +4,19 @@ The finiteness policy for arrays lives in one predicate,
 velocity_basis._finite_entries (behind _finite_array and
 _finite_complex_array): no other kslab function calls numpy's isfinite.
 A kinetic decomposition has one form, the per-operator record of
-mode_operators._Decomposition: _decompose_stacked writes the records, and
+mode_operators._Decomposition, whose fallback blocks hold zero inverse rows
+as the stacks do: _decompose_stacked writes the records, and
 only _decomposition and _block_flow, which decomposes the operators that
 lack them, call it; _block_flow applies the stacks of its own
 decomposition or stacks the records itself, and takes no stacked parts.
 The experiments' mode grids have one evolver, convergence_lab._evolve_grid,
 which assembles, flows and guards each chunk of modes itself and hands it to
 its caller's reducer as _block_flow wrote it, with no transposed or
-contiguous copy.  Every Gauss-Legendre rule is the one cached
-velocity_basis._leggauss.  Each semigroup has
-one apply: mode_operators._block_flow for the kinetic flow (the S3 remainder
+contiguous copy.  The reducer returns the chunk's tables and _evolve_grid
+allocates the tables of all modes: no rate experiment preallocates one, and
+_kinetic_tables reduces the whole chunk without a loop.  Every
+Gauss-Legendre rule is the one cached velocity_basis._leggauss.  Each
+semigroup has one apply: mode_operators._block_flow for the kinetic flow (the S3 remainder
 runs on it too; only the remainder norms take their own fallback flows),
 fluid_limits._heat_decay for the heat decay, the one reader of the heat
 rates, and fluid_limits._field_flow, the one reader of the two-by-two field
@@ -146,6 +149,14 @@ def test_one_grid_evolver():
     assert not [node for node in ast.walk(evolve)
                 if any(_reads(name)(node) for name in ("transpose", "ascontiguousarray",
                                                        "swapaxes", "moveaxis", "copy"))]
+    # the reducers return their tables: the rate experiments, their reducers
+    # included, allocate no table, and the kinetic reduction takes the whole
+    # chunk, with no loop over blocks of rows
+    for name in ("first_order_experiment", "second_order_experiment", "initial_layer_profile"):
+        assert not [node for node in ast.walk(_function("convergence_lab", name))
+                    if any(_calls(alloc)(node) for alloc in ("empty", "zeros"))]
+    assert not [node for node in ast.walk(_function("convergence_lab", "_kinetic_tables"))
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
 
 
 def test_one_gauss_legendre_rule():

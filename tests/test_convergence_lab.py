@@ -444,7 +444,7 @@ def _whole_grid(assemble, s_nodes, eps, cm, states0, times, failures):
     """_evolve_grid's chunks put together: the (n_t, n_s, dim) states and the keep mask.
 
     Each chunk must be the next run of at most _MODE_CHUNK modes, its states
-    contiguous (n_t, len, dim).
+    contiguous (n_t, len, dim); a reducer that returns no table gets none back.
     """
     chunks = []
 
@@ -454,8 +454,11 @@ def _whole_grid(assemble, s_nodes, eps, cm, states0, times, failures):
         assert states.shape[:2] == (len(times), len(s_nodes[chunk]))
         assert 0 < states.shape[1] <= cl._MODE_CHUNK
         chunks.append(states)
+        return ()
 
-    keep = cl._evolve_grid(assemble, s_nodes, eps, cm, states0, times, failures, collect)
+    keep, tables = cl._evolve_grid(assemble, s_nodes, eps, cm, states0, times, failures,
+                                   collect)
+    assert tables == ()
     assert sum(c.shape[1] for c in chunks) == len(s_nodes)
     return np.concatenate(chunks, axis=1), keep
 
@@ -559,6 +562,33 @@ class TestEvolveGrid:
         assert all("contraction violated" in f["reason"] for f in failures)
         assert np.all(states == 0.0)
 
+    def test_reducer_tables_cover_every_mode(self, collision_small, monkeypatch):
+        # 20 modes in chunks of 7 (7, 7, 6): each table the reducer returns is
+        # the same reduction of the whole grid's states, zero on the dropped modes
+        monkeypatch.setattr(cl, "_MODE_CHUNK", 7)
+        cm, eps, n = collision_small, 0.2, 20
+        s = np.linspace(0.05, 1.9, n)
+        rng = np.random.default_rng(28)
+        u0 = rng.standard_normal((n, cm.basis.dim)) + 1j * rng.standard_normal((n, cm.basis.dim))
+        u0[[2, 15, 19]] *= np.nan
+
+        def reduce(chunk, states):
+            return cl._norm_sq(states), np.sum(states[-1], axis=-1)
+
+        failures, want_failures = [], []
+        keep, tables = cl._evolve_grid(mo.assemble_B, s, eps, cm, u0, self.TIMES, failures,
+                                       reduce)
+        states, want_keep = _whole_grid(mo.assemble_B, s, eps, cm, u0, self.TIMES,
+                                        want_failures)
+        assert np.flatnonzero(~keep).tolist() == [2, 15, 19]
+        assert np.array_equal(keep, want_keep) and failures == want_failures
+        norms, last = tables
+        assert norms.shape == (len(self.TIMES), n) and norms.dtype == float
+        assert last.shape == (n,) and last.dtype == complex
+        for got, want in zip(tables, reduce(slice(None), states)):
+            assert np.array_equal(got, want)
+        assert not norms[:, ~keep].any() and not last[~keep].any()
+
     @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
     def test_matches_propagate(self, collision_small, assemble):
         cm, eps = collision_small, 0.05
@@ -647,8 +677,8 @@ class TestModeChunks:
 
     @pytest.mark.parametrize("n", [240, 16])
     def test_kinetic_tables_equal_the_unblocked_formula(self, collision_small, n):
-        # 240 modes: blocks of two time rows, the last one short; 16 modes
-        # (one chunk): one block
+        # the whole chunk at once: 16 modes (one chunk of the grid), and 240
+        # modes, 5040 states, more than any chunk of a report holds
         cm = collision_small
         s, f0 = self._grid(n, cm.basis.dim, 33)
         tc = cl.transport_coefficients(cm)
@@ -693,7 +723,7 @@ class TestModeChunks:
 
     @pytest.mark.parametrize("block", [1, 2, 4, 5, 7])
     def test_heat_flow_is_the_same_bits_per_row_block(self, collision_small, block):
-        # _kinetic_tables evaluates the heat flow one block of time rows at a time
+        # each time row of the heat flow is the same bits whatever rows it runs with
         cm = collision_small
         s, f0 = self._grid(240, cm.basis.dim, 34)
         tc = cl.transport_coefficients(cm)
@@ -909,8 +939,8 @@ class TestInitialLayer:
     def test_layer_below_noise_floor_refused(self, collision_small, monkeypatch):
         # a kinetic flow that is 0 from t = 0 on leaves no front to fit
         def silent(assemble, s, eps, cm, f0, times, failures, reduce):
-            reduce(slice(0, len(s)), np.zeros((len(times), *f0.shape), complex))
-            return np.ones(len(s), bool)
+            tables = reduce(slice(0, len(s)), np.zeros((len(times), *f0.shape), complex))
+            return np.ones(len(s), bool), tables
 
         monkeypatch.setattr(cl, "_evolve_grid", silent)
         with pytest.raises(cl.ConvergenceError, match="below noise floor"):
@@ -1165,6 +1195,11 @@ _BAD_CALLS = {
         "data-kind-unknown": ("unknown data_kind", _config(data_kind="second_order")),
         "data-kind-list": ("unknown data_kind", _config(data_kind=["generic"])),
         "t-min-above-t-max": ("0 < t_min < t_max", _config(t_max=1e-4)),
+        "t-max-nan": ("t_max must be a finite number", _config(t_max=math.nan)),
+        "t-max-inf": ("t_max must be a finite number", _config(t_max=math.inf)),
+        "t-max-str": ("t_max must be a finite number", _config(t_max="100")),
+        "t-max-bool": ("t_max must be a finite number", _config(t_max=True)),
+        "t-max-none": ("t_max must be a finite number", _config(t_max=None)),
         "n-s-fraction": ("n_s must be an integer", _config(n_s=16.5)),
         "n-s-bool": ("n_s must be an integer", _config(n_s=True)),
         "n-s-four": ("at least eight points", _config(n_s=4)),

@@ -346,7 +346,7 @@ class TestBlockFlow:
         for a, b in zip(partly, fresh):
             assert a._decomp.schur == b._decomp.schur and a._decomp.cond == b._decomp.cond
             assert all(np.array_equal(x, y) for ra, rb in zip(a._decomp.blocks, b._decomp.blocks)
-                       for x, y in zip(ra, rb) if x is not None)
+                       for x, y in zip(ra, rb))
 
     @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
     def test_empty_time_array_gives_no_rows(self, collision_small, monkeypatch, cond_limit):
@@ -369,8 +369,9 @@ class TestBlockFlow:
         return math.sqrt(first * second)
 
     def test_stacks_hold_the_records(self, collision_small, monkeypatch):
-        # the stacks _decompose_stacked returns are its records stacked, a
-        # fallback member's inverse as zero rows
+        # the stacks _decompose_stacked returns are its records stacked, and
+        # the records are views of them: a fallback member's inverse is zero
+        # rows in both
         cm, eps, s_nodes = collision_small, 0.05, (0.05, 0.4, 0.7, 1.3, 1.9)
         monkeypatch.setattr(mo, "_EIG_COND_LIMIT", self._one_member_limit(
             [mo.assemble_A_tilde(s, eps, cm) for s in s_nodes]))
@@ -385,7 +386,8 @@ class TestBlockFlow:
             for i, op in enumerate(ops):
                 if op._decomp.schur[b]:
                     fallbacks += 1
-                    assert records[i][2] is None and not stack[2][i].any()
+                    assert not records[i][2].any() and not stack[2][i].any()
+                assert all(np.shares_memory(x, s) for x, s in zip(records[i], stack))
         assert fallbacks == 1
 
 
@@ -549,9 +551,10 @@ class TestConditioningGate:
                 for x, y in zip(got, want):
                     assert np.array_equal(x, y)
             assert mo._decomposition(ops[i]).cond == mo._decomposition(reference[i]).cond
-        # the fallback record keeps the stack's eig pair and no inverse
+        # the fallback record keeps the stack's eig pair and zero inverse rows,
+        # and only its schur flag marks it
         lam, vr, inverse = ops[1]._decomp.blocks[0]
-        assert inverse is None
+        assert ops[1]._decomp.schur[0] and inverse.shape == vr.shape and not inverse.any()
         want_lam, want_vr = singular_second(np.stack([op.blocks[0].matrix for op in ops]))
         assert np.array_equal(lam, want_lam[1]) and np.array_equal(vr, want_vr[1])
         # and flows by expm of its own block, not of the stack's first member
@@ -723,9 +726,10 @@ class TestPerBlockSplit:
             got = mo.propagate(op, u, t)
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
             assert mo.spectrum(op)[0].size == mo._decomposition(op).lam.size == op.dim
-            keep = cl._evolve_grid(mo.assemble_B, np.array([0.05, 0.7, 1.9]), 0.2, cm,
-                                   states0, np.array([0.0, 0.1, 2.0]), [],
-                                   lambda chunk, states: None)
+            keep, tables = cl._evolve_grid(mo.assemble_B, np.array([0.05, 0.7, 1.9]), 0.2, cm,
+                                           states0, np.array([0.0, 0.1, 2.0]), [],
+                                           lambda chunk, states: ())
+            assert tables == ()
             assert keep.all()
             gap = cl.transient_rate_check(cl.ExperimentConfig(data_kind="generic"), cm)
             assert gap["match"]

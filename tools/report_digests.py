@@ -12,8 +12,10 @@ layer on generic data), the initial layer on well-prepared data and
 oscillatory_decay_check(), and prints one JSON object.  Its "reports" section
 holds, per report, the sha256 of its to_json() followed by its csv_rows().
 The "chunks" section holds the same digests for the rate reports at mode
-counts that leave a partial last chunk of convergence_lab._MODE_CHUNK modes
-(chunk_digests), so a change to the chunk loop shows its bits here.  The
+counts that leave a partial last chunk of convergence_lab._MODE_CHUNK modes,
+and for generic first order on more time rows than the rest (chunk_digests),
+so a change to the chunk loop or to the reduction of a chunk shows its bits
+here.  The
 other sections hold the sha256 of the exact values under the reports
 (science_digests), of the fluid flows (fluid_digests) and of the assembly
 under those (collision_digests and gamma_digests):
@@ -60,9 +62,11 @@ MODE_POINTS = {"low": (1.0, 0.04), "mid": (1.3, 0.2), "high": (25.0, 0.5)}
 NSMF_S = (0.05, 0.6, 2.5)
 NSMF_TIMES = (0.0, 0.5, 2.0, 8.0)
 # the "chunks" section: the four tier-1 rate reports on a short sweep of 20
-# modes, and second order and generic first order on 100 modes
+# modes, second order and generic first order on 100 modes, and generic first
+# order on 40 times (41 rows of 16 modes, 656 states a chunk)
 CHUNK_SWEEP = {"n_s": 20, "n_t": 7, "t_max": 50.0}
 CHUNK_MODES = 100
+CHUNK_TIMES = 40
 
 
 def report_digest(report) -> str:
@@ -206,13 +210,14 @@ def gamma_digests(cm) -> dict:
 def chunk_digests(cm) -> dict:
     """Report digests of the rate experiments at mode counts that are no
     multiple of the chunk size: the four tier-1 reports at CHUNK_SWEEP (the
-    layer keeps its own 240 modes and times), and second order and generic
-    first order with CHUNK_MODES modes."""
+    layer keeps its own 240 modes and times), second order and generic first
+    order with CHUNK_MODES modes, and generic first order at CHUNK_TIMES
+    times."""
     from kslab import convergence_lab as cl
 
     wp, generic = (cl.ExperimentConfig(data_kind=kind, **CHUNK_SWEEP)
                    for kind in ("well_prepared", "generic"))
-    m, n = CHUNK_SWEEP["n_s"], CHUNK_MODES
+    m, n, n_t = CHUNK_SWEEP["n_s"], CHUNK_MODES, CHUNK_TIMES
     reports = {
         f"first_order_well_prepared n_s={m}": cl.first_order_experiment(wp, cm),
         f"first_order_generic n_s={m}": cl.first_order_experiment(generic, cm),
@@ -221,6 +226,8 @@ def chunk_digests(cm) -> dict:
         f"second_order n_s={n}": cl.second_order_experiment(cl.ExperimentConfig(n_s=n), cm),
         f"first_order_generic n_s={n}": cl.first_order_experiment(
             cl.ExperimentConfig(data_kind="generic", n_s=n), cm),
+        f"first_order_generic n_t={n_t}": cl.first_order_experiment(
+            cl.ExperimentConfig(data_kind="generic", n_t=n_t), cm),
     }
     return {name: report_digest(r) for name, r in reports.items()}
 
