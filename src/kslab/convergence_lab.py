@@ -9,10 +9,10 @@ byte-stable for a fixed configuration and seed.
 
 The rate experiments share one set of pieces.  Each runs its own eps loop
 and propagates the modes of a sweep with _evolve_grid in chunks of
-_MODE_CHUNK modes: per chunk, mode_operators._block_flow decomposes the
-generators, one stacked eig per block, and applies the stacks of that
-decomposition, and the contraction guard that mode_operators.propagate uses
-too checks the states.
+_MODE_CHUNK modes: per chunk, mode_operators._decompose_stacked decomposes
+the generators, one stacked eig per block, into one value that
+mode_operators._block_flow applies, and the contraction guard that
+mode_operators.propagate uses too checks the states.
 Each of these steps works mode by mode, so the chunks leave the states bit
 for bit those of one stack.  No experiment holds the (n_t, n_s, dim) states
 of all its modes: _evolve_grid hands each chunk's (n_t, chunk, dim) states
@@ -58,9 +58,10 @@ bisected by the panel rule that the Duhamel integrals of fluid_limits use too
 
 Bad input fails at the boundary with ConvergenceError: an experiment's
 configuration that is not an ExperimentConfig, collision data that is not
-CollisionMatrices (_check_experiment, corrector_shapes), and rate-fit samples
-and corrector shapes that are not finite numbers (velocity_basis._finite_array,
-_finite_complex_array).
+CollisionMatrices (_check_experiment, corrector_shapes), a second-order
+sweep whose t_max ends before its supremum window (_SECOND_ORDER_T_FLOOR),
+and rate-fit samples and corrector shapes that are not finite numbers
+(velocity_basis._finite_array, _finite_complex_array).
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ from .mode_operators import (
     PropagationError,
     _block_flow,
     _contraction_violations,
+    _decompose_stacked,
     _remainder_flow,
     assemble_A_tilde,
     assemble_B,
@@ -127,6 +129,9 @@ _TOL_DECAY = 0.15
 _TOL_GAP = 0.2
 # the one wave number of transient_rate_check
 _TRANSIENT_S0 = 1.0
+# the start of second_order_experiment's supremum window, past the
+# collisional transient for every eps of the sweep; its t_max must reach it
+_SECOND_ORDER_T_FLOOR = 0.5
 _T0_TOL = 1e-10
 # report tag -> the error stream its eps-rates and t = 0 identity read
 _RATE_STREAMS = {"boltzmann": "boltzmann_perp", "vmb": "vmb"}
@@ -150,7 +155,9 @@ class ExperimentConfig:
     The tests cover t_max from 50 to 1e4: the smaller sweeps at 50, the
     rate reports and their frozen fixture at the default 100, and a
     first-order report at 1e4 whose field errors must stay finite.  Longer
-    windows are accepted but untested.
+    windows are accepted but untested.  second_order_experiment refuses a
+    t_max below _SECOND_ORDER_T_FLOOR = 0.5, where its supremum window
+    starts; the other experiments take any t_max past _T_MIN.
     """
 
     eps_list: tuple[float, ...] = _EPS_DEFAULT
@@ -464,13 +471,14 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
     table of all modes is allocated once, with the shape and dtype of the
     first chunk's, and takes every chunk's part at that chunk's modes.  No
     grid of all modes is built: the states are freed before the next chunk
-    runs.  The modes share one block layout: per chunk, _block_flow
-    decomposes them in one stacked eig per block and applies the stacks of
-    that decomposition at once, e^{tau A_b} by scaling and squaring on any
-    block whose eigenvectors fail the conditioning limit.  Every step works
-    per mode (eig and inv per matrix, the batched products per mode, the
-    conditioning gate and the contraction guard per row), so the chunks give
-    the states of one stack bit for bit.  A mode that fails the contraction
+    runs.  The modes share one block layout: per chunk, _decompose_stacked
+    decomposes them in one stacked eig per block, writing nothing on the
+    operators, and _block_flow applies that decomposition at once,
+    e^{tau A_b} by scaling and squaring on any block whose eigenvectors fail
+    the conditioning limit.  Every step works per mode (eig and inv per
+    matrix, the batched products per mode, the conditioning gate and the
+    contraction guard per row), so the chunks give the states of one stack
+    bit for bit.  A mode that fails the contraction
     guard is dropped: its states are zero and ``failures`` records it.
     """
     taus = np.asarray(times, dtype=float) / eps**2
@@ -479,10 +487,10 @@ def _evolve_grid(assemble: Callable, s_nodes: np.ndarray, eps: float,
     for lo in range(0, len(s_nodes), _MODE_CHUNK):
         chunk = slice(lo, lo + _MODE_CHUNK)
         ops = [assemble(float(s), eps, cm) for s in s_nodes[chunk]]
-        flow = _block_flow(ops, states0[chunk], taus)
+        flow = _block_flow(ops, _decompose_stacked(ops), states0[chunk], taus)
         growth, bad = _contraction_violations(np.stack([op.metric_diag for op in ops]),
                                               states0[chunk], flow)
-        del ops  # the chunk's operators and records, freed before its states are reduced
+        del ops  # the chunk's operators, freed before its states are reduced
         for i in np.flatnonzero(bad):
             failures.append({"eps": float(eps), "s": float(s_nodes[lo + i]),
                              "reason": f"contraction violated ({growth[i]:.3e})"})
@@ -896,10 +904,16 @@ def second_order_experiment(cfg: ExperimentConfig,
     side), so the unscaled solutions vanish to first order and the
     1/eps-scaled errors against the heat and damped-Maxwell flows started
     from the correctors measure the next order.  The supremum windows start
-    at t = 0.5, past the collisional transient for every eps in the sweep;
-    boundedness of the scaled solution at t ~ eps^2 log(1/eps) is recorded.
+    at t = _SECOND_ORDER_T_FLOOR, past the collisional transient for every
+    eps in the sweep, so a t_max below it raises ConvergenceError before any
+    mode is evolved; boundedness of the scaled solution at
+    t ~ eps^2 log(1/eps) is recorded.
     """
     _check_experiment(cfg, cm)
+    if cfg.t_max < _SECOND_ORDER_T_FLOOR:
+        raise ConvergenceError(
+            f"second order needs t_max >= {_SECOND_ORDER_T_FLOOR}, the start of its supremum "
+            f"window t >= {_SECOND_ORDER_T_FLOOR}, got t_max={cfg.t_max!r}")
     tc = transport_coefficients(cm)
     basis = cm.basis
     data = make_initial_data("second_order", cfg, cm)
@@ -951,7 +965,8 @@ def second_order_experiment(cfg: ExperimentConfig,
     report.metadata["scaled_norm_at_log_time"] = bounded
 
     _fit_eps_slopes(report, eps_arr, times, streams,
-                    {"boltzmann": 1.75, "vmb": 0.75}, _TOL_SECOND_SLOPE, t_floor=0.5)
+                    {"boltzmann": 1.75, "vmb": 0.75}, _TOL_SECOND_SLOPE,
+                    t_floor=_SECOND_ORDER_T_FLOOR)
     for tag, marks in bounded.items():
         marks = np.array(marks)
         growth = rate_fit(eps_arr, marks).exponent

@@ -13,31 +13,32 @@ On top of the blocks: the semigroup (in diffusive time t / eps^2) and its
 split into fluid branches, an oscillatory high-frequency part and an
 exponentially damped remainder.
 
-The blocks are the only generator form, and a _Decomposition on the
-operator is the only decomposition form: one record per block, (eigenvalues,
-right vectors, inverse).  _decompose_stacked writes the records of any number
-of operators that share a block layout, one stacked eig per block.  A block
-falls back when the Frobenius product ||V_b||_F ||V_b^{-1}||_F, an upper
-bound on cond_2(V_b), reaches _EIG_COND_LIMIT; its record keeps the eig pair
-with zero inverse rows, (lam_b, V_b, 0), and only the decomposition's
-``schur`` flags mark it.  spectrum reads the eig pair of every record, and
-the semigroup split marks the eigenvalues it takes into S1/S2 with a mask
-per block copy, m, and a projector P_b per fallback block.
+The blocks are the only generator form, and a _Decomposition is the only
+decomposition form: one value over a list of n operators that share a block
+layout, per block the stacks (eigenvalues, right vectors, inverses), which
+_decompose_stacked returns from one stacked eig per block and writes on no
+operator.  One operator's decomposition is the case n = 1, cached on the
+operator by _decomposition; the single-operator readers take its member 0.
+A member's block falls back when the Frobenius product
+||V_b||_F ||V_b^{-1}||_F, an upper bound on cond_2(V_b), reaches
+_EIG_COND_LIMIT; it keeps the eig pair with zero inverse rows,
+(lam_b, V_b, 0), and only the decomposition's ``schur`` flags mark it.
+spectrum reads the eig pair of every block, and the semigroup split marks
+the eigenvalues it takes into S1/S2 with a mask per block copy, m, and a
+projector P_b per fallback block.
 
 _block_flow is the one apply of the semigroup, e^{tau A} u0 =
 V_b diag(e^{tau lam}) V_b^{-1} u0 on an eig block copy and e^{tau A_b} u0 by
-scaling and squaring (_fallback_flow) on a fallback block.  When it
-decomposes every operator itself it applies the per-block stacks that
-_decompose_stacked returns, the records' stacked form; when some operators
-already hold records it stacks the records per block (_stacked_records).
-Its states are (n_t, n, dim), times first, the layout the reducers of
-convergence_lab._evolve_grid read, so a chunk of a mode grid goes to them
-uncopied.  It serves one operator (propagate), each chunk of a mode grid
-and the remainder of a split (_remainder_flow):
+scaling and squaring (_fallback_flow) on a fallback block, and applies the
+decomposition it is handed.  Its states are (n_t, n, dim), times first, the
+layout the reducers of convergence_lab._evolve_grid read, so a chunk of a
+mode grid goes to them uncopied.  It serves one operator (propagate), each
+chunk of a mode grid, which convergence_lab._evolve_grid decomposes with
+_decompose_stacked, and the remainder of a split (_remainder_flow):
 V_b diag(e^{tau lam} (1 - m)) V_b^{-1} u0, from (I - P_b) u0 on a fallback
 block.  The results are checked with the one contraction guard,
-_contraction_violations, and the remainder norms read the same records.
-Only _fallback_flow and _schur_projector import scipy.linalg.
+_contraction_violations, and the remainder norms read the same
+decomposition.  Only _fallback_flow and _schur_projector import scipy.linalg.
 
 The dense generator (ModeOperator.matrix) and the split's S1_part, S2_part
 and S3_part are views for callers outside the package (tests and benchmark
@@ -48,7 +49,7 @@ Each block carries its parity phases, one per row: i^l by the Legendre
 degree l of a kinetic row, i on the X and 1 on the Y row of the field block.
 With D = diag(phase) the block is D T D^{-1} with T real (_real_frame), the
 collision part being real and diagonal in l and the streaming coupling l to
-l +- 1.  The eig records stay complex; the remainder norms of an eig copy run
+l +- 1.  The eig pairs stay complex; the remainder norms of an eig copy run
 in real arithmetic on Re(D^{-1} G^{1/2} V E V^{-1} G^{-1/2} D) when the
 block is real in its frame and the copy's branch mask is closed under
 conjugation, and take the complex product otherwise (a block that its
@@ -365,68 +366,52 @@ def _stacked_inverse(vr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vinv, norms
 
 
-def _decompose_stacked(ops: list[ModeOperator]) -> list[tuple]:
+class _Decomposition(NamedTuple):
+    """The decomposition of n operators that share one block layout, member i
+    that of operator i.
+
+    ``blocks`` holds per block the stacks (eigenvalues (n, k), right vectors
+    (n, k, k), inverses (n, k, k)).  ``schur`` (n, n_blocks) marks the
+    members' fallback blocks: such a block keeps its eig pair, its inverse is
+    zero rows, and it flows by _fallback_flow.  ``cond`` (n,) bounds cond_2
+    of each member's block-diagonal eigenvector matrix.
+    """
+
+    cond: np.ndarray
+    blocks: tuple
+    schur: np.ndarray
+
+
+def _decompose_stacked(ops: list[ModeOperator]) -> _Decomposition:
     """Decompose operators sharing one block layout, one stacked eig per block.
 
-    Every operator gets its own _Decomposition: per block views into the
-    stacks, with zero inverse rows where the eigenvectors are past
-    _EIG_COND_LIMIT (a fallback block).  The gate costs one stacked inverse,
-    which the eig records need anyway: LAPACK's eigenvectors are unit
-    columns, so a k-dim block has ||V_b||_F = sqrt(k), and
-    sqrt(k) ||V_b^{-1}||_F >= cond_2(V_b) is the bound the gate takes (an
-    exactly singular V_b has an infinite one).  The reported condition is max_b sqrt(k_b) * max_b ||V_b^{-1}||_F,
-    an upper bound on cond_2 of the block-diagonal eigenvector matrix.
-
-    Returns the stacks, per block (eigenvalues, right vectors, inverses) of
-    shapes (n, k) and (n, k, k): the records' stacked form (_stacked_records),
-    so _block_flow applies them without stacking the records back.
+    Writes nothing on the operators.  A member's inverse is zero rows where
+    its eigenvectors are past _EIG_COND_LIMIT (a fallback block).  The gate
+    costs one stacked inverse, which the eig path needs anyway: LAPACK's
+    eigenvectors are unit columns, so a k-dim block has ||V_b||_F = sqrt(k),
+    and sqrt(k) ||V_b^{-1}||_F >= cond_2(V_b) is the bound the gate takes (an
+    exactly singular V_b has an infinite one).  The reported condition is
+    max_b sqrt(k_b) * max_b ||V_b^{-1}||_F, an upper bound on cond_2 of the
+    block-diagonal eigenvector matrix.
     """
-    stacks, vec_norms, inv_norms = [], [], []
+    blocks, vec_norms, inv_norms = [], [], []
     for b in range(len(ops[0].blocks)):
         lam, vr = np.linalg.eig(np.stack([op.blocks[b].matrix for op in ops]))
         vinv, norm = _stacked_inverse(vr)
-        stacks.append((lam, vr, vinv))
+        blocks.append((lam, vr, vinv))
         vec_norms.append(math.sqrt(lam.shape[1]))
         inv_norms.append(norm)
     inv_norms = np.stack(inv_norms, axis=1)
     ok = np.asarray(vec_norms) * inv_norms < _EIG_COND_LIMIT
-    cond = max(vec_norms) * inv_norms.max(axis=1)
-    for b, (_, _, wb) in enumerate(stacks):
+    for b, (_, _, wb) in enumerate(blocks):
         wb[~ok[:, b]] = 0.0
-    for i, op in enumerate(ops):
-        blocks = tuple((lb[i], vb[i], wb[i]) for lb, vb, wb in stacks)
-        op._decomp = _Decomposition("eig" if ok[i].all() else "schur", float(cond[i]),
-                                    _by_column(op, [lb for lb, _, _ in blocks]), blocks,
-                                    tuple((~ok[i]).tolist()))
-    return stacks
-
-
-def _stacked_records(records: list) -> tuple:
-    """One block's records of n operators as (n, k) and (n, k, k) stacks."""
-    return tuple(map(np.stack, zip(*records)))
-
-
-class _Decomposition(NamedTuple):
-    """A generator's decomposition (ModeOperator._decomp), one record per block.
-
-    ``blocks`` holds per block (eigenvalues, right vectors, inverse); where
-    ``schur`` marks a fallback block the inverse is zero rows, and the block
-    flows by _fallback_flow.
-    The columns run block by block and, within a block, copy by copy
-    (_copy_columns): ``lam`` holds the eigenvalue of every column.
-    """
-
-    path: str                 # "schur" when any block fell back, else "eig"
-    cond: float
-    lam: np.ndarray
-    blocks: tuple
-    schur: tuple
+    return _Decomposition(max(vec_norms) * inv_norms.max(axis=1), tuple(blocks), ~ok)
 
 
 def _decomposition(op: ModeOperator) -> _Decomposition:
-    """The operator's decomposition, computed by _decompose_stacked on first use."""
+    """The operator's decomposition, _decompose_stacked([op]), cached on it."""
     if op._decomp is None:
-        _decompose_stacked([op])
+        op._decomp = _decompose_stacked([op])
     return op._decomp
 
 
@@ -451,12 +436,13 @@ def _spectral_order(lam: np.ndarray) -> np.ndarray:
 
 
 def _dense_vectors(op: ModeOperator, cols: np.ndarray, inverse: bool = False):
-    """Right eigenvectors (as columns) of the given columns, dense, from the records;
-    with ``inverse`` also their inverse rows, zero for a fallback record."""
+    """Right eigenvectors (as columns) of the given columns, dense, from the
+    decomposition; with ``inverse`` also their inverse rows, zero for a fallback block."""
+    dec = _decomposition(op)
     right = np.zeros((op.dim, cols.size), dtype=complex)
     left = np.zeros((cols.size, op.dim), dtype=complex) if inverse else None
     for b, idx, sign, span in _copy_columns(op):
-        _, vb, wb = op._decomp.blocks[b]
+        _, (vb,), (wb,) = dec.blocks[b]
         hit = np.flatnonzero((cols >= span.start) & (cols < span.stop))
         local = cols[hit] - span.start
         right[np.ix_(idx, hit)] = sign[:, None] * vb[:, local]
@@ -468,18 +454,19 @@ def _dense_vectors(op: ModeOperator, cols: np.ndarray, inverse: bool = False):
 def spectrum(op: ModeOperator):
     """Eigenvalues sorted by descending real part, vectors, and residuals.
 
-    Every block, a fallback one too, gives the eig pair of its record; the
-    residuals are computed per block, and a block's copies share them, since
-    a signature conjugation preserves the column norms.
+    Every block, a fallback one too, gives its eig pair; the residuals are
+    computed per block, and a block's copies share them, since a signature
+    conjugation preserves the column norms.
     """
     _check_record(op, ModeOperator, ValueError)
     dec = _decomposition(op)
     res = _by_column(op, [
         np.linalg.norm(block.matrix @ vb - vb * lb[None, :], axis=0) / np.linalg.norm(vb, axis=0)
-        for block, (lb, vb, _) in zip(op.blocks, dec.blocks)])
-    order = _spectral_order(dec.lam)
+        for block, ((lb,), (vb,), _) in zip(op.blocks, dec.blocks)])
+    lam = _by_column(op, [lb[0] for lb, _, _ in dec.blocks])
+    order = _spectral_order(lam)
     vr, _ = _dense_vectors(op, order)
-    return dec.lam[order], vr, res[order]
+    return lam[order], vr, res[order]
 
 
 def _fallback_flow(a: np.ndarray, taus) -> np.ndarray:
@@ -488,30 +475,23 @@ def _fallback_flow(a: np.ndarray, taus) -> np.ndarray:
     return np.array([expm(tau * a) for tau in taus], dtype=complex).reshape(len(taus), *a.shape)
 
 
-def _block_flow(ops: list[ModeOperator], states0: np.ndarray, taus: np.ndarray,
-                keep: np.ndarray | None = None) -> np.ndarray:
+def _block_flow(ops: list[ModeOperator], dec: _Decomposition, states0: np.ndarray,
+                taus: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """(n_t, n, dim) states e^{tau A} u0 of n operators sharing one block layout.
 
-    ``states0`` holds the (n, dim) initial states.  When no operator has
-    records yet, one _decompose_stacked call decomposes them all and its
-    stacks are applied as they are; otherwise the operators without records
-    are decomposed and every block's records are stacked (_stacked_records).
-    Each copy flows by batched products, member by member; a fallback block
-    then flows by _fallback_flow of its operator's own block.  ``keep``, an
-    (n, dim) mask over the columns (see _Decomposition), restricts each eig
-    copy to its kept columns, V (e^{tau lam} keep V^{-1} u0), so a dropped
-    column leaves no rounding residue; it leaves the fallback blocks alone.
-    The times lead, as the reducers of convergence_lab._evolve_grid read them.
+    ``dec`` is the operators' decomposition, member i that of ops[i], and
+    ``states0`` holds the (n, dim) initial states.  Each copy flows by
+    batched products, member by member; a fallback block then flows by
+    _fallback_flow of its operator's own block.  ``keep``, an (n, dim) mask
+    over the columns (see _copy_columns), restricts each eig copy to its
+    kept columns, V (e^{tau lam} keep V^{-1} u0), so a dropped column leaves
+    no rounding residue; it leaves the fallback blocks alone.  The times
+    lead, as the reducers of convergence_lab._evolve_grid read them.
     """
-    fresh = [op for op in ops if op._decomp is None]
-    stacks = _decompose_stacked(fresh) if fresh else []
-    if len(fresh) < len(ops):
-        stacks = [_stacked_records([op._decomp.blocks[b] for op in ops])
-                  for b in range(len(ops[0].blocks))]
     out = np.zeros((len(taus), len(ops), states0.shape[1]), dtype=complex)
     copies = list(_copy_columns(ops[0]))
-    for b, (lam, vr, vinv) in enumerate(stacks):
-        fallback = [i for i, op in enumerate(ops) if op._decomp.schur[b]]
+    for b, (lam, vr, vinv) in enumerate(dec.blocks):
+        fallback = np.flatnonzero(dec.schur[:, b])
         if len(fallback) < len(ops):
             vr_t = np.swapaxes(vr, 1, 2)
             growth = np.exp(taus[None, :, None] * lam[:, None, :])
@@ -562,12 +542,12 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
     if np.any(times < 0):
         raise ValueError("time must be nonnegative")
     dec = _decomposition(op)
-    out = _block_flow([op], u0[None], np.atleast_1d(times) / op.eps**2)[:, 0]
+    out = _block_flow([op], dec, u0[None], np.atleast_1d(times) / op.eps**2)[:, 0]
     growth, bad = _contraction_violations(op.metric_diag[None], u0[None], out[:, None])
     if bad[0]:
         raise PropagationError(
             f"contraction violated: growth {growth[0]:.3e} "
-            f"(decomposition condition {dec.cond:.3e})"
+            f"(decomposition condition {dec.cond[0]:.3e})"
         )
     return out if times.ndim else out[0]
 
@@ -580,7 +560,7 @@ def propagate(op: ModeOperator, u0: np.ndarray, t) -> np.ndarray:
 class SemigroupSplit:
     """e^{tA} = S1(t) + S2(t) + S3(t): fluid branches, oscillatory branches, remainder.
 
-    ``branch_mask`` marks the columns (see _Decomposition) whose eigenvalues
+    ``branch_mask`` marks the columns (see _copy_columns) whose eigenvalues
     go to S1 (low regime) or S2 (high regime); it is per block copy, so one
     copy of a degenerate pair can be taken without the other.  A fallback
     block takes its branch on every copy with the spectral projector
@@ -598,7 +578,6 @@ class SemigroupSplit:
     regime: str                       # low | high | mid
     measured_gap_b: float
     fit_C: float
-    defective: bool
     branch_mask: np.ndarray
     schur_projectors: tuple           # per block: branch projector, or None
 
@@ -608,7 +587,7 @@ class SemigroupSplit:
         right, left = _dense_vectors(self.op, np.flatnonzero(self.branch_mask), inverse=True)
         branch = right @ left
         for b, idx, sign, _ in _copy_columns(self.op):
-            if dec.schur[b]:
+            if dec.schur[0, b]:
                 branch[np.ix_(idx, idx)] = sign[:, None] * self.schur_projectors[b] * sign[None, :]
         zero = np.zeros_like(branch)
         return (zero, branch) if self.regime == "high" else (branch, zero)
@@ -663,7 +642,8 @@ def semigroup_split(op: ModeOperator) -> SemigroupSplit:
     _check_record(op, ModeOperator, ValueError)
     regime = _split_regime(op)
     dec = _decomposition(op)
-    lam = dec.lam
+    schur = dec.schur[0]
+    lam = _by_column(op, [lb[0] for lb, _, _ in dec.blocks])
     order = _spectral_order(lam)
     mask = np.zeros(op.dim, dtype=bool)
     if regime == "low":
@@ -671,14 +651,14 @@ def semigroup_split(op: ModeOperator) -> SemigroupSplit:
     elif regime == "high":
         mask = lam.real >= -0.5 * op.collision.mu_estimate
     cut = lam[mask].real.min(initial=np.inf) - 1e-12
-    schur_cols = _by_column(op, [np.full(rec[0].size, s) for rec, s in zip(dec.blocks, dec.schur)])
+    schur_cols = _by_column(op, [np.full(block.matrix.shape[0], s)
+                                 for block, s in zip(op.blocks, schur)])
     mask[schur_cols] = lam[schur_cols].real >= cut
     projectors = tuple(_schur_projector(block.matrix, lambda z: z.real >= cut)[0] if s else None
-                       for block, s in zip(op.blocks, dec.schur))
+                       for block, s in zip(op.blocks, schur))
     b, c_fit = _fit_remainder_decay(
         lam[~mask], lambda taus: _remainder_norms(op, mask, projectors, taus))
     return SemigroupSplit(op=op, regime=regime, measured_gap_b=b, fit_C=c_fit,
-                          defective=dec.path == "schur",
                           branch_mask=mask, schur_projectors=projectors)
 
 
@@ -714,8 +694,8 @@ def _remainder_norms(op: ModeOperator, mask: np.ndarray, projectors,
         if key in seen:
             continue
         seen.add(key)
-        lb, x, y = dec.blocks[b]
-        if dec.schur[b]:
+        (lb,), (x,), (y,) = dec.blocks[b]
+        if dec.schur[0, b]:
             flows = (g[:, None] * _fallback_flow(op.blocks[b].matrix, taus)
                      @ (np.eye(lb.size) - projectors[b]) / g[None, :])
             norms = np.maximum(norms, np.linalg.norm(flows, ord=2, axis=(1, 2)))
@@ -756,10 +736,10 @@ def _remainder_flow(split: SemigroupSplit, u0: np.ndarray, taus: np.ndarray) -> 
     dec = _decomposition(split.op)
     start = np.array(u0, dtype=complex)
     for b, idx, sign, _ in _copy_columns(split.op):
-        if dec.schur[b]:
+        if dec.schur[0, b]:
             u = u0[idx] * sign
             start[idx] = (u - split.schur_projectors[b] @ u) * sign
-    return _block_flow([split.op], start[None], taus, ~split.branch_mask[None])[:, 0]
+    return _block_flow([split.op], dec, start[None], taus, ~split.branch_mask[None])[:, 0]
 
 
 def _fit_remainder_decay(rest: np.ndarray, remainder_norms) -> tuple[float, float]:

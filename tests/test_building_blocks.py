@@ -3,12 +3,14 @@
 The finiteness policy for arrays lives in one predicate,
 velocity_basis._finite_entries (behind _finite_array and
 _finite_complex_array): no other kslab function calls numpy's isfinite.
-A kinetic decomposition has one form, the per-operator record of
-mode_operators._Decomposition, whose fallback blocks hold zero inverse rows
-as the stacks do: _decompose_stacked writes the records, and
-only _decomposition and _block_flow, which decomposes the operators that
-lack them, call it; _block_flow applies the stacks of its own
-decomposition or stacks the records itself, and takes no stacked parts.
+A kinetic decomposition has one form, mode_operators._Decomposition: one
+value over a list of operators, per block the stacks of their eig pairs and
+inverses, zero inverse rows on a fallback member.  _decompose_stacked returns
+it and writes nothing on the operators; its only callers are _decomposition,
+which caches one operator's on that operator and is the only place outside
+ModeOperator._fill that assigns one, and convergence_lab._evolve_grid, which
+hands each chunk's to _block_flow.  _block_flow applies the decomposition it
+is given and decomposes nothing itself.
 The experiments' mode grids have one evolver, convergence_lab._evolve_grid,
 which assembles, flows and guards each chunk of modes itself and hands it to
 its caller's reducer as _block_flow wrote it, with no transposed or
@@ -126,15 +128,28 @@ def _function(module: str, name: str) -> ast.FunctionDef:
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def _assigns_decomp(node) -> bool:
+    """An assignment whose target is an attribute named _decomp."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+    return any(isinstance(t, ast.Attribute) and t.attr == "_decomp"
+               for target in targets for t in ast.walk(target))
+
+
 def test_one_decomposition_form():
-    # the per-operator records are the only form: _block_flow decomposes what
-    # lacks them and takes no stacked parts
+    # the decomposition is one value: _decompose_stacked returns it to the
+    # one-operator cache and to the grid evolver (which imports it), and
+    # _block_flow is handed it
     assert set(_where(_reads("_decompose_stacked"))) == {
-        ("mode_operators", "_block_flow"), ("mode_operators", "_decomposition")}
-    assert not _where(lambda node: isinstance(node, ast.FunctionDef)
-                      and node.name == "_stacks_of_one")
+        ("mode_operators", "_decomposition"), ("convergence_lab", "<module>"),
+        ("convergence_lab", "_evolve_grid")}
+    for name in ("_stacks_of_one", "_stacked_records"):
+        assert not _where(lambda node: isinstance(node, ast.FunctionDef) and node.name == name)
     flow = _function("mode_operators", "_block_flow")
-    assert [a.arg for a in flow.args.args] == ["ops", "states0", "taus", "keep"]
+    assert [a.arg for a in flow.args.args] == ["ops", "dec", "states0", "taus", "keep"]
+    # and only the one-operator cache writes a decomposition on an operator
+    assert set(_where(_assigns_decomp)) == {("mode_operators", "_fill"),
+                                            ("mode_operators", "_decomposition")}
 
 
 def test_one_grid_evolver():

@@ -510,8 +510,26 @@ class TestEvolveGrid:
         slow, keep = _whole_grid(assemble, self.S_NODES, eps, cm, u0,
                                  self.TIMES, failures)
         assert keep.all() and not failures
-        assert mo._decomposition(assemble(1.0, eps, cm))[0] == "schur"
+        assert mo._decomposition(assemble(1.0, eps, cm)).schur.any()
         assert np.abs(fast - slow).max() <= 1e-9 * np.abs(u0).max()
+
+    @pytest.mark.parametrize("cond_limit", [mo._EIG_COND_LIMIT, 1.0], ids=["eig", "schur"])
+    @pytest.mark.parametrize("assemble", [mo.assemble_B, mo.assemble_A_tilde])
+    def test_grid_operators_hold_no_decomposition(self, collision_small, monkeypatch,
+                                                  assemble, cond_limit):
+        # each chunk's decomposition is a value _evolve_grid hands to
+        # _block_flow: no operator it assembles keeps one
+        monkeypatch.setattr(mo, "_EIG_COND_LIMIT", cond_limit)
+        cm, ops = collision_small, []
+
+        def assemble_kept(s, eps, cm):
+            ops.append(assemble(s, eps, cm))
+            return ops[-1]
+
+        u0 = self._states(assemble(1.0, 0.2, cm).dim, 29)
+        _, keep = _whole_grid(assemble_kept, self.S_NODES, 0.2, cm, u0, self.TIMES, [])
+        assert keep.all() and len(ops) == len(self.S_NODES)
+        assert all(op._decomp is None for op in ops)
 
     def test_one_stacked_eig_per_block(self, collision_small, monkeypatch):
         calls = self._count_eig(monkeypatch)
@@ -548,7 +566,7 @@ class TestEvolveGrid:
         assert len(calls) == 2
 
     def test_non_finite_flow_drops_the_modes(self, collision_small, monkeypatch):
-        def nan_flow(ops, states0, taus):
+        def nan_flow(ops, dec, states0, taus):
             return np.full((len(taus), len(states0), states0.shape[1]), np.nan + 0j)
 
         monkeypatch.setattr(cl, "_block_flow", nan_flow)
@@ -626,7 +644,8 @@ class TestEvolveGrid:
 def _one_stack_grid(assemble, s_nodes, eps, cm, states0, times, failures):
     """The whole grid in one stack: _evolve_grid as it was before its mode chunks."""
     ops = [assemble(float(s), eps, cm) for s in s_nodes]
-    out = mo._block_flow(ops, states0, np.asarray(times, dtype=float) / eps**2)
+    out = mo._block_flow(ops, mo._decompose_stacked(ops), states0,
+                         np.asarray(times, dtype=float) / eps**2)
     growth, bad = mo._contraction_violations(np.stack([op.metric_diag for op in ops]),
                                              states0, out)
     for i in np.flatnonzero(bad):
@@ -954,6 +973,21 @@ class TestSecondOrder:
     def test_degree_one_basis_fails_before_any_propagation(self, monkeypatch):
         _fails_before_any_propagation(cl.second_order_experiment, monkeypatch)
 
+    def test_short_window_fails_before_any_propagation(self, collision_small, monkeypatch):
+        # the supremum window t >= _SECOND_ORDER_T_FLOOR must hold a time:
+        # a shorter sweep is refused before any mode is evolved, and the
+        # window's start itself is accepted
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cl, "_evolve_grid", lambda *args: calls.append(args))
+            with pytest.raises(cl.ConvergenceError, match="supremum window"):
+                cl.second_order_experiment(cl.ExperimentConfig(n_s=8, n_t=5, t_max=0.4),
+                                           collision_small)
+        assert calls == []
+        report = cl.second_order_experiment(
+            cl.ExperimentConfig(n_s=8, n_t=5, t_max=cl._SECOND_ORDER_T_FLOOR), collision_small)
+        assert report.t[-1] == cl._SECOND_ORDER_T_FLOOR
+
     def test_eps_slopes(self, second_report):
         assert second_report.flags["eps_slope_boltzmann"]
         assert second_report.flags["eps_slope_vmb"]
@@ -1261,7 +1295,11 @@ _BAD_CALLS = {
             "second_order", cl.ExperimentConfig(), None)),
     },
     "first_order_experiment": _experiment_rows(cl.first_order_experiment),
-    "second_order_experiment": _experiment_rows(cl.second_order_experiment),
+    "second_order_experiment": {
+        **_experiment_rows(cl.second_order_experiment),
+        "t-max-below-window": ("supremum window", lambda cm: cl.second_order_experiment(
+            cl.ExperimentConfig(n_s=8, n_t=5, t_max=0.4), cm)),
+    },
     "initial_layer_profile": _experiment_rows(cl.initial_layer_profile),
     "transient_rate_check": _experiment_rows(cl.transient_rate_check),
     "oscillatory_value": {

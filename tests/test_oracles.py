@@ -21,6 +21,7 @@ import kslab
 from kslab.collision_ops import CollisionMatrices, GammaTensor
 from kslab.convergence_lab import ExperimentConfig, InitialData
 from kslab.fluid_limits import TransportCoefficients
+from kslab.mode_operators import SemigroupSplit, _Decomposition
 from kslab.velocity_basis import Basis, Quadrature
 
 import oracles
@@ -80,7 +81,15 @@ def test_oracle_names_are_absent_from_the_library():
                    "boltzmann_micro", "vmb_macro", "vmb_micro", "field_amp"]),
     (TransportCoefficients, ["kappa0", "kappa1", "eta", "a_list"]),
     (ExperimentConfig, ["eps_list", "data_kind", "n_s", "t_max", "n_t", "seed"]),
+    (SemigroupSplit, ["op", "regime", "measured_gap_b", "fit_C", "branch_mask",
+                      "schur_projectors"]),
 ], ids=["Basis", "Quadrature", "CollisionMatrices", "GammaTensor", "InitialData",
-        "TransportCoefficients", "ExperimentConfig"])
+        "TransportCoefficients", "ExperimentConfig", "SemigroupSplit"])
 def test_record_fields(record, names):
     assert [f.name for f in dataclasses.fields(record)] == names
+
+
+def test_decomposition_fields():
+    # the schur flags alone mark a fallback, and the eigenvalues by column are
+    # laid out from the blocks where they are read
+    assert _Decomposition._fields == ("cond", "blocks", "schur")

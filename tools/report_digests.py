@@ -13,9 +13,11 @@ oscillatory_decay_check(), and prints one JSON object.  Its "reports" section
 holds, per report, the sha256 of its to_json() followed by its csv_rows().
 The "chunks" section holds the same digests for the rate reports at mode
 counts that leave a partial last chunk of convergence_lab._MODE_CHUNK modes,
-and for generic first order on more time rows than the rest (chunk_digests),
-so a change to the chunk loop or to the reduction of a chunk shows its bits
-here.  The
+for generic first order on more time rows than the rest, and for generic
+first order at conditioning limits (CHUNK_LIMITS) that send every member of
+a chunk, or some of them, to the eig fallback of _block_flow
+(chunk_digests), so a change to the chunk loop, to the flow of a grid or to
+the reduction of a chunk shows its bits here.  The
 other sections hold the sha256 of the exact values under the reports
 (science_digests), of the fluid flows (fluid_digests) and of the assembly
 under those (collision_digests and gamma_digests):
@@ -67,6 +69,9 @@ NSMF_TIMES = (0.0, 0.5, 2.0, 8.0)
 CHUNK_SWEEP = {"n_s": 20, "n_t": 7, "t_max": 50.0}
 CHUNK_MODES = 100
 CHUNK_TIMES = 40
+# generic first order at CHUNK_SWEEP under these values of _EIG_COND_LIMIT:
+# at 1 every member of every grid falls back, at 100 some do (mixed grids)
+CHUNK_LIMITS = (1.0, 100.0)
 
 
 def report_digest(report) -> str:
@@ -211,9 +216,10 @@ def chunk_digests(cm) -> dict:
     """Report digests of the rate experiments at mode counts that are no
     multiple of the chunk size: the four tier-1 reports at CHUNK_SWEEP (the
     layer keeps its own 240 modes and times), second order and generic first
-    order with CHUNK_MODES modes, and generic first order at CHUNK_TIMES
-    times."""
+    order with CHUNK_MODES modes, generic first order at CHUNK_TIMES times,
+    and generic first order at CHUNK_SWEEP under each of CHUNK_LIMITS."""
     from kslab import convergence_lab as cl
+    from kslab import mode_operators as mo
 
     wp, generic = (cl.ExperimentConfig(data_kind=kind, **CHUNK_SWEEP)
                    for kind in ("well_prepared", "generic"))
@@ -229,6 +235,14 @@ def chunk_digests(cm) -> dict:
         f"first_order_generic n_t={n_t}": cl.first_order_experiment(
             cl.ExperimentConfig(data_kind="generic", n_t=n_t), cm),
     }
+    limit = mo._EIG_COND_LIMIT
+    try:
+        for fallback in CHUNK_LIMITS:
+            mo._EIG_COND_LIMIT = fallback
+            reports[f"first_order_generic n_s={m} limit={fallback:g}"] = (
+                cl.first_order_experiment(generic, cm))
+    finally:
+        mo._EIG_COND_LIMIT = limit
     return {name: report_digest(r) for name, r in reports.items()}
 
 
